@@ -21,8 +21,11 @@ pub enum HookPoint {
     TectonicRead,
     /// `MessageBus::publish` — once per record appended to any topic.
     ScribePublish,
-    /// The DPP worker loops (sequential and `read_ahead > 0` pipelined) —
-    /// once per split handed to a worker.
+    /// The DPP worker loop's deliver stage (`dpp::pipeline`, the one site
+    /// at every `read_ahead` depth) — once per split, after the split has
+    /// been extracted and transformed and before it is batched and sent.
+    /// At depth ≥ 1 the worker may hold further splits in its pipe; a
+    /// crash here requeues those too.
     WorkerSplit,
     /// Harness-driven events clocked by the number of batches the chaos
     /// test's client has consumed (client reconnects, master kill+restore,
@@ -104,7 +107,7 @@ pub enum FaultKind {
     /// The worker abandons its split and dies; the master is notified as
     /// if the health monitor had detected the crash.
     WorkerCrash,
-    /// The worker stalls for `micros` of wall time before touching the
+    /// The worker stalls for `micros` of wall time before loading the
     /// split (preemption / GC pause).
     WorkerHang {
         /// Wall-clock stall in microseconds (kept well below the

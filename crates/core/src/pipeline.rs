@@ -1,49 +1,61 @@
-//! Intra-worker software pipelining of the extract → transform → load
-//! stages.
+//! The one worker loop: extract → transform → load as three stage
+//! functions, run at a depth.
 //!
-//! The sequential worker loop in `service.rs` alternates between waiting
-//! on storage (fetch + decode) and burning CPU (transform + batch), so
-//! each resource idles while the other works. With
-//! [`crate::session::SessionSpec::read_ahead`] `> 0` a worker instead
-//! runs three concurrent stages over bounded channels:
+//! [`crate::session::SessionSpec::read_ahead`] is the depth. At depth 0
+//! the worker's own thread calls the stages back to back — no channel, no
+//! extra thread. At depth ≥ 1 fetch and transform move to their own
+//! threads, so storage I/O overlaps CPU work:
 //!
 //! ```text
-//!   fetch+decode ──bounded(read_ahead)──▶ transform ──bounded(2)──▶ load/deliver
-//!   (storage I/O)                         (CPU)                     (worker thread)
+//!   fetch+decode ──bounded(depth)──▶ transform ──bounded(2)──▶ load/deliver
+//!   (storage I/O)                    (CPU)                     (worker thread)
 //! ```
 //!
-//! The fetch stage is the only one that *requests* work from the Master,
-//! the load stage is the only one that *acknowledges* or delivers it, and
-//! the transform stage is stateless (it ships its accounting downstream
-//! as a [`WorkerReport`] delta), so the exactly-once envelope protocol is
-//! unchanged: a split is still in flight from `request_split` until the
-//! client acks its last tensor, wherever it sits in the pipe.
+//! Either way the same three functions run. Fetch is the only stage that
+//! *requests* work from the Master, deliver is the only one that
+//! *acknowledges* or ships it, and transform is stateless (its accounting
+//! travels downstream as a [`WorkerReport`] delta), so the exactly-once
+//! envelope protocol does not depend on depth: a split is in flight from
+//! `request_split` until the client acks its last tensor, wherever it sits
+//! in the pipe. The stream ends with an [`EndReason`], which flows through
+//! the same path as the items and is settled with the Master in one place.
 
 use crate::client::Envelope;
 use crate::master::Master;
-use crate::service::{fire_worker_chaos, ChaosSlot, WorkerFate};
-use crate::worker::{Worker, WorkerReport};
-use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
-use dsi_obs::{names, next_span_id, now_ns, SpanKind, TraceContext, TraceSpan};
-use dsi_types::{Batch, Sample};
+use crate::service::ChaosSlot;
+use crate::session::SessionSpec;
+use crate::worker::{ExecPlan, ExtractCostModel, Worker, WorkerReport};
+use chaos::{FaultKind, HookPoint};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use dsi_obs::{names, next_span_id, now_ns, Registry, SpanKind, TraceContext, TraceSpan};
+use dsi_types::{Batch, Sample, WorkerId};
 use dwrf::IoPlan;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use warehouse::Split;
+use warehouse::{Split, TableScan};
 
-/// How the fetch stage stopped feeding the pipeline.
+/// Why a worker's stream of splits ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EndReason {
     /// The Master handed out `None`: every split is assigned or done.
     Exhausted,
     /// The drain flag was observed between splits.
     Drained,
-    /// `read_split` failed; the split must be requeued elsewhere.
-    ReadFailed,
+    /// The kill flag was observed: a simulated hard crash, which neither
+    /// deregisters nor acknowledges — the health monitor requeues.
+    Killed,
+    /// `read_split` failed, or a stage thread died; the worker's splits
+    /// must be requeued elsewhere.
+    StageFailed,
+    /// An injected `WorkerCrash` fired.
+    Crashed,
     /// The Master rejected the request (worker deregistered concurrently).
     MasterGone,
+    /// The session dropped the tensor buffer under us.
+    ShutDown,
 }
 
 /// A split fetched and decoded, waiting for the transform stage.
@@ -52,14 +64,14 @@ struct Fetched {
     rows: Vec<Sample>,
     plan: IoPlan,
     /// Trace context of the split's `Schedule` span (NONE when unsampled);
-    /// each stage parents its span under it as the item crosses channels.
+    /// each stage parents its span under it.
     trace: TraceContext,
-    /// When decode finished — the gap until the transform stage picks the
-    /// item up is time the stages genuinely overlapped.
+    /// When decode finished — at depth ≥ 1 the gap until transform picks
+    /// the item up is time the stages genuinely overlapped.
     ready_at: Instant,
 }
 
-/// A transformed split, waiting for the load stage.
+/// A transformed split, waiting for the deliver stage.
 struct Transformed {
     split: Split,
     batch: Batch,
@@ -67,284 +79,333 @@ struct Transformed {
     trace: TraceContext,
 }
 
-/// Records a stage span under the split's schedule context. `start_ns` is
-/// captured by the caller just before the stage ran.
-#[allow(clippy::too_many_arguments)]
-fn record_stage_span(
-    reg: &dsi_obs::Registry,
-    ctx: TraceContext,
-    span_id: u64,
-    kind: SpanKind,
-    start_ns: u64,
-    split: u64,
-    worker: u64,
-) {
-    reg.record_span(TraceSpan {
-        trace_id: ctx.trace_id,
-        span_id,
-        parent_id: ctx.span_id,
-        kind,
-        start_ns,
-        end_ns: now_ns(),
-        split,
-        worker,
-        seq: 0,
-        flags: 0,
-    });
+/// What the stages of one worker read but never write; cloned into the
+/// stage threads. The carry and the report stay with the [`Worker`], which
+/// only the deliver stage touches.
+#[derive(Clone)]
+struct Stages {
+    master: Master,
+    id: WorkerId,
+    kill: Arc<AtomicBool>,
+    drain: Arc<AtomicBool>,
+    obs: Arc<Mutex<Option<Registry>>>,
+    chaos: ChaosSlot,
+    scan: TableScan,
+    spec: Arc<SessionSpec>,
+    exec: Arc<ExecPlan>,
+    cost: ExtractCostModel,
 }
 
-/// Main-thread poll slice while waiting on the transform stage; bounds how
-/// stale a kill/drain observation can get when the pipe is idle.
+/// A stage span that has started; [`OpenSpan::close`] records it.
+struct OpenSpan {
+    reg: Registry,
+    span: TraceSpan,
+}
+
+impl OpenSpan {
+    /// The context child spans (storage reads, envelopes) hang under.
+    fn ctx(&self) -> TraceContext {
+        TraceContext {
+            trace_id: self.span.trace_id,
+            span_id: self.span.span_id,
+        }
+    }
+
+    fn close(mut self) -> TraceContext {
+        self.span.end_ns = now_ns();
+        self.reg.record_span(self.span);
+        self.ctx()
+    }
+}
+
+impl Stages {
+    /// Starts a stage span under the split's schedule context, or `None`
+    /// when the split is unsampled or no registry is attached. The slot is
+    /// re-read per stage so a registry attached after launch still
+    /// collects this worker's spans.
+    fn open_span(&self, trace: TraceContext, kind: SpanKind, split: &Split) -> Option<OpenSpan> {
+        if !trace.is_sampled() {
+            return None;
+        }
+        let reg = self.obs.lock().clone()?;
+        let span = TraceSpan {
+            trace_id: trace.trace_id,
+            span_id: next_span_id(),
+            parent_id: trace.span_id,
+            kind,
+            start_ns: now_ns(),
+            end_ns: 0,
+            split: split.index,
+            worker: self.id.0,
+            seq: 0,
+            flags: 0,
+        };
+        Some(OpenSpan { reg, span })
+    }
+
+    /// Stage 1: asks the Master for a split and reads + decodes it. The
+    /// only place the kill and drain flags stop the stream between splits.
+    fn fetch(&self) -> Result<Fetched, EndReason> {
+        if self.kill.load(Ordering::SeqCst) {
+            return Err(EndReason::Killed);
+        }
+        if self.drain.load(Ordering::SeqCst) {
+            // Graceful drain: stop taking new work; splits already buffered
+            // stay in flight until clients consume and acknowledge them.
+            return Err(EndReason::Drained);
+        }
+        let (split, trace) = match self.master.request_split_ctx(self.id) {
+            Ok(Some(next)) => next,
+            Ok(None) => return Err(EndReason::Exhausted),
+            Err(_) => return Err(EndReason::MasterGone),
+        };
+        // Traced reads hang the storage subtree under the Extract span; a
+        // failed read records none.
+        let span = self.open_span(trace, SpanKind::Extract, &split);
+        let read = match &span {
+            Some(s) => self.scan.read_split_traced(&split, s.ctx(), &s.reg),
+            None => self.scan.read_split(&split),
+        };
+        let (rows, plan) = read.map_err(|_| EndReason::StageFailed)?;
+        if let Some(s) = span {
+            s.close();
+        }
+        Ok(Fetched {
+            split,
+            rows,
+            plan,
+            trace,
+            ready_at: Instant::now(),
+        })
+    }
+
+    /// Stage 2: extract accounting plus the row-path transform plan.
+    fn transform(&self, f: Fetched) -> Transformed {
+        let span = self.open_span(f.trace, SpanKind::Transform, &f.split);
+        // Deliver flushes per split, so the carry is always empty here and
+        // handing transform a fresh one is exact.
+        let (batch, delta) = Worker::transform_stage(
+            &self.spec,
+            &self.exec,
+            &self.cost,
+            &f.split,
+            Batch::new(),
+            f.rows,
+            &f.plan,
+        );
+        if let Some(s) = span {
+            s.close();
+        }
+        Transformed {
+            split: f.split,
+            batch,
+            delta,
+            trace: f.trace,
+        }
+    }
+
+    /// Stage 3: batches the split into tensors and ships them. Always on
+    /// the worker's own thread — it owns the carry and the report.
+    fn deliver(
+        &self,
+        worker: &mut Worker,
+        t: Transformed,
+        tx: &Sender<Envelope>,
+    ) -> Result<(), EndReason> {
+        self.fire_worker_chaos()?;
+        let span = self.open_span(t.trace, SpanKind::Load, &t.split);
+        let mut tensors = worker.load_stage(t.batch, t.delta);
+        // Per-split flush keeps replay exact under failures (no cross-split
+        // rows inside any delivered tensor).
+        tensors.extend(worker.flush());
+        // All of a split's envelopes carry the Load span as their parent,
+        // so wire/client spans attach per delivered tensor.
+        let parent = span.map_or(TraceContext::NONE, OpenSpan::close);
+        if self.kill.load(Ordering::SeqCst) {
+            // Crash before delivering: the split replays on another worker,
+            // so rows are still delivered exactly once.
+            return Err(EndReason::Killed);
+        }
+        if tensors.is_empty() {
+            // Nothing to deliver (e.g. sampling filtered every row): safe
+            // to acknowledge immediately.
+            let _ = self.master.complete_split(self.id, t.split.index);
+            return Ok(());
+        }
+        let total = tensors.len();
+        for (seq, tensor) in tensors.into_iter().enumerate() {
+            let env = Envelope {
+                split: t.split.index,
+                seq: seq as u32,
+                last: seq + 1 == total,
+                worker: self.id,
+                trace_id: parent.trace_id,
+                parent_span: parent.span_id,
+                tensor,
+            };
+            if tx.send(env).is_err() {
+                return Err(EndReason::ShutDown);
+            }
+        }
+        // Completion is acknowledged by the Client that consumes the
+        // split's last tensor — not here.
+        Ok(())
+    }
+
+    /// Fires the `WorkerSplit` chaos hook: once per split, after extract
+    /// and transform, before load. `WorkerHang` and `SlowTransform` stall
+    /// the worker's thread in place; `WorkerCrash` ends the stream, and
+    /// every split this worker still holds — in the pipe or undelivered —
+    /// requeues when the reason is settled.
+    fn fire_worker_chaos(&self) -> Result<(), EndReason> {
+        let guard = self.chaos.read();
+        let Some(injector) = guard.as_ref() else {
+            return Ok(());
+        };
+        let mut fate = Ok(());
+        for kind in injector.fire(HookPoint::WorkerSplit) {
+            match kind {
+                FaultKind::WorkerCrash => fate = Err(EndReason::Crashed),
+                FaultKind::WorkerHang { micros } | FaultKind::SlowTransform { micros } => {
+                    std::thread::sleep(Duration::from_micros(micros));
+                }
+                _ => {}
+            }
+        }
+        fate
+    }
+
+    /// Delivers items from `next` until the stream ends.
+    fn deliver_all(
+        &self,
+        worker: &mut Worker,
+        tx: &Sender<Envelope>,
+        mut next: impl FnMut() -> Result<Transformed, EndReason>,
+    ) -> EndReason {
+        loop {
+            if let Err(end) = next().and_then(|t| self.deliver(worker, t, tx)) {
+                return end;
+            }
+        }
+    }
+
+    /// Depth ≥ 1: starts fetch and transform on their own threads and
+    /// returns the channel the deliver stage reads. The end reason travels
+    /// the channels behind the last item.
+    fn spawn_upstream(
+        &self,
+        depth: usize,
+        threads: &mut Vec<JoinHandle<()>>,
+    ) -> Receiver<Result<Transformed, EndReason>> {
+        let (fetch_tx, fetch_rx) = bounded::<Result<Fetched, EndReason>>(depth);
+        let (t_tx, t_rx) = bounded(2);
+
+        let stages = self.clone();
+        threads.push(std::thread::spawn(move || loop {
+            let item = stages.fetch();
+            let last = item.is_err();
+            // A failed send means downstream is gone; it decides why.
+            if fetch_tx.send(item).is_err() || last {
+                return;
+            }
+        }));
+
+        let stages = self.clone();
+        // Sessions share registries under the fleet control plane, so the
+        // per-worker pipeline gauges carry the job label like every other
+        // session-scoped metric.
+        let job = self.master.session().to_string();
+        threads.push(std::thread::spawn(move || {
+            while let Ok(item) = fetch_rx.recv() {
+                let out = item.map(|f| {
+                    if let Some(reg) = stages.obs.lock().clone() {
+                        let labels = [("job", job.as_str())];
+                        // Depth of the decode read-ahead buffer *behind*
+                        // this item: how far fetch has run ahead.
+                        reg.gauge(names::FASTPATH_PREFETCH_DEPTH, &labels)
+                            .set(fetch_rx.len() as f64);
+                        reg.histogram(names::FASTPATH_STAGE_OVERLAP_SECONDS, &labels)
+                            .record(f.ready_at.elapsed().as_secs_f64());
+                    }
+                    stages.transform(f)
+                });
+                if t_tx.send(out).is_err() {
+                    return;
+                }
+            }
+        }));
+        t_rx
+    }
+
+    /// Settles the end of the stream with the Master.
+    fn settle(&self, end: EndReason) {
+        match end {
+            EndReason::Exhausted | EndReason::Drained => self.master.drain_worker(self.id),
+            EndReason::StageFailed | EndReason::Crashed => self.master.fail_worker(self.id),
+            EndReason::ShutDown => self.master.deregister_worker(self.id),
+            EndReason::Killed | EndReason::MasterGone => {}
+        }
+    }
+}
+
+/// Deliver-thread poll slice while waiting on the transform thread; bounds
+/// how stale a kill observation can get when the pipe is idle.
 const POLL_SLICE: Duration = Duration::from_millis(5);
 
-/// Runs one worker as a three-stage pipeline. Drop-in replacement for the
-/// sequential `worker_loop` with identical Master/Client semantics;
-/// selected by `spec.read_ahead > 0`.
+/// Runs one worker until its stream of splits ends, `depth` splits of
+/// read-ahead between fetch and transform.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn pipelined_worker_loop(
+pub(crate) fn worker_loop(
     master: Master,
     mut worker: Worker,
     tx: Sender<Envelope>,
     kill: Arc<AtomicBool>,
     drain: Arc<AtomicBool>,
-    read_ahead: usize,
-    obs: Arc<Mutex<Option<dsi_obs::Registry>>>,
+    depth: usize,
+    obs: Arc<Mutex<Option<Registry>>>,
     chaos: ChaosSlot,
 ) -> WorkerReport {
-    let id = worker.id();
-    let (fetch_tx, fetch_rx) = bounded::<Fetched>(read_ahead.max(1));
-    let (t_tx, t_rx) = bounded::<Transformed>(2);
-    let end_reason: Arc<Mutex<Option<EndReason>>> = Arc::new(Mutex::new(None));
-
-    // ---- stage 1: fetch + decode ----
-    let fetch = {
-        let master = master.clone();
-        let scan = worker.scan_clone();
-        let kill = Arc::clone(&kill);
-        let drain = Arc::clone(&drain);
-        let end_reason = Arc::clone(&end_reason);
-        let obs = Arc::clone(&obs);
-        std::thread::spawn(move || loop {
-            if kill.load(Ordering::SeqCst) {
-                return;
+    let stages = Stages {
+        master,
+        id: worker.id(),
+        kill,
+        drain,
+        obs,
+        chaos,
+        scan: worker.scan.clone(),
+        spec: Arc::clone(&worker.spec),
+        exec: Arc::clone(&worker.exec),
+        cost: worker.cost,
+    };
+    let mut stage_threads = Vec::new();
+    let end = if depth == 0 {
+        stages.deliver_all(&mut worker, &tx, || {
+            stages.fetch().map(|f| stages.transform(f))
+        })
+    } else {
+        let transformed = stages.spawn_upstream(depth, &mut stage_threads);
+        stages.deliver_all(&mut worker, &tx, || loop {
+            if stages.kill.load(Ordering::SeqCst) {
+                return Err(EndReason::Killed);
             }
-            if drain.load(Ordering::SeqCst) {
-                *end_reason.lock() = Some(EndReason::Drained);
-                return;
-            }
-            match master.request_split_ctx(id) {
-                Ok(Some((split, ctx))) => {
-                    // Traced reads hang the storage subtree under a fresh
-                    // Extract span; the context rides the channel with the
-                    // item so later stages stay causally linked.
-                    let reg = if ctx.is_sampled() {
-                        obs.lock().clone()
-                    } else {
-                        None
-                    };
-                    let read = if let Some(reg) = &reg {
-                        let extract_id = next_span_id();
-                        let t0 = now_ns();
-                        let extract_ctx = TraceContext {
-                            trace_id: ctx.trace_id,
-                            span_id: extract_id,
-                        };
-                        let r = scan.read_split_traced(&split, extract_ctx, reg);
-                        if r.is_ok() {
-                            record_stage_span(
-                                reg,
-                                ctx,
-                                extract_id,
-                                SpanKind::Extract,
-                                t0,
-                                split.index,
-                                id.0,
-                            );
-                        }
-                        r
-                    } else {
-                        scan.read_split(&split)
-                    };
-                    match read {
-                        Ok((rows, plan)) => {
-                            let item = Fetched {
-                                split,
-                                rows,
-                                plan,
-                                trace: ctx,
-                                ready_at: Instant::now(),
-                            };
-                            if fetch_tx.send(item).is_err() {
-                                return; // downstream gone; it decides why
-                            }
-                        }
-                        Err(_) => {
-                            *end_reason.lock() = Some(EndReason::ReadFailed);
-                            return;
-                        }
-                    }
-                }
-                Ok(None) => {
-                    *end_reason.lock() = Some(EndReason::Exhausted);
-                    return;
-                }
-                Err(_) => {
-                    *end_reason.lock() = Some(EndReason::MasterGone);
-                    return;
-                }
+            match transformed.recv_timeout(POLL_SLICE) {
+                Ok(item) => return item,
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => return Err(EndReason::StageFailed),
             }
         })
+        // Dropping `transformed` here fails the transform thread's next
+        // send, whose exit in turn fails the fetch thread's.
     };
-
-    // ---- stage 2: transform ----
-    let transform = {
-        let spec = worker.spec_arc();
-        let exec = worker.exec_arc();
-        let cost = worker.cost_model();
-        let obs = Arc::clone(&obs);
-        // Sessions share registries under the fleet control plane, so the
-        // per-worker pipeline gauges carry the job label like every other
-        // session-scoped metric.
-        let job: Arc<str> = master.session().to_string().into();
-        std::thread::spawn(move || {
-            while let Ok(f) = fetch_rx.recv() {
-                // Re-read the slot per split so a registry attached after
-                // launch still sees this worker's pipeline telemetry.
-                let reg = obs.lock().clone();
-                if let Some(reg) = &reg {
-                    let labels = [("job", job.as_ref())];
-                    // Depth of the decode read-ahead buffer *behind* this
-                    // item: how far fetch has run ahead of transform.
-                    reg.gauge(names::FASTPATH_PREFETCH_DEPTH, &labels)
-                        .set(fetch_rx.len() as f64);
-                    reg.histogram(names::FASTPATH_STAGE_OVERLAP_SECONDS, &labels)
-                        .record(f.ready_at.elapsed().as_secs_f64());
-                }
-                let t1 = now_ns();
-                // Per-split flush downstream means the carry is always
-                // empty here, so handing transform a fresh one is exact.
-                let (batch, delta) = Worker::transform_stage(
-                    &spec,
-                    &exec,
-                    &cost,
-                    &f.split,
-                    Batch::new(),
-                    f.rows,
-                    &f.plan,
-                );
-                if f.trace.is_sampled() {
-                    if let Some(reg) = &reg {
-                        record_stage_span(
-                            reg,
-                            f.trace,
-                            next_span_id(),
-                            SpanKind::Transform,
-                            t1,
-                            f.split.index,
-                            id.0,
-                        );
-                    }
-                }
-                let out = Transformed {
-                    split: f.split,
-                    batch,
-                    delta,
-                    trace: f.trace,
-                };
-                if t_tx.send(out).is_err() {
-                    return; // main thread gone (kill or shutdown)
-                }
-            }
-        })
-    };
-
-    // ---- stage 3: load + deliver (this thread) ----
-    loop {
-        if kill.load(Ordering::SeqCst) {
-            // Hard crash: return without joining — upstream threads unblock
-            // when their send sees the dropped receiver. No deregistration,
-            // no acknowledgement; the health monitor requeues our splits.
-            return worker.report();
-        }
-        match t_rx.recv_timeout(POLL_SLICE) {
-            Ok(t) => {
-                // Chaos fires on the load stage, the only stage owned by
-                // the worker's main thread: a crash here abandons every
-                // split still in the pipe, all of which the injected
-                // `fail_worker` requeues (they are in flight at this id).
-                if let WorkerFate::Crash = fire_worker_chaos(&chaos, &master, id) {
-                    return worker.report();
-                }
-                let t2 = now_ns();
-                let mut tensors = worker.load_stage(t.batch, t.delta);
-                // Per-split flush keeps replay exact under failures (no
-                // cross-split rows inside any delivered tensor).
-                tensors.extend(worker.flush());
-                // All of a split's envelopes carry the Load span as their
-                // parent, so wire/client spans attach per delivered tensor.
-                let mut deliver = TraceContext::NONE;
-                if t.trace.is_sampled() {
-                    if let Some(reg) = obs.lock().clone() {
-                        let load_id = next_span_id();
-                        record_stage_span(
-                            &reg,
-                            t.trace,
-                            load_id,
-                            SpanKind::Load,
-                            t2,
-                            t.split.index,
-                            id.0,
-                        );
-                        deliver = TraceContext {
-                            trace_id: t.trace.trace_id,
-                            span_id: load_id,
-                        };
-                    }
-                }
-                if kill.load(Ordering::SeqCst) {
-                    return worker.report();
-                }
-                if tensors.is_empty() {
-                    let _ = master.complete_split(id, t.split.index);
-                    continue;
-                }
-                let total = tensors.len();
-                for (seq, tensor) in tensors.into_iter().enumerate() {
-                    let env = Envelope {
-                        split: t.split.index,
-                        seq: seq as u32,
-                        last: seq + 1 == total,
-                        worker: id,
-                        trace_id: deliver.trace_id,
-                        parent_span: deliver.span_id,
-                        tensor,
-                    };
-                    if tx.send(env).is_err() {
-                        // Session shut down under us.
-                        master.deregister_worker(id);
-                        return worker.report();
-                    }
-                }
-                // Completion is acknowledged by the Client that consumes
-                // the split's last tensor — not here.
-            }
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => {
-                // Transform exited because fetch closed its channel and the
-                // in-flight items are all delivered; settle with the Master
-                // the same way the sequential loop does.
-                match *end_reason.lock() {
-                    Some(EndReason::Exhausted) | Some(EndReason::Drained) => {
-                        master.drain_worker(id);
-                    }
-                    Some(EndReason::ReadFailed) => master.fail_worker(id),
-                    Some(EndReason::MasterGone) | None => {}
-                }
-                break;
-            }
+    stages.settle(end);
+    if !stages.kill.load(Ordering::SeqCst) {
+        // Only a hard crash detaches its stage threads. Every other exit
+        // waits for them, so no read is still charging the cluster after
+        // the worker is gone. A stage thread that panicked has already
+        // ended the stream as `StageFailed`.
+        for thread in stage_threads {
+            let _ = thread.join();
         }
     }
-    let _ = fetch.join();
-    let _ = transform.join();
     worker.report()
 }

@@ -10,17 +10,17 @@ use crate::client::{Client, Endpoint, Envelope, Progress};
 use crate::master::Master;
 use crate::session::{SessionSpec, Transport};
 use crate::worker::{Worker, WorkerReport};
-use chaos::{FaultInjector, FaultKind, HookPoint};
-use crossbeam::channel::{bounded, Sender};
+use chaos::FaultInjector;
+use crossbeam::channel::bounded;
 use dsi_types::{DsiError, Result, WorkerId};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use warehouse::Table;
+use warehouse::{Table, TableScan};
 
-/// A shared, late-bindable chaos injector slot: worker loops re-read it
+/// A shared, late-bindable chaos injector slot: the worker loop re-reads it
 /// per split so an injector attached after launch still takes effect.
 pub(crate) type ChaosSlot = Arc<RwLock<Option<Arc<FaultInjector>>>>;
 
@@ -178,11 +178,7 @@ impl DppSession {
         registry: Option<&dsi_obs::Registry>,
         injector: Option<Arc<FaultInjector>>,
     ) -> Result<DppSession> {
-        let scan = table
-            .scan(spec.partitions(), spec.projection.clone())
-            .with_policy(spec.policy)
-            .with_decode(spec.decode_mode());
-        let splits = scan.plan_splits();
+        let splits = session_scan(&table, &spec).plan_splits();
         if splits.is_empty() {
             return Err(DsiError::invalid_spec(
                 "session selects no partitions or rows",
@@ -236,17 +232,7 @@ impl DppSession {
         checkpoint: &crate::master::MasterCheckpoint,
         workers: usize,
     ) -> Result<DppSession> {
-        let scan = table
-            .scan(spec.partitions(), spec.projection.clone())
-            .with_policy(spec.policy)
-            .with_decode(spec.decode_mode());
-        let splits = scan.plan_splits();
-        let master = Master::restore(checkpoint, splits)?;
-        let session = Self::assemble(master, spec, table, None);
-        for _ in 0..workers.max(1) {
-            session.spawn_worker();
-        }
-        Ok(session)
+        Self::restore(table, spec, checkpoint, &[], workers, None, None)
     }
 
     /// Takes a whole-session checkpoint: Master split state plus client
@@ -266,25 +252,9 @@ impl DppSession {
     /// the restored session inherit the checkpointed consumption progress
     /// so already-consumed tensors dedup, and the replayed final tensor of
     /// a fully-consumed split re-acks the replaying worker. The optional
-    /// injector is installed before workers spawn, as in
-    /// [`DppSession::launch_chaos`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DppSession::resume`].
-    pub fn resume_session(
-        table: Table,
-        spec: SessionSpec,
-        checkpoint: &SessionCheckpoint,
-        workers: usize,
-        injector: Option<Arc<FaultInjector>>,
-    ) -> Result<DppSession> {
-        Self::resume_observed_session(table, spec, checkpoint, workers, None, injector)
-    }
-
-    /// Like [`DppSession::resume_session`], but attaches `registry` before
-    /// the first replacement worker spawns, so replayed splits are traced
-    /// from the first post-restore schedule (see
+    /// injector is installed, and `registry` attached, before the first
+    /// replacement worker spawns, so replayed splits are faulted and
+    /// traced from the first post-restore schedule (see
     /// [`DppSession::launch_observed_chaos`]).
     ///
     /// # Errors
@@ -298,14 +268,30 @@ impl DppSession {
         registry: Option<&dsi_obs::Registry>,
         injector: Option<Arc<FaultInjector>>,
     ) -> Result<DppSession> {
-        let scan = table
-            .scan(spec.partitions(), spec.projection.clone())
-            .with_policy(spec.policy)
-            .with_decode(spec.decode_mode());
-        let splits = scan.plan_splits();
-        let master = Master::restore(&checkpoint.master, splits)?;
+        Self::restore(
+            table,
+            spec,
+            &checkpoint.master,
+            &checkpoint.progress,
+            workers,
+            registry,
+            injector,
+        )
+    }
+
+    fn restore(
+        table: Table,
+        spec: SessionSpec,
+        master: &crate::master::MasterCheckpoint,
+        progress: &[(u64, u32)],
+        workers: usize,
+        registry: Option<&dsi_obs::Registry>,
+        injector: Option<Arc<FaultInjector>>,
+    ) -> Result<DppSession> {
+        let splits = session_scan(&table, &spec).plan_splits();
+        let master = Master::restore(master, splits)?;
         let session = Self::assemble(master, spec, table, injector);
-        *session.progress.lock() = checkpoint.progress.iter().copied().collect();
+        *session.progress.lock() = progress.iter().copied().collect();
         if let Some(reg) = registry {
             session.attach_registry(reg);
         }
@@ -315,7 +301,7 @@ impl DppSession {
         Ok(session)
     }
 
-    /// Attaches a chaos fault injector to every worker loop (current and
+    /// Attaches a chaos fault injector to every worker (current and
     /// future): each split processed fires the injector's `WorkerSplit`
     /// hook. For schedules that must observe the first splits, install the
     /// injector at launch via [`DppSession::launch_chaos`] instead.
@@ -420,12 +406,7 @@ impl DppSession {
         let (tx, rx) = bounded::<Envelope>(spec.buffer_capacity);
         let kill = Arc::new(AtomicBool::new(false));
         let drain = Arc::new(AtomicBool::new(false));
-        let scan = self
-            .table
-            .scan(spec.partitions(), spec.projection.clone())
-            .with_policy(spec.policy)
-            .with_decode(spec.decode_mode())
-            .with_job(&self.master.session().to_string());
+        let scan = session_scan(&self.table, &spec).with_job(&self.master.session().to_string());
         let worker = Worker::new(id, Arc::clone(&spec), scan);
         let master = self.master.clone();
         let reports = Arc::clone(&self.finished_reports);
@@ -435,13 +416,9 @@ impl DppSession {
         let obs = Arc::clone(&self.obs);
         let chaos = Arc::clone(&self.chaos);
         let handle = std::thread::spawn(move || {
-            let report = if read_ahead > 0 {
-                crate::pipeline::pipelined_worker_loop(
-                    master, worker, tx, kill2, drain2, read_ahead, obs, chaos,
-                )
-            } else {
-                worker_loop(master, worker, tx, kill2, drain2, obs, chaos)
-            };
+            let report = crate::pipeline::worker_loop(
+                master, worker, tx, kill2, drain2, read_ahead, obs, chaos,
+            );
             reports.lock().merge(&report);
             report
         });
@@ -691,131 +668,13 @@ impl DppSession {
     }
 }
 
-/// What an injected `WorkerSplit` fault decided for this worker.
-pub(crate) enum WorkerFate {
-    /// Keep processing (possibly after an injected stall).
-    Continue,
-    /// The worker "crashed": it has already been failed at the Master (so
-    /// its in-flight splits requeue) and its thread must return now.
-    Crash,
-}
-
-/// Fires the `WorkerSplit` chaos hook for one split at `worker`.
-/// `WorkerHang` and `SlowTransform` stall the calling thread in place;
-/// `WorkerCrash` fails the worker at the Master and reports `Crash`.
-pub(crate) fn fire_worker_chaos(
-    chaos: &ChaosSlot,
-    master: &Master,
-    worker: WorkerId,
-) -> WorkerFate {
-    let guard = chaos.read();
-    let Some(injector) = guard.as_ref() else {
-        return WorkerFate::Continue;
-    };
-    let mut fate = WorkerFate::Continue;
-    for kind in injector.fire(HookPoint::WorkerSplit) {
-        match kind {
-            FaultKind::WorkerCrash => {
-                master.fail_worker(worker);
-                fate = WorkerFate::Crash;
-            }
-            FaultKind::WorkerHang { micros } | FaultKind::SlowTransform { micros } => {
-                std::thread::sleep(std::time::Duration::from_micros(micros));
-            }
-            _ => {}
-        }
-    }
-    fate
-}
-
-fn worker_loop(
-    master: Master,
-    mut worker: Worker,
-    tx: Sender<Envelope>,
-    kill: Arc<AtomicBool>,
-    drain: Arc<AtomicBool>,
-    obs: Arc<Mutex<Option<dsi_obs::Registry>>>,
-    chaos: ChaosSlot,
-) -> WorkerReport {
-    let id = worker.id();
-    loop {
-        if kill.load(Ordering::SeqCst) {
-            // Hard crash: no deregistration, no acknowledgement. The health
-            // monitor will requeue this worker's unconsumed splits.
-            return worker.report();
-        }
-        if drain.load(Ordering::SeqCst) {
-            // Graceful drain: stop taking new work; splits already buffered
-            // stay in flight until clients consume and acknowledge them.
-            master.drain_worker(id);
-            break;
-        }
-        match master.request_split_ctx(id) {
-            Ok(Some((split, ctx))) => {
-                if let WorkerFate::Crash = fire_worker_chaos(&chaos, &master, id) {
-                    // The injected crash already requeued this split (and
-                    // any other in-flight work) via the health monitor.
-                    return worker.report();
-                }
-                // Re-read the registry slot per split so a registry attached
-                // after launch still collects this worker's stage spans.
-                let reg = if ctx.is_sampled() {
-                    obs.lock().clone()
-                } else {
-                    None
-                };
-                let (mut tensors, deliver) =
-                    match worker.process_split_traced(&split, ctx, reg.as_ref()) {
-                        Ok(t) => t,
-                        Err(_) => {
-                            // Storage failure: report self as failed so the
-                            // split is requeued elsewhere.
-                            master.fail_worker(id);
-                            return worker.report();
-                        }
-                    };
-                // Per-split flush keeps replay exact under failures (no
-                // cross-split rows inside any delivered tensor).
-                tensors.extend(worker.flush());
-                if kill.load(Ordering::SeqCst) {
-                    // Crash before delivering: the split replays on another
-                    // worker, so rows are still delivered exactly once.
-                    return worker.report();
-                }
-                if tensors.is_empty() {
-                    // Nothing to deliver (e.g. sampling filtered every
-                    // row): safe to acknowledge immediately.
-                    let _ = master.complete_split(id, split.index);
-                    continue;
-                }
-                let total = tensors.len();
-                for (seq, tensor) in tensors.into_iter().enumerate() {
-                    let env = Envelope {
-                        split: split.index,
-                        seq: seq as u32,
-                        last: seq + 1 == total,
-                        worker: id,
-                        trace_id: deliver.trace_id,
-                        parent_span: deliver.span_id,
-                        tensor,
-                    };
-                    if tx.send(env).is_err() {
-                        // Session shut down under us.
-                        master.deregister_worker(id);
-                        return worker.report();
-                    }
-                }
-                // Completion is acknowledged by the Client that consumes
-                // the split's last tensor — not here.
-            }
-            Ok(None) => {
-                master.drain_worker(id);
-                break;
-            }
-            Err(_) => return worker.report(), // deregistered concurrently
-        }
-    }
-    worker.report()
+/// The scan a session's Master plans splits from and its workers read
+/// through.
+fn session_scan(table: &Table, spec: &SessionSpec) -> TableScan {
+    table
+        .scan(spec.partitions(), spec.projection.clone())
+        .with_policy(spec.policy)
+        .with_decode(spec.decode_mode())
 }
 
 #[cfg(test)]
@@ -826,9 +685,13 @@ mod tests {
     use warehouse::TableConfig;
 
     fn build_table(days: u32, rows_per_day: u64) -> Table {
+        build_striped_table(days, rows_per_day, 16)
+    }
+
+    fn build_striped_table(days: u32, rows_per_day: u64, rows_per_stripe: usize) -> Table {
         let cluster = tectonic::TectonicCluster::new(tectonic::ClusterConfig::small());
         let opts = dwrf::WriterOptions {
-            rows_per_stripe: 16,
+            rows_per_stripe,
             ..Default::default()
         };
         let table = Table::create(
@@ -873,17 +736,28 @@ mod tests {
         labels
     }
 
+    /// The depths the loop-level tests sweep: inline, the shallowest
+    /// threaded pipe, and one with real read-ahead.
+    const DEPTHS: [usize; 3] = [0, 1, 3];
+
     #[test]
     fn delivers_every_row_exactly_once() {
-        let table = build_table(3, 64);
-        let session = DppSession::launch(table, spec(3), 4).unwrap();
-        let mut client = session.client();
-        let labels = drain_labels(&mut client);
-        assert_eq!(labels, (0..192).collect::<Vec<_>>());
-        assert!(session.is_complete());
-        let report = session.shutdown();
-        assert_eq!(report.samples, 192);
-        assert!(report.batches >= 12);
+        for depth in DEPTHS {
+            let table = build_table(3, 64);
+            let mut spec = spec(3);
+            spec.read_ahead = depth;
+            let session = DppSession::launch(table, spec, 4).unwrap();
+            let mut client = session.client();
+            let labels = drain_labels(&mut client);
+            assert_eq!(labels, (0..192).collect::<Vec<_>>(), "depth {depth}");
+            assert!(session.is_complete());
+            let report = session.shutdown();
+            assert_eq!(report.samples, 192);
+            assert!(report.batches >= 12);
+            // Zero-copy decode is the default: no redundant decode-path
+            // memcpys anywhere in the session.
+            assert_eq!(report.copied_bytes, 0);
+        }
     }
 
     #[test]
@@ -949,20 +823,24 @@ mod tests {
 
     #[test]
     fn worker_crash_recovers_without_loss_or_duplication() {
-        let table = build_table(3, 64);
-        let session = DppSession::launch(table, spec(3), 2).unwrap();
-        // Crash one worker immediately; the master requeues and a
-        // replacement carries on.
-        let victim = {
-            let reg = session.registry.read();
-            reg[0].id
-        };
-        let replacement = session.crash_and_replace(victim).unwrap();
-        assert_ne!(victim, replacement);
-        let mut client = session.client();
-        let labels = drain_labels(&mut client);
-        assert_eq!(labels, (0..192).collect::<Vec<_>>());
-        session.shutdown();
+        for depth in DEPTHS {
+            let table = build_table(3, 64);
+            let mut spec = spec(3);
+            spec.read_ahead = depth;
+            let session = DppSession::launch(table, spec, 2).unwrap();
+            // Crash one worker immediately; the master requeues and a
+            // replacement carries on.
+            let victim = {
+                let reg = session.registry.read();
+                reg[0].id
+            };
+            let replacement = session.crash_and_replace(victim).unwrap();
+            assert_ne!(victim, replacement);
+            let mut client = session.client();
+            let labels = drain_labels(&mut client);
+            assert_eq!(labels, (0..192).collect::<Vec<_>>(), "depth {depth}");
+            session.shutdown();
+        }
     }
 
     #[test]
@@ -1134,28 +1012,10 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_workers_deliver_every_row_exactly_once() {
-        let table = build_table(3, 64);
-        let mut spec = spec(3);
-        spec.read_ahead = 3;
-        let session = DppSession::launch(table, spec, 4).unwrap();
-        let mut client = session.client();
-        let labels = drain_labels(&mut client);
-        assert_eq!(labels, (0..192).collect::<Vec<_>>());
-        assert!(session.is_complete());
-        let report = session.shutdown();
-        assert_eq!(report.samples, 192);
-        // Zero-copy decode is the default: no redundant decode-path
-        // memcpys anywhere in the session.
-        assert_eq!(report.copied_bytes, 0);
-    }
-
-    #[test]
-    fn pipelined_report_matches_sequential_and_copying_charges_copies() {
-        // Same deterministic table seed four ways: {sequential, pipelined}
-        // × {fastpath, copying}. A single worker makes split order — and
-        // therefore every f64 accumulation order — identical, so the
-        // reports must agree field-for-field modulo copied_bytes.
+    fn worker_report_is_independent_of_depth_and_copying_charges_copies() {
+        // Same deterministic table at every depth. A single worker makes
+        // split order — and therefore every f64 accumulation order —
+        // identical, so the reports must agree field for field.
         let run = |read_ahead: usize, fastpath: bool| -> WorkerReport {
             let table = build_table(3, 64);
             let mut spec = spec(3);
@@ -1167,23 +1027,16 @@ mod tests {
             assert_eq!(labels, (0..192).collect::<Vec<_>>());
             session.shutdown()
         };
-        let seq = run(0, true);
-        let piped = run(4, true);
-        assert_eq!(seq.samples, piped.samples);
-        assert_eq!(seq.splits, piped.splits);
-        assert_eq!(seq.batches, piped.batches);
-        assert_eq!(seq.storage_rx_bytes, piped.storage_rx_bytes);
-        assert_eq!(seq.storage_wanted_bytes, piped.storage_wanted_bytes);
-        assert_eq!(seq.uncompressed_bytes, piped.uncompressed_bytes);
-        assert_eq!(seq.transform_cycles, piped.transform_cycles);
-        assert_eq!(seq.extract_cycles, piped.extract_cycles);
-        assert_eq!(seq.copied_bytes, 0);
-        assert_eq!(piped.copied_bytes, 0);
+        let inline = run(0, true);
+        assert_eq!(inline.copied_bytes, 0);
+        for depth in DEPTHS {
+            assert_eq!(run(depth, true), inline, "depth {depth}");
+        }
 
         // The copying ablation decodes identical rows but pays the legacy
         // memcpy volume: full source assembly plus per-stream scratch.
-        let copying = run(4, false);
-        assert_eq!(copying.samples, piped.samples);
+        let copying = run(3, false);
+        assert_eq!(copying.samples, inline.samples);
         assert_eq!(
             copying.copied_bytes,
             copying.storage_rx_bytes + copying.storage_wanted_bytes
@@ -1192,21 +1045,31 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_worker_crash_recovers_without_loss_or_duplication() {
-        let table = build_table(3, 64);
-        let mut spec = spec(3);
-        spec.read_ahead = 2;
-        let session = DppSession::launch(table, spec, 2).unwrap();
-        let victim = {
-            let reg = session.registry.read();
-            reg[0].id
-        };
-        let replacement = session.crash_and_replace(victim).unwrap();
-        assert_ne!(victim, replacement);
-        let mut client = session.client();
-        let labels = drain_labels(&mut client);
-        assert_eq!(labels, (0..192).collect::<Vec<_>>());
+    fn shutdown_leaves_no_stage_thread_reading() {
+        // Nobody consumes, so each deliver stage blocks on a full tensor
+        // buffer within its first split while its fetch thread still has
+        // most of a deep pipe to read ahead into. Shutdown must wait for
+        // the read in progress: once it has returned, nothing may touch
+        // the cluster or decode another stripe.
+        let table = build_striped_table(32, 512, 512);
+        let cluster = table.cluster().clone();
+        let mut spec = spec(32);
+        spec.read_ahead = 8;
+        let reg = dsi_obs::Registry::new();
+        let session = DppSession::launch_observed_chaos(table, spec, 2, Some(&reg), None).unwrap();
+        while session.observe().iter().any(|o| o.buffered < o.capacity) {
+            std::thread::yield_now();
+        }
         session.shutdown();
+        let after_shutdown = || {
+            (
+                cluster.total_stats().ios,
+                reg.counter_value(dsi_obs::names::DWRF_STRIPES_DECODED_TOTAL, &[]),
+            )
+        };
+        let at_return = after_shutdown();
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert_eq!(after_shutdown(), at_return, "(ios, stripes decoded)");
     }
 
     #[test]
@@ -1240,14 +1103,22 @@ mod tests {
 
     #[test]
     fn traced_session_produces_wellformed_end_to_end_traces() {
-        // Full-rate sampling over both worker modes: every split's trace
-        // must pass structural validation and decompose into
+        // Full-rate sampling at depths 0 and 3: every split's trace must
+        // pass structural validation and decompose into
         // Schedule → {Extract(StorageRead{TectonicIo..}, DwrfDecode),
-        // Transform, Load} → Deliver.
-        for read_ahead in [0usize, 3] {
+        // Transform, Load} → Deliver. Batch 24 does not divide the 16-row
+        // splits, so each split's only tensor is the flushed tail.
+        use dsi_obs::SpanKind;
+        for (read_ahead, batch_size) in [(0usize, 16usize), (3, 16), (0, 24), (3, 24)] {
             let table = build_table(3, 64);
             let mut sp = spec(3);
             sp.read_ahead = read_ahead;
+            sp.batch_size = batch_size;
+            sp.plan = transforms::TransformPlan::new(vec![transforms::TransformOp::SigridHash {
+                input: FeatureId(2),
+                salt: 1,
+                modulus: 3,
+            }]);
             sp.trace = dsi_trace::TraceConfig::all();
             let reg = dsi_obs::Registry::new();
             let session =
@@ -1256,13 +1127,12 @@ mod tests {
             let labels = drain_labels(&mut client);
             assert_eq!(labels.len(), 192);
             let total = session.master().total_splits();
-            session.shutdown();
+            let worker_report = session.shutdown();
 
             let spans = reg.trace_spans();
             dsi_trace::validate(&spans).expect("structurally valid traces");
             let traces: std::collections::HashSet<u64> = spans.iter().map(|s| s.trace_id).collect();
             assert_eq!(traces.len() as u64, total, "one trace per split");
-            use dsi_obs::SpanKind;
             for kind in [
                 SpanKind::Schedule,
                 SpanKind::Extract,
@@ -1278,6 +1148,25 @@ mod tests {
                     n as u64 >= total,
                     "read_ahead={read_ahead}: kind {kind:?} appears {n} times for {total} splits"
                 );
+            }
+            // Load covers materializing every tensor it ships, the flushed
+            // tail included: the columnar kernels all ran inside it, and
+            // each tensor is delivered under it, after it closed.
+            let loads: Vec<_> = spans.iter().filter(|s| s.kind == SpanKind::Load).collect();
+            let load_ns: u64 = loads.iter().map(|s| s.end_ns - s.start_ns).sum();
+            let kernel_ns: u64 = worker_report.columnar_kernel_nanos.iter().sum();
+            assert!(kernel_ns > 0);
+            assert!(
+                load_ns >= kernel_ns,
+                "read_ahead={read_ahead} batch={batch_size}: \
+                 Load spans {load_ns} ns < kernels {kernel_ns} ns"
+            );
+            for d in spans.iter().filter(|s| s.kind == SpanKind::Deliver) {
+                let load = loads
+                    .iter()
+                    .find(|l| l.span_id == d.parent_id)
+                    .expect("Deliver hangs under a Load span");
+                assert!(load.end_ns <= d.start_ns);
             }
             let report = dsi_trace::analyze(&spans);
             assert_eq!(report.traces as u64, total);

@@ -97,10 +97,10 @@ pub struct SessionSpec {
     /// RecD-style deduplication: workers detect DedupSets in each split,
     /// transform the canonical copy once, and fan results out to members.
     pub dedup: Option<DedupConfig>,
-    /// Splits each worker prefetches ahead of its transform stage. `0`
-    /// (the default) processes splits sequentially; `n > 0` runs the
-    /// three-stage software pipeline (fetch+decode → transform →
-    /// batch/load) with an `n`-deep decode read-ahead buffer.
+    /// Depth of the worker loop: splits each worker fetches ahead of its
+    /// transform stage. At `0` (the default) one thread runs fetch+decode
+    /// → transform → batch/load back to back; at `n > 0` fetch and
+    /// transform get their own threads with an `n`-deep buffer between.
     pub read_ahead: usize,
     /// Zero-copy pooled decode on the extract path. Disable to replay the
     /// legacy copying decode (ablation baseline).

@@ -305,10 +305,12 @@ impl WorkerReport {
 #[derive(Debug)]
 pub struct Worker {
     id: WorkerId,
-    spec: Arc<SessionSpec>,
-    exec: Arc<ExecPlan>,
-    scan: TableScan,
-    cost: ExtractCostModel,
+    // Read-only after construction; the worker loop hands clones of these
+    // to its fetch and transform stages.
+    pub(crate) spec: Arc<SessionSpec>,
+    pub(crate) exec: Arc<ExecPlan>,
+    pub(crate) scan: TableScan,
+    pub(crate) cost: ExtractCostModel,
     carry: Batch,
     report: WorkerReport,
 }
@@ -363,76 +365,12 @@ impl Worker {
         Ok(self.load_stage(transformed, delta))
     }
 
-    /// [`Worker::process_split`] under a distributed-trace context: the
-    /// three stages record `Extract`, `Transform`, and `Load` spans as
-    /// children of `ctx` (the split's `Schedule` span), with the storage
-    /// subtree beneath `Extract`. Returns the tensors plus the delivery
-    /// context (the `Load` span) that wire/client/trainer spans continue
-    /// under. Falls back to the untraced path when `ctx` is unsampled or
-    /// no registry is attached.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage and decode failures.
-    pub fn process_split_traced(
-        &mut self,
-        split: &Split,
-        ctx: dsi_obs::TraceContext,
-        obs: Option<&dsi_obs::Registry>,
-    ) -> Result<(Vec<MiniBatchTensor>, dsi_obs::TraceContext)> {
-        use dsi_obs::{next_span_id, now_ns, SpanKind, TraceContext, TraceSpan};
-        let Some(reg) = obs.filter(|_| ctx.is_sampled()) else {
-            return Ok((self.process_split(split)?, TraceContext::NONE));
-        };
-        let worker_id = self.id.0;
-        let span = move |span_id, kind, start_ns, end_ns| TraceSpan {
-            trace_id: ctx.trace_id,
-            span_id,
-            parent_id: ctx.span_id,
-            kind,
-            start_ns,
-            end_ns,
-            split: split.index,
-            worker: worker_id,
-            seq: 0,
-            flags: 0,
-        };
-
-        let extract_id = next_span_id();
-        let extract_ctx = TraceContext {
-            trace_id: ctx.trace_id,
-            span_id: extract_id,
-        };
-        let t0 = now_ns();
-        let (rows, plan) = self.scan.read_split_traced(split, extract_ctx, reg)?;
-        reg.record_span(span(extract_id, SpanKind::Extract, t0, now_ns()));
-
-        let t1 = now_ns();
-        let carry = std::mem::take(&mut self.carry);
-        let (transformed, delta) = Self::transform_stage(
-            &self.spec, &self.exec, &self.cost, split, carry, rows, &plan,
-        );
-        reg.record_span(span(next_span_id(), SpanKind::Transform, t1, now_ns()));
-
-        let load_id = next_span_id();
-        let t2 = now_ns();
-        let tensors = self.load_stage(transformed, delta);
-        reg.record_span(span(load_id, SpanKind::Load, t2, now_ns()));
-        Ok((
-            tensors,
-            TraceContext {
-                trace_id: ctx.trace_id,
-                span_id: load_id,
-            },
-        ))
-    }
-
-    /// The pipeline's middle stage: extract accounting, beta-feature
-    /// injection, and the transform plan, all on prefetched rows. Free of
-    /// worker state so it can run on a different thread than the owner of
-    /// the [`WorkerReport`]; its accounting comes back as a report delta
-    /// for [`Worker::load_stage`] to merge. `carry` holds samples left
-    /// over from the previous split (always empty in pipelined execution,
+    /// The middle stage: extract accounting, beta-feature injection, and
+    /// the transform plan, all on already-read rows. Free of worker state
+    /// so it can run on a different thread than the owner of the
+    /// [`WorkerReport`]; its accounting comes back as a report delta for
+    /// [`Worker::load_stage`] to merge. `carry` holds samples left over
+    /// from the previous split (always empty in the session's worker loop,
     /// where every split flushes).
     pub(crate) fn transform_stage(
         spec: &SessionSpec,
@@ -499,7 +437,7 @@ impl Worker {
         (transformed, delta)
     }
 
-    /// The pipeline's final stage: merges the transform stage's report
+    /// The final stage: merges the transform stage's report
     /// delta and batches transformed samples into tensors. Owns the carry
     /// and the cumulative report, so it always runs on the worker's own
     /// thread.
@@ -520,27 +458,6 @@ impl Worker {
         }
         self.carry = Batch::from_samples(pending);
         tensors
-    }
-
-    /// The session spec (shared).
-    pub(crate) fn spec_arc(&self) -> Arc<SessionSpec> {
-        Arc::clone(&self.spec)
-    }
-
-    /// The compiled row/columnar execution plan (shared).
-    pub(crate) fn exec_arc(&self) -> Arc<ExecPlan> {
-        Arc::clone(&self.exec)
-    }
-
-    /// The worker's extract cost model.
-    pub(crate) fn cost_model(&self) -> ExtractCostModel {
-        self.cost
-    }
-
-    /// A clone of the worker's table scan (for the pipeline's fetch
-    /// thread).
-    pub(crate) fn scan_clone(&self) -> TableScan {
-        self.scan.clone()
     }
 
     /// Materializes any carried partial batch (end of session).

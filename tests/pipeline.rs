@@ -283,6 +283,37 @@ fn tcp_transport_batches_bitwise_identical_to_in_process() {
 }
 
 #[test]
+fn worker_loop_depth_changes_neither_tensors_nor_report() {
+    // `read_ahead` only moves fetch and transform onto their own threads:
+    // with one worker (so split order is fixed) every depth must deliver
+    // the same tensors in the same order and account the same work.
+    let table = wire_table(23);
+    let run = |depth: usize| {
+        let mut spec = wire_spec(Transport::InProcess);
+        spec.read_ahead = depth;
+        let session = DppSession::launch(table.clone(), spec, 1).unwrap();
+        let mut client = session.client();
+        let mut batches = Vec::new();
+        while let Some(t) = client.next_batch() {
+            batches.push(t);
+        }
+        assert!(session.is_complete());
+        let mut report = session.shutdown();
+        // The one wall-clock field; everything else is a count or a model.
+        report.columnar_kernel_nanos = Default::default();
+        (batches, report)
+    };
+    let inline = run(0);
+    assert_eq!(inline.0.len(), 18);
+    assert_eq!(inline.1.samples, 288);
+    for depth in [1, 2, 4] {
+        let threaded = run(depth);
+        assert_eq!(threaded.0, inline.0, "tensors at depth {depth}");
+        assert_eq!(threaded.1, inline.1, "report at depth {depth}");
+    }
+}
+
+#[test]
 fn tcp_transport_multiworker_encrypted_exactly_once() {
     let table = wire_table(22);
     let session = DppSession::launch(
