@@ -2492,17 +2492,39 @@ fn tenancy_ablation(smoke: bool) {
 /// Autoscaler trace: a virtual-time DPP session converging onto RM1's
 /// trainer demand from one worker (the §III-B1 controller in action).
 fn fleet() {
-    use dpp::{AutoScaler, FleetSim, FleetTrace};
+    use dsi_tune::{run_scenario, Scenario};
     let (lab, projection, report) = measure(RmClass::Rm1);
     let scale = feature_scale(&lab, &projection);
     let tax = DatacenterTax::production();
-    let per_sample = scaled_demand(&report, &tax, scale);
+    let per_worker_qps = NodeSpec::c_v1().max_rate(&scaled_demand(&report, &tax, scale));
     // One trainer node of RM1 demand, in samples/s.
     let tensor_bytes = report.transform_tx_bytes as f64 / report.samples as f64 * scale;
     let demand_qps = lab.profile.trainer_node_demand / tensor_bytes;
-    let sim = FleetSim::new(NodeSpec::c_v1(), per_sample, demand_qps);
-    let mut scaler = AutoScaler::default();
-    let trace = sim.run(&mut scaler, 1, 1_800.0);
+    // One stage at the measured per-worker rate and no knob but the
+    // worker count: 256-sample batches, 8-batch worker buffers, 10-second
+    // controller ticks.
+    let scenario = Scenario {
+        name: "rm1-trainer-node",
+        demand_qps,
+        extract_qps: per_worker_qps,
+        fetch_duty: 0.0,
+        transform_qps: f64::INFINITY,
+        load_per_sample: 0.0,
+        batch_overhead: 0.0,
+        buffer_batches: 8.0,
+        bounds: dpp::KnobBounds {
+            batch_size: (256, 256),
+            ..Default::default()
+        },
+        initial: dpp::Knobs {
+            batch_size: 256,
+            ..Default::default()
+        },
+        tick_secs: 10.0,
+        duration_secs: 1_800.0,
+        ..Scenario::extract_bound()
+    };
+    let trace = run_scenario(&scenario, &mut dpp::AutoScaler::default());
     let rows: Vec<Vec<String>> = trace
         .points
         .iter()
@@ -2510,15 +2532,15 @@ fn fleet() {
         .map(|pt| {
             vec![
                 f(pt.t, 0),
-                pt.workers.to_string(),
-                f(pt.buffered, 0),
+                pt.knobs.workers.to_string(),
+                f(pt.buffered / 256.0, 0),
                 f(pt.supply / 1e3, 1),
-                if pt.stalled {
+                if pt.stall > 0.0 {
                     "STALL".into()
                 } else {
                     String::new()
                 },
-                "#".repeat(pt.workers.min(60)),
+                "#".repeat(pt.knobs.workers.min(60)),
             ]
         })
         .collect();
@@ -2529,9 +2551,9 @@ fn fleet() {
     );
     println!(
         "(ideal {:.1} workers for {:.0}k samples/s; converged to {} with {:.1}% time stalled — paper Table IX: 24.2 workers/trainer)",
-        FleetTrace::ideal_workers(demand_qps, sim.per_worker_qps()),
+        demand_qps / per_worker_qps,
         demand_qps / 1e3,
-        trace.final_workers,
+        trace.final_knobs.workers,
         trace.stall_fraction * 100.0
     );
 }

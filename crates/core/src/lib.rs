@@ -19,9 +19,7 @@
 //! * [`client`] — DPP Clients: the trainer-side hook that fetches tensor
 //!   batches over partitioned round-robin connections;
 //! * [`service`] — [`DppSession`]: wiring master, threaded workers, and
-//!   clients together for an end-to-end run;
-//! * [`fleet`] — a virtual-time analytic session for fleet-scale
-//!   right-sizing experiments.
+//!   clients together for an end-to-end run.
 //!
 //! # Example
 //!
@@ -50,7 +48,6 @@
 
 pub mod autoscale;
 pub mod client;
-pub mod fleet;
 pub mod master;
 mod pipeline;
 pub mod service;
@@ -60,7 +57,6 @@ pub mod worker;
 
 pub use autoscale::{AutoScaler, ScalerConfig, ScalingDecision, WorkerTelemetry};
 pub use client::Client;
-pub use fleet::{FleetPoint, FleetSim, FleetTrace};
 pub use master::{Master, MasterCheckpoint, SplitState};
 pub use service::{DppSession, SessionCheckpoint, WorkerObservation};
 pub use session::{Injection, SessionSpec, SessionSpecBuilder, Transport};

@@ -1,6 +1,6 @@
 //! Virtual-time pipeline simulation for tuner evaluation.
 //!
-//! Extends the analytic style of `dpp::FleetSim` with a pipeline model
+//! An analytic session in virtual time, built on a pipeline model
 //! in which every knob matters: per-worker supply is the minimum of an
 //! extract stage (storage fetch latency hidden by `read_ahead`), a
 //! transform stage (scaled sub-linearly by `parallelism`), and a load
@@ -407,6 +407,40 @@ mod tests {
             stall_target: s.stall_target,
             ..TunerConfig::default()
         })
+    }
+
+    #[test]
+    fn static_scaler_right_sizes_a_worker_bound_fleet() {
+        // One stage and no useful knob but the worker count: demand worth
+        // 24 workers, ramping from 1 (the `figures fleet` shape).
+        let s = Scenario {
+            demand_qps: 240_000.0,
+            extract_qps: 10_000.0,
+            transform_qps: f64::INFINITY,
+            load_per_sample: 0.0,
+            batch_overhead: 0.0,
+            bounds: KnobBounds {
+                workers: (1, 512),
+                ..Scenario::base().bounds
+            },
+            initial: Knobs {
+                workers: 1,
+                ..Scenario::base().initial
+            },
+            tick_secs: 10.0,
+            duration_secs: 4_000.0,
+            ..Scenario::base()
+        };
+        let trace = run_scenario(&s, &mut s.static_policy());
+        let ideal = s.demand_qps / s.per_worker_qps(&s.initial);
+        let converged = trace.final_knobs.workers as f64;
+        assert!(
+            (ideal..=ideal * 1.8).contains(&converged),
+            "final {converged} vs ideal {ideal:.1}"
+        );
+        // Early stalls while ramping, none once converged.
+        let late = &trace.points[trace.points.len() / 2..];
+        assert!(late.iter().all(|p| p.stall == 0.0), "stalls after ramp-up");
     }
 
     #[test]
