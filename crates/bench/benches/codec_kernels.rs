@@ -1,14 +1,19 @@
 //! Micro-benchmarks for the batched codec kernels: chunked varint decode,
-//! run-aware RLE, bulk little-endian f32 streams, and pooled envelope
-//! serialization — the hot loops behind the fastpath and wire numbers.
+//! run-aware RLE, bulk little-endian f32 streams, pooled envelope
+//! serialization, the LZ block kernel and the stripe encoder — the hot
+//! loops behind the fastpath, wire and ingest numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use dsi_types::{Batch, FeatureId, Sample, SparseList, WorkerId};
+use dsi_types::{Batch, FeatureId, FeatureKind, MiniBatchTensor, Sample, SparseList, WorkerId};
+use dwrf::compress::{compress_into, compress_scalar, decompress_into};
 use dwrf::encoding::{
     read_f32s, read_varint, read_varints_into, rle_decode, rle_encode, write_f32s, write_varint,
     write_varints,
 };
+use dwrf::stream::encode_columns;
+use dwrf::{FileWriter, WriterOptions};
 use std::hint::black_box;
+use synth::{RmProfile, SampleGenerator};
 use wire::codec::{decode_envelope, encode_envelope, encode_envelope_into};
 use wire::WireEnvelope;
 
@@ -148,6 +153,10 @@ fn sample_envelope() -> WireEnvelope {
     }
     let dense: Vec<FeatureId> = (0..32).map(FeatureId).collect();
     let sparse: Vec<FeatureId> = (32..48).map(FeatureId).collect();
+    envelope_of(batch.materialize(&dense, &sparse))
+}
+
+fn envelope_of(tensor: MiniBatchTensor) -> WireEnvelope {
     WireEnvelope {
         split: 7,
         seq: 0,
@@ -155,7 +164,7 @@ fn sample_envelope() -> WireEnvelope {
         worker: WorkerId(1),
         trace_id: 0,
         parent_span: 0,
-        tensor: batch.materialize(&dense, &sparse),
+        tensor,
     }
 }
 
@@ -182,5 +191,94 @@ fn bench_envelope(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_varint, bench_rle, bench_f32, bench_envelope);
+/// The shape dsibench stores and ships: 120 logged RM1 features.
+fn rm1_rows(n: usize) -> (dsi_types::Schema, Vec<Sample>) {
+    let schema = RmProfile::rm1().build_schema(120);
+    let rows = SampleGenerator::new(&schema, 0xbe7c).take_samples(n);
+    (schema, rows)
+}
+
+/// The block compressor against its scalar reference (same bytes out) on
+/// the two sizes it meets. On a few-KiB column stream the reference's
+/// per-call table allocation and fill is most of a call, and reuse shows;
+/// on a ~700 KiB tensor frame it is amortised and only the wider loads
+/// are left — too little to move `wire.compress_s` beyond noise, which is
+/// why a faster wire compressor needs a different (byte-changing) match
+/// search, not a faster table.
+fn bench_lz(c: &mut Criterion) {
+    let (schema, rows) = rm1_rows(1024);
+    let column_stream = encode_columns(&rows, true)
+        .into_iter()
+        .flat_map(|(_, streams)| streams)
+        .map(|(_, raw)| raw)
+        .filter(|raw| compress_scalar(raw)[0] == 1) // an LZ block, not stored
+        .min_by_key(|raw| raw.len().abs_diff(2048))
+        .expect("an RM1 stripe has compressible columns");
+    let mut batch = Batch::new();
+    for row in &rows[..600] {
+        batch.push(row.clone());
+    }
+    let tensor_frame = encode_envelope(&envelope_of(batch.materialize(
+        &schema.ids_of_kind(FeatureKind::Dense),
+        &schema.ids_of_kind(FeatureKind::Sparse),
+    )));
+    for (name, input) in [
+        ("column_stream", &column_stream),
+        ("tensor_frame", &tensor_frame),
+    ] {
+        let block = compress_scalar(input);
+        let mut group = c.benchmark_group(format!("lz_{name}_{}B", input.len()));
+        group.sample_size(30);
+        group.throughput(Throughput::Bytes(input.len() as u64));
+        group.bench_function("compress_scalar", |b| {
+            b.iter(|| black_box(compress_scalar(black_box(input))))
+        });
+        group.bench_function("compress_into", |b| {
+            let mut out = Vec::new();
+            b.iter(|| {
+                out.clear();
+                compress_into(black_box(input), &mut out);
+                black_box(out.len())
+            })
+        });
+        group.bench_function("decompress_into", |b| {
+            let mut out = Vec::new();
+            b.iter(|| {
+                decompress_into(black_box(&block), &mut out).expect("valid");
+                black_box(out.len())
+            })
+        });
+        group.finish();
+    }
+}
+
+/// One 1,024-row RM1 stripe through `FileWriter` (transpose, encode,
+/// compress, encrypt, checksum): the unit of `dwrf.encode_s` on `ingest`.
+/// `push` takes rows by value, so each iteration also clones them in.
+fn bench_stripe_encode(c: &mut Criterion) {
+    let (_, rows) = rm1_rows(1024);
+    let mut group = c.benchmark_group("stripe_encode");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(rows.len() as u64));
+    group.bench_function("rm1_1024_rows", |b| {
+        b.iter(|| {
+            let mut writer = FileWriter::new(WriterOptions::default());
+            for row in &rows {
+                writer.push(row.clone());
+            }
+            black_box(writer.finish().expect("non-empty").len())
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_varint,
+    bench_rle,
+    bench_f32,
+    bench_envelope,
+    bench_lz,
+    bench_stripe_encode
+);
 criterion_main!(benches);

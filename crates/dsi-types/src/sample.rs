@@ -4,7 +4,36 @@
 use crate::feature::{DenseValue, FeatureValue, SparseList};
 use crate::id::FeatureId;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+
+/// A map from feature id to `V` held as one vector sorted by id, with no
+/// two entries sharing an id. Rows are built and consumed in id order far
+/// more often than they are probed, so contiguous entries beat a tree.
+type FlatMap<V> = Vec<(FeatureId, V)>;
+
+fn find<V>(map: &[(FeatureId, V)], id: FeatureId) -> Result<usize, usize> {
+    map.binary_search_by_key(&id, |entry| entry.0)
+}
+
+fn get<V>(map: &[(FeatureId, V)], id: FeatureId) -> Option<&V> {
+    find(map, id).ok().map(|i| &map[i].1)
+}
+
+fn insert<V>(map: &mut FlatMap<V>, id: FeatureId, value: V) {
+    // Readers, the ETL join and derived-feature transforms insert in
+    // ascending id order: past the last key is an append, not a search.
+    if map.last().is_none_or(|last| last.0 < id) {
+        map.push((id, value));
+        return;
+    }
+    match find(map, id) {
+        Ok(i) => map[i].1 = value,
+        Err(i) => map.insert(i, (id, value)),
+    }
+}
+
+fn remove<V>(map: &mut FlatMap<V>, id: FeatureId) -> Option<V> {
+    find(map, id).ok().map(|i| map.remove(i).1)
+}
 
 /// One structured training sample (a table row).
 ///
@@ -13,10 +42,14 @@ use std::collections::BTreeMap;
 /// maps so that the feature set can evolve without schema migrations.
 /// Features account for the vast majority (>99%) of stored bytes; the label
 /// is a single float.
+///
+/// Each map is a flat map: a vector of `(id, value)` entries kept strictly
+/// ascending by id, so iteration is id-ordered and two samples holding the
+/// same features compare equal however they were built.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Sample {
-    dense: BTreeMap<FeatureId, DenseValue>,
-    sparse: BTreeMap<FeatureId, SparseList>,
+    dense: FlatMap<DenseValue>,
+    sparse: FlatMap<SparseList>,
     label: f32,
 }
 
@@ -24,8 +57,8 @@ impl Sample {
     /// Creates an empty sample with the given label.
     pub fn new(label: f32) -> Self {
         Self {
-            dense: BTreeMap::new(),
-            sparse: BTreeMap::new(),
+            dense: Vec::new(),
+            sparse: Vec::new(),
             label,
         }
     }
@@ -42,30 +75,30 @@ impl Sample {
 
     /// Sets (or replaces) a dense feature.
     pub fn set_dense(&mut self, id: FeatureId, value: DenseValue) {
-        self.dense.insert(id, value);
+        insert(&mut self.dense, id, value);
     }
 
     /// Sets (or replaces) a sparse feature.
     pub fn set_sparse(&mut self, id: FeatureId, list: SparseList) {
-        self.sparse.insert(id, list);
+        insert(&mut self.sparse, id, list);
     }
 
     /// Reads a dense feature.
     pub fn dense(&self, id: FeatureId) -> Option<DenseValue> {
-        self.dense.get(&id).copied()
+        get(&self.dense, id).copied()
     }
 
     /// Reads a sparse feature.
     pub fn sparse(&self, id: FeatureId) -> Option<&SparseList> {
-        self.sparse.get(&id)
+        get(&self.sparse, id)
     }
 
     /// Reads a feature of either kind.
     pub fn feature(&self, id: FeatureId) -> Option<FeatureValue> {
-        if let Some(v) = self.dense.get(&id) {
-            return Some(FeatureValue::Dense(*v));
+        if let Some(v) = self.dense(id) {
+            return Some(FeatureValue::Dense(v));
         }
-        self.sparse.get(&id).cloned().map(FeatureValue::Sparse)
+        self.sparse(id).cloned().map(FeatureValue::Sparse)
     }
 
     /// Sets a feature of either kind.
@@ -78,25 +111,25 @@ impl Sample {
 
     /// Removes a feature of either kind, returning it if present.
     pub fn remove(&mut self, id: FeatureId) -> Option<FeatureValue> {
-        if let Some(v) = self.dense.remove(&id) {
+        if let Some(v) = remove(&mut self.dense, id) {
             return Some(FeatureValue::Dense(v));
         }
-        self.sparse.remove(&id).map(FeatureValue::Sparse)
+        remove(&mut self.sparse, id).map(FeatureValue::Sparse)
     }
 
     /// Whether the sample holds the given feature.
     pub fn contains(&self, id: FeatureId) -> bool {
-        self.dense.contains_key(&id) || self.sparse.contains_key(&id)
+        find(&self.dense, id).is_ok() || find(&self.sparse, id).is_ok()
     }
 
     /// Iterates over the dense map in feature-id order.
     pub fn dense_iter(&self) -> impl Iterator<Item = (FeatureId, DenseValue)> + '_ {
-        self.dense.iter().map(|(&k, &v)| (k, v))
+        self.dense.iter().copied()
     }
 
     /// Iterates over the sparse map in feature-id order.
     pub fn sparse_iter(&self) -> impl Iterator<Item = (FeatureId, &SparseList)> {
-        self.sparse.iter().map(|(&k, v)| (k, v))
+        self.sparse.iter().map(|(k, v)| (*k, v))
     }
 
     /// Number of dense features present.
@@ -116,8 +149,8 @@ impl Sample {
 
     /// Retains only the features selected by `keep` (a feature projection).
     pub fn project<F: Fn(FeatureId) -> bool>(&mut self, keep: F) {
-        self.dense.retain(|&id, _| keep(id));
-        self.sparse.retain(|&id, _| keep(id));
+        self.dense.retain(|entry| keep(entry.0));
+        self.sparse.retain(|entry| keep(entry.0));
     }
 
     /// Approximate in-memory payload footprint: feature keys, values, and the
@@ -125,7 +158,11 @@ impl Sample {
     pub fn payload_bytes(&self) -> usize {
         let key = std::mem::size_of::<FeatureId>();
         let dense = self.dense.len() * (key + std::mem::size_of::<DenseValue>());
-        let sparse: usize = self.sparse.values().map(|l| key + l.payload_bytes()).sum();
+        let sparse: usize = self
+            .sparse
+            .iter()
+            .map(|(_, l)| key + l.payload_bytes())
+            .sum();
         dense + sparse + std::mem::size_of::<f32>()
     }
 }

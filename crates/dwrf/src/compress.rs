@@ -12,21 +12,169 @@
 
 use crate::encoding::{read_varint, write_varint};
 use dsi_types::{DsiError, Result};
+use std::cell::RefCell;
 
 const MIN_MATCH: usize = 4;
 const MAX_MATCH: usize = 0x7f + MIN_MATCH;
 const HASH_BITS: u32 = 15;
 
 #[inline]
-fn hash4(data: &[u8]) -> usize {
-    let v = u32::from_le_bytes([data[0], data[1], data[2], data[3]]);
+fn hash_word(v: u32) -> usize {
     (v.wrapping_mul(0x9e37_79b1) >> (32 - HASH_BITS)) as usize
+}
+
+#[inline]
+fn word_at(data: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes(data[i..i + 4].try_into().expect("4-byte window"))
+}
+
+/// The match finder's hash table, one per thread and reused by every call.
+///
+/// A slot holds `base + position + 1` for the call that wrote it. Each call
+/// takes a `base` at or above everything earlier calls stored, so a slot
+/// at or below `base` reads as empty and no call clears or allocates the
+/// table. Only when `base + input.len()` would leave `u32` is the table
+/// zeroed and `base` restarted from 0 — once per 4 GiB compressed.
+struct MatchTable {
+    slots: Box<[u32; 1 << HASH_BITS]>,
+    /// The next call's `base`.
+    next_base: u32,
+}
+
+thread_local! {
+    static TABLE: RefCell<MatchTable> = RefCell::new(MatchTable {
+        slots: Box::new([0; 1 << HASH_BITS]),
+        next_base: 0,
+    });
+}
+
+impl MatchTable {
+    /// Starts a call over `len` input bytes and returns its `base`.
+    fn begin(&mut self, len: u32) -> u32 {
+        let base = match self.next_base.checked_add(len) {
+            Some(_) => self.next_base,
+            None => {
+                self.slots.fill(0);
+                0
+            }
+        };
+        self.next_base = base + len;
+        base
+    }
 }
 
 /// Compresses `input`, returning the encoded block.
 ///
 /// Falls back to a stored block when compression does not help.
 pub fn compress(input: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(input.len() / 2 + 16);
+    compress_into(input, &mut out);
+    out
+}
+
+/// Appends the block [`compress`] would return to `out`, leaving the bytes
+/// already there untouched, so a frame or file can be built in place.
+///
+/// Inputs of 4 GiB or more are stored: match positions are `u32`.
+pub fn compress_into(input: &[u8], out: &mut Vec<u8>) {
+    let start = out.len();
+    let lz_len = u32::try_from(input.len())
+        .ok()
+        .filter(|_| input.len() >= MIN_MATCH * 2);
+    if let Some(len) = lz_len {
+        TABLE.with(|table| {
+            let table = &mut *table.borrow_mut();
+            let base = table.begin(len);
+            lz_block(input, &mut table.slots, base, out);
+        });
+        if out.len() - start <= input.len() {
+            return;
+        }
+        out.truncate(start);
+    }
+    out.push(0u8);
+    out.extend_from_slice(input);
+}
+
+/// The LZ parse. The hash, the single-candidate rule, `MIN_MATCH`/`MAX_MATCH`
+/// and the every-other-byte indexing inside a match are
+/// [`compress_scalar`]'s, so the tokens are too; only the table and the
+/// width of the loads differ.
+fn lz_block(input: &[u8], slots: &mut [u32; 1 << HASH_BITS], base: u32, out: &mut Vec<u8>) {
+    out.push(1u8);
+    write_varint(out, input.len() as u64);
+    // Positions fit `u32` (checked by the caller) and `base + input.len()`
+    // does not overflow (`MatchTable::begin`).
+    let stamp = |pos: usize| base + pos as u32 + 1;
+    let mut i = 0;
+    let mut literal_start = 0;
+    while i + MIN_MATCH <= input.len() {
+        let word = word_at(input, i);
+        let slot = &mut slots[hash_word(word)];
+        let seen = *slot;
+        *slot = stamp(i);
+        // Every live slot was stamped at a position before `i`.
+        let candidate = (seen > base).then(|| (seen - base - 1) as usize);
+        match candidate.filter(|&c| word_at(input, c) == word) {
+            Some(candidate) => {
+                let limit = MAX_MATCH.min(input.len() - i);
+                let len = MIN_MATCH
+                    + common_prefix(
+                        &input[candidate + MIN_MATCH..candidate + limit],
+                        &input[i + MIN_MATCH..i + limit],
+                    );
+                flush_literals(out, &input[literal_start..i]);
+                out.push(0x80 | (len - MIN_MATCH) as u8);
+                write_varint(out, (i - candidate) as u64);
+                // Index a few positions inside the match to keep the table warm.
+                let end = i + len;
+                let mut j = i + 1;
+                while j + MIN_MATCH <= input.len() && j < end {
+                    slots[hash_word(word_at(input, j))] = stamp(j);
+                    j += 2;
+                }
+                i = end;
+                literal_start = i;
+            }
+            None => i += 1,
+        }
+    }
+    flush_literals(out, &input[literal_start..]);
+}
+
+/// Length of the common prefix of two equally long slices, eight bytes a
+/// step: the first differing byte is the lowest set bit of the XOR.
+#[inline]
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let mut n = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let diff = u64::from_le_bytes(x.try_into().expect("8-byte chunk"))
+            ^ u64::from_le_bytes(y.try_into().expect("8-byte chunk"));
+        if diff != 0 {
+            return n + (diff.trailing_zeros() / 8) as usize;
+        }
+        n += 8;
+    }
+    n + a[n..]
+        .iter()
+        .zip(&b[n..])
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
+/// The reference compressor: a fresh table per call, byte-wise compares.
+/// [`compress`] must produce exactly these bytes; property tests and
+/// benches compare against it and nothing else calls it.
+pub fn compress_scalar(input: &[u8]) -> Vec<u8> {
+    fn hash4(data: &[u8]) -> usize {
+        hash_word(u32::from_le_bytes([data[0], data[1], data[2], data[3]]))
+    }
+    fn stored_block(input: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(input.len() + 1);
+        out.push(0u8);
+        out.extend_from_slice(input);
+        out
+    }
     if input.len() < MIN_MATCH * 2 {
         return stored_block(input);
     }
@@ -57,7 +205,6 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
             let dist = i - candidate;
             out.push(0x80 | (len - MIN_MATCH) as u8);
             write_varint(&mut out, dist as u64);
-            // Index a few positions inside the match to keep the table warm.
             let end = i + len;
             let mut j = i + 1;
             while j + MIN_MATCH <= input.len() && j < end {
@@ -77,13 +224,6 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
     } else {
         out
     }
-}
-
-fn stored_block(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() + 1);
-    out.push(0u8);
-    out.extend_from_slice(input);
-    out
 }
 
 fn flush_literals(out: &mut Vec<u8>, mut lits: &[u8]) {
@@ -118,7 +258,9 @@ pub fn decompress(block: &[u8]) -> Result<Vec<u8>> {
 ///
 /// # Errors
 ///
-/// Returns [`DsiError::Corrupt`] on malformed input.
+/// Returns [`DsiError::Corrupt`] on malformed input, including a declared
+/// length the block's tokens cannot produce — checked before any memory is
+/// reserved for it.
 pub fn decompress_into(block: &[u8], out: &mut Vec<u8>) -> Result<()> {
     out.clear();
     let (&mode, rest) = block
@@ -131,7 +273,14 @@ pub fn decompress_into(block: &[u8], out: &mut Vec<u8>) -> Result<()> {
         }
         1 => {
             let mut pos = 0;
-            let expect = read_varint(rest, &mut pos)? as usize;
+            let declared = read_varint(rest, &mut pos)?;
+            // A token byte yields at most MAX_MATCH output bytes.
+            let expect = usize::try_from(declared)
+                .ok()
+                .filter(|&n| n <= rest.len().saturating_mul(MAX_MATCH))
+                .ok_or_else(|| {
+                    DsiError::corrupt("declared length exceeds what the block can hold")
+                })?;
             out.reserve(expect);
             while pos < rest.len() {
                 let ctl = rest[pos];
@@ -145,16 +294,23 @@ pub fn decompress_into(block: &[u8], out: &mut Vec<u8>) -> Result<()> {
                     pos += n;
                 } else {
                     let len = (ctl & 0x7f) as usize + MIN_MATCH;
-                    let dist = read_varint(rest, &mut pos)? as usize;
-                    if dist == 0 || dist > out.len() {
+                    let dist = read_varint(rest, &mut pos)?;
+                    if dist == 0 || dist > out.len() as u64 {
                         return Err(DsiError::corrupt("match distance out of range"));
                     }
-                    let start = out.len() - dist;
-                    // Overlapping copies are legal (repeat patterns).
-                    for k in 0..len {
-                        let b = out[start + k];
-                        out.push(b);
+                    // A match may overlap its own output (repeat patterns):
+                    // everything from `start` on has period `dist`, so each
+                    // pass may copy all of it and the copy doubles.
+                    let start = out.len() - dist as usize;
+                    let mut remaining = len;
+                    while remaining > 0 {
+                        let n = remaining.min(out.len() - start);
+                        out.extend_from_within(start..start + n);
+                        remaining -= n;
                     }
+                }
+                if out.len() > expect {
+                    break;
                 }
             }
             if out.len() != expect {
@@ -245,6 +401,46 @@ mod tests {
         let mut scratch = vec![0xee; 17];
         decompress_into(&enc, &mut scratch).unwrap();
         assert_eq!(scratch, data);
+    }
+
+    #[test]
+    fn matches_the_scalar_reference_across_a_table_wrap() {
+        let mut r = SplitMix64::new(7);
+        let data: Vec<u8> = (0..5000).map(|_| (r.next_u64() % 6) as u8).collect();
+        let want = compress_scalar(&data);
+        assert_eq!(want[0], 1, "compressible input takes the LZ branch");
+        assert_eq!(compress(&data), want);
+        // Leave less room than one input: the next call must restart the
+        // stamps, and the slots the calls above left behind must not match.
+        TABLE.with(|t| t.borrow_mut().next_base = u32::MAX - 100);
+        assert_eq!(compress(&data), want);
+        assert_eq!(TABLE.with(|t| t.borrow().next_base), data.len() as u32);
+        assert_eq!(compress(&data[1..]), compress_scalar(&data[1..]));
+    }
+
+    #[test]
+    fn compress_into_appends_after_the_prefix() {
+        for data in [&b"ab".repeat(300)[..], b"abc", b"incompressible!?"] {
+            let mut out = b"header".to_vec();
+            compress_into(data, &mut out);
+            assert_eq!(&out[..6], b"header");
+            assert_eq!(&out[6..], &compress_scalar(data)[..]);
+        }
+    }
+
+    #[test]
+    fn declared_length_is_checked_before_reserving() {
+        // Twelve bytes claiming 2^60: used to reserve first and abort.
+        let mut bomb = vec![1u8];
+        write_varint(&mut bomb, 1 << 60);
+        bomb.extend_from_slice(&[0x00, b'x']);
+        bomb.resize(12, 0x00);
+        assert!(matches!(decompress(&bomb), Err(DsiError::Corrupt(_))));
+        // The largest claim the check lets through still fails cleanly.
+        let mut tight = vec![1u8];
+        write_varint(&mut tight, (3 * MAX_MATCH) as u64);
+        tight.extend_from_slice(&[0x00, b'x']);
+        assert!(decompress(&tight).is_err());
     }
 
     #[test]

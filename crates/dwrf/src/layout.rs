@@ -32,16 +32,18 @@ impl StreamOrder {
         StreamOrder::Popularity(ranked.into_iter().map(|(f, _)| f).collect())
     }
 
-    /// Orders `features` according to the policy.
-    pub fn order(&self, mut features: Vec<FeatureId>) -> Vec<FeatureId> {
-        features.sort_unstable();
+    /// Sorts `items` into the policy's order of the features they belong
+    /// to. The sort is stable: items of one feature keep their order.
+    pub fn sort_by_feature<T>(&self, items: &mut [T], feature: impl Fn(&T) -> FeatureId) {
         match self {
-            StreamOrder::ById => features,
+            StreamOrder::ById => items.sort_by_key(feature),
             StreamOrder::Popularity(rank) => {
                 let pos: HashMap<FeatureId, usize> =
                     rank.iter().enumerate().map(|(i, &f)| (f, i)).collect();
-                features.sort_by_key(|f| (pos.get(f).copied().unwrap_or(usize::MAX), f.0));
-                features
+                items.sort_by_key(|item| {
+                    let f = feature(item);
+                    (pos.get(&f).copied().unwrap_or(usize::MAX), f)
+                });
             }
         }
     }
@@ -51,17 +53,25 @@ impl StreamOrder {
 mod tests {
     use super::*;
 
+    fn ordered(order: &StreamOrder, mut features: Vec<FeatureId>) -> Vec<FeatureId> {
+        order.sort_by_feature(&mut features, |f| *f);
+        features
+    }
+
     #[test]
     fn id_order_sorts() {
         let order = StreamOrder::ById;
-        let out = order.order(vec![FeatureId(3), FeatureId(1), FeatureId(2)]);
+        let out = ordered(&order, vec![FeatureId(3), FeatureId(1), FeatureId(2)]);
         assert_eq!(out, vec![FeatureId(1), FeatureId(2), FeatureId(3)]);
     }
 
     #[test]
     fn popularity_puts_ranked_first() {
         let order = StreamOrder::Popularity(vec![FeatureId(9), FeatureId(2)]);
-        let out = order.order(vec![FeatureId(1), FeatureId(2), FeatureId(9), FeatureId(5)]);
+        let out = ordered(
+            &order,
+            vec![FeatureId(1), FeatureId(2), FeatureId(9), FeatureId(5)],
+        );
         assert_eq!(
             out,
             vec![FeatureId(9), FeatureId(2), FeatureId(1), FeatureId(5)]
@@ -86,7 +96,7 @@ mod tests {
     #[test]
     fn unranked_features_keep_id_order() {
         let order = StreamOrder::Popularity(vec![FeatureId(100)]);
-        let out = order.order(vec![FeatureId(7), FeatureId(3), FeatureId(100)]);
+        let out = ordered(&order, vec![FeatureId(7), FeatureId(3), FeatureId(100)]);
         assert_eq!(out, vec![FeatureId(100), FeatureId(3), FeatureId(7)]);
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::encoding::{
     read_bitmap, read_f32s, read_f32s_xor, read_varint, read_varints_into, rle_decode_capped,
-    rle_encode, write_bitmap, write_f32s, write_f32s_xor, write_varint,
+    rle_encode, write_bitmap, write_f32s, write_f32s_xor, write_varint, write_varints,
 };
 use dsi_types::{DsiError, FeatureId, Result, Sample, SparseList};
 use serde::{Deserialize, Serialize};
@@ -150,26 +150,168 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
 /// The raw (unencoded) streams produced for one column of one stripe.
 pub type RawStreams = Vec<(StreamKind, Vec<u8>)>;
 
-/// Encodes a dense feature column over `rows`.
-///
-/// Produces a `Present` bitmap and a `DenseData` stream of present values.
-pub fn encode_dense_column(rows: &[Sample], fid: FeatureId) -> RawStreams {
-    let mut present = Vec::with_capacity(rows.len());
-    let mut values = Vec::new();
-    for row in rows {
-        match row.dense(fid) {
-            Some(v) => {
-                present.push(true);
-                values.push(v);
+/// One feature's cells across a stripe, gathered row by row.
+#[derive(Debug)]
+struct Column<C> {
+    feature: FeatureId,
+    /// One bit per row up to the last row that held the feature; rows
+    /// after it are absent and padded in when the column is encoded.
+    present: Vec<bool>,
+    cells: C,
+}
+
+fn present_stream(mut present: Vec<bool>, rows: usize) -> (StreamKind, Vec<u8>) {
+    present.resize(rows, false);
+    let mut buf = Vec::new();
+    write_bitmap(&mut buf, &present);
+    (StreamKind::Present, buf)
+}
+
+/// Marks `feature` present in `row` and returns its cells. A row's
+/// features arrive in ascending id order and `columns` is kept in that
+/// order, so the search resumes at `*cursor` (where the row's previous
+/// feature left it) and the whole row is one merge pass. A feature no
+/// earlier row held opens a column in place.
+fn cells_of<'a, C: Default>(
+    columns: &'a mut Vec<Column<C>>,
+    cursor: &mut usize,
+    feature: FeatureId,
+    row: usize,
+) -> &'a mut C {
+    while columns.get(*cursor).is_some_and(|c| c.feature < feature) {
+        *cursor += 1;
+    }
+    if columns.get(*cursor).is_none_or(|c| c.feature != feature) {
+        columns.insert(
+            *cursor,
+            Column {
+                feature,
+                present: Vec::new(),
+                cells: C::default(),
+            },
+        );
+    }
+    let column = &mut columns[*cursor];
+    *cursor += 1;
+    column.present.resize(row, false);
+    column.present.push(true);
+    &mut column.cells
+}
+
+/// The present cells of a sparse column, concatenated.
+#[derive(Debug, Default)]
+struct SparseCells {
+    lengths: Vec<u64>,
+    ids: Vec<u64>,
+    /// Aligned with `ids` once `scored`; empty until then.
+    scores: Vec<f32>,
+    scored: bool,
+}
+
+impl SparseCells {
+    fn push(&mut self, list: &SparseList) {
+        self.lengths.push(list.len() as u64);
+        match list.scores() {
+            Some(scores) => {
+                if !self.scored {
+                    // The lists before this one were unscored: unit scores.
+                    self.scored = true;
+                    self.scores.resize(self.ids.len(), 1.0);
+                }
+                self.scores.extend_from_slice(scores);
             }
-            None => present.push(false),
+            None if self.scored => self.scores.resize(self.ids.len() + list.len(), 1.0),
+            None => {}
+        }
+        self.ids.extend_from_slice(list.ids());
+    }
+}
+
+impl Column<Vec<f32>> {
+    /// A `Present` bitmap and a `DenseData` stream of the present values.
+    fn encode(self, rows: usize) -> RawStreams {
+        let mut data = Vec::new();
+        write_f32s_xor(&mut data, &self.cells);
+        vec![
+            present_stream(self.present, rows),
+            (StreamKind::DenseData, data),
+        ]
+    }
+}
+
+impl Column<SparseCells> {
+    /// `Present`, `Length` (RLE), `Data` (varint ids or dictionary
+    /// indexes), a `Dict` when ids repeat, and a `Score` stream when any
+    /// list was scored.
+    fn encode(self, rows: usize) -> RawStreams {
+        let SparseCells {
+            lengths,
+            mut ids,
+            scores,
+            scored,
+        } = self.cells;
+        // Dictionary-encode when ids repeat enough to pay for the dictionary:
+        // hot categorical ids (page ids, topic ids) recur across samples.
+        let mut distinct = ids.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let use_dict = !ids.is_empty() && distinct.len() * 2 <= ids.len() && distinct.len() <= 4096;
+        let mut dict_buf = Vec::new();
+        if use_dict {
+            write_varint(&mut dict_buf, distinct.len() as u64);
+            write_varints(&mut dict_buf, &distinct);
+            for id in &mut ids {
+                *id = distinct
+                    .binary_search(id)
+                    .expect("id is in its own dictionary") as u64;
+            }
+        }
+        let mut ids_buf = Vec::new();
+        write_varints(&mut ids_buf, &ids);
+        let mut out = vec![
+            present_stream(self.present, rows),
+            (StreamKind::Length, rle_encode(&lengths)),
+            (StreamKind::Data, ids_buf),
+        ];
+        if use_dict {
+            out.push((StreamKind::Dict, dict_buf));
+        }
+        if scored {
+            let mut sbuf = Vec::new();
+            write_f32s(&mut sbuf, &scores);
+            out.push((StreamKind::Score, sbuf));
+        }
+        out
+    }
+}
+
+/// Transposes `rows` into per-feature columns — one id-ordered merge pass
+/// per row — and encodes each: the dense columns in id order, then (when
+/// `with_sparse`) the sparse columns in id order.
+///
+/// Scored-ness is a column-level property (as in the production schema):
+/// if any row of the stripe carries scores, the whole column round-trips
+/// as scored, with unscored rows canonicalized to unit scores.
+pub fn encode_columns(rows: &[Sample], with_sparse: bool) -> Vec<(FeatureId, RawStreams)> {
+    let mut dense: Vec<Column<Vec<f32>>> = Vec::new();
+    let mut sparse: Vec<Column<SparseCells>> = Vec::new();
+    for (r, row) in rows.iter().enumerate() {
+        let mut cursor = 0;
+        for (feature, value) in row.dense_iter() {
+            cells_of(&mut dense, &mut cursor, feature, r).push(value);
+        }
+        if with_sparse {
+            let mut cursor = 0;
+            for (feature, list) in row.sparse_iter() {
+                cells_of(&mut sparse, &mut cursor, feature, r).push(list);
+            }
         }
     }
-    let mut pbuf = Vec::new();
-    write_bitmap(&mut pbuf, &present);
-    let mut dbuf = Vec::new();
-    write_f32s_xor(&mut dbuf, &values);
-    vec![(StreamKind::Present, pbuf), (StreamKind::DenseData, dbuf)]
+    let dense = dense.into_iter().map(|c| (c.feature, c.encode(rows.len())));
+    let sparse = sparse
+        .into_iter()
+        .map(|c| (c.feature, c.encode(rows.len())));
+    dense.chain(sparse).collect()
 }
 
 /// Decodes a dense feature column into per-row optional values.
@@ -193,88 +335,6 @@ pub fn decode_dense_column(present: &[u8], data: &[u8]) -> Result<Vec<Option<f32
         .into_iter()
         .map(|b| if b { it.next() } else { None })
         .collect())
-}
-
-/// Encodes a sparse feature column over `rows`.
-///
-/// Produces `Present`, `Length` (RLE), `Data` (varint ids), and — when any
-/// row is scored — a `Score` stream.
-///
-/// Scored-ness is a column-level property (as in the production schema):
-/// if any row of the stripe carries scores, the whole column round-trips
-/// as scored, with unscored rows canonicalized to unit scores.
-pub fn encode_sparse_column(rows: &[Sample], fid: FeatureId) -> RawStreams {
-    let mut present = Vec::with_capacity(rows.len());
-    let mut lengths = Vec::new();
-    let mut all_ids: Vec<u64> = Vec::new();
-    let mut scores = Vec::new();
-    let mut any_scored = false;
-    for row in rows {
-        match row.sparse(fid) {
-            Some(list) => {
-                present.push(true);
-                lengths.push(list.len() as u64);
-                all_ids.extend_from_slice(list.ids());
-                if list.is_scored() {
-                    any_scored = true;
-                }
-            }
-            None => present.push(false),
-        }
-    }
-    // Dictionary-encode when ids repeat enough to pay for the dictionary:
-    // hot categorical ids (page ids, topic ids) recur across samples.
-    let mut distinct: Vec<u64> = all_ids.clone();
-    distinct.sort_unstable();
-    distinct.dedup();
-    let use_dict =
-        !all_ids.is_empty() && distinct.len() * 2 <= all_ids.len() && distinct.len() <= 4096;
-    let mut ids_buf = Vec::new();
-    let mut dict_buf = Vec::new();
-    if use_dict {
-        write_varint(&mut dict_buf, distinct.len() as u64);
-        for &v in &distinct {
-            write_varint(&mut dict_buf, v);
-        }
-        for &id in &all_ids {
-            let idx = distinct
-                .binary_search(&id)
-                .expect("id is in its own dictionary");
-            write_varint(&mut ids_buf, idx as u64);
-        }
-    } else {
-        for &id in &all_ids {
-            write_varint(&mut ids_buf, id);
-        }
-    }
-    if any_scored {
-        // Second pass: align scores with every present id (unscored rows
-        // contribute unit scores).
-        for row in rows {
-            if let Some(list) = row.sparse(fid) {
-                for (_, s) in list.iter_scored() {
-                    scores.push(s);
-                }
-            }
-        }
-    }
-    let mut pbuf = Vec::new();
-    write_bitmap(&mut pbuf, &present);
-    let lbuf = rle_encode(&lengths);
-    let mut out = vec![
-        (StreamKind::Present, pbuf),
-        (StreamKind::Length, lbuf),
-        (StreamKind::Data, ids_buf),
-    ];
-    if use_dict {
-        out.push((StreamKind::Dict, dict_buf));
-    }
-    if any_scored {
-        let mut sbuf = Vec::new();
-        write_f32s(&mut sbuf, &scores);
-        out.push((StreamKind::Score, sbuf));
-    }
-    out
 }
 
 /// Decodes a sparse feature column into per-row optional lists.
@@ -611,10 +671,18 @@ mod tests {
         out
     }
 
+    /// The encoded streams of the one column `rows` hold for `fid`.
+    fn encode_column(rows: &[Sample], fid: FeatureId) -> RawStreams {
+        let mut columns = encode_columns(rows, true);
+        columns.retain(|(feature, _)| *feature == fid);
+        assert_eq!(columns.len(), 1);
+        columns.remove(0).1
+    }
+
     #[test]
     fn dense_column_round_trip() {
         let rows = rows();
-        let streams = encode_dense_column(&rows, FeatureId(1));
+        let streams = encode_column(&rows, FeatureId(1));
         let present = &streams[0].1;
         let data = &streams[1].1;
         let decoded = decode_dense_column(present, data).unwrap();
@@ -627,7 +695,7 @@ mod tests {
     #[test]
     fn sparse_column_round_trip() {
         let rows = rows();
-        let streams = encode_sparse_column(&rows, FeatureId(7));
+        let streams = encode_column(&rows, FeatureId(7));
         assert_eq!(streams.len(), 3); // no scores
         let decoded =
             decode_sparse_column(&streams[0].1, &streams[1].1, &streams[2].1, None, None).unwrap();
@@ -639,7 +707,7 @@ mod tests {
     #[test]
     fn scored_sparse_column_round_trip() {
         let rows = rows();
-        let streams = encode_sparse_column(&rows, FeatureId(8));
+        let streams = encode_column(&rows, FeatureId(8));
         assert_eq!(streams.len(), 4);
         let decoded = decode_sparse_column(
             &streams[0].1,
@@ -791,7 +859,7 @@ mod tests {
             );
             rows2.push(s);
         }
-        let streams = encode_sparse_column(&rows2, FeatureId(3));
+        let streams = encode_column(&rows2, FeatureId(3));
         let kinds: Vec<StreamKind> = streams.iter().map(|(k, _)| *k).collect();
         assert!(kinds.contains(&StreamKind::Dict), "dictionary expected");
         let dict = &streams
@@ -819,7 +887,7 @@ mod tests {
             s.set_sparse(FeatureId(3), SparseList::from_ids(vec![i * 1_000_003]));
             rows2.push(s);
         }
-        let streams = encode_sparse_column(&rows2, FeatureId(3));
+        let streams = encode_column(&rows2, FeatureId(3));
         assert!(!streams.iter().any(|(k, _)| *k == StreamKind::Dict));
     }
 
@@ -839,7 +907,7 @@ mod tests {
     #[test]
     fn corrupt_dense_column_detected() {
         let rows = rows();
-        let streams = encode_dense_column(&rows, FeatureId(1));
+        let streams = encode_column(&rows, FeatureId(1));
         // Chop a value off the data stream.
         let bad = &streams[1].1[..streams[1].1.len() - 4];
         assert!(decode_dense_column(&streams[0].1, bad).is_err());

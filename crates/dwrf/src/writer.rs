@@ -5,8 +5,8 @@ use crate::compress;
 use crate::encoding::MetaWriter;
 use crate::layout::StreamOrder;
 use crate::stream::{
-    checksum64, encode_dedup_sparse, encode_dense_column, encode_dense_map, encode_labels,
-    encode_sparse_column, encode_sparse_map, DedupEncodeStats, StreamInfo, StreamKind, FILE_LEVEL,
+    checksum64, encode_columns, encode_dedup_sparse, encode_dense_map, encode_labels,
+    encode_sparse_map, DedupEncodeStats, StreamInfo, StreamKind, FILE_LEVEL,
 };
 use bytes::Bytes;
 use dsi_types::{DsiError, FeatureId, Result, Sample};
@@ -230,6 +230,31 @@ impl FileWriter {
         self.pending.len()
     }
 
+    /// Compresses and encrypts `raw` onto the end of the file and records
+    /// the stream in the stripe's directory.
+    fn emit(&mut self, feature: u64, kind: StreamKind, raw: &[u8], streams: &mut Vec<StreamInfo>) {
+        let offset = self.buf.len();
+        if self.opts.compressed {
+            compress::compress_into(raw, &mut self.buf);
+        } else {
+            self.buf.extend_from_slice(raw);
+        }
+        let payload = &mut self.buf[offset..];
+        let nonce = self.next_nonce;
+        self.next_nonce += 1;
+        if self.opts.encrypted {
+            StreamCipher::new(self.opts.file_key).apply_in_place(nonce, payload);
+        }
+        streams.push(StreamInfo {
+            feature,
+            kind,
+            offset: offset as u64,
+            len: payload.len() as u64,
+            nonce,
+            checksum: checksum64(payload),
+        });
+    }
+
     /// Flushes buffered rows into a stripe (no-op when empty).
     pub fn flush_stripe(&mut self) {
         if self.pending.is_empty() {
@@ -238,76 +263,24 @@ impl FileWriter {
         let rows = std::mem::take(&mut self.pending);
         let mut streams: Vec<StreamInfo> = Vec::new();
 
-        let emit = |writer: &mut Self,
-                    feature: u64,
-                    kind: StreamKind,
-                    raw: Vec<u8>,
-                    streams: &mut Vec<StreamInfo>| {
-            let mut payload = if writer.opts.compressed {
-                compress::compress(&raw)
-            } else {
-                raw
-            };
-            let nonce = writer.next_nonce;
-            writer.next_nonce += 1;
-            if writer.opts.encrypted {
-                StreamCipher::new(writer.opts.file_key).apply_in_place(nonce, &mut payload);
-            }
-            streams.push(StreamInfo {
-                feature,
-                kind,
-                offset: writer.buf.len() as u64,
-                len: payload.len() as u64,
-                nonce,
-                checksum: checksum64(&payload),
-            });
-            writer.buf.extend_from_slice(&payload);
-        };
-
         if self.opts.flattened {
-            let mut dense_ids = BTreeSet::new();
-            let mut sparse_ids = BTreeSet::new();
-            for row in &rows {
-                dense_ids.extend(row.dense_iter().map(|(id, _)| id));
-                sparse_ids.extend(row.sparse_iter().map(|(id, _)| id));
-            }
-            let ordered = self
-                .opts
+            // Deduped files carry the whole sparse map in the canonical
+            // table instead of per-feature sparse streams.
+            let mut columns = encode_columns(&rows, !self.opts.dedup);
+            self.opts
                 .order
-                .clone()
-                .order(dense_ids.iter().chain(sparse_ids.iter()).copied().collect());
-            for fid in ordered {
-                if dense_ids.contains(&fid) {
-                    for (kind, raw) in encode_dense_column(&rows, fid) {
-                        emit(self, fid.0, kind, raw, &mut streams);
-                    }
-                }
-                // Deduped files carry the whole sparse map in the canonical
-                // table instead of per-feature sparse streams.
-                if !self.opts.dedup && sparse_ids.contains(&fid) {
-                    for (kind, raw) in encode_sparse_column(&rows, fid) {
-                        emit(self, fid.0, kind, raw, &mut streams);
-                    }
+                .sort_by_feature(&mut columns, |(feature, _)| *feature);
+            for (feature, raw_streams) in columns {
+                for (kind, raw) in raw_streams {
+                    self.emit(feature.0, kind, &raw, &mut streams);
                 }
             }
         } else {
             let dense_map = encode_dense_map(&rows);
-            emit(
-                self,
-                FILE_LEVEL,
-                StreamKind::DenseMap,
-                dense_map,
-                &mut streams,
-            );
+            self.emit(FILE_LEVEL, StreamKind::DenseMap, &dense_map, &mut streams);
             if !self.opts.dedup {
                 let sparse_map = encode_sparse_map(&rows);
-                emit(
-                    self,
-                    FILE_LEVEL,
-                    StreamKind::SparseMap,
-                    sparse_map,
-                    &mut streams,
-                );
+                self.emit(FILE_LEVEL, StreamKind::SparseMap, &sparse_map, &mut streams);
             }
         }
         if self.opts.dedup {
@@ -317,11 +290,11 @@ impl FileWriter {
             self.dedup_stats.rows += stats.rows;
             self.dedup_stats.canonicals += stats.canonicals;
             self.dedup_stats.bytes_saved += stats.bytes_saved;
-            emit(self, FILE_LEVEL, StreamKind::DedupRefs, refs, &mut streams);
-            emit(self, FILE_LEVEL, StreamKind::DedupData, data, &mut streams);
+            self.emit(FILE_LEVEL, StreamKind::DedupRefs, &refs, &mut streams);
+            self.emit(FILE_LEVEL, StreamKind::DedupData, &data, &mut streams);
         }
         let labels = encode_labels(&rows);
-        emit(self, FILE_LEVEL, StreamKind::Label, labels, &mut streams);
+        self.emit(FILE_LEVEL, StreamKind::Label, &labels, &mut streams);
 
         let label_min = rows.iter().map(Sample::label).fold(f32::INFINITY, f32::min);
         let label_max = rows

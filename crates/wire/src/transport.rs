@@ -160,9 +160,11 @@ fn encode_data_frame(
     let mut compress_ns = 0u64;
     if cfg.compress {
         let zip_start = Instant::now();
-        let zipped = compress::compress(&buf[HEADER_LEN..]);
-        buf.truncate(HEADER_LEN);
-        buf.extend_from_slice(&zipped);
+        // Compress straight into a second pooled frame, behind its header.
+        let mut zipped = pool.take(HEADER_LEN + (buf.len() - HEADER_LEN) / 2 + 16);
+        zipped.resize(HEADER_LEN, 0);
+        compress::compress_into(&buf[HEADER_LEN..], &mut zipped);
+        buf = zipped;
         flags |= FLAG_COMPRESSED;
         compress_ns = zip_start.elapsed().as_nanos() as u64;
     }

@@ -3,6 +3,7 @@
 
 use bytes::Bytes;
 use dsi::prelude::*;
+use dsi::types::FeatureValue;
 use dwrf::plan::IoPlan;
 use dwrf::{cipher::StreamCipher, compress, FileReader};
 use proptest::prelude::*;
@@ -103,6 +104,90 @@ fn arb_plan_op() -> impl Strategy<Value = TransformOp> {
     ]
 }
 
+/// Inputs the LZ branch of the block compressor actually runs on (uniform
+/// bytes never match): small alphabets, a window repeated with a few bytes
+/// changed, and byte runs alternating with literal runs whose lengths
+/// straddle `MAX_MATCH` (131) and the 128-byte literal-run limit. Lengths
+/// reach 70 k so a call's table positions pass `u16` and consecutive calls
+/// on the test thread find the table full of the previous input's stamps.
+fn arb_compressible() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        (1u8..6, proptest::collection::vec(any::<u8>(), 0..70_000))
+            .prop_map(|(alphabet, bytes)| bytes.into_iter().map(|b| b % alphabet).collect()),
+        (
+            proptest::collection::vec(any::<u8>(), 1..300),
+            1usize..230,
+            proptest::collection::vec((any::<usize>(), any::<u8>()), 0..8),
+        )
+            .prop_map(|(window, repeats, edits)| {
+                let mut data = window.repeat(repeats);
+                for (at, byte) in edits {
+                    let at = at % data.len();
+                    data[at] = byte;
+                }
+                data
+            }),
+        proptest::collection::vec(
+            (
+                any::<u8>(),
+                120usize..140,
+                proptest::collection::vec(any::<u8>(), 120..140),
+            ),
+            0..40,
+        )
+        .prop_map(|segments| {
+            let mut data = Vec::new();
+            for (byte, run, literals) in segments {
+                data.extend(std::iter::repeat_n(byte, run));
+                data.extend(literals);
+            }
+            data
+        }),
+    ]
+}
+
+/// One step of the [`Sample`]-against-`BTreeMap` model check.
+#[derive(Debug, Clone)]
+enum SampleOp {
+    SetDense(u64, f32),
+    SetSparse(u64, SparseList),
+    SetFeature(u64, FeatureValue),
+    Remove(u64),
+    /// `project` keeping ids with `id % modulus != residue`.
+    Project(u64, u64),
+}
+
+impl SampleOp {
+    fn id(&self) -> u64 {
+        match self {
+            SampleOp::SetDense(id, _)
+            | SampleOp::SetSparse(id, _)
+            | SampleOp::SetFeature(id, _)
+            | SampleOp::Remove(id) => *id,
+            SampleOp::Project(_, residue) => *residue,
+        }
+    }
+}
+
+/// Ids come from 0..24, so keys repeat within one sequence.
+fn arb_sample_op() -> impl Strategy<Value = SampleOp> {
+    let list = || prop_oneof![arb_unscored_list(), arb_scored_list()];
+    prop_oneof![
+        (0u64..24, -1e6f32..1e6f32).prop_map(|(id, v)| SampleOp::SetDense(id, v)),
+        (0u64..24, list()).prop_map(|(id, l)| SampleOp::SetSparse(id, l)),
+        (
+            0u64..24,
+            prop_oneof![
+                (-1e6f32..1e6f32).prop_map(FeatureValue::Dense),
+                list().prop_map(FeatureValue::Sparse),
+            ],
+        )
+            .prop_map(|(id, v)| SampleOp::SetFeature(id, v)),
+        (0u64..24).prop_map(SampleOp::Remove),
+        (2u64..5, 0u64..5).prop_map(|(m, r)| SampleOp::Project(m, r % m)),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -156,6 +241,136 @@ proptest! {
         let enc = compress::compress(&data);
         prop_assert!(enc.len() <= data.len() + 16);
         prop_assert_eq!(compress::decompress(&enc).expect("decompressable"), data);
+    }
+
+    #[test]
+    fn lz_kernel_is_byte_identical_to_the_scalar_reference(
+        data in arb_compressible(),
+        prefix in proptest::collection::vec(any::<u8>(), 0..40),
+    ) {
+        let want = compress::compress_scalar(&data);
+        prop_assert_eq!(&compress::compress(&data), &want);
+        let mut out = prefix.clone();
+        compress::compress_into(&data, &mut out);
+        prop_assert_eq!(&out[..prefix.len()], &prefix[..], "compress_into touched the prefix");
+        prop_assert_eq!(&out[prefix.len()..], &want[..]);
+        prop_assert_eq!(&compress::decompress(&want).expect("decompressable"), &data);
+        // Whatever the scratch held before is gone.
+        let mut scratch = prefix;
+        compress::decompress_into(&want, &mut scratch).expect("decompressable");
+        prop_assert_eq!(scratch, data);
+    }
+
+    #[test]
+    fn decompress_survives_hostile_blocks(
+        mode in 0u8..3,
+        junk in proptest::collection::vec(any::<u8>(), 0..300),
+        data in arb_compressible(),
+        flips in proptest::collection::vec((any::<usize>(), 0u8..8), 1..4),
+    ) {
+        // Arbitrary bytes behind every mode tag, then a valid block with a
+        // few bits flipped (length header, control bytes and distances
+        // included): each call returns, `Ok` or `Err`, without panicking or
+        // reserving what the block's own size rules out.
+        let mut block = vec![mode];
+        block.extend(junk);
+        let _ = compress::decompress(&block);
+        let mut block = compress::compress(&data);
+        for (at, bit) in flips {
+            let at = at % block.len();
+            block[at] ^= 1 << bit;
+        }
+        if let Ok(out) = compress::decompress(&block) {
+            prop_assert!(out.len() <= block.len() * 131);
+        }
+    }
+
+    #[test]
+    fn sample_matches_a_btreemap_model(
+        ops in proptest::collection::vec(arb_sample_op(), 0..60),
+        arrangement in 0u8..3,
+        label in -1e6f32..1e6f32,
+    ) {
+        use std::collections::BTreeMap;
+        let mut ops = ops;
+        match arrangement {
+            0 => ops.sort_by_key(SampleOp::id),
+            1 => ops.sort_by_key(|op| std::cmp::Reverse(op.id())),
+            _ => {} // as drawn: shuffled
+        }
+        let mut sample = Sample::new(label);
+        let mut dense: BTreeMap<u64, f32> = BTreeMap::new();
+        let mut sparse: BTreeMap<u64, SparseList> = BTreeMap::new();
+        for op in ops {
+            match op {
+                SampleOp::SetDense(id, v) => {
+                    sample.set_dense(FeatureId(id), v);
+                    dense.insert(id, v);
+                }
+                SampleOp::SetSparse(id, list) => {
+                    sample.set_sparse(FeatureId(id), list.clone());
+                    sparse.insert(id, list);
+                }
+                SampleOp::SetFeature(id, value) => {
+                    sample.set_feature(FeatureId(id), value.clone());
+                    match value {
+                        FeatureValue::Dense(v) => drop(dense.insert(id, v)),
+                        FeatureValue::Sparse(list) => drop(sparse.insert(id, list)),
+                    }
+                }
+                SampleOp::Remove(id) => {
+                    let want = match dense.remove(&id) {
+                        Some(v) => Some(FeatureValue::Dense(v)),
+                        None => sparse.remove(&id).map(FeatureValue::Sparse),
+                    };
+                    prop_assert_eq!(sample.remove(FeatureId(id)), want);
+                }
+                SampleOp::Project(modulus, residue) => {
+                    sample.project(|f| f.0 % modulus != residue);
+                    dense.retain(|id, _| id % modulus != residue);
+                    sparse.retain(|id, _| id % modulus != residue);
+                }
+            }
+            // Order, lookups, counts and footprint agree after every step.
+            prop_assert_eq!(
+                sample.dense_iter().collect::<Vec<_>>(),
+                dense.iter().map(|(&id, &v)| (FeatureId(id), v)).collect::<Vec<_>>()
+            );
+            prop_assert_eq!(
+                sample.sparse_iter().collect::<Vec<_>>(),
+                sparse.iter().map(|(&id, l)| (FeatureId(id), l)).collect::<Vec<_>>()
+            );
+            for id in 0..24 {
+                let f = FeatureId(id);
+                prop_assert_eq!(sample.dense(f), dense.get(&id).copied());
+                prop_assert_eq!(sample.sparse(f), sparse.get(&id));
+                prop_assert_eq!(
+                    sample.contains(f),
+                    dense.contains_key(&id) || sparse.contains_key(&id)
+                );
+                let want = match dense.get(&id) {
+                    Some(&v) => Some(FeatureValue::Dense(v)),
+                    None => sparse.get(&id).cloned().map(FeatureValue::Sparse),
+                };
+                prop_assert_eq!(sample.feature(f), want);
+            }
+            prop_assert_eq!(sample.dense_count(), dense.len());
+            prop_assert_eq!(sample.sparse_count(), sparse.len());
+            prop_assert_eq!(sample.feature_count(), dense.len() + sparse.len());
+            let sparse_bytes: usize = sparse.values().map(|l| 8 + l.payload_bytes()).sum();
+            prop_assert_eq!(sample.payload_bytes(), dense.len() * 12 + sparse_bytes + 4);
+        }
+        // Equality is by content, not by the route taken to it.
+        let mut rebuilt = Sample::new(label);
+        for (&id, &v) in &dense {
+            rebuilt.set_dense(FeatureId(id), v);
+        }
+        for (&id, l) in sparse.iter().rev() {
+            rebuilt.set_sparse(FeatureId(id), l.clone());
+        }
+        prop_assert_eq!(&sample, &rebuilt);
+        rebuilt.set_dense(FeatureId(99), 0.0);
+        prop_assert!(sample != rebuilt);
     }
 
     #[test]
