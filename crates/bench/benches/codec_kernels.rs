@@ -1,7 +1,8 @@
 //! Micro-benchmarks for the batched codec kernels: chunked varint decode,
 //! run-aware RLE, bulk little-endian f32 streams, pooled envelope
-//! serialization, the LZ block kernel and the stripe encoder — the hot
-//! loops behind the fastpath, wire and ingest numbers.
+//! serialization, the LZ block kernel, the stripe encoder and the stripe
+//! decoder — the hot loops behind the fastpath, wire, ingest and extract
+//! numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dsi_types::{Batch, FeatureId, FeatureKind, MiniBatchTensor, Sample, SparseList, WorkerId};
@@ -11,7 +12,7 @@ use dwrf::encoding::{
     write_varints,
 };
 use dwrf::stream::encode_columns;
-use dwrf::{FileWriter, WriterOptions};
+use dwrf::{CoalescePolicy, FileReader, FileWriter, SliceSource, WriterOptions};
 use std::hint::black_box;
 use synth::{RmProfile, SampleGenerator};
 use wire::codec::{decode_envelope, encode_envelope, encode_envelope_into};
@@ -272,6 +273,44 @@ fn bench_stripe_encode(c: &mut Criterion) {
     group.finish();
 }
 
+/// One 1,024-row stripe through `FileReader::read_stripe_from` (checksum,
+/// decrypt, inflate, column decode, row assembly), unprojected: the unit
+/// of `dwrf.decode_self_s`. RM1 and RM3 as dsibench stores them, encoded
+/// (compressed + encrypted, `train_rm1_secure` / `extract_bound`) and raw
+/// (`transform_bound` / `wire_bound`), where only column decode and row
+/// assembly are left.
+fn bench_stripe_decode(c: &mut Criterion) {
+    let mut group = c.benchmark_group("stripe_decode");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(1024));
+    for (name, profile) in [("rm1", RmProfile::rm1()), ("rm3", RmProfile::rm3())] {
+        let schema = profile.build_schema(120);
+        let rows = SampleGenerator::new(&schema, 0xbe7c).take_samples(1024);
+        for (storage, encoded) in [("encoded", true), ("raw", false)] {
+            let mut writer = FileWriter::new(WriterOptions {
+                compressed: encoded,
+                encrypted: encoded,
+                ..Default::default()
+            });
+            for row in &rows {
+                writer.push(row.clone());
+            }
+            let file = writer.finish().expect("non-empty");
+            let reader = FileReader::open(file.bytes().clone()).expect("valid file");
+            let mut source = SliceSource::new(file.bytes().clone());
+            group.bench_function(format!("{name}_{storage}"), |b| {
+                b.iter(|| {
+                    let (rows, _) = reader
+                        .read_stripe_from(0, None, CoalescePolicy::default_window(), &mut source)
+                        .expect("valid stripe");
+                    black_box(rows.len())
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_varint,
@@ -279,6 +318,7 @@ criterion_group!(
     bench_f32,
     bench_envelope,
     bench_lz,
-    bench_stripe_encode
+    bench_stripe_encode,
+    bench_stripe_decode
 );
 criterion_main!(benches);

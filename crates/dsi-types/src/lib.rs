@@ -22,6 +22,7 @@
 //! assert_eq!(sample.sparse(FeatureId(20)).unwrap().len(), 3);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;

@@ -63,6 +63,17 @@ impl Sample {
         }
     }
 
+    /// Creates an empty sample with room for `dense` dense and `sparse`
+    /// sparse features, so a reader that knows the row's feature counts
+    /// fills it without either map regrowing.
+    pub fn with_capacity(label: f32, dense: usize, sparse: usize) -> Self {
+        Self {
+            dense: Vec::with_capacity(dense),
+            sparse: Vec::with_capacity(sparse),
+            label,
+        }
+    }
+
     /// The sample's label (e.g. click / no-click).
     pub fn label(&self) -> f32 {
         self.label

@@ -49,10 +49,10 @@ impl StreamCipher {
         }
     }
 
-    /// Encrypts or decrypts `src` out of place, appending the transformed
-    /// bytes to `out` (cleared first). The hot decode path uses this to
-    /// write keystream output straight into pooled scratch instead of
-    /// first memcpy'ing the ciphertext into an owned buffer.
+    /// Encrypts or decrypts `src` out of place into `out` (whatever it held
+    /// is replaced), a keystream word at a time. The hot decode path uses
+    /// this to write keystream output straight into pooled scratch instead
+    /// of first memcpy'ing the ciphertext into an owned buffer.
     pub fn apply_to(&self, nonce: u64, src: &[u8], out: &mut Vec<u8>) {
         let stream_key = mix2(self.key, nonce);
         out.clear();
@@ -60,19 +60,12 @@ impl StreamCipher {
         let mut counter = 0u64;
         let mut chunks = src.chunks_exact(8);
         for chunk in &mut chunks {
-            let ks = mix2(stream_key, counter).to_le_bytes();
-            for (b, k) in chunk.iter().zip(ks) {
-                out.push(b ^ k);
-            }
+            let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+            out.extend_from_slice(&(word ^ mix2(stream_key, counter)).to_le_bytes());
             counter += 1;
         }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let ks = mix2(stream_key, counter).to_le_bytes();
-            for (b, k) in rem.iter().zip(ks) {
-                out.push(b ^ k);
-            }
-        }
+        let ks = mix2(stream_key, counter).to_le_bytes();
+        out.extend(chunks.remainder().iter().zip(ks).map(|(b, k)| b ^ k));
     }
 
     /// Encrypts `data`, returning a new buffer.

@@ -253,14 +253,26 @@ pub fn decompress(block: &[u8]) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Decompresses a block produced by [`compress`] into `out` (cleared
-/// first), so pooled scratch buffers can absorb the output allocation.
+/// Width of the fixed copy the inflate uses for short runs and matches.
+const COPY: usize = 16;
+
+/// Decompresses a block produced by [`compress`] into `out` (whatever it
+/// held is replaced), so pooled scratch buffers can absorb the output
+/// allocation.
+///
+/// `out` is sized to the declared length once and written by index. A
+/// literal run or a match that does not reach into its own output, of at
+/// most [`COPY`] bytes, is copied as one fixed-width block when both the
+/// block and the output have [`COPY`] bytes left: the bytes past the
+/// token's own are overwritten by the tokens that follow, and a block
+/// whose tokens stop short of the declared length is rejected, so none of
+/// them survive into an `Ok`.
 ///
 /// # Errors
 ///
 /// Returns [`DsiError::Corrupt`] on malformed input, including a declared
 /// length the block's tokens cannot produce — checked before any memory is
-/// reserved for it.
+/// reserved for it — or do not produce exactly.
 pub fn decompress_into(block: &[u8], out: &mut Vec<u8>) -> Result<()> {
     out.clear();
     let (&mode, rest) = block
@@ -281,42 +293,58 @@ pub fn decompress_into(block: &[u8], out: &mut Vec<u8>) -> Result<()> {
                 .ok_or_else(|| {
                     DsiError::corrupt("declared length exceeds what the block can hold")
                 })?;
-            out.reserve(expect);
+            out.resize(expect, 0);
+            let overrun = || DsiError::corrupt(format!("block decompresses past {expect} bytes"));
+            // Bytes of `out` produced so far.
+            let mut at = 0;
             while pos < rest.len() {
                 let ctl = rest[pos];
                 pos += 1;
                 if ctl & 0x80 == 0 {
                     let n = ctl as usize + 1;
-                    if pos + n > rest.len() {
+                    if n > rest.len() - pos {
                         return Err(DsiError::corrupt("truncated literal run"));
                     }
-                    out.extend_from_slice(&rest[pos..pos + n]);
+                    if n > expect - at {
+                        return Err(overrun());
+                    }
+                    if n <= COPY && rest.len() - pos >= COPY && expect - at >= COPY {
+                        out[at..at + COPY].copy_from_slice(&rest[pos..pos + COPY]);
+                    } else {
+                        out[at..at + n].copy_from_slice(&rest[pos..pos + n]);
+                    }
                     pos += n;
+                    at += n;
                 } else {
                     let len = (ctl & 0x7f) as usize + MIN_MATCH;
                     let dist = read_varint(rest, &mut pos)?;
-                    if dist == 0 || dist > out.len() as u64 {
+                    if dist == 0 || dist > at as u64 {
                         return Err(DsiError::corrupt("match distance out of range"));
                     }
-                    // A match may overlap its own output (repeat patterns):
-                    // everything from `start` on has period `dist`, so each
-                    // pass may copy all of it and the copy doubles.
-                    let start = out.len() - dist as usize;
-                    let mut remaining = len;
-                    while remaining > 0 {
-                        let n = remaining.min(out.len() - start);
-                        out.extend_from_within(start..start + n);
-                        remaining -= n;
+                    if len > expect - at {
+                        return Err(overrun());
                     }
-                }
-                if out.len() > expect {
-                    break;
+                    let dist = dist as usize;
+                    let start = at - dist;
+                    if dist < len {
+                        // The match runs into its own output (a repeating
+                        // pattern of period `dist`).
+                        for i in at..at + len {
+                            out[i] = out[i - dist];
+                        }
+                    } else if len <= COPY && expect - at >= COPY {
+                        let chunk: [u8; COPY] =
+                            out[start..start + COPY].try_into().expect("COPY bytes");
+                        out[at..at + COPY].copy_from_slice(&chunk);
+                    } else {
+                        out.copy_within(start..start + len, at);
+                    }
+                    at += len;
                 }
             }
-            if out.len() != expect {
+            if at != expect {
                 return Err(DsiError::corrupt(format!(
-                    "decompressed {} bytes, expected {expect}",
-                    out.len()
+                    "decompressed {at} bytes, expected {expect}"
                 )));
             }
             Ok(())

@@ -95,36 +95,69 @@ pub fn read_varint_scalar(buf: &[u8], pos: &mut usize) -> Result<u64> {
     }
 }
 
-/// Decodes `n` consecutive varints into `out`, 8 at a time where possible:
-/// when the next 8 bytes are all single-byte varints (no continuation bit
-/// set anywhere in the little-endian word), all 8 decode in one step —
-/// the common case for dictionary indexes, lengths, and small ids.
+/// Decodes `n` consecutive varints into `out`, a little-endian word at a
+/// time where possible. When the next 8 bytes are all single-byte varints
+/// (no continuation bit anywhere in the word) all 8 decode in one step —
+/// the common case for dictionary indexes, lengths, and small ids. When
+/// all 8 continue, the varint is the 9- or 10-byte encoding of a value of
+/// 57 bits or more — a hashed 64-bit id — and its low 56 bits are the word
+/// with the continuation bits squeezed out; the last one or two bytes are
+/// folded in without a branch on which it is, since for hashed ids that is
+/// a coin flip. Everything else, and the last bytes of the buffer, go
+/// through [`read_varint`].
 ///
 /// # Errors
 ///
 /// Returns [`DsiError::Corrupt`] on truncated or over-long input.
 pub fn read_varints_into(buf: &[u8], pos: &mut usize, n: usize, out: &mut Vec<u64>) -> Result<()> {
-    const MSB: u64 = 0x8080_8080_8080_8080;
+    /// Bit 7 of every byte: the continuation bits.
+    const CONTINUES: u64 = 0x8080_8080_8080_8080;
     out.reserve(n);
     let mut remaining = n;
     while remaining > 0 {
-        if remaining >= 8 {
-            if let Some(w) = buf.get(*pos..*pos + 8) {
-                let word = u64::from_le_bytes(w.try_into().expect("length checked"));
-                if word & MSB == 0 {
-                    for k in 0..8 {
-                        out.push((word >> (8 * k)) & 0x7f);
-                    }
-                    *pos += 8;
-                    remaining -= 8;
-                    continue;
+        // A 10-byte window holds the longest varint.
+        if let Some(window) = buf.get(*pos..*pos + 10) {
+            let word = u64::from_le_bytes(window[..8].try_into().expect("8 of 10 bytes"));
+            if remaining >= 8 && word & CONTINUES == 0 {
+                for k in 0..8 {
+                    out.push((word >> (8 * k)) & 0x7f);
                 }
+                *pos += 8;
+                remaining -= 8;
+                continue;
+            }
+            if word & CONTINUES == CONTINUES {
+                let (ninth, tenth) = (window[8] as u64, window[9] as u64);
+                // 1 when the tenth byte belongs to this varint, else 0.
+                let long = ninth >> 7;
+                if long & (tenth >> 7) != 0 {
+                    return Err(DsiError::corrupt("varint overflow"));
+                }
+                out.push(
+                    squeeze_continuation_bits(word)
+                        | (ninth & 0x7f) << 56
+                        | (long * (tenth & 0x7f)) << 63,
+                );
+                *pos += 9 + long as usize;
+                remaining -= 1;
+                continue;
             }
         }
         out.push(read_varint(buf, pos)?);
         remaining -= 1;
     }
     Ok(())
+}
+
+/// The 56 payload bits of eight LEB128 bytes held in a little-endian word:
+/// drops bit 7 of every byte and closes the gaps, pairing 7-bit groups
+/// into 14, 28 and then 56 bits.
+#[inline]
+fn squeeze_continuation_bits(word: u64) -> u64 {
+    let x = word & 0x7f7f_7f7f_7f7f_7f7f;
+    let x = ((x & 0x7f00_7f00_7f00_7f00) >> 1) | (x & 0x007f_007f_007f_007f);
+    let x = ((x & 0x3fff_0000_3fff_0000) >> 2) | (x & 0x0000_3fff_0000_3fff);
+    ((x & 0x0fff_ffff_0000_0000) >> 4) | (x & 0x0000_0000_0fff_ffff)
 }
 
 /// Bulk varint writer: encodes `values` into a stack slab flushed with one
@@ -320,11 +353,13 @@ pub fn write_f32s_xor(out: &mut Vec<u8>, values: &[f32]) {
 /// Returns [`DsiError::Corrupt`] on truncated or malformed input.
 pub fn read_f32s_xor(buf: &[u8]) -> Result<Vec<f32>> {
     let mut pos = 0;
-    let n = read_varint(buf, &mut pos)? as usize;
-    if n > (1 << 26) {
-        return Err(DsiError::corrupt("f32 xor stream too long"));
+    let n = read_varint(buf, &mut pos)?;
+    // A delta is at least one byte, so the bytes left bound the count — and
+    // with it what a corrupt header can make this reserve.
+    if n > (buf.len() - pos) as u64 {
+        return Err(DsiError::corrupt("f32 xor count exceeds buffer"));
     }
-    let mut out = Vec::with_capacity(n);
+    let mut out = Vec::with_capacity(n as usize);
     let mut prev = 0u32;
     for _ in 0..n {
         let delta = read_varint(buf, &mut pos)?;
@@ -358,35 +393,85 @@ pub fn write_bitmap(out: &mut Vec<u8>, bits: &[bool]) {
     }
 }
 
-/// Decodes a bitmap produced by [`write_bitmap`].
+/// A presence bitmap kept packed the way [`write_bitmap`] stores it, 64
+/// rows to a little-endian word: bit `i` is bit `i % 64` of word `i / 64`,
+/// and the bits past `len` are zero.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Bitmap {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl Bitmap {
+    /// Number of bits.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the bitmap holds no bits.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The bits, 64 to a word.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Number of set bits.
+    pub fn count_ones(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The indexes of the set bits, ascending.
+    pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(at, &word)| word_ones(word).map(move |bit| at * 64 + bit))
+    }
+}
+
+/// The positions of the set bits of `word`, ascending.
+pub fn word_ones(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
+}
+
+/// Decodes a whole buffer produced by [`write_bitmap`], leaving it packed.
 ///
 /// # Errors
 ///
-/// Returns [`DsiError::Corrupt`] on truncation.
-pub fn read_bitmap(buf: &[u8], pos: &mut usize) -> Result<Vec<bool>> {
-    let n = read_varint(buf, pos)? as usize;
-    let nbytes = n.div_ceil(8);
-    if buf.len().saturating_sub(*pos) < nbytes {
-        return Err(DsiError::corrupt("truncated bitmap"));
+/// Returns [`DsiError::Corrupt`] unless the buffer is exactly the bit
+/// count and the bytes that many bits take.
+pub fn read_bitmap(buf: &[u8]) -> Result<Bitmap> {
+    let mut pos = 0;
+    let len = usize::try_from(read_varint(buf, &mut pos)?)
+        .map_err(|_| DsiError::corrupt("bitmap too long"))?;
+    let bytes = &buf[pos..];
+    if bytes.len() != len.div_ceil(8) {
+        return Err(DsiError::corrupt(
+            "bitmap length disagrees with its bit count",
+        ));
     }
-    let bytes = &buf[*pos..*pos + nbytes];
-    let mut bits = Vec::with_capacity(n);
-    // Full bytes unpack 8 bits at a time with no index arithmetic; only
-    // the tail byte pays a partial loop.
-    for &byte in &bytes[..n / 8] {
-        for b in 0..8 {
-            bits.push(byte & (1 << b) != 0);
-        }
+    let mut words: Vec<u64> = bytes
+        .chunks(8)
+        .map(|chunk| {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            u64::from_le_bytes(word)
+        })
+        .collect();
+    // A hostile tail must not count as rows.
+    if let Some(last) = words.last_mut().filter(|_| len % 64 != 0) {
+        *last &= (1 << (len % 64)) - 1;
     }
-    let rem = n % 8;
-    if rem > 0 {
-        let byte = bytes[n / 8];
-        for b in 0..rem {
-            bits.push(byte & (1 << b) != 0);
-        }
-    }
-    *pos += nbytes;
-    Ok(bits)
+    Ok(Bitmap { words, len })
 }
 
 /// A growable little-endian binary writer for footers and metadata.
@@ -612,10 +697,36 @@ mod tests {
             let bits: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
             let mut buf = Vec::new();
             write_bitmap(&mut buf, &bits);
-            let mut pos = 0;
-            assert_eq!(read_bitmap(&buf, &mut pos).unwrap(), bits);
-            assert_eq!(pos, buf.len());
+            let packed = read_bitmap(&buf).unwrap();
+            assert_eq!(packed.len(), n);
+            assert_eq!(packed.words().len(), n.div_ceil(64));
+            assert_eq!(packed.count_ones(), n.div_ceil(3));
+            let ones: Vec<usize> = (0..n).filter(|i| i % 3 == 0).collect();
+            assert_eq!(packed.ones().collect::<Vec<_>>(), ones);
+            // Truncated, and with a byte the bit count does not cover.
+            assert!(n == 0 || read_bitmap(&buf[..buf.len() - 1]).is_err());
+            buf.push(0);
+            assert!(read_bitmap(&buf).is_err());
         }
+    }
+
+    #[test]
+    fn bitmap_ignores_bits_past_its_length() {
+        let mut buf = Vec::new();
+        write_bitmap(&mut buf, &[true, false, true]);
+        *buf.last_mut().unwrap() |= 0xf8;
+        let packed = read_bitmap(&buf).unwrap();
+        assert_eq!(packed.count_ones(), 2);
+        assert_eq!(packed.ones().collect::<Vec<_>>(), vec![0, 2]);
+    }
+
+    #[test]
+    fn f32_xor_count_is_capped_by_the_bytes_left() {
+        // Five bytes declaring 2^26 values used to reserve 256 MiB.
+        let mut buf = Vec::new();
+        write_varint(&mut buf, 1 << 26);
+        buf.push(0);
+        assert!(matches!(read_f32s_xor(&buf), Err(DsiError::Corrupt(_))));
     }
 
     #[test]

@@ -9,16 +9,16 @@
 
 use crate::cipher::StreamCipher;
 use crate::compress;
+use crate::encoding::{word_ones, Bitmap};
 use crate::plan::{CoalescePolicy, IoPlan};
 use crate::stream::{
-    checksum64, decode_dedup_sparse, decode_dense_column, decode_dense_map, decode_labels,
-    decode_sparse_column, decode_sparse_map, StreamInfo, StreamKind, FILE_LEVEL,
+    checksum64, decode_columns, decode_dedup_sparse, decode_dense_map, decode_labels,
+    decode_sparse_map, DecodedColumns, StreamInfo, StreamKind, FILE_LEVEL,
 };
 use crate::writer::{decode_footer, FileFooter, MAGIC};
 use bytes::Bytes;
-use dsi_types::{DsiError, FeatureId, Projection, Result, Sample};
+use dsi_types::{DsiError, FeatureId, Projection, Result, Sample, SparseList};
 use fastpath::{global_pool, ByteView, SourceChunk};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A source of raw file bytes addressed by `(offset, len)`.
@@ -89,6 +89,16 @@ struct TraceSink {
     ctx: dsi_obs::TraceContext,
     split: u64,
     storage_span: u64,
+}
+
+/// What reading one stripe cost beyond its IO, summed as the streams go
+/// by: bytes memcpy'd, payload bytes after decompression, seconds spent
+/// decompressing.
+#[derive(Default)]
+struct DecodeCost {
+    copied: std::cell::Cell<u64>,
+    uncompressed: std::cell::Cell<u64>,
+    decompress_secs: std::cell::Cell<f64>,
 }
 
 /// Reads DWRF files.
@@ -202,14 +212,22 @@ impl FileReader {
         self.footer.total_rows()
     }
 
-    /// The streams a selection needs from stripe `idx`.
+    /// The streams a selection needs from stripe `idx`, in directory order.
     ///
     /// `selection = None` selects every feature. Flattened files narrow to
     /// the selected features' streams (plus labels); unflattened files must
     /// always fetch the whole row maps.
-    fn wanted_streams(&self, idx: usize, selection: Option<&Projection>) -> Vec<StreamInfo> {
-        let stripe = &self.footer.stripes[idx];
-        stripe
+    fn wanted_streams(
+        &self,
+        idx: usize,
+        selection: Option<&Projection>,
+    ) -> Result<Vec<StreamInfo>> {
+        let stripe = self
+            .footer
+            .stripes
+            .get(idx)
+            .ok_or_else(|| DsiError::not_found(format!("stripe {idx}")))?;
+        Ok(stripe
             .streams
             .iter()
             .filter(|s| {
@@ -222,7 +240,7 @@ impl FileReader {
                 }
             })
             .copied()
-            .collect()
+            .collect())
     }
 
     /// Plans the IO for reading stripe `idx` under a selection and policy.
@@ -236,15 +254,7 @@ impl FileReader {
         selection: Option<&Projection>,
         policy: CoalescePolicy,
     ) -> Result<IoPlan> {
-        if idx >= self.footer.stripes.len() {
-            return Err(DsiError::not_found(format!("stripe {idx}")));
-        }
-        let ranges = self
-            .wanted_streams(idx, selection)
-            .iter()
-            .map(|s| (s.offset, s.len))
-            .collect();
-        Ok(IoPlan::build(ranges, policy))
+        Ok(plan_reads(&self.wanted_streams(idx, selection)?, policy))
     }
 
     /// Reads and decodes stripe `idx` through `source`, returning the rows
@@ -261,8 +271,10 @@ impl FileReader {
         policy: CoalescePolicy,
         source: &mut dyn ChunkSource,
     ) -> Result<(Vec<Sample>, IoPlan)> {
-        let mut plan = self.plan_stripe(idx, selection, policy)?;
-        let copied = std::cell::Cell::new(0u64);
+        let wanted = self.wanted_streams(idx, selection)?;
+        let mut plan = plan_reads(&wanted, policy);
+        let cost = DecodeCost::default();
+        let copied = &cost.copied;
         // Fetch each planned read once. The fast path keeps whatever view
         // the source produced (usually a zero-copy slice of resident
         // bytes); the copying baseline replays the legacy reader, which
@@ -305,18 +317,9 @@ impl FileReader {
             }
             Err(DsiError::corrupt("stream not covered by IO plan"))
         };
-        let uncompressed = std::cell::Cell::new(0u64);
-        let decompress_secs = std::cell::Cell::new(0f64);
         let decode_started = std::time::Instant::now();
         let decode_start_ns = dsi_obs::now_ns();
-        let rows = self.decode_stripe(
-            idx,
-            selection,
-            fetch,
-            &uncompressed,
-            &decompress_secs,
-            &copied,
-        )?;
+        let rows = self.decode_stripe(idx, &wanted, selection, fetch, &cost)?;
         if let Some(sink) = &self.trace {
             sink.registry.record_span(dsi_obs::TraceSpan {
                 trace_id: sink.ctx.trace_id,
@@ -331,8 +334,9 @@ impl FileReader {
                 flags: 0,
             });
         }
-        plan.uncompressed_bytes = uncompressed.get();
-        plan.copied_bytes = copied.get();
+        let decompress_secs = cost.decompress_secs.get();
+        plan.uncompressed_bytes = cost.uncompressed.get();
+        plan.copied_bytes = cost.copied.get();
         if let Some(reg) = &self.registry {
             use dsi_obs::{names, observe_stage_seconds, stage};
             reg.counter(names::DWRF_STRIPES_DECODED_TOTAL, &[]).inc();
@@ -344,31 +348,35 @@ impl FileReader {
                 .add(plan.copied_bytes);
             global_pool().publish_metrics_labeled(reg, self.job.as_deref().unwrap_or(""));
             observe_stage_seconds(reg, stage::EXTRACT, fetch_secs);
-            observe_stage_seconds(reg, stage::DECOMPRESS, decompress_secs.get());
+            observe_stage_seconds(reg, stage::DECOMPRESS, decompress_secs);
             // Deserialize excludes decompression: it is the column/map
             // decode cost the paper attributes to wire-format handling.
             observe_stage_seconds(
                 reg,
                 stage::DESERIALIZE,
-                (decode_started.elapsed().as_secs_f64() - decompress_secs.get()).max(0.0),
+                (decode_started.elapsed().as_secs_f64() - decompress_secs).max(0.0),
             );
         }
         Ok((rows, plan))
     }
 
-    /// Decodes stripe `idx` given a function that produces each wanted
-    /// stream's encoded bytes.
+    /// Decodes stripe `idx` given its wanted streams and a function that
+    /// produces each one's encoded bytes.
     fn decode_stripe(
         &self,
         idx: usize,
+        wanted: &[StreamInfo],
         selection: Option<&Projection>,
         mut fetch: impl FnMut(&StreamInfo) -> Result<ByteView>,
-        uncompressed: &std::cell::Cell<u64>,
-        decompress_secs: &std::cell::Cell<f64>,
-        copied: &std::cell::Cell<u64>,
+        cost: &DecodeCost,
     ) -> Result<Vec<Sample>> {
-        let stripe = &self.footer.stripes[idx];
-        let row_count = stripe.row_count as usize;
+        let DecodeCost {
+            copied,
+            uncompressed,
+            decompress_secs,
+        } = cost;
+        let row_count = usize::try_from(self.footer.stripes[idx].row_count)
+            .map_err(|_| DsiError::corrupt("stripe row count out of range"))?;
         let cipher = StreamCipher::new(self.footer.file_key);
         let pool = global_pool();
         let mut decode_payload = |info: &StreamInfo| -> Result<ByteView> {
@@ -433,137 +441,73 @@ impl FileReader {
             }
         };
 
-        let wanted = self.wanted_streams(idx, selection);
+        // File-level streams first: the rows are created with their labels.
         let mut labels: Option<Vec<f32>> = None;
-        let mut samples: Vec<Sample> = vec![Sample::new(0.0); row_count];
+        let mut dense_map: Option<ByteView> = None;
+        let mut sparse_map: Option<ByteView> = None;
         let mut dedup_refs: Option<ByteView> = None;
         let mut dedup_data: Option<ByteView> = None;
-
-        if self.footer.flattened {
-            // Walk feature streams in directory order; each Present stream
-            // begins a new column group for its feature.
-            let mut group: Vec<(StreamInfo, ByteView)> = Vec::new();
-            let flush_group = |group: &mut Vec<(StreamInfo, ByteView)>,
-                               samples: &mut [Sample]|
-             -> Result<()> {
-                if group.is_empty() {
-                    return Ok(());
-                }
-                let fid = FeatureId(group[0].0.feature);
-                let by_kind: HashMap<StreamKind, &[u8]> = group
-                    .iter()
-                    .map(|(info, raw)| (info.kind, raw.as_slice()))
-                    .collect();
-                let present = by_kind
-                    .get(&StreamKind::Present)
-                    .ok_or_else(|| DsiError::corrupt("column group missing present"))?;
-                if let Some(data) = by_kind.get(&StreamKind::DenseData) {
-                    for (row, v) in decode_dense_column(present, data)?.into_iter().enumerate() {
-                        if let Some(v) = v {
-                            samples[row].set_dense(fid, v);
-                        }
-                    }
-                } else {
-                    let lengths = by_kind
-                        .get(&StreamKind::Length)
-                        .ok_or_else(|| DsiError::corrupt("sparse column missing lengths"))?;
-                    let data = by_kind
-                        .get(&StreamKind::Data)
-                        .ok_or_else(|| DsiError::corrupt("sparse column missing data"))?;
-                    let dict = by_kind.get(&StreamKind::Dict).copied();
-                    let scores = by_kind.get(&StreamKind::Score).copied();
-                    for (row, l) in decode_sparse_column(present, lengths, data, dict, scores)?
-                        .into_iter()
-                        .enumerate()
-                    {
-                        if let Some(l) = l {
-                            samples[row].set_sparse(fid, l);
-                        }
-                    }
-                }
-                group.clear();
-                Ok(())
-            };
-            for info in &wanted {
-                if info.feature == FILE_LEVEL {
-                    match info.kind {
-                        StreamKind::Label => {
-                            labels = Some(decode_labels(&decode_payload(info)?)?);
-                        }
-                        StreamKind::DedupRefs => dedup_refs = Some(decode_payload(info)?),
-                        StreamKind::DedupData => dedup_data = Some(decode_payload(info)?),
-                        _ => {}
-                    }
+        for info in wanted.iter().filter(|info| info.feature == FILE_LEVEL) {
+            let slot = match info.kind {
+                StreamKind::Label => {
+                    labels = Some(decode_labels(&decode_payload(info)?)?);
                     continue;
                 }
-                if info.kind == StreamKind::Present {
-                    flush_group(&mut group, &mut samples)?;
+                StreamKind::DenseMap => &mut dense_map,
+                StreamKind::SparseMap => &mut sparse_map,
+                StreamKind::DedupRefs => &mut dedup_refs,
+                StreamKind::DedupData => &mut dedup_data,
+                other => {
+                    return Err(DsiError::corrupt(format!(
+                        "unexpected file-level stream {other:?}"
+                    )))
                 }
-                let raw = decode_payload(info)?;
-                group.push((*info, raw));
-            }
-            flush_group(&mut group, &mut samples)?;
-        } else {
-            for info in &wanted {
-                let raw = decode_payload(info)?;
-                match info.kind {
-                    StreamKind::DenseMap => {
-                        for (row, pairs) in
-                            decode_dense_map(&raw, row_count)?.into_iter().enumerate()
-                        {
-                            for (fid, v) in pairs {
-                                if selection.is_none_or(|p| p.contains(fid)) {
-                                    samples[row].set_dense(fid, v);
-                                }
-                            }
-                        }
-                    }
-                    StreamKind::SparseMap => {
-                        for (row, pairs) in
-                            decode_sparse_map(&raw, row_count)?.into_iter().enumerate()
-                        {
-                            for (fid, l) in pairs {
-                                if selection.is_none_or(|p| p.contains(fid)) {
-                                    samples[row].set_sparse(fid, l);
-                                }
-                            }
-                        }
-                    }
-                    StreamKind::Label => labels = Some(decode_labels(&raw)?),
-                    StreamKind::DedupRefs => dedup_refs = Some(raw),
-                    StreamKind::DedupData => dedup_data = Some(raw),
-                    other => {
-                        return Err(DsiError::corrupt(format!(
-                            "unexpected stream {other:?} in unflattened file"
-                        )))
-                    }
-                }
-            }
+            };
+            *slot = Some(decode_payload(info)?);
         }
-
-        if self.footer.dedup {
-            // Reconstitute logical rows from the canonical table: decode
-            // each referenced payload once, clone per referencing row.
-            let refs = dedup_refs.ok_or_else(|| DsiError::corrupt("dedup file missing refs"))?;
-            let data = dedup_data.ok_or_else(|| DsiError::corrupt("dedup file missing data"))?;
-            for (row, pairs) in decode_dedup_sparse(&refs, &data, row_count)?
-                .into_iter()
-                .enumerate()
-            {
-                for (fid, l) in pairs {
-                    if selection.is_none_or(|p| p.contains(fid)) {
-                        samples[row].set_sparse(fid, l);
-                    }
-                }
-            }
-        }
-
         let labels = labels.ok_or_else(|| DsiError::corrupt("stripe missing label stream"))?;
         if labels.len() != row_count {
             return Err(DsiError::corrupt("label stream row count mismatch"));
         }
-        for (s, l) in samples.iter_mut().zip(labels) {
-            s.set_label(l);
+
+        // Feature streams in directory order, one column group's payloads
+        // alive at a time; a map file has none and gets label-only rows.
+        let columns = decode_columns(
+            wanted
+                .iter()
+                .filter(|info| info.feature != FILE_LEVEL)
+                .map(|info| Ok((FeatureId(info.feature), info.kind, decode_payload(info)?))),
+            row_count,
+        )?;
+        if !self.footer.flattened && !columns.is_empty() {
+            return Err(DsiError::corrupt("feature streams in an unflattened file"));
+        }
+        let mut samples = assemble_rows(columns, labels);
+
+        let selected = |fid: FeatureId| selection.is_none_or(|p| p.contains(fid));
+        if let Some(raw) = dense_map {
+            for (sample, pairs) in samples.iter_mut().zip(decode_dense_map(&raw, row_count)?) {
+                for (fid, v) in pairs.into_iter().filter(|(fid, _)| selected(*fid)) {
+                    sample.set_dense(fid, v);
+                }
+            }
+        }
+        let sparse_rows = if self.footer.dedup {
+            // Reconstitute logical rows from the canonical table: decode
+            // each referenced payload once, clone per referencing row.
+            let refs = dedup_refs.ok_or_else(|| DsiError::corrupt("dedup file missing refs"))?;
+            let data = dedup_data.ok_or_else(|| DsiError::corrupt("dedup file missing data"))?;
+            decode_dedup_sparse(&refs, &data, row_count)?
+        } else {
+            sparse_map
+                .map(|raw| decode_sparse_map(&raw, row_count))
+                .transpose()?
+                .unwrap_or_default()
+        };
+        for (sample, pairs) in samples.iter_mut().zip(sparse_rows) {
+            for (fid, list) in pairs.into_iter().filter(|(fid, _)| selected(*fid)) {
+                sample.set_sparse(fid, list);
+            }
         }
         Ok(samples)
     }
@@ -616,6 +560,72 @@ impl FileReader {
         }
         Ok(out)
     }
+}
+
+/// One IO range per wanted stream, merged under `policy`.
+fn plan_reads(wanted: &[StreamInfo], policy: CoalescePolicy) -> IoPlan {
+    IoPlan::build(wanted.iter().map(|s| (s.offset, s.len)).collect(), policy)
+}
+
+/// Builds a stripe's rows from its decoded columns, one row per label.
+/// The columns are put in feature-id order first and each row is created
+/// with exactly the room its features take, so every `set_*` appends and
+/// no map regrows. The fill is row-major at the grain of a bitmap word:
+/// 64 rows at a time, column by column, so a column's present bits cost one
+/// load per 64 rows and its cursor stays in a register, while the rows
+/// being appended to stay in cache until the block is done.
+fn assemble_rows(columns: DecodedColumns, labels: Vec<f32>) -> Vec<Sample> {
+    let DecodedColumns {
+        mut dense,
+        mut sparse,
+    } = columns;
+    // Directory order is id order except under `StreamOrder::Popularity`.
+    dense.sort_by_key(|column| column.feature);
+    sparse.sort_by_key(|column| column.feature);
+    // How many columns hold each row.
+    let row_counts = |present: &mut dyn Iterator<Item = &Bitmap>| {
+        let mut counts = vec![0usize; labels.len()];
+        for row in present.flat_map(Bitmap::ones) {
+            counts[row] += 1;
+        }
+        counts
+    };
+    let dense_counts = row_counts(&mut dense.iter().map(|column| &column.present));
+    let sparse_counts = row_counts(&mut sparse.iter().map(|column| &column.present));
+    let mut samples: Vec<Sample> = labels
+        .into_iter()
+        .zip(dense_counts.into_iter().zip(sparse_counts))
+        .map(|(label, (dense, sparse))| Sample::with_capacity(label, dense, sparse))
+        .collect();
+    // Per column: the next present cell, and for sparse columns the next id.
+    let mut dense_at = vec![0usize; dense.len()];
+    let mut sparse_at = vec![(0usize, 0usize); sparse.len()];
+    for (block, rows) in samples.chunks_mut(64).enumerate() {
+        for (column, at) in dense.iter().zip(&mut dense_at) {
+            for row in word_ones(column.present.words()[block]) {
+                rows[row].set_dense(column.feature, column.cells[*at]);
+                *at += 1;
+            }
+        }
+        for (column, (cell, id)) in sparse.iter().zip(&mut sparse_at) {
+            let cells = &column.cells;
+            for row in word_ones(column.present.words()[block]) {
+                let ids = *id..*id + cells.lengths[*cell] as usize;
+                *cell += 1;
+                *id = ids.end;
+                let list = if cells.scored {
+                    SparseList::from_scored(
+                        cells.ids[ids.clone()].to_vec(),
+                        cells.scores[ids].to_vec(),
+                    )
+                } else {
+                    SparseList::from_ids(cells.ids[ids].to_vec())
+                };
+                rows[row].set_sparse(column.feature, list);
+            }
+        }
+    }
+    samples
 }
 
 /// Parses the footer from a complete file buffer.
@@ -878,6 +888,70 @@ mod tests {
                     ),
                 }
             }
+        }
+    }
+
+    /// `file` with its footer replaced by `footer`, re-checksummed.
+    fn with_footer(file: &crate::writer::DwrfFile, footer: &FileFooter) -> Bytes {
+        let old_footer = crate::writer::encode_footer(file.footer());
+        let streams_end = file.len() - old_footer.len() - 24;
+        let footer_bytes = crate::writer::encode_footer(footer);
+        let mut bytes = file.bytes()[..streams_end].to_vec();
+        bytes.extend_from_slice(&footer_bytes);
+        bytes.extend_from_slice(&checksum64(&footer_bytes).to_le_bytes());
+        bytes.extend_from_slice(&(footer_bytes.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(MAGIC);
+        Bytes::from(bytes)
+    }
+
+    /// A column's bitmap carries its own row count. A footer that claims
+    /// fewer rows — re-checksummed, and with a label stream of exactly that
+    /// many rows, so every other check passes — used to index past the
+    /// last row; one that claims more used to drop the tail rows' features.
+    #[test]
+    fn bitmap_row_count_must_match_the_stripe() {
+        let file = build_file(
+            WriterOptions {
+                rows_per_stripe: 8,
+                ..Default::default()
+            },
+            13,
+        );
+        let label_of = |stripe: &crate::writer::StripeMeta| {
+            *stripe
+                .streams
+                .iter()
+                .find(|s| s.kind == StreamKind::Label)
+                .expect("label stream")
+        };
+        // Stripe 0 (8 rows) with the row count and labels of stripe 1 (5).
+        let mut lowered = file.footer().clone();
+        let short_labels = label_of(&lowered.stripes[1]);
+        lowered.stripes[0].row_count = 5;
+        for stream in &mut lowered.stripes[0].streams {
+            if stream.kind == StreamKind::Label {
+                *stream = short_labels;
+            }
+        }
+        // Stripe 1 (5 rows) with the row count and labels of stripe 0 (8).
+        let mut raised = file.footer().clone();
+        let long_labels = label_of(&raised.stripes[0]);
+        raised.stripes[1].row_count = 8;
+        for stream in &mut raised.stripes[1].streams {
+            if stream.kind == StreamKind::Label {
+                *stream = long_labels;
+            }
+        }
+        for (footer, stripe) in [(lowered, 0), (raised, 1)] {
+            let reader = FileReader::open(with_footer(&file, &footer)).unwrap();
+            match reader.read_stripe(stripe, &Projection::new(vec![FeatureId(1), FeatureId(4)])) {
+                Err(DsiError::Corrupt(msg)) => assert!(msg.contains("present bitmap"), "{msg}"),
+                other => panic!("stripe {stripe}: expected Corrupt, got {other:?}"),
+            }
+            // The untouched stripe still reads.
+            assert!(reader
+                .read_stripe(1 - stripe, &Projection::new(vec![FeatureId(1)]))
+                .is_ok());
         }
     }
 

@@ -9,7 +9,7 @@
 
 use crate::encoding::{
     read_bitmap, read_f32s, read_f32s_xor, read_varint, read_varints_into, rle_decode_capped,
-    rle_encode, write_bitmap, write_f32s, write_f32s_xor, write_varint, write_varints,
+    rle_encode, write_bitmap, write_f32s, write_f32s_xor, write_varint, write_varints, Bitmap,
 };
 use dsi_types::{DsiError, FeatureId, Result, Sample, SparseList};
 use serde::{Deserialize, Serialize};
@@ -150,14 +150,17 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
 /// The raw (unencoded) streams produced for one column of one stripe.
 pub type RawStreams = Vec<(StreamKind, Vec<u8>)>;
 
-/// One feature's cells across a stripe, gathered row by row.
+/// One feature's cells across a stripe. The writer gathers them row by row
+/// under a `Vec<bool>` that grows as rows arrive; the reader decodes them a
+/// stream at a time under the [`Bitmap`] the file stores.
 #[derive(Debug)]
-struct Column<C> {
-    feature: FeatureId,
-    /// One bit per row up to the last row that held the feature; rows
-    /// after it are absent and padded in when the column is encoded.
-    present: Vec<bool>,
-    cells: C,
+pub(crate) struct Column<C, P = Vec<bool>> {
+    pub(crate) feature: FeatureId,
+    /// One bit per row. While a stripe is being written, only up to the
+    /// last row that held the feature: rows after it are absent and padded
+    /// in when the column is encoded.
+    pub(crate) present: P,
+    pub(crate) cells: C,
 }
 
 fn present_stream(mut present: Vec<bool>, rows: usize) -> (StreamKind, Vec<u8>) {
@@ -200,12 +203,12 @@ fn cells_of<'a, C: Default>(
 
 /// The present cells of a sparse column, concatenated.
 #[derive(Debug, Default)]
-struct SparseCells {
-    lengths: Vec<u64>,
-    ids: Vec<u64>,
+pub(crate) struct SparseCells {
+    pub(crate) lengths: Vec<u64>,
+    pub(crate) ids: Vec<u64>,
     /// Aligned with `ids` once `scored`; empty until then.
-    scores: Vec<f32>,
-    scored: bool,
+    pub(crate) scores: Vec<f32>,
+    pub(crate) scored: bool,
 }
 
 impl SparseCells {
@@ -314,115 +317,200 @@ pub fn encode_columns(rows: &[Sample], with_sparse: bool) -> Vec<(FeatureId, Raw
     dense.chain(sparse).collect()
 }
 
-/// Decodes a dense feature column into per-row optional values.
-///
-/// # Errors
-///
-/// Returns [`DsiError::Corrupt`] if the streams disagree or are malformed.
-pub fn decode_dense_column(present: &[u8], data: &[u8]) -> Result<Vec<Option<f32>>> {
-    let mut pos = 0;
-    let bits = read_bitmap(present, &mut pos)?;
-    let values = read_f32s_xor(data)?;
-    let expected = bits.iter().filter(|&&b| b).count();
-    if values.len() != expected {
-        return Err(DsiError::corrupt(format!(
-            "dense column has {} values for {expected} present rows",
-            values.len()
-        )));
-    }
-    let mut it = values.into_iter();
-    Ok(bits
-        .into_iter()
-        .map(|b| if b { it.next() } else { None })
-        .collect())
-}
-
-/// Decodes a sparse feature column into per-row optional lists.
-///
-/// # Errors
-///
-/// Returns [`DsiError::Corrupt`] if stream lengths disagree.
-pub fn decode_sparse_column(
-    present: &[u8],
-    lengths: &[u8],
-    data: &[u8],
-    dict: Option<&[u8]>,
-    scores: Option<&[u8]>,
-) -> Result<Vec<Option<SparseList>>> {
-    let mut pos = 0;
-    let bits = read_bitmap(present, &mut pos)?;
-    let present_count = bits.iter().filter(|&&b| b).count();
-    // The bitmap bounds the row count, so a corrupt length header cannot
-    // force an allocation beyond one length per present row.
-    let lens = rle_decode_capped(lengths, present_count)?;
-    if lens.len() != present_count {
-        return Err(DsiError::corrupt(format!(
-            "sparse column has {} lengths for {present_count} present rows",
-            lens.len()
-        )));
-    }
-    // Materialize the dictionary, if this column is dictionary-encoded.
-    let dictionary: Option<Vec<u64>> = match dict {
-        Some(buf) => {
-            let mut dp = 0;
-            let n = read_varint(buf, &mut dp)? as usize;
-            if n > buf.len() - dp {
+impl SparseCells {
+    /// Decodes the streams of a sparse column with `present` present rows;
+    /// a dictionary, when there is one, is resolved in place.
+    fn decode(
+        present: usize,
+        lengths: &[u8],
+        data: &[u8],
+        dict: Option<&[u8]>,
+        scores: Option<&[u8]>,
+    ) -> Result<Self> {
+        // The bitmap bounds the row count, so a corrupt length header cannot
+        // force an allocation beyond one length per present row.
+        let lengths = rle_decode_capped(lengths, present)?;
+        if lengths.len() != present {
+            return Err(DsiError::corrupt(format!(
+                "sparse column has {} lengths for {present} present rows",
+                lengths.len()
+            )));
+        }
+        // Each id is at least one varint byte.
+        let total = lengths
+            .iter()
+            .try_fold(0u64, |sum, &n| sum.checked_add(n))
+            .filter(|&total| total <= data.len() as u64)
+            .ok_or_else(|| DsiError::corrupt("sparse data stream shorter than lengths"))?;
+        let mut ids = Vec::new();
+        let mut pos = 0;
+        read_varints_into(data, &mut pos, total as usize, &mut ids)?;
+        if pos != data.len() {
+            return Err(DsiError::corrupt("trailing bytes in sparse data stream"));
+        }
+        if let Some(dict) = dict {
+            let mut pos = 0;
+            let n = read_varint(dict, &mut pos)?;
+            if n > (dict.len() - pos) as u64 {
                 return Err(DsiError::corrupt("dictionary count exceeds buffer"));
             }
             let mut values = Vec::new();
-            read_varints_into(buf, &mut dp, n, &mut values)?;
-            if dp != buf.len() {
+            read_varints_into(dict, &mut pos, n as usize, &mut values)?;
+            if pos != dict.len() {
                 return Err(DsiError::corrupt("trailing bytes in dictionary stream"));
             }
-            Some(values)
-        }
-        None => None,
-    };
-    let total = lens.iter().sum::<u64>() as usize;
-    if total > data.len() {
-        // Each id is at least one varint byte.
-        return Err(DsiError::corrupt("sparse data stream shorter than lengths"));
-    }
-    let mut ids = Vec::new();
-    let mut dpos = 0;
-    read_varints_into(data, &mut dpos, total, &mut ids)?;
-    if dpos != data.len() {
-        return Err(DsiError::corrupt("trailing bytes in sparse data stream"));
-    }
-    if let Some(d) = &dictionary {
-        // Resolve dictionary indexes in one pass over the flat id buffer.
-        for id in &mut ids {
-            *id = *d
-                .get(*id as usize)
-                .ok_or_else(|| DsiError::corrupt("dictionary index out of range"))?;
-        }
-    }
-    let score_vals = match scores {
-        Some(s) => {
-            let vals = read_f32s(s)?;
-            if vals.len() != ids.len() {
-                return Err(DsiError::corrupt("score stream misaligned with ids"));
+            for id in &mut ids {
+                *id = usize::try_from(*id)
+                    .ok()
+                    .and_then(|index| values.get(index).copied())
+                    .ok_or_else(|| DsiError::corrupt("dictionary index out of range"))?;
             }
-            Some(vals)
         }
-        None => None,
-    };
-    let mut out = Vec::with_capacity(bits.len());
-    let mut cursor = 0usize;
-    let mut len_it = lens.into_iter();
-    for b in bits {
-        if b {
-            let n = len_it.next().expect("length count checked") as usize;
-            let row_ids = ids[cursor..cursor + n].to_vec();
-            let list = match &score_vals {
-                Some(sv) => SparseList::from_scored(row_ids, sv[cursor..cursor + n].to_vec()),
-                None => SparseList::from_ids(row_ids),
-            };
-            cursor += n;
-            out.push(Some(list));
-        } else {
-            out.push(None);
+        let scored = scores.is_some();
+        let scores = scores.map_or(Ok(Vec::new()), read_f32s)?;
+        if scored && scores.len() != ids.len() {
+            return Err(DsiError::corrupt("score stream misaligned with ids"));
         }
+        Ok(Self {
+            lengths,
+            ids,
+            scores,
+            scored,
+        })
+    }
+}
+
+/// A stripe's feature columns as [`decode_columns`] leaves them: present
+/// bits packed as stored, values / lengths / ids / scores contiguous, each
+/// list in directory order.
+#[derive(Debug, Default)]
+pub struct DecodedColumns {
+    pub(crate) dense: Vec<Column<Vec<f32>, Bitmap>>,
+    pub(crate) sparse: Vec<Column<SparseCells, Bitmap>>,
+}
+
+impl DecodedColumns {
+    /// Number of columns.
+    pub fn len(&self) -> usize {
+        self.dense.len() + self.sparse.len()
+    }
+
+    /// Whether there is no column.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Values the column buffers have room for. Hostile-stream tests hold
+    /// it against the bytes that were decoded.
+    pub fn reserved_values(&self) -> usize {
+        let dense = self.dense.iter().map(|c| c.cells.capacity());
+        let sparse = self.sparse.iter().map(|c| {
+            c.cells.lengths.capacity() + c.cells.ids.capacity() + c.cells.scores.capacity()
+        });
+        dense.chain(sparse).sum()
+    }
+
+    /// Decodes the column group `streams` hold for `feature` and appends
+    /// the column.
+    fn push_group<B: AsRef<[u8]>>(
+        &mut self,
+        feature: FeatureId,
+        streams: &[(StreamKind, B)],
+        rows: usize,
+    ) -> Result<()> {
+        // A handful of streams at most: a scan finds one as fast as a map.
+        let stream = |kind| {
+            let found = streams.iter().find(|(k, _)| *k == kind);
+            found.map(|(_, bytes)| bytes.as_ref())
+        };
+        let required = |kind| {
+            stream(kind).ok_or_else(|| {
+                DsiError::corrupt(format!(
+                    "feature {} column has no {kind:?} stream",
+                    feature.0
+                ))
+            })
+        };
+        let present = read_bitmap(required(StreamKind::Present)?)?;
+        // The bitmap carries its own row count: more bits than the stripe
+        // has rows would index past the last row, fewer would silently
+        // drop the feature from the tail rows.
+        if present.len() != rows {
+            return Err(DsiError::corrupt(format!(
+                "feature {} present bitmap holds {} rows, stripe has {rows}",
+                feature.0,
+                present.len()
+            )));
+        }
+        let expected = present.count_ones();
+        if let Some(data) = stream(StreamKind::DenseData) {
+            let cells = read_f32s_xor(data)?;
+            if cells.len() != expected {
+                return Err(DsiError::corrupt(format!(
+                    "dense column has {} values for {expected} present rows",
+                    cells.len()
+                )));
+            }
+            self.dense.push(Column {
+                feature,
+                present,
+                cells,
+            });
+            return Ok(());
+        }
+        let cells = SparseCells::decode(
+            expected,
+            required(StreamKind::Length)?,
+            required(StreamKind::Data)?,
+            stream(StreamKind::Dict),
+            stream(StreamKind::Score),
+        )?;
+        self.sparse.push(Column {
+            feature,
+            present,
+            cells,
+        });
+        Ok(())
+    }
+}
+
+/// Decodes a stripe's feature streams into columns — the inverse of
+/// [`encode_columns`]. `streams` yields the decoded payloads in directory
+/// order: each `Present` stream opens its feature's column group and the
+/// group's other streams follow it. A group is decoded, and its payloads
+/// dropped, as soon as the next one opens, so a caller producing payloads
+/// lazily holds one group's worth at a time.
+///
+/// # Errors
+///
+/// Returns the first error `streams` yields, and [`DsiError::Corrupt`] if a
+/// group is malformed, its streams disagree with each other, or its
+/// bitmap does not hold exactly `rows` rows.
+pub fn decode_columns<B: AsRef<[u8]>>(
+    streams: impl IntoIterator<Item = Result<(FeatureId, StreamKind, B)>>,
+    rows: usize,
+) -> Result<DecodedColumns> {
+    let mut out = DecodedColumns::default();
+    // The open group: its feature, and its streams with `Present` first.
+    let mut owner: Option<FeatureId> = None;
+    let mut group: Vec<(StreamKind, B)> = Vec::new();
+    for stream in streams {
+        let (feature, kind, bytes) = stream?;
+        if kind == StreamKind::Present {
+            if let Some(done) = owner.replace(feature) {
+                out.push_group(done, &group, rows)?;
+                group.clear();
+            }
+        } else if owner != Some(feature) {
+            return Err(DsiError::corrupt(format!(
+                "feature {} {kind:?} stream outside its column group",
+                feature.0
+            )));
+        }
+        group.push((kind, bytes));
+    }
+    if let Some(done) = owner {
+        out.push_group(done, &group, rows)?;
     }
     Ok(out)
 }
@@ -679,17 +767,28 @@ mod tests {
         columns.remove(0).1
     }
 
+    /// Decodes the one column group `streams` hold for `fid`.
+    fn decode_column(fid: FeatureId, streams: &RawStreams, rows: usize) -> Result<DecodedColumns> {
+        decode_columns(
+            streams.iter().map(|(kind, raw)| Ok((fid, *kind, raw))),
+            rows,
+        )
+    }
+
+    fn present_rows(present: &Bitmap) -> Vec<usize> {
+        present.ones().collect()
+    }
+
     #[test]
     fn dense_column_round_trip() {
         let rows = rows();
         let streams = encode_column(&rows, FeatureId(1));
-        let present = &streams[0].1;
-        let data = &streams[1].1;
-        let decoded = decode_dense_column(present, data).unwrap();
-        assert_eq!(decoded.len(), 5);
-        assert_eq!(decoded[0], Some(0.0));
-        assert_eq!(decoded[2], None);
-        assert_eq!(decoded[4], Some(4.0));
+        let decoded = decode_column(FeatureId(1), &streams, 5).unwrap();
+        assert!(decoded.sparse.is_empty());
+        let column = &decoded.dense[0];
+        assert_eq!(column.feature, FeatureId(1));
+        assert_eq!(present_rows(&column.present), vec![0, 1, 3, 4]);
+        assert_eq!(column.cells, vec![0.0, 1.0, 3.0, 4.0]);
     }
 
     #[test]
@@ -697,11 +796,13 @@ mod tests {
         let rows = rows();
         let streams = encode_column(&rows, FeatureId(7));
         assert_eq!(streams.len(), 3); // no scores
-        let decoded =
-            decode_sparse_column(&streams[0].1, &streams[1].1, &streams[2].1, None, None).unwrap();
-        assert_eq!(decoded[0].as_ref().unwrap().ids(), &[0, 0]);
-        assert!(decoded[1].is_none());
-        assert_eq!(decoded[4].as_ref().unwrap().ids(), &[4, 40]);
+        let decoded = decode_column(FeatureId(7), &streams, 5).unwrap();
+        assert!(decoded.dense.is_empty());
+        let column = &decoded.sparse[0];
+        assert_eq!(present_rows(&column.present), vec![0, 2, 4]);
+        assert_eq!(column.cells.lengths, vec![2, 2, 2]);
+        assert_eq!(column.cells.ids, vec![0, 0, 2, 20, 4, 40]);
+        assert!(!column.cells.scored);
     }
 
     #[test]
@@ -709,17 +810,79 @@ mod tests {
         let rows = rows();
         let streams = encode_column(&rows, FeatureId(8));
         assert_eq!(streams.len(), 4);
-        let decoded = decode_sparse_column(
-            &streams[0].1,
-            &streams[1].1,
-            &streams[2].1,
-            None,
-            Some(&streams[3].1),
-        )
-        .unwrap();
-        let l = decoded[3].as_ref().unwrap();
-        assert_eq!(l.ids(), &[103]);
-        assert_eq!(l.scores().unwrap(), &[3.0]);
+        let decoded = decode_column(FeatureId(8), &streams, 5).unwrap();
+        let cells = &decoded.sparse[0].cells;
+        assert!(cells.scored);
+        assert_eq!(cells.ids[3], 103);
+        assert_eq!(cells.scores[3], 3.0);
+    }
+
+    #[test]
+    fn column_groups_decode_in_directory_order() {
+        let rows = rows();
+        // Sparse before dense, as a popularity layout may store them.
+        let streams: Vec<(FeatureId, StreamKind, Vec<u8>)> = [FeatureId(8), FeatureId(1)]
+            .into_iter()
+            .flat_map(|fid| {
+                encode_column(&rows, fid)
+                    .into_iter()
+                    .map(move |(kind, raw)| (fid, kind, raw))
+            })
+            .collect();
+        let decoded = decode_columns(streams.iter().cloned().map(Ok), 5).unwrap();
+        assert_eq!(decoded.len(), 2);
+        assert_eq!(decoded.dense[0].feature, FeatureId(1));
+        assert_eq!(decoded.sparse[0].feature, FeatureId(8));
+        // The first error the stream source yields is the result.
+        let failing = streams
+            .iter()
+            .cloned()
+            .map(Ok)
+            .chain([Err(DsiError::corrupt("stream checksum mismatch"))]);
+        assert!(matches!(
+            decode_columns(failing, 5),
+            Err(DsiError::Corrupt(msg)) if msg.contains("checksum")
+        ));
+    }
+
+    #[test]
+    fn malformed_column_groups_are_rejected() {
+        let rows = rows();
+        let dense = encode_column(&rows, FeatureId(1));
+        let sparse = encode_column(&rows, FeatureId(7));
+        // A bitmap with more or fewer rows than the stripe.
+        assert!(decode_column(FeatureId(1), &dense, 4).is_err());
+        assert!(decode_column(FeatureId(1), &dense, 6).is_err());
+        assert!(decode_column(FeatureId(7), &sparse, 4).is_err());
+        // A group that does not open with its bitmap, a stream of another
+        // feature inside it, a file-level kind in place of its data.
+        assert!(decode_column(FeatureId(1), &dense[1..].to_vec(), 5).is_err());
+        let stray = [
+            Ok((FeatureId(1), StreamKind::Present, &dense[0].1)),
+            Ok((FeatureId(2), StreamKind::DenseData, &dense[1].1)),
+        ];
+        assert!(decode_columns(stray, 5).is_err());
+        let labelled = vec![dense[0].clone(), (StreamKind::Label, dense[1].1.clone())];
+        assert!(decode_column(FeatureId(1), &labelled, 5).is_err());
+        // A sparse group missing its lengths or its data.
+        assert!(decode_column(FeatureId(7), &sparse[..2].to_vec(), 5).is_err());
+        let no_lengths = vec![sparse[0].clone(), sparse[2].clone()];
+        assert!(decode_column(FeatureId(7), &no_lengths, 5).is_err());
+    }
+
+    #[test]
+    fn hostile_lengths_cannot_overflow_the_id_count() {
+        let mut present = Vec::new();
+        write_bitmap(&mut present, &[true, true]);
+        let streams = vec![
+            (StreamKind::Present, present),
+            (StreamKind::Length, rle_encode(&[u64::MAX, 2])),
+            (StreamKind::Data, vec![1]),
+        ];
+        assert!(matches!(
+            decode_column(FeatureId(3), &streams, 2),
+            Err(DsiError::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -862,19 +1025,13 @@ mod tests {
         let streams = encode_column(&rows2, FeatureId(3));
         let kinds: Vec<StreamKind> = streams.iter().map(|(k, _)| *k).collect();
         assert!(kinds.contains(&StreamKind::Dict), "dictionary expected");
-        let dict = &streams
-            .iter()
-            .find(|(k, _)| *k == StreamKind::Dict)
-            .expect("dict")
-            .1;
         let data = &streams
             .iter()
             .find(|(k, _)| *k == StreamKind::Data)
             .expect("data")
             .1;
-        let decoded =
-            decode_sparse_column(&streams[0].1, &streams[1].1, data, Some(dict), None).unwrap();
-        assert_eq!(decoded[9].as_ref().unwrap().ids(), &[1, 101, 7]);
+        let decoded = decode_column(FeatureId(3), &streams, 50).unwrap();
+        assert_eq!(decoded.sparse[0].cells.ids[27..30], [1, 101, 7]);
         // Indexes are tiny: the data stream is one byte per value.
         assert_eq!(data.len(), 150);
     }
@@ -898,18 +1055,24 @@ mod tests {
         write_varint(&mut bad_dict, 42);
         let mut present = Vec::new();
         write_bitmap(&mut present, &[true]);
-        let lengths = rle_encode(&[1]);
         let mut data = Vec::new();
         write_varint(&mut data, 5); // index 5 out of range
-        assert!(decode_sparse_column(&present, &lengths, &data, Some(&bad_dict), None).is_err());
+        let streams = vec![
+            (StreamKind::Present, present),
+            (StreamKind::Length, rle_encode(&[1])),
+            (StreamKind::Data, data),
+            (StreamKind::Dict, bad_dict),
+        ];
+        assert!(decode_column(FeatureId(3), &streams, 1).is_err());
     }
 
     #[test]
     fn corrupt_dense_column_detected() {
         let rows = rows();
-        let streams = encode_column(&rows, FeatureId(1));
+        let mut streams = encode_column(&rows, FeatureId(1));
         // Chop a value off the data stream.
-        let bad = &streams[1].1[..streams[1].1.len() - 4];
-        assert!(decode_dense_column(&streams[0].1, bad).is_err());
+        let data = &mut streams[1].1;
+        data.truncate(data.len() - 4);
+        assert!(decode_column(FeatureId(1), &streams, 5).is_err());
     }
 }

@@ -3,6 +3,9 @@
 //! The constants were taken at commit 22455c6 (the `BTreeMap` rows, the
 //! per-feature column lookups and the table-per-call compressor); a
 //! deliberate format change re-pins them and says so.
+//!
+//! The read pin is the other half: every pinned file reads back to
+//! exactly the rows that were written, whole and under a projection.
 
 use dsi::prelude::*;
 use dwrf::layout::StreamOrder;
@@ -49,7 +52,7 @@ fn rows(duplicated: bool) -> Vec<Sample> {
     rows
 }
 
-fn file_checksum(opts: WriterOptions, rows: Vec<Sample>) -> u64 {
+fn write_file(opts: WriterOptions, rows: Vec<Sample>) -> dwrf::DwrfFile {
     let mut writer = FileWriter::new(WriterOptions {
         rows_per_stripe: ROWS_PER_STRIPE,
         ..opts
@@ -59,11 +62,12 @@ fn file_checksum(opts: WriterOptions, rows: Vec<Sample>) -> u64 {
     }
     let file = writer.finish().expect("non-empty file");
     assert_eq!(file.footer().stripes.len(), 2);
-    checksum64(file.bytes())
+    file
 }
 
-#[test]
-fn dwrf_file_bytes_are_pinned() {
+/// The six pinned writer configurations: name, options, whether the rows
+/// are session-duplicated, and the checksum of the file.
+fn cases() -> [(&'static str, WriterOptions, bool, u64); 6] {
     let raw = WriterOptions {
         compressed: false,
         encrypted: false,
@@ -81,7 +85,7 @@ fn dwrf_file_bytes_are_pinned() {
         ]),
         ..Default::default()
     };
-    let cases: [(&str, WriterOptions, bool, u64); 6] = [
+    [
         (
             "default",
             WriterOptions::default(),
@@ -111,10 +115,18 @@ fn dwrf_file_bytes_are_pinned() {
             true,
             0x7e55_b784_f3b9_3cef,
         ),
-    ];
+    ]
+}
+
+#[test]
+fn dwrf_file_bytes_are_pinned() {
+    let cases = cases();
     let got: Vec<(&str, u64)> = cases
         .iter()
-        .map(|(name, opts, duplicated, _)| (*name, file_checksum(opts.clone(), rows(*duplicated))))
+        .map(|(name, opts, duplicated, _)| {
+            let file = write_file(opts.clone(), rows(*duplicated));
+            (*name, checksum64(file.bytes()))
+        })
         .collect();
     let want: Vec<(&str, u64)> = cases.iter().map(|c| (c.0, c.3)).collect();
     assert_eq!(
@@ -123,4 +135,53 @@ fn dwrf_file_bytes_are_pinned() {
         "DWRF bytes changed; got (hex): {:x?}",
         got.iter().map(|g| g.1).collect::<Vec<_>>()
     );
+}
+
+#[test]
+fn dwrf_files_read_back_the_rows_written() {
+    for (name, opts, duplicated, _) in cases() {
+        let mut written = rows(duplicated);
+        if opts.flattened && !opts.dedup {
+            // A sparse column stream is scored as a whole: both stripes
+            // hold scored `MIXED` lists, so its unscored ones come back
+            // with unit scores. Map and dedup files keep each list as is.
+            for row in &mut written {
+                if let Some(list) = row.sparse(MIXED).filter(|list| !list.is_scored()) {
+                    let canonical =
+                        SparseList::from_scored(list.ids().to_vec(), vec![1.0; list.len()]);
+                    row.set_sparse(MIXED, canonical);
+                }
+            }
+        }
+        let file = write_file(opts, rows(duplicated));
+        let reader = FileReader::open(file.bytes().clone()).expect("valid file");
+        // Late and second-stripe-only features are absent from the rows
+        // that never held them: row equality covers it.
+        assert_eq!(
+            reader.read_all_unprojected().expect("decodable"),
+            written,
+            "{name}"
+        );
+        assert!(written[9].dense(LATE_DENSE).is_none() && written[10].dense(LATE_DENSE).is_some());
+        assert!(written[ROWS_PER_STRIPE + 4]
+            .sparse(SECOND_STRIPE_ONLY)
+            .is_none());
+
+        let features: std::collections::BTreeSet<FeatureId> = written
+            .iter()
+            .flat_map(|row| {
+                let dense = row.dense_iter().map(|(feature, _)| feature);
+                dense.chain(row.sparse_iter().map(|(feature, _)| feature))
+            })
+            .collect();
+        let projection = Projection::new(features.into_iter().step_by(2).collect());
+        for row in &mut written {
+            row.project(|feature| projection.contains(feature));
+        }
+        assert_eq!(
+            reader.read_all(&projection).expect("decodable"),
+            written,
+            "{name}, every other feature"
+        );
+    }
 }

@@ -4,6 +4,7 @@
 use bytes::Bytes;
 use dsi::prelude::*;
 use dsi::types::FeatureValue;
+use dwrf::layout::StreamOrder;
 use dwrf::plan::IoPlan;
 use dwrf::{cipher::StreamCipher, compress, FileReader};
 use proptest::prelude::*;
@@ -143,7 +144,100 @@ fn arb_compressible() -> impl Strategy<Value = Vec<u8>> {
             }
             data
         }),
+        // Literal runs, then a pattern of period 1..=16 repeated (a match
+        // that runs into its own output), both with lengths either side of
+        // the inflate's 16-byte copy, the 128-byte run and 131-byte match.
+        proptest::collection::vec(
+            (
+                proptest::collection::vec(any::<u8>(), 1..17),
+                edge_length(),
+                edge_length(),
+            ),
+            0..12,
+        )
+        .prop_map(|segments| {
+            let mut data = Vec::new();
+            for (i, (pattern, literals, repeated)) in segments.into_iter().enumerate() {
+                // Bytes no earlier window repeats: a literal run.
+                data.extend((0..literals).map(|k| (i * 31 + k * 7 + k / 3) as u8));
+                data.extend(pattern.iter().cycle().take(pattern.len() + repeated));
+            }
+            data
+        }),
     ]
+}
+
+/// Lengths around the inflate kernel's edges: the 16-byte fixed copy, the
+/// 128-byte literal-run limit and the 131-byte match limit.
+fn edge_length() -> impl Strategy<Value = usize> {
+    prop_oneof![1usize..20, 125usize..135]
+}
+
+/// One token of an LZ block assembled by hand, so the inflate meets shapes
+/// whatever the compressor's parse would have chosen.
+#[derive(Debug, Clone)]
+enum LzToken {
+    Literals(Vec<u8>),
+    Match { len: usize, dist: usize },
+}
+
+fn arb_lz_token() -> impl Strategy<Value = LzToken> {
+    prop_oneof![
+        proptest::collection::vec(any::<u8>(), 1..20).prop_map(LzToken::Literals),
+        proptest::collection::vec(any::<u8>(), 125..129).prop_map(LzToken::Literals),
+        // Every overlapping distance, and distances clear of the match.
+        (
+            prop_oneof![4usize..20, 125usize..132],
+            prop_oneof![1usize..17, 17usize..400]
+        )
+            .prop_map(|(len, dist)| LzToken::Match { len, dist }),
+    ]
+}
+
+/// The token bytes of `tokens` and the output they stand for, copied a
+/// byte at a time. A match reaching before the start is pulled in range.
+fn assemble_lz(tokens: &[LzToken]) -> (Vec<u8>, Vec<u8>) {
+    let mut bytes = Vec::new();
+    let mut output: Vec<u8> = Vec::new();
+    for token in tokens {
+        match token {
+            LzToken::Literals(run) => {
+                bytes.push((run.len() - 1) as u8);
+                bytes.extend_from_slice(run);
+                output.extend_from_slice(run);
+            }
+            LzToken::Match { .. } if output.is_empty() => {}
+            LzToken::Match { len, dist } => {
+                let dist = (*dist).min(output.len());
+                bytes.push(0x80 | (len - 4) as u8);
+                dwrf::encoding::write_varint(&mut bytes, dist as u64);
+                for _ in 0..*len {
+                    output.push(output[output.len() - dist]);
+                }
+            }
+        }
+    }
+    (bytes, output)
+}
+
+/// An LZ block declaring `declared` output bytes ahead of `tokens`.
+fn lz_block(declared: usize, tokens: &[u8]) -> Vec<u8> {
+    let mut block = vec![1u8];
+    dwrf::encoding::write_varint(&mut block, declared as u64);
+    block.extend_from_slice(tokens);
+    block
+}
+
+/// `decompress` and `decompress_into` (over stale scratch) on one block:
+/// the same bytes or both an error.
+fn inflate_both_ways(block: &[u8], stale: &[u8]) -> Option<Vec<u8>> {
+    let fresh = compress::decompress(block).ok();
+    let mut scratch = stale.to_vec();
+    let reused = compress::decompress_into(block, &mut scratch)
+        .ok()
+        .map(|()| scratch);
+    assert_eq!(fresh, reused, "decompress and decompress_into disagree");
+    fresh
 }
 
 /// One step of the [`Sample`]-against-`BTreeMap` model check.
@@ -198,12 +292,19 @@ proptest! {
         flattened: bool,
         compressed: bool,
         encrypted: bool,
+        popular in proptest::collection::vec(0u64..80, 0..12),
     ) {
+        let order = if popular.is_empty() {
+            StreamOrder::ById
+        } else {
+            StreamOrder::Popularity(popular.into_iter().map(FeatureId).collect())
+        };
         let opts = WriterOptions {
             flattened,
             compressed,
             encrypted,
             rows_per_stripe,
+            order,
             ..Default::default()
         };
         let mut w = FileWriter::new(opts);
@@ -254,11 +355,24 @@ proptest! {
         compress::compress_into(&data, &mut out);
         prop_assert_eq!(&out[..prefix.len()], &prefix[..], "compress_into touched the prefix");
         prop_assert_eq!(&out[prefix.len()..], &want[..]);
-        prop_assert_eq!(&compress::decompress(&want).expect("decompressable"), &data);
         // Whatever the scratch held before is gone.
-        let mut scratch = prefix;
-        compress::decompress_into(&want, &mut scratch).expect("decompressable");
-        prop_assert_eq!(scratch, data);
+        prop_assert_eq!(inflate_both_ways(&want, &prefix), Some(data));
+    }
+
+    #[test]
+    fn inflate_matches_a_bytewise_copy_on_hand_built_blocks(
+        tokens in proptest::collection::vec(arb_lz_token(), 0..12),
+        stale in proptest::collection::vec(any::<u8>(), 0..40),
+    ) {
+        // A dozen tokens at most, so most blocks end inside the 16-byte
+        // window the fixed-width copy needs clear on both sides.
+        let (bytes, output) = assemble_lz(&tokens);
+        prop_assert_eq!(inflate_both_ways(&lz_block(output.len(), &bytes), &stale), Some(output.clone()));
+        // A declared length one long or one short of the tokens' output.
+        prop_assert_eq!(inflate_both_ways(&lz_block(output.len() + 1, &bytes), &stale), None);
+        if let Some(short) = output.len().checked_sub(1) {
+            prop_assert_eq!(inflate_both_ways(&lz_block(short, &bytes), &stale), None);
+        }
     }
 
     #[test]
@@ -266,22 +380,77 @@ proptest! {
         mode in 0u8..3,
         junk in proptest::collection::vec(any::<u8>(), 0..300),
         data in arb_compressible(),
+        tokens in proptest::collection::vec(arb_lz_token(), 1..12),
         flips in proptest::collection::vec((any::<usize>(), 0u8..8), 1..4),
     ) {
-        // Arbitrary bytes behind every mode tag, then a valid block with a
-        // few bits flipped (length header, control bytes and distances
-        // included): each call returns, `Ok` or `Err`, without panicking or
-        // reserving what the block's own size rules out.
+        // Arbitrary bytes behind every mode tag, then a compressed and a
+        // hand-built block with a few bits flipped (length header, control
+        // bytes and distances included): each call returns, `Ok` or `Err`,
+        // without panicking or reserving what the block's own size rules
+        // out, the same through `decompress` and `decompress_into`.
         let mut block = vec![mode];
-        block.extend(junk);
-        let _ = compress::decompress(&block);
-        let mut block = compress::compress(&data);
-        for (at, bit) in flips {
-            let at = at % block.len();
-            block[at] ^= 1 << bit;
+        block.extend(&junk);
+        inflate_both_ways(&block, &junk);
+        let (bytes, output) = assemble_lz(&tokens);
+        for mut block in [compress::compress(&data), lz_block(output.len(), &bytes)] {
+            for &(at, bit) in &flips {
+                let at = at % block.len();
+                block[at] ^= 1 << bit;
+            }
+            if let Some(out) = inflate_both_ways(&block, &junk) {
+                prop_assert!(out.len() <= block.len() * 131);
+            }
         }
-        if let Ok(out) = compress::decompress(&block) {
-            prop_assert!(out.len() <= block.len() * 131);
+    }
+
+    #[test]
+    fn decode_columns_survives_hostile_streams(
+        samples in proptest::collection::vec(arb_sample(), 1..40),
+        junk in proptest::collection::vec(any::<u8>(), 0..64),
+        target in any::<usize>(),
+        flips in proptest::collection::vec((any::<usize>(), 0u8..8), 0..4),
+    ) {
+        use dwrf::stream::{decode_columns, encode_columns};
+        use dwrf::StreamKind;
+        let rows = samples.len();
+        let mut streams: Vec<(FeatureId, StreamKind, Vec<u8>)> = encode_columns(&samples, true)
+            .into_iter()
+            .flat_map(|(feature, streams)| {
+                streams.into_iter().map(move |(kind, raw)| (feature, kind, raw))
+            })
+            .collect();
+        let columns = streams.iter().filter(|s| s.1 == StreamKind::Present).count();
+        let decode = |streams: &[(FeatureId, StreamKind, Vec<u8>)]| {
+            decode_columns(streams.iter().map(|(f, k, raw)| Ok((*f, *k, raw))), rows)
+        };
+        prop_assert_eq!(decode(&streams).expect("valid streams").len(), columns);
+        // One stream of a valid stripe with a few bits flipped, or (no
+        // flips drawn) replaced by arbitrary bytes: `Ok` or `Err`, never a
+        // panic, and never room for more than the streams could hold — one
+        // length per bitmap bit, one id or value per byte, times the
+        // doubling a growing buffer may have left behind. A length, a
+        // count or a run header that declares more is refused first.
+        let target = target % streams.len().max(1);
+        if let Some((_, _, victim)) = streams.get_mut(target) {
+            if flips.is_empty() || victim.is_empty() {
+                *victim = junk;
+            }
+            for (at, bit) in flips {
+                if !victim.is_empty() {
+                    let at = at % victim.len();
+                    victim[at] ^= 1 << bit;
+                }
+            }
+        }
+        let (mut bitmap_bytes, mut other_bytes) = (0, 0);
+        for (_, kind, raw) in &streams {
+            match kind {
+                StreamKind::Present => bitmap_bytes += raw.len(),
+                _ => other_bytes += raw.len(),
+            }
+        }
+        if let Ok(decoded) = decode(&streams) {
+            prop_assert!(decoded.reserved_values() <= 2 * (8 * bitmap_bytes + other_bytes));
         }
     }
 
