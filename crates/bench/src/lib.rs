@@ -10,8 +10,11 @@
 
 #![warn(missing_docs)]
 
+pub mod durability;
+pub mod figures;
 pub mod report;
 pub mod rmlab;
 
+pub use figures::FIGURES;
 pub use report::{print_table, Row};
 pub use rmlab::{LabConfig, RmLab};

@@ -187,16 +187,7 @@ impl RmLab {
     /// Runs one Worker synchronously over the entire selection, returning
     /// its measured telemetry.
     pub fn measure_worker(&self, spec: &SessionSpec) -> WorkerReport {
-        self.measure_worker_with_policy(spec, spec.policy)
-    }
-
-    /// Like [`RmLab::measure_worker`] with a coalescing-policy override.
-    pub fn measure_worker_with_policy(
-        &self,
-        spec: &SessionSpec,
-        policy: CoalescePolicy,
-    ) -> WorkerReport {
-        self.measure_worker_custom(spec, policy, None)
+        self.measure_worker_custom(spec, spec.policy, None)
     }
 
     /// Full-control measurement: explicit coalescing policy and optional

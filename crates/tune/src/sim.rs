@@ -12,6 +12,7 @@
 //! watermark scaler and the closed-loop tuner compete on identical,
 //! deterministic scenarios.
 
+use crate::policy::{OnlineTuner, TunerConfig};
 use dpp::{AutoScaler, KnobBounds, Knobs, ScalerConfig, TunerPolicy, TunerSignals};
 use dsi_obs::SignalSnapshot;
 use serde::{Deserialize, Serialize};
@@ -172,6 +173,15 @@ impl Scenario {
         })
     }
 
+    /// The closed-loop tuner under this scenario's fences and stall target.
+    pub fn tuner(&self) -> OnlineTuner {
+        OnlineTuner::new(TunerConfig {
+            bounds: self.bounds,
+            stall_target: self.stall_target,
+            ..TunerConfig::default()
+        })
+    }
+
     /// Instantaneous demand at virtual time `t`.
     pub fn demand_at(&self, t: f64) -> f64 {
         if self.diurnal_amplitude == 0.0 {
@@ -250,16 +260,17 @@ pub struct TuneTrace {
 }
 
 impl TuneTrace {
+    /// `initial` is what a zero-length run ends on: no tick ever moved it.
     fn from_points(
         points: Vec<TunePoint>,
-        tick: f64,
+        initial: Knobs,
         duration: f64,
         target: f64,
         policy: &str,
     ) -> Self {
         let n = points.len().max(1);
         let total: f64 = points.iter().map(|p| p.stall).sum();
-        let tail = &points[points.len() - n.div_ceil(3)..];
+        let tail = &points[points.len() - points.len().div_ceil(3)..];
         let steady = tail.iter().map(|p| p.stall).sum::<f64>() / tail.len().max(1) as f64;
         // Sliding-window means, scanned from the end: convergence is the
         // earliest time after which every window stays under target — an
@@ -271,7 +282,8 @@ impl TuneTrace {
             let end = (i + w).min(points.len());
             points[i..end].iter().map(|p| p.stall).sum::<f64>() / (end - i) as f64
         };
-        let mut time_to_converge = duration;
+        // A run with no ticks never stalled: converged at time 0.
+        let mut time_to_converge = if points.is_empty() { 0.0 } else { duration };
         for (i, p) in points.iter().enumerate().rev() {
             if windowed(i) < target {
                 time_to_converge = p.t;
@@ -286,14 +298,9 @@ impl TuneTrace {
             steady_stall: steady,
             time_to_converge,
             mean_workers,
-            final_knobs: points.last().map(|p| p.knobs).unwrap_or_default(),
+            final_knobs: points.last().map_or(initial, |p| p.knobs),
             points,
         }
-        .with_tick(tick)
-    }
-
-    fn with_tick(self, _tick: f64) -> Self {
-        self
     }
 }
 
@@ -301,7 +308,8 @@ impl TuneTrace {
 /// signal stream each tick. Fully deterministic.
 pub fn run_scenario(scenario: &Scenario, policy: &mut dyn TunerPolicy) -> TuneTrace {
     let bounds = scenario.bounds;
-    let mut knobs = bounds.clamp(scenario.initial);
+    let initial = bounds.clamp(scenario.initial);
+    let mut knobs = initial;
     let mut buffered = 0.0f64; // samples, aggregate
     let mut points = Vec::new();
     let mut lost = false;
@@ -389,7 +397,7 @@ pub fn run_scenario(scenario: &Scenario, policy: &mut dyn TunerPolicy) -> TuneTr
     }
     TuneTrace::from_points(
         points,
-        scenario.tick_secs,
+        initial,
         scenario.duration_secs,
         scenario.stall_target,
         policy.name(),
@@ -399,16 +407,6 @@ pub fn run_scenario(scenario: &Scenario, policy: &mut dyn TunerPolicy) -> TuneTr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{OnlineTuner, TunerConfig};
-
-    fn tuner_for(s: &Scenario) -> OnlineTuner {
-        OnlineTuner::new(TunerConfig {
-            bounds: s.bounds,
-            stall_target: s.stall_target,
-            ..TunerConfig::default()
-        })
-    }
-
     #[test]
     fn static_scaler_right_sizes_a_worker_bound_fleet() {
         // One stage and no useful knob but the worker count: demand worth
@@ -460,7 +458,7 @@ mod tests {
     #[test]
     fn tuner_fixes_extract_bound_via_read_ahead() {
         let s = Scenario::extract_bound();
-        let trace = run_scenario(&s, &mut tuner_for(&s));
+        let trace = run_scenario(&s, &mut s.tuner());
         assert!(
             trace.final_knobs.read_ahead > 0,
             "tuner should raise read_ahead, got {:?}",
@@ -478,7 +476,7 @@ mod tests {
     fn tuner_fixes_transform_bound_via_parallelism() {
         let s = Scenario::transform_bound();
         let static_trace = run_scenario(&s, &mut s.static_policy());
-        let tuned = run_scenario(&s, &mut tuner_for(&s));
+        let tuned = run_scenario(&s, &mut s.tuner());
         assert!(tuned.final_knobs.parallelism > 1, "{:?}", tuned.final_knobs);
         assert!(tuned.steady_stall < static_trace.steady_stall);
         assert!(tuned.time_to_converge < static_trace.time_to_converge);
@@ -488,7 +486,7 @@ mod tests {
     fn tuner_fixes_trainer_bound_via_batch_size() {
         let s = Scenario::trainer_bound();
         let static_trace = run_scenario(&s, &mut s.static_policy());
-        let tuned = run_scenario(&s, &mut tuner_for(&s));
+        let tuned = run_scenario(&s, &mut s.tuner());
         assert!(
             tuned.final_knobs.batch_size > s.initial.batch_size,
             "{:?}",
@@ -506,7 +504,7 @@ mod tests {
     fn diurnal_load_converges_for_both_policies() {
         let s = Scenario::diurnal();
         let static_trace = run_scenario(&s, &mut s.static_policy());
-        let tuned = run_scenario(&s, &mut tuner_for(&s));
+        let tuned = run_scenario(&s, &mut s.tuner());
         // Capacity is sufficient here; both policies must track the swing
         // and end converged (the tuner may trail slightly while it pays
         // for exploration, but not by a visible stall).
@@ -526,7 +524,7 @@ mod tests {
     fn node_loss_mid_run_is_regrown() {
         let mut s = Scenario::diurnal();
         s.node_loss_at = Some((1_500.0, 6));
-        let tuned = run_scenario(&s, &mut tuner_for(&s));
+        let tuned = run_scenario(&s, &mut s.tuner());
         // Lost capacity comes back: the run still ends converged.
         assert!(
             tuned.steady_stall < 0.05,
@@ -539,7 +537,7 @@ mod tests {
     #[test]
     fn bounds_hold_at_every_simulated_tick() {
         for s in Scenario::all() {
-            let trace = run_scenario(&s, &mut tuner_for(&s));
+            let trace = run_scenario(&s, &mut s.tuner());
             for p in &trace.points {
                 let b = s.bounds;
                 assert!(p.knobs.workers >= b.workers.0 && p.knobs.workers <= b.workers.1);
@@ -558,10 +556,27 @@ mod tests {
     }
 
     #[test]
+    fn zero_length_run_is_an_empty_trace_converged_at_zero() {
+        for duration_secs in [0.0, -5.0] {
+            let s = Scenario {
+                duration_secs,
+                ..Scenario::extract_bound()
+            };
+            let trace = run_scenario(&s, &mut s.tuner());
+            assert!(trace.points.is_empty());
+            assert_eq!(trace.time_to_converge, 0.0);
+            assert_eq!(trace.stall_fraction, 0.0);
+            assert_eq!(trace.steady_stall, 0.0);
+            assert_eq!(trace.mean_workers, 0.0);
+            assert_eq!(trace.final_knobs, s.bounds.clamp(s.initial));
+        }
+    }
+
+    #[test]
     fn determinism_same_seed_same_trace() {
         let s = Scenario::extract_bound();
-        let a = run_scenario(&s, &mut tuner_for(&s));
-        let b = run_scenario(&s, &mut tuner_for(&s));
+        let a = run_scenario(&s, &mut s.tuner());
+        let b = run_scenario(&s, &mut s.tuner());
         assert_eq!(a.points, b.points);
     }
 }
