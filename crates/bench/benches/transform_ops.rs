@@ -152,13 +152,45 @@ fn bench_plans(c: &mut Criterion) {
     group.finish();
 }
 
+/// Row path against columnar path, one arm each per case: the whole plan
+/// per sample then `materialize`, against the worker's four calls
+/// (`capture_ctx`, `sparse_caps`, `materialize_capped`, `apply_with_cost`).
 fn bench_columnar(c: &mut Criterion) {
-    use dsi_types::Batch;
+    use dsi_types::rng::SplitMix64;
+    use dsi_types::{Batch, FeatureKind};
+    use synth::{JobProjectionSampler, RmClass, RmProfile, SampleGenerator};
     use transforms::ColumnarPlan;
     let mut group = c.benchmark_group("columnar_vs_row");
     group.sample_size(20);
-    let dense_ids = [FeatureId(0)];
-    let sparse_ids = [FeatureId(1), FeatureId(2)];
+
+    let mut case = |name: &str,
+                    plan: &TransformPlan,
+                    batch: &Batch,
+                    dense_ids: &[FeatureId],
+                    sparse_ids: &[FeatureId]| {
+        group.bench_function(format!("{name}_row_path_batch512"), |b| {
+            b.iter(|| {
+                let (out, cost) = plan.apply_batch(batch.clone(), 0);
+                black_box((out.materialize(dense_ids, sparse_ids), cost))
+            })
+        });
+        let (row, columnar) = ColumnarPlan::split_plan(plan);
+        assert!(row.is_empty(), "no Sampling in these plans");
+        let caps = columnar.sparse_caps(sparse_ids);
+        group.bench_function(format!("{name}_columnar_path_batch512"), |b| {
+            b.iter(|| {
+                // The row arm consumes its batch; pay the same clone here.
+                let batch = batch.clone();
+                let ctx = columnar.capture_ctx(batch.samples(), dense_ids, sparse_ids);
+                let mut tensor = batch.materialize_capped(dense_ids, sparse_ids, &caps);
+                let applied =
+                    columnar.apply_with_cost(&mut tensor, dense_ids, &ctx, plan.cost_model());
+                black_box((tensor, applied.cost))
+            })
+        });
+    };
+
+    // Normalization only: two hashed lists, one truncated, one Logit.
     let batch: Batch = (0..512).map(|_| sample_with_lists(26)).collect();
     let plan = TransformPlan::new(vec![
         TransformOp::SigridHash {
@@ -179,23 +211,44 @@ fn bench_columnar(c: &mut Criterion) {
             input: FeatureId(0),
         },
     ]);
-    group.bench_function("row_path_batch512", |b| {
-        b.iter(|| {
-            let mut batch = batch.clone();
-            for s in batch.samples_mut() {
-                plan.apply_sample(s);
-            }
-            black_box(batch.materialize(&dense_ids, &sparse_ids))
+    case(
+        "normalization",
+        &plan,
+        &batch,
+        &[FeatureId(0)],
+        &[FeatureId(1), FeatureId(2)],
+    );
+
+    // Generation: the derivation-heavy preset (three derived features per
+    // stored one) over an RM1 job's projection, as dsibench's
+    // `transform_bound` runs it.
+    let profile = RmProfile::of(RmClass::Rm1);
+    let schema = profile.build_schema(120);
+    let projection = JobProjectionSampler::new(&schema, &profile, 0xd51)
+        .sample_projection(&mut SplitMix64::new(0xd51 ^ 0xabc));
+    let of_kind = |kind| -> Vec<FeatureId> {
+        let ids = schema.ids_of_kind(kind).into_iter();
+        ids.filter(|f| projection.contains(*f)).collect()
+    };
+    let plan = TransformPlan::preset(
+        &projection,
+        &schema.ids_of_kind(FeatureKind::Sparse),
+        &schema.ids_of_kind(FeatureKind::Dense),
+        3.0,
+        1_000_000,
+    );
+    let dense_ids = of_kind(FeatureKind::Dense);
+    let mut sparse_ids = of_kind(FeatureKind::Sparse);
+    sparse_ids.extend(plan.derived_feature_ids());
+    let batch: Batch = SampleGenerator::new(&schema, 18)
+        .take_samples(512)
+        .into_iter()
+        .map(|mut s| {
+            s.project(|f| projection.contains(f));
+            s
         })
-    });
-    let columnar = ColumnarPlan::try_from_plan(&plan).expect("normalization plan");
-    group.bench_function("columnar_path_batch512", |b| {
-        b.iter(|| {
-            let mut tensor = batch.materialize(&dense_ids, &sparse_ids);
-            columnar.apply(&mut tensor, &dense_ids);
-            black_box(tensor)
-        })
-    });
+        .collect();
+    case("generation", &plan, &batch, &dense_ids, &sparse_ids);
     group.finish();
 }
 

@@ -179,7 +179,9 @@ impl Stages {
         })
     }
 
-    /// Stage 2: extract accounting plus the row-path transform plan.
+    /// Stage 2: extract accounting plus the row-path transform plan (on
+    /// the fast path that is the `Sampling` filter alone; the columnar
+    /// kernels run in [`Worker::load_stage`], on the worker's own thread).
     fn transform(&self, f: Fetched) -> Transformed {
         let span = self.open_span(f.trace, SpanKind::Transform, &f.split);
         // Deliver flushes per split, so the carry is always empty here and

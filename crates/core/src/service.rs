@@ -117,7 +117,9 @@ impl DppSession {
     ///
     /// # Errors
     ///
-    /// Returns [`DsiError::InvalidSpec`] if the selection matches no data.
+    /// Returns [`DsiError::InvalidSpec`] if the selection matches no data
+    /// or the transform plan holds an op no kernel can run
+    /// ([`transforms::TransformPlan::validate`]).
     pub fn launch(table: Table, spec: SessionSpec, workers: usize) -> Result<DppSession> {
         Self::launch_chaos(table, spec, workers, None)
     }
@@ -178,6 +180,7 @@ impl DppSession {
         registry: Option<&dsi_obs::Registry>,
         injector: Option<Arc<FaultInjector>>,
     ) -> Result<DppSession> {
+        spec.plan.validate()?;
         let splits = session_scan(&table, &spec).plan_splits();
         if splits.is_empty() {
             return Err(DsiError::invalid_spec(
@@ -288,6 +291,7 @@ impl DppSession {
         registry: Option<&dsi_obs::Registry>,
         injector: Option<Arc<FaultInjector>>,
     ) -> Result<DppSession> {
+        spec.plan.validate()?;
         let splits = session_scan(&table, &spec).plan_splits();
         let master = Master::restore(master, splits)?;
         let session = Self::assemble(master, spec, table, injector);

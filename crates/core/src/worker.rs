@@ -24,17 +24,18 @@ use transforms::{ColumnarPlan, COLUMNAR_KERNELS};
 use warehouse::{Split, TableScan};
 
 /// The session's transform plan compiled for execution: the row-path
-/// residue plus the columnar tail that runs over materialized tensors in
+/// residue plus the columnar plan that runs over materialized tensors in
 /// the load stage. Splitting happens once per worker (not per split), and
 /// only for fastpath sessions without dedup — dedup's canonical-row reuse
 /// needs the whole plan on the row path, and non-fastpath sessions are the
 /// copying baseline the ablation compares against.
 #[derive(Debug)]
 pub(crate) struct ExecPlan {
-    /// Ops that must see individual [`Sample`]s (feature generation,
-    /// sampling, and anything feeding them).
+    /// What must see individual [`Sample`]s: the whole plan for dedup and
+    /// non-fastpath sessions, otherwise only its `Sampling` ops (the
+    /// batch-level row filter).
     pub row: transforms::TransformPlan,
-    /// Ops vectorized over the materialized tensor's contiguous buffers.
+    /// Every other op, run over the materialized tensor's columns.
     pub columnar: ColumnarPlan,
     /// Per-feature materialization caps aligned with `spec.sparse_ids`
     /// (empty = no caps): the columnar plan's `FirstX` ops pushed all the
@@ -146,8 +147,8 @@ pub struct WorkerReport {
     /// Tensor bytes the shared-row wire encoding avoided shipping.
     pub dedup_tx_saved_bytes: u64,
     /// Wall nanoseconds per columnar transform kernel, indexed by
-    /// [`transforms::COLUMNAR_KERNELS`] slot (all zero when the plan runs
-    /// entirely on the row path).
+    /// [`transforms::COLUMNAR_KERNELS`] slot (all zero for dedup and
+    /// non-fastpath sessions, whose plan runs entirely on the row path).
     pub columnar_kernel_nanos: [u64; COLUMNAR_KERNELS.len()],
 }
 
@@ -423,9 +424,8 @@ impl Worker {
             delta.dedup_reuse_hits = stats.reuse_hits;
             (out, tcost)
         } else {
-            // Columnar-eligible ops were hoisted out of `exec.row`; they
-            // run vectorized over the materialized tensor in the load
-            // stage, so only the residue pays the per-sample path here.
+            // On the fast path `exec.row` only filters rows: every other
+            // op runs over the materialized tensor in the load stage.
             exec.row.apply_batch(batch, base_row)
         };
         delta.transform_cycles = tcost.cycles;

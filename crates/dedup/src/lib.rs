@@ -39,7 +39,7 @@ use dsi_types::{Batch, FeatureId, FeatureValue, MiniBatchTensor, Sample};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use transforms::plan::PlanCost;
-use transforms::{OpClass, OpCost, TransformOp, TransformPlan};
+use transforms::{TransformOp, TransformPlan};
 
 /// Configuration for the deduplication subsystem, threaded through workload
 /// generation (`synth`), ETL (`scribe`), storage (`dwrf`), and the DPP data
@@ -275,20 +275,6 @@ fn cacheable_mask(plan: &TransformPlan, shared: &BTreeSet<FeatureId>) -> Vec<boo
     mask
 }
 
-fn charge(cost: &mut PlanCost, model: &OpCost, op: &TransformOp, s: &Sample) {
-    let elements = op.elements_touched(s);
-    let cycles = model.cycles(op, elements);
-    cost.cycles += cycles;
-    cost.elements += elements;
-    cost.membw_bytes += elements as f64 * model.membw_bytes_per_element;
-    match OpCost::class_of(op) {
-        OpClass::FeatureGeneration => cost.feature_generation_cycles += cycles,
-        OpClass::SparseNormalization => cost.sparse_normalization_cycles += cycles,
-        OpClass::DenseNormalization => cost.dense_normalization_cycles += cycles,
-        OpClass::Filter => {}
-    }
-}
-
 /// Applies `plan` to a batch the way [`TransformPlan::apply_batch`] does —
 /// same sampling filter, same per-row dataset indexing, bit-identical
 /// output — but transforms each DedupSet's canonical copy once and fans
@@ -347,7 +333,7 @@ pub fn apply_batch_dedup(
                         continue;
                     }
                 }
-                charge(&mut cost, &model, op, &s);
+                cost.charge(&model, op, op.elements_touched(&s));
                 op.apply(&mut s);
             }
         } else {
@@ -357,7 +343,7 @@ pub fn apply_batch_dedup(
             mask = cacheable_mask(plan, &shared);
             cache.clear();
             for (k, op) in plan.ops().iter().enumerate() {
-                charge(&mut cost, &model, op, &s);
+                cost.charge(&model, op, op.elements_touched(&s));
                 op.apply(&mut s);
                 cache.push(if mask[k] {
                     op.output_feature().and_then(|f| s.feature(f))

@@ -92,57 +92,7 @@ impl Batch {
         sparse_ids: &[FeatureId],
         caps: &[usize],
     ) -> MiniBatchTensor {
-        assert!(
-            caps.is_empty() || caps.len() == sparse_ids.len(),
-            "caps must align with sparse_ids"
-        );
-        let rows = self.samples.len();
-        // Sorted (feature, slot) indexes: the samples' feature maps iterate
-        // in id order, so each row is one sequential merge-join instead of
-        // one tree descent per column.
-        let mut dense_cols: Vec<(FeatureId, usize)> =
-            dense_ids.iter().enumerate().map(|(c, &f)| (f, c)).collect();
-        dense_cols.sort_unstable();
-        let mut sparse_slots: Vec<(FeatureId, usize)> = sparse_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &f)| (f, i))
-            .collect();
-        sparse_slots.sort_unstable();
-
-        let mut dense = DenseMatrix::zeros(rows, dense_ids.len());
-        let mut sparse: Vec<SparseTensor> =
-            sparse_ids.iter().map(|&id| SparseTensor::new(id)).collect();
-        let empty = SparseList::new();
-        for (r, s) in self.samples.iter().enumerate() {
-            let row = dense.row_mut(r);
-            let mut cols = dense_cols.iter().peekable();
-            for (id, v) in s.dense_iter() {
-                while cols.next_if(|&&(f, _)| f < id).is_some() {}
-                while let Some(&(_, c)) = cols.next_if(|&&(f, _)| f == id) {
-                    row[c] = v;
-                }
-            }
-            let mut slots = sparse_slots.iter().peekable();
-            for (id, list) in s.sparse_iter() {
-                while let Some(&(_, slot)) = slots.next_if(|&&(f, _)| f < id) {
-                    sparse[slot].push_row(&empty);
-                }
-                while let Some(&(_, slot)) = slots.next_if(|&&(f, _)| f == id) {
-                    let cap = caps.get(slot).copied().unwrap_or(usize::MAX);
-                    sparse[slot].push_row_capped(list, cap);
-                }
-            }
-            for &(_, slot) in slots {
-                sparse[slot].push_row(&empty);
-            }
-        }
-        let labels = self.samples.iter().map(Sample::label).collect();
-        MiniBatchTensor {
-            dense,
-            sparse,
-            labels,
-        }
+        MiniBatchTensor::from_samples(&self.samples, dense_ids, sparse_ids, caps)
     }
 }
 
@@ -473,6 +423,118 @@ impl SparseTensor {
         }
     }
 
+    /// The row offsets beside a mutable view of the values, for kernels
+    /// that rewrite each value from its position in its row (columnar
+    /// `Enumerate`).
+    pub fn rows_mut(&mut self) -> (&[u32], &mut [u64]) {
+        (&self.offsets, &mut self.values)
+    }
+
+    /// Rewrites every value through `f`, dropping those it maps to `None`
+    /// together with their scores and closing the gaps in place (columnar
+    /// `MapId`). `scored_rows[r]` says whether row `r` came from a scored
+    /// list (the rest of a scored column holds unit backfills).
+    pub fn filter_map_values<F: FnMut(u64) -> Option<u64>>(
+        &mut self,
+        mut f: F,
+        scored_rows: &[bool],
+    ) {
+        let mut kept = 0;
+        let mut start = 0;
+        for r in 0..self.rows() {
+            let end = self.offsets[r + 1] as usize;
+            for i in start..end {
+                if let Some(mapped) = f(self.values[i]) {
+                    self.values[kept] = mapped;
+                    if self.scored {
+                        self.scores[kept] = self.scores[i];
+                    }
+                    kept += 1;
+                }
+            }
+            start = end;
+            self.offsets[r + 1] = kept as u32;
+        }
+        self.values.truncate(kept);
+        if self.scored {
+            self.scores.truncate(kept);
+        }
+        self.settle_scored(scored_rows.iter().copied());
+    }
+
+    /// Replaces the rows flagged in `written` with the same rows of the
+    /// unscored CSR `(offsets, values)` — a columnar feature generator's
+    /// output, whose rows outside `written` must be empty; every other row
+    /// keeps what it held. A column that held nothing takes the new buffers
+    /// as they are. `scored_rows` is as for
+    /// [`SparseTensor::filter_map_values`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offsets` is not a CSR over this tensor's rows ending at
+    /// `values.len()`.
+    pub fn overwrite_rows(
+        &mut self,
+        offsets: Vec<u32>,
+        values: Vec<u64>,
+        written: &[bool],
+        scored_rows: &[bool],
+    ) {
+        assert_eq!(offsets.len(), self.offsets.len(), "row count mismatch");
+        assert_eq!(written.len(), self.rows(), "one flag per row");
+        assert_eq!(
+            offsets.last().map(|&o| o as usize),
+            Some(values.len()),
+            "offsets must end at nnz"
+        );
+        if self.values.is_empty() {
+            // Nothing to keep: the new CSR is the column, unscored.
+            *self = SparseTensor {
+                offsets,
+                values,
+                ..SparseTensor::new(self.feature)
+            };
+            return;
+        }
+        let mut merged = SparseTensor::new(self.feature);
+        merged.scored = self.scored;
+        merged.offsets.reserve(self.rows());
+        merged.values.reserve(self.values.len() + values.len());
+        for (r, &fresh) in written.iter().enumerate() {
+            let (offs, vals) = if fresh {
+                (&offsets, &values)
+            } else {
+                (&self.offsets, &self.values)
+            };
+            let (start, end) = (offs[r] as usize, offs[r + 1] as usize);
+            merged.values.extend_from_slice(&vals[start..end]);
+            if self.scored && !fresh {
+                merged.scores.extend_from_slice(&self.scores[start..end]);
+            } else if self.scored {
+                merged.scores.resize(merged.values.len(), 1.0);
+            }
+            merged.offsets.push(merged.values.len() as u32);
+        }
+        merged.settle_scored(scored_rows.iter().zip(written).map(|(&s, &w)| s && !w));
+        *self = merged;
+    }
+
+    /// Canonical form once rows were dropped or replaced: a column stays
+    /// scored only while some non-empty row that came from a scored list
+    /// survives (`SparseList` turns an emptied scored list into an unscored
+    /// one, so the row path's tensor would not carry scores either).
+    fn settle_scored(&mut self, scored_rows: impl Iterator<Item = bool>) {
+        let survives = self
+            .offsets
+            .windows(2)
+            .zip(scored_rows)
+            .any(|(w, scored)| scored && w[1] > w[0]);
+        if self.scored && !survives {
+            self.scored = false;
+            self.scores.clear();
+        }
+    }
+
     /// Applies `f` to every score in place (columnar `ComputeScore`); no-op
     /// for unscored tensors.
     pub fn map_scores_in_place<F: FnMut(f32) -> f32>(&mut self, mut f: F) {
@@ -516,6 +578,73 @@ pub struct MiniBatchTensor {
 }
 
 impl MiniBatchTensor {
+    /// Materializes `samples` into tensors: the body of
+    /// [`Batch::materialize_capped`], over a borrowed slice so that the
+    /// columnar transform context can materialize the columns a session
+    /// leaves out of its tensors with the same code.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `caps` is neither empty nor aligned with `sparse_ids`.
+    pub fn from_samples(
+        samples: &[Sample],
+        dense_ids: &[FeatureId],
+        sparse_ids: &[FeatureId],
+        caps: &[usize],
+    ) -> MiniBatchTensor {
+        assert!(
+            caps.is_empty() || caps.len() == sparse_ids.len(),
+            "caps must align with sparse_ids"
+        );
+        let rows = samples.len();
+        // Sorted (feature, slot) indexes: the samples' feature maps iterate
+        // in id order, so each row is one sequential merge-join instead of
+        // one tree descent per column.
+        let mut dense_cols: Vec<(FeatureId, usize)> =
+            dense_ids.iter().enumerate().map(|(c, &f)| (f, c)).collect();
+        dense_cols.sort_unstable();
+        let mut sparse_slots: Vec<(FeatureId, usize)> = sparse_ids
+            .iter()
+            .enumerate()
+            .map(|(i, &f)| (f, i))
+            .collect();
+        sparse_slots.sort_unstable();
+
+        let mut dense = DenseMatrix::zeros(rows, dense_ids.len());
+        let mut sparse: Vec<SparseTensor> =
+            sparse_ids.iter().map(|&id| SparseTensor::new(id)).collect();
+        let empty = SparseList::new();
+        for (r, s) in samples.iter().enumerate() {
+            let row = dense.row_mut(r);
+            let mut cols = dense_cols.iter().peekable();
+            for (id, v) in s.dense_iter() {
+                while cols.next_if(|&&(f, _)| f < id).is_some() {}
+                while let Some(&(_, c)) = cols.next_if(|&&(f, _)| f == id) {
+                    row[c] = v;
+                }
+            }
+            let mut slots = sparse_slots.iter().peekable();
+            for (id, list) in s.sparse_iter() {
+                while let Some(&(_, slot)) = slots.next_if(|&&(f, _)| f < id) {
+                    sparse[slot].push_row(&empty);
+                }
+                while let Some(&(_, slot)) = slots.next_if(|&&(f, _)| f == id) {
+                    let cap = caps.get(slot).copied().unwrap_or(usize::MAX);
+                    sparse[slot].push_row_capped(list, cap);
+                }
+            }
+            for &(_, slot) in slots {
+                sparse[slot].push_row(&empty);
+            }
+        }
+        let labels = samples.iter().map(Sample::label).collect();
+        MiniBatchTensor {
+            dense,
+            sparse,
+            labels,
+        }
+    }
+
     /// Batch size (number of samples).
     pub fn batch_size(&self) -> usize {
         self.labels.len()
@@ -652,6 +781,61 @@ mod tests {
         t.truncate_rows(0);
         assert_eq!(t.rows(), 2);
         assert_eq!(t.nnz(), 0);
+        assert!(t.scores().is_none());
+    }
+
+    #[test]
+    fn overwritten_and_dropped_rows_settle_the_scored_flag() {
+        let scored = |ids: Vec<u64>| {
+            let scores = ids.iter().map(|&i| i as f32).collect();
+            SparseList::from_scored(ids, scores)
+        };
+        let mut t = SparseTensor::new(FeatureId(1));
+        t.push_row(&scored(vec![1, 2]));
+        t.push_row(&SparseList::from_ids(vec![3]));
+        t.push_row(&scored(vec![4]));
+        let from_scored = [true, false, true];
+
+        // A generator writes rows 0 and 1: row 2 keeps its scores, the new
+        // rows get unit backfills.
+        let mut merged = t.clone();
+        merged.overwrite_rows(
+            vec![0, 1, 3, 3],
+            vec![7, 8, 9],
+            &[true, true, false],
+            &from_scored,
+        );
+        assert_eq!(merged.offsets(), &[0, 1, 3, 4]);
+        assert_eq!(merged.values(), &[7, 8, 9, 4]);
+        assert_eq!(merged.scores().unwrap(), &[1.0, 1.0, 1.0, 4.0]);
+        // It writes every row that came from a scored list: no scores left.
+        let mut merged = t.clone();
+        merged.overwrite_rows(
+            vec![0, 1, 1, 1],
+            vec![7],
+            &[true, false, true],
+            &from_scored,
+        );
+        assert_eq!(merged.values(), &[7, 3]);
+        assert!(merged.scores().is_none());
+        // Into an empty column the buffers move as they are.
+        let mut empty = SparseTensor::new(FeatureId(2));
+        empty.push_row(&SparseList::new());
+        empty.push_row(&SparseList::new());
+        empty.overwrite_rows(vec![0, 0, 2], vec![5, 6], &[false, true], &[]);
+        assert_eq!(empty.row(1), &[5, 6]);
+        assert!(empty.scores().is_none());
+
+        // MapId dropping odd ids: row 0 keeps a scored id, rows 1 and 2
+        // empty out.
+        let mut mapped = t.clone();
+        mapped.filter_map_values(|v| (v % 2 == 0).then_some(v * 10), &from_scored);
+        assert_eq!(mapped.offsets(), &[0, 1, 1, 2]);
+        assert_eq!(mapped.values(), &[20, 40]);
+        assert_eq!(mapped.scores().unwrap(), &[2.0, 4.0]);
+        // Dropping every id of the scored rows drops the scores with them.
+        t.filter_map_values(|v| (v == 3).then_some(v), &from_scored);
+        assert_eq!(t.values(), &[3]);
         assert!(t.scores().is_none());
     }
 

@@ -13,8 +13,9 @@
 //! * [`cost`] — the per-op cycle cost model and class shares;
 //! * [`accel`] — the GPU-offload throughput model (§VII: SigridHash 11.9×,
 //!   Bucketize 1.3× GPU/CPU);
-//! * [`columnar`] — vectorized flatmap execution of normalization ops over
-//!   materialized tensors (the TorchArrow/Velox direction).
+//! * [`columnar`] — flatmap execution of every op but `Sampling` over
+//!   materialized tensor columns (the TorchArrow/Velox direction); the
+//!   per-sample [`TransformOp::apply`] is its reference.
 //!
 //! # Example
 //!

@@ -7,7 +7,7 @@
 
 use crate::cost::{OpClass, OpCost};
 use crate::op::TransformOp;
-use dsi_types::{Batch, FeatureId, Projection, Sample};
+use dsi_types::{Batch, DsiError, FeatureId, Projection, Result, Sample};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -32,6 +32,22 @@ pub struct PlanCost {
 }
 
 impl PlanCost {
+    /// Charges `op` for touching `elements` elements under `model`: the one
+    /// place cycles, their class split and memory traffic are accounted,
+    /// for the row path, the columnar path and the dedup executor alike.
+    pub fn charge(&mut self, model: &OpCost, op: &TransformOp, elements: u64) {
+        let cycles = model.cycles(op, elements);
+        self.cycles += cycles;
+        self.elements += elements;
+        self.membw_bytes += elements as f64 * model.membw_bytes_per_element;
+        match OpCost::class_of(op) {
+            OpClass::FeatureGeneration => self.feature_generation_cycles += cycles,
+            OpClass::SparseNormalization => self.sparse_normalization_cycles += cycles,
+            OpClass::DenseNormalization => self.dense_normalization_cycles += cycles,
+            OpClass::Filter => {}
+        }
+    }
+
     /// Fraction of cycles in each class `(feature gen, sparse norm, dense
     /// norm)`.
     pub fn class_shares(&self) -> (f64, f64, f64) {
@@ -88,6 +104,42 @@ impl TransformPlan {
         self.ops.is_empty()
     }
 
+    /// Rejects parameters no kernel can run on: a plan is deserialized and
+    /// shipped Master → Worker, so these are checked once where a session
+    /// is launched and both execution paths rely on them afterwards.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DsiError::InvalidSpec`] naming the first offending op: a
+    /// zero `modulus`, `n` or `num_classes`, a `Sampling` rate outside
+    /// `[0, 1]`, or `Bucketize` borders that are not ascending numbers.
+    pub fn validate(&self) -> Result<()> {
+        for (i, op) in self.ops.iter().enumerate() {
+            let broken = match op {
+                TransformOp::SigridHash { modulus: 0, .. }
+                | TransformOp::PositiveModulus { modulus: 0, .. } => "modulus must be positive",
+                TransformOp::NGram { n: 0, .. } => "n must be at least 1",
+                TransformOp::Onehot { num_classes: 0, .. } => "num_classes must be positive",
+                // A NaN rate is in no range.
+                TransformOp::Sampling { rate, .. } if !(0.0..=1.0).contains(rate) => {
+                    "rate must lie in [0, 1]"
+                }
+                // `w[0] <= w[1]` is false for NaN on either side.
+                TransformOp::Bucketize { borders, .. }
+                    if borders.iter().any(|b| b.is_nan())
+                        || !borders.windows(2).all(|w| w[0] <= w[1]) =>
+                {
+                    "borders must be ascending numbers"
+                }
+                _ => continue,
+            };
+            return Err(DsiError::invalid_spec(format!(
+                "transform op {i} ({op:?}): {broken}"
+            )));
+        }
+        Ok(())
+    }
+
     /// Number of ops that derive new features.
     pub fn derived_feature_count(&self) -> usize {
         self.ops.iter().filter(|o| o.derives_feature()).count()
@@ -104,17 +156,7 @@ impl TransformPlan {
     pub fn apply_sample_with_cost(&self, s: &mut Sample) -> PlanCost {
         let mut cost = PlanCost::default();
         for op in &self.ops {
-            let elements = op.elements_touched(s);
-            let cycles = self.cost_model.cycles(op, elements);
-            cost.cycles += cycles;
-            cost.elements += elements;
-            cost.membw_bytes += elements as f64 * self.cost_model.membw_bytes_per_element;
-            match OpCost::class_of(op) {
-                OpClass::FeatureGeneration => cost.feature_generation_cycles += cycles,
-                OpClass::SparseNormalization => cost.sparse_normalization_cycles += cycles,
-                OpClass::DenseNormalization => cost.dense_normalization_cycles += cycles,
-                OpClass::Filter => {}
-            }
+            cost.charge(&self.cost_model, op, op.elements_touched(s));
             op.apply(s);
         }
         cost

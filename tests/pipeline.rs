@@ -314,6 +314,72 @@ fn worker_loop_depth_changes_neither_tensors_nor_report() {
 }
 
 #[test]
+fn degenerate_plans_fail_launch_not_a_worker_thread() {
+    // A plan arrives deserialized: parameters no kernel can run on must be
+    // an `InvalidSpec` from `launch`, before a worker exists to panic on
+    // `% 0` or `windows(0)`.
+    let table = wire_table(24);
+    let (dense, sparse, out) = (FeatureId(1), FeatureId(2), FeatureId(9));
+    let bucketize = |borders| TransformOp::Bucketize {
+        input: dense,
+        borders,
+        output: out,
+    };
+    let bad_ops = vec![
+        TransformOp::SigridHash {
+            input: sparse,
+            salt: 3,
+            modulus: 0,
+        },
+        TransformOp::PositiveModulus {
+            input: sparse,
+            modulus: 0,
+        },
+        TransformOp::NGram {
+            input: sparse,
+            n: 0,
+            output: out,
+        },
+        TransformOp::Onehot {
+            input: dense,
+            num_classes: 0,
+            output: out,
+        },
+        TransformOp::Sampling {
+            rate: f64::NAN,
+            seed: 1,
+        },
+        TransformOp::Sampling { rate: 1.5, seed: 1 },
+        TransformOp::Sampling {
+            rate: -0.1,
+            seed: 1,
+        },
+        bucketize(vec![0.0, 2.0, 1.0]),
+        bucketize(vec![0.0, f64::NAN]),
+    ];
+    for bad in bad_ops {
+        let mut spec = wire_spec(Transport::InProcess);
+        // Behind a good op: the error names the op's index.
+        spec.plan = TransformPlan::new(vec![spec.plan.ops()[0].clone(), bad.clone()]);
+        match DppSession::launch(table.clone(), spec, 1) {
+            Err(DsiError::InvalidSpec(why)) => {
+                assert!(why.contains("transform op 1"), "{bad:?}: {why}")
+            }
+            other => panic!("{bad:?} launched: {other:?}"),
+        }
+    }
+    // The edges of what is allowed still launch.
+    let mut spec = wire_spec(Transport::InProcess);
+    spec.plan = TransformPlan::new(vec![
+        TransformOp::Sampling { rate: 1.0, seed: 1 },
+        TransformOp::Sampling { rate: 0.0, seed: 1 },
+        bucketize(vec![]),
+        bucketize(vec![1.0, 1.0]),
+    ]);
+    DppSession::launch(table, spec, 1).unwrap().shutdown();
+}
+
+#[test]
 fn tcp_transport_multiworker_encrypted_exactly_once() {
     let table = wire_table(22);
     let session = DppSession::launch(

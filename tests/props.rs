@@ -41,65 +41,132 @@ fn arb_sample() -> impl Strategy<Value = Sample> {
         })
 }
 
+/// Features the random plans and [`arb_hot_sample`] agree to crowd onto, so
+/// that a dozen random ops chain, collide and find their inputs present
+/// often enough for 64 cases to reach every kernel: two dense columns, one
+/// materialized (3) and one not (38); stored sparse columns unscored (44,
+/// 45, 59) and scored (60, 75), 75 outside the materialized set; and
+/// derived columns materialized (81, 82) or not (88).
+const HOT: [u64; 10] = [3, 38, 44, 45, 59, 60, 75, 81, 82, 88];
+
+/// A feature of `range`: two draws in three land on one of [`HOT`].
+fn arb_feature(range: std::ops::Range<u64>) -> impl Strategy<Value = FeatureId> {
+    let hot: Vec<u64> = HOT.into_iter().filter(|f| range.contains(f)).collect();
+    (range, 0..3 * hot.len().max(1)).prop_map(move |(uniform, pick)| {
+        let crowded = hot
+            .get(pick % hot.len().max(1))
+            .filter(|_| pick < 2 * hot.len());
+        FeatureId(crowded.copied().unwrap_or(uniform))
+    })
+}
+
+/// [`arb_sample`] with each stored [`HOT`] feature set in two rows of three.
+fn arb_hot_sample() -> impl Strategy<Value = Sample> {
+    (
+        arb_sample(),
+        proptest::collection::vec((0usize..3, -2.0f32..2.0), 2..3),
+        proptest::collection::vec((0usize..3, arb_unscored_list()), 3..4),
+        proptest::collection::vec((0usize..3, arb_scored_list()), 2..3),
+    )
+        .prop_map(|(mut s, dense, unscored, scored)| {
+            for (&id, (skip, v)) in [3, 38].iter().zip(dense) {
+                if skip != 0 {
+                    s.set_dense(FeatureId(id), v);
+                }
+            }
+            let stored = [44, 45, 59, 60, 75];
+            for (&id, (skip, l)) in stored.iter().zip(unscored.into_iter().chain(scored)) {
+                if skip != 0 {
+                    s.set_sparse(FeatureId(id), l);
+                }
+            }
+            s
+        })
+}
+
+/// Where a random generator op writes: the derived range 80..90 three times
+/// in four (few hot ids, so outputs collide and chain), else on top of a
+/// stored column, unscored (58, 59) or scored (60, 61).
+fn arb_output() -> impl Strategy<Value = FeatureId> {
+    prop_oneof![
+        arb_feature(80..90),
+        arb_feature(80..90),
+        arb_feature(80..90),
+        arb_feature(58..62)
+    ]
+}
+
 /// Random transform ops over the [`arb_sample`] feature id space: sparse
-/// normalization on 40..80, dense normalization on 0..40, generation ops
-/// deriving into 80..90 (forcing a row-path residue), and sampling.
+/// normalization on 40..90 (stored and derived columns alike), dense
+/// normalization on 0..40, generation ops deriving into [`arb_output`]
+/// from stored columns the test materializes (40..72) or not (72..80) and
+/// from earlier generators' outputs (80..90), and sampling (the row-path
+/// residue).
 fn arb_plan_op() -> impl Strategy<Value = TransformOp> {
     prop_oneof![
-        (40u64..80, any::<u64>(), 1u64..100_000).prop_map(|(f, salt, modulus)| {
+        (arb_feature(40..90), any::<u64>(), 1u64..100_000).prop_map(|(input, salt, modulus)| {
             TransformOp::SigridHash {
-                input: FeatureId(f),
+                input,
                 salt,
                 modulus,
             }
         }),
-        (40u64..80, 1u64..1_000).prop_map(|(f, modulus)| TransformOp::PositiveModulus {
-            input: FeatureId(f),
-            modulus,
-        }),
-        (40u64..80, 0usize..15).prop_map(|(f, x)| TransformOp::FirstX {
-            input: FeatureId(f),
-            x,
-        }),
-        (60u64..80, -2.0f32..2.0, -1.0f32..1.0).prop_map(|(f, scale, offset)| {
+        (arb_feature(40..90), 1u64..1_000)
+            .prop_map(|(input, modulus)| TransformOp::PositiveModulus { input, modulus }),
+        (arb_feature(40..90), 0usize..15).prop_map(|(input, x)| TransformOp::FirstX { input, x }),
+        // Twice more, small: where a cap may hoist to is the subtle part.
+        (arb_feature(40..90), 0usize..4).prop_map(|(input, x)| TransformOp::FirstX { input, x }),
+        (arb_feature(40..90), 0usize..4).prop_map(|(input, x)| TransformOp::FirstX { input, x }),
+        (arb_feature(58..90), -2.0f32..2.0, -1.0f32..1.0).prop_map(|(input, scale, offset)| {
             TransformOp::ComputeScore {
-                input: FeatureId(f),
+                input,
                 scale,
                 offset,
             }
         }),
-        (0u64..40, -10.0f32..0.0, 0.0f32..10.0).prop_map(|(f, min, max)| TransformOp::Clamp {
-            input: FeatureId(f),
-            min,
-            max,
-        }),
-        (0u64..40).prop_map(|f| TransformOp::Logit {
-            input: FeatureId(f)
-        }),
-        (0u64..40, 0.1f64..3.0).prop_map(|(f, lambda)| TransformOp::BoxCox {
-            input: FeatureId(f),
-            lambda,
-        }),
-        (0u64..40, -43_200i32..43_200).prop_map(|(f, tz_offset_secs)| {
+        arb_feature(40..90).prop_map(|input| TransformOp::Enumerate { input }),
+        // Ids are arbitrary u64s, so an explicit mapping rarely hits: with
+        // a default every id survives, without one nearly every id drops —
+        // except after a PositiveModulus / Bucketize / Onehot, whose small
+        // ids the mapping's keys do reach.
+        (
+            prop_oneof![arb_feature(58..90), arb_feature(60..80)],
+            proptest::collection::btree_map(0u64..8, any::<u64>(), 0..6),
+            prop_oneof![Just(None), any::<u64>().prop_map(Some)],
+        )
+            .prop_map(|(input, mapping, default)| TransformOp::MapId {
+                input,
+                mapping,
+                default,
+            }),
+        (arb_feature(0..40), -10.0f32..0.0, 0.0f32..10.0)
+            .prop_map(|(input, min, max)| TransformOp::Clamp { input, min, max }),
+        arb_feature(0..40).prop_map(|input| TransformOp::Logit { input }),
+        (arb_feature(0..40), 0.1f64..3.0)
+            .prop_map(|(input, lambda)| TransformOp::BoxCox { input, lambda }),
+        (arb_feature(0..40), -43_200i32..43_200).prop_map(|(input, tz_offset_secs)| {
             TransformOp::GetLocalHour {
-                input: FeatureId(f),
+                input,
                 tz_offset_secs,
             }
         }),
-        (40u64..60, 40u64..60, 80u64..90).prop_map(|(a, b, output)| TransformOp::Cartesian {
-            a: FeatureId(a),
-            b: FeatureId(b),
-            output: FeatureId(output),
-        }),
-        (40u64..60, 1usize..4, 80u64..90).prop_map(|(f, n, output)| TransformOp::NGram {
-            input: FeatureId(f),
-            n,
-            output: FeatureId(output),
-        }),
-        (0u64..40, 80u64..90).prop_map(|(f, output)| TransformOp::Bucketize {
-            input: FeatureId(f),
+        (arb_feature(40..90), arb_feature(40..90), arb_output())
+            .prop_map(|(a, b, output)| TransformOp::Cartesian { a, b, output }),
+        (arb_feature(40..90), arb_feature(40..90), arb_output())
+            .prop_map(|(a, b, output)| TransformOp::IdListTransform { a, b, output }),
+        (arb_feature(40..90), 1usize..4, arb_output())
+            .prop_map(|(input, n, output)| TransformOp::NGram { input, n, output }),
+        (arb_feature(0..40), arb_output()).prop_map(|(input, output)| TransformOp::Bucketize {
+            input,
             borders: vec![-0.5, 0.0, 0.5],
-            output: FeatureId(output),
+            output,
+        }),
+        (arb_feature(0..40), 1u32..6, arb_output()).prop_map(|(input, num_classes, output)| {
+            TransformOp::Onehot {
+                input,
+                num_classes,
+                output,
+            }
         }),
         (0.3f64..1.0, any::<u64>()).prop_map(|(rate, seed)| TransformOp::Sampling { rate, seed }),
     ]
@@ -787,9 +854,11 @@ proptest! {
             plan.apply_sample(s);
         }
         let row = row_batch.materialize(&dense_ids, &sparse_ids);
-        let columnar = ColumnarPlan::try_from_plan(&plan).expect("normalization plan");
+        let (residue, columnar) = ColumnarPlan::split_plan(&plan);
+        prop_assert!(residue.is_empty());
+        let ctx = columnar.capture_ctx(batch.samples(), &dense_ids, &sparse_ids);
         let mut col = batch.materialize(&dense_ids, &sparse_ids);
-        columnar.apply(&mut col, &dense_ids);
+        columnar.apply_with_cost(&mut col, &dense_ids, &ctx, plan.cost_model());
         prop_assert_eq!(row, col);
     }
 
@@ -934,24 +1003,60 @@ proptest! {
     }
 
     #[test]
+    fn tectonic_read_returns_written_bytes(
+        len in 1usize..20_000,
+        reads in proptest::collection::vec((0.0f64..1.0, 1usize..512), 1..10),
+    ) {
+        let data: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+        let cluster = TectonicCluster::new(ClusterConfig {
+            nodes: 5,
+            block_size: 700,
+            replication: 3,
+            hdd: true,
+        });
+        cluster.append("f", Bytes::from(data.clone())).expect("capacity available");
+        for (frac, rlen) in reads {
+            let off = (frac * len as f64) as usize;
+            let rlen = rlen.min(len - off.min(len));
+            if rlen == 0 { continue; }
+            let got = cluster.read("f", off as u64, rlen as u64).expect("in-range read");
+            prop_assert_eq!(&got[..], &data[off..off + rlen]);
+        }
+    }
+}
+
+proptest! {
+    // Its own block: cases here are cheap (a few dozen rows through a dozen
+    // ops), and it takes a few hundred for the rarer pairings — a FirstX
+    // landing on either side of a reader or a MapId of the same column, an
+    // intersection longer than the cap it is born with — to come up.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
     fn split_plan_columnar_equals_row_path_over_random_plans(
-        samples in proptest::collection::vec(arb_sample(), 1..24),
-        ops in proptest::collection::vec(arb_plan_op(), 0..12),
+        samples in proptest::collection::vec(arb_hot_sample(), 1..24),
+        ops in proptest::collection::vec(arb_plan_op(), 0..16),
         base_row in 0u64..1_000_000,
     ) {
         use dsi_types::Batch;
         use transforms::ColumnarPlan;
         let plan = TransformPlan::new(ops);
-        let dense_ids: Vec<FeatureId> = (0..40).map(FeatureId).collect();
-        // Materialize only part of the sparse id space: ops on 72..80 hit
-        // the shadow-length accounting path (cost without tensor data).
-        let sparse_ids: Vec<FeatureId> = (40..72).map(FeatureId).collect();
+        // Materialize only part of each id space: dense 36..40, stored
+        // sparse 72..80 and derived 86..90 stay out of the tensor, so an
+        // op that reads one works on a scratch column and an output
+        // nothing reads is charged without being computed.
+        let dense_ids: Vec<FeatureId> = (0..36).map(FeatureId).collect();
+        let sparse_ids: Vec<FeatureId> = (40..72).chain(80..86).map(FeatureId).collect();
         let batch: Batch = samples.into_iter().collect();
 
         let (full_out, full_cost) = plan.apply_batch(batch.clone(), base_row);
         let row_tensor = full_out.materialize(&dense_ids, &sparse_ids);
 
         let (residue, columnar) = ColumnarPlan::split_plan(&plan);
+        prop_assert!(
+            residue.ops().iter().all(|op| matches!(op, TransformOp::Sampling { .. })),
+            "only the batch-level filter stays on the row path"
+        );
         let (half_out, half_cost) = residue.apply_batch(batch, base_row);
         let ctx = columnar.capture_ctx(half_out.samples(), &dense_ids, &sparse_ids);
         let mut col_tensor = half_out.materialize(&dense_ids, &sparse_ids);
@@ -1005,27 +1110,5 @@ proptest! {
             applied.cost.cycles,
             capped.cost.cycles
         );
-    }
-
-    #[test]
-    fn tectonic_read_returns_written_bytes(
-        len in 1usize..20_000,
-        reads in proptest::collection::vec((0.0f64..1.0, 1usize..512), 1..10),
-    ) {
-        let data: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
-        let cluster = TectonicCluster::new(ClusterConfig {
-            nodes: 5,
-            block_size: 700,
-            replication: 3,
-            hdd: true,
-        });
-        cluster.append("f", Bytes::from(data.clone())).expect("capacity available");
-        for (frac, rlen) in reads {
-            let off = (frac * len as f64) as usize;
-            let rlen = rlen.min(len - off.min(len));
-            if rlen == 0 { continue; }
-            let got = cluster.read("f", off as u64, rlen as u64).expect("in-range read");
-            prop_assert_eq!(&got[..], &data[off..off + rlen]);
-        }
     }
 }
