@@ -19,6 +19,7 @@
 use crate::report::{f, pct, print_table};
 use crate::{durability, LabConfig, RmLab};
 use dpp::{ExtractCostModel, WorkerReport};
+use dsi_tune::{run_scenario, Scenario};
 use dsi_types::{ByteSize, Projection};
 use dwrf::{CoalescePolicy, WriterOptions};
 use hwsim::{DatacenterTax, NodeSpec, PowerModel, ResourceVector};
@@ -26,7 +27,7 @@ use synth::{
     GrowthModel, JobProjectionSampler, LifecycleModel, LifecycleSnapshot, RmClass, RmProfile,
 };
 use tectonic::{ProvisionPlan, StorageNodeClass, TieredPlacement};
-use trainer::{loading_sweep, onhost_baseline, GpuDemand, StallSim};
+use trainer::{loading_sweep, onhost_baseline, GpuDemand};
 use transforms::{AccelModel, TransformOp, TransformPlan};
 
 /// One experiment: its id on the command line and the function that prints
@@ -552,9 +553,11 @@ fn table7() {
     let node = NodeSpec::trainer();
     let tax = DatacenterTax::production();
     let onhost = onhost_baseline(&node, &tax, &preproc, storage_rx, &demand);
-    // The stall fraction also falls out of the virtual-time trainer sim.
-    let sim = StallSim::from_rates(onhost.supply_qps / 128.0, onhost.demand_qps / 128.0, 8)
-        .run(20_000, 7);
+    // The stall fraction also falls out of the virtual-time kernel: the
+    // host as a one-worker fleet that cannot grow.
+    let mut host = Scenario::single_stage("onhost", onhost.demand_qps, onhost.supply_qps, 128);
+    host.bounds = host.bounds.freeze(0, 1);
+    let sim = run_scenario(&host, &mut host.static_policy());
     let rows = vec![
         vec![
             "measured".into(),
@@ -1313,7 +1316,6 @@ fn durability_ablation(smoke: bool) {
 /// Autoscaler trace: a virtual-time DPP session converging onto RM1's
 /// trainer demand from one worker (the §III-B1 controller in action).
 fn fleet() {
-    use dsi_tune::{run_scenario, Scenario};
     let (lab, projection, report) = measure(RmClass::Rm1);
     let scale = feature_scale(&lab, &projection);
     let tax = DatacenterTax::production();
@@ -1322,30 +1324,12 @@ fn fleet() {
     let tensor_bytes = report.transform_tx_bytes as f64 / report.samples as f64 * scale;
     let demand_qps = lab.profile.trainer_node_demand / tensor_bytes;
     // One stage at the measured per-worker rate and no knob but the
-    // worker count: 256-sample batches, 8-batch worker buffers, 10-second
-    // controller ticks.
+    // worker count, 256-sample batches.
     let scenario = Scenario {
-        name: "rm1-trainer-node",
-        demand_qps,
-        extract_qps: per_worker_qps,
-        fetch_duty: 0.0,
-        transform_qps: f64::INFINITY,
-        load_per_sample: 0.0,
-        batch_overhead: 0.0,
-        buffer_batches: 8.0,
-        bounds: dpp::KnobBounds {
-            batch_size: (256, 256),
-            ..Default::default()
-        },
-        initial: dpp::Knobs {
-            batch_size: 256,
-            ..Default::default()
-        },
-        tick_secs: 10.0,
         duration_secs: 1_800.0,
-        ..Scenario::extract_bound()
+        ..Scenario::single_stage("rm1-trainer-node", demand_qps, per_worker_qps, 256)
     };
-    let trace = run_scenario(&scenario, &mut dpp::AutoScaler::default());
+    let trace = run_scenario(&scenario, &mut scenario.static_policy());
     let rows: Vec<Vec<String>> = trace
         .points
         .iter()
@@ -1435,8 +1419,6 @@ fn scaled_demand(report: &WorkerReport, tax: &DatacenterTax, scale: f64) -> Reso
 /// converge (sliding-window stall under the 2% target) and steady-state
 /// stall (mean of the final third).
 fn autotune_ablation(smoke: bool) {
-    use dsi_tune::{run_scenario, Scenario};
-
     let mut rows = Vec::new();
     for s in Scenario::all() {
         let s = if smoke { s.smoke() } else { s };

@@ -5,28 +5,14 @@
 //! computes how many Workers to launch or drain, targeting a non-zero
 //! buffered-tensor count (trainer demand met — no data stalls) at maximal
 //! utilization (no over-provisioning) — §III-B1.
+//!
+//! [`AutoScaler`] is that rule as a [`TunerPolicy`]: it reads the two
+//! fleet means and the live worker count out of [`TunerSignals`] and
+//! moves only the worker axis. It is the baseline every joint-tuning
+//! comparison (`figures autotune`, `figures fleet`) runs against.
 
+use crate::tuning::{KnobBounds, Knobs, TunerPolicy, TunerSignals};
 use serde::{Deserialize, Serialize};
-
-/// One worker's telemetry sample for a controller tick.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct WorkerTelemetry {
-    /// Tensors currently buffered at the worker.
-    pub buffered_batches: usize,
-    /// The worker's most-utilized resource, as a fraction of capacity.
-    pub max_utilization: f64,
-}
-
-/// A scaling decision for one tick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ScalingDecision {
-    /// Launch this many additional workers.
-    ScaleUp(usize),
-    /// Drain this many workers.
-    ScaleDown(usize),
-    /// Stay put.
-    Hold,
-}
 
 /// Controller configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -87,86 +73,6 @@ impl AutoScaler {
             down_streak: 0,
         }
     }
-
-    /// The controller's configuration.
-    pub fn config(&self) -> &ScalerConfig {
-        &self.config
-    }
-
-    /// Evaluates one tick of telemetry and returns a decision.
-    ///
-    /// An empty fleet always scales up — to `min_workers`, or to a single
-    /// worker when `min_workers` is 0 (a fleet with zero workers can never
-    /// make progress, and every later watermark is undefined over it).
-    pub fn evaluate(&mut self, telemetry: &[WorkerTelemetry]) -> ScalingDecision {
-        let n = telemetry.len();
-        if n == 0 {
-            // Handled explicitly: the mean-buffered / mean-utilization
-            // divisions below would be 0/0 = NaN, which compares false
-            // against every watermark and froze a dead fleet at Hold.
-            self.down_streak = 0;
-            let target = self.config.min_workers.max(1).min(self.config.max_workers);
-            return if target == 0 {
-                ScalingDecision::Hold // max_workers == 0: scaling is off
-            } else {
-                ScalingDecision::ScaleUp(target)
-            };
-        }
-        if n < self.config.min_workers {
-            self.down_streak = 0;
-            return ScalingDecision::ScaleUp(self.config.min_workers - n);
-        }
-        let mean_buffered = telemetry
-            .iter()
-            .map(|t| t.buffered_batches as f64)
-            .sum::<f64>()
-            / n as f64;
-        let mean_util = telemetry.iter().map(|t| t.max_utilization).sum::<f64>() / n as f64;
-        let step = ((n as f64 * self.config.step_fraction).ceil() as usize).max(1);
-
-        if mean_buffered < self.config.low_buffer_watermark {
-            // Buffers draining: trainers are outpacing workers — the
-            // data-stall precursor. Scale out.
-            self.down_streak = 0;
-            let headroom = self.config.max_workers - n;
-            return if headroom == 0 {
-                ScalingDecision::Hold
-            } else {
-                ScalingDecision::ScaleUp(step.min(headroom))
-            };
-        }
-        if mean_buffered > self.config.high_buffer_watermark
-            && mean_util < self.config.scale_down_utilization
-        {
-            // Buffers full and workers idle: over-provisioned. Require two
-            // consecutive ticks before draining (hysteresis). The streak
-            // stays armed while the condition persists, so sustained
-            // idleness drains every tick — resetting here made a
-            // persistently idle fleet drain only on alternating ticks
-            // (Hold/Down/Hold/Down), halving convergence.
-            self.down_streak += 1;
-            if self.down_streak >= 2 {
-                let removable = n - self.config.min_workers;
-                return if removable == 0 {
-                    ScalingDecision::Hold
-                } else {
-                    ScalingDecision::ScaleDown(step.min(removable))
-                };
-            }
-            return ScalingDecision::Hold;
-        }
-        self.down_streak = 0;
-        ScalingDecision::Hold
-    }
-
-    /// Convenience: applies a decision to a worker count.
-    pub fn apply(decision: ScalingDecision, workers: usize) -> usize {
-        match decision {
-            ScalingDecision::ScaleUp(k) => workers + k,
-            ScalingDecision::ScaleDown(k) => workers.saturating_sub(k),
-            ScalingDecision::Hold => workers,
-        }
-    }
 }
 
 impl Default for AutoScaler {
@@ -175,24 +81,93 @@ impl Default for AutoScaler {
     }
 }
 
+impl TunerPolicy for AutoScaler {
+    fn name(&self) -> &'static str {
+        "static-watermark"
+    }
+
+    fn bounds(&self) -> KnobBounds {
+        KnobBounds {
+            workers: (self.config.min_workers, self.config.max_workers),
+            ..KnobBounds::default()
+        }
+    }
+
+    /// One tick of the watermark rule over the *observed* fleet: the
+    /// worker count it returns is `signals.live_workers` plus or minus one
+    /// step (or unchanged), whatever `current.workers` last asked for.
+    /// Every other knob passes through.
+    ///
+    /// An empty fleet always scales up — to `min_workers`, or to a single
+    /// worker when `min_workers` is 0 (a fleet with zero workers can never
+    /// make progress, and every later watermark is undefined over it).
+    fn decide(&mut self, signals: &TunerSignals, current: &Knobs) -> Knobs {
+        let cfg = self.config;
+        let n = signals.live_workers;
+        let step = ((n as f64 * cfg.step_fraction).ceil() as usize).max(1);
+        let over_provisioned = signals.mean_buffered > cfg.high_buffer_watermark
+            && signals.mean_utilization < cfg.scale_down_utilization;
+        let workers = if n < cfg.min_workers.max(1) {
+            // Handled before the watermarks: the means over an empty fleet
+            // carry no signal. `max_workers == 0` means scaling is off.
+            self.down_streak = 0;
+            cfg.min_workers.max(1).min(cfg.max_workers)
+        } else if signals.mean_buffered < cfg.low_buffer_watermark {
+            // Buffers draining: trainers are outpacing workers — the
+            // data-stall precursor. Scale out.
+            self.down_streak = 0;
+            n + step.min(cfg.max_workers.saturating_sub(n))
+        } else if over_provisioned {
+            // Buffers full and workers idle: over-provisioned. Require two
+            // consecutive ticks before draining (hysteresis). The streak
+            // stays armed while the condition persists, so sustained
+            // idleness drains every tick — resetting here made a
+            // persistently idle fleet drain only on alternating ticks
+            // (Hold/Down/Hold/Down), halving convergence.
+            self.down_streak += 1;
+            if self.down_streak >= 2 {
+                n - step.min(n - cfg.min_workers)
+            } else {
+                n
+            }
+        } else {
+            self.down_streak = 0;
+            n
+        };
+        Knobs {
+            workers,
+            ..*current
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn telemetry(n: usize, buffered: usize, util: f64) -> Vec<WorkerTelemetry> {
-        vec![
-            WorkerTelemetry {
-                buffered_batches: buffered,
-                max_utilization: util,
-            };
-            n
-        ]
+    fn signals(n: usize, buffered: f64, util: f64) -> TunerSignals {
+        TunerSignals {
+            mean_buffered: buffered,
+            mean_utilization: util,
+            live_workers: n,
+            ..TunerSignals::default()
+        }
+    }
+
+    /// One tick over a fleet of `n` workers that was also last asked for
+    /// `n`; returns the worker count the rule wants next.
+    fn tick(s: &mut AutoScaler, n: usize, buffered: f64, util: f64) -> usize {
+        let current = Knobs {
+            workers: n,
+            ..Knobs::default()
+        };
+        s.decide(&signals(n, buffered, util), &current).workers
     }
 
     #[test]
     fn empty_fleet_scales_to_minimum() {
         let mut s = AutoScaler::default();
-        assert_eq!(s.evaluate(&[]), ScalingDecision::ScaleUp(1));
+        assert_eq!(tick(&mut s, 0, 0.0, 0.0), 1);
     }
 
     #[test]
@@ -205,23 +180,31 @@ mod tests {
             min_workers: 0,
             ..Default::default()
         });
-        assert_eq!(s.evaluate(&[]), ScalingDecision::ScaleUp(1));
+        assert_eq!(tick(&mut s, 0, 0.0, 0.0), 1);
 
-        // A scaler whose max is also 0 has scaling disabled: Hold, not a
-        // ScaleUp the session could never honor.
+        // A scaler whose max is also 0 has scaling disabled: hold at zero,
+        // not a scale-up the session could never honor.
         let mut off = AutoScaler::new(ScalerConfig {
             min_workers: 0,
             max_workers: 0,
             ..Default::default()
         });
-        assert_eq!(off.evaluate(&[]), ScalingDecision::Hold);
+        assert_eq!(tick(&mut off, 0, 0.0, 0.0), 0);
+    }
+
+    #[test]
+    fn fleet_under_the_floor_is_raised_to_it() {
+        let mut s = AutoScaler::new(ScalerConfig {
+            min_workers: 4,
+            ..Default::default()
+        });
+        assert_eq!(tick(&mut s, 2, 3.0, 0.5), 4);
     }
 
     #[test]
     fn draining_buffers_scale_up() {
         let mut s = AutoScaler::default();
-        let d = s.evaluate(&telemetry(8, 0, 0.95));
-        assert_eq!(d, ScalingDecision::ScaleUp(2)); // 25% of 8
+        assert_eq!(tick(&mut s, 8, 0.0, 0.95), 10); // 25% of 8
     }
 
     #[test]
@@ -230,56 +213,48 @@ mod tests {
             max_workers: 9,
             ..Default::default()
         });
-        assert_eq!(
-            s.evaluate(&telemetry(8, 0, 0.9)),
-            ScalingDecision::ScaleUp(1)
-        );
-        assert_eq!(s.evaluate(&telemetry(9, 0, 0.9)), ScalingDecision::Hold);
+        assert_eq!(tick(&mut s, 8, 0.0, 0.9), 9);
+        assert_eq!(tick(&mut s, 9, 0.0, 0.9), 9);
     }
 
     #[test]
     fn idle_full_buffers_scale_down_with_hysteresis() {
         let mut s = AutoScaler::default();
-        let t = telemetry(8, 10, 0.2);
-        assert_eq!(s.evaluate(&t), ScalingDecision::Hold); // first tick
-        assert_eq!(s.evaluate(&t), ScalingDecision::ScaleDown(2));
+        assert_eq!(tick(&mut s, 8, 10.0, 0.2), 8); // first tick
+        assert_eq!(tick(&mut s, 8, 10.0, 0.2), 6);
         // The over-provision condition still holds, so the streak stays
         // armed and draining continues tick over tick.
-        assert_eq!(s.evaluate(&t), ScalingDecision::ScaleDown(2));
+        assert_eq!(tick(&mut s, 8, 10.0, 0.2), 6);
     }
 
     #[test]
     fn sustained_idleness_drains_every_tick() {
         // Regression: the scaler used to reset its hysteresis streak after
-        // each ScaleDown, so a persistently idle fleet drained on
+        // each scale-down, so a persistently idle fleet drained on
         // alternating ticks only (Hold/Down/Hold/Down). After the initial
         // two-tick hysteresis, every subsequent idle tick must drain.
         let mut s = AutoScaler::default();
         let mut workers = 16usize;
-        let d = s.evaluate(&telemetry(workers, 10, 0.1));
-        assert_eq!(d, ScalingDecision::Hold); // hysteresis tick
-        for tick in 0..7 {
-            let d = s.evaluate(&telemetry(workers, 10, 0.1));
+        assert_eq!(tick(&mut s, workers, 10.0, 0.1), 16); // hysteresis tick
+        for t in 0..7 {
+            let next = tick(&mut s, workers, 10.0, 0.1);
             assert!(
-                matches!(d, ScalingDecision::ScaleDown(_)),
-                "tick {tick} after hysteresis should drain, got {d:?}"
+                next < workers,
+                "tick {t} after hysteresis should drain, got {workers} -> {next}"
             );
-            workers = AutoScaler::apply(d, workers);
+            workers = next;
         }
         assert_eq!(workers, 1, "seven drain ticks from 16 reach min_workers");
-        // At the floor the decision degrades to Hold, never below min.
-        assert_eq!(
-            s.evaluate(&telemetry(workers, 10, 0.1)),
-            ScalingDecision::Hold
-        );
+        // At the floor the rule holds, never below min.
+        assert_eq!(tick(&mut s, workers, 10.0, 0.1), 1);
     }
 
     #[test]
     fn busy_workers_are_not_drained() {
         let mut s = AutoScaler::default();
-        let t = telemetry(8, 10, 0.9); // full buffers but highly utilized
-        assert_eq!(s.evaluate(&t), ScalingDecision::Hold);
-        assert_eq!(s.evaluate(&t), ScalingDecision::Hold);
+        // Full buffers but highly utilized.
+        assert_eq!(tick(&mut s, 8, 10.0, 0.9), 8);
+        assert_eq!(tick(&mut s, 8, 10.0, 0.9), 8);
     }
 
     #[test]
@@ -288,24 +263,16 @@ mod tests {
             min_workers: 4,
             ..Default::default()
         });
-        let t = telemetry(4, 10, 0.1);
-        s.evaluate(&t);
-        assert_eq!(s.evaluate(&t), ScalingDecision::Hold);
+        tick(&mut s, 4, 10.0, 0.1);
+        assert_eq!(tick(&mut s, 4, 10.0, 0.1), 4);
     }
 
     #[test]
     fn steady_state_holds() {
         let mut s = AutoScaler::default();
         // Buffers healthy (between watermarks): hold regardless of util.
-        assert_eq!(s.evaluate(&telemetry(8, 3, 0.8)), ScalingDecision::Hold);
-        assert_eq!(s.evaluate(&telemetry(8, 3, 0.2)), ScalingDecision::Hold);
-    }
-
-    #[test]
-    fn apply_arithmetic() {
-        assert_eq!(AutoScaler::apply(ScalingDecision::ScaleUp(2), 3), 5);
-        assert_eq!(AutoScaler::apply(ScalingDecision::ScaleDown(2), 3), 1);
-        assert_eq!(AutoScaler::apply(ScalingDecision::Hold, 3), 3);
+        assert_eq!(tick(&mut s, 8, 3.0, 0.8), 8);
+        assert_eq!(tick(&mut s, 8, 3.0, 0.2), 8);
     }
 
     #[test]
@@ -325,19 +292,64 @@ mod tests {
         let mut s = AutoScaler::default();
         let mut workers = 1usize;
         for _ in 0..10 {
-            let d = s.evaluate(&telemetry(workers, 0, 0.9));
-            workers = AutoScaler::apply(d, workers);
+            workers = tick(&mut s, workers, 0.0, 0.9);
         }
         assert!(workers > 4, "should have grown, got {workers}");
         let grown = workers;
         for _ in 0..20 {
-            let d = s.evaluate(&telemetry(workers, 10, 0.1));
-            workers = AutoScaler::apply(d, workers);
+            workers = tick(&mut s, workers, 10.0, 0.1);
         }
         assert!(
             workers < grown,
             "should have shrunk from {grown}, got {workers}"
         );
         assert!(workers >= 1);
+    }
+
+    #[test]
+    fn moves_only_the_worker_axis_and_counts_from_the_live_fleet() {
+        let mut policy = AutoScaler::default();
+        let current = Knobs {
+            workers: 8,
+            read_ahead: 2,
+            batch_size: 64,
+            parallelism: 2,
+        };
+        // Starved buffers: scale out by one step, everything else fixed.
+        let next = policy.decide(&signals(8, 0.0, 0.9), &current);
+        assert_eq!(
+            next,
+            Knobs {
+                workers: 10,
+                ..current
+            }
+        );
+        // Two of the eight asked for are gone: the step is taken from the
+        // six that are live, not from the stale wish.
+        let next = policy.decide(&signals(6, 0.0, 0.9), &current);
+        assert_eq!(next.workers, 8);
+    }
+
+    #[test]
+    fn drains_every_tick_once_armed() {
+        let mut policy = AutoScaler::default();
+        assert_eq!(tick(&mut policy, 8, 10.0, 0.1), 8); // hysteresis tick
+        assert_eq!(tick(&mut policy, 8, 10.0, 0.1), 6);
+        assert_eq!(
+            tick(&mut policy, 6, 10.0, 0.1),
+            4,
+            "drain continues without a Hold gap"
+        );
+    }
+
+    #[test]
+    fn reports_worker_bounds() {
+        let policy = AutoScaler::new(ScalerConfig {
+            min_workers: 2,
+            max_workers: 32,
+            ..Default::default()
+        });
+        assert_eq!(policy.bounds().workers, (2, 32));
+        assert_eq!(policy.name(), "static-watermark");
     }
 }

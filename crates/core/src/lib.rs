@@ -12,8 +12,11 @@
 //!   submits): dataset selection, transforms, batching;
 //! * [`master`] — the DPP Master: split distribution, progress tracking,
 //!   checkpointing, worker health, and replicated-failover state;
-//! * [`autoscale`] — the Master's auto-scaling controller, driven by worker
+//! * [`autoscale`] — the Master's auto-scaling rule, driven by worker
 //!   utilization and the buffered-tensor signal;
+//! * [`tuning`] — the knob surface every scaling policy shares and
+//!   [`LiveTuner`], the one control tick that applies a policy to a
+//!   running session;
 //! * [`worker`] — stateless DPP Workers: the extract → transform → load
 //!   executor over real DWRF bytes, with per-stage resource accounting;
 //! * [`client`] — DPP Clients: the trainer-side hook that fetches tensor
@@ -55,11 +58,11 @@ pub mod session;
 pub mod tuning;
 pub mod worker;
 
-pub use autoscale::{AutoScaler, ScalerConfig, ScalingDecision, WorkerTelemetry};
+pub use autoscale::{AutoScaler, ScalerConfig};
 pub use client::Client;
 pub use master::{Master, MasterCheckpoint, SplitState};
 pub use service::{DppSession, SessionCheckpoint, WorkerObservation};
 pub use session::{Injection, SessionSpec, SessionSpecBuilder, Transport};
-pub use tuning::{KnobBounds, Knobs, TunerPolicy, TunerSignals};
+pub use tuning::{KnobBounds, KnobDelta, Knobs, LiveTuner, TunerPolicy, TunerSignals};
 pub use wire::WireConfig;
 pub use worker::{ExtractCostModel, Worker, WorkerReport};

@@ -184,16 +184,8 @@ impl Stages {
     /// kernels run in [`Worker::load_stage`], on the worker's own thread).
     fn transform(&self, f: Fetched) -> Transformed {
         let span = self.open_span(f.trace, SpanKind::Transform, &f.split);
-        // Deliver flushes per split, so the carry is always empty here and
-        // handing transform a fresh one is exact.
         let (batch, delta) = Worker::transform_stage(
-            &self.spec,
-            &self.exec,
-            &self.cost,
-            &f.split,
-            Batch::new(),
-            f.rows,
-            &f.plan,
+            &self.spec, &self.exec, &self.cost, &f.split, f.rows, &f.plan,
         );
         if let Some(s) = span {
             s.close();

@@ -5,13 +5,13 @@
 //! buffers of §III-B1. Trainers attach [`Client`]s; the session exposes the
 //! Master's health-monitor actions (failure recovery, auto-scaling).
 
-use crate::autoscale::{AutoScaler, ScalingDecision, WorkerTelemetry};
 use crate::client::{Client, Endpoint, Envelope, Progress};
 use crate::master::Master;
 use crate::session::{SessionSpec, Transport};
 use crate::worker::{Worker, WorkerReport};
 use chaos::FaultInjector;
 use crossbeam::channel::bounded;
+use dsi_obs::SignalSnapshot;
 use dsi_types::{DsiError, Result, WorkerId};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -34,10 +34,10 @@ struct WorkerControl {
 /// lifecycle flags, captured atomically per worker.
 ///
 /// [`DppSession::observe`] is the single derivation point for live-worker
-/// accounting — [`DppSession::telemetry`], [`DppSession::draining_workers`],
-/// the autoscaler's drain-victim selection, and the fleet reconciler's
-/// observed state are all views over this snapshot, so none of them can
-/// disagree about which workers still count as capacity.
+/// accounting — the tuner's signals ([`crate::TunerSignals`]),
+/// [`DppSession::draining_workers`], drain-victim selection, and the fleet
+/// reconciler's observed state are all views over this snapshot, so none
+/// of them can disagree about which workers still count as capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerObservation {
     /// The worker.
@@ -351,6 +351,18 @@ impl DppSession {
         }
     }
 
+    /// Publishes finished-worker telemetry, then samples this job's
+    /// cumulative signal stream from the attached registry — one tuner
+    /// tick's read. All-zero without a registry.
+    pub(crate) fn sample_signals(&self) -> SignalSnapshot {
+        self.publish_metrics();
+        let job = self.master.session().to_string();
+        match self.obs.lock().as_ref() {
+            Some(reg) => SignalSnapshot::sample_job(reg, &job),
+            None => SignalSnapshot::default(),
+        }
+    }
+
     /// The session's Master handle (shared).
     pub fn master(&self) -> &Master {
         &self.master
@@ -531,9 +543,9 @@ impl DppSession {
 
     /// Atomic control-plane snapshot of every worker the session has a
     /// registered endpoint for: buffer occupancy plus lifecycle flags.
-    /// This is the single source of live-worker truth — telemetry,
-    /// draining counts, autoscaler victim selection, and the fleet
-    /// reconciler's observed state are all derived from it.
+    /// This is the single source of live-worker truth — tuner signals,
+    /// draining counts, drain-victim selection, and the fleet reconciler's
+    /// observed state are all derived from it.
     pub fn observe(&self) -> Vec<WorkerObservation> {
         let controls = self.controls.lock();
         self.registry
@@ -551,28 +563,9 @@ impl DppSession {
             .collect()
     }
 
-    /// Telemetry snapshot for the autoscaler: buffered tensors per live
-    /// worker and a utilization proxy (a full buffer means the worker is
-    /// ahead of demand; an empty one means it is saturated).
-    ///
-    /// Workers already flagged to drain are excluded — they are exiting
-    /// capacity, and counting them once made back-to-back scale-down
-    /// ticks each see the pre-drain fleet size and drain the fleet below
-    /// the scaler's `min_workers` floor.
-    pub fn telemetry(&self) -> Vec<WorkerTelemetry> {
-        self.observe()
-            .into_iter()
-            .filter(WorkerObservation::is_live)
-            .map(|o| WorkerTelemetry {
-                buffered_batches: o.buffered,
-                max_utilization: 1.0 - o.buffered as f64 / o.capacity.max(1) as f64,
-            })
-            .collect()
-    }
-
     /// Workers flagged to drain whose threads have not yet exited. These
-    /// are capacity already leaving the fleet; [`DppSession::telemetry`]
-    /// excludes them so the autoscaler never double-drains.
+    /// are capacity already leaving the fleet; tuner signals exclude them
+    /// so no policy ever double-drains.
     pub fn draining_workers(&self) -> usize {
         self.observe()
             .iter()
@@ -592,38 +585,10 @@ impl DppSession {
         }
     }
 
-    /// Runs one autoscaler tick: evaluates telemetry and applies the
-    /// decision (spawning or draining workers). Returns the decision.
-    pub fn autoscale_tick(&self, scaler: &mut AutoScaler) -> ScalingDecision {
-        let observed = self.observe();
-        let telemetry: Vec<WorkerTelemetry> = observed
-            .iter()
-            .filter(|o| o.is_live())
-            .map(|o| WorkerTelemetry {
-                buffered_batches: o.buffered,
-                max_utilization: 1.0 - o.buffered as f64 / o.capacity.max(1) as f64,
-            })
-            .collect();
-        let decision = scaler.evaluate(&telemetry);
-        match decision {
-            ScalingDecision::ScaleUp(k) => {
-                for _ in 0..k {
-                    self.spawn_worker();
-                }
-            }
-            ScalingDecision::ScaleDown(k) => {
-                for id in self.drain_victims(&observed, k) {
-                    self.drain_worker_by_id(id);
-                }
-            }
-            ScalingDecision::Hold => {}
-        }
-        decision
-    }
-
     /// Picks up to `k` drain victims from an observation snapshot: the
-    /// most-buffered (least needed) live workers first. Shared by the
-    /// autoscaler and the fleet reconciler so both preempt the same way.
+    /// most-buffered (least needed) live workers first. Shared by
+    /// [`crate::LiveTuner`] and the fleet reconciler so both preempt the
+    /// same way.
     pub fn drain_victims(&self, observed: &[WorkerObservation], k: usize) -> Vec<WorkerId> {
         let mut candidates: Vec<(usize, WorkerId)> = observed
             .iter()
@@ -684,7 +649,9 @@ fn session_scan(table: &Table, spec: &SessionSpec) -> TableScan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::autoscale::{AutoScaler, ScalerConfig};
     use crate::session::SessionSpec;
+    use crate::tuning::LiveTuner;
     use dsi_types::{FeatureId, PartitionId, Projection, Sample, SessionId, SparseList, TableId};
     use warehouse::TableConfig;
 
@@ -851,7 +818,7 @@ mod tests {
     fn autoscaler_grows_starved_session() {
         let table = build_table(4, 128);
         let session = DppSession::launch(table, spec(4), 1).unwrap();
-        let mut scaler = AutoScaler::default();
+        let mut tuner = LiveTuner::new(Box::new(AutoScaler::default()), &session);
         // Consume slowly with ticks in between: buffers stay empty early,
         // so the controller should add workers.
         let before = session.worker_count();
@@ -859,8 +826,7 @@ mod tests {
         let mut grew = false;
         for _ in 0..50 {
             let _ = client.try_next_batch();
-            let d = session.autoscale_tick(&mut scaler);
-            if matches!(d, ScalingDecision::ScaleUp(_)) {
+            if tuner.tick(&session).spawned > 0 {
                 grew = true;
                 break;
             }
@@ -874,7 +840,6 @@ mod tests {
 
     #[test]
     fn back_to_back_drain_ticks_never_breach_min_workers() {
-        use crate::autoscale::ScalerConfig;
         // Regression: telemetry counted drain-flagged workers as live, so
         // each consecutive scale-down tick saw the pre-drain fleet size,
         // found `n - min_workers` still removable, and drained again —
@@ -885,31 +850,29 @@ mod tests {
         // over-provisioned signal. Wait for every buffer to look full.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         while std::time::Instant::now() < deadline {
-            let t = session.telemetry();
-            if t.len() == 4 && t.iter().all(|w| w.buffered_batches >= 3) {
+            let o = session.observe();
+            if o.len() == 4 && o.iter().all(|w| w.buffered >= 3) {
                 break;
             }
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        let mut scaler = AutoScaler::new(ScalerConfig {
+        let scaler = AutoScaler::new(ScalerConfig {
             min_workers: 3,
             low_buffer_watermark: 0.5,
             high_buffer_watermark: 2.0,
             ..Default::default()
         });
+        let mut tuner = LiveTuner::new(Box::new(scaler), &session);
         for _ in 0..6 {
-            session.autoscale_tick(&mut scaler);
+            tuner.tick(&session);
         }
+        let live = || session.observe().iter().filter(|o| o.is_live()).count();
         assert!(
             session.draining_workers() <= 1,
             "double-drained: {} workers draining",
             session.draining_workers()
         );
-        assert!(
-            session.telemetry().len() >= 3,
-            "live fleet fell below min_workers: {}",
-            session.telemetry().len()
-        );
+        assert!(live() >= 3, "live fleet fell below min_workers: {}", live());
         // The drained epoch still delivers every row exactly once.
         let mut client = session.client();
         let labels = drain_labels(&mut client);

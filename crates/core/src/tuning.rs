@@ -1,16 +1,19 @@
-//! The knob surface shared by every pipeline-tuning policy.
+//! The one control loop: the knob surface every tuning policy shares, and
+//! the tick that applies a policy to a running session.
 //!
 //! The paper's DPP scales one resource (worker count) with a fixed-rule
 //! watermark controller ([`crate::autoscale::AutoScaler`]). InTune-style
 //! online tuning generalizes this: a policy reads live telemetry and
 //! jointly moves *all* the data-pipeline knobs — workers, read-ahead
 //! depth, batch size, per-stage parallelism. This module defines that
-//! shared vocabulary ([`Knobs`], [`KnobBounds`], [`TunerSignals`]) and
-//! the [`TunerPolicy`] trait both the static scaler and the closed-loop
-//! tuner in `crates/tune` implement, so a session (or the fleet
-//! reconciler) can swap policies without rewiring.
+//! shared vocabulary ([`Knobs`], [`KnobBounds`], [`TunerSignals`]), the
+//! [`TunerPolicy`] trait both the static scaler and the closed-loop tuner
+//! in `crates/tune` implement, and [`LiveTuner`], the only code that
+//! turns a policy's decision into spawned, drained or re-specced workers
+//! — for a standalone session and, worker axis aside, for a job under
+//! the fleet reconciler.
 
-use crate::autoscale::{AutoScaler, ScalingDecision, WorkerTelemetry};
+use crate::service::{DppSession, WorkerObservation};
 use dsi_obs::SignalSnapshot;
 use serde::{Deserialize, Serialize};
 
@@ -149,38 +152,27 @@ pub struct TunerSignals {
 }
 
 impl TunerSignals {
-    /// Builds signals from a session's worker telemetry plus a registry
-    /// sample. Means over an empty fleet are 0, never NaN.
-    pub fn from_telemetry(snapshot: SignalSnapshot, telemetry: &[WorkerTelemetry]) -> Self {
-        let n = telemetry.len();
-        let (buf, util) = telemetry.iter().fold((0.0, 0.0), |(b, u), t| {
-            (b + t.buffered_batches as f64, u + t.max_utilization)
-        });
-        let mean = |sum: f64| {
-            if n == 0 {
-                0.0
-            } else {
-                dsi_obs::finite_or_zero(sum / n as f64)
-            }
-        };
+    /// Builds signals from a session's worker snapshot plus a registry
+    /// sample. Only live workers count — one already flagged to drain is
+    /// capacity leaving the fleet, and counting it once made back-to-back
+    /// scale-down ticks each see the pre-drain fleet and drain it below
+    /// the floor. Utilization is a proxy: a full buffer means the worker
+    /// is ahead of demand, an empty one that it is saturated. Means over
+    /// an empty fleet are 0, never NaN.
+    pub fn from_observations(snapshot: SignalSnapshot, observed: &[WorkerObservation]) -> Self {
+        let (mut n, mut buffered, mut utilization) = (0usize, 0.0, 0.0);
+        for o in observed.iter().filter(|o| o.is_live()) {
+            n += 1;
+            buffered += o.buffered as f64;
+            utilization += 1.0 - o.buffered as f64 / o.capacity.max(1) as f64;
+        }
+        let mean = |sum: f64| if n == 0 { 0.0 } else { sum / n as f64 };
         Self {
             snapshot,
-            mean_buffered: mean(buf),
-            mean_utilization: mean(util),
+            mean_buffered: mean(buffered),
+            mean_utilization: mean(utilization),
             live_workers: n,
         }
-    }
-
-    /// Synthesizes the uniform per-worker telemetry the watermark scaler
-    /// consumes natively.
-    pub fn to_telemetry(&self) -> Vec<WorkerTelemetry> {
-        vec![
-            WorkerTelemetry {
-                buffered_batches: self.mean_buffered.round().max(0.0) as usize,
-                max_utilization: self.mean_utilization,
-            };
-            self.live_workers
-        ]
     }
 }
 
@@ -199,98 +191,139 @@ pub trait TunerPolicy {
     fn decide(&mut self, signals: &TunerSignals, current: &Knobs) -> Knobs;
 }
 
-/// The static watermark scaler as a [`TunerPolicy`]: moves only the
-/// worker-count axis, exactly as [`AutoScaler::evaluate`] always has.
-impl TunerPolicy for AutoScaler {
-    fn name(&self) -> &'static str {
-        "static-watermark"
-    }
+/// What one live control tick changed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct KnobDelta {
+    /// Workers spawned this tick.
+    pub spawned: usize,
+    /// Workers put into drain this tick.
+    pub drained: usize,
+    /// Whether a worker was rotated to roll a depth-knob change through.
+    pub rotated: bool,
+    /// The knob setting now in force.
+    pub applied: Knobs,
+}
 
-    fn bounds(&self) -> KnobBounds {
-        KnobBounds {
-            workers: (self.config().min_workers, self.config().max_workers),
-            ..KnobBounds::default()
+/// Drives a [`TunerPolicy`] against a live session. The caller owns the
+/// cadence: invoke [`LiveTuner::tick`] from wherever the control loop
+/// lives (a trainer epoch boundary, a timer); the fleet reconciler calls
+/// [`LiveTuner::tick_managed`] from its own pass.
+///
+/// The per-stage `parallelism` axis has no live control surface on a
+/// [`DppSession`] (transform lanes are fixed at spawn), so every tick
+/// freezes that axis at its current value; the sim exercises it instead.
+pub struct LiveTuner {
+    policy: Box<dyn TunerPolicy + Send>,
+    /// The setting last asked for. Its worker count is a wish: the fleet
+    /// observed on the next tick, not this number, is what gets diffed.
+    knobs: Knobs,
+    last: SignalSnapshot,
+}
+
+impl LiveTuner {
+    /// Wraps `policy`, reading the session's current spec for the initial
+    /// knob setting.
+    pub fn new(policy: Box<dyn TunerPolicy + Send>, session: &DppSession) -> Self {
+        let spec = session.effective_spec();
+        Self {
+            policy,
+            knobs: Knobs {
+                workers: session.worker_count().max(1),
+                read_ahead: spec.read_ahead,
+                batch_size: spec.batch_size,
+                parallelism: 1,
+            },
+            last: SignalSnapshot::default(),
         }
     }
 
-    fn decide(&mut self, signals: &TunerSignals, current: &Knobs) -> Knobs {
-        let telemetry = signals.to_telemetry();
-        let decision = self.evaluate(&telemetry);
-        let workers = AutoScaler::apply(decision, current.workers);
-        let workers = match decision {
-            // evaluate() already fences against min/max for live counts,
-            // but clamp anyway: `current.workers` may lag the observed
-            // fleet the decision was computed over.
-            ScalingDecision::ScaleUp(_) => workers.min(self.config().max_workers),
-            ScalingDecision::ScaleDown(_) => workers.max(self.config().min_workers),
-            ScalingDecision::Hold => workers,
+    /// The knob setting last asked for.
+    pub fn knobs(&self) -> Knobs {
+        self.knobs
+    }
+
+    /// One control tick: sample the registry the session holds, decide,
+    /// apply.
+    pub fn tick(&mut self, session: &DppSession) -> KnobDelta {
+        let next = self.decide(session);
+        self.apply(session, next)
+    }
+
+    /// The tick for a session whose workers an outer control plane owns
+    /// ([`DppSession::launch_managed`]): everything but the worker axis.
+    /// Depth knobs are installed as session overrides (the replacements
+    /// the control plane spawns pick them up); the returned `workers` is
+    /// the job's demand, for the caller to arbitrate.
+    pub fn tick_managed(&mut self, session: &DppSession) -> Knobs {
+        let next = self.decide(session);
+        self.install(session, next);
+        next
+    }
+
+    /// Applies `next` to the session, returning what changed — a one-job
+    /// reconciler: the wanted worker count is diffed against the live
+    /// fleet observed now, so workers that crashed, finished or were
+    /// drained behind the tuner's back are made up for rather than
+    /// carried as an error. Exposed so harnesses (chaos tests) can force a
+    /// setting and still reuse the actuation path.
+    pub fn apply(&mut self, session: &DppSession, next: Knobs) -> KnobDelta {
+        let depth_changed = self.install(session, next);
+        let mut delta = KnobDelta {
+            applied: next,
+            ..KnobDelta::default()
         };
-        Knobs {
-            workers,
-            ..*current
+        let observed = session.observe();
+        let live = observed.iter().filter(|o| o.is_live()).count();
+        if next.workers > live {
+            for _ in live..next.workers {
+                session.spawn_worker();
+                delta.spawned += 1;
+            }
+        } else if next.workers < live {
+            for victim in session.drain_victims(&observed, live - next.workers) {
+                delta.drained += usize::from(session.drain_worker_by_id(victim));
+            }
+        } else if depth_changed {
+            // Depth-only change: roll one worker so the new spec takes
+            // effect without waiting for natural churn. (A worker change
+            // above already spawns with the fresh spec.)
+            delta.rotated = session.rotate_worker().is_some();
         }
+        delta
+    }
+
+    /// Sample → window delta → signals → freeze the lane axis → clamp.
+    fn decide(&mut self, session: &DppSession) -> Knobs {
+        let cumulative = session.sample_signals();
+        // Policies react to *recent* conditions: feed the delta since the
+        // previous tick, not lifetime totals.
+        let window = cumulative.delta(&self.last);
+        self.last = cumulative;
+        let signals = TunerSignals::from_observations(window, &session.observe());
+        let bounds = self.policy.bounds().freeze(3, self.knobs.parallelism);
+        bounds.clamp(self.policy.decide(&signals, &self.knobs))
+    }
+
+    /// Records `next` as the setting asked for and installs its depth
+    /// knobs as session overrides; returns whether either moved.
+    fn install(&mut self, session: &DppSession, next: Knobs) -> bool {
+        let prev = std::mem::replace(&mut self.knobs, next);
+        let read_ahead_moved = next.read_ahead != prev.read_ahead;
+        let batch_moved = next.batch_size != prev.batch_size;
+        if read_ahead_moved {
+            session.set_read_ahead(next.read_ahead);
+        }
+        if batch_moved {
+            session.set_batch_size(next.batch_size);
+        }
+        read_ahead_moved || batch_moved
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::autoscale::ScalerConfig;
-
-    fn signals(n: usize, buffered: f64, util: f64) -> TunerSignals {
-        TunerSignals {
-            snapshot: SignalSnapshot::default(),
-            mean_buffered: buffered,
-            mean_utilization: util,
-            live_workers: n,
-        }
-    }
-
-    #[test]
-    fn autoscaler_policy_moves_only_workers() {
-        let mut policy = AutoScaler::default();
-        let current = Knobs {
-            workers: 8,
-            read_ahead: 2,
-            batch_size: 64,
-            parallelism: 2,
-        };
-        // Starved buffers: scale out by one step, everything else fixed.
-        let next = policy.decide(&signals(8, 0.0, 0.9), &current);
-        assert_eq!(next.workers, 10);
-        assert_eq!(next.read_ahead, 2);
-        assert_eq!(next.batch_size, 64);
-        assert_eq!(next.parallelism, 2);
-    }
-
-    #[test]
-    fn autoscaler_policy_reports_worker_bounds() {
-        let policy = AutoScaler::new(ScalerConfig {
-            min_workers: 2,
-            max_workers: 32,
-            ..Default::default()
-        });
-        assert_eq!(policy.bounds().workers, (2, 32));
-        assert_eq!(policy.name(), "static-watermark");
-    }
-
-    #[test]
-    fn autoscaler_policy_drains_every_tick_once_armed() {
-        // The fixed down_streak bug, observed through the policy facade:
-        // sustained idleness keeps draining tick over tick.
-        let mut policy = AutoScaler::default();
-        let mut knobs = Knobs {
-            workers: 8,
-            ..Knobs::default()
-        };
-        let idle = |n: usize| signals(n, 10.0, 0.1);
-        knobs = policy.decide(&idle(8), &knobs); // hysteresis tick
-        assert_eq!(knobs.workers, 8);
-        knobs = policy.decide(&idle(8), &knobs);
-        assert_eq!(knobs.workers, 6);
-        knobs = policy.decide(&idle(6), &knobs);
-        assert_eq!(knobs.workers, 4, "drain continues without a Hold gap");
-    }
+    use dsi_types::WorkerId;
 
     #[test]
     fn bounds_clamp_and_freeze() {
@@ -309,12 +342,34 @@ mod tests {
     }
 
     #[test]
-    fn signals_from_empty_telemetry_are_zero() {
-        let s = TunerSignals::from_telemetry(SignalSnapshot::default(), &[]);
+    fn signals_from_an_empty_fleet_are_zero() {
+        let s = TunerSignals::from_observations(SignalSnapshot::default(), &[]);
         assert_eq!(s.mean_buffered, 0.0);
         assert_eq!(s.mean_utilization, 0.0);
         assert_eq!(s.live_workers, 0);
-        assert!(s.to_telemetry().is_empty());
+    }
+
+    #[test]
+    fn signals_average_live_workers_only() {
+        let worker = |id, buffered, draining, finished| WorkerObservation {
+            id: WorkerId(id),
+            buffered,
+            capacity: 4,
+            draining,
+            finished,
+        };
+        let s = TunerSignals::from_observations(
+            SignalSnapshot::default(),
+            &[
+                worker(0, 4, false, false),
+                worker(1, 1, false, false),
+                worker(2, 4, true, false),
+                worker(3, 0, false, true),
+            ],
+        );
+        assert_eq!(s.live_workers, 2);
+        assert_eq!(s.mean_buffered, 2.5);
+        assert_eq!(s.mean_utilization, 0.375); // (0 + 0.75) / 2
     }
 
     #[test]

@@ -359,10 +359,8 @@ impl Worker {
     /// Propagates storage and decode failures.
     pub fn process_split(&mut self, split: &Split) -> Result<Vec<MiniBatchTensor>> {
         let (rows, plan) = self.scan.read_split(split)?;
-        let carry = std::mem::take(&mut self.carry);
-        let (transformed, delta) = Self::transform_stage(
-            &self.spec, &self.exec, &self.cost, split, carry, rows, &plan,
-        );
+        let (transformed, delta) =
+            Self::transform_stage(&self.spec, &self.exec, &self.cost, split, rows, &plan);
         Ok(self.load_stage(transformed, delta))
     }
 
@@ -370,15 +368,15 @@ impl Worker {
     /// the transform plan, all on already-read rows. Free of worker state
     /// so it can run on a different thread than the owner of the
     /// [`WorkerReport`]; its accounting comes back as a report delta for
-    /// [`Worker::load_stage`] to merge. `carry` holds samples left over
-    /// from the previous split (always empty in the session's worker loop,
-    /// where every split flushes).
+    /// [`Worker::load_stage`] to merge. It sees only this split's rows —
+    /// samples carried over from the previous split were transformed with
+    /// theirs — so `Sampling` draws by position in the split, whatever the
+    /// batch size left behind.
     pub(crate) fn transform_stage(
         spec: &SessionSpec,
         exec: &ExecPlan,
         cost: &ExtractCostModel,
         split: &Split,
-        carry: Batch,
         rows: Vec<Sample>,
         plan: &IoPlan,
     ) -> (Batch, WorkerReport) {
@@ -415,8 +413,7 @@ impl Worker {
 
         // ---- transform ----
         let base_row = split.index * 1_000_000; // distinct sampling domains per split
-        let mut batch = carry;
-        batch.extend(rows);
+        let batch = Batch::from_samples(rows);
         let (transformed, tcost) = if let Some(cfg) = &spec.dedup {
             let (out, tcost, stats) = dedup::apply_batch_dedup(&spec.plan, batch, base_row, cfg);
             delta.dedup_sets = stats.sets;
@@ -438,9 +435,9 @@ impl Worker {
     }
 
     /// The final stage: merges the transform stage's report
-    /// delta and batches transformed samples into tensors. Owns the carry
-    /// and the cumulative report, so it always runs on the worker's own
-    /// thread.
+    /// delta and batches the carry plus the transformed samples into
+    /// tensors. Owns the carry and the cumulative report, so it always
+    /// runs on the worker's own thread.
     pub(crate) fn load_stage(
         &mut self,
         transformed: Batch,
@@ -448,7 +445,8 @@ impl Worker {
     ) -> Vec<MiniBatchTensor> {
         self.report.merge(&delta);
         let mut tensors = Vec::new();
-        let mut pending: Vec<Sample> = transformed.into_samples();
+        let mut pending: Vec<Sample> = std::mem::take(&mut self.carry).into_samples();
+        pending.extend(transformed.into_samples());
         let bs = self.spec.batch_size;
         while pending.len() >= bs {
             let rest = pending.split_off(bs);

@@ -7,8 +7,8 @@ use crate::job::{JobPhase, JobRegistry, JobSpec, JobStatus};
 use crate::placement::PlacementScorer;
 use crate::reconcile::{plan, FleetAction, ObservedJob};
 use chaos::FaultInjector;
-use dpp::{Client, DppSession, Knobs, TunerPolicy, TunerSignals, WorkerObservation};
-use dsi_obs::{names, SignalSnapshot};
+use dpp::{Client, DppSession, Knobs, LiveTuner, TunerPolicy, WorkerObservation};
+use dsi_obs::names;
 use dsi_types::{NodeId, Result, SessionId, WorkerId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -41,14 +41,6 @@ struct ManagedJob {
     placements: HashMap<WorkerId, NodeId>,
 }
 
-/// Per-job closed-loop tuner state: the policy, the knob setting it last
-/// applied, and the cumulative signal sample it diffs against.
-struct JobTuner {
-    policy: Box<dyn TunerPolicy + Send>,
-    knobs: Knobs,
-    last: SignalSnapshot,
-}
-
 /// The multi-tenant control plane: a [`JobRegistry`] of desired state, a
 /// [`PlacementScorer`] tracking the shared fleet, and the managed
 /// [`DppSession`]s that consume worker assignments instead of owning them.
@@ -61,7 +53,7 @@ pub struct FleetDriver {
     placer: Mutex<PlacementScorer>,
     jobs: Mutex<HashMap<SessionId, ManagedJob>>,
     obs: Mutex<Option<dsi_obs::Registry>>,
-    tuners: Mutex<HashMap<SessionId, JobTuner>>,
+    tuners: Mutex<HashMap<SessionId, LiveTuner>>,
 }
 
 impl FleetDriver {
@@ -141,12 +133,12 @@ impl FleetDriver {
     }
 
     /// Delegates this job's per-tick scaling to `policy`: instead of the
-    /// static fair-share demand from [`JobSpec`], the reconciler feeds the
-    /// policy the job's live signal stream each tick, lets it move the
-    /// joint knob setting, applies depth knobs (read-ahead, batch size) as
-    /// session overrides, and presents the policy's worker target as the
-    /// job's demand (still clamped inside the spec's min/max window, still
-    /// arbitrated by fair-share against other tenants).
+    /// static fair-share demand from [`JobSpec`], every reconcile pass runs
+    /// one [`LiveTuner::tick_managed`] over the job's live signal stream —
+    /// depth knobs (read-ahead, batch size) become session overrides, and
+    /// the policy's worker target becomes the job's demand (still inside
+    /// the spec's min/max window, still arbitrated by fair-share against
+    /// other tenants).
     ///
     /// Returns `false` (and installs nothing) when the job is unknown.
     pub fn enable_autotune(&self, job: SessionId, policy: Box<dyn TunerPolicy + Send>) -> bool {
@@ -154,34 +146,15 @@ impl FleetDriver {
         let Some(managed) = jobs.get(&job) else {
             return false;
         };
-        let spec = managed.session.effective_spec();
-        let floor = self
-            .registry
-            .specs()
-            .iter()
-            .find(|s| s.id() == job)
-            .map(|s| s.min_workers)
-            .unwrap_or(1);
-        let knobs = Knobs {
-            workers: managed.session.worker_count().max(floor).max(1),
-            read_ahead: spec.read_ahead,
-            batch_size: spec.batch_size,
-            parallelism: 1,
-        };
-        self.tuners.lock().insert(
-            job,
-            JobTuner {
-                policy,
-                knobs,
-                last: SignalSnapshot::default(),
-            },
-        );
+        self.tuners
+            .lock()
+            .insert(job, LiveTuner::new(policy, &managed.session));
         true
     }
 
     /// The knob setting the job's tuner currently wants, if autotuned.
     pub fn autotuned_knobs(&self, job: SessionId) -> Option<Knobs> {
-        self.tuners.lock().get(&job).map(|t| t.knobs)
+        self.tuners.lock().get(&job).map(LiveTuner::knobs)
     }
 
     /// Creates a trainer-side client for a managed job. Clients created
@@ -252,38 +225,18 @@ impl FleetDriver {
             observations.insert(spec.id(), snapshot);
         }
 
-        // Autotune: for delegated jobs, one policy tick over the live
-        // signal window decides the joint knob setting. Depth knobs are
-        // applied to the session immediately (fleet-spawned replacements
-        // pick them up); the worker knob becomes the job's demand below.
-        let obs = self.obs.lock().clone();
+        // Autotune: delegated jobs run the same tick a standalone session
+        // does, minus the worker axis — that becomes the job's demand
+        // below, so it is still arbitrated against the other tenants.
         let mut tuners = self.tuners.lock();
         for (spec, o) in specs.iter().zip(&observed) {
             if o.completed {
                 continue;
             }
-            let (Some(jt), Some(managed)) = (tuners.get_mut(&spec.id()), jobs.get(&spec.id()))
-            else {
-                continue;
-            };
-            managed.session.publish_metrics();
-            let cumulative = match obs.as_ref() {
-                Some(reg) => SignalSnapshot::sample_job(reg, &spec.id().to_string()),
-                None => SignalSnapshot::default(),
-            };
-            let window = cumulative.delta(&jt.last);
-            jt.last = cumulative;
-            let signals = TunerSignals::from_telemetry(window, &managed.session.telemetry());
-            // No live lane surface on a managed session: freeze that axis.
-            let bounds = jt.policy.bounds().freeze(3, jt.knobs.parallelism);
-            let next = bounds.clamp(jt.policy.decide(&signals, &jt.knobs));
-            if next.read_ahead != jt.knobs.read_ahead {
-                managed.session.set_read_ahead(next.read_ahead);
+            if let (Some(tuner), Some(managed)) = (tuners.get_mut(&spec.id()), jobs.get(&spec.id()))
+            {
+                tuner.tick_managed(&managed.session);
             }
-            if next.batch_size != jt.knobs.batch_size {
-                managed.session.set_batch_size(next.batch_size);
-            }
-            jt.knobs = next;
         }
 
         // Allocate: fair-share targets over jobs that still want workers.
@@ -295,8 +248,10 @@ impl FleetDriver {
             .filter(|(_, o)| !o.completed)
             .map(|(s, _)| {
                 let mut d = s.demand();
-                if let Some(jt) = tuners.get(&s.id()) {
-                    let want = jt.knobs.workers.clamp(s.min_workers, s.max_workers.max(1));
+                if let Some(tuner) = tuners.get(&s.id()) {
+                    // `floor()` settles an inverted window (the ceiling
+                    // wins), which `usize::clamp` would panic on.
+                    let want = tuner.knobs().workers.max(d.floor()).min(d.max);
                     d.min = want;
                     d.max = want;
                 }
@@ -304,6 +259,7 @@ impl FleetDriver {
             })
             .collect();
         drop(tuners);
+        let obs = self.obs.lock().clone();
         let targets = fairshare::fair_share(placer.capacity(), &demands);
 
         // Diff and execute.

@@ -10,18 +10,15 @@
 //! * [`demand`] — GPU ingestion demand models;
 //! * [`loading`] — host-side loading cost sweeps (Fig. 8);
 //! * [`onhost`] — the on-host preprocessing baseline (Table VII);
-//! * [`stall`] — a virtual-time stall simulator (buffered producer /
-//!   consumer);
 //! * [`live`] — a wall-clock trainer that consumes a live DPP client and
 //!   measures real stall time;
-//! * [`job`] — multi-node data-parallel jobs over partitioned clients;
+//! * [`stall`] — the stall report it returns;
 //! * [`ingest`] — RecD shared-tensor accounting for deduped batches.
 
 #![warn(missing_docs)]
 
 pub mod demand;
 pub mod ingest;
-pub mod job;
 pub mod live;
 pub mod loading;
 pub mod onhost;
@@ -29,8 +26,7 @@ pub mod stall;
 
 pub use demand::GpuDemand;
 pub use ingest::DedupIngest;
-pub use job::{JobReport, TrainingJob};
 pub use live::LiveTrainer;
 pub use loading::{loading_cost, loading_sweep, LoadingPoint};
 pub use onhost::{onhost_baseline, OnHostReport};
-pub use stall::{StallReport, StallSim};
+pub use stall::StallReport;

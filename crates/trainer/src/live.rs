@@ -69,7 +69,6 @@ impl LiveTrainer {
         let elapsed = start.elapsed();
         let report = StallReport {
             batches,
-            produced: batches,
             elapsed_secs: elapsed.as_secs_f64(),
             stalled_secs: stalled.as_secs_f64(),
             stall_fraction: if elapsed.is_zero() {
@@ -136,7 +135,6 @@ impl LiveTrainer {
             let elapsed = start.elapsed();
             let report = StallReport {
                 batches,
-                produced: batches,
                 elapsed_secs: elapsed.as_secs_f64(),
                 stalled_secs: stalled.as_secs_f64(),
                 stall_fraction: if elapsed.is_zero() {

@@ -10,21 +10,20 @@
 //! parallelism — under guarded exploration that never crosses hard
 //! bounds and reverts moves that fail to pay off.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! - [`policy`]: the [`OnlineTuner`] bandit/hill-climbing policy.
 //! - [`sim`]: deterministic virtual-time pipeline scenarios
 //!   (extract-bound, transform-bound, trainer-bound, diurnal) on which
 //!   the tuner and the static scaler compete for the bench suite.
-//! - [`live`]: [`LiveTuner`], the actuation adapter that applies a
-//!   policy's decisions to a running [`DppSession`](dpp::DppSession).
+//!
+//! Applying a policy to a running session is [`dpp::LiveTuner`]'s job,
+//! the same tick whichever policy it holds.
 
 #![warn(missing_docs)]
 
-pub mod live;
 pub mod policy;
 pub mod sim;
 
-pub use live::{KnobDelta, LiveTuner};
 pub use policy::{OnlineTuner, TunerConfig};
 pub use sim::{run_scenario, Scenario, TunePoint, TuneTrace};

@@ -148,6 +148,43 @@ impl Scenario {
         }
     }
 
+    /// One pipeline stage at `per_worker_qps` and no knob but the worker
+    /// count: every other axis is frozen (no read-ahead, `batch_size`
+    /// samples per batch, one lane), the fleet starts at one worker under
+    /// the default ceiling, and the controller ticks every 10 s.
+    /// Freeze the worker axis too and the run is a plain supply-vs-demand
+    /// buffer whose stall fraction is `1 - supply/demand`.
+    pub fn single_stage(
+        name: &'static str,
+        demand_qps: f64,
+        per_worker_qps: f64,
+        batch_size: usize,
+    ) -> Self {
+        let initial = Knobs {
+            workers: 1,
+            read_ahead: 0,
+            batch_size,
+            parallelism: 1,
+        };
+        Self {
+            name,
+            demand_qps,
+            extract_qps: per_worker_qps,
+            transform_qps: f64::INFINITY,
+            load_per_sample: 0.0,
+            batch_overhead: 0.0,
+            bounds: KnobBounds {
+                workers: KnobBounds::default().workers,
+                read_ahead: (0, 0),
+                batch_size: (batch_size, batch_size),
+                parallelism: (1, 1),
+            },
+            initial,
+            tick_secs: 10.0,
+            ..Self::base()
+        }
+    }
+
     /// The four benchmark scenarios, in report order.
     pub fn all() -> Vec<Scenario> {
         vec![
@@ -409,25 +446,11 @@ mod tests {
     use super::*;
     #[test]
     fn static_scaler_right_sizes_a_worker_bound_fleet() {
-        // One stage and no useful knob but the worker count: demand worth
-        // 24 workers, ramping from 1 (the `figures fleet` shape).
+        // Demand worth 24 workers, ramping from 1 (the `figures fleet`
+        // shape).
         let s = Scenario {
-            demand_qps: 240_000.0,
-            extract_qps: 10_000.0,
-            transform_qps: f64::INFINITY,
-            load_per_sample: 0.0,
-            batch_overhead: 0.0,
-            bounds: KnobBounds {
-                workers: (1, 512),
-                ..Scenario::base().bounds
-            },
-            initial: Knobs {
-                workers: 1,
-                ..Scenario::base().initial
-            },
-            tick_secs: 10.0,
             duration_secs: 4_000.0,
-            ..Scenario::base()
+            ..Scenario::single_stage("worker-bound", 240_000.0, 10_000.0, 32)
         };
         let trace = run_scenario(&s, &mut s.static_policy());
         let ideal = s.demand_qps / s.per_worker_qps(&s.initial);
@@ -439,6 +462,25 @@ mod tests {
         // Early stalls while ramping, none once converged.
         let late = &trace.points[trace.points.len() / 2..];
         assert!(late.iter().all(|p| p.stall == 0.0), "stalls after ramp-up");
+    }
+
+    #[test]
+    fn frozen_fleet_stalls_by_its_supply_deficit() {
+        // A supply-vs-demand buffer with nothing to tune: the trainer is
+        // stalled for exactly the share of demand the supply cannot cover.
+        // The last row is Table VII's operating point (RM1 preprocessed on
+        // the trainer host: supply 0.44x of demand, stalled 56%).
+        for (supply, stall) in [(1000.0, 0.0), (50.0, 0.5), (44.0, 0.56)] {
+            let mut s = Scenario::single_stage("frozen", 100.0, supply, 1);
+            s.bounds = s.bounds.freeze(0, 1);
+            let trace = run_scenario(&s, &mut s.static_policy());
+            assert_eq!(trace.final_knobs, s.initial);
+            assert!(
+                (trace.stall_fraction - stall).abs() < 1e-9,
+                "supply {supply}: stall {:.4}",
+                trace.stall_fraction
+            );
+        }
     }
 
     #[test]

@@ -57,7 +57,7 @@ fn main() -> dsi_types::Result<()> {
 
     // Launch under-provisioned: one worker for a hungry trainer.
     let session = DppSession::launch(table, spec, 1)?;
-    let mut scaler = AutoScaler::default();
+    let mut scaler = LiveTuner::new(Box::new(AutoScaler::default()), &session);
     let demand = GpuDemand::new(2.0e6, 200.0); // 10k samples/s
 
     // Crash a worker early to exercise recovery.
@@ -74,8 +74,8 @@ fn main() -> dsi_types::Result<()> {
         if report.batches == 0 {
             break;
         }
-        let decision = session.autoscale_tick(&mut scaler);
-        if let dpp::ScalingDecision::ScaleUp(k) = decision {
+        let k = scaler.tick(&session).spawned;
+        if k > 0 {
             scale_ups += 1;
             println!(
                 "autoscaler: +{k} workers (fleet now {})",

@@ -79,15 +79,15 @@ pub mod prelude {
     pub use chaos::{FaultInjector, FaultKind, FaultPlan, HookPoint};
     pub use dedup::{DedupConfig, DedupSet, DedupStats};
     pub use dpp::{
-        AutoScaler, Client, DppSession, KnobBounds, Knobs, Master, SessionSpec, Transport,
-        TunerPolicy,
+        AutoScaler, Client, DppSession, KnobBounds, Knobs, LiveTuner, Master, SessionSpec,
+        Transport, TunerPolicy,
     };
     pub use dsi_fleet::{
         FleetAction, FleetConfig, FleetDriver, JobPhase, JobRegistry, JobSpec, JobStatus, TenantId,
     };
     pub use dsi_obs::{json_snapshot, prometheus_text, PipelineReport, Registry};
     pub use dsi_trace::{CriticalPathReport, TraceConfig, Verdict};
-    pub use dsi_tune::{LiveTuner, OnlineTuner, Scenario, TunerConfig};
+    pub use dsi_tune::{OnlineTuner, Scenario, TunerConfig};
     pub use dsi_types::{
         Batch, ByteSize, DsiError, FeatureId, MiniBatchTensor, PartitionId, Projection, Sample,
         Schema, SessionId, SparseList, TableId,
@@ -97,7 +97,7 @@ pub mod prelude {
     pub use scribe::{BatchEtl, EventRecord, FeatureLogRecord, MessageBus};
     pub use synth::{RmProfile, SampleGenerator};
     pub use tectonic::{ClusterConfig, TectonicCluster};
-    pub use trainer::{DedupIngest, GpuDemand, LiveTrainer, StallSim};
+    pub use trainer::{DedupIngest, GpuDemand, LiveTrainer};
     pub use transforms::{TransformOp, TransformPlan};
     pub use warehouse::{Table, TableConfig, Warehouse};
     pub use wire::WireConfig;

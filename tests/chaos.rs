@@ -1188,7 +1188,7 @@ fn tuner_moves_knobs_while_node_dies_mid_epoch_exactly_once() {
                             forced_moves += 1;
                         }
                         _ => {
-                            tuner.tick(&session, &registry);
+                            tuner.tick(&session);
                         }
                     }
                     assert_eq!(

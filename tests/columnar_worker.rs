@@ -64,6 +64,17 @@ fn table_and_spec(sampling: bool) -> (Table, dsi::dpp::SessionSpecBuilder) {
 }
 
 fn run_worker(table: &Table, spec: SessionSpec) -> (Vec<MiniBatchTensor>, WorkerReport) {
+    // As the session's worker loop does, every split flushes.
+    run_worker_flushing(table, spec, true)
+}
+
+/// `flush_every_split: false` carries each split's partial batch into the
+/// next and flushes once, at the end.
+fn run_worker_flushing(
+    table: &Table,
+    spec: SessionSpec,
+    flush_every_split: bool,
+) -> (Vec<MiniBatchTensor>, WorkerReport) {
     let scan = table
         .scan(spec.partitions(), spec.projection.clone())
         .with_policy(spec.policy)
@@ -71,11 +82,41 @@ fn run_worker(table: &Table, spec: SessionSpec) -> (Vec<MiniBatchTensor>, Worker
     let mut worker = Worker::new(WorkerId(0), Arc::new(spec), scan.clone());
     let mut tensors = Vec::new();
     for split in scan.plan_splits() {
-        // As the session's worker loop does, every split flushes.
         tensors.extend(worker.process_split(&split).unwrap());
-        tensors.extend(worker.flush());
+        if flush_every_split {
+            tensors.extend(worker.flush());
+        }
     }
+    tensors.extend(worker.flush());
     (tensors, worker.report())
+}
+
+/// One delivered row: label, dense values and, per sparse column, ids and
+/// scores (a column no row of its batch scored reads as unit scores, which
+/// is what it would be backfilled with in a batch cut elsewhere).
+type Row = (u32, Vec<u32>, Vec<(Vec<u64>, Vec<f32>)>);
+
+fn rows_of(tensors: &[MiniBatchTensor]) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for t in tensors {
+        let cols = t.dense.cols();
+        for r in 0..t.batch_size() {
+            let dense = &t.dense.as_slice()[r * cols..(r + 1) * cols];
+            let sparse = t.sparse.iter().map(|c| {
+                let (start, end) = (c.offsets()[r] as usize, c.offsets()[r + 1] as usize);
+                let scores = c
+                    .scores()
+                    .map_or(vec![1.0; end - start], |s| s[start..end].to_vec());
+                (c.row(r).to_vec(), scores)
+            });
+            rows.push((
+                t.labels[r].to_bits(),
+                dense.iter().map(|v| v.to_bits()).collect(),
+                sparse.collect(),
+            ));
+        }
+    }
+    rows
 }
 
 fn assert_columnar_worker_matches_row_worker(sampling: bool) -> WorkerReport {
@@ -137,4 +178,31 @@ fn sampling_is_the_whole_row_half() {
     // Half of each stripe survives, give or take: two full batches and
     // most likely a partial one per split.
     assert!((4..=6).contains(&report.batches), "{}", report.batches);
+}
+
+#[test]
+fn carried_rows_are_transformed_once() {
+    // 100 does not divide what `Sampling` keeps of a 1,024-row stripe, so
+    // the first split leaves a partial batch for the second to complete.
+    // Those rows were already sampled and transformed with their own split:
+    // delivering them later must change neither which rows survive nor a
+    // single value, in any of the three session shapes.
+    let (table, spec) = table_and_spec(true);
+    let spec = spec.batch_size(100);
+    for (shape, spec) in [
+        ("fastpath", spec.clone().fastpath(true)),
+        ("row path", spec.clone().fastpath(false)),
+        ("dedup", spec.dedup(DedupConfig::default())),
+    ] {
+        let (flushed, _) = run_worker_flushing(&table, spec.clone().build(), true);
+        let (carried, report) = run_worker_flushing(&table, spec.build(), false);
+        let partial = flushed.iter().filter(|t| t.batch_size() < 100).count();
+        assert_eq!(partial, 2, "{shape}: each split leaves rows to carry");
+        assert_eq!(report.samples, 2 * ROWS_PER_STRIPE as u64);
+        let (flushed, carried) = (rows_of(&flushed), rows_of(&carried));
+        assert_eq!(carried.len(), flushed.len(), "{shape}: rows delivered");
+        for (i, (c, f)) in carried.iter().zip(&flushed).enumerate() {
+            assert!(c == f, "{shape}: row {i}:\n{c:?}\n{f:?}");
+        }
+    }
 }

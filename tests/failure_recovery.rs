@@ -186,26 +186,117 @@ fn autoscale_down_drains_without_loss() {
     let table = build_table(3, 100);
     let session = DppSession::launch(table, spec(3), 6).unwrap();
     // Force a drain of most of the fleet mid-session.
-    let mut scaler = dpp::AutoScaler::new(dpp::ScalerConfig {
+    let scaler = AutoScaler::new(dpp::ScalerConfig {
         min_workers: 1,
         high_buffer_watermark: 0.5, // everything looks over-buffered
         low_buffer_watermark: 0.1,
         scale_down_utilization: 1.1, // always "idle enough"
         ..Default::default()
     });
+    let mut tuner = LiveTuner::new(Box::new(scaler), &session);
     let mut client = session.client();
     let mut labels = Vec::new();
     let mut ticks = 0;
     while let Some(t) = client.next_batch() {
         labels.extend(t.labels.iter().map(|&l| l as u64));
         if ticks < 6 {
-            session.autoscale_tick(&mut scaler);
+            tuner.tick(&session);
             ticks += 1;
         }
     }
     labels.sort_unstable();
     labels.dedup();
     assert_eq!(labels.len(), 300, "drains must not lose rows");
+    session.shutdown();
+}
+
+fn live_workers(session: &DppSession) -> usize {
+    session.observe().iter().filter(|o| o.is_live()).count()
+}
+
+#[test]
+fn back_to_back_drain_ticks_never_breach_min_workers() {
+    // Regression: a drain-flagged worker once still counted as live, so
+    // each consecutive scale-down tick saw the pre-drain fleet size, found
+    // `n - min_workers` still removable, and drained again — walking the
+    // live fleet below the scaler's floor.
+    let table = build_table(4, 200);
+    let session = DppSession::launch(table, spec(4), 4).unwrap();
+    // Nobody consumes: buffers fill and utilization bottoms out, the
+    // over-provisioned signal. Wait for every buffer to look full.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while std::time::Instant::now() < deadline && !session.observe().iter().all(|w| w.buffered >= 3)
+    {
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+    let scaler = AutoScaler::new(dpp::ScalerConfig {
+        min_workers: 3,
+        low_buffer_watermark: 0.5,
+        high_buffer_watermark: 2.0,
+        ..Default::default()
+    });
+    let mut tuner = LiveTuner::new(Box::new(scaler), &session);
+    for _ in 0..6 {
+        tuner.tick(&session);
+    }
+    assert!(session.draining_workers() <= 1, "double-drained");
+    assert_eq!(live_workers(&session), 3, "the floor holds");
+    let mut client = session.client();
+    let mut rows = 0;
+    while let Some(t) = client.next_batch() {
+        rows += t.batch_size();
+    }
+    assert_eq!(rows, 800, "the drained epoch still delivers every row");
+    session.shutdown();
+}
+
+/// Asks for whatever was asked for last: any change comes from the tuner
+/// reconciling the fleet, not from the policy.
+struct Hold;
+
+impl TunerPolicy for Hold {
+    fn name(&self) -> &'static str {
+        "hold"
+    }
+    fn bounds(&self) -> KnobBounds {
+        KnobBounds::default()
+    }
+    fn decide(&mut self, _: &dpp::TunerSignals, current: &Knobs) -> Knobs {
+        *current
+    }
+}
+
+#[test]
+fn tuner_reconciles_against_the_observed_fleet_not_its_last_wish() {
+    // Nobody consumes and the table outlasts every buffer, so no worker
+    // leaves the fleet on its own.
+    let table = build_table(4, 200);
+    let session = DppSession::launch(table, spec(4), 3).unwrap();
+    let mut tuner = LiveTuner::new(Box::new(Hold), &session);
+    assert_eq!(tuner.knobs().workers, 3);
+
+    // One worker leaves behind the tuner's back.
+    let drain_one = || {
+        let live = session.observe().into_iter().find(|o| o.is_live());
+        assert!(session.drain_worker_by_id(live.expect("a live worker").id));
+    };
+    drain_one();
+    assert_eq!(live_workers(&session), 2);
+
+    // A holding tick makes the loss up rather than carrying it...
+    let delta = tuner.tick(&session);
+    assert_eq!((delta.spawned, delta.drained), (1, 0));
+    assert_eq!(live_workers(&session), 3);
+
+    // ...and so does a forced move that lands on drift: asking for one
+    // more than was asked for ends at the count asked for.
+    drain_one();
+    let wanted = Knobs {
+        workers: 4,
+        ..tuner.knobs()
+    };
+    assert_eq!(tuner.apply(&session, wanted).spawned, 2);
+    assert_eq!(live_workers(&session), 4);
     session.shutdown();
 }
 

@@ -522,3 +522,26 @@ fn autotuned_job_delivers_exactly_once_and_tuner_steers_demand() {
         },
     );
 }
+
+#[test]
+fn autotuned_job_with_an_inverted_worker_window_is_capped_not_a_panic() {
+    // Regression: the tuned demand was `usize::clamp`ed into
+    // `[min_workers, max_workers]`, which asserts `min <= max` — with the
+    // reconciler's locks held. The ceiling wins, as for a static demand.
+    let driver = FleetDriver::new(FleetConfig::default());
+    let job = SessionId(1);
+    let spec = JobSpec::new(
+        session_spec(job.0, 1, Transport::InProcess),
+        TenantId(1),
+        1,
+        4,
+        2,
+    );
+    driver.submit(spec, build_table(1, 1)).unwrap();
+    assert!(driver.enable_autotune(job, Box::new(AutoScaler::default())));
+    let spawned = driver.tick().len();
+    assert_eq!(spawned, 2, "the floor, cut down to the ceiling");
+    let status = driver.registry().status(job).expect("status published");
+    assert_eq!(status.desired_workers, 2);
+    driver.remove(job).unwrap().shutdown();
+}
