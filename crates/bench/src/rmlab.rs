@@ -221,14 +221,15 @@ impl RmLab {
     }
 
     /// Like [`RmLab::measure_worker`], additionally publishing the
-    /// report's metrics (including dedup reuse counters) into `registry`.
+    /// report's metrics (including dedup reuse counters) into `registry`
+    /// under the spec's session id.
     pub fn measure_worker_publishing(
         &self,
         spec: &SessionSpec,
         registry: &dsi_obs::Registry,
     ) -> WorkerReport {
         let report = self.measure_worker(spec);
-        report.publish_metrics(registry);
+        report.publish_metrics(registry, &spec.id.to_string());
         report
     }
 

@@ -58,7 +58,9 @@ struct MasterState {
     registered: BTreeSet<WorkerId>,
     next_worker_id: u64,
     completed_count: u64,
-    registry: Option<dsi_obs::Registry>,
+    /// The attached registry and the `job` label (the session id) every
+    /// series this Master writes carries.
+    registry: Option<(dsi_obs::Registry, String)>,
     trace: TraceConfig,
 }
 
@@ -67,15 +69,18 @@ impl MasterState {
     /// registry lives inside the shared state so every Master clone
     /// (replica) reports into the same series.
     fn publish_metrics(&self) {
-        let Some(reg) = &self.registry else { return };
+        let Some((reg, job)) = &self.registry else {
+            return;
+        };
         use dsi_obs::names;
-        reg.gauge(names::MASTER_QUEUE_DEPTH, &[])
+        let labels = [("job", job.as_str())];
+        reg.gauge(names::MASTER_QUEUE_DEPTH, &labels)
             .set(self.queue.len() as f64);
-        reg.gauge(names::MASTER_WORKERS, &[])
+        reg.gauge(names::MASTER_WORKERS, &labels)
             .set(self.registered.len() as f64);
-        reg.counter(names::MASTER_SPLITS_TOTAL, &[])
+        reg.counter(names::MASTER_SPLITS_TOTAL, &labels)
             .advance_to(self.splits.len() as u64);
-        reg.counter(names::MASTER_SPLITS_COMPLETED_TOTAL, &[])
+        reg.counter(names::MASTER_SPLITS_COMPLETED_TOTAL, &labels)
             .advance_to(self.completed_count);
     }
 }
@@ -140,7 +145,7 @@ impl Master {
     /// Clones share state, so attaching through any replica covers all.
     pub fn attach_registry(&self, registry: &dsi_obs::Registry) {
         let mut s = self.state.lock();
-        s.registry = Some(registry.clone());
+        s.registry = Some((registry.clone(), self.session.to_string()));
         s.publish_metrics();
     }
 
@@ -227,7 +232,7 @@ impl Master {
                 let mut ctx = TraceContext::NONE;
                 let trace_id = s.trace.trace_id(self.session, idx);
                 if trace_id != 0 {
-                    if let Some(reg) = &s.registry {
+                    if let Some((reg, _)) = &s.registry {
                         let span_id = next_span_id();
                         let now = now_ns();
                         reg.record_span(TraceSpan {
@@ -307,8 +312,8 @@ impl Master {
     /// Takes a checkpoint of reader progress.
     pub fn checkpoint(&self) -> MasterCheckpoint {
         let s = self.state.lock();
-        if let Some(reg) = &s.registry {
-            reg.counter(dsi_obs::names::MASTER_CHECKPOINTS_TOTAL, &[])
+        if let Some((reg, job)) = &s.registry {
+            reg.counter(dsi_obs::names::MASTER_CHECKPOINTS_TOTAL, &[("job", job)])
                 .inc();
         }
         let completed = s
@@ -617,16 +622,17 @@ mod tests {
         let master = Master::new(SessionId(1), make_splits(3));
         let reg = dsi_obs::Registry::new();
         master.attach_registry(&reg);
-        assert_eq!(reg.counter_value(names::MASTER_SPLITS_TOTAL, &[]), 3);
-        assert!((reg.gauge_value(names::MASTER_QUEUE_DEPTH, &[]) - 3.0).abs() < 1e-9);
+        let job = [("job", "sess1")];
+        assert_eq!(reg.counter_value(names::MASTER_SPLITS_TOTAL, &job), 3);
+        assert!((reg.gauge_value(names::MASTER_QUEUE_DEPTH, &job) - 3.0).abs() < 1e-9);
 
         let w = master.register_worker();
-        assert!((reg.gauge_value(names::MASTER_WORKERS, &[]) - 1.0).abs() < 1e-9);
+        assert!((reg.gauge_value(names::MASTER_WORKERS, &job) - 1.0).abs() < 1e-9);
         let s = master.request_split(w).unwrap().unwrap();
-        assert!((reg.gauge_value(names::MASTER_QUEUE_DEPTH, &[]) - 2.0).abs() < 1e-9);
+        assert!((reg.gauge_value(names::MASTER_QUEUE_DEPTH, &job) - 2.0).abs() < 1e-9);
         master.complete_split(w, s.index).unwrap();
         assert_eq!(
-            reg.counter_value(names::MASTER_SPLITS_COMPLETED_TOTAL, &[]),
+            reg.counter_value(names::MASTER_SPLITS_COMPLETED_TOTAL, &job),
             1
         );
 
@@ -634,12 +640,12 @@ mod tests {
         let s2 = master.request_split(w).unwrap().unwrap();
         assert_eq!(s2.index, 1);
         master.fail_worker(w);
-        assert!((reg.gauge_value(names::MASTER_QUEUE_DEPTH, &[]) - 2.0).abs() < 1e-9);
-        assert!((reg.gauge_value(names::MASTER_WORKERS, &[]) - 0.0).abs() < 1e-9);
+        assert!((reg.gauge_value(names::MASTER_QUEUE_DEPTH, &job) - 2.0).abs() < 1e-9);
+        assert!((reg.gauge_value(names::MASTER_WORKERS, &job) - 0.0).abs() < 1e-9);
 
         master.checkpoint();
         master.checkpoint();
-        assert_eq!(reg.counter_value(names::MASTER_CHECKPOINTS_TOTAL, &[]), 2);
+        assert_eq!(reg.counter_value(names::MASTER_CHECKPOINTS_TOTAL, &job), 2);
     }
 
     #[test]

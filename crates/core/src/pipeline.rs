@@ -27,7 +27,10 @@ use crate::session::SessionSpec;
 use crate::worker::{ExecPlan, ExtractCostModel, Worker, WorkerReport};
 use chaos::{FaultKind, HookPoint};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use dsi_obs::{names, next_span_id, now_ns, Registry, SpanKind, TraceContext, TraceSpan};
+use dsi_obs::{
+    names, next_span_id, now_ns, observe_stage_seconds, stage, Registry, SpanKind, TraceContext,
+    TraceSpan,
+};
 use dsi_types::{Batch, Sample, WorkerId};
 use dwrf::IoPlan;
 use parking_lot::Mutex;
@@ -89,6 +92,8 @@ struct Stages {
     kill: Arc<AtomicBool>,
     drain: Arc<AtomicBool>,
     obs: Arc<Mutex<Option<Registry>>>,
+    /// The `job` label (the session id) on everything the stages record.
+    job: Arc<str>,
     chaos: ChaosSlot,
     scan: TableScan,
     spec: Arc<SessionSpec>,
@@ -96,51 +101,76 @@ struct Stages {
     cost: ExtractCostModel,
 }
 
-/// A stage span that has started; [`OpenSpan::close`] records it.
-struct OpenSpan {
+/// A stage that has started; [`OpenStage::close`] records it. This is the
+/// one bracket around a worker stage: it feeds `dsi_stage_seconds` on
+/// every split and the trace ring on sampled ones.
+struct OpenStage<'a> {
     reg: Registry,
-    span: TraceSpan,
+    job: &'a str,
+    /// The `dsi_stage_seconds` stage this bracket times, and since when.
+    timed: Option<(&'static str, Instant)>,
+    /// The trace span, when the split is sampled.
+    span: Option<TraceSpan>,
 }
 
-impl OpenSpan {
+impl OpenStage<'_> {
     /// The context child spans (storage reads, envelopes) hang under.
     fn ctx(&self) -> TraceContext {
-        TraceContext {
-            trace_id: self.span.trace_id,
-            span_id: self.span.span_id,
-        }
+        self.span.map_or(TraceContext::NONE, |span| TraceContext {
+            trace_id: span.trace_id,
+            span_id: span.span_id,
+        })
     }
 
     fn close(mut self) -> TraceContext {
-        self.span.end_ns = now_ns();
-        self.reg.record_span(self.span);
+        if let Some((stage, started)) = self.timed {
+            observe_stage_seconds(&self.reg, self.job, stage, started.elapsed().as_secs_f64());
+        }
+        if let Some(span) = &mut self.span {
+            span.end_ns = now_ns();
+            self.reg.record_span(*span);
+        }
         self.ctx()
     }
 }
 
 impl Stages {
-    /// Starts a stage span under the split's schedule context, or `None`
-    /// when the split is unsampled or no registry is attached. The slot is
-    /// re-read per stage so a registry attached after launch still
-    /// collects this worker's spans.
-    fn open_span(&self, trace: TraceContext, kind: SpanKind, split: &Split) -> Option<OpenSpan> {
-        if !trace.is_sampled() {
+    /// Starts a stage under the split's schedule context, or `None` when
+    /// no registry is attached — nothing below the slot read runs then, so
+    /// an unobserved session reads no clock. Transform and load are timed
+    /// here on every split; extract's seconds are the reader's to record
+    /// (storage fetch, decompress and deserialize, three disjoint stages),
+    /// so its bracket exists only to carry a sampled split's span. The
+    /// slot is re-read per stage so a registry attached after launch still
+    /// collects this worker's stages.
+    fn open(&self, trace: TraceContext, kind: SpanKind, split: u64) -> Option<OpenStage<'_>> {
+        let reg = self.obs.lock().clone()?;
+        let timed = match kind {
+            SpanKind::Transform => Some(stage::TRANSFORM),
+            SpanKind::Load => Some(stage::LOAD),
+            _ => None,
+        };
+        if timed.is_none() && !trace.is_sampled() {
             return None;
         }
-        let reg = self.obs.lock().clone()?;
-        let span = TraceSpan {
+        let span = trace.is_sampled().then(|| TraceSpan {
             trace_id: trace.trace_id,
             span_id: next_span_id(),
             parent_id: trace.span_id,
             kind,
             start_ns: now_ns(),
             end_ns: 0,
-            split: split.index,
+            split,
             worker: self.id.0,
             seq: 0,
             flags: 0,
-        };
-        Some(OpenSpan { reg, span })
+        });
+        Some(OpenStage {
+            reg,
+            job: &self.job,
+            timed: timed.map(|stage| (stage, Instant::now())),
+            span,
+        })
     }
 
     /// Stage 1: asks the Master for a split and reads + decodes it. The
@@ -161,13 +191,13 @@ impl Stages {
         };
         // Traced reads hang the storage subtree under the Extract span; a
         // failed read records none.
-        let span = self.open_span(trace, SpanKind::Extract, &split);
-        let read = match &span {
+        let stage = self.open(trace, SpanKind::Extract, split.index);
+        let read = match &stage {
             Some(s) => self.scan.read_split_traced(&split, s.ctx(), &s.reg),
             None => self.scan.read_split(&split),
         };
         let (rows, plan) = read.map_err(|_| EndReason::StageFailed)?;
-        if let Some(s) = span {
+        if let Some(s) = stage {
             s.close();
         }
         Ok(Fetched {
@@ -183,11 +213,11 @@ impl Stages {
     /// the fast path that is the `Sampling` filter alone; the columnar
     /// kernels run in [`Worker::load_stage`], on the worker's own thread).
     fn transform(&self, f: Fetched) -> Transformed {
-        let span = self.open_span(f.trace, SpanKind::Transform, &f.split);
+        let stage = self.open(f.trace, SpanKind::Transform, f.split.index);
         let (batch, delta) = Worker::transform_stage(
             &self.spec, &self.exec, &self.cost, &f.split, f.rows, &f.plan,
         );
-        if let Some(s) = span {
+        if let Some(s) = stage {
             s.close();
         }
         Transformed {
@@ -207,14 +237,14 @@ impl Stages {
         tx: &Sender<Envelope>,
     ) -> Result<(), EndReason> {
         self.fire_worker_chaos()?;
-        let span = self.open_span(t.trace, SpanKind::Load, &t.split);
+        let stage = self.open(t.trace, SpanKind::Load, t.split.index);
         let mut tensors = worker.load_stage(t.batch, t.delta);
         // Per-split flush keeps replay exact under failures (no cross-split
         // rows inside any delivered tensor).
         tensors.extend(worker.flush());
         // All of a split's envelopes carry the Load span as their parent,
         // so wire/client spans attach per delivered tensor.
-        let parent = span.map_or(TraceContext::NONE, OpenSpan::close);
+        let parent = stage.map_or(TraceContext::NONE, OpenStage::close);
         if self.kill.load(Ordering::SeqCst) {
             // Crash before delivering: the split replays on another worker,
             // so rows are still delivered exactly once.
@@ -305,15 +335,11 @@ impl Stages {
         }));
 
         let stages = self.clone();
-        // Sessions share registries under the fleet control plane, so the
-        // per-worker pipeline gauges carry the job label like every other
-        // session-scoped metric.
-        let job = self.master.session().to_string();
         threads.push(std::thread::spawn(move || {
             while let Ok(item) = fetch_rx.recv() {
                 let out = item.map(|f| {
                     if let Some(reg) = stages.obs.lock().clone() {
-                        let labels = [("job", job.as_str())];
+                        let labels = [("job", &*stages.job)];
                         // Depth of the decode read-ahead buffer *behind*
                         // this item: how far fetch has run ahead.
                         reg.gauge(names::FASTPATH_PREFETCH_DEPTH, &labels)
@@ -360,6 +386,7 @@ pub(crate) fn worker_loop(
     chaos: ChaosSlot,
 ) -> WorkerReport {
     let stages = Stages {
+        job: master.session().to_string().into(),
         master,
         id: worker.id(),
         kill,
@@ -402,4 +429,71 @@ pub(crate) fn worker_loop(
         }
     }
     worker.report()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dsi_types::{Projection, SessionId, TableId};
+
+    #[test]
+    fn bracket_needs_a_registry_and_times_transform_and_load_on_every_split() {
+        let cluster = tectonic::TectonicCluster::new(tectonic::ClusterConfig::small());
+        let table = warehouse::Table::create(cluster, warehouse::TableConfig::new(TableId(1), "t"))
+            .unwrap();
+        let spec = Arc::new(SessionSpec::builder(SessionId(4)).build());
+        let stages = Stages {
+            master: Master::new(spec.id, Vec::new()),
+            id: WorkerId(0),
+            kill: Arc::default(),
+            drain: Arc::default(),
+            obs: Arc::default(),
+            job: "sess4".into(),
+            chaos: Arc::default(),
+            scan: table.scan(spec.partitions(), Projection::new(Vec::new())),
+            exec: Arc::new(ExecPlan::for_spec(&spec)),
+            spec,
+            cost: ExtractCostModel::default(),
+        };
+        let sampled = TraceContext {
+            trace_id: 7,
+            span_id: 1,
+        };
+        let kinds = [SpanKind::Extract, SpanKind::Transform, SpanKind::Load];
+
+        // Empty slot: even a sampled split opens no bracket.
+        for kind in kinds {
+            assert!(stages.open(sampled, kind, 0).is_none(), "{kind:?}");
+        }
+
+        let reg = Registry::new();
+        *stages.obs.lock() = Some(reg.clone());
+        // Unsampled split: transform and load are timed, nothing is traced,
+        // and extract (the reader times it) has nothing to bracket.
+        assert!(stages
+            .open(TraceContext::NONE, SpanKind::Extract, 0)
+            .is_none());
+        for kind in [SpanKind::Transform, SpanKind::Load] {
+            let open = stages.open(TraceContext::NONE, kind, 0).unwrap();
+            assert_eq!(open.close(), TraceContext::NONE);
+        }
+        assert!(reg.trace_spans().is_empty());
+        // Sampled split: all three close into the trace ring as well.
+        for kind in kinds {
+            let ctx = stages.open(sampled, kind, 0).unwrap().close();
+            assert_eq!(ctx.trace_id, 7);
+        }
+        assert_eq!(reg.trace_spans().len(), 3);
+        for (stage, spans) in [("extract", 0), ("transform", 2), ("load", 2)] {
+            let labels = [("job", "sess4"), ("stage", stage)];
+            let seen = reg.select(dsi_obs::STAGE_SECONDS, &labels);
+            assert_eq!(seen.len(), usize::from(spans > 0), "{stage}");
+            for (_, value) in seen {
+                match value {
+                    dsi_obs::MetricValue::Histogram(h) => assert_eq!(h.count, spans, "{stage}"),
+                    other => panic!("{stage}: {other:?}"),
+                }
+            }
+        }
+    }
 }

@@ -339,15 +339,13 @@ impl DppSession {
 
     /// Publishes the merged telemetry of all *finished* workers into the
     /// attached registry (live workers report at thread exit). No-op
-    /// without an attached registry. Worker metrics carry a `job` label
-    /// (the session id) so concurrent sessions sharing one registry never
-    /// collide on their monotone counters.
+    /// without an attached registry. Like every series the session writes,
+    /// these carry the session id as their `job` label, so concurrent
+    /// sessions sharing one registry never collide.
     pub fn publish_metrics(&self) {
-        if let Some(reg) = self.obs.lock().clone() {
+        if let Some(reg) = self.obs.lock().as_ref() {
             let job = self.master.session().to_string();
-            self.finished_reports
-                .lock()
-                .publish_metrics_labeled(&reg, &job);
+            self.finished_reports.lock().publish_metrics(reg, &job);
         }
     }
 
@@ -356,9 +354,8 @@ impl DppSession {
     /// tick's read. All-zero without a registry.
     pub(crate) fn sample_signals(&self) -> SignalSnapshot {
         self.publish_metrics();
-        let job = self.master.session().to_string();
         match self.obs.lock().as_ref() {
-            Some(reg) => SignalSnapshot::sample_job(reg, &job),
+            Some(reg) => SignalSnapshot::sample(reg, &self.master.session().to_string()),
             None => SignalSnapshot::default(),
         }
     }
@@ -422,7 +419,8 @@ impl DppSession {
         let (tx, rx) = bounded::<Envelope>(spec.buffer_capacity);
         let kill = Arc::new(AtomicBool::new(false));
         let drain = Arc::new(AtomicBool::new(false));
-        let scan = session_scan(&self.table, &spec).with_job(&self.master.session().to_string());
+        let job = self.master.session().to_string();
+        let scan = session_scan(&self.table, &spec).with_job(&job);
         let worker = Worker::new(id, Arc::clone(&spec), scan);
         let master = self.master.clone();
         let reports = Arc::clone(&self.finished_reports);
@@ -445,7 +443,6 @@ impl DppSession {
         let receiver = match spec.transport {
             Transport::InProcess => rx,
             Transport::Tcp(cfg) => {
-                let job = self.master.session().to_string();
                 let server = wire::WireServer::serve(
                     rx,
                     cfg,
@@ -629,10 +626,8 @@ impl DppSession {
         for (_, c) in controls {
             let _ = c.handle.join();
         }
+        self.publish_metrics();
         let report = *self.finished_reports.lock();
-        if let Some(reg) = self.obs.lock().as_ref() {
-            report.publish_metrics_labeled(reg, &self.master.session().to_string());
-        }
         report
     }
 }
@@ -954,15 +949,15 @@ mod tests {
         let total = session.master().total_splits();
         let report = session.shutdown();
 
+        // Everything the session writes carries the session id as a `job`
+        // label so concurrent sessions sharing a registry never collide.
+        let job = [("job", "sess5")];
         // Master progress flowed through the registry.
-        assert_eq!(reg.counter_value(names::MASTER_SPLITS_TOTAL, &[]), total);
+        assert_eq!(reg.counter_value(names::MASTER_SPLITS_TOTAL, &job), total);
         assert_eq!(
-            reg.counter_value(names::MASTER_SPLITS_COMPLETED_TOTAL, &[]),
+            reg.counter_value(names::MASTER_SPLITS_COMPLETED_TOTAL, &job),
             total
         );
-        // Session-scoped metrics carry the session id as a `job` label so
-        // concurrent sessions sharing a registry never collide.
-        let job = [("job", "sess5")];
         // Client fetch latency histogram saw every delivered batch.
         let fetch = reg.histogram(names::CLIENT_FETCH_SECONDS, &job).snapshot();
         assert_eq!(
@@ -1031,7 +1026,10 @@ mod tests {
         let after_shutdown = || {
             (
                 cluster.total_stats().ios,
-                reg.counter_value(dsi_obs::names::DWRF_STRIPES_DECODED_TOTAL, &[]),
+                reg.counter_value(
+                    dsi_obs::names::DWRF_STRIPES_DECODED_TOTAL,
+                    &[("job", "sess5")],
+                ),
             )
         };
         let at_return = after_shutdown();

@@ -139,8 +139,8 @@ impl Default for KnobBounds {
 /// (which never transits the registry, so it cannot be NaN-poisoned).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TunerSignals {
-    /// Registry sample — stall fraction, fetch tail, starvation,
-    /// fastpath pool health, per-stage seconds.
+    /// This job's registry sample — stall fraction, fetch tail and
+    /// per-stage seconds, read through the job's own `{job}` series.
     pub snapshot: SignalSnapshot,
     /// Mean tensors buffered per live worker (the §III-B1 watermark
     /// signal).

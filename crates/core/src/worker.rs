@@ -184,29 +184,21 @@ impl WorkerReport {
         }
     }
 
-    /// Publishes the report's cumulative totals into `registry`: sample /
-    /// batch / byte counters plus simulated stage cycles (extract,
-    /// transform, and the transform sub-stages of Table IX). Totals
-    /// advance monotonically, so republishing a merged session report —
-    /// or a superset after further merges — is idempotent.
-    pub fn publish_metrics(&self, registry: &dsi_obs::Registry) {
-        self.publish_with(registry, None);
-    }
-
-    /// [`WorkerReport::publish_metrics`] with a `job` label on every
-    /// series, so two concurrent sessions publishing into one registry
-    /// keep distinct (and correctly monotone) counters instead of
-    /// colliding on `advance_to`.
-    pub fn publish_metrics_labeled(&self, registry: &dsi_obs::Registry, job: &str) {
-        self.publish_with(registry, Some(job));
-    }
-
-    fn publish_with(&self, registry: &dsi_obs::Registry, job: Option<&str>) {
+    /// Publishes the report's cumulative totals into `registry` under
+    /// `job` (the session id, so concurrent sessions sharing one registry
+    /// keep distinct, correctly monotone counters instead of colliding on
+    /// `advance_to`): sample / batch / byte counters plus simulated stage
+    /// cycles (extract, transform, and the transform sub-stages of
+    /// Table IX). Totals advance monotonically, so republishing a merged
+    /// session report — or a superset after further merges — is
+    /// idempotent. The dedup reuse counter exists only for sessions that
+    /// dedup (the only ones whose report covers any dedup rows).
+    pub fn publish_metrics(&self, registry: &dsi_obs::Registry, job: &str) {
         use dsi_obs::{names, span};
-        let base: Vec<(&str, &str)> = match job {
-            Some(j) => vec![("job", j)],
-            None => Vec::new(),
-        };
+        let dedup = (self.dedup_rows > 0).then_some((
+            names::DEDUP_TRANSFORM_REUSE_HITS_TOTAL,
+            self.dedup_reuse_hits,
+        ));
         for (name, total) in [
             (names::WORKER_SAMPLES_TOTAL, self.samples),
             (names::WORKER_BATCHES_TOTAL, self.batches),
@@ -219,13 +211,11 @@ impl WorkerReport {
                 names::WORKER_MEMBW_BYTES_TOTAL,
                 self.membw_bytes.round() as u64,
             ),
-            (names::FASTPATH_BYTES_COPIED_TOTAL, self.copied_bytes),
-            (
-                names::DEDUP_TRANSFORM_REUSE_HITS_TOTAL,
-                self.dedup_reuse_hits,
-            ),
-        ] {
-            registry.counter(name, &base).advance_to(total);
+        ]
+        .into_iter()
+        .chain(dedup)
+        {
+            registry.counter(name, &[("job", job)]).advance_to(total);
         }
         for (stage, cycles) in [
             (span::stage::EXTRACT, self.extract_cycles),
@@ -243,20 +233,19 @@ impl WorkerReport {
                 self.dense_normalization_cycles,
             ),
         ] {
-            let mut labels = base.clone();
-            labels.push(("stage", stage));
             registry
-                .counter(span::STAGE_CYCLES_TOTAL, &labels)
+                .counter(span::STAGE_CYCLES_TOTAL, &[("job", job), ("stage", stage)])
                 .advance_to(cycles.round() as u64);
         }
         for (op, nanos) in COLUMNAR_KERNELS.iter().zip(self.columnar_kernel_nanos) {
             if nanos == 0 {
                 continue;
             }
-            let mut labels = base.clone();
-            labels.push(("op", op));
             registry
-                .counter(names::TRANSFORM_KERNEL_NANOS_TOTAL, &labels)
+                .counter(
+                    names::TRANSFORM_KERNEL_NANOS_TOTAL,
+                    &[("job", job), ("op", op)],
+                )
                 .advance_to(nanos);
         }
     }
@@ -674,30 +663,32 @@ mod tests {
         worker.flush();
         let r = worker.report();
         let reg = dsi_obs::Registry::new();
-        r.publish_metrics(&reg);
-        r.publish_metrics(&reg); // monotone advance: double-publish is safe
+        r.publish_metrics(&reg, "sess1");
+        r.publish_metrics(&reg, "sess1"); // monotone advance: double-publish is safe
+        let job = [("job", "sess1")];
         assert_eq!(
-            reg.counter_value(dsi_obs::names::WORKER_SAMPLES_TOTAL, &[]),
+            reg.counter_value(dsi_obs::names::WORKER_SAMPLES_TOTAL, &job),
             r.samples
         );
         assert_eq!(
-            reg.counter_value(dsi_obs::names::WORKER_BATCHES_TOTAL, &[]),
+            reg.counter_value(dsi_obs::names::WORKER_BATCHES_TOTAL, &job),
             r.batches
         );
-        assert_eq!(
-            reg.counter_value(dsi_obs::span::STAGE_CYCLES_TOTAL, &[("stage", "extract")]),
-            r.extract_cycles.round() as u64
-        );
-        assert!(
-            reg.counter_value(dsi_obs::span::STAGE_CYCLES_TOTAL, &[("stage", "transform")]) > 0
-        );
-        assert_eq!(
+        let cycles = |stage: &str| {
             reg.counter_value(
                 dsi_obs::span::STAGE_CYCLES_TOTAL,
-                &[("stage", "transform/sparse_normalization")]
-            ),
+                &[("job", "sess1"), ("stage", stage)],
+            )
+        };
+        assert_eq!(cycles("extract"), r.extract_cycles.round() as u64);
+        assert!(cycles("transform") > 0);
+        assert_eq!(
+            cycles("transform/sparse_normalization"),
             r.sparse_normalization_cycles.round() as u64
         );
+        // This session does not dedup: no reuse counter, not even a zero.
+        let reuse = dsi_obs::names::DEDUP_TRANSFORM_REUSE_HITS_TOTAL;
+        assert!(reg.select(reuse, &[]).is_empty());
     }
 
     #[test]
@@ -769,9 +760,12 @@ mod tests {
         assert!(dedup_report.transform_tx_bytes < plain_report.transform_tx_bytes);
 
         let reg = dsi_obs::Registry::new();
-        dedup_report.publish_metrics(&reg);
+        dedup_report.publish_metrics(&reg, "sess1");
         assert_eq!(
-            reg.counter_value(dsi_obs::names::DEDUP_TRANSFORM_REUSE_HITS_TOTAL, &[]),
+            reg.counter_value(
+                dsi_obs::names::DEDUP_TRANSFORM_REUSE_HITS_TOTAL,
+                &[("job", "sess1")]
+            ),
             dedup_report.dedup_reuse_hits
         );
     }

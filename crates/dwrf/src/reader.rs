@@ -161,12 +161,11 @@ impl FileReader {
         self
     }
 
-    /// Labels this reader's *pool* metric publications with the owning
-    /// session (`{job="sessN"}`). Only the shared-buffer-pool series are
-    /// labeled: the `dsi_dwrf_*` and bytes-copied counters stay unlabeled
-    /// because they are per-stripe deltas (`add`) that the session's
-    /// worker reports re-publish per job via `advance_to` — labeling both
-    /// would double-count the same series. An empty `job` is ignored.
+    /// Stamps everything this reader publishes — the `dsi_dwrf_*` and
+    /// bytes-copied counters, the shared-buffer-pool series, the three
+    /// stage observations — with the owning session (`{job="sessN"}`). A
+    /// reader used outside a session (a warehouse query) has no job and
+    /// writes unlabeled series; an empty `job` is the same.
     pub fn with_job(mut self, job: &str) -> Self {
         if !job.is_empty() {
             self.job = Some(job.into());
@@ -339,20 +338,24 @@ impl FileReader {
         plan.copied_bytes = cost.copied.get();
         if let Some(reg) = &self.registry {
             use dsi_obs::{names, observe_stage_seconds, stage};
-            reg.counter(names::DWRF_STRIPES_DECODED_TOTAL, &[]).inc();
-            reg.counter(names::DWRF_READ_BYTES_TOTAL, &[])
+            let job = self.job.as_deref().unwrap_or("");
+            let labels = [("job", job)];
+            reg.counter(names::DWRF_STRIPES_DECODED_TOTAL, &labels)
+                .inc();
+            reg.counter(names::DWRF_READ_BYTES_TOTAL, &labels)
                 .add(plan.read_bytes);
-            reg.counter(names::DWRF_WANTED_BYTES_TOTAL, &[])
+            reg.counter(names::DWRF_WANTED_BYTES_TOTAL, &labels)
                 .add(plan.wanted_bytes);
-            reg.counter(names::FASTPATH_BYTES_COPIED_TOTAL, &[])
+            reg.counter(names::FASTPATH_BYTES_COPIED_TOTAL, &labels)
                 .add(plan.copied_bytes);
-            global_pool().publish_metrics_labeled(reg, self.job.as_deref().unwrap_or(""));
-            observe_stage_seconds(reg, stage::EXTRACT, fetch_secs);
-            observe_stage_seconds(reg, stage::DECOMPRESS, decompress_secs);
+            global_pool().publish_metrics(reg, job);
+            observe_stage_seconds(reg, job, stage::EXTRACT, fetch_secs);
+            observe_stage_seconds(reg, job, stage::DECOMPRESS, decompress_secs);
             // Deserialize excludes decompression: it is the column/map
             // decode cost the paper attributes to wire-format handling.
             observe_stage_seconds(
                 reg,
+                job,
                 stage::DESERIALIZE,
                 (decode_started.elapsed().as_secs_f64() - decompress_secs).max(0.0),
             );

@@ -367,29 +367,22 @@ impl BufferPool {
         }
     }
 
-    /// Publishes the pool's hit ratio and take counters into `registry`.
-    /// Counters use `advance_to`, so repeated publishing is idempotent.
-    pub fn publish_metrics(&self, registry: &dsi_obs::Registry) {
-        self.publish_metrics_labeled(registry, "");
-    }
-
-    /// Like [`BufferPool::publish_metrics`], but labels the series with
-    /// the publishing session (`{job="sessN"}`). Sessions share registries
-    /// under the fleet control plane; the label keeps one tenant's view of
-    /// the shared pool from clobbering another's. An empty `job` publishes
-    /// unlabeled, matching the single-session default.
-    pub fn publish_metrics_labeled(&self, registry: &dsi_obs::Registry, job: &str) {
+    /// Publishes the pool's hit ratio and take counters into `registry`
+    /// as `job`'s view of the pool: sessions share registries under the
+    /// fleet control plane, and the label keeps one tenant's view of the
+    /// shared pool from clobbering another's. Counters use `advance_to`,
+    /// so repeated publishing is idempotent.
+    pub fn publish_metrics(&self, registry: &dsi_obs::Registry, job: &str) {
         use dsi_obs::names;
-        let jl = [("job", job)];
-        let labels: &[(&str, &str)] = if job.is_empty() { &[] } else { &jl };
+        let labels = [("job", job)];
         registry
-            .gauge(names::FASTPATH_POOL_HIT_RATIO, labels)
+            .gauge(names::FASTPATH_POOL_HIT_RATIO, &labels)
             .set(self.hit_ratio());
         registry
-            .counter(names::FASTPATH_POOL_HITS_TOTAL, labels)
+            .counter(names::FASTPATH_POOL_HITS_TOTAL, &labels)
             .advance_to(self.hits());
         registry
-            .counter(names::FASTPATH_POOL_MISSES_TOTAL, labels)
+            .counter(names::FASTPATH_POOL_MISSES_TOTAL, &labels)
             .advance_to(self.misses());
     }
 }
@@ -531,9 +524,12 @@ mod tests {
         }
         assert!(pool.hit_ratio() >= 0.74, "ratio {}", pool.hit_ratio());
         let reg = dsi_obs::Registry::new();
-        pool.publish_metrics(&reg);
+        pool.publish_metrics(&reg, "sess1");
         assert_eq!(
-            reg.counter_value(dsi_obs::names::FASTPATH_POOL_HITS_TOTAL, &[]),
+            reg.counter_value(
+                dsi_obs::names::FASTPATH_POOL_HITS_TOTAL,
+                &[("job", "sess1")]
+            ),
             pool.hits()
         );
     }

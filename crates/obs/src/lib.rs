@@ -9,21 +9,20 @@
 //! into the paper-style characterization tables of [`PipelineReport`].
 //!
 //! ```
-//! use dsi_obs::{Registry, StageScope, stage, PipelineReport};
+//! use dsi_obs::{observe_stage_seconds, stage, PipelineReport, Registry, SignalSnapshot};
 //!
 //! let reg = Registry::new();
-//! {
-//!     let scope = StageScope::enter(&reg, stage::EXTRACT);
-//!     scope.add_cycles(1_000);
-//! }
+//! observe_stage_seconds(&reg, "sess1", stage::EXTRACT, 0.25);
 //! reg.counter("dsi_cache_hits_total", &[]).add(42);
 //! println!("{}", dsi_obs::prometheus_text(&reg));
 //! println!("{}", PipelineReport::collect(&reg));
+//! assert_eq!(SignalSnapshot::sample(&reg, "sess1").extract_secs, 0.25);
 //! ```
 //!
-//! Components accept a `Registry` handle (cheap `Arc` clone) so tests
-//! can isolate their metrics; processes that want one shared sink use
-//! [`global()`].
+//! Components accept a `Registry` handle (cheap `Arc` clone), so every
+//! test, session and process decides what shares a sink. Every series a
+//! session writes carries `job="sessN"`; both readers go through
+//! [`Registry::select`], the tuner with `{job}` and the report with `{}`.
 
 pub mod expo;
 pub mod metrics;
@@ -39,30 +38,5 @@ pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{Metric, MetricKey, MetricValue, Registry};
 pub use report::{NodeRow, PipelineReport, StageRow};
 pub use signal::{finite_or_zero, SignalSnapshot};
-pub use span::{
-    add_stage_cycles, observe_stage_seconds, stage, SpanTimer, StageScope, STAGE_CYCLES_TOTAL,
-    STAGE_SECONDS,
-};
+pub use span::{observe_stage_seconds, stage, STAGE_CYCLES_TOTAL, STAGE_SECONDS};
 pub use trace::{next_span_id, now_ns, SpanKind, SpanRing, TraceContext, TraceSpan, FLAG_REPLAY};
-
-use std::sync::OnceLock;
-
-static GLOBAL: OnceLock<Registry> = OnceLock::new();
-
-/// The process-wide registry. First call creates it; clones share state.
-pub fn global() -> Registry {
-    GLOBAL.get_or_init(Registry::new).clone()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn global_registry_is_shared() {
-        let a = global();
-        let b = global();
-        a.counter("dsi_test_global_total", &[]).add(3);
-        assert_eq!(b.counter_value("dsi_test_global_total", &[]), 3);
-    }
-}

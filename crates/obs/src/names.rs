@@ -3,7 +3,9 @@
 //! Instrumented crates and the [`crate::report::PipelineReport`] share
 //! these constants so the catalog in `DESIGN.md` stays the single source
 //! of truth. Suffix conventions follow Prometheus: `_total` for
-//! counters, `_seconds`/`_bytes` units, bare names for gauges.
+//! counters, `_seconds`/`_bytes` units, bare names for gauges. A `job`
+//! label is the id of the session the series was written by or for
+//! (`sess<N>`); a writer outside any session leaves it off.
 
 // ---- scribe: message bus + streaming ETL ----------------------------------
 
@@ -55,40 +57,40 @@ pub const TECTONIC_UNDER_REPLICATED_CHUNKS: &str = "dsi_tectonic_under_replicate
 
 // ---- dwrf: columnar format reader -----------------------------------------
 
-/// Counter: stripes decoded by DWRF readers.
+/// Counter, labels `{job}`: stripes decoded by DWRF readers.
 pub const DWRF_STRIPES_DECODED_TOTAL: &str = "dsi_dwrf_stripes_decoded_total";
-/// Counter: bytes physically read (after coalescing over-read).
+/// Counter, labels `{job}`: bytes physically read (after coalescing over-read).
 pub const DWRF_READ_BYTES_TOTAL: &str = "dsi_dwrf_read_bytes_total";
-/// Counter: bytes actually wanted by the projected columns.
+/// Counter, labels `{job}`: bytes actually wanted by the projected columns.
 pub const DWRF_WANTED_BYTES_TOTAL: &str = "dsi_dwrf_wanted_bytes_total";
 
 // ---- dpp: master / workers / clients --------------------------------------
 
-/// Gauge: splits waiting in the master queue.
+/// Gauge, labels `{job}`: splits waiting in the master queue.
 pub const MASTER_QUEUE_DEPTH: &str = "dsi_master_queue_depth";
-/// Counter: splits enqueued over the session.
+/// Counter, labels `{job}`: splits enqueued over the session.
 pub const MASTER_SPLITS_TOTAL: &str = "dsi_master_splits_total";
-/// Counter: splits completed by workers.
+/// Counter, labels `{job}`: splits completed by workers.
 pub const MASTER_SPLITS_COMPLETED_TOTAL: &str = "dsi_master_splits_completed_total";
-/// Counter: master checkpoints taken.
+/// Counter, labels `{job}`: master checkpoints taken.
 pub const MASTER_CHECKPOINTS_TOTAL: &str = "dsi_master_checkpoints_total";
-/// Gauge: workers currently registered with the master.
+/// Gauge, labels `{job}`: workers currently registered with the master.
 pub const MASTER_WORKERS: &str = "dsi_master_workers";
-/// Counter: samples produced by DPP workers.
+/// Counter, labels `{job}`: samples produced by DPP workers.
 pub const WORKER_SAMPLES_TOTAL: &str = "dsi_worker_samples_total";
-/// Counter: batches produced by DPP workers.
+/// Counter, labels `{job}`: batches produced by DPP workers.
 pub const WORKER_BATCHES_TOTAL: &str = "dsi_worker_batches_total";
-/// Counter: compressed bytes received from storage by workers.
+/// Counter, labels `{job}`: compressed bytes received from storage by workers.
 pub const WORKER_STORAGE_RX_BYTES_TOTAL: &str = "dsi_worker_storage_rx_bytes_total";
-/// Counter: bytes the workers' column projection actually wanted.
+/// Counter, labels `{job}`: bytes the workers' column projection actually wanted.
 pub const WORKER_STORAGE_WANTED_BYTES_TOTAL: &str = "dsi_worker_storage_wanted_bytes_total";
-/// Counter: memory-bandwidth bytes moved during preprocessing.
+/// Counter, labels `{job}`: memory-bandwidth bytes moved during preprocessing.
 pub const WORKER_MEMBW_BYTES_TOTAL: &str = "dsi_worker_membw_bytes_total";
-/// Histogram (seconds): trainer-client batch fetch latency.
+/// Histogram (seconds), labels `{job}`: trainer-client batch fetch latency.
 pub const CLIENT_FETCH_SECONDS: &str = "dsi_client_fetch_seconds";
-/// Counter: client polls that returned no batch (fan-out starvation).
+/// Counter, labels `{job}`: client polls that returned no batch (fan-out starvation).
 pub const CLIENT_STARVED_POLLS_TOTAL: &str = "dsi_client_starved_polls_total";
-/// Counter: batches accepted by clients.
+/// Counter, labels `{job}`: batches accepted by clients.
 pub const CLIENT_BATCHES_TOTAL: &str = "dsi_client_batches_total";
 
 // ---- dedup: RecD-style deduplication --------------------------------------
@@ -100,58 +102,58 @@ pub const DEDUP_SETS_TOTAL: &str = "dsi_dedup_sets_total";
 pub const DEDUP_ROWS_TOTAL: &str = "dsi_dedup_rows_total";
 /// Counter: storage bytes duplicate rows did not re-store.
 pub const DEDUP_BYTES_SAVED_TOTAL: &str = "dsi_dedup_bytes_saved_total";
-/// Counter: transform op applications replaced by canonical-result fan-out.
+/// Counter, labels `{job}`: transform op applications replaced by canonical-result fan-out.
 pub const DEDUP_TRANSFORM_REUSE_HITS_TOTAL: &str = "dsi_dedup_transform_reuse_hits_total";
 /// Gauge: observed logical rows per canonical payload (1.0 = no duplication).
 pub const DEDUP_RATIO: &str = "dsi_dedup_ratio";
 
 // ---- fastpath: zero-copy decode + pipelined prefetch -----------------------
 
-/// Gauge in `[0,1]`: decode scratch-pool takes served from a free list.
+/// Gauge in `[0,1]`, labels `{job}`: decode scratch-pool takes served from a free list.
 pub const FASTPATH_POOL_HIT_RATIO: &str = "dsi_fastpath_pool_hit_ratio";
-/// Counter: scratch-pool takes served from a thread-local free list.
+/// Counter, labels `{job}`: scratch-pool takes served from a thread-local free list.
 pub const FASTPATH_POOL_HITS_TOTAL: &str = "dsi_fastpath_pool_hits_total";
-/// Counter: scratch-pool takes that had to allocate.
+/// Counter, labels `{job}`: scratch-pool takes that had to allocate.
 pub const FASTPATH_POOL_MISSES_TOTAL: &str = "dsi_fastpath_pool_misses_total";
-/// Counter: bytes physically memcpy'd on the storage→decode path
+/// Counter, labels `{job}`: bytes physically memcpy'd on the storage→decode path
 /// (zero-copy slicing and in-place decode work are not counted).
 pub const FASTPATH_BYTES_COPIED_TOTAL: &str = "dsi_fastpath_bytes_copied_total";
-/// Gauge: splits currently prefetched ahead of the transform stage.
+/// Gauge, labels `{job}`: splits currently prefetched ahead of the transform stage.
 pub const FASTPATH_PREFETCH_DEPTH: &str = "dsi_fastpath_prefetch_depth";
-/// Histogram (seconds): how long each prefetched split sat decoded and
+/// Histogram (seconds), labels `{job}`: how long each prefetched split sat decoded and
 /// ready before the transform stage picked it up (decode/transform
 /// overlap won by the worker pipeline).
 pub const FASTPATH_STAGE_OVERLAP_SECONDS: &str = "dsi_fastpath_stage_overlap_seconds";
 
 // ---- wire: framed TCP data plane -------------------------------------------
 
-/// Counter: data frames written to the wire by worker-side senders
+/// Counter, labels `{job}`: data frames written to the wire by worker-side senders
 /// (replays after a reconnect count again — they are re-sent bytes).
 pub const WIRE_FRAMES_TOTAL: &str = "dsi_wire_frames_total";
-/// Counter: serialized envelope payload bytes before compression and
+/// Counter, labels `{job}`: serialized envelope payload bytes before compression and
 /// encryption (the logical tensor volume crossing the boundary).
 pub const WIRE_PAYLOAD_BYTES_TOTAL: &str = "dsi_wire_payload_bytes_total";
-/// Counter: bytes actually written to the socket (frame headers plus the
+/// Counter, labels `{job}`: bytes actually written to the socket (frame headers plus the
 /// post-compression, post-encryption payload).
 pub const WIRE_TX_BYTES_TOTAL: &str = "dsi_wire_tx_bytes_total";
-/// Counter (nanoseconds): time spent serializing envelopes into frames.
+/// Counter (nanoseconds), labels `{job}`: time spent serializing envelopes into frames.
 pub const WIRE_SERIALIZE_NANOS_TOTAL: &str = "dsi_wire_serialize_nanos_total";
-/// Counter (nanoseconds): time spent in the stream cipher, both encrypting
+/// Counter (nanoseconds), labels `{job}`: time spent in the stream cipher, both encrypting
 /// on send and decrypting on receive (the TLS stand-in).
 pub const WIRE_ENCRYPT_NANOS_TOTAL: &str = "dsi_wire_encrypt_nanos_total";
-/// Counter (nanoseconds): time spent checksum-verifying, decompressing,
+/// Counter (nanoseconds), labels `{job}`: time spent checksum-verifying, decompressing,
 /// and deserializing received frames back into envelopes.
 pub const WIRE_DESERIALIZE_NANOS_TOTAL: &str = "dsi_wire_deserialize_nanos_total";
-/// Counter (nanoseconds): time spent compressing payloads on send and
+/// Counter (nanoseconds), labels `{job}`: time spent compressing payloads on send and
 /// never mixed into [`WIRE_SERIALIZE_NANOS_TOTAL`].
 pub const WIRE_COMPRESS_NANOS_TOTAL: &str = "dsi_wire_compress_nanos_total";
-/// Gauge: hit ratio of the pooled wire send buffer (1.0 = every frame
+/// Gauge, labels `{job}`: hit ratio of the pooled wire send buffer (1.0 = every frame
 /// reused a pooled allocation; fresh allocations drag it down).
 pub const WIRE_BUF_POOL_HIT_RATIO: &str = "dsi_wire_buf_pool_hit_ratio";
-/// Counter: client-side reconnects to a worker's wire server (each one
+/// Counter, labels `{job}`: client-side reconnects to a worker's wire server (each one
 /// triggers a replay of that worker's unacked envelopes).
 pub const WIRE_RECONNECTS_TOTAL: &str = "dsi_wire_reconnects_total";
-/// Counter (nanoseconds), labels `{op}`: wall time spent in each columnar
+/// Counter (nanoseconds), labels `{job, op}`: wall time spent in each columnar
 /// transform kernel (`op` is the kernel name, e.g. `sigrid_hash`) when the
 /// load stage routes eligible ops over materialized tensors.
 pub const TRANSFORM_KERNEL_NANOS_TOTAL: &str = "dsi_transform_kernel_nanos_total";
@@ -191,13 +193,13 @@ pub const FLEET_JOBS: &str = "dsi_fleet_jobs";
 
 // ---- trainer ---------------------------------------------------------------
 
-/// Gauge in `[0,1]`: fraction of trainer wall time spent data-stalled.
+/// Gauge in `[0,1]`, labels `{job}`: fraction of trainer wall time spent data-stalled.
 pub const TRAINER_STALL_FRACTION: &str = "dsi_trainer_stall_fraction";
-/// Counter: batches consumed by the trainer.
+/// Counter, labels `{job}`: batches consumed by the trainer.
 pub const TRAINER_BATCHES_TOTAL: &str = "dsi_trainer_batches_total";
-/// Counter: samples consumed by the trainer.
+/// Counter, labels `{job}`: samples consumed by the trainer.
 pub const TRAINER_SAMPLES_TOTAL: &str = "dsi_trainer_samples_total";
-/// Gauge (seconds, accumulating): trainer time spent waiting on data.
+/// Gauge (seconds, accumulating), labels `{job}`: trainer time spent waiting on data.
 pub const TRAINER_STALLED_SECONDS: &str = "dsi_trainer_stalled_seconds";
-/// Gauge (seconds, accumulating): trainer wall time observed.
+/// Gauge (seconds, accumulating), labels `{job}`: trainer wall time observed.
 pub const TRAINER_ELAPSED_SECONDS: &str = "dsi_trainer_elapsed_seconds";

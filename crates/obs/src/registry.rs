@@ -24,10 +24,14 @@ pub struct MetricKey {
 }
 
 impl MetricKey {
-    /// Builds a key with labels sorted canonically.
+    /// Builds a key with labels sorted canonically. A pair with an empty
+    /// value is the same as no pair (the Prometheus rule), so a writer
+    /// stamps `("job", job)` unconditionally and a reader used outside any
+    /// session — empty job — lands on the unlabeled series.
     pub fn new(name: &str, labels: &[(&str, &str)]) -> Self {
         let mut labels: Vec<(String, String)> = labels
             .iter()
+            .filter(|(_, v)| !v.is_empty())
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect();
         labels.sort();
@@ -57,6 +61,14 @@ impl Metric {
             Metric::Histogram(_) => "histogram",
         }
     }
+
+    fn read(&self) -> MetricValue {
+        match self {
+            Metric::Counter(c) => MetricValue::Counter(c.get()),
+            Metric::Gauge(g) => MetricValue::Gauge(g.get()),
+            Metric::Histogram(h) => MetricValue::Histogram(h.snapshot()),
+        }
+    }
 }
 
 /// A point-in-time value of one series, used by exposition and reports.
@@ -68,6 +80,27 @@ pub enum MetricValue {
     Gauge(f64),
     /// Histogram summary.
     Histogram(HistogramSnapshot),
+}
+
+impl MetricValue {
+    /// The reading as a whole number: the counter, a count gauge, or how
+    /// many values a histogram recorded.
+    pub fn count(&self) -> u64 {
+        match self {
+            MetricValue::Counter(c) => *c,
+            MetricValue::Gauge(g) => *g as u64,
+            MetricValue::Histogram(s) => s.count,
+        }
+    }
+
+    /// The reading as a real: the gauge, a histogram's sum, or the counter.
+    pub fn real(&self) -> f64 {
+        match self {
+            MetricValue::Counter(c) => *c as f64,
+            MetricValue::Gauge(g) => *g,
+            MetricValue::Histogram(s) => s.sum,
+        }
+    }
 }
 
 /// Shared, cloneable handle to a metric registry.
@@ -166,25 +199,31 @@ impl Registry {
         self.inner
             .read()
             .iter()
-            .map(|(k, m)| {
-                let v = match m {
-                    Metric::Counter(c) => MetricValue::Counter(c.get()),
-                    Metric::Gauge(g) => MetricValue::Gauge(g.get()),
-                    Metric::Histogram(h) => MetricValue::Histogram(h.snapshot()),
-                };
-                (k.clone(), v)
-            })
+            .map(|(k, m)| (k.clone(), m.read()))
             .collect()
     }
 
-    /// Reading of one series, if registered.
+    /// Readings of every series called `name` whose labels *include* each
+    /// pair of `filter`, in key order; `&[]` matches them all. This is the
+    /// one place a label filter meets a series' labels: the tuner's
+    /// [`crate::SignalSnapshot`] reads through it with `{job}`, the
+    /// [`crate::PipelineReport`] with `{}`, so the two cannot disagree on
+    /// which series a name means.
+    pub fn select(&self, name: &str, filter: &[(&str, &str)]) -> Vec<(MetricKey, MetricValue)> {
+        let wanted = MetricKey::new(name, filter).labels;
+        self.inner
+            .read()
+            .range(MetricKey::new(name, &[])..)
+            .take_while(|(k, _)| k.name == name)
+            .filter(|(k, _)| wanted.iter().all(|pair| k.labels.contains(pair)))
+            .map(|(k, m)| (k.clone(), m.read()))
+            .collect()
+    }
+
+    /// Reading of the one series with exactly these labels, if registered.
     pub fn value(&self, name: &str, labels: &[(&str, &str)]) -> Option<MetricValue> {
         let key = MetricKey::new(name, labels);
-        self.inner.read().get(&key).map(|m| match m {
-            Metric::Counter(c) => MetricValue::Counter(c.get()),
-            Metric::Gauge(g) => MetricValue::Gauge(g.get()),
-            Metric::Histogram(h) => MetricValue::Histogram(h.snapshot()),
-        })
+        self.inner.read().get(&key).map(Metric::read)
     }
 
     /// Counter reading as u64 (0 when absent; panics on type mismatch).
@@ -278,6 +317,26 @@ mod tests {
         let r = Registry::new();
         r.counter("m", &[]);
         r.gauge("m", &[]);
+    }
+
+    #[test]
+    fn select_matches_label_subsets_and_empty_values_are_no_label() {
+        let r = Registry::new();
+        r.counter("m", &[("job", "a"), ("stage", "x")]).add(1);
+        r.counter("m", &[("job", "a"), ("stage", "y")]).add(2);
+        r.counter("m", &[("job", "b"), ("stage", "x")]).add(4);
+        r.counter("m", &[("job", "")]).add(8);
+        r.counter("m_other", &[("job", "a")]).add(16);
+        let sum = |filter: &[(&str, &str)]| -> u64 {
+            r.select("m", filter).iter().map(|(_, v)| v.count()).sum()
+        };
+        assert_eq!(sum(&[]), 15, "the empty filter matches every series");
+        assert_eq!(sum(&[("job", "a")]), 3);
+        assert_eq!(sum(&[("stage", "x"), ("job", "b")]), 4);
+        assert_eq!(sum(&[("job", "c")]), 0);
+        // `{job=""}` is the unlabeled series, on both sides.
+        assert_eq!(r.counter_value("m", &[]), 8);
+        assert_eq!(sum(&[("job", "")]), 15);
     }
 
     #[test]

@@ -7,11 +7,11 @@
 use std::fmt;
 
 use crate::names;
-use crate::registry::{MetricValue, Registry};
+use crate::registry::{MetricKey, Registry};
 use crate::span::{STAGE_CYCLES_TOTAL, STAGE_SECONDS};
 
 /// One row of the per-stage breakdown.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StageRow {
     /// Hierarchical stage path (`extract`, `load/tls`, ...).
     pub stage: String,
@@ -24,7 +24,7 @@ pub struct StageRow {
 }
 
 /// Per-storage-node totals.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NodeRow {
     /// Node label.
     pub node: String,
@@ -132,189 +132,128 @@ pub struct PipelineReport {
 }
 
 impl PipelineReport {
-    /// Gathers a report from the registry's current state.
+    /// Gathers a report from the registry's current state. Every reading
+    /// goes through [`Registry::select`] with the empty filter, so series
+    /// that differ only in `job` fold together: counters, count gauges and
+    /// histograms sum; ratio gauges keep the last series in key order.
     pub fn collect(registry: &Registry) -> Self {
-        let mut report = Self::default();
-        let mut stages: Vec<StageRow> = Vec::new();
-        for (key, value) in registry.snapshot() {
-            let label = |want: &str| {
-                key.labels
-                    .iter()
-                    .find(|(k, _)| k == want)
-                    .map(|(_, v)| v.clone())
-            };
-            match (key.name.as_str(), &value) {
-                (STAGE_SECONDS, MetricValue::Histogram(s)) => {
-                    if let Some(stage) = label("stage") {
-                        match stages.iter_mut().find(|r| r.stage == stage) {
-                            Some(row) => {
-                                row.spans = s.count;
-                                row.seconds = s.sum;
-                            }
-                            None => stages.push(StageRow {
-                                stage,
-                                spans: s.count,
-                                seconds: s.sum,
-                                cycles: 0,
-                            }),
-                        }
-                    }
+        let all = |name: &str| registry.select(name, &[]);
+        let sum = |name: &str| -> u64 { all(name).iter().map(|(_, v)| v.count()).sum() };
+        let last = |name: &str| all(name).last().map_or(0.0, |(_, v)| v.real());
+        let label = |key: &MetricKey, want: &str| {
+            key.labels
+                .iter()
+                .find(|(k, _)| k == want)
+                .map(|(_, v)| v.clone())
+        };
+        let mut report = Self {
+            etl_joined: sum(names::ETL_JOINED_TOTAL),
+            etl_orphans: sum(names::ETL_ORPHAN_EVENTS_TOTAL),
+            etl_expired: sum(names::ETL_EXPIRED_NEGATIVE_TOTAL),
+            cache_hits: sum(names::CACHE_HITS_TOTAL),
+            cache_misses: sum(names::CACHE_MISSES_TOTAL),
+            cache_hit_rate: last(names::CACHE_HIT_RATE),
+            read_bytes: sum(names::DWRF_READ_BYTES_TOTAL)
+                + sum(names::WORKER_STORAGE_RX_BYTES_TOTAL),
+            wanted_bytes: sum(names::DWRF_WANTED_BYTES_TOTAL)
+                + sum(names::WORKER_STORAGE_WANTED_BYTES_TOTAL),
+            tectonic_checksum_failures: sum(names::TECTONIC_CHECKSUM_FAILURES_TOTAL),
+            tectonic_read_repairs: sum(names::TECTONIC_READ_REPAIRS_TOTAL),
+            tectonic_failovers: sum(names::TECTONIC_FAILOVERS_TOTAL),
+            tectonic_rebuilt_chunks: sum(names::TECTONIC_REBUILT_CHUNKS_TOTAL),
+            tectonic_rebuild_ios: sum(names::TECTONIC_REBUILD_IOS_TOTAL),
+            tectonic_dead_nodes: sum(names::TECTONIC_DEAD_NODES),
+            tectonic_under_replicated: sum(names::TECTONIC_UNDER_REPLICATED_CHUNKS),
+            worker_samples: sum(names::WORKER_SAMPLES_TOTAL),
+            worker_batches: sum(names::WORKER_BATCHES_TOTAL),
+            trainer_batches: sum(names::TRAINER_BATCHES_TOTAL),
+            stall_fraction: last(names::TRAINER_STALL_FRACTION),
+            trainer_elapsed: last(names::TRAINER_ELAPSED_SECONDS),
+            dedup_sets: sum(names::DEDUP_SETS_TOTAL),
+            dedup_rows: sum(names::DEDUP_ROWS_TOTAL),
+            dedup_bytes_saved: sum(names::DEDUP_BYTES_SAVED_TOTAL),
+            dedup_reuse_hits: sum(names::DEDUP_TRANSFORM_REUSE_HITS_TOTAL),
+            dedup_ratio: last(names::DEDUP_RATIO),
+            wire_frames: sum(names::WIRE_FRAMES_TOTAL),
+            wire_payload_bytes: sum(names::WIRE_PAYLOAD_BYTES_TOTAL),
+            wire_tx_bytes: sum(names::WIRE_TX_BYTES_TOTAL),
+            wire_serialize_nanos: sum(names::WIRE_SERIALIZE_NANOS_TOTAL),
+            wire_encrypt_nanos: sum(names::WIRE_ENCRYPT_NANOS_TOTAL),
+            wire_deserialize_nanos: sum(names::WIRE_DESERIALIZE_NANOS_TOTAL),
+            wire_reconnects: sum(names::WIRE_RECONNECTS_TOTAL),
+            fleet_reconciles: sum(names::FLEET_RECONCILE_SECONDS),
+            fleet_reconcile_seconds: last(names::FLEET_RECONCILE_SECONDS),
+            ..Self::default()
+        };
+        for name in [STAGE_SECONDS, STAGE_CYCLES_TOTAL] {
+            for (key, value) in all(name) {
+                let Some(stage) = label(&key, "stage") else {
+                    continue;
+                };
+                let fresh = StageRow {
+                    stage: stage.clone(),
+                    ..StageRow::default()
+                };
+                let row = row_mut(&mut report.stages, |r| r.stage == stage, fresh);
+                if name == STAGE_SECONDS {
+                    row.spans += value.count();
+                    row.seconds += value.real();
+                } else {
+                    row.cycles += value.count();
                 }
-                (STAGE_CYCLES_TOTAL, MetricValue::Counter(c)) => {
-                    if let Some(stage) = label("stage") {
-                        match stages.iter_mut().find(|r| r.stage == stage) {
-                            Some(row) => row.cycles = *c,
-                            None => stages.push(StageRow {
-                                stage,
-                                spans: 0,
-                                seconds: 0.0,
-                                cycles: *c,
-                            }),
-                        }
-                    }
-                }
-                (names::STORAGE_NODE_IOS_TOTAL, MetricValue::Counter(c)) => {
-                    if let Some(node) = label("node") {
-                        match report.nodes.iter_mut().find(|r| r.node == node) {
-                            Some(row) => row.ios = *c,
-                            None => report.nodes.push(NodeRow {
-                                node,
-                                ios: *c,
-                                bytes: 0,
-                            }),
-                        }
-                    }
-                }
-                (names::STORAGE_NODE_BYTES_TOTAL, MetricValue::Counter(c)) => {
-                    if let Some(node) = label("node") {
-                        match report.nodes.iter_mut().find(|r| r.node == node) {
-                            Some(row) => row.bytes = *c,
-                            None => report.nodes.push(NodeRow {
-                                node,
-                                ios: 0,
-                                bytes: *c,
-                            }),
-                        }
-                    }
-                }
-                (names::ETL_JOINED_TOTAL, MetricValue::Counter(c)) => report.etl_joined = *c,
-                (names::ETL_ORPHAN_EVENTS_TOTAL, MetricValue::Counter(c)) => {
-                    report.etl_orphans = *c
-                }
-                (names::ETL_EXPIRED_NEGATIVE_TOTAL, MetricValue::Counter(c)) => {
-                    report.etl_expired = *c
-                }
-                (names::CACHE_HITS_TOTAL, MetricValue::Counter(c)) => report.cache_hits += *c,
-                (names::CACHE_MISSES_TOTAL, MetricValue::Counter(c)) => report.cache_misses += *c,
-                (names::CACHE_HIT_RATE, MetricValue::Gauge(v)) => report.cache_hit_rate = *v,
-                (names::DWRF_READ_BYTES_TOTAL, MetricValue::Counter(c)) => report.read_bytes += *c,
-                (names::DWRF_WANTED_BYTES_TOTAL, MetricValue::Counter(c)) => {
-                    report.wanted_bytes += *c
-                }
-                (names::WORKER_STORAGE_RX_BYTES_TOTAL, MetricValue::Counter(c)) => {
-                    report.read_bytes += *c
-                }
-                (names::WORKER_STORAGE_WANTED_BYTES_TOTAL, MetricValue::Counter(c)) => {
-                    report.wanted_bytes += *c
-                }
-                (names::WORKER_SAMPLES_TOTAL, MetricValue::Counter(c)) => {
-                    report.worker_samples += *c
-                }
-                (names::WORKER_BATCHES_TOTAL, MetricValue::Counter(c)) => {
-                    report.worker_batches += *c
-                }
-                (names::TRAINER_BATCHES_TOTAL, MetricValue::Counter(c)) => {
-                    report.trainer_batches += *c
-                }
-                (names::TRAINER_STALL_FRACTION, MetricValue::Gauge(v)) => {
-                    report.stall_fraction = *v
-                }
-                (names::TRAINER_ELAPSED_SECONDS, MetricValue::Gauge(v)) => {
-                    report.trainer_elapsed = *v
-                }
-                (names::DEDUP_SETS_TOTAL, MetricValue::Counter(c)) => report.dedup_sets = *c,
-                (names::DEDUP_ROWS_TOTAL, MetricValue::Counter(c)) => report.dedup_rows = *c,
-                (names::DEDUP_BYTES_SAVED_TOTAL, MetricValue::Counter(c)) => {
-                    report.dedup_bytes_saved = *c
-                }
-                (names::DEDUP_TRANSFORM_REUSE_HITS_TOTAL, MetricValue::Counter(c)) => {
-                    report.dedup_reuse_hits = *c
-                }
-                (names::DEDUP_RATIO, MetricValue::Gauge(v)) => report.dedup_ratio = *v,
-                (names::TECTONIC_CHECKSUM_FAILURES_TOTAL, MetricValue::Counter(c)) => {
-                    report.tectonic_checksum_failures += *c
-                }
-                (names::TECTONIC_READ_REPAIRS_TOTAL, MetricValue::Counter(c)) => {
-                    report.tectonic_read_repairs += *c
-                }
-                (names::TECTONIC_FAILOVERS_TOTAL, MetricValue::Counter(c)) => {
-                    report.tectonic_failovers += *c
-                }
-                (names::TECTONIC_REBUILT_CHUNKS_TOTAL, MetricValue::Counter(c)) => {
-                    report.tectonic_rebuilt_chunks += *c
-                }
-                (names::TECTONIC_REBUILD_IOS_TOTAL, MetricValue::Counter(c)) => {
-                    report.tectonic_rebuild_ios += *c
-                }
-                (names::TECTONIC_DEAD_NODES, MetricValue::Gauge(v)) => {
-                    report.tectonic_dead_nodes += *v as u64
-                }
-                (names::TECTONIC_UNDER_REPLICATED_CHUNKS, MetricValue::Gauge(v)) => {
-                    report.tectonic_under_replicated += *v as u64
-                }
-                (names::WIRE_FRAMES_TOTAL, MetricValue::Counter(c)) => report.wire_frames += *c,
-                (names::WIRE_PAYLOAD_BYTES_TOTAL, MetricValue::Counter(c)) => {
-                    report.wire_payload_bytes += *c
-                }
-                (names::WIRE_TX_BYTES_TOTAL, MetricValue::Counter(c)) => report.wire_tx_bytes += *c,
-                (names::WIRE_SERIALIZE_NANOS_TOTAL, MetricValue::Counter(c)) => {
-                    report.wire_serialize_nanos += *c
-                }
-                (names::WIRE_ENCRYPT_NANOS_TOTAL, MetricValue::Counter(c)) => {
-                    report.wire_encrypt_nanos += *c
-                }
-                (names::WIRE_DESERIALIZE_NANOS_TOTAL, MetricValue::Counter(c)) => {
-                    report.wire_deserialize_nanos += *c
-                }
-                (names::WIRE_RECONNECTS_TOTAL, MetricValue::Counter(c)) => {
-                    report.wire_reconnects += *c
-                }
-                (
-                    names::FLEET_ALLOCATED_WORKERS
-                    | names::FLEET_DESIRED_WORKERS
-                    | names::FLEET_FAIR_SHARE_DEFICIT,
-                    MetricValue::Gauge(v),
-                ) => {
-                    if let Some(job) = label("job") {
-                        let tenant = label("tenant").unwrap_or_default();
-                        let row = fleet_row(&mut report.fleet, job, tenant);
-                        match key.name.as_str() {
-                            names::FLEET_ALLOCATED_WORKERS => row.allocated = *v as u64,
-                            names::FLEET_DESIRED_WORKERS => row.desired = *v as u64,
-                            _ => row.deficit = *v as u64,
-                        }
-                    }
-                }
-                (names::FLEET_PREEMPTIONS_TOTAL, MetricValue::Counter(c)) => {
-                    if let Some(job) = label("job") {
-                        let tenant = label("tenant").unwrap_or_default();
-                        fleet_row(&mut report.fleet, job, tenant).preemptions = *c;
-                    }
-                }
-                (names::FLEET_RECONCILE_SECONDS, MetricValue::Histogram(s)) => {
-                    report.fleet_reconciles = s.count;
-                    report.fleet_reconcile_seconds = s.sum;
-                }
-                _ => {}
             }
         }
-        stages.sort_by(|a, b| {
+        for name in [
+            names::STORAGE_NODE_IOS_TOTAL,
+            names::STORAGE_NODE_BYTES_TOTAL,
+        ] {
+            for (key, value) in all(name) {
+                let Some(node) = label(&key, "node") else {
+                    continue;
+                };
+                let fresh = NodeRow {
+                    node: node.clone(),
+                    ..NodeRow::default()
+                };
+                let row = row_mut(&mut report.nodes, |r| r.node == node, fresh);
+                if name == names::STORAGE_NODE_IOS_TOTAL {
+                    row.ios += value.count();
+                } else {
+                    row.bytes += value.count();
+                }
+            }
+        }
+        for name in [
+            names::FLEET_ALLOCATED_WORKERS,
+            names::FLEET_DESIRED_WORKERS,
+            names::FLEET_FAIR_SHARE_DEFICIT,
+            names::FLEET_PREEMPTIONS_TOTAL,
+        ] {
+            for (key, value) in all(name) {
+                let Some(job) = label(&key, "job") else {
+                    continue;
+                };
+                // The four series carry the tenant redundantly.
+                let fresh = FleetRow {
+                    job: job.clone(),
+                    tenant: label(&key, "tenant").unwrap_or_default(),
+                    ..FleetRow::default()
+                };
+                let row = row_mut(&mut report.fleet, |r| r.job == job, fresh);
+                match name {
+                    names::FLEET_ALLOCATED_WORKERS => row.allocated = value.count(),
+                    names::FLEET_DESIRED_WORKERS => row.desired = value.count(),
+                    names::FLEET_FAIR_SHARE_DEFICIT => row.deficit = value.count(),
+                    _ => row.preemptions = value.count(),
+                }
+            }
+        }
+        report.stages.sort_by(|a, b| {
             b.seconds
                 .partial_cmp(&a.seconds)
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then_with(|| b.cycles.cmp(&a.cycles))
         });
-        report.stages = stages;
         report.nodes.sort_by(
             |a, b| match (a.node.parse::<u64>(), b.node.parse::<u64>()) {
                 (Ok(x), Ok(y)) => x.cmp(&y),
@@ -323,6 +262,13 @@ impl PipelineReport {
         );
         report.fleet.sort_by(|a, b| a.job.cmp(&b.job));
         report
+    }
+
+    /// The rows percentages are taken over: a path with a `/` is an "of
+    /// which" row (`transform/feature_generation`) already inside its
+    /// parent, so summing it again would understate every share.
+    fn top_level(&self) -> impl Iterator<Item = &StageRow> {
+        self.stages.iter().filter(|r| !r.stage.contains('/'))
     }
 
     /// Total workers preempted across every tenant.
@@ -340,10 +286,10 @@ impl PipelineReport {
         }
     }
 
-    /// Share of total cycles spent in "datacenter tax" stages (any stage
-    /// path containing `tls` or `deserialize`).
+    /// Share of top-level cycles spent in "datacenter tax" stages (any
+    /// stage path containing `tls` or `deserialize`).
     pub fn tax_cycle_share(&self) -> f64 {
-        let total: u64 = self.stages.iter().map(|r| r.cycles).sum();
+        let total: u64 = self.top_level().map(|r| r.cycles).sum();
         if total == 0 {
             return 0.0;
         }
@@ -399,22 +345,12 @@ impl PipelineReport {
     }
 }
 
-/// Find-or-insert the fleet row for `job`, back-filling the tenant label
-/// (the gauge and counter series carry it redundantly).
-fn fleet_row(rows: &mut Vec<FleetRow>, job: String, tenant: String) -> &mut FleetRow {
-    let idx = match rows.iter().position(|r| r.job == job) {
-        Some(i) => i,
-        None => {
-            rows.push(FleetRow {
-                job,
-                ..FleetRow::default()
-            });
-            rows.len() - 1
-        }
-    };
-    if rows[idx].tenant.is_empty() {
-        rows[idx].tenant = tenant;
-    }
+/// Find-or-insert: the row `is` picks out of `rows`, or `fresh` appended.
+fn row_mut<R>(rows: &mut Vec<R>, is: impl Fn(&R) -> bool, fresh: R) -> &mut R {
+    let idx = rows.iter().position(is).unwrap_or_else(|| {
+        rows.push(fresh);
+        rows.len() - 1
+    });
     &mut rows[idx]
 }
 
@@ -437,8 +373,8 @@ impl fmt::Display for PipelineReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "== DSI pipeline characterization ==")?;
 
-        let total_secs: f64 = self.stages.iter().map(|r| r.seconds).sum();
-        let total_cycles: u64 = self.stages.iter().map(|r| r.cycles).sum();
+        let total_secs: f64 = self.top_level().map(|r| r.seconds).sum();
+        let total_cycles: u64 = self.top_level().map(|r| r.cycles).sum();
         writeln!(f, "\n-- stage breakdown (wall time / simulated cycles) --")?;
         writeln!(
             f,
@@ -614,20 +550,35 @@ impl fmt::Display for PipelineReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{add_stage_cycles, observe_stage_seconds, stage};
+    use crate::span::{observe_stage_seconds, stage};
+
+    fn add_stage_cycles(r: &Registry, stage: &str, cycles: u64) {
+        r.counter(STAGE_CYCLES_TOTAL, &[("stage", stage)])
+            .add(cycles);
+    }
 
     #[test]
     fn collect_groups_stage_time_and_cycles() {
         let r = Registry::new();
-        observe_stage_seconds(&r, stage::EXTRACT, 2.0);
-        observe_stage_seconds(&r, stage::TRANSFORM, 1.0);
+        // Rows are per stage, not per (job, stage).
+        observe_stage_seconds(&r, "sess1", stage::EXTRACT, 1.5);
+        observe_stage_seconds(&r, "sess2", stage::EXTRACT, 0.5);
+        observe_stage_seconds(&r, "sess1", stage::TRANSFORM, 1.0);
         add_stage_cycles(&r, stage::EXTRACT, 400);
         add_stage_cycles(&r, stage::TLS, 100);
         let report = PipelineReport::collect(&r);
         assert_eq!(report.stages.len(), 3);
         assert_eq!(report.stages[0].stage, "extract");
+        assert_eq!((report.stages[0].spans, report.stages[0].seconds), (2, 2.0));
         assert_eq!(report.stages[0].cycles, 400);
         assert!((report.tax_cycle_share() - 0.2).abs() < 1e-12);
+        // An "of which" row is inside its parent: it gets its own line but
+        // leaves every top-level share where it was.
+        add_stage_cycles(&r, "tls/handshake", 60);
+        let report = PipelineReport::collect(&r);
+        assert_eq!(report.stages.len(), 4);
+        assert!((report.tax_cycle_share() - 0.32).abs() < 1e-12);
+        assert!(report.to_string().contains("400   80.0%"));
     }
 
     #[test]
@@ -802,7 +753,7 @@ mod tests {
     #[test]
     fn display_includes_headline_numbers() {
         let r = Registry::new();
-        observe_stage_seconds(&r, stage::EXTRACT, 1.5);
+        observe_stage_seconds(&r, "", stage::EXTRACT, 1.5);
         r.counter(names::CACHE_HITS_TOTAL, &[]).add(9);
         r.counter(names::CACHE_MISSES_TOTAL, &[]).add(1);
         r.gauge(names::CACHE_HIT_RATE, &[]).set(0.9);

@@ -1,14 +1,11 @@
-//! Hierarchical span timing.
+//! Stage time: the stage names, the two stage series, and the one call
+//! that records seconds against a `(job, stage)`.
 //!
-//! [`StageScope`] is an RAII guard that attributes wall time to a named
-//! pipeline stage. Nested scopes on the same thread build hierarchical
-//! paths (`load/tls`, `extract/decompress`) via a thread-local stage
-//! stack, so exclusive child time is visible alongside the parent total.
-//! [`SpanTimer`] is the flat, non-nesting variant for code that starts
-//! and stops a measurement explicitly.
-
-use std::cell::RefCell;
-use std::time::{Duration, Instant};
+//! Three places start and stop a stage and call it: the worker loop's
+//! bracket (`transform`, `load`), the DWRF reader's telemetry block
+//! (`extract` = storage fetch, `decompress`, `deserialize` — disjoint, so
+//! the three add up to what the worker calls extract), and the trainer's
+//! stall publish (`stall`).
 
 use crate::registry::Registry;
 
@@ -35,137 +32,13 @@ pub const STAGE_SECONDS: &str = "dsi_stage_seconds";
 /// Series name for per-stage simulated cycles (counter).
 pub const STAGE_CYCLES_TOTAL: &str = "dsi_stage_cycles_total";
 
-thread_local! {
-    static STAGE_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
-}
-
-/// RAII guard timing one (possibly nested) pipeline stage.
-///
-/// On drop, the elapsed wall time is recorded into
-/// `dsi_stage_seconds{stage="<path>"}` where `<path>` includes every
-/// enclosing scope on this thread, joined with `/`.
-#[derive(Debug)]
-pub struct StageScope {
-    registry: Registry,
-    path: String,
-    start: Instant,
-}
-
-impl StageScope {
-    /// Enters `stage`, nesting under any scope already open on this thread.
-    pub fn enter(registry: &Registry, stage: &str) -> Self {
-        let path = STAGE_STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            let path = match stack.last() {
-                Some(parent) => format!("{parent}/{stage}"),
-                None => stage.to_string(),
-            };
-            stack.push(path.clone());
-            path
-        });
-        Self {
-            registry: registry.clone(),
-            path,
-            start: Instant::now(),
-        }
-    }
-
-    /// Full hierarchical path of this scope.
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-
-    /// Adds simulated cycles to `dsi_stage_cycles_total` for this path.
-    pub fn add_cycles(&self, cycles: u64) {
-        self.registry
-            .counter(STAGE_CYCLES_TOTAL, &[("stage", &self.path)])
-            .add(cycles);
-    }
-}
-
-impl Drop for StageScope {
-    fn drop(&mut self) {
-        // Stack cleanup must happen before the histogram record and must
-        // tolerate any state: scopes dropped during a panic unwind (or
-        // after an inner guard was leaked) would otherwise strand a stale
-        // parent path that mislabels every later span on this thread.
-        // Truncating at our own entry also clears orphaned deeper entries
-        // whose guards never ran. `try_with`/`try_borrow_mut` keep the
-        // drop safe during thread teardown and re-entrant unwinds.
-        let _ = STAGE_STACK.try_with(|s| {
-            if let Ok(mut stack) = s.try_borrow_mut() {
-                if let Some(pos) = stack.iter().rposition(|p| *p == self.path) {
-                    stack.truncate(pos);
-                }
-            }
-        });
-        self.registry
-            .histogram(STAGE_SECONDS, &[("stage", &self.path)])
-            .record(self.start.elapsed().as_secs_f64());
-    }
-}
-
-/// A flat start/stop timer recording into `dsi_stage_seconds`.
-///
-/// Unlike [`StageScope`] it does not join the thread's stage stack: the
-/// recorded label is exactly the stage it was started with. Useful when a
-/// measurement spans a queue hop or otherwise crosses scope boundaries.
-#[derive(Debug)]
-pub struct SpanTimer {
-    registry: Registry,
-    stage: String,
-    start: Instant,
-    stopped: bool,
-}
-
-impl SpanTimer {
-    /// Starts timing `stage`.
-    pub fn start(registry: &Registry, stage: &str) -> Self {
-        Self {
-            registry: registry.clone(),
-            stage: stage.to_string(),
-            start: Instant::now(),
-            stopped: false,
-        }
-    }
-
-    /// Stops the timer, records the duration, and returns it.
-    pub fn stop(mut self) -> Duration {
-        let elapsed = self.start.elapsed();
-        self.registry
-            .histogram(STAGE_SECONDS, &[("stage", &self.stage)])
-            .record(elapsed.as_secs_f64());
-        self.stopped = true;
-        elapsed
-    }
-}
-
-impl Drop for SpanTimer {
-    fn drop(&mut self) {
-        if !self.stopped {
-            self.registry
-                .histogram(STAGE_SECONDS, &[("stage", &self.stage)])
-                .record(self.start.elapsed().as_secs_f64());
-        }
-    }
-}
-
-/// Records pre-measured seconds against a stage without a live timer.
-///
-/// The simulator measures most stage costs as modeled durations rather
-/// than wall time; this feeds those into the same series the RAII
-/// scopes use.
-pub fn observe_stage_seconds(registry: &Registry, stage: &str, seconds: f64) {
+/// Records `seconds` into `dsi_stage_seconds{job, stage}`. `job` is the
+/// session the caller runs for; a caller outside any session passes `""`
+/// and lands on `{stage}` alone.
+pub fn observe_stage_seconds(registry: &Registry, job: &str, stage: &str, seconds: f64) {
     registry
-        .histogram(STAGE_SECONDS, &[("stage", stage)])
+        .histogram(STAGE_SECONDS, &[("job", job), ("stage", stage)])
         .record(seconds);
-}
-
-/// Adds simulated cycles for a stage without an open scope.
-pub fn add_stage_cycles(registry: &Registry, stage: &str, cycles: u64) {
-    registry
-        .counter(STAGE_CYCLES_TOTAL, &[("stage", stage)])
-        .add(cycles);
 }
 
 #[cfg(test)]
@@ -173,96 +46,22 @@ mod tests {
     use super::*;
     use crate::registry::MetricValue;
 
-    fn stage_count(r: &Registry, path: &str) -> u64 {
-        match r.value(STAGE_SECONDS, &[("stage", path)]) {
-            Some(MetricValue::Histogram(s)) => s.count,
-            _ => 0,
-        }
-    }
-
-    #[test]
-    fn nested_scopes_build_paths() {
-        let r = Registry::new();
-        {
-            let _outer = StageScope::enter(&r, stage::LOAD);
-            {
-                let inner = StageScope::enter(&r, stage::TLS);
-                assert_eq!(inner.path(), "load/tls");
-                inner.add_cycles(100);
-            }
-        }
-        assert_eq!(stage_count(&r, "load/tls"), 1);
-        assert_eq!(stage_count(&r, "load"), 1);
-        assert_eq!(
-            r.counter_value(STAGE_CYCLES_TOTAL, &[("stage", "load/tls")]),
-            100
-        );
-    }
-
-    #[test]
-    fn stack_unwinds_between_sibling_scopes() {
-        let r = Registry::new();
-        {
-            let _a = StageScope::enter(&r, stage::EXTRACT);
-        }
-        let b = StageScope::enter(&r, stage::TRANSFORM);
-        assert_eq!(b.path(), "transform");
-    }
-
-    #[test]
-    fn span_timer_records_once() {
-        let r = Registry::new();
-        let t = SpanTimer::start(&r, stage::STALL);
-        let d = t.stop();
-        assert!(d.as_secs_f64() >= 0.0);
-        assert_eq!(stage_count(&r, "stall"), 1);
-        // Dropped-without-stop also records exactly once.
-        drop(SpanTimer::start(&r, stage::STALL));
-        assert_eq!(stage_count(&r, "stall"), 2);
-    }
-
-    #[test]
-    fn panicking_scope_leaves_no_stale_parent_path() {
-        // A scope dropped during unwind (e.g. a chaos-injected worker
-        // crash mid-stage) must clean the thread-local stack so later
-        // spans on this thread are not mislabeled as its children.
-        let r = Registry::new();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _outer = StageScope::enter(&r, stage::EXTRACT);
-            let _inner = StageScope::enter(&r, stage::DECOMPRESS);
-            panic!("injected crash");
-        }));
-        assert!(result.is_err());
-        let after = StageScope::enter(&r, stage::TRANSFORM);
-        assert_eq!(after.path(), "transform", "stale parent path survived");
-    }
-
-    #[test]
-    fn leaked_inner_scope_is_swept_by_outer_drop() {
-        // A leaked guard (never dropped — e.g. forgotten during a caught
-        // panic) strands its entry; the enclosing scope's drop must sweep
-        // it instead of leaving it to prefix every later span forever.
-        let r = Registry::new();
-        {
-            let _outer = StageScope::enter(&r, stage::LOAD);
-            let inner = StageScope::enter(&r, stage::TLS);
-            assert_eq!(inner.path(), "load/tls");
-            std::mem::forget(inner);
-        }
-        let after = StageScope::enter(&r, stage::TRANSFORM);
-        assert_eq!(after.path(), "transform", "orphaned entry survived");
-    }
-
     #[test]
     fn observed_seconds_merge_with_timed_spans() {
         let r = Registry::new();
-        observe_stage_seconds(&r, stage::DECOMPRESS, 0.25);
-        observe_stage_seconds(&r, stage::DECOMPRESS, 0.75);
+        observe_stage_seconds(&r, "", stage::DECOMPRESS, 0.25);
+        observe_stage_seconds(&r, "", stage::DECOMPRESS, 0.75);
+        observe_stage_seconds(&r, "sess1", stage::DECOMPRESS, 2.0);
         match r.value(STAGE_SECONDS, &[("stage", "decompress")]) {
             Some(MetricValue::Histogram(s)) => {
                 assert_eq!(s.count, 2);
                 assert!((s.sum - 1.0).abs() < 1e-12);
             }
+            other => panic!("unexpected {other:?}"),
+        }
+        let labeled = [("job", "sess1"), ("stage", "decompress")];
+        match r.value(STAGE_SECONDS, &labeled) {
+            Some(MetricValue::Histogram(s)) => assert_eq!((s.count, s.sum), (1, 2.0)),
             other => panic!("unexpected {other:?}"),
         }
     }

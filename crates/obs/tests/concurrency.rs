@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use std::thread;
 
-use dsi_obs::{Registry, StageScope};
+use dsi_obs::Registry;
 
 const THREADS: usize = 8;
 const OPS_PER_THREAD: u64 = 10_000;
@@ -116,41 +116,4 @@ fn registration_races_resolve_to_one_series() {
         THREADS as u64 * 1_000
     );
     assert_eq!(reg.len(), 1);
-}
-
-#[test]
-fn stage_scopes_are_thread_isolated() {
-    let reg = Registry::new();
-    let handles: Vec<_> = (0..THREADS)
-        .map(|_| {
-            let r = reg.clone();
-            thread::spawn(move || {
-                for _ in 0..100 {
-                    let _outer = StageScope::enter(&r, "extract");
-                    let inner = StageScope::enter(&r, "decompress");
-                    // Nesting must reflect this thread's stack only.
-                    assert_eq!(inner.path(), "extract/decompress");
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    let snapshot = reg.snapshot();
-    let count_for = |path: &str| {
-        snapshot
-            .iter()
-            .find_map(|(k, v)| match v {
-                dsi_obs::MetricValue::Histogram(s)
-                    if k.labels.iter().any(|(_, val)| val == path) =>
-                {
-                    Some(s.count)
-                }
-                _ => None,
-            })
-            .unwrap_or(0)
-    };
-    assert_eq!(count_for("extract"), THREADS as u64 * 100);
-    assert_eq!(count_for("extract/decompress"), THREADS as u64 * 100);
 }

@@ -46,107 +46,58 @@ impl LiveTrainer {
     }
 
     /// Consumes up to `max_batches` batches (or until the session ends),
-    /// returning the stall report and the number of samples trained.
+    /// returning the stall report and the number of samples trained:
+    /// [`LiveTrainer::train_prefetched`] at depth 0.
     pub fn train(&mut self, max_batches: u64) -> (StallReport, u64) {
-        let start = Instant::now();
-        let mut stalled = Duration::ZERO;
-        let mut batches = 0u64;
-        let mut samples = 0u64;
-        while batches < max_batches {
-            let wait_start = Instant::now();
-            let Some(tensor) = self.client.next_batch() else {
-                break;
-            };
-            stalled += wait_start.elapsed();
-            batches += 1;
-            samples += tensor.batch_size() as u64;
-            // "Train": occupy the GPU for the batch's service time.
-            let service = self.demand.batch_service_secs(tensor.batch_size()) * self.time_scale;
-            let consume_start = dsi_obs::now_ns();
-            spin_sleep(Duration::from_secs_f64(service));
-            record_consume(&self.registry, self.client.last_trace(), consume_start);
-        }
-        let elapsed = start.elapsed();
-        let report = StallReport {
-            batches,
-            elapsed_secs: elapsed.as_secs_f64(),
-            stalled_secs: stalled.as_secs_f64(),
-            stall_fraction: if elapsed.is_zero() {
-                0.0
-            } else {
-                stalled.as_secs_f64() / elapsed.as_secs_f64()
-            },
-        };
-        if let Some(reg) = &self.registry {
-            report.publish_metrics_labeled(reg, self.client.job());
-            reg.counter(
-                dsi_obs::names::TRAINER_SAMPLES_TOTAL,
-                &[("job", self.client.job())],
-            )
-            .add(samples);
-        }
-        (report, samples)
+        self.train_prefetched(max_batches, 0)
     }
 
-    /// Like [`LiveTrainer::train`], but fetches batches on a dedicated
-    /// thread through a `depth`-deep bounded buffer, so the next tensor's
-    /// network/deserialize latency overlaps the current batch's GPU time
-    /// instead of extending the stall. This is the trainer-side leg of the
-    /// end-to-end fastpath pipeline.
+    /// The training loop at a prefetch depth. At depth 0 the trainer's own
+    /// thread fetches each batch and then trains on it. At depth ≥ 1 a
+    /// dedicated thread fetches through a `depth`-deep bounded buffer, so
+    /// the next tensor's network/deserialize latency overlaps the current
+    /// batch's GPU time instead of extending the stall — the trainer-side
+    /// leg of the end-to-end fastpath pipeline.
     pub fn train_prefetched(&mut self, max_batches: u64, depth: usize) -> (StallReport, u64) {
-        let demand = self.demand;
-        let time_scale = self.time_scale;
-        let registry = self.registry.clone();
-        // The prefetch channel carries each tensor's delivery trace context
-        // alongside it, so Consume spans stay attached to the right trace
-        // even with `depth` tensors in flight between fetch and consume.
-        let (tx, rx) = crossbeam::channel::bounded::<(
-            dsi_types::MiniBatchTensor,
-            dsi_obs::TraceContext,
-        )>(depth.max(1));
         let client = &mut self.client;
-        let (report, samples) = std::thread::scope(|scope| {
-            scope.spawn(move || {
-                while let Some(tensor) = client.next_batch() {
-                    let trace = client.last_trace();
-                    if tx.send((tensor, trace)).is_err() {
-                        break; // consumer reached max_batches
+        let (report, samples) = if depth == 0 {
+            let next = || client.next_batch().map(|t| (t, client.last_trace()));
+            consume(
+                self.demand,
+                self.time_scale,
+                &self.registry,
+                max_batches,
+                next,
+            )
+        } else {
+            // The prefetch channel carries each tensor's delivery trace
+            // context alongside it, so Consume spans stay attached to the
+            // right trace even with `depth` tensors in flight between
+            // fetch and consume.
+            let (tx, rx) = crossbeam::channel::bounded(depth);
+            std::thread::scope(|scope| {
+                scope.spawn(move || {
+                    while let Some(tensor) = client.next_batch() {
+                        let trace = client.last_trace();
+                        if tx.send((tensor, trace)).is_err() {
+                            break; // consumer reached max_batches
+                        }
                     }
-                }
-            });
-            let start = Instant::now();
-            let mut stalled = Duration::ZERO;
-            let mut batches = 0u64;
-            let mut samples = 0u64;
-            while batches < max_batches {
-                let wait_start = Instant::now();
-                let Ok((tensor, trace)) = rx.recv() else {
-                    break; // session exhausted
-                };
-                stalled += wait_start.elapsed();
-                batches += 1;
-                samples += tensor.batch_size() as u64;
-                let service = demand.batch_service_secs(tensor.batch_size()) * time_scale;
-                let consume_start = dsi_obs::now_ns();
-                spin_sleep(Duration::from_secs_f64(service));
-                record_consume(&registry, trace, consume_start);
-            }
-            drop(rx); // unblock the fetcher if it is mid-send
-            let elapsed = start.elapsed();
-            let report = StallReport {
-                batches,
-                elapsed_secs: elapsed.as_secs_f64(),
-                stalled_secs: stalled.as_secs_f64(),
-                stall_fraction: if elapsed.is_zero() {
-                    0.0
-                } else {
-                    stalled.as_secs_f64() / elapsed.as_secs_f64()
-                },
-            };
-            (report, samples)
-        });
+                });
+                // `rx` drops with this closure, which unblocks the fetcher
+                // if it is mid-send.
+                let next = move || rx.recv().ok();
+                consume(
+                    self.demand,
+                    self.time_scale,
+                    &self.registry,
+                    max_batches,
+                    next,
+                )
+            })
+        };
         if let Some(reg) = &self.registry {
-            report.publish_metrics_labeled(reg, self.client.job());
+            report.publish_metrics(reg, self.client.job());
             reg.counter(
                 dsi_obs::names::TRAINER_SAMPLES_TOTAL,
                 &[("job", self.client.job())],
@@ -155,6 +106,47 @@ impl LiveTrainer {
         }
         (report, samples)
     }
+}
+
+/// The consume loop: waits on `next` (time blocked there is the stall),
+/// then occupies the GPU for the batch's service time, until `max_batches`
+/// or `next` runs dry.
+fn consume(
+    demand: GpuDemand,
+    time_scale: f64,
+    registry: &Option<dsi_obs::Registry>,
+    max_batches: u64,
+    mut next: impl FnMut() -> Option<(dsi_types::MiniBatchTensor, dsi_obs::TraceContext)>,
+) -> (StallReport, u64) {
+    let start = Instant::now();
+    let mut stalled = Duration::ZERO;
+    let mut batches = 0u64;
+    let mut samples = 0u64;
+    while batches < max_batches {
+        let wait_start = Instant::now();
+        let Some((tensor, trace)) = next() else {
+            break;
+        };
+        stalled += wait_start.elapsed();
+        batches += 1;
+        samples += tensor.batch_size() as u64;
+        let service = demand.batch_service_secs(tensor.batch_size()) * time_scale;
+        let consume_start = dsi_obs::now_ns();
+        spin_sleep(Duration::from_secs_f64(service));
+        record_consume(registry, trace, consume_start);
+    }
+    let elapsed = start.elapsed();
+    let report = StallReport {
+        batches,
+        elapsed_secs: elapsed.as_secs_f64(),
+        stalled_secs: stalled.as_secs_f64(),
+        stall_fraction: if elapsed.is_zero() {
+            0.0
+        } else {
+            stalled.as_secs_f64() / elapsed.as_secs_f64()
+        },
+    };
+    (report, samples)
 }
 
 /// Records the trainer-side `Consume` span: the GPU service time of one

@@ -20,24 +20,15 @@ pub struct StallReport {
 }
 
 impl StallReport {
-    /// Publishes this report into `registry`: the data-stall fraction,
-    /// stalled/elapsed wall-time gauges, the consumed-batch counter, and
-    /// one `stall` stage observation carrying the total stalled time (so
-    /// the pipeline report's stage table shows where the GPU waited).
-    pub fn publish_metrics(&self, registry: &dsi_obs::Registry) {
-        self.publish_with(registry, None);
-    }
-
-    /// Like [`StallReport::publish_metrics`], but stamps every metric with
-    /// a `job` label so two concurrent training sessions publishing into
-    /// one registry never collide.
-    pub fn publish_metrics_labeled(&self, registry: &dsi_obs::Registry, job: &str) {
-        self.publish_with(registry, Some(job));
-    }
-
-    fn publish_with(&self, registry: &dsi_obs::Registry, job: Option<&str>) {
+    /// Publishes this report into `registry` under `job` (the session the
+    /// trainer consumes; sessions sharing a registry never collide): the
+    /// data-stall fraction, stalled/elapsed wall-time gauges, the
+    /// consumed-batch counter, and one `stall` stage observation carrying
+    /// the total stalled time (so the pipeline report's stage table shows
+    /// where the GPU waited).
+    pub fn publish_metrics(&self, registry: &dsi_obs::Registry, job: &str) {
         use dsi_obs::names;
-        let labels: Vec<(&str, &str)> = job.map(|j| vec![("job", j)]).unwrap_or_default();
+        let labels = [("job", job)];
         registry
             .gauge(names::TRAINER_STALL_FRACTION, &labels)
             .set(self.stall_fraction);
@@ -50,7 +41,7 @@ impl StallReport {
         registry
             .counter(names::TRAINER_BATCHES_TOTAL, &labels)
             .add(self.batches);
-        dsi_obs::observe_stage_seconds(registry, dsi_obs::stage::STALL, self.stalled_secs);
+        dsi_obs::observe_stage_seconds(registry, job, dsi_obs::stage::STALL, self.stalled_secs);
     }
 }
 
@@ -68,19 +59,20 @@ mod tests {
             stall_fraction: 0.5,
         };
         let reg = dsi_obs::Registry::new();
-        r.publish_metrics(&reg);
+        r.publish_metrics(&reg, "sess1");
+        let job = [("job", "sess1")];
         assert!(
-            (reg.gauge_value(names::TRAINER_STALL_FRACTION, &[]) - r.stall_fraction).abs() < 1e-12
+            (reg.gauge_value(names::TRAINER_STALL_FRACTION, &job) - r.stall_fraction).abs() < 1e-12
         );
         assert!(
-            (reg.gauge_value(names::TRAINER_STALLED_SECONDS, &[]) - r.stalled_secs).abs() < 1e-12
+            (reg.gauge_value(names::TRAINER_STALLED_SECONDS, &job) - r.stalled_secs).abs() < 1e-12
         );
-        assert_eq!(reg.counter_value(names::TRAINER_BATCHES_TOTAL, &[]), 1_000);
+        assert_eq!(reg.counter_value(names::TRAINER_BATCHES_TOTAL, &job), 1_000);
         // The stall stage carries the GPU's waiting time.
         let stall = reg
             .histogram(
                 dsi_obs::span::STAGE_SECONDS,
-                &[("stage", dsi_obs::stage::STALL)],
+                &[("job", "sess1"), ("stage", dsi_obs::stage::STALL)],
             )
             .snapshot();
         assert_eq!(stall.count, 1);

@@ -355,9 +355,6 @@ pub fn run_scenario(scenario: &Scenario, policy: &mut dyn TunerPolicy) -> TuneTr
     let mut extract_secs = 0.0f64;
     let mut transform_secs = 0.0f64;
     let mut load_secs = 0.0f64;
-    let mut stall_secs = 0.0f64;
-    let mut starved = 0u64;
-    let mut batches = 0u64;
 
     let mut t = 0.0;
     while t < scenario.duration_secs {
@@ -393,11 +390,6 @@ pub fn run_scenario(scenario: &Scenario, policy: &mut dyn TunerPolicy) -> TuneTr
         extract_secs += served / (scenario.extract_rate(&knobs) * pw);
         transform_secs += served / (scenario.transform_rate(&knobs) * pw);
         load_secs += served / (scenario.load_rate(&knobs) * pw);
-        stall_secs += stall * scenario.tick_secs;
-        if stall > 0.0 {
-            starved += 1;
-        }
-        batches += (served / knobs.batch_size as f64) as u64;
 
         points.push(TunePoint {
             t,
@@ -412,16 +404,9 @@ pub fn run_scenario(scenario: &Scenario, policy: &mut dyn TunerPolicy) -> TuneTr
         let snapshot = SignalSnapshot {
             stall_fraction: stall,
             fetch_p99: scenario.fetch_latency * (1.0 - fetch_hidden).max(0.0) * 10.0,
-            starved_polls: starved,
-            client_batches: batches,
-            pool_hit_ratio: 1.0,
-            prefetch_depth: knobs.read_ahead as f64,
             extract_secs,
             transform_secs,
             load_secs,
-            stall_secs,
-            queue_depth: 0.0,
-            workers: knobs.workers as f64,
         };
         let signals = TunerSignals {
             snapshot,

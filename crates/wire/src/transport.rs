@@ -78,15 +78,13 @@ fn with_registry(obs: &WireObs, f: impl FnOnce(&Registry)) {
 }
 
 /// Like [`with_registry`], but also hands the closure the session-scoped
-/// label set: `{job="sessN"}` when the transport belongs to a session, or
-/// no labels for standalone/test transfers. Sessions share registries
-/// under the fleet control plane, so the `dsi_wire_*` counters must not
-/// collide across tenants.
+/// label set: `{job="sessN"}` when the transport belongs to a session;
+/// standalone/test transfers pass an empty job, which the registry reads
+/// as no label. Sessions share registries under the fleet control plane,
+/// so the `dsi_wire_*` counters must not collide across tenants.
 fn with_job_registry(obs: &WireObs, job: &str, f: impl FnOnce(&Registry, &[(&str, &str)])) {
     if let Some(reg) = obs.lock().as_ref() {
-        let jl = [("job", job)];
-        let labels: &[(&str, &str)] = if job.is_empty() { &[] } else { &jl };
-        f(reg, labels);
+        f(reg, &[("job", job)]);
     }
 }
 

@@ -136,10 +136,23 @@ fn main() -> dsi_types::Result<()> {
         report.cache_hits + report.cache_misses > 0,
         "cache saw traffic"
     );
-    assert!(
-        report.stages.iter().any(|s| s.seconds > 0.0),
-        "stage table has wall time"
-    );
+    for stage in ["extract", "transform", "load"] {
+        let row = report.stages.iter().find(|r| r.stage == stage);
+        assert!(
+            row.is_some_and(|r| r.spans > 0 && r.seconds > 0.0),
+            "stage table has no wall time for {stage}: {row:?}"
+        );
+    }
     println!("stall-fraction metric matches trainer report: {gauge:.4}");
+
+    // What a tuning policy ticked against this session would be shown:
+    // the same registry, read through the session's `job` label.
+    let signals = dsi::obs::SignalSnapshot::sample(&registry, "sess1");
+    println!(
+        "sampled signals for sess1: {signals:?}, dominant {:?}",
+        signals.dominant_stage()
+    );
+    assert_eq!(signals.stall_fraction, stall.stall_fraction);
+    assert!(signals.fetch_p99 > 0.0 && signals.load_secs > 0.0);
     Ok(())
 }

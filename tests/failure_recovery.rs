@@ -131,6 +131,8 @@ fn master_checkpoint_restore_replays_only_incomplete_work() {
     let master = Master::new(SessionId(1), splits.clone());
     let reg = Registry::new();
     master.attach_registry(&reg);
+    // Everything a Master writes carries its session as the `job` label.
+    let job = [("job", "sess1")];
     let w = master.register_worker();
 
     // Process 4 splits "to completion" (consumed), leave the rest.
@@ -141,13 +143,13 @@ fn master_checkpoint_restore_replays_only_incomplete_work() {
     let checkpoint = master.checkpoint();
     assert_eq!(checkpoint.completed.len(), 4);
     // The checkpoint and progress show up in the obs counters.
-    assert_eq!(reg.counter_value(names::MASTER_CHECKPOINTS_TOTAL, &[]), 1);
+    assert_eq!(reg.counter_value(names::MASTER_CHECKPOINTS_TOTAL, &job), 1);
     assert_eq!(
-        reg.counter_value(names::MASTER_SPLITS_TOTAL, &[]),
+        reg.counter_value(names::MASTER_SPLITS_TOTAL, &job),
         splits.len() as u64
     );
     assert_eq!(
-        reg.counter_value(names::MASTER_SPLITS_COMPLETED_TOTAL, &[]),
+        reg.counter_value(names::MASTER_SPLITS_COMPLETED_TOTAL, &job),
         4
     );
 
@@ -157,7 +159,7 @@ fn master_checkpoint_restore_replays_only_incomplete_work() {
     let restored = Master::restore(&checkpoint, splits).unwrap();
     restored.attach_registry(&reg);
     assert_eq!(
-        reg.counter_value(names::MASTER_SPLITS_COMPLETED_TOTAL, &[]),
+        reg.counter_value(names::MASTER_SPLITS_COMPLETED_TOTAL, &job),
         4
     );
     let w2 = restored.register_worker();
@@ -174,9 +176,9 @@ fn master_checkpoint_restore_replays_only_incomplete_work() {
     assert_eq!(replayed as u64, restored.total_splits() - 4);
     assert!(restored.is_complete());
     let _ = restored.checkpoint();
-    assert_eq!(reg.counter_value(names::MASTER_CHECKPOINTS_TOTAL, &[]), 2);
+    assert_eq!(reg.counter_value(names::MASTER_CHECKPOINTS_TOTAL, &job), 2);
     assert_eq!(
-        reg.counter_value(names::MASTER_SPLITS_COMPLETED_TOTAL, &[]),
+        reg.counter_value(names::MASTER_SPLITS_COMPLETED_TOTAL, &job),
         restored.total_splits()
     );
 }

@@ -364,3 +364,89 @@ fn docs_cite_only_artifacts_and_figures_that_exist() {
         }
     }
 }
+
+/// The metric catalog is closed. A session writes only series `names.rs`
+/// declares (plus the two stage series), DESIGN §8 lists every declared
+/// name in full, and whatever a session writes outside the process-scoped
+/// families (storage, cache, scribe, ETL, chaos) carries the `job` label
+/// the tuner filters on.
+#[test]
+fn metric_catalog_is_closed_and_session_series_carry_job() {
+    use dsi::prelude::*;
+    let catalog: Vec<&str> = include_str!("../crates/obs/src/names.rs")
+        .split("pub const ")
+        .skip(1)
+        .filter_map(|item| item.split('"').nth(1))
+        .filter(|name| name.starts_with("dsi_"))
+        .collect();
+    assert!(catalog.len() >= 70, "parsed {} names", catalog.len());
+    let design = include_str!("../DESIGN.md");
+    let section = &design[design.find("\n## 8. ").unwrap()..design.find("\n## 9. ").unwrap()];
+    for name in &catalog {
+        assert!(
+            section.contains(&format!("`{name}`")),
+            "DESIGN §8 does not list {name}"
+        );
+    }
+
+    let table = Table::create(
+        TectonicCluster::new(ClusterConfig::small()),
+        TableConfig::new(TableId(1), "catalog"),
+    )
+    .unwrap();
+    let rows = (0..256u64).map(|i| {
+        let mut s = Sample::new((i % 2) as f32);
+        s.set_dense(FeatureId(1), i as f32);
+        s.set_sparse(FeatureId(2), SparseList::from_ids(vec![i % 10]));
+        s
+    });
+    table
+        .write_partition(PartitionId::new(0), rows.collect())
+        .unwrap();
+    let spec = SessionSpec::builder(SessionId(1))
+        .partitions(PartitionId::new(0)..PartitionId::new(1))
+        .projection(Projection::new(vec![FeatureId(1), FeatureId(2)]))
+        .plan(TransformPlan::new(vec![TransformOp::SigridHash {
+            input: FeatureId(2),
+            salt: 1,
+            modulus: 97,
+        }]))
+        .batch_size(32)
+        .dense_ids(vec![FeatureId(1)])
+        .sparse_ids(vec![FeatureId(2)])
+        .read_ahead(1)
+        .transport(Transport::Tcp(WireConfig::encrypted(7)))
+        .build();
+    let reg = Registry::new();
+    let session = DppSession::launch_observed_chaos(table, spec, 2, Some(&reg), None).unwrap();
+    let mut trainer = LiveTrainer::new(session.client(), GpuDemand::new(1.0e6, 100.0))
+        .with_time_scale(0.01)
+        .with_registry(&reg);
+    assert_eq!(trainer.train(u64::MAX).1, 256);
+    session.shutdown();
+
+    let process_scoped = [
+        "dsi_tectonic_",
+        "dsi_cache_",
+        "dsi_storage_node_",
+        "dsi_scribe_",
+        "dsi_etl_",
+        "dsi_chaos_",
+    ];
+    let series = reg.snapshot();
+    assert!(series.len() > 30, "the session wrote {}", series.len());
+    for (key, _) in series {
+        let name = key.name.as_str();
+        let stage_series = [dsi::obs::STAGE_SECONDS, dsi::obs::STAGE_CYCLES_TOTAL];
+        assert!(
+            catalog.contains(&name) || stage_series.contains(&name),
+            "{name} is not in names.rs"
+        );
+        assert!(
+            process_scoped.iter().any(|p| name.starts_with(p))
+                || key.labels.iter().any(|(k, v)| k == "job" && v == "sess1"),
+            "{name}{:?} carries no job",
+            key.labels
+        );
+    }
+}

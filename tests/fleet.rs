@@ -187,6 +187,51 @@ fn three_tenants_share_one_fleet_exactly_once_and_bitwise() {
 }
 
 #[test]
+fn two_sessions_on_one_registry_read_their_own_signals() {
+    with_watchdog(WATCHDOG, "two sessions, one registry".into(), || {
+        // Every autotuned job under the fleet driver samples one shared
+        // registry: what a job's tuner reads has to be that job's series,
+        // not whichever session wrote last. One job drained, one idle.
+        const DAYS: u32 = 6;
+        let table = build_table(1, DAYS);
+        let reg = Registry::new();
+        let launch = |id| {
+            let spec = session_spec(id, DAYS, Transport::InProcess);
+            DppSession::launch_observed_chaos(table.clone(), spec, 2, Some(&reg), None).unwrap()
+        };
+        let (drained, idle) = (launch(1), launch(2));
+        let mut trainer = LiveTrainer::new(drained.client(), GpuDemand::new(1.0e6, 100.0))
+            .with_time_scale(0.01)
+            .with_registry(&reg);
+        let (_, samples) = trainer.train(u64::MAX);
+        assert_eq!(samples, DAYS as u64 * ROWS_PER_DAY);
+        // The idle job's client exists and never polls; its workers run
+        // until every tensor buffer is full, then block.
+        let _parked = idle.client();
+        while idle.observe().iter().any(|o| o.buffered < o.capacity) {
+            std::thread::yield_now();
+        }
+
+        let signals = |job: &str| dsi::obs::SignalSnapshot::sample(&reg, job);
+        let (a, b) = (signals("sess1"), signals("sess2"));
+        assert!(a.fetch_p99 > 0.0, "the drained job fetched: {a:?}");
+        assert_eq!(b.fetch_p99, 0.0, "the idle job never did: {b:?}");
+        assert_eq!(b.stall_fraction, 0.0, "nor has it a trainer: {b:?}");
+        assert!(a.load_secs > 0.0 && b.load_secs > 0.0, "{a:?} {b:?}");
+        assert_ne!(a.load_secs, b.load_secs, "each job's own workers");
+        let queued = |job| reg.gauge_value(obs_names::MASTER_QUEUE_DEPTH, &[("job", job)]);
+        assert_eq!(queued("sess1"), 0.0);
+        assert!(queued("sess2") > 0.0, "the idle job's splits still wait");
+
+        // The report reads the same series with no filter and sums them.
+        let (ra, rb) = (drained.shutdown(), idle.shutdown());
+        assert!(rb.samples > 0 && rb.samples < ra.samples);
+        let report = PipelineReport::collect(&reg);
+        assert_eq!(report.worker_samples, ra.samples + rb.samples);
+    });
+}
+
+#[test]
 fn high_priority_submission_preempts_lower_priority_workers() {
     with_watchdog(WATCHDOG, "mid-run preemption".into(), || {
         const DAYS: u32 = 6; // 24 splits/job: plenty of epoch left mid-run

@@ -524,3 +524,69 @@ fn live_trainer_with_adequate_dpp_barely_stalls() {
         report.stall_fraction
     );
 }
+
+/// A policy that keeps the knobs and remembers what it was shown.
+struct Recorder(std::sync::Arc<std::sync::Mutex<Vec<dsi::dpp::TunerSignals>>>);
+
+impl TunerPolicy for Recorder {
+    fn name(&self) -> &'static str {
+        "recorder"
+    }
+
+    fn bounds(&self) -> KnobBounds {
+        KnobBounds::default()
+    }
+
+    fn decide(&mut self, signals: &dsi::dpp::TunerSignals, current: &Knobs) -> Knobs {
+        self.0.lock().unwrap().push(*signals);
+        *current
+    }
+}
+
+#[test]
+fn live_tuner_sees_the_run_it_tunes() {
+    // The one door a policy reads through has to show the session it is
+    // ticked against: its client's fetch tail, its workers' stage time,
+    // its trainer's stall — whatever the transport or the worker loop's
+    // depth. The plan derives a dozen features per stored one, so load
+    // (where the columnar kernels run) outweighs the storage fetch.
+    let table = wire_table(25);
+    let (dense, sparse) = ([FeatureId(1)], [FeatureId(2)]);
+    let projection = Projection::new(vec![FeatureId(1), FeatureId(2)]);
+    let plan = TransformPlan::preset(&projection, &sparse, &dense, 12.0, 1_000_000);
+    for transport in [
+        Transport::InProcess,
+        Transport::Tcp(WireConfig::plaintext()),
+    ] {
+        for read_ahead in [0, 2] {
+            let mut spec = wire_spec(transport);
+            spec.sparse_ids.extend(plan.derived_feature_ids());
+            spec.plan = plan.clone();
+            spec.read_ahead = read_ahead;
+            let reg = Registry::new();
+            let session =
+                DppSession::launch_observed_chaos(table.clone(), spec, 2, Some(&reg), None)
+                    .unwrap();
+            let seen = std::sync::Arc::default();
+            let recorder = Recorder(std::sync::Arc::clone(&seen));
+            let mut tuner = LiveTuner::new(Box::new(recorder), &session);
+            let mut trainer = LiveTrainer::new(session.client(), GpuDemand::new(1.0e6, 100.0))
+                .with_time_scale(0.01)
+                .with_registry(&reg);
+            let (stall, samples) = trainer.train(u64::MAX);
+            assert_eq!(samples, 288);
+            tuner.tick(&session);
+            session.shutdown();
+
+            let at = format!("{transport:?} read_ahead {read_ahead}");
+            let signals = seen.lock().unwrap().pop().expect("one tick, one decide");
+            let s = signals.snapshot;
+            assert!(s.fetch_p99 > 0.0, "{at}: {s:?}");
+            assert!(s.extract_secs > 0.0, "{at}: {s:?}");
+            assert!(s.transform_secs > 0.0, "{at}: {s:?}");
+            assert!(s.load_secs > 0.0, "{at}: {s:?}");
+            assert_eq!(s.stall_fraction, stall.stall_fraction, "{at}");
+            assert_ne!(s.dominant_stage(), Some("extract"), "{at}: {s:?}");
+        }
+    }
+}
