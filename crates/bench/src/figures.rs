@@ -18,8 +18,7 @@
 
 use crate::report::{f, pct, print_table};
 use crate::{durability, LabConfig, RmLab};
-use dpp::{ExtractCostModel, WorkerReport};
-use dsi_tune::{run_scenario, Scenario};
+use dpp::{run_scenario, ExtractCostModel, Scenario, WorkerReport};
 use dsi_types::{ByteSize, Projection};
 use dwrf::{CoalescePolicy, WriterOptions};
 use hwsim::{DatacenterTax, NodeSpec, PowerModel, ResourceVector};
@@ -1412,8 +1411,8 @@ fn scaled_demand(report: &WorkerReport, tax: &DatacenterTax, scale: f64) -> Reso
 }
 
 /// Extension (autotune): closed-loop online tuning vs the static
-/// watermark autoscaler over four deterministic pipeline scenarios
-/// (extract-bound, transform-bound, trainer-bound, diurnal load). Both
+/// watermark autoscaler over three deterministic pipeline scenarios
+/// (extract-bound, trainer-bound, diurnal load). Both
 /// policies run the same virtual-time simulation, the same knob fences,
 /// the same synthesized signal stream; the table compares time to
 /// converge (sliding-window stall under the 2% target) and steady-state
@@ -1433,11 +1432,8 @@ fn autotune_ablation(smoke: bool) {
                 pct(t.stall_fraction),
                 f(t.mean_workers, 1),
                 format!(
-                    "w={} ra={} b={} p={}",
-                    t.final_knobs.workers,
-                    t.final_knobs.read_ahead,
-                    t.final_knobs.batch_size,
-                    t.final_knobs.parallelism
+                    "w={} ra={} b={}",
+                    t.final_knobs.workers, t.final_knobs.read_ahead, t.final_knobs.batch_size
                 ),
             ]);
         }

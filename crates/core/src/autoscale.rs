@@ -313,7 +313,6 @@ mod tests {
             workers: 8,
             read_ahead: 2,
             batch_size: 64,
-            parallelism: 2,
         };
         // Starved buffers: scale out by one step, everything else fixed.
         let next = policy.decide(&signals(8, 0.0, 0.9), &current);

@@ -17,6 +17,10 @@
 //! * [`tuning`] — the knob surface every scaling policy shares and
 //!   [`LiveTuner`], the one control tick that applies a policy to a
 //!   running session;
+//! * [`online`] — [`OnlineTuner`], the closed-loop policy that moves
+//!   read-ahead and batch size as well as workers;
+//! * [`sim`] — the virtual-time pipeline [`Scenario`]s both policies are
+//!   compared on ([`run_scenario`]);
 //! * [`worker`] — stateless DPP Workers: the extract → transform → load
 //!   executor over real DWRF bytes, with per-stage resource accounting;
 //! * [`client`] — DPP Clients: the trainer-side hook that fetches tensor
@@ -52,17 +56,21 @@
 pub mod autoscale;
 pub mod client;
 pub mod master;
+pub mod online;
 mod pipeline;
 pub mod service;
 pub mod session;
+pub mod sim;
 pub mod tuning;
 pub mod worker;
 
 pub use autoscale::{AutoScaler, ScalerConfig};
 pub use client::Client;
 pub use master::{Master, MasterCheckpoint, SplitState};
+pub use online::{OnlineTuner, TunerConfig};
 pub use service::{DppSession, SessionCheckpoint, WorkerObservation};
 pub use session::{Injection, SessionSpec, SessionSpecBuilder, Transport};
+pub use sim::{run_scenario, Scenario, TunePoint, TuneTrace};
 pub use tuning::{KnobBounds, KnobDelta, Knobs, LiveTuner, TunerPolicy, TunerSignals};
 pub use wire::WireConfig;
 pub use worker::{ExtractCostModel, Worker, WorkerReport};

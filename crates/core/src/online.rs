@@ -16,12 +16,15 @@
 //! | signal                                   | knob          | direction |
 //! |------------------------------------------|---------------|-----------|
 //! | extract dominates stage time / fetch p99 | `read_ahead`  | up        |
-//! | transform dominates stage time           | `parallelism` | up        |
 //! | load dominates stage time                | `batch_size`  | up        |
 //! | stall with buffers drained               | `workers`     | up (proportional to deficit) |
 //! | zero stall, fat buffers, idle workers    | `workers`     | down      |
+//!
+//! Transform-dominated stage time implicates no depth knob — a worker has
+//! one transform stage — so it falls through to the worker axis, which is
+//! how the paper's DPP relieves it.
 
-use dpp::{KnobBounds, Knobs, TunerPolicy, TunerSignals};
+use crate::tuning::{KnobBounds, Knobs, TunerPolicy, TunerSignals};
 use dsi_obs::stage;
 use dsi_types::rng::SplitMix64;
 use serde::{Deserialize, Serialize};
@@ -30,7 +33,6 @@ use serde::{Deserialize, Serialize};
 const AXIS_WORKERS: usize = 0;
 const AXIS_READ_AHEAD: usize = 1;
 const AXIS_BATCH: usize = 2;
-const AXIS_PARALLELISM: usize = 3;
 
 /// Tuner configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -92,7 +94,6 @@ pub struct OnlineTuner {
     last_explore: u64,
     /// Count of guarded moves that were reverted (exposed for reports).
     reverts: u64,
-    moves: u64,
 }
 
 impl OnlineTuner {
@@ -106,18 +107,12 @@ impl OnlineTuner {
             tick: 0,
             last_explore: 0,
             reverts: 0,
-            moves: 0,
         }
     }
 
     /// The tuner's configuration.
     pub fn config(&self) -> &TunerConfig {
         &self.cfg
-    }
-
-    /// Guarded moves attempted so far.
-    pub fn moves(&self) -> u64 {
-        self.moves
     }
 
     /// Guarded moves reverted for failing to improve the objective.
@@ -130,11 +125,9 @@ impl OnlineTuner {
     /// the cheapest wins but no amount of cost saving buys a stall.
     pub fn objective(&self, signals: &TunerSignals, knobs: &Knobs) -> f64 {
         let (_, max_workers) = self.cfg.bounds.workers;
-        let (_, max_par) = self.cfg.bounds.parallelism;
         let (_, max_ra) = self.cfg.bounds.read_ahead;
         let (_, max_batch) = self.cfg.bounds.batch_size;
         let worker_cost = knobs.workers as f64 / max_workers.max(1) as f64;
-        let lane_cost = (knobs.parallelism.saturating_sub(1)) as f64 / max_par.max(1) as f64;
         // Depth knobs cost memory: enough that a move which buys nothing
         // strictly worsens the objective (and gets reverted), far too
         // little to outweigh any real stall relief.
@@ -151,7 +144,7 @@ impl OnlineTuner {
             };
         signals.snapshot.stall_fraction
             + starvation_risk
-            + self.cfg.cost_weight * (worker_cost + 0.3 * lane_cost + 0.05 * mem_cost)
+            + self.cfg.cost_weight * (worker_cost + 0.05 * mem_cost)
     }
 
     fn credit_of(&self, axis: usize, up: bool) -> f64 {
@@ -183,8 +176,6 @@ impl OnlineTuner {
             (AXIS_READ_AHEAD, false) => knobs.read_ahead.saturating_sub(1),
             (AXIS_BATCH, true) => knobs.batch_size.saturating_mul(2),
             (AXIS_BATCH, false) => (knobs.batch_size / 2).max(1),
-            (AXIS_PARALLELISM, true) => knobs.parallelism + 1,
-            (AXIS_PARALLELISM, false) => knobs.parallelism.saturating_sub(1),
             _ => unreachable!("axis {axis} out of range"),
         };
         self.cfg.bounds.clamp(knobs.with_axis(axis, next))
@@ -211,9 +202,6 @@ impl OnlineTuner {
         if dominant == Some(stage::EXTRACT) || signals.snapshot.fetch_p99 > 0.05 {
             c.push((AXIS_READ_AHEAD, 2.0));
         }
-        if dominant == Some(stage::TRANSFORM) {
-            c.push((AXIS_PARALLELISM, 2.0));
-        }
         if dominant == Some(stage::LOAD) {
             c.push((AXIS_BATCH, 2.0));
         }
@@ -223,7 +211,7 @@ impl OnlineTuner {
             c.push((AXIS_WORKERS, 1.0));
         }
         // Fallbacks so a stalled tuner is never out of ideas.
-        for axis in [AXIS_READ_AHEAD, AXIS_PARALLELISM, AXIS_BATCH, AXIS_WORKERS] {
+        for axis in [AXIS_READ_AHEAD, AXIS_BATCH, AXIS_WORKERS] {
             if !c.iter().any(|(a, _)| *a == axis) {
                 c.push((axis, 0.0));
             }
@@ -244,7 +232,6 @@ impl OnlineTuner {
         if next == *knobs {
             return *knobs;
         }
-        self.moves += 1;
         self.pending = Some(Pending {
             axis,
             up,
@@ -319,13 +306,14 @@ impl TunerPolicy for OnlineTuner {
         let idle = signals.mean_utilization < 0.5;
         let cushioned = signals.mean_buffered >= self.cfg.shave_buffer_floor;
         let cooled = self.tick - self.last_explore >= self.cfg.explore_every as u64;
-        if idle && cushioned && cooled {
-            for (axis, up) in [(AXIS_WORKERS, false), (AXIS_PARALLELISM, false)] {
-                if self.has_headroom(axis, up, current) && self.credit_of(axis, up) > -3.0 {
-                    self.last_explore = self.tick;
-                    return self.begin_move(axis, up, signals, current, obj);
-                }
-            }
+        if idle
+            && cushioned
+            && cooled
+            && self.has_headroom(AXIS_WORKERS, false, current)
+            && self.credit_of(AXIS_WORKERS, false) > -3.0
+        {
+            self.last_explore = self.tick;
+            return self.begin_move(AXIS_WORKERS, false, signals, current, obj);
         }
         *current
     }
@@ -363,14 +351,6 @@ mod tests {
         let k = Knobs::default();
         let next = t.decide(&stalled_signals(0.3, 0.0, 10.0, 1.0, 1.0), &k);
         assert_eq!(next.read_ahead, k.read_ahead + 1, "{next:?}");
-    }
-
-    #[test]
-    fn transform_dominance_raises_parallelism() {
-        let mut t = OnlineTuner::new(TunerConfig::default());
-        let k = Knobs::default();
-        let next = t.decide(&stalled_signals(0.3, 0.0, 1.0, 10.0, 1.0), &k);
-        assert_eq!(next.parallelism, k.parallelism + 1, "{next:?}");
     }
 
     #[test]
@@ -431,7 +411,6 @@ mod tests {
                 workers: (2, 6),
                 read_ahead: (0, 2),
                 batch_size: (16, 64),
-                parallelism: (1, 2),
             },
             patience: 1,
             ..Default::default()
@@ -441,7 +420,6 @@ mod tests {
             workers: 4,
             read_ahead: 0,
             batch_size: 32,
-            parallelism: 1,
         };
         // Hammer the tuner with alternating panic/idle signals; no state
         // it reaches may cross the fences.
@@ -460,7 +438,6 @@ mod tests {
             assert!((2..=6).contains(&k.workers), "workers {k:?}");
             assert!(k.read_ahead <= 2, "{k:?}");
             assert!((16..=64).contains(&k.batch_size), "{k:?}");
-            assert!((1..=2).contains(&k.parallelism), "{k:?}");
         }
     }
 

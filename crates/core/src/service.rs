@@ -28,6 +28,9 @@ struct WorkerControl {
     kill: Arc<AtomicBool>,
     drain: Arc<AtomicBool>,
     handle: JoinHandle<WorkerReport>,
+    /// The depth knobs this worker was spawned with and keeps for life.
+    read_ahead: usize,
+    batch_size: usize,
 }
 
 /// One worker's control-plane view: identity, buffer occupancy, and
@@ -51,6 +54,9 @@ pub struct WorkerObservation {
     pub draining: bool,
     /// Whether the worker thread has exited.
     pub finished: bool,
+    /// Whether the worker was spawned with a read-ahead or batch size the
+    /// session has since overridden ([`DppSession::effective_spec`]).
+    pub stale: bool,
 }
 
 impl WorkerObservation {
@@ -63,8 +69,8 @@ impl WorkerObservation {
 /// Live knob overrides applied on top of a session's immutable spec.
 ///
 /// `None` means "use the spec's value". Overrides take effect on every
-/// worker spawned after the set; a tuner rolls them through the running
-/// fleet by rotating workers ([`DppSession::rotate_worker`]).
+/// worker spawned after the set; [`DppSession::scale_to`] rolls them
+/// through the running fleet one worker per call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct KnobOverrides {
     read_ahead: Option<usize>,
@@ -371,8 +377,8 @@ impl DppSession {
     }
 
     /// Overrides the read-ahead depth for workers spawned from now on.
-    /// Running workers keep their depth; use [`DppSession::rotate_worker`]
-    /// to roll the change through the fleet.
+    /// Running workers keep their depth (and observe as `stale`) until
+    /// [`DppSession::scale_to`] rotates them out.
     pub fn set_read_ahead(&self, depth: usize) {
         self.knobs.lock().read_ahead = Some(depth);
     }
@@ -385,31 +391,52 @@ impl DppSession {
         self.knobs.lock().batch_size = Some(batch.max(1));
     }
 
+    /// The `(read_ahead, batch_size)` new workers are spawned with.
+    fn depth_knobs(&self) -> (usize, usize) {
+        let knobs = *self.knobs.lock();
+        (
+            knobs.read_ahead.unwrap_or(self.spec.read_ahead),
+            knobs.batch_size.unwrap_or(self.spec.batch_size),
+        )
+    }
+
     /// The spec new workers are spawned with: the immutable session spec
     /// plus any live knob overrides.
     pub fn effective_spec(&self) -> SessionSpec {
-        let knobs = *self.knobs.lock();
         let mut spec = (*self.spec).clone();
-        if let Some(depth) = knobs.read_ahead {
-            spec.read_ahead = depth;
-        }
-        if let Some(batch) = knobs.batch_size {
-            spec.batch_size = batch;
-        }
+        (spec.read_ahead, spec.batch_size) = self.depth_knobs();
         spec
     }
 
-    /// Drains the most-buffered live worker and spawns a replacement that
-    /// picks up the current knob overrides — the unit step for rolling a
-    /// read-ahead/batch change through a running fleet without losing
+    /// The one actuation of a worker target: diffs `wanted` against the
+    /// live workers in `observed` and spawns `wanted − live` or drains
+    /// `live − wanted`, most-buffered first ([`DppSession::drain_victims`]).
+    /// When the count is already right it instead rotates one `stale`
+    /// live worker — drain it, spawn a replacement that picks up the
+    /// current knob overrides — so calling it every tick rolls a
+    /// read-ahead / batch change through the whole fleet without losing
     /// capacity or exactly-once delivery (the drained worker finishes its
-    /// in-flight split; anything unacknowledged replays). Returns the
-    /// `(drained, replacement)` pair, or `None` when no worker is live.
-    pub fn rotate_worker(&self) -> Option<(WorkerId, WorkerId)> {
-        let observed = self.observe();
-        let victim = self.drain_victims(&observed, 1).into_iter().next()?;
-        self.drain_worker_by_id(victim);
-        Some((victim, self.spawn_worker()))
+    /// in-flight split; anything unacknowledged replays). Draining and
+    /// finished workers are never touched. Returns `(spawned, drained)`.
+    pub fn scale_to(&self, wanted: usize, observed: &[WorkerObservation]) -> (usize, usize) {
+        let live = observed.iter().filter(|o| o.is_live()).count();
+        let victims = if live == wanted {
+            let stale: Vec<_> = observed.iter().filter(|o| o.stale).copied().collect();
+            self.drain_victims(&stale, 1)
+        } else {
+            self.drain_victims(observed, live.saturating_sub(wanted))
+        };
+        let drained = victims
+            .into_iter()
+            .filter(|&victim| self.drain_worker_by_id(victim))
+            .count();
+        // What was drained has left the live count: spawn back up to the
+        // target — the shortfall, or a rotated worker's replacement.
+        let spawned = wanted.saturating_sub(live - drained);
+        for _ in 0..spawned {
+            self.spawn_worker();
+        }
+        (spawned, drained)
     }
 
     /// Spawns one additional Worker, returning its id.
@@ -426,7 +453,7 @@ impl DppSession {
         let reports = Arc::clone(&self.finished_reports);
         let kill2 = Arc::clone(&kill);
         let drain2 = Arc::clone(&drain);
-        let read_ahead = spec.read_ahead;
+        let (read_ahead, batch_size) = (spec.read_ahead, spec.batch_size);
         let obs = Arc::clone(&self.obs);
         let chaos = Arc::clone(&self.chaos);
         let handle = std::thread::spawn(move || {
@@ -474,6 +501,8 @@ impl DppSession {
                 kill,
                 drain,
                 handle,
+                read_ahead,
+                batch_size,
             },
         );
         id
@@ -544,6 +573,7 @@ impl DppSession {
     /// draining counts, drain-victim selection, and the fleet reconciler's
     /// observed state are all derived from it.
     pub fn observe(&self) -> Vec<WorkerObservation> {
+        let in_force = self.depth_knobs();
         let controls = self.controls.lock();
         self.registry
             .read()
@@ -555,6 +585,7 @@ impl DppSession {
                     capacity: e.capacity,
                     draining: c.drain.load(Ordering::SeqCst),
                     finished: c.handle.is_finished(),
+                    stale: (c.read_ahead, c.batch_size) != in_force,
                 })
             })
             .collect()
@@ -583,9 +614,7 @@ impl DppSession {
     }
 
     /// Picks up to `k` drain victims from an observation snapshot: the
-    /// most-buffered (least needed) live workers first. Shared by
-    /// [`crate::LiveTuner`] and the fleet reconciler so both preempt the
-    /// same way.
+    /// most-buffered (least needed) live workers first.
     pub fn drain_victims(&self, observed: &[WorkerObservation], k: usize) -> Vec<WorkerId> {
         let mut candidates: Vec<(usize, WorkerId)> = observed
             .iter()

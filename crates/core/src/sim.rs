@@ -3,8 +3,8 @@
 //! An analytic session in virtual time, built on a pipeline model
 //! in which every knob matters: per-worker supply is the minimum of an
 //! extract stage (storage fetch latency hidden by `read_ahead`), a
-//! transform stage (scaled sub-linearly by `parallelism`), and a load
-//! stage (fixed per-batch overhead amortized by `batch_size`). The
+//! transform stage (no knob of its own: only more workers relieve it),
+//! and a load stage (fixed per-batch overhead amortized by `batch_size`). The
 //! trainer drains an aggregate sample buffer; a tick with an empty
 //! buffer and a supply deficit is (fractionally) stalled. Each tick the
 //! sim synthesizes the same [`TunerSignals`] a live session would
@@ -12,8 +12,9 @@
 //! watermark scaler and the closed-loop tuner compete on identical,
 //! deterministic scenarios.
 
-use crate::policy::{OnlineTuner, TunerConfig};
-use dpp::{AutoScaler, KnobBounds, Knobs, ScalerConfig, TunerPolicy, TunerSignals};
+use crate::autoscale::{AutoScaler, ScalerConfig};
+use crate::online::{OnlineTuner, TunerConfig};
+use crate::tuning::{KnobBounds, Knobs, TunerPolicy, TunerSignals};
 use dsi_obs::SignalSnapshot;
 use serde::{Deserialize, Serialize};
 
@@ -31,10 +32,8 @@ pub struct Scenario {
     pub fetch_duty: f64,
     /// Storage fetch latency, seconds (feeds the synthesized fetch p99).
     pub fetch_latency: f64,
-    /// Per-worker single-lane transform throughput, samples/s.
+    /// Per-worker transform throughput, samples/s.
     pub transform_qps: f64,
-    /// Marginal efficiency of each extra transform lane (geometric).
-    pub lane_efficiency: f64,
     /// Load-stage per-sample service time, seconds.
     pub load_per_sample: f64,
     /// Load-stage fixed overhead per produced batch, seconds.
@@ -68,7 +67,6 @@ impl Scenario {
             fetch_duty: 0.0,
             fetch_latency: 0.02,
             transform_qps: 20_000.0,
-            lane_efficiency: 0.9,
             load_per_sample: 1.0 / 50_000.0,
             batch_overhead: 0.0005,
             diurnal_amplitude: 0.0,
@@ -79,13 +77,11 @@ impl Scenario {
                 workers: (1, 16),
                 read_ahead: (0, 4),
                 batch_size: (16, 256),
-                parallelism: (1, 4),
             },
             initial: Knobs {
                 workers: 2,
                 read_ahead: 0,
                 batch_size: 32,
-                parallelism: 1,
             },
             tick_secs: 5.0,
             duration_secs: 2_000.0,
@@ -100,18 +96,6 @@ impl Scenario {
         Self {
             name: "extract-bound",
             fetch_duty: 0.6,
-            ..Self::base()
-        }
-    }
-
-    /// Transform-bound: single-lane preprocessing is the bottleneck; the
-    /// fleet ceiling is short of demand until `parallelism` adds lanes.
-    pub fn transform_bound() -> Self {
-        Self {
-            name: "transform-bound",
-            demand_qps: 120_000.0,
-            extract_qps: 25_000.0,
-            transform_qps: 5_500.0,
             ..Self::base()
         }
     }
@@ -150,7 +134,7 @@ impl Scenario {
 
     /// One pipeline stage at `per_worker_qps` and no knob but the worker
     /// count: every other axis is frozen (no read-ahead, `batch_size`
-    /// samples per batch, one lane), the fleet starts at one worker under
+    /// samples per batch), the fleet starts at one worker under
     /// the default ceiling, and the controller ticks every 10 s.
     /// Freeze the worker axis too and the run is a plain supply-vs-demand
     /// buffer whose stall fraction is `1 - supply/demand`.
@@ -164,7 +148,6 @@ impl Scenario {
             workers: 1,
             read_ahead: 0,
             batch_size,
-            parallelism: 1,
         };
         Self {
             name,
@@ -177,7 +160,6 @@ impl Scenario {
                 workers: KnobBounds::default().workers,
                 read_ahead: (0, 0),
                 batch_size: (batch_size, batch_size),
-                parallelism: (1, 1),
             },
             initial,
             tick_secs: 10.0,
@@ -185,11 +167,10 @@ impl Scenario {
         }
     }
 
-    /// The four benchmark scenarios, in report order.
+    /// The three benchmark scenarios, in report order.
     pub fn all() -> Vec<Scenario> {
         vec![
             Self::extract_bound(),
-            Self::transform_bound(),
             Self::trainer_bound(),
             Self::diurnal(),
         ]
@@ -236,16 +217,6 @@ impl Scenario {
         self.extract_qps * overlap
     }
 
-    /// Per-worker transform throughput with `parallelism` lanes
-    /// (geometric diminishing returns).
-    pub fn transform_rate(&self, knobs: &Knobs) -> f64 {
-        let mut factor = 0.0;
-        for lane in 0..knobs.parallelism.max(1) {
-            factor += self.lane_efficiency.powi(lane as i32);
-        }
-        self.transform_qps * factor
-    }
-
     /// Per-worker load throughput at `batch_size`: the fixed per-batch
     /// overhead is amortized across the batch's samples.
     pub fn load_rate(&self, knobs: &Knobs) -> f64 {
@@ -256,7 +227,7 @@ impl Scenario {
     /// Per-worker supply: the slowest pipeline stage.
     pub fn per_worker_qps(&self, knobs: &Knobs) -> f64 {
         self.extract_rate(knobs)
-            .min(self.transform_rate(knobs))
+            .min(self.transform_qps)
             .min(self.load_rate(knobs))
     }
 }
@@ -388,7 +359,7 @@ pub fn run_scenario(scenario: &Scenario, policy: &mut dyn TunerPolicy) -> TuneTr
         let served = demand * scenario.tick_secs * (1.0 - stall);
         let pw = knobs.workers.max(1) as f64;
         extract_secs += served / (scenario.extract_rate(&knobs) * pw);
-        transform_secs += served / (scenario.transform_rate(&knobs) * pw);
+        transform_secs += served / (scenario.transform_qps * pw);
         load_secs += served / (scenario.load_rate(&knobs) * pw);
 
         points.push(TunePoint {
@@ -500,16 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn tuner_fixes_transform_bound_via_parallelism() {
-        let s = Scenario::transform_bound();
-        let static_trace = run_scenario(&s, &mut s.static_policy());
-        let tuned = run_scenario(&s, &mut s.tuner());
-        assert!(tuned.final_knobs.parallelism > 1, "{:?}", tuned.final_knobs);
-        assert!(tuned.steady_stall < static_trace.steady_stall);
-        assert!(tuned.time_to_converge < static_trace.time_to_converge);
-    }
-
-    #[test]
     fn tuner_fixes_trainer_bound_via_batch_size() {
         let s = Scenario::trainer_bound();
         let static_trace = run_scenario(&s, &mut s.static_policy());
@@ -573,10 +534,6 @@ mod tests {
                 );
                 assert!(
                     p.knobs.batch_size >= b.batch_size.0 && p.knobs.batch_size <= b.batch_size.1
-                );
-                assert!(
-                    p.knobs.parallelism >= b.parallelism.0
-                        && p.knobs.parallelism <= b.parallelism.1
                 );
             }
         }

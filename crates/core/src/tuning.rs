@@ -4,20 +4,21 @@
 //! The paper's DPP scales one resource (worker count) with a fixed-rule
 //! watermark controller ([`crate::autoscale::AutoScaler`]). InTune-style
 //! online tuning generalizes this: a policy reads live telemetry and
-//! jointly moves *all* the data-pipeline knobs — workers, read-ahead
-//! depth, batch size, per-stage parallelism. This module defines that
-//! shared vocabulary ([`Knobs`], [`KnobBounds`], [`TunerSignals`]), the
-//! [`TunerPolicy`] trait both the static scaler and the closed-loop tuner
-//! in `crates/tune` implement, and [`LiveTuner`], the only code that
-//! turns a policy's decision into spawned, drained or re-specced workers
-//! — for a standalone session and, worker axis aside, for a job under
-//! the fleet reconciler.
+//! jointly moves every knob a [`DppSession`] can actuate — workers,
+//! read-ahead depth, batch size. This module defines that shared
+//! vocabulary ([`Knobs`], [`KnobBounds`], [`TunerSignals`]), the
+//! [`TunerPolicy`] trait both the static scaler and the closed-loop
+//! [`crate::online::OnlineTuner`] implement, and [`LiveTuner`], the tick
+//! that samples a session, asks the policy and hands the answer to the
+//! session's actuators — for a standalone session and, worker axis aside,
+//! for a job under the fleet reconciler.
 
 use crate::service::{DppSession, WorkerObservation};
 use dsi_obs::SignalSnapshot;
 use serde::{Deserialize, Serialize};
 
-/// One joint setting of every tunable pipeline resource.
+/// One joint setting of every tunable pipeline resource: exactly the
+/// knobs a running [`DppSession`] has an actuator for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Knobs {
     /// DPP worker (preprocessing node) count.
@@ -27,22 +28,19 @@ pub struct Knobs {
     pub read_ahead: usize,
     /// Samples per produced tensor batch (`SessionSpec::batch_size`).
     pub batch_size: usize,
-    /// Intra-worker parallelism of the transform stage (lanes).
-    pub parallelism: usize,
 }
 
 impl Knobs {
     /// Number of knob axes a policy can move.
-    pub const AXES: usize = 4;
+    pub const AXES: usize = 3;
 
     /// Reads the knob on one axis (0 = workers, 1 = read_ahead,
-    /// 2 = batch_size, 3 = parallelism).
+    /// 2 = batch_size).
     pub fn axis(&self, axis: usize) -> usize {
         match axis {
             0 => self.workers,
             1 => self.read_ahead,
             2 => self.batch_size,
-            3 => self.parallelism,
             _ => panic!("knob axis {axis} out of range"),
         }
     }
@@ -53,7 +51,6 @@ impl Knobs {
             0 => self.workers = value,
             1 => self.read_ahead = value,
             2 => self.batch_size = value,
-            3 => self.parallelism = value,
             _ => panic!("knob axis {axis} out of range"),
         }
         self
@@ -66,7 +63,6 @@ impl Default for Knobs {
             workers: 1,
             read_ahead: 0,
             batch_size: 64,
-            parallelism: 1,
         }
     }
 }
@@ -81,8 +77,6 @@ pub struct KnobBounds {
     pub read_ahead: (usize, usize),
     /// Batch-size window.
     pub batch_size: (usize, usize),
-    /// Per-stage parallelism window.
-    pub parallelism: (usize, usize),
 }
 
 impl KnobBounds {
@@ -92,7 +86,6 @@ impl KnobBounds {
             0 => self.workers,
             1 => self.read_ahead,
             2 => self.batch_size,
-            3 => self.parallelism,
             _ => panic!("knob axis {axis} out of range"),
         }
     }
@@ -104,7 +97,6 @@ impl KnobBounds {
             workers: c(knobs.workers, self.workers),
             read_ahead: c(knobs.read_ahead, self.read_ahead),
             batch_size: c(knobs.batch_size, self.batch_size),
-            parallelism: c(knobs.parallelism, self.parallelism),
         }
     }
 
@@ -116,7 +108,6 @@ impl KnobBounds {
             0 => self.workers = (at, at),
             1 => self.read_ahead = (at, at),
             2 => self.batch_size = (at, at),
-            3 => self.parallelism = (at, at),
             _ => panic!("knob axis {axis} out of range"),
         }
         self
@@ -129,7 +120,6 @@ impl Default for KnobBounds {
             workers: (1, 512),
             read_ahead: (0, 8),
             batch_size: (16, 512),
-            parallelism: (1, 8),
         }
     }
 }
@@ -194,11 +184,12 @@ pub trait TunerPolicy {
 /// What one live control tick changed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KnobDelta {
-    /// Workers spawned this tick.
+    /// Workers spawned this tick to grow the fleet.
     pub spawned: usize,
-    /// Workers put into drain this tick.
+    /// Workers put into drain this tick to shrink the fleet.
     pub drained: usize,
-    /// Whether a worker was rotated to roll a depth-knob change through.
+    /// Whether a worker still running an older read-ahead / batch size was
+    /// replaced by one spawned with the setting now in force.
     pub rotated: bool,
     /// The knob setting now in force.
     pub applied: Knobs,
@@ -208,10 +199,6 @@ pub struct KnobDelta {
 /// cadence: invoke [`LiveTuner::tick`] from wherever the control loop
 /// lives (a trainer epoch boundary, a timer); the fleet reconciler calls
 /// [`LiveTuner::tick_managed`] from its own pass.
-///
-/// The per-stage `parallelism` axis has no live control surface on a
-/// [`DppSession`] (transform lanes are fixed at spawn), so every tick
-/// freezes that axis at its current value; the sim exercises it instead.
 pub struct LiveTuner {
     policy: Box<dyn TunerPolicy + Send>,
     /// The setting last asked for. Its worker count is a wish: the fleet
@@ -231,7 +218,6 @@ impl LiveTuner {
                 workers: session.worker_count().max(1),
                 read_ahead: spec.read_ahead,
                 batch_size: spec.batch_size,
-                parallelism: 1,
             },
             last: SignalSnapshot::default(),
         }
@@ -251,48 +237,39 @@ impl LiveTuner {
 
     /// The tick for a session whose workers an outer control plane owns
     /// ([`DppSession::launch_managed`]): everything but the worker axis.
-    /// Depth knobs are installed as session overrides (the replacements
-    /// the control plane spawns pick them up); the returned `workers` is
-    /// the job's demand, for the caller to arbitrate.
+    /// Depth knobs are installed as session overrides, which the control
+    /// plane's own [`DppSession::scale_to`] rolls through the fleet; the
+    /// returned `workers` is the job's demand, for the caller to
+    /// arbitrate.
     pub fn tick_managed(&mut self, session: &DppSession) -> Knobs {
         let next = self.decide(session);
         self.install(session, next);
         next
     }
 
-    /// Applies `next` to the session, returning what changed — a one-job
-    /// reconciler: the wanted worker count is diffed against the live
-    /// fleet observed now, so workers that crashed, finished or were
+    /// Applies `next` to the session, returning what changed: installs
+    /// the depth knobs, then one [`DppSession::scale_to`] against the
+    /// fleet observed now — so workers that crashed, finished or were
     /// drained behind the tuner's back are made up for rather than
-    /// carried as an error. Exposed so harnesses (chaos tests) can force a
-    /// setting and still reuse the actuation path.
+    /// carried as an error, and a depth move keeps rotating one worker
+    /// per call until the whole fleet runs it. Exposed so harnesses
+    /// (chaos tests) can force a setting and still reuse the actuation
+    /// path.
     pub fn apply(&mut self, session: &DppSession, next: Knobs) -> KnobDelta {
-        let depth_changed = self.install(session, next);
-        let mut delta = KnobDelta {
+        self.install(session, next);
+        let (spawned, drained) = session.scale_to(next.workers, &session.observe());
+        // Growing and shrinking exclude each other; a rotation is the one
+        // step that does both.
+        let rotations = spawned.min(drained);
+        KnobDelta {
+            spawned: spawned - rotations,
+            drained: drained - rotations,
+            rotated: rotations > 0,
             applied: next,
-            ..KnobDelta::default()
-        };
-        let observed = session.observe();
-        let live = observed.iter().filter(|o| o.is_live()).count();
-        if next.workers > live {
-            for _ in live..next.workers {
-                session.spawn_worker();
-                delta.spawned += 1;
-            }
-        } else if next.workers < live {
-            for victim in session.drain_victims(&observed, live - next.workers) {
-                delta.drained += usize::from(session.drain_worker_by_id(victim));
-            }
-        } else if depth_changed {
-            // Depth-only change: roll one worker so the new spec takes
-            // effect without waiting for natural churn. (A worker change
-            // above already spawns with the fresh spec.)
-            delta.rotated = session.rotate_worker().is_some();
         }
-        delta
     }
 
-    /// Sample → window delta → signals → freeze the lane axis → clamp.
+    /// Sample → window delta → signals → policy → clamp.
     fn decide(&mut self, session: &DppSession) -> Knobs {
         let cumulative = session.sample_signals();
         // Policies react to *recent* conditions: feed the delta since the
@@ -300,23 +277,17 @@ impl LiveTuner {
         let window = cumulative.delta(&self.last);
         self.last = cumulative;
         let signals = TunerSignals::from_observations(window, &session.observe());
-        let bounds = self.policy.bounds().freeze(3, self.knobs.parallelism);
-        bounds.clamp(self.policy.decide(&signals, &self.knobs))
+        let next = self.policy.decide(&signals, &self.knobs);
+        self.policy.bounds().clamp(next)
     }
 
     /// Records `next` as the setting asked for and installs its depth
-    /// knobs as session overrides; returns whether either moved.
-    fn install(&mut self, session: &DppSession, next: Knobs) -> bool {
-        let prev = std::mem::replace(&mut self.knobs, next);
-        let read_ahead_moved = next.read_ahead != prev.read_ahead;
-        let batch_moved = next.batch_size != prev.batch_size;
-        if read_ahead_moved {
-            session.set_read_ahead(next.read_ahead);
-        }
-        if batch_moved {
-            session.set_batch_size(next.batch_size);
-        }
-        read_ahead_moved || batch_moved
+    /// knobs as session overrides — the one `set_read_ahead` /
+    /// `set_batch_size` site.
+    fn install(&mut self, session: &DppSession, next: Knobs) {
+        self.knobs = next;
+        session.set_read_ahead(next.read_ahead);
+        session.set_batch_size(next.batch_size);
     }
 }
 
@@ -332,13 +303,11 @@ mod tests {
             workers: 10_000,
             read_ahead: 99,
             batch_size: 4,
-            parallelism: 0,
         };
         let clamped = bounds.clamp(wild);
         assert_eq!(clamped.workers, 512);
         assert_eq!(clamped.read_ahead, 8);
         assert_eq!(clamped.batch_size, 64, "frozen axis pins to its value");
-        assert_eq!(clamped.parallelism, 1);
     }
 
     #[test]
@@ -357,6 +326,7 @@ mod tests {
             capacity: 4,
             draining,
             finished,
+            stale: false,
         };
         let s = TunerSignals::from_observations(
             SignalSnapshot::default(),
@@ -378,7 +348,6 @@ mod tests {
             workers: 3,
             read_ahead: 1,
             batch_size: 32,
-            parallelism: 2,
         };
         for axis in 0..Knobs::AXES {
             assert_eq!(k.with_axis(axis, 7).axis(axis), 7);

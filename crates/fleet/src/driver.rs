@@ -4,12 +4,11 @@
 
 use crate::fairshare::{self, Demand};
 use crate::job::{JobPhase, JobRegistry, JobSpec, JobStatus};
-use crate::placement::PlacementScorer;
 use crate::reconcile::{plan, FleetAction, ObservedJob};
 use chaos::FaultInjector;
 use dpp::{Client, DppSession, Knobs, LiveTuner, TunerPolicy, WorkerObservation};
 use dsi_obs::names;
-use dsi_types::{NodeId, Result, SessionId, WorkerId};
+use dsi_types::{Result, SessionId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -34,24 +33,17 @@ impl Default for FleetConfig {
     }
 }
 
-struct ManagedJob {
-    session: DppSession,
-    /// Which node each of this job's workers was placed on, so drains and
-    /// natural exits return the slot (and its warm pool) to the scorer.
-    placements: HashMap<WorkerId, NodeId>,
-}
-
-/// The multi-tenant control plane: a [`JobRegistry`] of desired state, a
-/// [`PlacementScorer`] tracking the shared fleet, and the managed
-/// [`DppSession`]s that consume worker assignments instead of owning them.
+/// The multi-tenant control plane: a [`JobRegistry`] of desired state, the
+/// shared fleet's slot capacity, and the managed [`DppSession`]s that are
+/// handed worker targets instead of owning them.
 ///
 /// Call [`FleetDriver::tick`] periodically (or from a dedicated thread);
 /// each tick is one reconcile pass and is safe to run at any frequency —
 /// a converged fleet executes nothing.
 pub struct FleetDriver {
     registry: JobRegistry,
-    placer: Mutex<PlacementScorer>,
-    jobs: Mutex<HashMap<SessionId, ManagedJob>>,
+    capacity: usize,
+    jobs: Mutex<HashMap<SessionId, DppSession>>,
     obs: Mutex<Option<dsi_obs::Registry>>,
     tuners: Mutex<HashMap<SessionId, LiveTuner>>,
 }
@@ -59,18 +51,9 @@ pub struct FleetDriver {
 impl FleetDriver {
     /// Builds a driver over a uniform fleet.
     pub fn new(config: FleetConfig) -> Self {
-        Self::with_scorer(PlacementScorer::uniform(
-            config.nodes,
-            config.slots_per_node,
-        ))
-    }
-
-    /// Builds a driver over an explicit placement scorer (heterogeneous
-    /// nodes, custom locality).
-    pub fn with_scorer(placer: PlacementScorer) -> Self {
         Self {
             registry: JobRegistry::new(),
-            placer: Mutex::new(placer),
+            capacity: config.nodes * config.slots_per_node,
             jobs: Mutex::new(HashMap::new()),
             obs: Mutex::new(None),
             tuners: Mutex::new(HashMap::new()),
@@ -79,10 +62,10 @@ impl FleetDriver {
 
     /// Total worker slots the fleet can host.
     pub fn capacity(&self) -> usize {
-        self.placer.lock().capacity()
+        self.capacity
     }
 
-    /// The desired/observed state registry (submit watchers, dashboards).
+    /// The desired/observed state registry.
     pub fn registry(&self) -> &JobRegistry {
         &self.registry
     }
@@ -121,13 +104,7 @@ impl FleetDriver {
         let obs = self.obs.lock().clone();
         let session =
             DppSession::launch_managed(table, spec.session.clone(), obs.as_ref(), injector)?;
-        self.jobs.lock().insert(
-            spec.id(),
-            ManagedJob {
-                session,
-                placements: HashMap::new(),
-            },
-        );
+        self.jobs.lock().insert(spec.id(), session);
         self.registry.submit(spec);
         Ok(())
     }
@@ -143,12 +120,12 @@ impl FleetDriver {
     /// Returns `false` (and installs nothing) when the job is unknown.
     pub fn enable_autotune(&self, job: SessionId, policy: Box<dyn TunerPolicy + Send>) -> bool {
         let jobs = self.jobs.lock();
-        let Some(managed) = jobs.get(&job) else {
+        let Some(session) = jobs.get(&job) else {
             return false;
         };
         self.tuners
             .lock()
-            .insert(job, LiveTuner::new(policy, &managed.session));
+            .insert(job, LiveTuner::new(policy, session));
         true
     }
 
@@ -160,7 +137,7 @@ impl FleetDriver {
     /// Creates a trainer-side client for a managed job. Clients created
     /// before the first tick park until workers are assigned.
     pub fn client(&self, job: SessionId) -> Option<Client> {
-        self.jobs.lock().get(&job).map(|j| j.session.client())
+        self.jobs.lock().get(&job).map(DppSession::client)
     }
 
     /// Whether the job's epoch is fully delivered and acknowledged.
@@ -168,51 +145,41 @@ impl FleetDriver {
         self.jobs
             .lock()
             .get(&job)
-            .is_some_and(|j| j.session.is_complete())
+            .is_some_and(DppSession::is_complete)
     }
 
     /// Detaches a job from the control plane, returning its session so the
     /// caller can [`DppSession::shutdown`] it and collect the report. Its
-    /// slots return to the fleet on the way out.
+    /// slots return to the fleet on the way out: slots in use are counted
+    /// from the sessions the driver still holds.
     pub fn remove(&self, job: SessionId) -> Option<DppSession> {
         self.registry.remove(job);
         self.tuners.lock().remove(&job);
-        let managed = self.jobs.lock().remove(&job)?;
-        let mut placer = self.placer.lock();
-        for (_, node) in managed.placements {
-            placer.release(node);
-        }
-        Some(managed.session)
+        self.jobs.lock().remove(&job)
     }
 
     /// Runs one reconcile pass and returns the actions it executed.
     ///
-    /// observe → fair-share → diff → execute → publish: worker exits
-    /// release their placement slots, the allocator recomputes targets
-    /// from the registry's current demand, [`plan`] diffs, and the
-    /// executor spawns/drains through the sessions' drain protocol (so
-    /// preemption inherits exactly-once delivery for free).
+    /// observe → fair-share → diff → execute → publish: the allocator
+    /// recomputes targets from the registry's current demand, [`plan`]
+    /// diffs, and the executor hands every session its worker target
+    /// ([`DppSession::scale_to`]: spawns and drains ride the sessions'
+    /// drain protocol, so preemption inherits exactly-once delivery for
+    /// free).
     pub fn tick(&self) -> Vec<FleetAction> {
         let start = Instant::now();
         let specs = self.registry.specs();
-        let mut jobs = self.jobs.lock();
-        let mut placer = self.placer.lock();
+        let jobs = self.jobs.lock();
 
-        // Observe: one snapshot per job; release slots of exited workers.
+        // Observe: one snapshot per job. A slot is in use while its worker
+        // is live — an exited worker's slot is free again by construction.
         let mut observations: HashMap<SessionId, Vec<WorkerObservation>> = HashMap::new();
         let mut observed: Vec<ObservedJob> = Vec::new();
         for spec in &specs {
-            let Some(managed) = jobs.get_mut(&spec.id()) else {
+            let Some(session) = jobs.get(&spec.id()) else {
                 continue;
             };
-            let snapshot = managed.session.observe();
-            for o in &snapshot {
-                if o.finished {
-                    if let Some(node) = managed.placements.remove(&o.id) {
-                        placer.release(node);
-                    }
-                }
-            }
+            let snapshot = session.observe();
             observed.push(ObservedJob {
                 job: spec.id(),
                 active: snapshot.iter().filter(|o| o.is_live()).count(),
@@ -220,7 +187,7 @@ impl FleetDriver {
                     .iter()
                     .filter(|o| o.draining && !o.finished)
                     .count(),
-                completed: managed.session.is_complete(),
+                completed: session.is_complete(),
             });
             observations.insert(spec.id(), snapshot);
         }
@@ -233,9 +200,9 @@ impl FleetDriver {
             if o.completed {
                 continue;
             }
-            if let (Some(tuner), Some(managed)) = (tuners.get_mut(&spec.id()), jobs.get(&spec.id()))
+            if let (Some(tuner), Some(session)) = (tuners.get_mut(&spec.id()), jobs.get(&spec.id()))
             {
-                tuner.tick_managed(&managed.session);
+                tuner.tick_managed(session);
             }
         }
 
@@ -260,28 +227,41 @@ impl FleetDriver {
             .collect();
         drop(tuners);
         let obs = self.obs.lock().clone();
-        let targets = fairshare::fair_share(placer.capacity(), &demands);
+        let targets = fairshare::fair_share(self.capacity, &demands);
 
-        // Diff and execute.
+        // Diff and execute. The actions say why workers move; what each
+        // session is asked for is the net: its live count plus the spawns
+        // the fleet has a free slot for, minus its drains. A draining
+        // worker is committed to leave, so its slot is granted to a
+        // beneficiary in the same tick (physical overshoot is bounded by
+        // the draining count) — `plan` emits every shrink before the
+        // first spawn.
         let actions = plan(&observed, &demands, &targets);
+        let mut wanted: HashMap<SessionId, usize> =
+            observed.iter().map(|o| (o.job, o.active)).collect();
+        let mut in_use: usize = observed.iter().map(|o| o.active).sum();
         for action in &actions {
             match *action {
                 FleetAction::Spawn { job } => {
-                    if let (Some(managed), Some(node)) = (jobs.get_mut(&job), placer.place()) {
-                        let id = managed.session.spawn_worker();
-                        managed.placements.insert(id, node);
+                    if in_use < self.capacity {
+                        *wanted.entry(job).or_default() += 1;
+                        in_use += 1;
                     }
                 }
                 FleetAction::Drain { job, count }
                 | FleetAction::Reassign {
                     from: job, count, ..
-                } => {
-                    Self::drain(&mut jobs, &mut placer, &observations, job, count);
                 }
-                FleetAction::Preempt { victim, count, .. } => {
-                    Self::drain(&mut jobs, &mut placer, &observations, victim, count);
+                | FleetAction::Preempt {
+                    victim: job, count, ..
+                } => {
+                    *wanted.entry(job).or_default() -= count;
+                    in_use -= count;
                 }
             }
+        }
+        for (job, snapshot) in &observations {
+            jobs[job].scale_to(wanted[job], snapshot);
         }
 
         // Publish status + metrics.
@@ -344,31 +324,5 @@ impl FleetDriver {
                 .record(start.elapsed().as_secs_f64());
         }
         actions
-    }
-
-    /// Drains `count` workers of `job`, most-buffered first, returning
-    /// their slots to the scorer eagerly: the drained worker is committed
-    /// to leave, so its slot can be handed to a beneficiary in the same
-    /// tick (physical overshoot is bounded by the draining count).
-    fn drain(
-        jobs: &mut HashMap<SessionId, ManagedJob>,
-        placer: &mut PlacementScorer,
-        observations: &HashMap<SessionId, Vec<WorkerObservation>>,
-        job: SessionId,
-        count: usize,
-    ) {
-        let Some(managed) = jobs.get_mut(&job) else {
-            return;
-        };
-        let Some(snapshot) = observations.get(&job) else {
-            return;
-        };
-        for id in managed.session.drain_victims(snapshot, count) {
-            if managed.session.drain_worker_by_id(id) {
-                if let Some(node) = managed.placements.remove(&id) {
-                    placer.release(node);
-                }
-            }
-        }
     }
 }

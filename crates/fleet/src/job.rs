@@ -4,17 +4,14 @@
 //! The registry is the control plane's source of truth. Tenants submit a
 //! [`JobSpec`] (a `SessionSpec` plus tenant identity, priority, and a
 //! min/max worker demand window); the reconciler publishes a [`JobStatus`]
-//! back after every tick. Watchers block on a generation counter, so a
-//! dashboard — or a test — can wait for "the world changed" instead of
-//! polling.
+//! back after every tick.
 
 use dpp::SessionSpec;
 use dsi_types::SessionId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::sync::Mutex;
 
 /// Identifies the tenant (team / model family) that owns a job.
 #[derive(
@@ -128,21 +125,13 @@ struct Entry {
     status: JobStatus,
 }
 
-#[derive(Default)]
-struct Inner {
-    jobs: BTreeMap<SessionId, Entry>,
-    generation: u64,
-}
-
-/// Watchable registry of every job the control plane knows about.
+/// Registry of every job the control plane knows about.
 ///
 /// Desired state ([`JobSpec`]) comes from tenants; observed state
-/// ([`JobStatus`]) comes from the reconciler. Every mutation bumps a
-/// generation counter and wakes watchers.
+/// ([`JobStatus`]) comes from the reconciler.
 #[derive(Default)]
 pub struct JobRegistry {
-    inner: Mutex<Inner>,
-    changed: Condvar,
+    jobs: Mutex<BTreeMap<SessionId, Entry>>,
 }
 
 impl JobRegistry {
@@ -154,12 +143,12 @@ impl JobRegistry {
     /// Registers a job. Re-submitting an existing id replaces its spec but
     /// keeps accumulated status (preemption counts survive spec updates).
     pub fn submit(&self, spec: JobSpec) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut jobs = self.jobs.lock().unwrap();
         let id = spec.id();
-        match inner.jobs.get_mut(&id) {
+        match jobs.get_mut(&id) {
             Some(entry) => entry.spec = spec,
             None => {
-                inner.jobs.insert(
+                jobs.insert(
                     id,
                     Entry {
                         spec,
@@ -168,42 +157,28 @@ impl JobRegistry {
                 );
             }
         }
-        inner.generation += 1;
-        self.changed.notify_all();
     }
 
     /// Removes a job, returning whether it existed.
     pub fn remove(&self, id: SessionId) -> bool {
-        let mut inner = self.inner.lock().unwrap();
-        let existed = inner.jobs.remove(&id).is_some();
-        if existed {
-            inner.generation += 1;
-            self.changed.notify_all();
-        }
-        existed
+        self.jobs.lock().unwrap().remove(&id).is_some()
     }
 
     /// The spec for `id`, if registered.
     pub fn spec(&self, id: SessionId) -> Option<JobSpec> {
-        self.inner
-            .lock()
-            .unwrap()
-            .jobs
-            .get(&id)
-            .map(|e| e.spec.clone())
+        self.jobs.lock().unwrap().get(&id).map(|e| e.spec.clone())
     }
 
     /// The last published status for `id`, if registered.
     pub fn status(&self, id: SessionId) -> Option<JobStatus> {
-        self.inner.lock().unwrap().jobs.get(&id).map(|e| e.status)
+        self.jobs.lock().unwrap().get(&id).map(|e| e.status)
     }
 
     /// All registered jobs' specs, ordered by session id.
     pub fn specs(&self) -> Vec<JobSpec> {
-        self.inner
+        self.jobs
             .lock()
             .unwrap()
-            .jobs
             .values()
             .map(|e| e.spec.clone())
             .collect()
@@ -211,58 +186,29 @@ impl JobRegistry {
 
     /// All `(spec, status)` pairs, ordered by session id.
     pub fn snapshot(&self) -> Vec<(JobSpec, JobStatus)> {
-        self.inner
+        self.jobs
             .lock()
             .unwrap()
-            .jobs
             .values()
             .map(|e| (e.spec.clone(), e.status))
             .collect()
     }
 
-    /// Publishes a fresh status for `id` (no-op when unregistered) and
-    /// wakes watchers.
+    /// Publishes a fresh status for `id` (no-op when unregistered).
     pub fn publish(&self, id: SessionId, status: JobStatus) {
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(entry) = inner.jobs.get_mut(&id) {
+        if let Some(entry) = self.jobs.lock().unwrap().get_mut(&id) {
             entry.status = status;
-            inner.generation += 1;
-            self.changed.notify_all();
         }
-    }
-
-    /// Current generation; increments on every submit/remove/publish.
-    pub fn generation(&self) -> u64 {
-        self.inner.lock().unwrap().generation
-    }
-
-    /// Blocks until the generation exceeds `seen` (or the timeout lapses);
-    /// returns the generation observed on wake.
-    pub fn wait_past(&self, seen: u64, timeout: Duration) -> u64 {
-        let mut inner = self.inner.lock().unwrap();
-        let deadline = std::time::Instant::now() + timeout;
-        while inner.generation <= seen {
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            let (guard, wait) = self.changed.wait_timeout(inner, left).unwrap();
-            inner = guard;
-            if wait.timed_out() {
-                break;
-            }
-        }
-        inner.generation
     }
 
     /// Number of registered jobs.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().jobs.len()
+        self.jobs.lock().unwrap().len()
     }
 
     /// Whether the registry holds no jobs.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().unwrap().jobs.is_empty()
+        self.jobs.lock().unwrap().is_empty()
     }
 }
 
@@ -277,14 +223,11 @@ mod tests {
     }
 
     #[test]
-    fn submit_publish_and_watch() {
+    fn submit_and_publish() {
         let reg = JobRegistry::new();
-        let g0 = reg.generation();
         reg.submit(spec(1, 2));
-        assert!(reg.generation() > g0);
         assert_eq!(reg.status(SessionId(1)).unwrap().phase, JobPhase::Pending);
 
-        let g1 = reg.generation();
         reg.publish(
             SessionId(1),
             JobStatus {
@@ -294,7 +237,6 @@ mod tests {
                 ..JobStatus::default()
             },
         );
-        assert_eq!(reg.wait_past(g1, Duration::from_millis(10)), g1 + 1);
         assert_eq!(reg.status(SessionId(1)).unwrap().allocated_workers, 3);
     }
 
@@ -324,12 +266,5 @@ mod tests {
         assert!(reg.remove(SessionId(1)));
         assert!(!reg.remove(SessionId(1)));
         assert_eq!(reg.specs().len(), 1);
-    }
-
-    #[test]
-    fn wait_past_times_out_without_change() {
-        let reg = JobRegistry::new();
-        let g = reg.generation();
-        assert_eq!(reg.wait_past(g, Duration::from_millis(5)), g);
     }
 }

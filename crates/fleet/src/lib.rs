@@ -7,19 +7,19 @@
 //! plane that makes `dpp` behave that way:
 //!
 //! * [`JobRegistry`] — declarative desired state: each tenant submits a
-//!   [`JobSpec`] (session + priority + min/max worker demand) and watches
-//!   a [`JobStatus`] the reconciler publishes back;
+//!   [`JobSpec`] (session + priority + min/max worker demand) and reads
+//!   the [`JobStatus`] the reconciler publishes back;
 //! * [`fair_share`] — weighted max-min allocation with guaranteed floors,
 //!   deciding how many workers each job *should* hold when aggregate
 //!   demand exceeds the fleet;
 //! * [`plan`] — the pure desired-vs-observed diff, emitting typed
 //!   [`FleetAction`]s (spawn / drain / preempt / reassign);
-//! * [`PlacementScorer`] — which node hosts the next worker (load
-//!   headroom, locality to the storage tier, warm buffer pools);
 //! * [`FleetDriver`] — the loop that ties it together over real
-//!   `DppSession`s. Sessions are launched *managed* (zero workers) and
-//!   consume assignments; preemption rides the existing graceful-drain
-//!   protocol, so exactly-once delivery is preserved by construction.
+//!   `DppSession`s, inside a fixed slot capacity. Sessions are launched
+//!   *managed* (zero workers) and are handed worker targets
+//!   (`DppSession::scale_to`); preemption rides the existing
+//!   graceful-drain protocol, so exactly-once delivery is preserved by
+//!   construction.
 //!
 //! # Example
 //!
@@ -49,11 +49,9 @@
 pub mod driver;
 pub mod fairshare;
 pub mod job;
-pub mod placement;
 pub mod reconcile;
 
 pub use driver::{FleetConfig, FleetDriver};
 pub use fairshare::{deficit, fair_share, Demand};
 pub use job::{JobPhase, JobRegistry, JobSpec, JobStatus, TenantId};
-pub use placement::{NodeState, PlacementScorer};
 pub use reconcile::{plan, FleetAction, ObservedJob};

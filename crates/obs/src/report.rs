@@ -153,10 +153,11 @@ impl PipelineReport {
             cache_hits: sum(names::CACHE_HITS_TOTAL),
             cache_misses: sum(names::CACHE_MISSES_TOTAL),
             cache_hit_rate: last(names::CACHE_HIT_RATE),
-            read_bytes: sum(names::DWRF_READ_BYTES_TOTAL)
-                + sum(names::WORKER_STORAGE_RX_BYTES_TOTAL),
-            wanted_bytes: sum(names::DWRF_WANTED_BYTES_TOTAL)
-                + sum(names::WORKER_STORAGE_WANTED_BYTES_TOTAL),
+            // The reader's own series: live, and they cover warehouse
+            // queries too. A session's shutdown bridge repeats the same
+            // bytes as `dsi_worker_storage_*`, so adding those counts twice.
+            read_bytes: sum(names::DWRF_READ_BYTES_TOTAL),
+            wanted_bytes: sum(names::DWRF_WANTED_BYTES_TOTAL),
             tectonic_checksum_failures: sum(names::TECTONIC_CHECKSUM_FAILURES_TOTAL),
             tectonic_read_repairs: sum(names::TECTONIC_READ_REPAIRS_TOTAL),
             tectonic_failovers: sum(names::TECTONIC_FAILOVERS_TOTAL),

@@ -7,8 +7,10 @@
 //! generation ([`scribe`]), a partitioned warehouse of DWRF columnar files
 //! ([`warehouse`], [`dwrf`]) on a Tectonic-style distributed filesystem
 //! ([`tectonic`]), the disaggregated DPP online-preprocessing service
-//! ([`dpp`], [`transforms`]) with its multi-tenant fleet control plane
-//! ([`fleet`]), RecD-style end-to-end deduplication
+//! ([`dpp`], [`transforms`] — `dpp` also holds the one control loop, the
+//! watermark and closed-loop scaling policies and the virtual-time
+//! scenarios they are compared on) with its multi-tenant fleet control
+//! plane ([`fleet`]), RecD-style end-to-end deduplication
 //! ([`dedup`]), trainer-side models ([`trainer`]),
 //! fleet-level coordination ([`cluster`]), a hardware simulation substrate
 //! ([`hwsim`]), and calibrated synthetic workloads ([`synth`]).
@@ -62,7 +64,6 @@ pub use dpp;
 pub use dsi_fleet as fleet;
 pub use dsi_obs as obs;
 pub use dsi_trace as trace;
-pub use dsi_tune as tune;
 pub use dsi_types as types;
 pub use dwrf;
 pub use hwsim;
@@ -79,15 +80,14 @@ pub mod prelude {
     pub use chaos::{FaultInjector, FaultKind, FaultPlan, HookPoint};
     pub use dedup::{DedupConfig, DedupSet, DedupStats};
     pub use dpp::{
-        AutoScaler, Client, DppSession, KnobBounds, Knobs, LiveTuner, Master, SessionSpec,
-        Transport, TunerPolicy,
+        AutoScaler, Client, DppSession, KnobBounds, Knobs, LiveTuner, Master, OnlineTuner,
+        Scenario, SessionSpec, Transport, TunerConfig, TunerPolicy,
     };
     pub use dsi_fleet::{
         FleetAction, FleetConfig, FleetDriver, JobPhase, JobRegistry, JobSpec, JobStatus, TenantId,
     };
     pub use dsi_obs::{json_snapshot, prometheus_text, PipelineReport, Registry};
     pub use dsi_trace::{CriticalPathReport, TraceConfig, Verdict};
-    pub use dsi_tune::{OnlineTuner, Scenario, TunerConfig};
     pub use dsi_types::{
         Batch, ByteSize, DsiError, FeatureId, MiniBatchTensor, PartitionId, Projection, Sample,
         Schema, SessionId, SparseList, TableId,

@@ -1122,7 +1122,6 @@ fn tuner_moves_knobs_while_node_dies_mid_epoch_exactly_once() {
                 workers: (1, 5),
                 read_ahead: (0, 2),
                 batch_size: (ROWS_PER_STRIPE, ROWS_PER_STRIPE), // frozen
-                parallelism: (1, 1),
             },
             ..TunerConfig::default()
         });

@@ -303,6 +303,45 @@ fn tuner_reconciles_against_the_observed_fleet_not_its_last_wish() {
 }
 
 #[test]
+fn a_depth_move_reaches_every_worker() {
+    // Regression: a read-ahead / batch move rotated one worker, once, on
+    // the tick the knob changed, so the rest of the fleet kept the old
+    // depth until it happened to exit — and the policy judged a move most
+    // workers never ran. Nobody consumes and the table outlasts every
+    // buffer, so only the tuner changes the fleet.
+    let table = build_table(4, 512);
+    let session = DppSession::launch(table, spec(4), 3).unwrap();
+    let mut tuner = LiveTuner::new(Box::new(Hold), &session);
+    let deeper = Knobs {
+        read_ahead: 2,
+        ..tuner.knobs()
+    };
+    // The move, then holding applies: one rotation per call until the
+    // whole fleet runs the new depth, then none.
+    let rotated: Vec<bool> = (0..4)
+        .map(|_| tuner.apply(&session, deeper).rotated)
+        .collect();
+    assert_eq!(rotated, [true, true, true, false]);
+    assert_eq!(session.effective_spec().read_ahead, 2);
+    assert_eq!(live_workers(&session), 3, "rotation keeps capacity");
+    let observed = session.observe();
+    assert!(
+        observed.iter().all(|o| o.is_live() != o.stale),
+        "exactly the three originals are leaving: {observed:?}"
+    );
+
+    let mut client = session.client();
+    let mut seen = HashSet::new();
+    while let Some(tensor) = client.next_batch() {
+        for &l in &tensor.labels {
+            assert!(seen.insert(l as u64), "row {l} duplicated");
+        }
+    }
+    assert_eq!(seen.len(), 2048, "delivery stays exactly-once");
+    session.shutdown();
+}
+
+#[test]
 fn replicated_master_failover_is_transparent() {
     // Two handles to the same master state: requests served through one,
     // completions through the other, progress visible from both.

@@ -16,6 +16,7 @@
 //!    before and after a preemption episode (no oscillation).
 
 use dsi::chaos::{with_watchdog, EpochTrace, FaultEvent};
+use dsi::fleet::{fair_share, plan, Demand, ObservedJob};
 use dsi::obs::names as obs_names;
 use dsi::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -532,7 +533,6 @@ fn autotuned_job_delivers_exactly_once_and_tuner_steers_demand() {
                     // shapes; exactly-once bitwise comparison requires the
                     // batch axis frozen (see the chaos suite).
                     batch_size: (ROWS_PER_STRIPE, ROWS_PER_STRIPE),
-                    parallelism: (1, 1),
                 },
                 ..TunerConfig::default()
             });
@@ -589,4 +589,288 @@ fn autotuned_job_with_an_inverted_worker_window_is_capped_not_a_panic() {
     let status = driver.registry().status(job).expect("status published");
     assert_eq!(status.desired_workers, 2);
     driver.remove(job).unwrap().shutdown();
+}
+
+/// Holds the fleet at three workers, asks for read-ahead 2 from its
+/// second tick on, and records the live fleet every tick showed it.
+struct DeepenOnSecondTick(Arc<std::sync::Mutex<Vec<usize>>>);
+
+impl TunerPolicy for DeepenOnSecondTick {
+    fn name(&self) -> &'static str {
+        "deepen-on-second-tick"
+    }
+    fn bounds(&self) -> KnobBounds {
+        KnobBounds::default()
+    }
+    fn decide(&mut self, signals: &dpp::TunerSignals, current: &Knobs) -> Knobs {
+        let mut seen = self.0.lock().unwrap();
+        seen.push(signals.live_workers);
+        Knobs {
+            workers: 3,
+            read_ahead: if seen.len() >= 2 { 2 } else { 0 },
+            ..*current
+        }
+    }
+}
+
+#[test]
+fn a_depth_move_reaches_every_worker_of_an_autotuned_job() {
+    // `tick_managed` installs a depth move as a session override and
+    // leaves the workers to the driver — which used to spawn and drain
+    // only on a count change, so an autotuned job never ran the depth its
+    // policy was judged on. Nobody consumes and the table (2,048 rows)
+    // outlasts every buffer: the driver alone changes the fleet.
+    with_watchdog(WATCHDOG, "depth move under the reconciler".into(), || {
+        const DAYS: u32 = 32;
+        let table = build_table(1, DAYS);
+        let spec = session_spec(1, DAYS, Transport::InProcess);
+        let driver = FleetDriver::new(FleetConfig {
+            nodes: 1,
+            slots_per_node: 3,
+        });
+        let job = SessionId(1);
+        driver
+            .submit(
+                JobSpec::new(spec.clone(), TenantId(1), 1, 3, 3),
+                table.clone(),
+            )
+            .unwrap();
+        let live_seen = Arc::default();
+        let policy = DeepenOnSecondTick(Arc::clone(&live_seen));
+        assert!(driver.enable_autotune(job, Box::new(policy)));
+
+        // Tick 1 fills the fleet at depth 0; tick 2 sees the move and
+        // ticks 2-4 rotate one original each; ticks 5-6 find nothing left.
+        assert_eq!(driver.tick().len(), 3, "cold start");
+        for tick in 2..=6 {
+            let actions = driver.tick();
+            assert!(actions.is_empty(), "tick {tick} re-planned: {actions:?}");
+        }
+        assert_eq!(
+            *live_seen.lock().unwrap(),
+            [0, 3, 3, 3, 3, 3],
+            "rotation never costs the job a live worker"
+        );
+        let session = driver.remove(job).expect("submitted");
+        assert_eq!(session.effective_spec().read_ahead, 2);
+        let observed = session.observe();
+        assert_eq!(observed.len(), 6, "three rotations, no more: {observed:?}");
+        assert!(
+            observed.iter().all(|o| o.is_live() != o.stale),
+            "exactly the three originals are leaving: {observed:?}"
+        );
+
+        let mut client = session.client();
+        let mut trace = EpochTrace::new();
+        while let Some(tensor) = client.next_batch() {
+            trace.push(&tensor);
+        }
+        session.shutdown();
+        assert_eq!(trace.samples(), DAYS as usize * ROWS_PER_DAY as usize);
+        assert_eq!(trace.sorted(), solo_trace(&table, &spec).sorted());
+    });
+}
+
+/// Every demand row over `min`, `max` ≤ 4 and weight ∈ {0, 1, 3} — or,
+/// `canonical`, only the rows the allocator can tell apart: it reads a
+/// row through `floor()` (a `min` above `max` is `max`) and `weight()`
+/// (0 is 1).
+fn small_demands(canonical: bool) -> impl Fn(u64) -> Vec<Demand> {
+    move |job| {
+        let mut rows = Vec::new();
+        for weight in [0, 1, 3] {
+            for min in 0..=4 {
+                for max in 0..=4 {
+                    if !canonical || (weight > 0 && min <= max) {
+                        rows.push(Demand {
+                            job: SessionId(job),
+                            weight,
+                            min,
+                            max,
+                        });
+                    }
+                }
+            }
+        }
+        rows
+    }
+}
+
+/// Calls `check` on every vector of one to `jobs` rows, job ids 1, 2, ….
+fn for_each_vector<T: Copy>(jobs: u64, rows: impl Fn(u64) -> Vec<T>, mut check: impl FnMut(&[T])) {
+    fn extend<T: Copy>(
+        job: u64,
+        jobs: u64,
+        rows: &impl Fn(u64) -> Vec<T>,
+        vector: &mut Vec<T>,
+        check: &mut impl FnMut(&[T]),
+    ) {
+        for row in rows(job) {
+            vector.push(row);
+            check(vector);
+            if job < jobs {
+                extend(job + 1, jobs, rows, vector, check);
+            }
+            vector.pop();
+        }
+    }
+    extend(1, jobs, &rows, &mut Vec::new(), &mut check);
+}
+
+#[test]
+fn fair_share_holds_its_contract_on_every_small_fleet() {
+    let mut checked = 0u64;
+    let mut check = |demands: &[Demand]| {
+        for capacity in 0..=6 {
+            let alloc = fair_share(capacity, demands);
+            let at = || format!("capacity {capacity} {demands:?} -> {alloc:?}");
+            assert_eq!(alloc.len(), demands.len());
+            let granted: usize = alloc.iter().map(|a| a.1).sum();
+            assert!(granted <= capacity, "{}", at());
+            let floors_fit = demands.iter().map(Demand::floor).sum::<usize>() <= capacity;
+            for (d, &(job, got)) in demands.iter().zip(&alloc) {
+                assert_eq!(job, d.job);
+                assert!(got <= d.max, "{}", at());
+                assert!(!floors_fit || got >= d.floor(), "{}", at());
+            }
+            // Monotone in weight: outranking the others never costs a slot.
+            for i in 0..demands.len() {
+                if demands[i].weight < 3 {
+                    let mut raised = demands.to_vec();
+                    raised[i].weight = 3;
+                    let after = fair_share(capacity, &raised)[i].1;
+                    assert!(after >= alloc[i].1, "{} raised {i}: {after}", at());
+                }
+            }
+            checked += 1;
+        }
+    };
+    // Raw rows for one and two jobs; three jobs over the canonical rows
+    // (30 of the 75), which is every allocation three jobs can get.
+    for_each_vector(2, small_demands(false), &mut check);
+    for_each_vector(3, small_demands(true), |demands| {
+        if demands.len() == 3 {
+            check(demands);
+        }
+    });
+    assert_eq!(checked, 7 * (75 + 75 * 75 + 30 * 30 * 30));
+}
+
+/// One job's `(observed, weight, target)` over live counts and targets up
+/// to `most`, weight ∈ {0, 1, 3}, complete or not.
+fn small_worlds(most: usize) -> impl Fn(u64) -> Vec<(ObservedJob, u32, usize)> {
+    move |job| {
+        let mut rows = Vec::new();
+        for weight in [0, 1, 3] {
+            for completed in [false, true] {
+                for active in 0..=most {
+                    for target in 0..=most {
+                        let observed = ObservedJob {
+                            job: SessionId(job),
+                            active,
+                            draining: 0,
+                            completed,
+                        };
+                        rows.push((observed, weight, target));
+                    }
+                }
+            }
+        }
+        rows
+    }
+}
+
+#[test]
+fn plan_converges_in_one_step_and_then_plans_nothing() {
+    // The executor's model of an action: a spawn adds a live worker, every
+    // kind of shrink moves `count` live workers to draining.
+    let check = |world: &[(ObservedJob, u32, usize)]| {
+        let mut observed: Vec<ObservedJob> = world.iter().map(|w| w.0).collect();
+        let demands: Vec<Demand> = world
+            .iter()
+            .map(|&(o, weight, _)| Demand {
+                job: o.job,
+                weight,
+                min: 0,
+                max: 4,
+            })
+            .collect();
+        let targets: Vec<(SessionId, usize)> = world.iter().map(|w| (w.0.job, w.2)).collect();
+        let actions = plan(&observed, &demands, &targets);
+        for action in &actions {
+            let (job, spawned, drained) = match *action {
+                FleetAction::Spawn { job } => (job, 1, 0),
+                FleetAction::Drain { job, count }
+                | FleetAction::Reassign {
+                    from: job, count, ..
+                }
+                | FleetAction::Preempt {
+                    victim: job, count, ..
+                } => (job, 0, count),
+            };
+            let o = observed.iter_mut().find(|o| o.job == job).expect("known");
+            assert!(o.active >= drained, "{world:?}: {actions:?}");
+            o.active = o.active + spawned - drained;
+            o.draining += drained;
+        }
+        for (o, &(_, _, target)) in observed.iter().zip(world) {
+            let want = if o.completed { 0 } else { target };
+            assert_eq!(o.active, want, "{world:?}: {actions:?}");
+        }
+        let again = plan(&observed, &demands, &targets);
+        assert!(again.is_empty(), "{world:?}: {actions:?} then {again:?}");
+    };
+    for_each_vector(2, small_worlds(4), check);
+    for_each_vector(3, small_worlds(2), check);
+}
+
+#[test]
+fn scale_to_spawns_or_drains_exactly_the_difference() {
+    // Nobody consumes and the table outlasts every buffer, so the fleet
+    // is exactly what the test made it.
+    with_watchdog(WATCHDOG, "scale_to over small fleets".into(), || {
+        const DAYS: u32 = 32;
+        let table = build_table(1, DAYS);
+        let spec = session_spec(1, DAYS, Transport::InProcess);
+        for live in 0..=4usize {
+            for draining in 0..=4usize {
+                for wanted in 0..=4usize {
+                    let session =
+                        DppSession::launch_managed(table.clone(), spec.clone(), None, None)
+                            .unwrap();
+                    session.scale_to(live + draining, &[]);
+                    let leaving: Vec<_> =
+                        session.observe()[..draining].iter().map(|o| o.id).collect();
+                    for &id in &leaving {
+                        assert!(session.drain_worker_by_id(id));
+                    }
+                    let before = session.observe();
+                    let at = format!("live {live} draining {draining} wanted {wanted}");
+                    assert_eq!(
+                        session.scale_to(wanted, &before),
+                        (wanted.saturating_sub(live), live.saturating_sub(wanted)),
+                        "{at}"
+                    );
+                    let after = session.observe();
+                    let live_after = after.iter().filter(|o| o.is_live()).count();
+                    assert_eq!(live_after, wanted, "{at}");
+                    // Whoever it drained was live: the workers already
+                    // leaving are neither re-counted nor brought back.
+                    let newly: Vec<_> = after
+                        .iter()
+                        .filter(|o| o.draining && !leaving.contains(&o.id))
+                        .map(|o| o.id)
+                        .collect();
+                    assert_eq!(newly.len(), live.saturating_sub(wanted), "{at}");
+                    assert!(
+                        leaving
+                            .iter()
+                            .all(|id| after.iter().any(|o| o.id == *id && !o.is_live())),
+                        "{at}"
+                    );
+                    session.shutdown();
+                }
+            }
+        }
+    });
 }

@@ -208,6 +208,11 @@ fn dedup_pipeline_is_exactly_once_and_bitwise_identical() {
 
 /// A small deterministic table for transport comparisons.
 fn wire_table(id: u64) -> Table {
+    wire_table_of(id, 3)
+}
+
+/// `days` partitions of 96 rows in 32-row stripes.
+fn wire_table_of(id: u64, days: u32) -> Table {
     let cluster = TectonicCluster::new(ClusterConfig::small());
     let opts = WriterOptions {
         rows_per_stripe: 32,
@@ -218,7 +223,7 @@ fn wire_table(id: u64) -> Table {
         TableConfig::new(TableId(id), "wire").with_writer_options(opts),
     )
     .unwrap();
-    for day in 0..3u32 {
+    for day in 0..days {
         let samples: Vec<Sample> = (0..96u64)
             .map(|i| {
                 let rid = day as u64 * 96 + i;
@@ -589,4 +594,75 @@ fn live_tuner_sees_the_run_it_tunes() {
             assert_ne!(s.dominant_stage(), Some("extract"), "{at}: {s:?}");
         }
     }
+}
+
+#[test]
+fn every_knob_has_an_actuator() {
+    // A knob axis a policy can move has to be one a running session can
+    // act on: a one-axis move through `LiveTuner::apply` changes the live
+    // worker count, or the spec new workers spawn with *and* a worker
+    // that runs it. An axis with no control surface fails here.
+    // 72 splits: nobody consumes until the checks are done, and no worker
+    // may run out of work (and leave the live count) before then.
+    const DAYS: u32 = 24;
+    let table = wire_table_of(26, DAYS);
+    let moves = [3usize, 2, 48];
+    assert_eq!(moves.len(), Knobs::AXES);
+    for (axis, value) in moves.into_iter().enumerate() {
+        let mut spec = wire_spec(Transport::InProcess);
+        spec.partition_end = PartitionId::new(DAYS);
+        let session = DppSession::launch(table.clone(), spec, 2).unwrap();
+        let mut tuner = LiveTuner::new(Box::new(Recorder(Default::default())), &session);
+        let before = tuner.knobs();
+        assert_ne!(before.axis(axis), value, "axis {axis}: the move must move");
+        let delta = tuner.apply(&session, before.with_axis(axis, value));
+
+        let observed = session.observe();
+        let live = observed.iter().filter(|o| o.is_live()).count();
+        let spec = session.effective_spec();
+        let after = Knobs {
+            workers: live,
+            read_ahead: spec.read_ahead,
+            batch_size: spec.batch_size,
+        };
+        assert_eq!(after, before.with_axis(axis, value), "axis {axis}");
+        if axis > 0 {
+            // The newest worker is the rotation's replacement: spawned
+            // with the moved knob, next to a stale one still to rotate.
+            assert!(delta.rotated, "axis {axis}: {delta:?}");
+            let newest = observed.iter().max_by_key(|o| o.id).expect("a fleet");
+            assert!(
+                newest.is_live() && !newest.stale,
+                "axis {axis}: {observed:?}"
+            );
+            assert!(
+                observed.iter().any(|o| o.is_live() && o.stale),
+                "axis {axis}: {observed:?}"
+            );
+        }
+        let mut client = session.client();
+        let mut rows = 0;
+        while let Some(tensor) = client.next_batch() {
+            rows += tensor.batch_size();
+        }
+        assert_eq!(rows, 96 * DAYS as usize, "axis {axis}");
+        session.shutdown();
+    }
+}
+
+#[test]
+fn pipeline_report_counts_a_sessions_storage_bytes_once() {
+    // The reader's live `dsi_dwrf_*` series and the worker report bridged
+    // at shutdown describe the same reads; the report takes one of them.
+    let reg = Registry::new();
+    let spec = wire_spec(Transport::InProcess);
+    let session =
+        DppSession::launch_observed_chaos(wire_table(27), spec, 2, Some(&reg), None).unwrap();
+    let mut client = session.client();
+    while client.next_batch().is_some() {}
+    let worker = session.shutdown();
+    let report = PipelineReport::collect(&reg);
+    assert!(worker.storage_rx_bytes > 0);
+    assert_eq!(report.read_bytes, worker.storage_rx_bytes);
+    assert_eq!(report.wanted_bytes, worker.storage_wanted_bytes);
 }
