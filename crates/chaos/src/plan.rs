@@ -16,8 +16,8 @@ use std::fmt;
 /// fires on the fifth chunk read regardless of thread interleaving.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum HookPoint {
-    /// `TectonicCluster::{read, read_view}` — once per chunk read, covering
-    /// both the copying and the zero-copy extract paths.
+    /// `TectonicCluster::{read, read_view}` — once per charged chunk read;
+    /// uncharged reads (SSD cache hits) never fire it.
     TectonicRead,
     /// `MessageBus::publish` — once per record appended to any topic.
     ScribePublish,

@@ -667,7 +667,6 @@ fn session_scan(table: &Table, spec: &SessionSpec) -> TableScan {
     table
         .scan(spec.partitions(), spec.projection.clone())
         .with_policy(spec.policy)
-        .with_decode(spec.decode_mode())
 }
 
 #[cfg(test)]
@@ -1003,36 +1002,25 @@ mod tests {
     }
 
     #[test]
-    fn worker_report_is_independent_of_depth_and_copying_charges_copies() {
+    fn worker_report_is_independent_of_depth() {
         // Same deterministic table at every depth. A single worker makes
         // split order — and therefore every f64 accumulation order —
         // identical, so the reports must agree field for field.
-        let run = |read_ahead: usize, fastpath: bool| -> WorkerReport {
+        let run = |read_ahead: usize| -> WorkerReport {
             let table = build_table(3, 64);
             let mut spec = spec(3);
             spec.read_ahead = read_ahead;
-            spec.fastpath = fastpath;
             let session = DppSession::launch(table, spec, 1).unwrap();
             let mut client = session.client();
             let labels = drain_labels(&mut client);
             assert_eq!(labels, (0..192).collect::<Vec<_>>());
             session.shutdown()
         };
-        let inline = run(0, true);
+        let inline = run(0);
         assert_eq!(inline.copied_bytes, 0);
         for depth in DEPTHS {
-            assert_eq!(run(depth, true), inline, "depth {depth}");
+            assert_eq!(run(depth), inline, "depth {depth}");
         }
-
-        // The copying ablation decodes identical rows but pays the legacy
-        // memcpy volume: full source assembly plus per-stream scratch.
-        let copying = run(3, false);
-        assert_eq!(copying.samples, inline.samples);
-        assert_eq!(
-            copying.copied_bytes,
-            copying.storage_rx_bytes + copying.storage_wanted_bytes
-        );
-        assert!(copying.copied_bytes > 0);
     }
 
     #[test]

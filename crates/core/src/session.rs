@@ -102,8 +102,9 @@ pub struct SessionSpec {
     /// → transform → batch/load back to back; at `n > 0` fetch and
     /// transform get their own threads with an `n`-deep buffer between.
     pub read_ahead: usize,
-    /// Zero-copy pooled decode on the extract path. Disable to replay the
-    /// legacy copying decode (ablation baseline).
+    /// Where the transform plan runs: on the materialized tensor's columns
+    /// (`true`, the default; only `Sampling` stays on rows), or the whole
+    /// plan on rows. Decode is the same zero-copy path either way.
     pub fastpath: bool,
     /// How tensors cross the Worker→Client boundary: in-process channels
     /// (free, tax modeled analytically) or framed TCP (tax measured).
@@ -122,15 +123,6 @@ impl SessionSpec {
     /// The partition range.
     pub fn partitions(&self) -> Range<PartitionId> {
         self.partition_start..self.partition_end
-    }
-
-    /// The DWRF decode mode this spec selects.
-    pub fn decode_mode(&self) -> dwrf::DecodeMode {
-        if self.fastpath {
-            dwrf::DecodeMode::Fastpath
-        } else {
-            dwrf::DecodeMode::Copying
-        }
     }
 }
 
@@ -244,7 +236,7 @@ impl SessionSpecBuilder {
         self
     }
 
-    /// Enables or disables the zero-copy pooled decode path.
+    /// Runs the transform plan on columns (`true`) or wholly on rows.
     pub fn fastpath(mut self, on: bool) -> Self {
         self.spec.fastpath = on;
         self

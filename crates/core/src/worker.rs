@@ -27,8 +27,8 @@ use warehouse::{Split, TableScan};
 /// residue plus the columnar plan that runs over materialized tensors in
 /// the load stage. Splitting happens once per worker (not per split), and
 /// only for fastpath sessions without dedup — dedup's canonical-row reuse
-/// needs the whole plan on the row path, and non-fastpath sessions are the
-/// copying baseline the ablation compares against.
+/// needs the whole plan on the row path, and `fastpath: false` asks for
+/// the whole plan on rows.
 #[derive(Debug)]
 pub(crate) struct ExecPlan {
     /// What must see individual [`Sample`]s: the whole plan for dedup and
@@ -114,8 +114,8 @@ pub struct WorkerReport {
     pub storage_rx_bytes: u64,
     /// Compressed bytes the projection actually wanted.
     pub storage_wanted_bytes: u64,
-    /// Bytes memcpy'd on the decode path (≈ 0 under the zero-copy fast
-    /// path; the full legacy volume in copying mode).
+    /// Bytes memcpy'd on the decode path: only reads that span Tectonic
+    /// blocks and in-flight corruption copy, so this is usually 0.
     pub copied_bytes: u64,
     /// Decompressed stream bytes produced by extraction (whole rows for
     /// unflattened map files, selected streams for flattened files).

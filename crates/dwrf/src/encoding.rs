@@ -549,12 +549,12 @@ impl<'a> MetaReader<'a> {
     ///
     /// Returns [`DsiError::Corrupt`] on truncation.
     pub fn bytes(&mut self) -> Result<&'a [u8]> {
-        let n = self.u64()? as usize;
-        if self.pos + n > self.buf.len() {
+        let n = self.u64()?;
+        if n > self.remaining() as u64 {
             return Err(DsiError::corrupt("truncated bytes field"));
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+        let s = &self.buf[self.pos..self.pos + n as usize];
+        self.pos += n as usize;
         Ok(s)
     }
 
@@ -571,6 +571,12 @@ impl<'a> MetaReader<'a> {
         a.copy_from_slice(&self.buf[self.pos..self.pos + 8]);
         self.pos += 8;
         Ok(f64::from_le_bytes(a))
+    }
+
+    /// Bytes not yet consumed: a bound on how many more fields a declared
+    /// count can really hold, since every field takes at least one byte.
+    pub fn remaining(&self) -> usize {
+        self.buf.len().saturating_sub(self.pos)
     }
 
     /// Whether the cursor has consumed the whole buffer.

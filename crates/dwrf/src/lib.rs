@@ -65,6 +65,6 @@ pub mod writer;
 pub use fastpath::{ByteView, SourceChunk};
 pub use layout::StreamOrder;
 pub use plan::{CoalescePolicy, IoPlan, PlannedRead};
-pub use reader::{ChunkSource, DecodeMode, FileReader, SliceSource};
+pub use reader::{ChunkSource, FileReader, SliceSource};
 pub use stream::{DedupEncodeStats, StreamInfo, StreamKind};
 pub use writer::{DwrfFile, FileWriter, WriterOptions};

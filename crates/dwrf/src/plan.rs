@@ -68,16 +68,18 @@ pub struct IoPlan {
     /// whole rows here even when the projection keeps only a few features.
     pub uncompressed_bytes: u64,
     /// Bytes physically memcpy'd while executing the plan (0 for an
-    /// unexecuted plan). The zero-copy fast path slices storage buffers
-    /// instead of copying, so this stays near 0; the copying baseline
-    /// counts source assembly plus per-stream materialization.
+    /// unexecuted plan). Decode slices storage buffers instead of copying;
+    /// only source reads that span storage blocks and in-flight corruption
+    /// copy, so this is usually 0.
     pub copied_bytes: u64,
 }
 
 impl IoPlan {
     /// Builds a plan from wanted `(offset, len)` ranges under `policy`.
     ///
-    /// Overlapping or duplicate ranges are merged before planning.
+    /// Overlapping or duplicate ranges are merged before planning. Every
+    /// range's end must fit in a `u64`; `decode_footer` rejects a footer
+    /// whose streams do not.
     pub fn build(mut wanted: Vec<(u64, u64)>, policy: CoalescePolicy) -> IoPlan {
         wanted.retain(|&(_, len)| len > 0);
         if wanted.is_empty() {

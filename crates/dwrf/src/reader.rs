@@ -35,19 +35,6 @@ pub trait ChunkSource {
     fn read(&mut self, offset: u64, len: u64) -> Result<SourceChunk>;
 }
 
-/// How the reader materializes stream payloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DecodeMode {
-    /// Zero-copy: stripe buffers are sliced into stream payloads, decrypt
-    /// writes into pooled scratch, stored compression blocks pass through.
-    #[default]
-    Fastpath,
-    /// The legacy path, kept as an honest ablation baseline: every source
-    /// read and every stream window is materialized into a fresh `Vec`
-    /// (and counted in `IoPlan::copied_bytes`).
-    Copying,
-}
-
 /// A [`ChunkSource`] over an in-memory buffer.
 #[derive(Debug, Clone)]
 pub struct SliceSource {
@@ -91,12 +78,10 @@ struct TraceSink {
     storage_span: u64,
 }
 
-/// What reading one stripe cost beyond its IO, summed as the streams go
-/// by: bytes memcpy'd, payload bytes after decompression, seconds spent
-/// decompressing.
+/// What decoding one stripe cost, summed as the streams go by: payload
+/// bytes after decompression, seconds spent decompressing.
 #[derive(Default)]
 struct DecodeCost {
-    copied: std::cell::Cell<u64>,
     uncompressed: std::cell::Cell<u64>,
     decompress_secs: std::cell::Cell<f64>,
 }
@@ -107,7 +92,6 @@ pub struct FileReader {
     bytes: Option<Bytes>,
     footer: Arc<FileFooter>,
     registry: Option<dsi_obs::Registry>,
-    mode: DecodeMode,
     trace: Option<TraceSink>,
     job: Option<Arc<str>>,
 }
@@ -125,7 +109,6 @@ impl FileReader {
             bytes: Some(bytes),
             footer,
             registry: None,
-            mode: DecodeMode::default(),
             trace: None,
             job: None,
         })
@@ -140,17 +123,9 @@ impl FileReader {
             bytes: None,
             footer: footer.into(),
             registry: None,
-            mode: DecodeMode::default(),
             trace: None,
             job: None,
         }
-    }
-
-    /// Selects how stream payloads are materialized (default
-    /// [`DecodeMode::Fastpath`]).
-    pub fn with_decode_mode(mut self, mode: DecodeMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Attaches a metrics registry: stripe reads then emit
@@ -273,24 +248,15 @@ impl FileReader {
         let wanted = self.wanted_streams(idx, selection)?;
         let mut plan = plan_reads(&wanted, policy);
         let cost = DecodeCost::default();
-        let copied = &cost.copied;
-        // Fetch each planned read once. The fast path keeps whatever view
-        // the source produced (usually a zero-copy slice of resident
-        // bytes); the copying baseline replays the legacy reader, which
-        // always materialized every source read into a fresh `Vec`.
+        // Fetch each planned read once, keeping whatever view the source
+        // produced (usually a zero-copy slice of resident bytes).
         let fetch_started = std::time::Instant::now();
         let fetch_start_ns = dsi_obs::now_ns();
         let mut buffers: Vec<(u64, ByteView)> = Vec::with_capacity(plan.reads.len());
         for r in &plan.reads {
             let chunk = source.read(r.offset, r.len)?;
-            copied.set(copied.get() + chunk.copied_bytes);
-            let view = if self.mode == DecodeMode::Copying && chunk.copied_bytes == 0 {
-                copied.set(copied.get() + chunk.view.len() as u64);
-                ByteView::copy_of(&chunk.view)
-            } else {
-                chunk.view
-            };
-            buffers.push((r.offset, view));
+            plan.copied_bytes += chunk.copied_bytes;
+            buffers.push((r.offset, chunk.view));
         }
         let fetch_secs = fetch_started.elapsed().as_secs_f64();
         if let Some(sink) = &self.trace {
@@ -335,7 +301,6 @@ impl FileReader {
         }
         let decompress_secs = cost.decompress_secs.get();
         plan.uncompressed_bytes = cost.uncompressed.get();
-        plan.copied_bytes = cost.copied.get();
         if let Some(reg) = &self.registry {
             use dsi_obs::{names, observe_stage_seconds, stage};
             let job = self.job.as_deref().unwrap_or("");
@@ -374,7 +339,6 @@ impl FileReader {
         cost: &DecodeCost,
     ) -> Result<Vec<Sample>> {
         let DecodeCost {
-            copied,
             uncompressed,
             decompress_secs,
         } = cost;
@@ -384,11 +348,11 @@ impl FileReader {
         let pool = global_pool();
         let mut decode_payload = |info: &StreamInfo| -> Result<ByteView> {
             let raw = fetch(info)?;
-            // Integrity gate, identical in both decode modes: stored bytes
-            // must match the checksum the writer recorded before anything
-            // is decrypted, decompressed, or sliced. Without it, stored
-            // compression blocks and encrypted f32 payloads decode silently
-            // wrong under storage-layer corruption.
+            // Integrity gate: stored bytes must match the checksum the
+            // writer recorded before anything is decrypted, decompressed,
+            // or sliced. Without it, stored compression blocks and
+            // encrypted f32 payloads decode silently wrong under
+            // storage-layer corruption.
             let got = checksum64(&raw);
             if got != info.checksum {
                 return Err(DsiError::corrupt(format!(
@@ -396,52 +360,29 @@ impl FileReader {
                     info.feature, info.kind, info.checksum
                 )));
             }
-            match self.mode {
-                DecodeMode::Copying => {
-                    // Legacy behavior: materialize the stream window out of
-                    // the stripe buffer, decrypt in place, decompress into
-                    // a fresh allocation.
-                    copied.set(copied.get() + raw.len() as u64);
-                    let mut payload = raw.to_vec();
-                    if self.footer.encrypted {
-                        cipher.apply_in_place(info.nonce, &mut payload);
-                    }
-                    if self.footer.compressed {
-                        let started = std::time::Instant::now();
-                        payload = compress::decompress(&payload)?;
-                        decompress_secs
-                            .set(decompress_secs.get() + started.elapsed().as_secs_f64());
-                    }
-                    uncompressed.set(uncompressed.get() + payload.len() as u64);
-                    Ok(ByteView::from(payload))
-                }
-                DecodeMode::Fastpath => {
-                    // Decrypt and decompress are decode *work*, not copies:
-                    // their outputs land in pooled scratch, and stored
-                    // (incompressible) blocks pass through as sub-views.
-                    let mut payload = raw;
-                    if self.footer.encrypted {
-                        let mut scratch = pool.take(payload.len());
-                        cipher.apply_to(info.nonce, &payload, &mut scratch);
-                        payload = scratch.freeze();
-                    }
-                    if self.footer.compressed {
-                        let started = std::time::Instant::now();
-                        payload = match compress::stored_payload_range(&payload) {
-                            Some(range) => payload.slice(range),
-                            None => {
-                                let mut scratch = pool.take(payload.len().saturating_mul(2));
-                                compress::decompress_into(&payload, &mut scratch)?;
-                                scratch.freeze()
-                            }
-                        };
-                        decompress_secs
-                            .set(decompress_secs.get() + started.elapsed().as_secs_f64());
-                    }
-                    uncompressed.set(uncompressed.get() + payload.len() as u64);
-                    Ok(payload)
-                }
+            // Decrypt and decompress are decode *work*, not copies: their
+            // outputs land in pooled scratch, and stored (incompressible)
+            // blocks pass through as sub-views.
+            let mut payload = raw;
+            if self.footer.encrypted {
+                let mut scratch = pool.take(payload.len());
+                cipher.apply_to(info.nonce, &payload, &mut scratch);
+                payload = scratch.freeze();
             }
+            if self.footer.compressed {
+                let started = std::time::Instant::now();
+                payload = match compress::stored_payload_range(&payload) {
+                    Some(range) => payload.slice(range),
+                    None => {
+                        let mut scratch = pool.take(payload.len().saturating_mul(2));
+                        compress::decompress_into(&payload, &mut scratch)?;
+                        scratch.freeze()
+                    }
+                };
+                decompress_secs.set(decompress_secs.get() + started.elapsed().as_secs_f64());
+            }
+            uncompressed.set(uncompressed.get() + payload.len() as u64);
+            Ok(payload)
         };
 
         // File-level streams first: the rows are created with their labels.
@@ -635,7 +576,8 @@ fn assemble_rows(columns: DecodedColumns, labels: Vec<f32>) -> Vec<Sample> {
 ///
 /// # Errors
 ///
-/// Returns [`DsiError::Corrupt`] if the magic or structure is invalid.
+/// Returns [`DsiError::Corrupt`] if the magic or structure is invalid, or
+/// if a stream ends past the start of the footer.
 pub fn parse_footer(bytes: &Bytes) -> Result<FileFooter> {
     // Tail layout: [streams][footer][checksum u64][len u64][MAGIC].
     if bytes.len() < 24 {
@@ -656,14 +598,21 @@ pub fn parse_footer(bytes: &Bytes) -> Result<FileFooter> {
     let mut crc_buf = [0u8; 8];
     crc_buf.copy_from_slice(&bytes[crc_at..len_at]);
     let stored = u64::from_le_bytes(crc_buf);
-    let footer_bytes = &bytes[crc_at - footer_len..crc_at];
+    let footer_at = crc_at - footer_len;
+    let footer_bytes = &bytes[footer_at..crc_at];
     let got = checksum64(footer_bytes);
     if got != stored {
         return Err(DsiError::corrupt(format!(
             "footer checksum mismatch: stored {stored:#018x}, read {got:#018x}"
         )));
     }
-    decode_footer(footer_bytes)
+    let footer = decode_footer(footer_bytes)?;
+    // `decode_footer` rejected overflowing ranges, so the sum is exact.
+    let mut streams = footer.stripes.iter().flat_map(|stripe| &stripe.streams);
+    if streams.any(|s| s.offset + s.len > footer_at as u64) {
+        return Err(DsiError::corrupt("stream ends past the footer"));
+    }
+    Ok(footer)
 }
 
 #[cfg(test)]
@@ -837,9 +786,9 @@ mod tests {
 
     /// Corruption in the header (footer/tail), in a plain payload stream,
     /// and inside a compression block must each surface as a typed
-    /// [`DsiError::Corrupt`] — in both decode modes. No silent wrong data.
+    /// [`DsiError::Corrupt`]. No silent wrong data.
     #[test]
-    fn corruption_location_matrix_yields_typed_errors_in_both_modes() {
+    fn corruption_location_matrix_yields_typed_errors() {
         // Header: flip a byte inside the encoded footer region.
         let file = build_file(WriterOptions::default(), 30);
         let mut bytes = file.bytes().to_vec();
@@ -852,7 +801,7 @@ mod tests {
 
         // Payload (uncompressed, unencrypted streams) and compression
         // block (LZ-compressed streams): corrupt bytes inside the first
-        // data stream's window and decode under both modes.
+        // data stream's window and decode.
         let cases = [
             WriterOptions {
                 compressed: false,
@@ -875,21 +824,17 @@ mod tests {
                 .find(|s| s.len >= 8)
                 .expect("a wide stream");
             let mid = target.offset + target.len / 2;
-            for mode in [DecodeMode::Fastpath, DecodeMode::Copying] {
-                let reader = FileReader::from_footer(file.footer().clone()).with_decode_mode(mode);
-                let mut src = CorruptingSource {
-                    inner: SliceSource::new(file.bytes().clone()),
-                    window: mid..mid + 2,
-                };
-                match reader.read_stripe_from(0, None, CoalescePolicy::None, &mut src) {
-                    Err(DsiError::Corrupt(msg)) => {
-                        assert!(msg.contains("checksum mismatch"), "{msg}")
-                    }
-                    other => panic!(
-                        "stream corruption (compressed={}, {mode:?}): expected Corrupt, got {other:?}",
-                        file.footer().compressed
-                    ),
-                }
+            let reader = FileReader::from_footer(file.footer().clone());
+            let mut src = CorruptingSource {
+                inner: SliceSource::new(file.bytes().clone()),
+                window: mid..mid + 2,
+            };
+            match reader.read_stripe_from(0, None, CoalescePolicy::None, &mut src) {
+                Err(DsiError::Corrupt(msg)) => assert!(msg.contains("checksum mismatch"), "{msg}"),
+                other => panic!(
+                    "stream corruption (compressed={}): expected Corrupt, got {other:?}",
+                    file.footer().compressed
+                ),
             }
         }
     }
@@ -1015,42 +960,6 @@ mod tests {
                 }
                 other => panic!("stage {st}: unexpected {other:?}"),
             }
-        }
-    }
-
-    #[test]
-    fn copying_mode_matches_fastpath_and_counts_legacy_copies() {
-        for opts in [
-            WriterOptions::default(),
-            WriterOptions {
-                compressed: false,
-                encrypted: false,
-                ..Default::default()
-            },
-            WriterOptions::unflattened_baseline(),
-            WriterOptions::deduped(),
-        ] {
-            let file = build_file(opts, 120);
-            let fast = FileReader::open(file.bytes().clone()).unwrap();
-            let slow = FileReader::open(file.bytes().clone())
-                .unwrap()
-                .with_decode_mode(DecodeMode::Copying);
-            let mut fast_src = SliceSource::new(file.bytes().clone());
-            let mut slow_src = SliceSource::new(file.bytes().clone());
-            let (fast_rows, fast_plan) = fast
-                .read_stripe_from(0, None, CoalescePolicy::default_window(), &mut fast_src)
-                .unwrap();
-            let (slow_rows, slow_plan) = slow
-                .read_stripe_from(0, None, CoalescePolicy::default_window(), &mut slow_src)
-                .unwrap();
-            assert_eq!(fast_rows, slow_rows, "modes must decode identically");
-            assert_eq!(fast_plan.copied_bytes, 0, "fastpath slices, never copies");
-            // The legacy path copied every source read plus every stream
-            // window it materialized.
-            assert_eq!(
-                slow_plan.copied_bytes,
-                slow_plan.read_bytes + slow_plan.wanted_bytes
-            );
         }
     }
 

@@ -103,10 +103,9 @@ pub struct StreamInfo {
     pub nonce: u64,
     /// [`checksum64`] of the stored (post-compress, post-encrypt) bytes.
     ///
-    /// Verified before any decode work in both `DecodeMode::Fastpath` and
-    /// `DecodeMode::Copying`, so storage-layer corruption always surfaces
-    /// as a typed [`DsiError::Corrupt`] instead of silently wrong tensors
-    /// (stored compression blocks and encrypted f32 payloads would
+    /// Verified before any decode work, so storage-layer corruption always
+    /// surfaces as a typed [`DsiError::Corrupt`] instead of silently wrong
+    /// tensors (stored compression blocks and encrypted f32 payloads would
     /// otherwise decode without complaint).
     pub checksum: u64,
 }

@@ -377,28 +377,34 @@ pub fn encode_footer(footer: &FileFooter) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`DsiError::Corrupt`] on malformed input.
+/// Returns [`DsiError::Corrupt`] on malformed input, including a declared
+/// count the footer's remaining bytes cannot hold (it reserves no more than
+/// those bytes) and a stream whose `offset + len` overflows.
 pub fn decode_footer(buf: &[u8]) -> Result<FileFooter> {
     let mut r = crate::encoding::MetaReader::new(buf);
     let flags = r.u64()?;
     let file_key = r.u64()?;
-    let n_stripes = r.u64()? as usize;
-    let mut stripes = Vec::with_capacity(n_stripes);
+    let n_stripes = r.u64()?;
+    let mut stripes = Vec::with_capacity(r.remaining().min(n_stripes as usize));
     for _ in 0..n_stripes {
         let row_count = r.u64()?;
         let label_min = r.f64()? as f32;
         let label_max = r.f64()? as f32;
-        let n_streams = r.u64()? as usize;
-        let mut streams = Vec::with_capacity(n_streams);
+        let n_streams = r.u64()?;
+        let mut streams = Vec::with_capacity(r.remaining().min(n_streams as usize));
         for _ in 0..n_streams {
-            streams.push(StreamInfo {
+            let info = StreamInfo {
                 feature: r.u64()?,
                 kind: StreamKind::from_tag(r.u64()?)?,
                 offset: r.u64()?,
                 len: r.u64()?,
                 nonce: r.u64()?,
                 checksum: r.u64()?,
-            });
+            };
+            if info.offset.checked_add(info.len).is_none() {
+                return Err(DsiError::corrupt("stream range overflows"));
+            }
+            streams.push(info);
         }
         stripes.push(StripeMeta {
             row_count,

@@ -19,8 +19,8 @@
 //! [`SourceChunk`] pairs a view with the number of bytes that were
 //! physically memcpy'd to produce it, which is how the pipeline keeps its
 //! `dsi_fastpath_bytes_copied_total` ledger honest: zero-copy reads report
-//! 0, multi-block assembly and deliberate copying baselines report their
-//! true cost.
+//! 0; multi-block assembly and corruption-forced copies report their true
+//! cost.
 
 use bytes::Bytes;
 use std::cell::RefCell;
@@ -102,13 +102,6 @@ impl ByteView {
     /// An empty view.
     pub fn empty() -> Self {
         Self::from(Bytes::new())
-    }
-
-    /// Copies `data` into a fresh owned view. This is the *copying*
-    /// constructor — callers are expected to account for `data.len()`
-    /// copied bytes (see [`SourceChunk::copied`]).
-    pub fn copy_of(data: &[u8]) -> Self {
-        Self::from(data.to_vec())
     }
 
     /// Length of the view in bytes.

@@ -10,7 +10,7 @@
 use crate::block::hash_path;
 use crate::cluster::TectonicCluster;
 use dsi_types::{ByteSize, Result};
-use dwrf::{ChunkSource, SourceChunk};
+use dwrf::SourceChunk;
 use hwsim::{DeviceStats, DiskModel, IoRequest};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -206,81 +206,36 @@ impl SsdCache {
         inner.evictions += dropped;
         dropped
     }
-}
 
-/// A [`ChunkSource`] reading one file through a shared [`SsdCache`]: page
-/// hits are served (and charged) on the SSD; misses read through to the
-/// cluster's HDD nodes and fill the cache.
-#[derive(Debug, Clone)]
-pub struct CachedSource {
-    cluster: TectonicCluster,
-    cache: SsdCache,
-    path: String,
-    file_hash: u64,
-    trace: Option<crate::source::SourceTrace>,
-}
-
-impl CachedSource {
-    /// Creates a cached source over `path`.
-    pub fn new(cluster: TectonicCluster, cache: SsdCache, path: impl Into<String>) -> Self {
-        let path = path.into();
-        let file_hash = hash_path(&path);
-        Self {
-            cluster,
-            cache,
-            path,
-            file_hash,
-            trace: None,
-        }
-    }
-
-    /// Attaches a trace context: every chunk read then records a
-    /// `TectonicIo` span under `ctx` (no-op when `ctx` is unsampled).
-    pub fn with_trace(
-        mut self,
-        registry: &dsi_obs::Registry,
-        ctx: dsi_obs::TraceContext,
-        split: u64,
-    ) -> Self {
-        self.trace = crate::source::SourceTrace::attach(registry, ctx, split);
-        self
-    }
-}
-
-impl ChunkSource for CachedSource {
-    fn read(&mut self, offset: u64, len: u64) -> Result<SourceChunk> {
-        let start_ns = dsi_obs::now_ns();
-        // Data bytes always come from the cluster's name-space (contents
-        // are authoritative there); the cache decides which *device* is
-        // charged for each page.
+    /// Reads `len` bytes of `path` at `offset` for a cached
+    /// [`TectonicSource`](crate::TectonicSource). Data bytes always come
+    /// from the cluster's name-space (contents are authoritative there);
+    /// the cache decides which *device* is charged. Every page of the range
+    /// is touched; when all of them hit, the read is served uncharged (no
+    /// HDD time, no chaos hook). Otherwise the misses pay the HDD path and
+    /// are filled only after the cluster read succeeds: filling first would
+    /// leave pages resident after a failed read, so the retry would count a
+    /// bogus hit and the hit rate would double-count the same fetch.
+    pub(crate) fn read_through(
+        &self,
+        cluster: &TectonicCluster,
+        path: &str,
+        offset: u64,
+        len: u64,
+    ) -> Result<SourceChunk> {
+        let file = hash_path(path);
         let first = offset / PAGE_SIZE;
         let last = (offset + len.max(1) - 1) / PAGE_SIZE;
-        let mut missed: Vec<PageKey> = Vec::new();
-        for page in first..=last {
-            let key = PageKey {
-                file: self.file_hash,
-                page,
-            };
-            if !self.cache.touch_page(key) {
-                missed.push(key);
-            }
+        let missed: Vec<PageKey> = (first..=last)
+            .map(|page| PageKey { file, page })
+            .filter(|&key| !self.touch_page(key))
+            .collect();
+        if missed.is_empty() {
+            return cluster.read_view_uncharged(path, offset, len);
         }
-        let chunk = if missed.is_empty() {
-            // All pages hot: serve without touching HDDs.
-            self.cluster.read_view_uncharged(&self.path, offset, len)?
-        } else {
-            // Misses pay the HDD path. Fill only after the cluster read
-            // succeeds: filling first would leave pages resident after a
-            // failed read, so the retry would count a bogus hit and the
-            // hit rate would double-count the same fetch.
-            let chunk = self.cluster.read_view(&self.path, offset, len)?;
-            for key in missed {
-                self.cache.fill_page(key);
-            }
-            chunk
-        };
-        if let Some(trace) = &self.trace {
-            trace.record_io(start_ns);
+        let chunk = cluster.read_view(path, offset, len)?;
+        for key in missed {
+            self.fill_page(key);
         }
         Ok(chunk)
     }
@@ -290,7 +245,9 @@ impl ChunkSource for CachedSource {
 mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
+    use crate::TectonicSource;
     use bytes::Bytes;
+    use dwrf::ChunkSource;
 
     fn setup(capacity: ByteSize) -> (TectonicCluster, SsdCache) {
         let cluster = TectonicCluster::new(ClusterConfig::small());
@@ -302,7 +259,7 @@ mod tests {
     #[test]
     fn repeat_reads_hit_the_cache_and_spare_hdds() {
         let (cluster, cache) = setup(ByteSize::mib(8));
-        let mut src = CachedSource::new(cluster.clone(), cache.clone(), "hot/file");
+        let mut src = TectonicSource::new(cluster.clone(), "hot/file").with_cache(cache.clone());
         let a = src.read(100_000, 5_000).unwrap().view;
         cluster.reset_stats();
         let b = src.read(100_000, 5_000).unwrap().view;
@@ -317,7 +274,7 @@ mod tests {
     #[test]
     fn correctness_preserved_through_cache() {
         let (cluster, cache) = setup(ByteSize::mib(4));
-        let mut cached = CachedSource::new(cluster.clone(), cache, "hot/file");
+        let mut cached = TectonicSource::new(cluster.clone(), "hot/file").with_cache(cache);
         for (off, len) in [(0u64, 100u64), (64 * 1024 - 10, 50), (1_500_000, 4_000)] {
             let direct = cluster.read("hot/file", off, len).unwrap();
             let through = cached.read(off, len).unwrap().view;
@@ -331,7 +288,7 @@ mod tests {
     fn lru_evicts_cold_pages() {
         // A 2-page cache cycling over 4 pages evicts constantly.
         let (cluster, cache) = setup(ByteSize(2 * PAGE_SIZE));
-        let mut src = CachedSource::new(cluster, cache.clone(), "hot/file");
+        let mut src = TectonicSource::new(cluster, "hot/file").with_cache(cache.clone());
         for round in 0..3 {
             for page in 0..4u64 {
                 src.read(page * PAGE_SIZE, 16).unwrap();
@@ -358,7 +315,7 @@ mod tests {
 
         // After arbitrary traffic the rate is still in [0, 1].
         let (cluster, cache) = setup(ByteSize(2 * PAGE_SIZE));
-        let mut src = CachedSource::new(cluster, cache.clone(), "hot/file");
+        let mut src = TectonicSource::new(cluster, "hot/file").with_cache(cache.clone());
         for i in 0..200u64 {
             src.read((i % 7) * PAGE_SIZE, 32).unwrap();
         }
@@ -380,7 +337,7 @@ mod tests {
     #[test]
     fn publish_metrics_bridges_stats_idempotently() {
         let (cluster, cache) = setup(ByteSize::mib(8));
-        let mut src = CachedSource::new(cluster.clone(), cache.clone(), "hot/file");
+        let mut src = TectonicSource::new(cluster.clone(), "hot/file").with_cache(cache.clone());
         src.read(0, 5_000).unwrap();
         src.read(0, 5_000).unwrap();
         let reg = dsi_obs::Registry::new();
@@ -418,7 +375,7 @@ mod tests {
             chaos::FaultKind::IoError,
         )]);
         cluster.attach_chaos(chaos::FaultInjector::new(plan));
-        let mut src = CachedSource::new(cluster, cache.clone(), "hot/file");
+        let mut src = TectonicSource::new(cluster, "hot/file").with_cache(cache.clone());
         assert!(src
             .read(0, 5_000)
             .unwrap_err()
@@ -444,7 +401,7 @@ mod tests {
         let (cluster, cache) = setup(ByteSize::mib(8));
         let primary = cluster.stat("hot/file").unwrap().blocks[0][0];
         cluster.fail_node(primary);
-        let mut src = CachedSource::new(cluster.clone(), cache.clone(), "hot/file");
+        let mut src = TectonicSource::new(cluster.clone(), "hot/file").with_cache(cache.clone());
         let direct = cluster.read("hot/file", 100, 3_000).unwrap();
         let through = src.read(100, 3_000).unwrap().view;
         assert_eq!(direct, through.as_slice());
@@ -466,7 +423,7 @@ mod tests {
         // Popular-byte traffic (Fig. 7): a cache holding the hot set
         // absorbs most IO.
         let (cluster, cache) = setup(ByteSize::mib(1)); // 16 pages hot set
-        let mut src = CachedSource::new(cluster, cache.clone(), "hot/file");
+        let mut src = TectonicSource::new(cluster, "hot/file").with_cache(cache.clone());
         let mut rng = dsi_types::rng::SplitMix64::new(5);
         for _ in 0..2_000 {
             // 90% of reads to the 1 MiB hot prefix, 10% uniform cold.

@@ -118,6 +118,30 @@ struct ReadChaos {
     at_rest: Option<u8>,
 }
 
+/// What one served read produced: a zero-copy slice of a replica's block,
+/// or bytes that had to be copied — assembled across blocks, or privately
+/// corrupted in flight. Each public read converts it with at most one copy.
+enum Served {
+    Slice(Bytes),
+    Assembled(Vec<u8>),
+}
+
+impl Served {
+    fn into_vec(self) -> Vec<u8> {
+        match self {
+            Served::Slice(bytes) => bytes.to_vec(),
+            Served::Assembled(owned) => owned,
+        }
+    }
+
+    fn into_chunk(self) -> SourceChunk {
+        match self {
+            Served::Slice(bytes) => SourceChunk::zero_copy(ByteView::from(bytes)),
+            Served::Assembled(owned) => SourceChunk::copied(ByteView::from(owned)),
+        }
+    }
+}
+
 struct ClusterInner {
     config: ClusterConfig,
     nodes: Vec<Mutex<StorageNode>>,
@@ -361,14 +385,14 @@ impl TectonicCluster {
         self.inner.files.read().values().sum()
     }
 
-    /// Attaches a chaos fault injector: every subsequent logical read
+    /// Attaches a chaos fault injector: every subsequent charged read
     /// (a [`TectonicCluster::read`] or [`TectonicCluster::read_view`]
     /// call) fires the injector's `TectonicRead` hook exactly once.
     pub fn attach_chaos(&self, injector: Arc<FaultInjector>) {
         *self.inner.chaos.write() = Some(injector);
     }
 
-    /// Fires the `TectonicRead` chaos hook once per logical read.
+    /// Fires the `TectonicRead` chaos hook once per charged read.
     ///
     /// Applies latency faults to the cluster clock immediately, surfaces
     /// injected IO errors, and returns the corruption faults the caller
@@ -408,12 +432,91 @@ impl TectonicCluster {
     /// Returns [`DsiError::NotFound`] for missing files and
     /// [`DsiError::Corrupt`] for out-of-range reads.
     pub fn read(&self, path: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
-        let chaos = self.fire_read_chaos(path, offset)?;
-        let mut out = self.read_charged(path, offset, len, chaos.at_rest)?;
-        if let (Some(mask), Some(first)) = (chaos.xor, out.first_mut()) {
+        self.serve(path, offset, len, true).map(Served::into_vec)
+    }
+
+    /// Like [`TectonicCluster::read`], but returns a shared view with an
+    /// honest copy ledger: a range resident in a single block is served as
+    /// a zero-copy slice of the replica's stored bytes (`copied_bytes` 0);
+    /// a range spanning blocks must be assembled and reports the copy.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`TectonicCluster::read`].
+    pub fn read_view(&self, path: &str, offset: u64, len: u64) -> Result<SourceChunk> {
+        self.serve(path, offset, len, true).map(Served::into_chunk)
+    }
+
+    /// Like [`TectonicCluster::read`] but charges no disk time and fires no
+    /// chaos hook — used by cache tiers that accounted the IO on another
+    /// device. Still verifies checksums and fails over to a live replica.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`TectonicCluster::read`].
+    pub fn read_uncharged(&self, path: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
+        self.serve(path, offset, len, false).map(Served::into_vec)
+    }
+
+    /// Uncharged counterpart of [`TectonicCluster::read_view`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`TectonicCluster::read`].
+    pub fn read_view_uncharged(&self, path: &str, offset: u64, len: u64) -> Result<SourceChunk> {
+        self.serve(path, offset, len, false).map(Served::into_chunk)
+    }
+
+    /// The one read body behind the four public reads. A charged read
+    /// fires the chaos hook once, charges disk time on the serving
+    /// replicas and advances the clock; an uncharged one only peeks. A
+    /// single-block range is a zero-copy slice of the replica's bytes; a
+    /// multi-block range is assembled, and in-flight corruption forces a
+    /// private copy so the replica's stored bytes stay pristine for other
+    /// readers — both are reported as copied.
+    fn serve(&self, path: &str, offset: u64, len: u64, charge: bool) -> Result<Served> {
+        let chaos = if charge {
+            self.fire_read_chaos(path, offset)?
+        } else {
+            ReadChaos::default()
+        };
+        let end = self.check_range(path, offset, len)?;
+        let bs = self.inner.config.block_size;
+        let single = len > 0 && offset / bs == (end - 1) / bs;
+        let mut slice = None;
+        let mut owned = Vec::with_capacity(if single { 0 } else { len as usize });
+        let mut corrupt_once = chaos.at_rest;
+        let mut total_ns = 0u64;
+        let mut pos = offset;
+        while pos < end {
+            let take = (bs - pos % bs).min(end - pos);
+            let (bytes, ns) = self.read_block_verified(
+                path,
+                pos / bs,
+                pos % bs,
+                take,
+                charge,
+                corrupt_once.take(),
+            )?;
+            if single {
+                slice = Some(bytes);
+            } else {
+                owned.extend_from_slice(&bytes);
+            }
+            total_ns += ns;
+            pos += take;
+        }
+        self.inner.clock.advance_ns(total_ns);
+        let Some(mask) = chaos.xor else {
+            return Ok(slice.map_or(Served::Assembled(owned), Served::Slice));
+        };
+        if let Some(block) = slice {
+            owned = block.to_vec();
+        }
+        if let Some(first) = owned.first_mut() {
             *first ^= mask;
         }
-        Ok(out)
+        Ok(Served::Assembled(owned))
     }
 
     /// Validates a read range against the file length.
@@ -433,80 +536,6 @@ impl TectonicCluster {
             )));
         }
         Ok(end)
-    }
-
-    /// The chaos-free body of [`TectonicCluster::read`], shared with the
-    /// multi-block fallback of [`TectonicCluster::read_view`] so one
-    /// logical read never fires the chaos hook twice. `corrupt_first`
-    /// plants at-rest corruption on the first replica the first block's
-    /// read will consult.
-    fn read_charged(
-        &self,
-        path: &str,
-        offset: u64,
-        len: u64,
-        corrupt_first: Option<u8>,
-    ) -> Result<Vec<u8>> {
-        let end = self.check_range(path, offset, len)?;
-        let bs = self.inner.config.block_size;
-        let mut out = Vec::with_capacity(len as usize);
-        let mut pos = offset;
-        let mut total_ns = 0u64;
-        let mut corrupt_once = corrupt_first;
-        while pos < end {
-            let block_index = pos / bs;
-            let within = pos % bs;
-            let take = (bs - within).min(end - pos);
-            let (bytes, ns) = self.read_block_verified(
-                path,
-                block_index,
-                within,
-                take,
-                true,
-                corrupt_once.take(),
-            )?;
-            out.extend_from_slice(&bytes);
-            total_ns += ns;
-            pos += take;
-        }
-        self.inner.clock.advance_ns(total_ns);
-        Ok(out)
-    }
-
-    /// Like [`TectonicCluster::read`], but returns a shared view with an
-    /// honest copy ledger: a range resident in a single block is served as
-    /// a zero-copy slice of the replica's stored bytes (`copied_bytes` 0);
-    /// a range spanning blocks must be assembled and reports the copy.
-    /// Disk time is charged identically to [`TectonicCluster::read`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TectonicCluster::read`].
-    pub fn read_view(&self, path: &str, offset: u64, len: u64) -> Result<SourceChunk> {
-        let chaos = self.fire_read_chaos(path, offset)?;
-        let end = self.check_range(path, offset, len)?;
-        let bs = self.inner.config.block_size;
-        if len > 0 && offset / bs == (end - 1) / bs {
-            let block_index = offset / bs;
-            let (bytes, ns) =
-                self.read_block_verified(path, block_index, offset % bs, len, true, chaos.at_rest)?;
-            self.inner.clock.advance_ns(ns);
-            if let Some(mask) = chaos.xor {
-                // Corruption forces a private copy: the replica's stored
-                // bytes must stay pristine for other readers.
-                let mut owned = bytes.to_vec();
-                if let Some(first) = owned.first_mut() {
-                    *first ^= mask;
-                }
-                return Ok(SourceChunk::copied(ByteView::from(owned)));
-            }
-            return Ok(SourceChunk::zero_copy(ByteView::from(bytes)));
-        }
-        let mut owned = self.read_charged(path, offset, len, chaos.at_rest)?;
-        if let (Some(mask), Some(first)) = (chaos.xor, owned.first_mut()) {
-            *first ^= mask;
-        }
-        Ok(SourceChunk::copied(ByteView::from(owned)))
     }
 
     /// Serves one intra-block range from a live replica with verification,
@@ -884,51 +913,6 @@ impl TectonicCluster {
             .lock()
             .corrupt(id, xor)
             .then_some(target)
-    }
-
-    /// Like [`TectonicCluster::read`] but charges no disk time — used by
-    /// cache tiers that accounted the IO on another device. Still verifies
-    /// checksums and fails over to a live replica.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TectonicCluster::read`].
-    pub fn read_uncharged(&self, path: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
-        let end = self.check_range(path, offset, len)?;
-        let bs = self.inner.config.block_size;
-        let mut out = Vec::with_capacity(len as usize);
-        let mut pos = offset;
-        while pos < end {
-            let block_index = pos / bs;
-            let within = pos % bs;
-            let take = (bs - within).min(end - pos);
-            let (bytes, _) =
-                self.read_block_verified(path, block_index, within, take, false, None)?;
-            out.extend_from_slice(&bytes);
-            pos += take;
-        }
-        Ok(out)
-    }
-
-    /// Uncharged counterpart of [`TectonicCluster::read_view`]: single-block
-    /// ranges are served zero-copy from a live replica via `peek`,
-    /// multi-block ranges are assembled and reported as copied.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TectonicCluster::read`].
-    pub fn read_view_uncharged(&self, path: &str, offset: u64, len: u64) -> Result<SourceChunk> {
-        let end = self.check_range(path, offset, len)?;
-        let bs = self.inner.config.block_size;
-        if len > 0 && offset / bs == (end - 1) / bs {
-            let block_index = offset / bs;
-            let (bytes, _) =
-                self.read_block_verified(path, block_index, offset % bs, len, false, None)?;
-            return Ok(SourceChunk::zero_copy(ByteView::from(bytes)));
-        }
-        Ok(SourceChunk::copied(ByteView::from(
-            self.read_uncharged(path, offset, len)?,
-        )))
     }
 
     /// Aggregated device stats across all nodes.

@@ -18,7 +18,8 @@
 //! * [`heal`] — heartbeat failure detection and the priority rebuild
 //!   queue behind self-healing;
 //! * [`source`] — a [`dwrf::ChunkSource`] adapter so DWRF readers fetch
-//!   through the cluster and are charged for IO;
+//!   through the cluster (and, optionally, the [`cache`] SSD tier) and are
+//!   charged for IO;
 //! * [`provision`] — node-level HDD/SSD efficiency specs and the
 //!   throughput-to-storage gap arithmetic of §VII.
 //!
@@ -53,7 +54,7 @@ pub use block::{
     chunk_checksum, place_replicas, place_replicas_among, BlockId, DEFAULT_BLOCK_SIZE,
     REPLICATION_FACTOR,
 };
-pub use cache::{CacheStats, CachedSource, SsdCache};
+pub use cache::{CacheStats, SsdCache};
 pub use cluster::{ClusterConfig, DurabilityCounters, FileMeta, TectonicCluster};
 pub use directory::{ChunkDirectory, ChunkInfo};
 pub use heal::{HeartbeatDetector, RebuildProgress, RebuildQueue, DEFAULT_HEARTBEAT_K};

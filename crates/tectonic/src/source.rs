@@ -1,5 +1,7 @@
-//! Adapter letting DWRF readers fetch file bytes through the cluster.
+//! Adapter letting DWRF readers fetch file bytes through the cluster,
+//! optionally through a shared SSD cache tier.
 
+use crate::cache::SsdCache;
 use crate::cluster::TectonicCluster;
 use dsi_types::Result;
 use dwrf::{ChunkSource, SourceChunk};
@@ -7,26 +9,14 @@ use dwrf::{ChunkSource, SourceChunk};
 /// Trace attachment for a chunk source: each `read` records a
 /// `TectonicIo` span under the parent (storage-read) context.
 #[derive(Debug, Clone)]
-pub(crate) struct SourceTrace {
+struct SourceTrace {
     registry: dsi_obs::Registry,
     ctx: dsi_obs::TraceContext,
     split: u64,
 }
 
 impl SourceTrace {
-    pub(crate) fn attach(
-        registry: &dsi_obs::Registry,
-        ctx: dsi_obs::TraceContext,
-        split: u64,
-    ) -> Option<Self> {
-        ctx.is_sampled().then(|| Self {
-            registry: registry.clone(),
-            ctx,
-            split,
-        })
-    }
-
-    pub(crate) fn record_io(&self, start_ns: u64) {
+    fn record_io(&self, start_ns: u64) {
         self.registry.record_span(dsi_obs::TraceSpan {
             trace_id: self.ctx.trace_id,
             span_id: dsi_obs::next_span_id(),
@@ -43,11 +33,13 @@ impl SourceTrace {
 }
 
 /// A [`ChunkSource`] that reads one Tectonic file, charging simulated IO on
-/// the storage nodes that serve it.
+/// the storage nodes that serve it — or, with an [`SsdCache`] attached, on
+/// the cache's SSD for the pages it already holds.
 #[derive(Debug, Clone)]
 pub struct TectonicSource {
     cluster: TectonicCluster,
     path: String,
+    cache: Option<SsdCache>,
     trace: Option<SourceTrace>,
 }
 
@@ -57,8 +49,17 @@ impl TectonicSource {
         Self {
             cluster,
             path: path.into(),
+            cache: None,
             trace: None,
         }
+    }
+
+    /// Reads through `cache`: a range whose pages are all resident is
+    /// served uncharged from the cluster and charged on the SSD; any miss
+    /// pays the HDD read and fills the missing pages once it succeeds.
+    pub fn with_cache(mut self, cache: SsdCache) -> Self {
+        self.cache = Some(cache);
+        self
     }
 
     /// Attaches a trace context: every chunk read then records a
@@ -69,7 +70,11 @@ impl TectonicSource {
         ctx: dsi_obs::TraceContext,
         split: u64,
     ) -> Self {
-        self.trace = SourceTrace::attach(registry, ctx, split);
+        self.trace = ctx.is_sampled().then(|| SourceTrace {
+            registry: registry.clone(),
+            ctx,
+            split,
+        });
         self
     }
 
@@ -82,7 +87,10 @@ impl TectonicSource {
 impl ChunkSource for TectonicSource {
     fn read(&mut self, offset: u64, len: u64) -> Result<SourceChunk> {
         let start_ns = dsi_obs::now_ns();
-        let chunk = self.cluster.read_view(&self.path, offset, len)?;
+        let chunk = match &self.cache {
+            Some(cache) => cache.read_through(&self.cluster, &self.path, offset, len)?,
+            None => self.cluster.read_view(&self.path, offset, len)?,
+        };
         if let Some(trace) = &self.trace {
             trace.record_io(start_ns);
         }

@@ -10,7 +10,7 @@
 use crate::table::Table;
 use dsi_types::{PartitionId, Projection, Result, Sample};
 use dwrf::writer::FileFooter;
-use dwrf::{CoalescePolicy, DecodeMode, FileReader, IoPlan};
+use dwrf::{CoalescePolicy, FileReader, IoPlan};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::Arc;
@@ -46,8 +46,8 @@ pub struct ScanStats {
     pub read_bytes: u64,
     /// IO operations issued.
     pub ios: u64,
-    /// Bytes memcpy'd on the decode path (≈ 0 under the zero-copy fast
-    /// path; the full legacy volume in copying mode).
+    /// Bytes memcpy'd on the decode path: only reads that span Tectonic
+    /// blocks and in-flight corruption copy, so this is usually 0.
     pub copied_bytes: u64,
 }
 
@@ -79,7 +79,6 @@ pub struct TableScan {
     partitions: Range<PartitionId>,
     projection: Projection,
     policy: CoalescePolicy,
-    decode: DecodeMode,
     job: Option<Arc<str>>,
 }
 
@@ -94,7 +93,6 @@ impl TableScan {
             partitions,
             projection,
             policy: CoalescePolicy::default_window(),
-            decode: DecodeMode::default(),
             job: None,
         }
     }
@@ -102,14 +100,6 @@ impl TableScan {
     /// Overrides the coalescing policy (builder-style).
     pub fn with_policy(mut self, policy: CoalescePolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Overrides the DWRF decode mode (builder-style). The default is the
-    /// zero-copy fast path; [`DecodeMode::Copying`] replays the legacy
-    /// materializing decode for ablations.
-    pub fn with_decode(mut self, decode: DecodeMode) -> Self {
-        self.decode = decode;
         self
     }
 
@@ -204,56 +194,34 @@ impl TableScan {
     ) -> Result<(Vec<Sample>, IoPlan)> {
         // The footer is shared by reference: splits of the same file decode
         // against one parsed footer instead of cloning it per split.
-        let mut reader =
-            FileReader::from_footer(Arc::clone(&split.footer)).with_decode_mode(self.decode);
+        let mut reader = FileReader::from_footer(Arc::clone(&split.footer));
         if let Some(reg) = self.table.registry() {
             reader = reader.with_registry(&reg);
         }
         if let Some(job) = &self.job {
             reader = reader.with_job(job);
         }
-        // Pre-allocate the StorageRead span id so per-chunk TectonicIo
-        // spans can parent under it before the reader records it.
-        let mut storage_ctx = dsi_obs::TraceContext::NONE;
+        let mut source = TectonicSource::new(self.table.cluster().clone(), split.path.clone());
+        if let Some(cache) = self.table.cache() {
+            source = source.with_cache(cache);
+        }
         if let Some((ctx, reg)) = trace {
+            // Pre-allocate the StorageRead span id so per-chunk TectonicIo
+            // spans can parent under it before the reader records it.
             let storage_span = dsi_obs::next_span_id();
             reader = reader.with_trace(reg, ctx, split.index, storage_span);
-            storage_ctx = dsi_obs::TraceContext {
+            let storage_ctx = dsi_obs::TraceContext {
                 trace_id: ctx.trace_id,
                 span_id: storage_span,
             };
+            source = source.with_trace(reg, storage_ctx, split.index);
         }
-        match self.table.cache() {
-            Some(cache) => {
-                let mut source = tectonic::CachedSource::new(
-                    self.table.cluster().clone(),
-                    cache,
-                    split.path.clone(),
-                );
-                if let Some((_, reg)) = trace {
-                    source = source.with_trace(reg, storage_ctx, split.index);
-                }
-                reader.read_stripe_from(
-                    split.stripe,
-                    Some(&self.projection),
-                    self.policy,
-                    &mut source,
-                )
-            }
-            None => {
-                let mut source =
-                    TectonicSource::new(self.table.cluster().clone(), split.path.clone());
-                if let Some((_, reg)) = trace {
-                    source = source.with_trace(reg, storage_ctx, split.index);
-                }
-                reader.read_stripe_from(
-                    split.stripe,
-                    Some(&self.projection),
-                    self.policy,
-                    &mut source,
-                )
-            }
-        }
+        reader.read_stripe_from(
+            split.stripe,
+            Some(&self.projection),
+            self.policy,
+            &mut source,
+        )
     }
 
     /// Executes the whole scan serially, returning all rows.
@@ -453,26 +421,6 @@ mod tests {
             .histogram(dsi_obs::span::STAGE_SECONDS, &[("stage", "extract")])
             .snapshot();
         assert_eq!(extract.count, stats.splits);
-    }
-
-    #[test]
-    fn decode_modes_agree_on_rows_but_not_copies() {
-        let table = build_table(25);
-        let proj = Projection::new(vec![FeatureId(1), FeatureId(2)]);
-        let fast = table.scan(PartitionId::new(0)..PartitionId::new(4), proj.clone());
-        let slow = table
-            .scan(PartitionId::new(0)..PartitionId::new(4), proj)
-            .with_decode(DecodeMode::Copying);
-        let (fast_rows, fast_stats) = fast.read_all_with_stats().unwrap();
-        let (slow_rows, slow_stats) = slow.read_all_with_stats().unwrap();
-        assert_eq!(fast_rows, slow_rows, "decode modes must agree on rows");
-        assert_eq!(fast_stats.copied_bytes, 0, "fast path never copies here");
-        // Legacy decode copies each source chunk once (assembly) and each
-        // wanted stream once (materialization).
-        assert_eq!(
-            slow_stats.copied_bytes,
-            slow_stats.read_bytes + slow_stats.wanted_bytes
-        );
     }
 
     #[test]

@@ -78,7 +78,6 @@ fn build_world() -> World {
 struct EpochOpts {
     read_ahead: usize,
     with_cache: bool,
-    fastpath: bool,
     workers: usize,
     transport: Transport,
     trace: bool,
@@ -89,7 +88,6 @@ impl Default for EpochOpts {
         Self {
             read_ahead: 0,
             with_cache: false,
-            fastpath: true,
             workers: 3,
             transport: Transport::InProcess,
             trace: false,
@@ -106,7 +104,6 @@ fn chaos_spec(opts: EpochOpts) -> SessionSpec {
         .sparse_ids(vec![FeatureId(2)])
         .buffer_capacity(4)
         .read_ahead(opts.read_ahead)
-        .fastpath(opts.fastpath)
         .transport(opts.transport)
         .trace(if opts.trace {
             TraceConfig::all()
@@ -498,20 +495,6 @@ fn regression_corrupt_chunk_is_detected_and_split_replayed_fastpath() {
         FaultKind::CorruptChunk { xor: 0xA5 },
     )]);
     check_plan_injects(plan, EpochOpts::default(), &["corrupt_chunk"]);
-}
-
-#[test]
-fn regression_corrupt_chunk_is_detected_and_split_replayed_copying() {
-    let plan = FaultPlan::named(vec![FaultEvent::new(
-        HookPoint::TectonicRead,
-        7,
-        FaultKind::CorruptChunk { xor: 0xA5 },
-    )]);
-    let opts = EpochOpts {
-        fastpath: false,
-        ..EpochOpts::default()
-    };
-    check_plan_injects(plan, opts, &["corrupt_chunk"]);
 }
 
 #[test]

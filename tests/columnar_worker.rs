@@ -77,8 +77,7 @@ fn run_worker_flushing(
 ) -> (Vec<MiniBatchTensor>, WorkerReport) {
     let scan = table
         .scan(spec.partitions(), spec.projection.clone())
-        .with_policy(spec.policy)
-        .with_decode(spec.decode_mode());
+        .with_policy(spec.policy);
     let mut worker = Worker::new(WorkerId(0), Arc::new(spec), scan.clone());
     let mut tensors = Vec::new();
     for split in scan.plan_splits() {

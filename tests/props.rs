@@ -1005,22 +1005,47 @@ proptest! {
     #[test]
     fn tectonic_read_returns_written_bytes(
         len in 1usize..20_000,
-        reads in proptest::collection::vec((0.0f64..1.0, 1usize..512), 1..10),
+        reads in proptest::collection::vec((0.0f64..1.0, 0u64..700, 1u64..4, 1u64..701), 1..10),
     ) {
         let data: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+        let bs = 700u64;
         let cluster = TectonicCluster::new(ClusterConfig {
             nodes: 5,
-            block_size: 700,
+            block_size: bs,
             replication: 3,
             hdd: true,
         });
         cluster.append("f", Bytes::from(data.clone())).expect("capacity available");
-        for (frac, rlen) in reads {
-            let off = (frac * len as f64) as usize;
-            let rlen = rlen.min(len - off.min(len));
-            if rlen == 0 { continue; }
-            let got = cluster.read("f", off as u64, rlen as u64).expect("in-range read");
-            prop_assert_eq!(&got[..], &data[off..off + rlen]);
+        let (flen, blocks) = (len as u64, (len as u64).div_ceil(bs));
+        for (frac, start, span, stop) in reads {
+            // A range from `start` into block `first` to `stop` into block
+            // `first + span - 1`, both clamped to the file so the partial
+            // tail block is read too; within one block the ends may swap.
+            let span = span.min(blocks);
+            let first = (frac * (blocks - span + 1) as f64) as u64;
+            let a = (first * bs + start).min(flen - 1);
+            let b = ((first + span - 1) * bs + stop).min(flen);
+            let (off, end) = (a.min(b - 1), a.max(b));
+            let want = &data[off as usize..end as usize];
+            let rlen = end - off;
+            let copied = if span == 1 { 0 } else { rlen };
+
+            let before = cluster.total_stats();
+            prop_assert_eq!(&cluster.read_uncharged("f", off, rlen).expect("in range")[..], want);
+            let chunk = cluster.read_view_uncharged("f", off, rlen).expect("in range");
+            prop_assert_eq!(chunk.view.as_slice(), want);
+            prop_assert_eq!(chunk.copied_bytes, copied);
+            prop_assert_eq!(cluster.total_stats(), before, "uncharged reads charge nothing");
+
+            prop_assert_eq!(&cluster.read("f", off, rlen).expect("in range")[..], want);
+            let by_read = cluster.total_stats();
+            let chunk = cluster.read_view("f", off, rlen).expect("in range");
+            prop_assert_eq!(chunk.view.as_slice(), want);
+            prop_assert_eq!(chunk.copied_bytes, copied);
+            let by_view = cluster.total_stats();
+            prop_assert_eq!(by_read.ios - before.ios, by_view.ios - by_read.ios);
+            prop_assert_eq!(by_read.bytes - before.bytes, by_view.bytes - by_read.bytes);
+            prop_assert_eq!(by_read.ios - before.ios, span);
         }
     }
 }
@@ -1110,5 +1135,98 @@ proptest! {
             applied.cost.cycles,
             capped.cost.cycles
         );
+    }
+}
+
+/// A DWRF footer whose checksum is valid but whose declared counts its bytes
+/// cannot hold, or whose stream ranges overflow `u64` or run into the
+/// footer, is `Corrupt` — not a capacity-overflow or add-overflow panic —
+/// and so is every truncation of a valid file's tail.
+#[test]
+fn hostile_dwrf_footers_are_corrupt_not_panics() {
+    use dsi_types::DsiError;
+    use dwrf::encoding::write_varint;
+    use dwrf::stream::checksum64;
+    use dwrf::writer::{encode_footer, FileFooter, MAGIC};
+
+    let mut w = FileWriter::new(WriterOptions {
+        rows_per_stripe: 8,
+        ..Default::default()
+    });
+    for i in 0..20u64 {
+        let mut s = Sample::new(i as f32);
+        s.set_dense(FeatureId(1), i as f32);
+        s.set_sparse(FeatureId(2), SparseList::from_ids(vec![i, i + 1]));
+        w.push(s);
+    }
+    let file = w.finish().expect("non-empty file");
+    let footer = file.footer();
+    let footer_bytes = encode_footer(footer);
+    let streams_end = file.len() - footer_bytes.len() - 24;
+    // `encoded` framed after the file's streams under a valid checksum.
+    let frame = |encoded: &[u8]| {
+        let mut bytes = file.bytes()[..streams_end].to_vec();
+        bytes.extend_from_slice(encoded);
+        bytes.extend_from_slice(&checksum64(encoded).to_le_bytes());
+        bytes.extend_from_slice(&(encoded.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(MAGIC);
+        Bytes::from(bytes)
+    };
+    let read_all = |bytes: Bytes| FileReader::open(bytes)?.read_all_unprojected();
+    assert!(read_all(frame(&footer_bytes)).is_ok(), "re-framed original");
+    // `prefix` ends in a one-byte count of 0; `rest` is what follows the
+    // real count. The count becomes ~2^61 with the real entries after it.
+    let huge_count = |prefix: Vec<u8>, rest: &[u8]| {
+        let mut out = prefix[..prefix.len() - 1].to_vec();
+        write_varint(&mut out, 1 << 61);
+        out.extend_from_slice(rest);
+        out
+    };
+
+    let no_stripes = encode_footer(&FileFooter {
+        stripes: Vec::new(),
+        ..footer.clone()
+    });
+    let huge_stripes = huge_count(no_stripes.clone(), &footer_bytes[no_stripes.len()..]);
+
+    let mut one_stripe = footer.clone();
+    one_stripe.stripes.truncate(1);
+    let with_streams = encode_footer(&one_stripe);
+    one_stripe.stripes[0].streams.clear();
+    let no_streams = encode_footer(&one_stripe);
+    let huge_streams = huge_count(no_streams.clone(), &with_streams[no_streams.len()..]);
+
+    let mut overflowing = footer.clone();
+    for stream in overflowing.stripes[0].streams.iter_mut().take(2) {
+        stream.offset = u64::MAX - 3;
+        stream.len = 8;
+    }
+    let mut into_footer = footer.clone();
+    into_footer.stripes[0].streams[0].offset = streams_end as u64 - 1;
+    into_footer.stripes[0].streams[0].len = 2;
+
+    for (name, encoded) in [
+        ("huge stripe count", huge_stripes),
+        ("huge stream count", huge_streams),
+        ("overflowing stream ranges", encode_footer(&overflowing)),
+        ("stream past the footer", encode_footer(&into_footer)),
+    ] {
+        match read_all(frame(&encoded)) {
+            Err(DsiError::Corrupt(_)) => {}
+            other => panic!("{name}: expected Corrupt, got {other:?}"),
+        }
+    }
+
+    for cut in streams_end..file.len() {
+        match FileReader::open(file.bytes().slice(..cut)) {
+            Err(DsiError::Corrupt(_)) => {}
+            other => panic!("file cut at {cut}: expected Corrupt, got {other:?}"),
+        }
+    }
+    for cut in 0..footer_bytes.len() {
+        match read_all(frame(&footer_bytes[..cut])) {
+            Err(DsiError::Corrupt(_)) => {}
+            other => panic!("footer cut at {cut}: expected Corrupt, got {other:?}"),
+        }
     }
 }
