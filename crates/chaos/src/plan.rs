@@ -119,11 +119,12 @@ pub enum FaultKind {
         /// Wall-clock slowdown in microseconds.
         micros: u64,
     },
-    /// Harness: the client disconnects and a fresh client (sharing the
-    /// session's progress map) reconnects.
+    /// Harness: the client disconnects and a fresh client reconnects
+    /// (delivered counts live in the session's Master, not the client).
     ClientReconnect,
-    /// Harness: the master is killed mid-epoch and restored from a
-    /// [`SessionCheckpoint`](../invariants/index.html) taken at kill time.
+    /// Harness: the master is killed mid-epoch and the session resumed
+    /// from the `MasterCheckpoint` (completed splits and delivered
+    /// tensors) taken at kill time.
     MasterKillRestore,
     /// Harness: the SSD cache evicts every resident page at once.
     EvictionStorm,

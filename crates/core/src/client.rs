@@ -8,16 +8,17 @@
 //! (§III-B1).
 //!
 //! Delivery is exactly-once: tensors travel in envelopes tagged with their
-//! split and sequence number; Clients acknowledge a split to the Master
-//! only once its last tensor is *consumed*, and drop replayed duplicates
-//! after a worker crash. A crashed worker's unconsumed splits therefore
-//! replay on its replacement without loss or duplication.
+//! split and sequence number, and a Client hands each one to the Master's
+//! [`crate::SplitLedger::deliver`], which drops replayed duplicates and
+//! acknowledges a split only once its last tensor is *consumed*. A crashed
+//! worker's unconsumed splits therefore replay on its replacement without
+//! loss or duplication. The Client itself holds no delivery state.
 
+use crate::ledger::{Delivery, SplitLedger};
 use crate::master::Master;
 use crossbeam::channel::{Receiver, Select, TryRecvError};
 use dsi_types::{MiniBatchTensor, WorkerId};
-use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use parking_lot::RwLock;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -40,15 +41,11 @@ pub(crate) struct Endpoint {
     pub(crate) capacity: usize,
 }
 
-/// Shared per-session consumption progress: split → tensors consumed.
-pub(crate) type Progress = Arc<Mutex<HashMap<u64, u32>>>;
-
 /// A trainer-side tensor fetcher.
 #[derive(Debug, Clone)]
 pub struct Client {
     registry: Arc<RwLock<Vec<Endpoint>>>,
     master: Master,
-    progress: Progress,
     /// Maximum simultaneous worker connections (round-robin partition).
     fanout: usize,
     /// This client's partition offset into the worker list.
@@ -67,7 +64,6 @@ impl Client {
     pub(crate) fn new(
         registry: Arc<RwLock<Vec<Endpoint>>>,
         master: Master,
-        progress: Progress,
         fanout: usize,
         offset: usize,
     ) -> Self {
@@ -75,7 +71,6 @@ impl Client {
         Self {
             registry,
             master,
-            progress,
             fanout: fanout.max(1),
             offset,
             cursor: 0,
@@ -131,14 +126,16 @@ impl Client {
         &self.job
     }
 
-    /// Records a `Deliver` span for a sampled envelope. Replayed duplicates
-    /// are flagged so they show up as sibling spans under the same
-    /// worker-side `Load` span rather than vanishing from the trace.
-    fn note_deliver(&mut self, env: &Envelope, duplicate: bool) {
-        if env.trace_id == 0 {
+    /// Records a `Deliver` span for a sampled envelope the ledger did not
+    /// reject. Duplicates are flagged so they show up as sibling spans
+    /// under the same worker-side `Load` span rather than vanishing from
+    /// the trace.
+    fn note_deliver(&mut self, env: &Envelope, delivery: Delivery) {
+        if env.trace_id == 0 || delivery == Delivery::Rejected {
             return;
         }
         let Some(reg) = &self.obs else { return };
+        let duplicate = delivery == Delivery::Duplicate;
         let now = dsi_obs::now_ns();
         let span_id = dsi_obs::next_span_id();
         reg.record_span(dsi_obs::TraceSpan {
@@ -240,41 +237,20 @@ impl Client {
         }
     }
 
-    /// Accepts an envelope if it is not a replayed duplicate, acking its
-    /// split on the final tensor.
+    /// Hands an envelope to the ledger; only a fresh tensor reaches the
+    /// trainer.
     fn accept(&mut self, env: Envelope) -> Option<MiniBatchTensor> {
-        let mut progress = self.progress.lock();
-        let expected = progress.entry(env.split).or_insert(0);
-        if env.seq < *expected {
-            drop(progress);
-            self.note_deliver(&env, true);
-            if env.last {
-                // The split replayed because its original worker was
-                // presumed dead — possibly *after* this client consumed
-                // every tensor but before (or racing with) the original
-                // ack. Dropping the replayed final tensor without
-                // re-acking would leave the split in flight forever, so
-                // acknowledge the replaying worker here. A stale or
-                // double ack is rejected by the master harmlessly.
-                let _ = self.master.complete_split(env.worker, env.split);
-            }
-            return None; // duplicate from a replayed split
-        }
-        *expected = env.seq + 1;
-        drop(progress);
-        self.note_deliver(&env, false);
-        if env.last {
-            // Late acks for crashed workers are rejected by the master and
-            // simply replayed; ignore the error.
-            let _ = self.master.complete_split(env.worker, env.split);
-        }
-        Some(env.tensor)
+        let delivery = self
+            .master
+            .deliver(env.worker, env.split, env.seq, env.last);
+        self.note_deliver(&env, delivery);
+        (delivery == Delivery::Fresh).then_some(env.tensor)
     }
 
     fn poll_once(&mut self) -> Poll {
         let endpoints = self.registry.read().clone();
         if endpoints.is_empty() {
-            return if self.master.is_complete() {
+            return if self.master.ledger(SplitLedger::is_complete) {
                 Poll::Finished
             } else {
                 Poll::Pending
@@ -304,7 +280,7 @@ impl Client {
         }
         // Every polled endpoint dead and the dataset fully consumed:
         // nothing more will arrive through this client's partition.
-        if disconnected == window && self.master.is_complete() {
+        if disconnected == window && self.master.ledger(SplitLedger::is_complete) {
             // Widen to all endpoints once the session is done, in case the
             // partition missed stragglers.
             for e in &endpoints {
@@ -332,6 +308,7 @@ enum Poll {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::master::tests::make_splits;
     use crossbeam::channel::bounded;
     use dsi_types::{Batch, Sample, SessionId};
 
@@ -347,18 +324,19 @@ mod tests {
         }
     }
 
-    fn empty_master() -> Master {
-        Master::new(SessionId(1), Vec::new())
+    /// A master over six real splits, all completed: finished like a
+    /// master with no splits, with splits 0..6 for envelopes to name.
+    fn finished_master() -> Master {
+        let master = Master::new(SessionId(1), make_splits(6));
+        let w = master.register_worker();
+        while let Some((split, _)) = master.request_split(w).unwrap() {
+            master.complete_split(w, split.index).unwrap();
+        }
+        master
     }
 
     fn client(endpoints: Vec<Endpoint>, master: Master, fanout: usize) -> Client {
-        Client::new(
-            Arc::new(RwLock::new(endpoints)),
-            master,
-            Arc::new(Mutex::new(HashMap::new())),
-            fanout,
-            0,
-        )
+        Client::new(Arc::new(RwLock::new(endpoints)), master, fanout, 0)
     }
 
     #[test]
@@ -380,7 +358,7 @@ mod tests {
         tx1.send(envelope(0, 0, false, 1.0)).unwrap();
         tx1.send(envelope(0, 1, true, 2.0)).unwrap();
         tx2.send(envelope(1, 0, true, 3.0)).unwrap();
-        let mut c = client(endpoints, empty_master(), usize::MAX);
+        let mut c = client(endpoints, finished_master(), usize::MAX);
         let mut labels = Vec::new();
         for _ in 0..3 {
             labels.push(c.try_next_batch().unwrap().labels[0]);
@@ -403,7 +381,7 @@ mod tests {
         tx.send(envelope(5, 0, false, 1.0)).unwrap(); // replayed seq 0
         tx.send(envelope(5, 1, true, 2.0)).unwrap();
         drop(tx);
-        let mut c = client(endpoints, empty_master(), usize::MAX);
+        let mut c = client(endpoints, finished_master(), usize::MAX);
         assert_eq!(c.try_next_batch().unwrap().labels[0], 1.0);
         // The duplicate seq 0 is skipped; seq 1 comes through.
         assert_eq!(c.try_next_batch().unwrap().labels[0], 2.0);
@@ -418,8 +396,8 @@ mod tests {
             receiver: rx,
             capacity: 1,
         }];
-        let master = empty_master(); // zero splits: complete by definition
-        assert!(master.is_complete());
+        let master = finished_master();
+        assert!(master.ledger(SplitLedger::is_complete));
         tx.send(envelope(0, 0, false, 5.0)).unwrap();
         drop(tx);
         let mut c = client(endpoints, master, usize::MAX);
@@ -435,7 +413,7 @@ mod tests {
             receiver: rx,
             capacity: 1,
         }];
-        let mut c = client(endpoints, empty_master(), usize::MAX);
+        let mut c = client(endpoints, finished_master(), usize::MAX);
         // Master is complete but the channel is alive (worker running):
         // empty channel + live sender -> Pending until deadline.
         let got = c.next_batch_deadline(Duration::from_millis(20));
@@ -453,7 +431,7 @@ mod tests {
             capacity: 2,
         }];
         tx.send(envelope(0, 0, true, 4.0)).unwrap();
-        let mut c = client(endpoints, empty_master(), usize::MAX);
+        let mut c = client(endpoints, finished_master(), usize::MAX);
         let got = c.next_batch_deadline(Duration::ZERO);
         assert_eq!(got.unwrap().labels[0], 4.0);
         drop(tx);
@@ -467,7 +445,7 @@ mod tests {
             receiver: rx,
             capacity: 1,
         }];
-        let mut c = client(endpoints, empty_master(), usize::MAX);
+        let mut c = client(endpoints, finished_master(), usize::MAX);
         let start = Instant::now();
         assert!(c.next_batch_deadline(Duration::ZERO).is_none());
         assert!(
@@ -485,7 +463,7 @@ mod tests {
             receiver: rx,
             capacity: 1,
         }];
-        let mut c = client(endpoints, empty_master(), usize::MAX);
+        let mut c = client(endpoints, finished_master(), usize::MAX);
         let reg = dsi_obs::Registry::new();
         c.attach_registry(&reg);
         assert!(c.next_batch_deadline(Duration::from_millis(20)).is_none());
@@ -521,7 +499,7 @@ mod tests {
         tx2.send(envelope(0, 0, true, 9.0)).unwrap();
         drop(tx1);
         drop(tx2);
-        let mut c = client(endpoints, empty_master(), 1);
+        let mut c = client(endpoints, finished_master(), 1);
         assert_eq!(c.fanout(), 1);
         assert_eq!(c.next_batch().unwrap().labels[0], 9.0);
         assert!(c.next_batch().is_none());
@@ -537,7 +515,7 @@ mod tests {
             capacity: 4,
         }];
         tx.send(envelope(0, 0, true, 1.0)).unwrap();
-        let mut c = client(endpoints, empty_master(), usize::MAX);
+        let mut c = client(endpoints, finished_master(), usize::MAX);
         let reg = dsi_obs::Registry::new();
         c.attach_registry(&reg);
         assert!(c.try_next_batch().is_some());
@@ -569,7 +547,7 @@ mod tests {
         tx.send(traced).unwrap(); // replayed duplicate
         tx.send(envelope(4, 0, true, 2.0)).unwrap(); // unsampled
         drop(tx);
-        let mut c = client(endpoints, empty_master(), usize::MAX);
+        let mut c = client(endpoints, finished_master(), usize::MAX);
         let reg = dsi_obs::Registry::new();
         c.attach_registry(&reg);
         assert!(c.next_batch().is_some());
@@ -597,26 +575,35 @@ mod tests {
     }
 
     #[test]
+    fn envelope_naming_an_unknown_split_is_rejected() {
+        let (tx, rx) = bounded(4);
+        let endpoints = vec![Endpoint {
+            id: WorkerId(0),
+            receiver: rx,
+            capacity: 4,
+        }];
+        let mut unknown = envelope(6, 0, true, 1.0); // the session has 0..6
+        unknown.trace_id = 0xFACE;
+        tx.send(unknown).unwrap();
+        tx.send(envelope(u64::MAX, u32::MAX, false, 2.0)).unwrap();
+        tx.send(envelope(5, 0, true, 3.0)).unwrap();
+        drop(tx);
+        let mut c = client(endpoints, finished_master(), usize::MAX);
+        let reg = dsi_obs::Registry::new();
+        c.attach_registry(&reg);
+        // Neither unknown split reaches the trainer or the trace ring.
+        assert_eq!(c.next_batch().unwrap().labels[0], 3.0);
+        assert!(c.next_batch().is_none());
+        assert!(reg.trace_spans().is_empty());
+    }
+
+    #[test]
     fn consuming_last_tensor_acks_master() {
-        // Build a master with one real split and verify the client ack
-        // completes it.
-        use dsi_types::{FeatureId, PartitionId, Projection, TableId};
-        use warehouse::{Table, TableConfig};
-        let cluster = tectonic::TectonicCluster::new(tectonic::ClusterConfig::small());
-        let table = Table::create(cluster, TableConfig::new(TableId(1), "ack")).unwrap();
-        let mut s = Sample::new(0.0);
-        s.set_dense(FeatureId(1), 1.0);
-        table.write_partition(PartitionId::new(0), vec![s]).unwrap();
-        let splits = table
-            .scan(
-                PartitionId::new(0)..PartitionId::new(1),
-                Projection::new(vec![FeatureId(1)]),
-            )
-            .plan_splits();
-        let master = Master::new(SessionId(1), splits);
+        // A master with one real split: the client's ack completes it.
+        let master = Master::new(SessionId(1), make_splits(1));
         let w = master.register_worker();
-        let split = master.request_split(w).unwrap().unwrap();
-        assert!(!master.is_complete());
+        let (split, _) = master.request_split(w).unwrap().unwrap();
+        assert!(!master.ledger(SplitLedger::is_complete));
 
         let (tx, rx) = bounded(2);
         let endpoints = vec![Endpoint {
@@ -637,7 +624,7 @@ mod tests {
         drop(tx);
         let mut c = client(endpoints, master.clone(), usize::MAX);
         assert!(c.next_batch().is_some());
-        assert!(master.is_complete());
+        assert!(master.ledger(SplitLedger::is_complete));
         assert!(c.next_batch().is_none());
     }
 }

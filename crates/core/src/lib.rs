@@ -10,8 +10,10 @@
 //!
 //! * [`session`] — the session specification (the `DATASET` a training job
 //!   submits): dataset selection, transforms, batching;
-//! * [`master`] — the DPP Master: split distribution, progress tracking,
-//!   checkpointing, worker health, and replicated-failover state;
+//! * [`ledger`] — [`SplitLedger`], the pure state machine that owns the
+//!   exactly-once contract: split states, workers, queue, delivered tensors;
+//! * [`master`] — the DPP Master: the ledger behind one lock, serving
+//!   splits, checkpointing, worker health, and replicated-failover state;
 //! * [`autoscale`] — the Master's auto-scaling rule, driven by worker
 //!   utilization and the buffered-tensor signal;
 //! * [`tuning`] — the knob surface every scaling policy shares and
@@ -55,6 +57,7 @@
 
 pub mod autoscale;
 pub mod client;
+pub mod ledger;
 pub mod master;
 pub mod online;
 mod pipeline;
@@ -66,9 +69,10 @@ pub mod worker;
 
 pub use autoscale::{AutoScaler, ScalerConfig};
 pub use client::Client;
-pub use master::{Master, MasterCheckpoint, SplitState};
+pub use ledger::{Delivery, MasterCheckpoint, SplitLedger, SplitState};
+pub use master::Master;
 pub use online::{OnlineTuner, TunerConfig};
-pub use service::{DppSession, SessionCheckpoint, WorkerObservation};
+pub use service::{DppSession, WorkerObservation};
 pub use session::{Injection, SessionSpec, SessionSpecBuilder, Transport};
 pub use sim::{run_scenario, Scenario, TunePoint, TuneTrace};
 pub use tuning::{KnobBounds, KnobDelta, Knobs, LiveTuner, TunerPolicy, TunerSignals};

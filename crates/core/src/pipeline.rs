@@ -184,7 +184,7 @@ impl Stages {
             // stay in flight until clients consume and acknowledge them.
             return Err(EndReason::Drained);
         }
-        let (split, trace) = match self.master.request_split_ctx(self.id) {
+        let (split, trace) = match self.master.request_split(self.id) {
             Ok(Some(next)) => next,
             Ok(None) => return Err(EndReason::Exhausted),
             Err(_) => return Err(EndReason::MasterGone),
@@ -361,8 +361,9 @@ impl Stages {
     fn settle(&self, end: EndReason) {
         match end {
             EndReason::Exhausted | EndReason::Drained => self.master.drain_worker(self.id),
-            EndReason::StageFailed | EndReason::Crashed => self.master.fail_worker(self.id),
-            EndReason::ShutDown => self.master.deregister_worker(self.id),
+            EndReason::StageFailed | EndReason::Crashed | EndReason::ShutDown => {
+                self.master.fail_worker(self.id)
+            }
             EndReason::Killed | EndReason::MasterGone => {}
         }
     }

@@ -5,7 +5,8 @@
 //! buffers of §III-B1. Trainers attach [`Client`]s; the session exposes the
 //! Master's health-monitor actions (failure recovery, auto-scaling).
 
-use crate::client::{Client, Endpoint, Envelope, Progress};
+use crate::client::{Client, Endpoint, Envelope};
+use crate::ledger::{MasterCheckpoint, SplitLedger};
 use crate::master::Master;
 use crate::session::{SessionSpec, Transport};
 use crate::worker::{Worker, WorkerReport};
@@ -87,7 +88,6 @@ pub struct DppSession {
     controls: Mutex<HashMap<WorkerId, WorkerControl>>,
     finished_reports: Arc<Mutex<WorkerReport>>,
     clients_created: Mutex<usize>,
-    progress: Progress,
     obs: Arc<Mutex<Option<dsi_obs::Registry>>>,
     chaos: ChaosSlot,
     /// Per-worker TCP servers when the spec selects [`Transport::Tcp`];
@@ -95,25 +95,11 @@ pub struct DppSession {
     wires: Mutex<HashMap<WorkerId, wire::WireServer>>,
 }
 
-/// A whole-session checkpoint: the Master's split-state snapshot plus the
-/// clients' per-split consumption progress, enough to kill the session
-/// process mid-epoch and restore it with exactly-once delivery intact —
-/// replayed tensors that were already consumed dedup against the restored
-/// progress, and their final tensor re-acks the replaying worker.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionCheckpoint {
-    /// The Master's reader-state snapshot.
-    pub master: crate::master::MasterCheckpoint,
-    /// `(split, consumed tensor count)` pairs, sorted by split.
-    pub progress: Vec<(u64, u32)>,
-}
-
 impl std::fmt::Debug for DppSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DppSession")
-            .field("session", &self.master.session())
-            .field("workers", &self.master.worker_count())
-            .field("progress", &self.master.checkpoint().progress())
+            .field("master", &self.master)
+            .field("workers", &self.worker_count())
             .finish()
     }
 }
@@ -163,11 +149,7 @@ impl DppSession {
         registry: Option<&dsi_obs::Registry>,
         injector: Option<Arc<FaultInjector>>,
     ) -> Result<DppSession> {
-        let session = Self::launch_managed(table, spec, registry, injector)?;
-        for _ in 0..workers.max(1) {
-            session.spawn_worker();
-        }
-        Ok(session)
+        Self::open(table, spec, None, registry, injector).map(|s| s.staffed(workers))
     }
 
     /// Launches a session with *zero* workers: an external control plane
@@ -186,49 +168,16 @@ impl DppSession {
         registry: Option<&dsi_obs::Registry>,
         injector: Option<Arc<FaultInjector>>,
     ) -> Result<DppSession> {
-        spec.plan.validate()?;
-        let splits = session_scan(&table, &spec).plan_splits();
-        if splits.is_empty() {
-            return Err(DsiError::invalid_spec(
-                "session selects no partitions or rows",
-            ));
-        }
-        let master = Master::new(spec.id, splits);
-        let session = Self::assemble(master, spec, table, injector);
-        if let Some(reg) = registry {
-            session.attach_registry(reg);
-        }
-        Ok(session)
+        Self::open(table, spec, None, registry, injector)
     }
 
-    fn assemble(
-        master: Master,
-        spec: SessionSpec,
-        table: Table,
-        injector: Option<Arc<FaultInjector>>,
-    ) -> DppSession {
-        // Tracing state is not part of checkpoints, so this also re-arms
-        // sampling on every resume/restore path (they all assemble here).
-        master.set_trace_config(spec.trace);
-        DppSession {
-            master,
-            spec: Arc::new(spec),
-            knobs: Mutex::new(KnobOverrides::default()),
-            table,
-            registry: Arc::new(RwLock::new(Vec::new())),
-            controls: Mutex::new(HashMap::new()),
-            finished_reports: Arc::new(Mutex::new(WorkerReport::default())),
-            clients_created: Mutex::new(0),
-            progress: Arc::new(Mutex::new(HashMap::new())),
-            obs: Arc::new(Mutex::new(None)),
-            chaos: Arc::new(RwLock::new(injector)),
-            wires: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Resumes a session from a Master checkpoint (e.g. after the primary
-    /// Master and its workers were lost): completed splits are not
-    /// re-read; everything else replays.
+    /// Resumes a session from a checkpoint (the primary Master and its
+    /// workers were lost, or the whole process was killed mid-epoch):
+    /// completed splits are not re-read, everything else replays, and
+    /// replayed tensors a client already consumed dedup against the
+    /// checkpoint's delivered counts. Like
+    /// [`DppSession::launch_observed_chaos`], it installs the injector and
+    /// attaches `registry` before the first worker spawns.
     ///
     /// # Errors
     ///
@@ -238,77 +187,62 @@ impl DppSession {
     pub fn resume(
         table: Table,
         spec: SessionSpec,
-        checkpoint: &crate::master::MasterCheckpoint,
-        workers: usize,
-    ) -> Result<DppSession> {
-        Self::restore(table, spec, checkpoint, &[], workers, None, None)
-    }
-
-    /// Takes a whole-session checkpoint: Master split state plus client
-    /// consumption progress, sorted for a deterministic dump.
-    pub fn checkpoint_session(&self) -> SessionCheckpoint {
-        let mut progress: Vec<(u64, u32)> =
-            self.progress.lock().iter().map(|(&s, &n)| (s, n)).collect();
-        progress.sort_unstable();
-        SessionCheckpoint {
-            master: self.master.checkpoint(),
-            progress,
-        }
-    }
-
-    /// Restores a session from a [`SessionCheckpoint`] (the whole process
-    /// was killed mid-epoch): incomplete splits replay, clients created on
-    /// the restored session inherit the checkpointed consumption progress
-    /// so already-consumed tensors dedup, and the replayed final tensor of
-    /// a fully-consumed split re-acks the replaying worker. The optional
-    /// injector is installed, and `registry` attached, before the first
-    /// replacement worker spawns, so replayed splits are faulted and
-    /// traced from the first post-restore schedule (see
-    /// [`DppSession::launch_observed_chaos`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DppSession::resume`].
-    pub fn resume_observed_session(
-        table: Table,
-        spec: SessionSpec,
-        checkpoint: &SessionCheckpoint,
+        checkpoint: &MasterCheckpoint,
         workers: usize,
         registry: Option<&dsi_obs::Registry>,
         injector: Option<Arc<FaultInjector>>,
     ) -> Result<DppSession> {
-        Self::restore(
-            table,
-            spec,
-            &checkpoint.master,
-            &checkpoint.progress,
-            workers,
-            registry,
-            injector,
-        )
+        Self::open(table, spec, Some(checkpoint), registry, injector).map(|s| s.staffed(workers))
     }
 
-    fn restore(
+    /// Plans the scan and builds the Master — fresh, or restored from
+    /// `checkpoint` — installing the injector and attaching `registry`
+    /// before any worker exists.
+    fn open(
         table: Table,
         spec: SessionSpec,
-        master: &crate::master::MasterCheckpoint,
-        progress: &[(u64, u32)],
-        workers: usize,
+        checkpoint: Option<&MasterCheckpoint>,
         registry: Option<&dsi_obs::Registry>,
         injector: Option<Arc<FaultInjector>>,
     ) -> Result<DppSession> {
         spec.plan.validate()?;
         let splits = session_scan(&table, &spec).plan_splits();
-        let master = Master::restore(master, splits)?;
-        let session = Self::assemble(master, spec, table, injector);
-        *session.progress.lock() = progress.iter().copied().collect();
+        let master = match checkpoint {
+            Some(checkpoint) => Master::restore(checkpoint, splits)?,
+            None if splits.is_empty() => {
+                return Err(DsiError::invalid_spec(
+                    "session selects no partitions or rows",
+                ))
+            }
+            None => Master::new(spec.id, splits),
+        };
+        // Checkpoints carry no tracing state: re-arm sampling either way.
+        master.set_trace_config(spec.trace);
+        let session = DppSession {
+            master,
+            spec: Arc::new(spec),
+            knobs: Mutex::new(KnobOverrides::default()),
+            table,
+            registry: Arc::new(RwLock::new(Vec::new())),
+            controls: Mutex::new(HashMap::new()),
+            finished_reports: Arc::new(Mutex::new(WorkerReport::default())),
+            clients_created: Mutex::new(0),
+            obs: Arc::new(Mutex::new(None)),
+            chaos: Arc::new(RwLock::new(injector)),
+            wires: Mutex::new(HashMap::new()),
+        };
         if let Some(reg) = registry {
             session.attach_registry(reg);
         }
-        for _ in 0..workers.max(1) {
-            session.spawn_worker();
-        }
         Ok(session)
+    }
+
+    /// Spawns `workers` (at least one) and returns the session.
+    fn staffed(self, workers: usize) -> Self {
+        for _ in 0..workers.max(1) {
+            self.spawn_worker();
+        }
+        self
     }
 
     /// Attaches a chaos fault injector to every worker (current and
@@ -510,7 +444,7 @@ impl DppSession {
 
     /// Live (registered) worker count.
     pub fn worker_count(&self) -> usize {
-        self.master.worker_count()
+        self.master.ledger(SplitLedger::workers)
     }
 
     /// Creates a trainer-side client with the given connection cap.
@@ -522,7 +456,6 @@ impl DppSession {
         let mut client = Client::new(
             Arc::clone(&self.registry),
             self.master.clone(),
-            Arc::clone(&self.progress),
             fanout,
             offset,
         );
@@ -627,7 +560,7 @@ impl DppSession {
 
     /// Whether every split has been processed and acknowledged.
     pub fn is_complete(&self) -> bool {
-        self.master.is_complete()
+        self.master.ledger(SplitLedger::is_complete)
     }
 
     /// Shuts the session down: signals workers, unblocks any sender by
@@ -905,43 +838,61 @@ mod tests {
 
     #[test]
     fn resume_from_checkpoint_skips_completed_splits() {
-        let table = build_table(3, 64);
-        let session = DppSession::launch(table.clone(), spec(3), 2).unwrap();
-        let mut client = session.client();
-        // Consume roughly half the dataset, then take a checkpoint and
-        // tear the whole session down (master + workers "lost").
-        let mut first_half = Vec::new();
-        while first_half.len() < 96 {
-            let t = client.next_batch().expect("mid-session batches");
-            first_half.extend(t.labels.iter().map(|&l| l as u32));
-        }
-        let checkpoint = session.master().checkpoint();
-        assert!(checkpoint.completed.len() >= 2);
-        session.shutdown();
+        // Batch 8 splits each 16-row split into two tensors, so the
+        // checkpoint can land between a split's tensors.
+        for batch_size in [16, 8] {
+            let table = build_table(3, 64);
+            let mut sp = spec(3);
+            sp.batch_size = batch_size;
+            let session = DppSession::launch(table.clone(), sp.clone(), 2).unwrap();
+            let mut client = session.client();
+            // Consume roughly half the dataset, then take a checkpoint and
+            // tear the whole session down (master + workers "lost").
+            let mut first_half = Vec::new();
+            while first_half.len() < 96 {
+                let t = client.next_batch().expect("mid-session batches");
+                first_half.extend(t.labels.iter().map(|&l| l as u32));
+            }
+            let checkpoint = session.master().checkpoint();
+            assert!(checkpoint.completed.len() >= 2);
+            session.shutdown();
 
-        // A replacement master resumes from the checkpoint.
-        let resumed = DppSession::resume(table, spec(3), &checkpoint, 2).unwrap();
-        let mut client = resumed.client();
-        let mut rest = Vec::new();
-        while let Some(t) = client.next_batch() {
-            rest.extend(t.labels.iter().map(|&l| l as u32));
-        }
-        resumed.shutdown();
+            // A replacement master resumes from the checkpoint.
+            let resumed = DppSession::resume(table, sp, &checkpoint, 2, None, None).unwrap();
+            let mut client = resumed.client();
+            let mut rest = Vec::new();
+            while let Some(t) = client.next_batch() {
+                rest.extend(t.labels.iter().map(|&l| l as u32));
+            }
+            resumed.shutdown();
 
-        // Completed splits did not replay; incomplete ones did. Together
-        // with the first half, coverage is complete (overlap only from
-        // splits that were in flight at checkpoint time).
-        let mut all: Vec<u32> = first_half.iter().chain(rest.iter()).copied().collect();
-        all.sort_unstable();
-        all.dedup();
+            // Completed splits did not replay; incomplete ones did, and
+            // their tensors consumed before the checkpoint dedup against
+            // its delivered counts: together the two halves are the
+            // dataset exactly once.
+            let mut all: Vec<u32> = first_half.iter().chain(rest.iter()).copied().collect();
+            all.sort_unstable();
+            assert_eq!(
+                all,
+                (0..192).collect::<Vec<_>>(),
+                "batch {batch_size}: exactly once across the resume"
+            );
+        }
+    }
+
+    #[test]
+    fn debug_format_takes_no_checkpoint() {
+        let session = DppSession::launch(build_table(1, 16), spec(1), 1).unwrap();
+        let reg = dsi_obs::Registry::new();
+        session.attach_registry(&reg);
+        let shown = format!("{session:?}");
+        assert!(shown.contains("completed"), "{shown}");
+        let job = [("job", "sess5")];
         assert_eq!(
-            all,
-            (0..192).collect::<Vec<_>>(),
-            "full coverage after resume"
+            reg.counter_value(dsi_obs::names::MASTER_CHECKPOINTS_TOTAL, &job),
+            0
         );
-        // The resumed session re-read at most the non-checkpointed rows
-        // plus one in-flight split worth of replay.
-        assert!(rest.len() <= 192 - 96 + 96, "rest {}", rest.len());
+        session.shutdown();
     }
 
     #[test]
@@ -974,7 +925,7 @@ mod tests {
         let mut client = session.client();
         let labels = drain_labels(&mut client);
         assert_eq!(labels.len(), 192);
-        let total = session.master().total_splits();
+        let total = session.master().ledger(SplitLedger::total);
         let report = session.shutdown();
 
         // Everything the session writes carries the session id as a `job`
@@ -1108,7 +1059,7 @@ mod tests {
             let mut client = session.client();
             let labels = drain_labels(&mut client);
             assert_eq!(labels.len(), 192);
-            let total = session.master().total_splits();
+            let total = session.master().ledger(SplitLedger::total);
             let worker_report = session.shutdown();
 
             let spans = reg.trace_spans();

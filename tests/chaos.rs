@@ -20,7 +20,7 @@
 //!   ...
 //! ```
 
-use dpp::{SessionCheckpoint, SessionSpec};
+use dpp::{MasterCheckpoint, SessionSpec};
 use dsi::chaos::{
     check_durability, check_exactly_once, check_obs_accounting, note_injected, shrink_plan,
     with_watchdog, ChaosConfig, DurabilityStats, EpochTrace, FaultEvent, InvariantReport,
@@ -144,7 +144,7 @@ fn launch_with_retry(
     spec: &SessionSpec,
     workers: usize,
     injector: &Arc<FaultInjector>,
-    from: Option<&SessionCheckpoint>,
+    from: Option<&MasterCheckpoint>,
     registry: Option<&Registry>,
 ) -> DppSession {
     let mut last = None;
@@ -157,7 +157,7 @@ fn launch_with_retry(
                 registry,
                 Some(Arc::clone(injector)),
             ),
-            Some(ckpt) => DppSession::resume_observed_session(
+            Some(ckpt) => DppSession::resume(
                 world.table.clone(),
                 spec.clone(),
                 ckpt,
@@ -219,9 +219,9 @@ fn drive_epoch(injector: Arc<FaultInjector>, opts: EpochOpts) -> EpochRun {
                 for kind in injector.fire(HookPoint::Harness) {
                     match kind {
                         FaultKind::ClientReconnect => {
-                            // Trainer-side disconnect: the replacement
-                            // client shares consumption progress, so
-                            // replayed tensors still dedup.
+                            // Trainer-side disconnect: delivered counts
+                            // live in the Master's ledger, not the client,
+                            // so replayed tensors still dedup.
                             client = session.client();
                         }
                         FaultKind::WorkerKill => kill_one_worker(&session),
@@ -251,7 +251,7 @@ fn drive_epoch(injector: Arc<FaultInjector>, opts: EpochOpts) -> EpochRun {
                             while world.cluster.pump_rebuild(8).remaining > 0 {}
                         }
                         FaultKind::MasterKillRestore => {
-                            let ckpt = session.checkpoint_session();
+                            let ckpt = session.master().checkpoint();
                             session.shutdown();
                             session = launch_with_retry(
                                 &world,
@@ -556,9 +556,9 @@ fn regression_client_disconnect_reconnect_preserves_progress() {
 
 #[test]
 fn regression_worker_kill_races_split_completion_ack() {
-    // The request_split/complete_split race this schedule regresses: a
-    // worker is killed right as batches are being consumed, so a split's
-    // final-tensor ack can race the kill's fail_worker requeue. The
+    // The ack race this schedule regresses: a worker is killed right as
+    // batches are being consumed, so a split's final-tensor ack can race
+    // the kill's fail_worker requeue. The
     // replayed duplicate must re-ack, or the split stays in flight and
     // the epoch livelocks (caught by the watchdog).
     let plan = FaultPlan::named(vec![

@@ -6,7 +6,7 @@
 //! ad-hoc row counters, so every schedule is reproducible and shrinkable.
 //! (The full invariant-checked chaos suite lives in `tests/chaos.rs`.)
 
-use dpp::{Master, SessionSpec};
+use dpp::{Master, SessionSpec, SplitLedger};
 use dsi::chaos::FaultEvent;
 use dsi::prelude::*;
 use std::collections::HashSet;
@@ -137,7 +137,7 @@ fn master_checkpoint_restore_replays_only_incomplete_work() {
 
     // Process 4 splits "to completion" (consumed), leave the rest.
     for _ in 0..4 {
-        let split = master.request_split(w).unwrap().unwrap();
+        let (split, _) = master.request_split(w).unwrap().unwrap();
         master.complete_split(w, split.index).unwrap();
     }
     let checkpoint = master.checkpoint();
@@ -164,7 +164,7 @@ fn master_checkpoint_restore_replays_only_incomplete_work() {
     );
     let w2 = restored.register_worker();
     let mut replayed = 0;
-    while let Some(split) = restored.request_split(w2).unwrap() {
+    while let Some((split, _)) = restored.request_split(w2).unwrap() {
         assert!(
             !checkpoint.completed.contains(&split.index),
             "split {} replayed despite checkpoint",
@@ -173,13 +173,13 @@ fn master_checkpoint_restore_replays_only_incomplete_work() {
         restored.complete_split(w2, split.index).unwrap();
         replayed += 1;
     }
-    assert_eq!(replayed as u64, restored.total_splits() - 4);
-    assert!(restored.is_complete());
+    assert_eq!(replayed as u64, restored.ledger(SplitLedger::total) - 4);
+    assert!(restored.ledger(SplitLedger::is_complete));
     let _ = restored.checkpoint();
     assert_eq!(reg.counter_value(names::MASTER_CHECKPOINTS_TOTAL, &job), 2);
     assert_eq!(
         reg.counter_value(names::MASTER_SPLITS_COMPLETED_TOTAL, &job),
-        restored.total_splits()
+        restored.ledger(SplitLedger::total)
     );
 }
 
@@ -353,9 +353,9 @@ fn replicated_master_failover_is_transparent() {
     let primary = Master::new(SessionId(3), splits);
     let replica = primary.clone();
     let w = primary.register_worker();
-    while let Some(split) = replica.request_split(w).unwrap() {
+    while let Some((split, _)) = replica.request_split(w).unwrap() {
         primary.complete_split(w, split.index).unwrap();
     }
-    assert!(replica.is_complete());
+    assert!(replica.ledger(SplitLedger::is_complete));
     assert_eq!(replica.checkpoint(), primary.checkpoint());
 }
