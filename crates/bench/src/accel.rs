@@ -7,39 +7,19 @@
 //! kernels whose launch overheads are non-negligible. This model prices an
 //! offloaded plan accordingly.
 
-use crate::cost::OpCost;
-use crate::op::TransformOp;
-use crate::plan::TransformPlan;
-use serde::{Deserialize, Serialize};
-
-/// Where preprocessing runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Placement {
-    /// On the trainer host CPU (the insufficient baseline of Table VII).
-    HostCpu,
-    /// On the training GPU itself (risks contending with training).
-    TrainingGpu,
-    /// On disaggregated general-purpose CPU nodes (DPP's choice).
-    DisaggCpu,
-    /// On dedicated preprocessing accelerators (open research).
-    DisaggAccelerator,
-}
+use transforms::{OpCost, TransformOp, TransformPlan};
 
 /// GPU-offload cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccelModel {
     /// Kernel launch overhead in CPU-cycle equivalents (≈5 µs at 2.5 GHz).
     pub launch_overhead_cycles: f64,
-    /// Fraction of training GPU cycles preprocessing may steal before
-    /// degrading training throughput.
-    pub gpu_contention_budget: f64,
 }
 
 impl Default for AccelModel {
     fn default() -> Self {
         Self {
             launch_overhead_cycles: 12_500.0,
-            gpu_contention_budget: 0.10,
         }
     }
 }
@@ -98,13 +78,6 @@ impl AccelModel {
             gpu_cycles += op_cycles / Self::gpu_speedup(op) + self.launch_overhead_cycles;
         }
         cpu_cycles / gpu_cycles
-    }
-
-    /// Whether offloading to the training GPU fits in the contention
-    /// budget, given preprocessing would need `preproc_gpu_fraction` of the
-    /// GPU.
-    pub fn fits_training_gpu(&self, preproc_gpu_fraction: f64) -> bool {
-        preproc_gpu_fraction <= self.gpu_contention_budget
     }
 }
 
@@ -170,13 +143,6 @@ mod tests {
             1.0
         );
         assert_eq!(model.effective_plan_speedup(&hash_plan(1), 0, 10.0), 1.0);
-    }
-
-    #[test]
-    fn contention_budget() {
-        let model = AccelModel::default();
-        assert!(model.fits_training_gpu(0.05));
-        assert!(!model.fits_training_gpu(0.5));
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! (`hwsim` node saturation) or virtual time, so the same seed prints the
 //! same table on any host. Wall-clock rates come from `dsibench` alone.
 
+use crate::accel::AccelModel;
+use crate::model::{loading_sweep, onhost_baseline, per_sample_demand, GpuDemand};
 use crate::report::{f, pct, print_table};
 use crate::{durability, LabConfig, RmLab};
 use dpp::{run_scenario, ExtractCostModel, Scenario, WorkerReport};
@@ -26,8 +28,7 @@ use synth::{
     GrowthModel, JobProjectionSampler, LifecycleModel, LifecycleSnapshot, RmClass, RmProfile,
 };
 use tectonic::{ProvisionPlan, StorageNodeClass, TieredPlacement};
-use trainer::{loading_sweep, onhost_baseline, GpuDemand};
-use transforms::{AccelModel, TransformOp, TransformPlan};
+use transforms::{TransformOp, TransformPlan};
 
 /// One experiment: its id on the command line and the function that prints
 /// it (the argument is `--smoke`, which only the ablations look at).
@@ -979,7 +980,7 @@ fn codesign() {
         let report = lab.measure_worker_custom(&spec, step.policy, Some(step.cost));
 
         // DPP throughput: saturation QPS on C-v1.
-        let demand = report.per_sample_demand(&tax);
+        let demand = per_sample_demand(&report, &tax);
         let dpp_qps = node.max_rate(&demand);
 
         // Storage effectiveness per HDD node: integrate the real per-IO
@@ -1080,8 +1081,8 @@ fn codesign() {
 /// trainer's loading demand — plus the `dsi_dedup_*` metric catalog as a
 /// `PipelineReport` section.
 fn dedup_ablation(smoke: bool) {
+    use crate::model::DedupIngest;
     use dedup::DedupConfig;
-    use trainer::DedupIngest;
 
     let ratios: &[f64] = if smoke {
         &[1.0, 4.0]
@@ -1147,8 +1148,8 @@ fn dedup_ablation(smoke: bool) {
         spec_on.dedup = Some(dcfg);
         let r_off = lab_off.measure_worker(&spec_off);
         let r_on = lab_on.measure_worker(&spec_on);
-        let qps_off = r_off.saturation_qps(&node, &tax);
-        let qps_on = r_on.saturation_qps(&node, &tax);
+        let qps_off = node.max_rate(&per_sample_demand(&r_off, &tax));
+        let qps_on = node.max_rate(&per_sample_demand(&r_on, &tax));
 
         // Trainer leg: shared-tensor ingestion cost per sample.
         let mut ingest = DedupIngest::default();
@@ -1399,7 +1400,7 @@ fn capacity() {
 
 /// Per-sample demand scaled from lab feature counts to production counts.
 fn scaled_demand(report: &WorkerReport, tax: &DatacenterTax, scale: f64) -> ResourceVector {
-    let base = report.per_sample_demand(tax);
+    let base = per_sample_demand(report, tax);
     ResourceVector {
         cpu_cycles: base.cpu_cycles * scale,
         membw_bytes: base.membw_bytes * scale,

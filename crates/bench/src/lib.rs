@@ -6,12 +6,15 @@
 //! real DPP Workers over it to *measure* the quantities the paper reports
 //! (bytes read, IO sizes, per-sample resource demand, transform cycle
 //! splits). The `figures` binary and the criterion benches both build on
-//! it.
+//! it, and [`model`] and [`accel`] hold the paper's analytic models that
+//! `figures` prices those measurements with.
 
 #![warn(missing_docs)]
 
+pub mod accel;
 pub mod durability;
 pub mod figures;
+pub mod model;
 pub mod report;
 pub mod rmlab;
 

@@ -28,7 +28,9 @@
 //! * [`client`] — DPP Clients: the trainer-side hook that fetches tensor
 //!   batches over partitioned round-robin connections;
 //! * [`service`] — [`DppSession`]: wiring master, threaded workers, and
-//!   clients together for an end-to-end run.
+//!   clients together for an end-to-end run;
+//! * [`trainer`] — [`LiveTrainer`], the wall-clock consumer of a client,
+//!   and the [`StallReport`] it returns.
 //!
 //! # Example
 //!
@@ -64,6 +66,7 @@ mod pipeline;
 pub mod service;
 pub mod session;
 pub mod sim;
+pub mod trainer;
 pub mod tuning;
 pub mod worker;
 
@@ -75,6 +78,7 @@ pub use online::{OnlineTuner, TunerConfig};
 pub use service::{DppSession, WorkerObservation};
 pub use session::{Injection, SessionSpec, SessionSpecBuilder, Transport};
 pub use sim::{run_scenario, Scenario, TunePoint, TuneTrace};
+pub use trainer::{LiveTrainer, StallReport};
 pub use tuning::{KnobBounds, KnobDelta, Knobs, LiveTuner, TunerPolicy, TunerSignals};
 pub use wire::WireConfig;
 pub use worker::{ExtractCostModel, Worker, WorkerReport};

@@ -1101,9 +1101,6 @@ mod tests {
                     .expect("Deliver hangs under a Load span");
                 assert!(load.end_ns <= d.start_ns);
             }
-            let report = dsi_trace::analyze(&spans);
-            assert_eq!(report.traces as u64, total);
-            assert!(report.end_to_end_p50_ms > 0.0);
         }
     }
 

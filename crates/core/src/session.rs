@@ -19,7 +19,7 @@ use wire::WireConfig;
 pub enum Transport {
     /// In-process bounded channels (the default): the Worker→Client
     /// boundary is free, and the datacenter tax is charged analytically
-    /// by `hwsim::DatacenterTax`.
+    /// by the benchmark's node model (`dsi_bench::model`).
     #[default]
     InProcess,
     /// Framed TCP over localhost: every envelope is serialized, framed,

@@ -1,41 +1,81 @@
 //! A wall-clock trainer that consumes a live DPP session.
 //!
-//! [`LiveTrainer`] drives a real [`dpp::Client`]: each iteration fetches a
+//! [`LiveTrainer`] drives a real [`Client`]: each iteration fetches a
 //! tensor (measuring time blocked on data) and then "trains" on it for the
-//! model's batch service time. It is the measurement harness the
-//! integration tests and the end-to-end example use to show that DPP
-//! eliminates stalls a starved configuration exhibits.
+//! batch's GPU service time at the trainer's sample rate. It is the
+//! measurement harness the integration tests and the end-to-end example use
+//! to show that DPP eliminates stalls a starved configuration exhibits.
+//!
+//! The GPU stalls whenever no tensor is buffered at iteration start — the
+//! condition DPP's buffered tensors are sized against (§III-B1:
+//! "maintaining a non-zero number of buffered tensors"); [`StallReport`]
+//! says how long that was.
 
-use crate::demand::GpuDemand;
-use crate::stall::StallReport;
-use dpp::Client;
+use crate::Client;
+use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
+
+/// How long a trainer ran and how much of that it waited for data.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct StallReport {
+    /// Batches consumed.
+    pub batches: u64,
+    /// Total seconds.
+    pub elapsed_secs: f64,
+    /// Seconds the GPU spent waiting for data.
+    pub stalled_secs: f64,
+    /// `stalled_secs / elapsed_secs`.
+    pub stall_fraction: f64,
+}
+
+impl StallReport {
+    /// Publishes this report into `registry` under `job` (the session the
+    /// trainer consumes; sessions sharing a registry never collide): the
+    /// data-stall fraction, stalled/elapsed wall-time gauges, the
+    /// consumed-batch counter, and one `stall` stage observation carrying
+    /// the total stalled time (so the pipeline report's stage table shows
+    /// where the GPU waited).
+    pub fn publish_metrics(&self, registry: &dsi_obs::Registry, job: &str) {
+        use dsi_obs::names;
+        let labels = [("job", job)];
+        registry
+            .gauge(names::TRAINER_STALL_FRACTION, &labels)
+            .set(self.stall_fraction);
+        registry
+            .gauge(names::TRAINER_STALLED_SECONDS, &labels)
+            .set(self.stalled_secs);
+        registry
+            .gauge(names::TRAINER_ELAPSED_SECONDS, &labels)
+            .set(self.elapsed_secs);
+        registry
+            .counter(names::TRAINER_BATCHES_TOTAL, &labels)
+            .add(self.batches);
+        dsi_obs::observe_stage_seconds(registry, job, dsi_obs::stage::STALL, self.stalled_secs);
+    }
+}
 
 /// A wall-clock training loop over a DPP client.
 #[derive(Debug)]
 pub struct LiveTrainer {
     client: Client,
-    demand: GpuDemand,
-    /// Scales simulated GPU time (1.0 = real time; smaller = faster tests).
-    time_scale: f64,
+    /// Samples per second the simulated GPUs consume.
+    samples_per_sec: f64,
     registry: Option<dsi_obs::Registry>,
 }
 
 impl LiveTrainer {
-    /// Creates a trainer over `client` with the given demand model.
-    pub fn new(client: Client, demand: GpuDemand) -> Self {
+    /// Creates a trainer over `client` whose GPUs consume `samples_per_sec`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples_per_sec` is not positive.
+    pub fn new(client: Client, samples_per_sec: f64) -> Self {
+        assert!(samples_per_sec > 0.0, "sample rate must be positive");
         Self {
             client,
-            demand,
-            time_scale: 1.0,
+            samples_per_sec,
             registry: None,
         }
-    }
-
-    /// Scales simulated GPU service time (builder-style; useful in tests).
-    pub fn with_time_scale(mut self, scale: f64) -> Self {
-        self.time_scale = scale;
-        self
     }
 
     /// Attaches a metrics registry (builder-style): each [`LiveTrainer::train`]
@@ -46,29 +86,20 @@ impl LiveTrainer {
     }
 
     /// Consumes up to `max_batches` batches (or until the session ends),
-    /// returning the stall report and the number of samples trained:
-    /// [`LiveTrainer::train_prefetched`] at depth 0.
-    pub fn train(&mut self, max_batches: u64) -> (StallReport, u64) {
-        self.train_prefetched(max_batches, 0)
-    }
-
-    /// The training loop at a prefetch depth. At depth 0 the trainer's own
-    /// thread fetches each batch and then trains on it. At depth ≥ 1 a
-    /// dedicated thread fetches through a `depth`-deep bounded buffer, so
-    /// the next tensor's network/deserialize latency overlaps the current
-    /// batch's GPU time instead of extending the stall — the trainer-side
-    /// leg of the end-to-end fastpath pipeline.
-    pub fn train_prefetched(&mut self, max_batches: u64, depth: usize) -> (StallReport, u64) {
+    /// returning the stall report and the number of samples trained.
+    ///
+    /// At `depth` 0 the trainer's own thread fetches each batch and then
+    /// trains on it. At depth ≥ 1 a dedicated thread fetches through a
+    /// `depth`-deep bounded buffer, so the next tensor's network/deserialize
+    /// latency overlaps the current batch's GPU time instead of extending
+    /// the stall — the trainer-side leg of the end-to-end fastpath pipeline.
+    /// Either way at most `max_batches` tensors leave the client, so a
+    /// capped run leaves the rest for the next call.
+    pub fn train(&mut self, max_batches: u64, depth: usize) -> (StallReport, u64) {
         let client = &mut self.client;
         let (report, samples) = if depth == 0 {
             let next = || client.next_batch().map(|t| (t, client.last_trace()));
-            consume(
-                self.demand,
-                self.time_scale,
-                &self.registry,
-                max_batches,
-                next,
-            )
+            consume(self.samples_per_sec, &self.registry, max_batches, next)
         } else {
             // The prefetch channel carries each tensor's delivery trace
             // context alongside it, so Consume spans stay attached to the
@@ -77,23 +108,21 @@ impl LiveTrainer {
             let (tx, rx) = crossbeam::channel::bounded(depth);
             std::thread::scope(|scope| {
                 scope.spawn(move || {
-                    while let Some(tensor) = client.next_batch() {
+                    for _ in 0..max_batches {
+                        let Some(tensor) = client.next_batch() else {
+                            break;
+                        };
                         let trace = client.last_trace();
                         if tx.send((tensor, trace)).is_err() {
-                            break; // consumer reached max_batches
+                            break;
                         }
                     }
                 });
-                // `rx` drops with this closure, which unblocks the fetcher
-                // if it is mid-send.
+                // The consumer takes every tensor the fetcher sends (at most
+                // `max_batches`); `rx` dropping with this closure only
+                // unblocks the fetcher if the consumer panics.
                 let next = move || rx.recv().ok();
-                consume(
-                    self.demand,
-                    self.time_scale,
-                    &self.registry,
-                    max_batches,
-                    next,
-                )
+                consume(self.samples_per_sec, &self.registry, max_batches, next)
             })
         };
         if let Some(reg) = &self.registry {
@@ -112,8 +141,7 @@ impl LiveTrainer {
 /// then occupies the GPU for the batch's service time, until `max_batches`
 /// or `next` runs dry.
 fn consume(
-    demand: GpuDemand,
-    time_scale: f64,
+    samples_per_sec: f64,
     registry: &Option<dsi_obs::Registry>,
     max_batches: u64,
     mut next: impl FnMut() -> Option<(dsi_types::MiniBatchTensor, dsi_obs::TraceContext)>,
@@ -130,7 +158,7 @@ fn consume(
         stalled += wait_start.elapsed();
         batches += 1;
         samples += tensor.batch_size() as u64;
-        let service = demand.batch_service_secs(tensor.batch_size()) * time_scale;
+        let service = tensor.batch_size() as f64 / samples_per_sec;
         let consume_start = dsi_obs::now_ns();
         spin_sleep(Duration::from_secs_f64(service));
         record_consume(registry, trace, consume_start);
@@ -190,7 +218,7 @@ fn spin_sleep(d: Duration) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpp::{DppSession, SessionSpec};
+    use crate::{DppSession, SessionSpec};
     use dsi_types::{FeatureId, PartitionId, Projection, Sample, SessionId, SparseList, TableId};
     use warehouse::{Table, TableConfig};
 
@@ -232,10 +260,9 @@ mod tests {
     fn live_trainer_consumes_session() {
         let table = build_table(256);
         let session = DppSession::launch(table, spec(), 2).unwrap();
-        // A slow GPU (low demand): preprocessing keeps up, stalls near 0.
-        let demand = GpuDemand::new(3.2e6, 100.0); // 32k samples/s
-        let mut trainer = LiveTrainer::new(session.client(), demand);
-        let (report, samples) = trainer.train(u64::MAX);
+        // A slow GPU: preprocessing keeps up, stalls near 0.
+        let mut trainer = LiveTrainer::new(session.client(), 32_000.0);
+        let (report, samples) = trainer.train(u64::MAX, 0);
         assert_eq!(samples, 256);
         assert_eq!(report.batches, 8);
         session.shutdown();
@@ -249,17 +276,44 @@ mod tests {
     }
 
     #[test]
+    fn report_publishes_stall_metrics() {
+        use dsi_obs::names;
+        let r = StallReport {
+            batches: 1_000,
+            elapsed_secs: 20.0,
+            stalled_secs: 10.0,
+            stall_fraction: 0.5,
+        };
+        let reg = dsi_obs::Registry::new();
+        r.publish_metrics(&reg, "sess1");
+        let job = [("job", "sess1")];
+        assert!(
+            (reg.gauge_value(names::TRAINER_STALL_FRACTION, &job) - r.stall_fraction).abs() < 1e-12
+        );
+        assert!(
+            (reg.gauge_value(names::TRAINER_STALLED_SECONDS, &job) - r.stalled_secs).abs() < 1e-12
+        );
+        assert_eq!(reg.counter_value(names::TRAINER_BATCHES_TOTAL, &job), 1_000);
+        // The stall stage carries the GPU's waiting time.
+        let stall = reg
+            .histogram(
+                dsi_obs::span::STAGE_SECONDS,
+                &[("job", "sess1"), ("stage", dsi_obs::stage::STALL)],
+            )
+            .snapshot();
+        assert_eq!(stall.count, 1);
+        assert!((stall.sum - r.stalled_secs).abs() < 1e-12);
+    }
+
+    #[test]
     fn live_trainer_publishes_stall_metrics() {
         use dsi_obs::names;
         let table = build_table(128);
         let session = DppSession::launch(table, spec(), 2).unwrap();
         let reg = dsi_obs::Registry::new();
         session.attach_registry(&reg);
-        let demand = GpuDemand::new(3.2e6, 100.0);
-        let mut trainer = LiveTrainer::new(session.client(), demand)
-            .with_time_scale(0.1)
-            .with_registry(&reg);
-        let (report, samples) = trainer.train(u64::MAX);
+        let mut trainer = LiveTrainer::new(session.client(), 320_000.0).with_registry(&reg);
+        let (report, samples) = trainer.train(u64::MAX, 0);
         session.shutdown();
         // Trainer metrics carry the session's `job` label.
         let job = [("job", "sess1")];
@@ -278,22 +332,15 @@ mod tests {
     }
 
     #[test]
-    fn consume_spans_terminate_traces_in_both_modes() {
-        for prefetched in [false, true] {
+    fn consume_spans_terminate_traces_at_every_depth() {
+        for depth in [0, 2] {
             let table = build_table(128);
             let mut s = spec();
             s.trace = dsi_trace::TraceConfig::all();
             let reg = dsi_obs::Registry::new();
             let session = DppSession::launch_observed_chaos(table, s, 2, Some(&reg), None).unwrap();
-            let demand = GpuDemand::new(3.2e6, 100.0);
-            let mut trainer = LiveTrainer::new(session.client(), demand)
-                .with_time_scale(0.01)
-                .with_registry(&reg);
-            let (_, samples) = if prefetched {
-                trainer.train_prefetched(u64::MAX, 2)
-            } else {
-                trainer.train(u64::MAX)
-            };
+            let mut trainer = LiveTrainer::new(session.client(), 3_200_000.0).with_registry(&reg);
+            let (_, samples) = trainer.train(u64::MAX, depth);
             assert_eq!(samples, 128);
             session.shutdown();
 
@@ -305,7 +352,7 @@ mod tests {
                 .collect();
             assert!(
                 !consumes.is_empty(),
-                "prefetched={prefetched}: trainer recorded no Consume spans"
+                "depth {depth}: trainer recorded no Consume spans"
             );
             // Every Consume parents under a Deliver span of the same trace.
             for c in &consumes {
@@ -325,33 +372,32 @@ mod tests {
         let mut s = spec();
         s.read_ahead = 2; // worker-side pipeline on too
         let session = DppSession::launch(table, s, 2).unwrap();
-        let demand = GpuDemand::new(3.2e6, 100.0);
-        let mut trainer = LiveTrainer::new(session.client(), demand).with_time_scale(0.1);
-        let (report, samples) = trainer.train_prefetched(u64::MAX, 4);
+        let mut trainer = LiveTrainer::new(session.client(), 320_000.0);
+        let (report, samples) = trainer.train(u64::MAX, 4);
         assert_eq!(samples, 256);
         assert_eq!(report.batches, 8);
         session.shutdown();
     }
 
     #[test]
-    fn prefetched_max_batches_caps_consumption() {
-        let table = build_table(256);
-        let session = DppSession::launch(table, spec(), 2).unwrap();
-        let demand = GpuDemand::new(3.2e6, 100.0);
-        let mut trainer = LiveTrainer::new(session.client(), demand).with_time_scale(0.1);
-        let (report, _) = trainer.train_prefetched(3, 2);
-        assert_eq!(report.batches, 3);
-        session.shutdown();
-    }
-
-    #[test]
-    fn max_batches_caps_consumption() {
-        let table = build_table(256);
-        let session = DppSession::launch(table, spec(), 2).unwrap();
-        let demand = GpuDemand::new(3.2e6, 100.0);
-        let mut trainer = LiveTrainer::new(session.client(), demand).with_time_scale(0.1);
-        let (report, _) = trainer.train(3);
-        assert_eq!(report.batches, 3);
-        session.shutdown();
+    fn a_capped_run_leaves_every_untrained_tensor_to_the_next() {
+        // A capped run trains exactly its cap, and at any prefetch depth
+        // the tensors it did not train stay with the client: the fetcher
+        // takes no more than the cap, because a tensor taken from the
+        // client counts as delivered.
+        for depth in [0, 2] {
+            let table = build_table(256);
+            let session = DppSession::launch(table, spec(), 2).unwrap();
+            let mut trainer = LiveTrainer::new(session.client(), 320_000.0);
+            let (capped, first) = trainer.train(3, depth);
+            assert_eq!(capped.batches, 3);
+            let (_, rest) = trainer.train(u64::MAX, depth);
+            session.shutdown();
+            assert_eq!(
+                first + rest,
+                256,
+                "depth {depth}: a capped run lost tensors"
+            );
+        }
     }
 }

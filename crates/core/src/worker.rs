@@ -11,13 +11,13 @@
 //!
 //! Workers are stateless: any split can run on any worker, so the fleet
 //! scales out freely and failures need no checkpoint restore. Every stage
-//! charges a resource model so saturation throughput and bottlenecks on a
-//! given node (Table IX, Fig. 9) are measured outputs.
+//! charges cycles and bytes into the [`WorkerReport`]; `dsi_bench::model`
+//! prices that report on a node to get saturation throughput and
+//! bottlenecks (Table IX, Fig. 9).
 
 use crate::session::SessionSpec;
 use dsi_types::{Batch, MiniBatchTensor, Result, Sample, WorkerId};
 use dwrf::IoPlan;
-use hwsim::{DatacenterTax, NodeSpec, ResourceVector, Utilization};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use transforms::{ColumnarPlan, COLUMNAR_KERNELS};
@@ -248,37 +248,6 @@ impl WorkerReport {
                 )
                 .advance_to(nanos);
         }
-    }
-
-    /// Mean per-sample resource demand including the datacenter tax on
-    /// storage receive and tensor transmit — the vector that, against a
-    /// [`NodeSpec`], yields the worker's saturation throughput.
-    pub fn per_sample_demand(&self, tax: &DatacenterTax) -> ResourceVector {
-        if self.samples == 0 {
-            return ResourceVector::default();
-        }
-        let n = self.samples as f64;
-        let rx = tax.rx_cost(self.storage_rx_bytes as f64 / n);
-        let tx = tax.tx_cost(self.transform_tx_bytes as f64 / n);
-        let compute = ResourceVector {
-            cpu_cycles: (self.extract_cycles + self.transform_cycles) / n,
-            membw_bytes: self.membw_bytes / n,
-            resident_bytes: self.peak_resident_bytes as f64 / n,
-            residency_secs: 1.0,
-            ..Default::default()
-        };
-        rx.plus(&tx).plus(&compute)
-    }
-
-    /// Saturation throughput (samples/s) of this workload on `node`.
-    pub fn saturation_qps(&self, node: &NodeSpec, tax: &DatacenterTax) -> f64 {
-        node.max_rate(&self.per_sample_demand(tax))
-    }
-
-    /// Per-resource utilization at saturation on `node`.
-    pub fn utilization_at_saturation(&self, node: &NodeSpec, tax: &DatacenterTax) -> Utilization {
-        let demand = self.per_sample_demand(tax);
-        node.utilization_at(&demand, node.max_rate(&demand))
     }
 
     /// CPU cycle share of extract vs transform vs total, as fractions.
@@ -593,30 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn per_sample_demand_feeds_node_model() {
-        let table = build_table(64);
-        let spec = spec();
-        let scan = scan_for(&table, &spec);
-        let mut worker = Worker::new(WorkerId(0), Arc::clone(&spec), scan.clone());
-        for split in scan.plan_splits() {
-            worker.process_split(&split).unwrap();
-        }
-        worker.flush();
-        let tax = DatacenterTax::production();
-        let demand = worker.report().per_sample_demand(&tax);
-        assert!(demand.cpu_cycles > 0.0);
-        assert!(demand.membw_bytes > 0.0);
-        assert!(demand.nic_rx_bytes > 0.0);
-        assert!(demand.nic_tx_bytes > 0.0);
-        let node = NodeSpec::c_v1();
-        let qps = worker.report().saturation_qps(&node, &tax);
-        assert!(qps.is_finite() && qps > 0.0);
-        let util = worker.report().utilization_at_saturation(&node, &tax);
-        let (_, max_util) = util.max_component();
-        assert!(max_util > 0.5, "some resource should be near saturation");
-    }
-
-    #[test]
     fn carry_spans_splits() {
         // 16-row stripes with batch 10: split 0 leaves 6 carried samples.
         let table = build_table(32);
@@ -771,10 +716,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_report_demand_is_zero() {
-        let r = WorkerReport::default();
-        let d = r.per_sample_demand(&DatacenterTax::production());
-        assert_eq!(d.cpu_cycles, 0.0);
-        assert_eq!(r.cycle_shares(), (0.0, 0.0));
+    fn empty_report_has_no_cycle_shares() {
+        assert_eq!(WorkerReport::default().cycle_shares(), (0.0, 0.0));
     }
 }

@@ -1,13 +1,12 @@
-//! # dsi-trace — end-to-end distributed tracing for the DSI pipeline
+//! # dsi-trace — the trace sampling rule of the DSI pipeline
 //!
-//! The source paper is a telemetry study: it attributes every second of a
-//! recommendation-training pipeline to a stage (storage extract,
-//! transform, datacenter tax, trainer stall) and provisions from that
-//! attribution. Aggregate counters (`dsi-obs`) reproduce the *tables*;
-//! this crate reproduces the *method* — per-batch causal traces from the
-//! moment the Master schedules a split to the moment the trainer consumes
-//! its tensors, decomposed offline into exclusive per-stage time and a
-//! bottleneck verdict.
+//! Per-batch causal traces run from the moment the Master schedules a split
+//! to the moment the trainer consumes its tensors. The spans live in
+//! `dsi_obs::trace` (re-exported here); this crate holds the per-session
+//! [`TraceConfig`] that decides which splits are sampled, and [`validate`],
+//! the structural check the test suites run over collected spans.
+//! Per-stage attribution comes from `dsi_stage_seconds` and the benchmark's
+//! waterfall, whose `--trace 1` run also writes a Perfetto file.
 //!
 //! ## Span model
 //!
@@ -32,8 +31,7 @@
 
 #![warn(missing_docs)]
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::fmt::Write as _;
+use std::collections::{HashMap, HashSet};
 
 pub use dsi_obs::trace::{
     next_span_id, now_ns, SpanKind, SpanRing, TraceContext, TraceSpan, FLAG_REPLAY,
@@ -113,191 +111,6 @@ impl TraceConfig {
     }
 }
 
-/// The bottleneck stage a job's traces attribute its latency to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verdict {
-    /// Storage fetch + decode dominates (paper: storage-bound jobs).
-    ExtractBound,
-    /// Feature preprocessing dominates (paper: DPP-worker-bound jobs).
-    TransformBound,
-    /// The datacenter tax — serialization, sockets, delivery — dominates.
-    WireBound,
-    /// The simulated GPU step dominates (the pipeline keeps up).
-    TrainerBound,
-}
-
-impl Verdict {
-    /// Stable lower-case name used in BENCH output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Verdict::ExtractBound => "extract",
-            Verdict::TransformBound => "transform",
-            Verdict::WireBound => "wire",
-            Verdict::TrainerBound => "trainer",
-        }
-    }
-}
-
-/// Exclusive time attributed to each verdict category, in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct CategorySeconds {
-    /// `Extract` + `StorageRead` + `TectonicIo` + `DwrfDecode`.
-    pub extract: f64,
-    /// `Transform` + `Load`.
-    pub transform: f64,
-    /// `WireSend` + `WireRecv` + `Deliver`.
-    pub wire: f64,
-    /// `Consume`.
-    pub trainer: f64,
-}
-
-impl CategorySeconds {
-    /// The dominant category.
-    pub fn verdict(&self) -> Verdict {
-        let mut best = (Verdict::ExtractBound, self.extract);
-        for (v, s) in [
-            (Verdict::TransformBound, self.transform),
-            (Verdict::WireBound, self.wire),
-            (Verdict::TrainerBound, self.trainer),
-        ] {
-            if s > best.1 {
-                best = (v, s);
-            }
-        }
-        best.0
-    }
-}
-
-/// The offline critical-path decomposition of a set of traces.
-#[derive(Debug, Clone)]
-pub struct CriticalPathReport {
-    /// Distinct traces analyzed.
-    pub traces: usize,
-    /// Total spans analyzed.
-    pub spans: usize,
-    /// Spans flagged as replays.
-    pub replayed_spans: usize,
-    /// Exclusive seconds per span kind (time inside the span not covered
-    /// by any of its direct children), summed across traces.
-    pub stage_seconds: BTreeMap<SpanKind, f64>,
-    /// Exclusive seconds folded into the paper's four categories.
-    pub categories: CategorySeconds,
-    /// The per-job bottleneck verdict.
-    pub verdict: Verdict,
-    /// Median end-to-end latency (first span start to last span end) per
-    /// trace, in milliseconds.
-    pub end_to_end_p50_ms: f64,
-}
-
-impl CriticalPathReport {
-    /// Exclusive seconds attributed to one span kind.
-    pub fn exclusive_seconds(&self, kind: SpanKind) -> f64 {
-        self.stage_seconds.get(&kind).copied().unwrap_or(0.0)
-    }
-}
-
-/// Total length covered by a set of intervals (clamped merges).
-fn union_ns(mut iv: Vec<(u64, u64)>) -> u64 {
-    iv.sort_unstable();
-    let mut total = 0u64;
-    let mut cur: Option<(u64, u64)> = None;
-    for (s, e) in iv {
-        match cur {
-            Some((cs, ce)) if s <= ce => cur = Some((cs, ce.max(e))),
-            Some((cs, ce)) => {
-                total += ce - cs;
-                cur = Some((s, e));
-            }
-            None => cur = Some((s, e)),
-        }
-    }
-    if let Some((cs, ce)) = cur {
-        total += ce - cs;
-    }
-    total
-}
-
-/// Decomposes collected spans into exclusive per-stage time and a
-/// bottleneck verdict.
-///
-/// *Exclusive* time is a span's duration minus the union of its direct
-/// children's intervals (clamped to the span), so parent/child overlap —
-/// extract containing its storage reads, schedule containing everything —
-/// is never double-counted even though the spans ran on different
-/// threads and processes.
-pub fn analyze(spans: &[TraceSpan]) -> CriticalPathReport {
-    // Children indexed by (trace, parent span).
-    let mut children: HashMap<(u64, u64), Vec<(u64, u64)>> = HashMap::new();
-    for s in spans {
-        children
-            .entry((s.trace_id, s.parent_id))
-            .or_default()
-            .push((s.start_ns, s.end_ns));
-    }
-    let mut stage_ns: BTreeMap<SpanKind, u64> = BTreeMap::new();
-    let mut bounds: HashMap<u64, (u64, u64)> = HashMap::new();
-    let mut replayed = 0usize;
-    for s in spans {
-        if s.is_replay() {
-            replayed += 1;
-        }
-        let covered = match children.get(&(s.trace_id, s.span_id)) {
-            Some(kids) => union_ns(
-                kids.iter()
-                    .filter_map(|&(ks, ke)| {
-                        let cs = ks.max(s.start_ns);
-                        let ce = ke.min(s.end_ns);
-                        (cs < ce).then_some((cs, ce))
-                    })
-                    .collect(),
-            ),
-            None => 0,
-        };
-        let exclusive = s.duration_ns().saturating_sub(covered);
-        *stage_ns.entry(s.kind).or_insert(0) += exclusive;
-        let b = bounds.entry(s.trace_id).or_insert((s.start_ns, s.end_ns));
-        b.0 = b.0.min(s.start_ns);
-        b.1 = b.1.max(s.end_ns);
-    }
-    let stage_seconds: BTreeMap<SpanKind, f64> = stage_ns
-        .into_iter()
-        .map(|(k, ns)| (k, ns as f64 / 1e9))
-        .collect();
-    let sum = |kinds: &[SpanKind]| -> f64 {
-        kinds
-            .iter()
-            .map(|k| stage_seconds.get(k).copied().unwrap_or(0.0))
-            .sum()
-    };
-    let categories = CategorySeconds {
-        extract: sum(&[
-            SpanKind::Extract,
-            SpanKind::StorageRead,
-            SpanKind::TectonicIo,
-            SpanKind::DwrfDecode,
-        ]),
-        transform: sum(&[SpanKind::Transform, SpanKind::Load]),
-        wire: sum(&[SpanKind::WireSend, SpanKind::WireRecv, SpanKind::Deliver]),
-        trainer: sum(&[SpanKind::Consume]),
-    };
-    let mut latencies: Vec<u64> = bounds.values().map(|&(s, e)| e.saturating_sub(s)).collect();
-    latencies.sort_unstable();
-    let end_to_end_p50_ms = if latencies.is_empty() {
-        0.0
-    } else {
-        latencies[latencies.len() / 2] as f64 / 1e6
-    };
-    CriticalPathReport {
-        traces: bounds.len(),
-        spans: spans.len(),
-        replayed_spans: replayed,
-        verdict: categories.verdict(),
-        stage_seconds,
-        categories,
-        end_to_end_p50_ms,
-    }
-}
-
 /// Structural validation of collected traces: span ids unique within
 /// their trace (no double-parented spans), every non-zero parent resolves
 /// within the same trace (no orphans), and time runs forward.
@@ -345,126 +158,6 @@ pub fn validate(spans: &[TraceSpan]) -> Result<(), Vec<String>> {
     }
 }
 
-/// Top-level (`Schedule`) span count per trace: a count above one means
-/// the split was re-served after a failure and the replayed execution is
-/// a sibling subtree.
-pub fn schedule_counts(spans: &[TraceSpan]) -> BTreeMap<u64, usize> {
-    let mut counts = BTreeMap::new();
-    for s in spans {
-        if s.kind == SpanKind::Schedule && s.parent_id == 0 {
-            *counts.entry(s.trace_id).or_insert(0) += 1;
-        }
-    }
-    counts
-}
-
-/// Exports spans as a Chrome trace-event / Perfetto JSON document
-/// (open in `ui.perfetto.dev` or `chrome://tracing`). Each trace becomes
-/// a process, each span kind a thread lane, each span a complete (`X`)
-/// event carrying split/seq/worker/replay args.
-pub fn perfetto_json(spans: &[TraceSpan]) -> String {
-    let mut pids: BTreeMap<u64, usize> = BTreeMap::new();
-    for s in spans {
-        let next = pids.len() + 1;
-        pids.entry(s.trace_id).or_insert(next);
-    }
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    for (&trace, &pid) in &pids {
-        let split = spans
-            .iter()
-            .find(|s| s.trace_id == trace)
-            .map(|s| s.split)
-            .unwrap_or(0);
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0,\
-             \"args\":{{\"name\":\"trace {trace:#x} split {split}\"}}}}"
-        );
-    }
-    for s in spans {
-        let pid = pids[&s.trace_id];
-        let ts = s.start_ns as f64 / 1e3;
-        let dur = s.duration_ns().max(1) as f64 / 1e3;
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"name\":\"{name}\",\"cat\":\"dsi\",\"ph\":\"X\",\"ts\":{ts:.3},\
-             \"dur\":{dur:.3},\"pid\":{pid},\"tid\":{tid},\
-             \"args\":{{\"span\":{span},\"parent\":{parent},\"split\":{split},\
-             \"seq\":{seq},\"worker\":{worker},\"replay\":{replay}}}}}",
-            name = s.kind.as_str(),
-            tid = s.kind as u8 as u32 + 1,
-            span = s.span_id,
-            parent = s.parent_id,
-            split = s.split,
-            seq = s.seq,
-            worker = s.worker,
-            replay = s.is_replay(),
-        );
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Renders spans as an indented text tree, one trace at a time, children
-/// under parents in start order. Replays are marked `[replay]`.
-pub fn text_tree(spans: &[TraceSpan]) -> String {
-    let mut by_trace: BTreeMap<u64, Vec<&TraceSpan>> = BTreeMap::new();
-    for s in spans {
-        by_trace.entry(s.trace_id).or_default().push(s);
-    }
-    let mut out = String::new();
-    for (trace, mut list) in by_trace {
-        list.sort_by_key(|s| (s.start_ns, s.span_id));
-        let split = list.first().map(|s| s.split).unwrap_or(0);
-        let _ = writeln!(out, "trace {trace:#x} (split {split})");
-        let present: HashSet<u64> = list.iter().map(|s| s.span_id).collect();
-        let mut children: BTreeMap<u64, Vec<&TraceSpan>> = BTreeMap::new();
-        let mut roots: Vec<&TraceSpan> = Vec::new();
-        for s in &list {
-            if s.parent_id != 0 && present.contains(&s.parent_id) {
-                children.entry(s.parent_id).or_default().push(s);
-            } else {
-                roots.push(s);
-            }
-        }
-        fn render(
-            out: &mut String,
-            node: &TraceSpan,
-            children: &BTreeMap<u64, Vec<&TraceSpan>>,
-            depth: usize,
-        ) {
-            let _ = writeln!(
-                out,
-                "{pad}{name} {dur:.1}us (worker {w}, seq {seq}){replay}",
-                pad = "  ".repeat(depth + 1),
-                name = node.kind.as_str(),
-                dur = node.duration_ns() as f64 / 1e3,
-                w = node.worker,
-                seq = node.seq,
-                replay = if node.is_replay() { " [replay]" } else { "" },
-            );
-            if let Some(kids) = children.get(&node.span_id) {
-                for kid in kids {
-                    render(out, kid, children, depth + 1);
-                }
-            }
-        }
-        for root in roots {
-            render(&mut out, root, &children, 0);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,62 +201,13 @@ mod tests {
     }
 
     #[test]
-    fn exclusive_time_subtracts_child_overlap() {
-        // schedule [0,1000] wraps extract [0,600] and transform [600,1000];
-        // extract wraps a storage read [100,400].
-        let spans = vec![
-            span(9, 1, 0, SpanKind::Schedule, 0, 1000),
-            span(9, 2, 1, SpanKind::Extract, 0, 600),
-            span(9, 3, 2, SpanKind::StorageRead, 100, 400),
-            span(9, 4, 1, SpanKind::Transform, 600, 1000),
-        ];
-        let r = analyze(&spans);
-        assert_eq!(r.traces, 1);
-        assert_eq!(r.spans, 4);
-        assert!((r.exclusive_seconds(SpanKind::Schedule) - 0.0).abs() < 1e-12);
-        assert!((r.exclusive_seconds(SpanKind::Extract) - 300e-9).abs() < 1e-15);
-        assert!((r.exclusive_seconds(SpanKind::StorageRead) - 300e-9).abs() < 1e-15);
-        assert!((r.exclusive_seconds(SpanKind::Transform) - 400e-9).abs() < 1e-15);
-        assert!((r.categories.extract - 600e-9).abs() < 1e-15);
-        assert_eq!(r.verdict, Verdict::ExtractBound);
-        assert!((r.end_to_end_p50_ms - 1e-3).abs() < 1e-9);
-    }
-
-    #[test]
-    fn verdict_tracks_dominant_category() {
-        let spans = vec![
-            span(1, 1, 0, SpanKind::Schedule, 0, 10),
-            span(1, 2, 1, SpanKind::Transform, 0, 9_000),
-            span(1, 3, 1, SpanKind::Extract, 9_000, 9_500),
-        ];
-        assert_eq!(analyze(&spans).verdict, Verdict::TransformBound);
-        let spans = vec![
-            span(2, 4, 0, SpanKind::Consume, 0, 50_000),
-            span(2, 5, 0, SpanKind::Deliver, 0, 100),
-        ];
-        assert_eq!(analyze(&spans).verdict, Verdict::TrainerBound);
-    }
-
-    #[test]
-    fn overlapping_children_are_not_double_subtracted() {
-        // Two children covering [0,600] and [400,800]: union is 800, so
-        // the parent [0,1000] keeps 200 exclusive.
-        let spans = vec![
-            span(3, 1, 0, SpanKind::Extract, 0, 1000),
-            span(3, 2, 1, SpanKind::TectonicIo, 0, 600),
-            span(3, 3, 1, SpanKind::TectonicIo, 400, 800),
-        ];
-        let r = analyze(&spans);
-        assert!((r.exclusive_seconds(SpanKind::Extract) - 200e-9).abs() < 1e-15);
-    }
-
-    #[test]
     fn validate_accepts_wellformed_and_rejects_defects() {
         let good = vec![
             span(7, 1, 0, SpanKind::Schedule, 0, 10),
             span(7, 2, 1, SpanKind::Extract, 1, 8),
         ];
         assert!(validate(&good).is_ok());
+        assert!(validate(&[]).is_ok());
 
         let orphan = vec![span(7, 2, 99, SpanKind::Extract, 1, 8)];
         let errs = validate(&orphan).unwrap_err();
@@ -577,68 +221,5 @@ mod tests {
 
         let backwards = vec![span(7, 3, 0, SpanKind::Extract, 9, 2)];
         assert!(validate(&backwards).is_err());
-    }
-
-    #[test]
-    fn schedule_counts_expose_replayed_serves() {
-        let spans = vec![
-            span(11, 1, 0, SpanKind::Schedule, 0, 10),
-            span(11, 2, 0, SpanKind::Schedule, 50, 60),
-            span(12, 3, 0, SpanKind::Schedule, 0, 10),
-        ];
-        let counts = schedule_counts(&spans);
-        assert_eq!(counts[&11], 2);
-        assert_eq!(counts[&12], 1);
-    }
-
-    #[test]
-    fn perfetto_export_is_wellformed_and_complete() {
-        let mut replayed = span(21, 3, 1, SpanKind::Deliver, 500, 600);
-        replayed.flags = FLAG_REPLAY;
-        let spans = vec![
-            span(21, 1, 0, SpanKind::Schedule, 0, 1000),
-            span(21, 2, 1, SpanKind::Extract, 0, 400),
-            replayed,
-        ];
-        let json = perfetto_json(&spans);
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.ends_with("]}"));
-        assert_eq!(json.matches("\"ph\":\"X\"").count(), 3);
-        assert_eq!(json.matches("\"ph\":\"M\"").count(), 1);
-        assert!(json.contains("\"name\":\"extract\""));
-        assert!(json.contains("\"replay\":true"));
-        // Balanced braces: a cheap structural check without a parser.
-        let open = json.matches('{').count();
-        let close = json.matches('}').count();
-        assert_eq!(open, close);
-    }
-
-    #[test]
-    fn text_tree_nests_children_and_marks_replays() {
-        let mut replayed = span(31, 4, 1, SpanKind::Deliver, 700, 800);
-        replayed.flags = FLAG_REPLAY;
-        let spans = vec![
-            span(31, 1, 0, SpanKind::Schedule, 0, 1000),
-            span(31, 2, 1, SpanKind::Extract, 0, 400),
-            span(31, 3, 2, SpanKind::DwrfDecode, 100, 300),
-            replayed,
-        ];
-        let tree = text_tree(&spans);
-        assert!(tree.contains("trace 0x1f (split 5)"));
-        assert!(tree.contains("  schedule"));
-        assert!(tree.contains("    extract"));
-        assert!(tree.contains("      dwrf_decode"));
-        assert!(tree.contains("[replay]"));
-    }
-
-    #[test]
-    fn empty_input_yields_empty_report() {
-        let r = analyze(&[]);
-        assert_eq!(r.traces, 0);
-        assert_eq!(r.spans, 0);
-        assert_eq!(r.end_to_end_p50_ms, 0.0);
-        assert!(validate(&[]).is_ok());
-        assert_eq!(perfetto_json(&[]), "{\"traceEvents\":[]}");
-        assert!(text_tree(&[]).is_empty());
     }
 }

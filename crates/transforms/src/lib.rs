@@ -11,8 +11,6 @@
 //! * [`op`] — the sixteen operations;
 //! * [`plan`] — composable, serializable transform plans and RM presets;
 //! * [`cost`] — the per-op cycle cost model and class shares;
-//! * [`accel`] — the GPU-offload throughput model (§VII: SigridHash 11.9×,
-//!   Bucketize 1.3× GPU/CPU);
 //! * [`columnar`] — flatmap execution of every op but `Sampling` over
 //!   materialized tensor columns (the TorchArrow/Velox direction); the
 //!   per-sample [`TransformOp::apply`] is its reference.
@@ -37,13 +35,11 @@
 
 #![warn(missing_docs)]
 
-pub mod accel;
 pub mod columnar;
 pub mod cost;
 pub mod op;
 pub mod plan;
 
-pub use accel::{AccelModel, Placement};
 pub use columnar::{ColumnarApply, ColumnarCtx, ColumnarPlan, COLUMNAR_KERNELS};
 pub use cost::{OpClass, OpCost};
 pub use op::TransformOp;

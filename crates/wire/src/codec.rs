@@ -229,8 +229,9 @@ pub fn decode_envelope(buf: &[u8]) -> Result<WireEnvelope> {
     let cells = rows
         .checked_mul(cols)
         .ok_or_else(|| DsiError::corrupt("dense shape overflow"))?;
-    let end = pos
-        .checked_add(cells * 4)
+    let end = cells
+        .checked_mul(4)
+        .and_then(|bytes| pos.checked_add(bytes))
         .filter(|&e| e <= buf.len())
         .ok_or_else(|| DsiError::corrupt("dense matrix truncated"))?;
     let mut data = Vec::with_capacity(cells);

@@ -58,18 +58,17 @@ fn main() -> dsi_types::Result<()> {
     // Launch under-provisioned: one worker for a hungry trainer.
     let session = DppSession::launch(table, spec, 1)?;
     let mut scaler = LiveTuner::new(Box::new(AutoScaler::default()), &session);
-    let demand = GpuDemand::new(2.0e6, 200.0); // 10k samples/s
 
     // Crash a worker early to exercise recovery.
     let victim = WorkerId(0);
     let replacement = session.crash_and_replace(victim)?;
     println!("crashed {victim}; master requeued its work onto {replacement}");
 
-    let mut trainer = LiveTrainer::new(session.client(), demand);
+    let mut trainer = LiveTrainer::new(session.client(), 10_000.0);
     let mut consumed = 0u64;
     let mut scale_ups = 0u32;
     loop {
-        let (report, samples) = trainer.train(8);
+        let (report, samples) = trainer.train(8, 0);
         consumed += samples;
         if report.batches == 0 {
             break;

@@ -86,11 +86,8 @@ fn main() -> dsi_types::Result<()> {
         .build();
     let session = DppSession::launch(table.clone(), spec, 2)?;
     session.attach_registry(&registry);
-    let demand = GpuDemand::new(2.0e6, 200.0);
-    let mut trainer = LiveTrainer::new(session.client(), demand)
-        .with_time_scale(0.05)
-        .with_registry(&registry);
-    let (stall, trained) = trainer.train(u64::MAX);
+    let mut trainer = LiveTrainer::new(session.client(), 200_000.0).with_registry(&registry);
+    let (stall, trained) = trainer.train(u64::MAX, 0);
     println!(
         "trainer: {trained} samples in {} batches, stall fraction {:.1}%",
         stall.batches,

@@ -7,13 +7,13 @@
 //! generation ([`scribe`]), a partitioned warehouse of DWRF columnar files
 //! ([`warehouse`], [`dwrf`]) on a Tectonic-style distributed filesystem
 //! ([`tectonic`]), the disaggregated DPP online-preprocessing service
-//! ([`dpp`], [`transforms`] — `dpp` also holds the one control loop, the
-//! watermark and closed-loop scaling policies and the virtual-time
-//! scenarios they are compared on) with its multi-tenant fleet control
-//! plane ([`fleet`]), RecD-style end-to-end deduplication
-//! ([`dedup`]), trainer-side models ([`trainer`]),
-//! fleet-level coordination ([`cluster`]), a hardware simulation substrate
-//! ([`hwsim`]), and calibrated synthetic workloads ([`synth`]).
+//! ([`dpp`], [`transforms`] — `dpp` also holds the live trainer, the one
+//! control loop, the watermark and closed-loop scaling policies and the
+//! virtual-time scenarios they are compared on) with its multi-tenant
+//! fleet control plane ([`fleet`]), RecD-style end-to-end deduplication
+//! ([`dedup`]), fleet-level coordination ([`cluster`]), a hardware
+//! simulation substrate ([`hwsim`]), and calibrated synthetic workloads
+//! ([`synth`]).
 //!
 //! # Quickstart
 //!
@@ -70,7 +70,6 @@ pub use hwsim;
 pub use scribe;
 pub use synth;
 pub use tectonic;
-pub use trainer;
 pub use transforms;
 pub use warehouse;
 pub use wire;
@@ -80,14 +79,14 @@ pub mod prelude {
     pub use chaos::{FaultInjector, FaultKind, FaultPlan, HookPoint};
     pub use dedup::{DedupConfig, DedupSet, DedupStats};
     pub use dpp::{
-        AutoScaler, Client, DppSession, KnobBounds, Knobs, LiveTuner, Master, OnlineTuner,
-        Scenario, SessionSpec, Transport, TunerConfig, TunerPolicy,
+        AutoScaler, Client, DppSession, KnobBounds, Knobs, LiveTrainer, LiveTuner, Master,
+        OnlineTuner, Scenario, SessionSpec, Transport, TunerConfig, TunerPolicy,
     };
     pub use dsi_fleet::{
         FleetAction, FleetConfig, FleetDriver, JobPhase, JobRegistry, JobSpec, JobStatus, TenantId,
     };
     pub use dsi_obs::{json_snapshot, prometheus_text, PipelineReport, Registry};
-    pub use dsi_trace::{CriticalPathReport, TraceConfig, Verdict};
+    pub use dsi_trace::TraceConfig;
     pub use dsi_types::{
         Batch, ByteSize, DsiError, FeatureId, MiniBatchTensor, PartitionId, Projection, Sample,
         Schema, SessionId, SparseList, TableId,
@@ -97,7 +96,6 @@ pub mod prelude {
     pub use scribe::{BatchEtl, EventRecord, FeatureLogRecord, MessageBus};
     pub use synth::{RmProfile, SampleGenerator};
     pub use tectonic::{ClusterConfig, TectonicCluster};
-    pub use trainer::{DedupIngest, GpuDemand, LiveTrainer};
     pub use transforms::{TransformOp, TransformPlan};
     pub use warehouse::{Table, TableConfig, Warehouse};
     pub use wire::WireConfig;

@@ -705,7 +705,7 @@ fn composed_chaos_traces_stay_valid_with_replays_as_sibling_spans() {
     }
     // Full sampling + observed launch/resume: every split's trace is
     // present and complete down to delivery.
-    let schedules = dsi::trace::schedule_counts(&spans);
+    let schedules = schedule_counts(&spans);
     assert_eq!(
         schedules.len(),
         TOTAL_TENSORS,
@@ -729,9 +729,19 @@ fn composed_chaos_traces_stay_valid_with_replays_as_sibling_spans() {
         "no replayed split visible as a sibling span:\n{}",
         run.injector.plan()
     );
-    let report = dsi::trace::analyze(&spans);
-    assert_eq!(report.traces, TOTAL_TENSORS, "analyzer lost traces");
-    assert!(report.end_to_end_p50_ms > 0.0, "degenerate end-to-end p50");
+}
+
+/// Top-level (`Schedule`) span count per trace: a count above one means
+/// the split was re-served after a failure and the replayed execution is
+/// a sibling subtree.
+fn schedule_counts(spans: &[dsi::obs::TraceSpan]) -> std::collections::BTreeMap<u64, usize> {
+    let mut counts = std::collections::BTreeMap::new();
+    for s in spans {
+        if s.kind == dsi::obs::SpanKind::Schedule && s.parent_id == 0 {
+            *counts.entry(s.trace_id).or_insert(0) += 1;
+        }
+    }
+    counts
 }
 
 // ---------------------------------------------------------------------
@@ -767,9 +777,8 @@ fn corrupted_blocks_never_reach_the_trainer() {
         let spec = chaos_spec(EpochOpts::default());
         let session = launch_with_retry(&world, &spec, 3, &injector, None, None);
         let client = session.client();
-        let mut trainer =
-            LiveTrainer::new(client, GpuDemand::new(3.2e6, 100.0)).with_time_scale(0.1);
-        let (_stalls, samples) = trainer.train(u64::MAX);
+        let mut trainer = LiveTrainer::new(client, 320_000.0);
+        let (_stalls, samples) = trainer.train(u64::MAX, 0);
         assert!(injector.injected_count() >= 1, "corruption never injected");
         session.shutdown();
         samples
@@ -885,9 +894,8 @@ fn at_rest_corruption_never_reaches_the_trainer() {
         let spec = chaos_spec(EpochOpts::default());
         let session = launch_with_retry(&world, &spec, 3, &injector, None, None);
         let client = session.client();
-        let mut trainer =
-            LiveTrainer::new(client, GpuDemand::new(3.2e6, 100.0)).with_time_scale(0.1);
-        let (_stalls, samples) = trainer.train(u64::MAX);
+        let mut trainer = LiveTrainer::new(client, 320_000.0);
+        let (_stalls, samples) = trainer.train(u64::MAX, 0);
         assert!(injector.injected_count() >= 1, "corruption never injected");
         session.shutdown();
         (samples, durability_snapshot(&world.cluster))

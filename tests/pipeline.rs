@@ -518,9 +518,8 @@ fn live_trainer_with_adequate_dpp_barely_stalls() {
         .build();
     let session = DppSession::launch(table, spec, 4).unwrap();
     // A modest GPU demand that 4 workers easily satisfy.
-    let demand = GpuDemand::new(1.0e6, 100.0);
-    let mut trainer = LiveTrainer::new(session.client(), demand);
-    let (report, samples) = trainer.train(u64::MAX);
+    let mut trainer = LiveTrainer::new(session.client(), 10_000.0);
+    let (report, samples) = trainer.train(u64::MAX, 0);
     assert_eq!(samples, 1_000);
     session.shutdown();
     assert!(
@@ -575,10 +574,8 @@ fn live_tuner_sees_the_run_it_tunes() {
             let seen = std::sync::Arc::default();
             let recorder = Recorder(std::sync::Arc::clone(&seen));
             let mut tuner = LiveTuner::new(Box::new(recorder), &session);
-            let mut trainer = LiveTrainer::new(session.client(), GpuDemand::new(1.0e6, 100.0))
-                .with_time_scale(0.01)
-                .with_registry(&reg);
-            let (stall, samples) = trainer.train(u64::MAX);
+            let mut trainer = LiveTrainer::new(session.client(), 1_000_000.0).with_registry(&reg);
+            let (stall, samples) = trainer.train(u64::MAX, 0);
             assert_eq!(samples, 288);
             tuner.tick(&session);
             session.shutdown();

@@ -522,6 +522,57 @@ proptest! {
     }
 
     #[test]
+    fn wire_decoders_survive_hostile_bytes(
+        samples in proptest::collection::vec(arb_sample(), 1..12),
+        junk in proptest::collection::vec(any::<u8>(), 0..300),
+        header in proptest::collection::vec(any::<u8>(), 24..25),
+        row_bits in 0u32..63,
+        flip in 1u8..255,
+        split: u64,
+        trace_id: u64,
+    ) {
+        use dsi::types::WorkerId;
+        use dwrf::encoding::write_varint;
+        use wire::codec::{decode_envelope, encode_envelope};
+        use wire::frame::{parse_header, HEADER_LEN};
+        use wire::WireEnvelope;
+        // Arbitrary bytes through both client-side decoders, then every
+        // truncation and every single-byte flip of a valid envelope: each
+        // returns `Ok` or a typed `Err`, and never panics.
+        let _ = decode_envelope(&junk);
+        let header: [u8; HEADER_LEN] = header.try_into().expect("24 bytes");
+        let _ = parse_header(&header);
+        let dense: Vec<FeatureId> = (0..8).map(FeatureId).collect();
+        let sparse: Vec<FeatureId> = [40, 41, 60, 61].map(FeatureId).to_vec();
+        let env = WireEnvelope {
+            split,
+            seq: 3,
+            last: split.is_multiple_of(2),
+            worker: WorkerId(1),
+            trace_id,
+            parent_span: 7,
+            tensor: samples.into_iter().collect::<Batch>().materialize(&dense, &sparse),
+        };
+        let bytes = encode_envelope(&env);
+        prop_assert_eq!(&decode_envelope(&bytes).expect("valid envelope"), &env);
+        for cut in 0..bytes.len() {
+            prop_assert!(decode_envelope(&bytes[..cut]).is_err(), "cut at {}", cut);
+        }
+        for at in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= flip;
+            let _ = decode_envelope(&flipped);
+        }
+        // A 24-byte envelope whose declared dense shape is 2^62 cells: the
+        // shape fits a `u64`, its byte size does not.
+        let mut hostile = vec![0u8; 6];
+        write_varint(&mut hostile, 1 << row_bits);
+        write_varint(&mut hostile, 1 << (62 - row_bits));
+        hostile.resize(24, 0);
+        prop_assert!(decode_envelope(&hostile).is_err());
+    }
+
+    #[test]
     fn sample_matches_a_btreemap_model(
         ops in proptest::collection::vec(arb_sample_op(), 0..60),
         arrangement in 0u8..3,
