@@ -120,7 +120,7 @@ pub enum FaultKind {
         micros: u64,
     },
     /// Harness: the client disconnects and a fresh client reconnects
-    /// (delivered counts live in the session's Master, not the client).
+    /// (delivered seqs live in the session's Master, not the client).
     ClientReconnect,
     /// Harness: the master is killed mid-epoch and the session resumed
     /// from the `MasterCheckpoint` (completed splits and delivered

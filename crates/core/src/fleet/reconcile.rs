@@ -7,7 +7,7 @@
 //! and idempotent in production — replanning from the same observation
 //! yields the same actions, and a converged fleet plans nothing.
 
-use crate::fairshare::Demand;
+use super::fairshare::Demand;
 use dsi_types::SessionId;
 
 /// What the reconciler observed about one job at the start of a tick.

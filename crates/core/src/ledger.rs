@@ -40,17 +40,21 @@ pub struct MasterCheckpoint {
     pub completed: BTreeSet<u64>,
     /// Total splits in the session.
     pub total: u64,
-    /// Tensors delivered per split, for every split that delivered any:
-    /// replayed tensors below the count are duplicates after a restore.
-    pub delivered: BTreeMap<u64, u32>,
+    /// The `seq`s delivered per split, for every split that delivered
+    /// any: a replayed tensor in its split's set is a duplicate after a
+    /// restore.
+    pub delivered: BTreeMap<u64, BTreeSet<u32>>,
 }
 
 /// Split states, workers, queue and delivered tensors of one session.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SplitLedger {
     state: Vec<SplitState>,
-    /// The next `seq` each split has not delivered yet.
-    delivered: Vec<u32>,
+    /// The `seq`s each split has delivered, in whatever order its clients
+    /// took them off the endpoint.
+    delivered: Vec<BTreeSet<u32>>,
+    /// Each split's final `seq`, once its final tensor was delivered.
+    last: Vec<Option<u32>>,
     queue: VecDeque<u64>,
     registered: BTreeSet<WorkerId>,
     next_worker: u64,
@@ -62,7 +66,8 @@ impl SplitLedger {
     pub fn new(total: usize) -> Self {
         Self {
             state: vec![SplitState::Pending; total],
-            delivered: vec![0; total],
+            delivered: vec![BTreeSet::new(); total],
+            last: vec![None; total],
             queue: (0..total as u64).collect(),
             registered: BTreeSet::new(),
             next_worker: 0,
@@ -96,23 +101,31 @@ impl SplitLedger {
         Ok(split)
     }
 
-    /// Records one tensor envelope reaching a client: a `seq` below the
-    /// split's delivered count is a duplicate. A final tensor — fresh or
-    /// duplicate — acks its worker: a split replays when its worker was
-    /// presumed dead, possibly after every tensor was delivered but before
-    /// (or racing) the ack, and without the re-ack the replay would stay in
-    /// flight forever. A stale or double ack is refused harmlessly.
+    /// Records one tensor envelope reaching a client: a `seq` already in
+    /// the split's delivered set is a duplicate. Two clients polling one
+    /// endpoint may deliver a split's tensors out of order, so the split
+    /// acks its worker once its final `seq` is known and every `seq` up to
+    /// it is delivered — whichever tensor, fresh or duplicate, closes that
+    /// set. A split replays when its worker was presumed dead, possibly
+    /// after every tensor was delivered but before (or racing) the ack,
+    /// and without the re-ack the replay would stay in flight forever. A
+    /// stale or double ack is refused harmlessly.
     pub fn deliver(&mut self, worker: WorkerId, split: u64, seq: u32, last: bool) -> Delivery {
-        let Some(next) = self.delivered.get_mut(split as usize) else {
+        let i = split as usize;
+        let Some(seqs) = self.delivered.get_mut(i) else {
             return Delivery::Rejected;
         };
-        let delivery = if seq < *next {
-            Delivery::Duplicate
-        } else {
-            *next = seq.saturating_add(1);
+        let delivery = if seqs.insert(seq) {
             Delivery::Fresh
+        } else {
+            Delivery::Duplicate
         };
         if last {
+            self.last[i] = Some(seq);
+        }
+        let closed =
+            self.last[i].is_some_and(|end| seqs.range(..=end).count() as u64 == u64::from(end) + 1);
+        if closed {
             let _ = self.complete(worker, split);
         }
         delivery
@@ -162,8 +175,8 @@ impl SplitLedger {
                 .collect(),
             total: self.total(),
             delivered: (0..self.total())
-                .map(|i| (i, self.delivered[i as usize]))
-                .filter(|&(_, n)| n > 0)
+                .map(|i| (i, self.delivered[i as usize].clone()))
+                .filter(|(_, seqs)| !seqs.is_empty())
                 .collect(),
         }
     }
@@ -198,8 +211,8 @@ impl SplitLedger {
         }
         ledger.completed = checkpoint.completed.len() as u64;
         ledger.queue.retain(|i| !checkpoint.completed.contains(i));
-        for (&i, &n) in &checkpoint.delivered {
-            ledger.delivered[i as usize] = n;
+        for (&i, seqs) in &checkpoint.delivered {
+            ledger.delivered[i as usize].clone_from(seqs);
         }
         Ok(ledger)
     }
@@ -274,12 +287,28 @@ mod tests {
     }
 
     #[test]
+    fn tensors_delivered_out_of_order_are_both_fresh() {
+        // Two clients on one endpoint: one takes `seq 0`, the other takes
+        // `seq 1` and delivers it first.
+        let mut ledger = SplitLedger::new(1);
+        let w = ledger.register();
+        assert_eq!(ledger.request(w).unwrap(), Some(0));
+        assert_eq!(ledger.deliver(w, 0, 1, true), Delivery::Fresh);
+        assert_eq!(ledger.state(0), SplitState::InFlight(w), "seq 0 is out");
+        assert_eq!(ledger.deliver(w, 0, 0, false), Delivery::Fresh);
+        assert_eq!(ledger.state(0), SplitState::Done);
+        assert_eq!(ledger.completed(), 1);
+        assert_eq!(ledger.deliver(w, 0, 1, true), Delivery::Duplicate);
+        assert_eq!(ledger.completed(), 1, "the split completes once");
+    }
+
+    #[test]
     fn restore_rejects_out_of_range_delivered_split() {
         let ckpt = MasterCheckpoint {
             session: SessionId(1),
             completed: BTreeSet::new(),
             total: 2,
-            delivered: [(2, 1)].into_iter().collect(),
+            delivered: [(2, BTreeSet::from([0]))].into_iter().collect(),
         };
         let err = SplitLedger::restore(&ckpt, 2).unwrap_err();
         assert!(matches!(err, DsiError::InvalidSpec(_)), "{err:?}");

@@ -30,7 +30,9 @@
 //! * [`service`] — [`DppSession`]: wiring master, threaded workers, and
 //!   clients together for an end-to-end run;
 //! * [`trainer`] — [`LiveTrainer`], the wall-clock consumer of a client,
-//!   and the [`StallReport`] it returns.
+//!   and the [`StallReport`] it returns;
+//! * [`fleet`] — the multi-tenant control plane: one job table of
+//!   managed sessions sharing a worker capacity by weighted fair share.
 //!
 //! # Example
 //!
@@ -59,6 +61,7 @@
 
 pub mod autoscale;
 pub mod client;
+pub mod fleet;
 pub mod ledger;
 pub mod master;
 pub mod online;

@@ -355,7 +355,10 @@ pub(crate) mod tests {
         let (s, _) = master.request_split(w).unwrap().unwrap();
         assert_eq!(master.deliver(w, s.index, 0, false), Delivery::Fresh);
         let ckpt = master.checkpoint();
-        assert_eq!(ckpt.delivered, [(s.index, 1)].into_iter().collect());
+        assert_eq!(
+            ckpt.delivered,
+            [(s.index, BTreeSet::from([0]))].into_iter().collect()
+        );
         assert!(ckpt.completed.is_empty());
 
         // The replacement replays the split: the delivered tensor dedups

@@ -153,11 +153,11 @@ impl DppSession {
     }
 
     /// Launches a session with *zero* workers: an external control plane
-    /// (the dsi-fleet reconciler) owns the worker lifecycle, calling
-    /// [`DppSession::spawn_worker`] and [`DppSession::drain_worker_by_id`]
-    /// as its assignments change. Clients attached before the first
-    /// assignment park politely — an empty endpoint set reports `Pending`
-    /// rather than completion — so trainers can connect immediately.
+    /// (the [`crate::fleet::FleetDriver`]) owns the worker lifecycle,
+    /// calling [`DppSession::scale_to`] as its assignments change.
+    /// Clients attached before the first assignment park politely — an
+    /// empty endpoint set reports `Pending` rather than completion — so
+    /// trainers can connect immediately.
     ///
     /// # Errors
     ///
@@ -175,7 +175,7 @@ impl DppSession {
     /// workers were lost, or the whole process was killed mid-epoch):
     /// completed splits are not re-read, everything else replays, and
     /// replayed tensors a client already consumed dedup against the
-    /// checkpoint's delivered counts. Like
+    /// checkpoint's delivered seqs. Like
     /// [`DppSession::launch_observed_chaos`], it installs the injector and
     /// attaches `registry` before the first worker spawns.
     ///
@@ -344,7 +344,7 @@ impl DppSession {
 
     /// The one actuation of a worker target: diffs `wanted` against the
     /// live workers in `observed` and spawns `wanted − live` or drains
-    /// `live − wanted`, most-buffered first ([`DppSession::drain_victims`]).
+    /// `live − wanted`, most-buffered first.
     /// When the count is already right it instead rotates one `stale`
     /// live worker — drain it, spawn a replacement that picks up the
     /// current knob overrides — so calling it every tick rolls a
@@ -548,7 +548,7 @@ impl DppSession {
 
     /// Picks up to `k` drain victims from an observation snapshot: the
     /// most-buffered (least needed) live workers first.
-    pub fn drain_victims(&self, observed: &[WorkerObservation], k: usize) -> Vec<WorkerId> {
+    fn drain_victims(&self, observed: &[WorkerObservation], k: usize) -> Vec<WorkerId> {
         let mut candidates: Vec<(usize, WorkerId)> = observed
             .iter()
             .filter(|o| o.is_live())
@@ -868,7 +868,7 @@ mod tests {
 
             // Completed splits did not replay; incomplete ones did, and
             // their tensors consumed before the checkpoint dedup against
-            // its delivered counts: together the two halves are the
+            // its delivered seqs: together the two halves are the
             // dataset exactly once.
             let mut all: Vec<u32> = first_half.iter().chain(rest.iter()).copied().collect();
             all.sort_unstable();

@@ -198,7 +198,7 @@ pub struct KnobDelta {
 /// Drives a [`TunerPolicy`] against a live session. The caller owns the
 /// cadence: invoke [`LiveTuner::tick`] from wherever the control loop
 /// lives (a trainer epoch boundary, a timer); the fleet reconciler calls
-/// [`LiveTuner::tick_managed`] from its own pass.
+/// `LiveTuner::tick_managed` from its own pass.
 pub struct LiveTuner {
     policy: Box<dyn TunerPolicy + Send>,
     /// The setting last asked for. Its worker count is a wish: the fleet
@@ -241,7 +241,7 @@ impl LiveTuner {
     /// plane's own [`DppSession::scale_to`] rolls through the fleet; the
     /// returned `workers` is the job's demand, for the caller to
     /// arbitrate.
-    pub fn tick_managed(&mut self, session: &DppSession) -> Knobs {
+    pub(crate) fn tick_managed(&mut self, session: &DppSession) -> Knobs {
         let next = self.decide(session);
         self.install(session, next);
         next

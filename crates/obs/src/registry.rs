@@ -244,12 +244,6 @@ impl Registry {
         }
     }
 
-    /// The registry's span ring, allocating it on first use.
-    pub fn trace_ring(&self) -> &SpanRing {
-        self.spans
-            .get_or_init(|| SpanRing::new(SpanRing::DEFAULT_CAPACITY))
-    }
-
     /// Records one completed trace span into the registry's span ring.
     /// Unsampled spans (`trace_id == 0`) are silently skipped so call
     /// sites can record unconditionally against a [`crate::trace::TraceContext`].
@@ -258,11 +252,13 @@ impl Registry {
         if span.trace_id == 0 {
             return;
         }
-        self.trace_ring().push(span);
+        self.spans
+            .get_or_init(|| SpanRing::new(SpanRing::DEFAULT_CAPACITY))
+            .push(span);
     }
 
-    /// All stable spans collected so far (empty when tracing never ran),
-    /// sorted by start time.
+    /// All spans the ring holds (empty when tracing never ran), sorted by
+    /// start time.
     pub fn trace_spans(&self) -> Vec<TraceSpan> {
         match self.spans.get() {
             Some(ring) => ring.snapshot(),
@@ -270,7 +266,7 @@ impl Registry {
         }
     }
 
-    /// Spans lost to ring overruns (0 when tracing never ran).
+    /// Spans evicted from a full ring (0 when tracing never ran).
     pub fn trace_dropped(&self) -> u64 {
         self.spans.get().map_or(0, |ring| ring.dropped())
     }

@@ -1,19 +1,19 @@
-//! Distributed-tracing primitives: span records and the bounded
-//! lock-free ring that collects them.
+//! Distributed-tracing primitives: span records and the bounded ring
+//! that collects them.
 //!
-//! These are the *mechanisms* only — context creation, deterministic
-//! sampling, critical-path analysis, and exporters live in the
-//! `dsi-trace` crate. Keeping the record types and the collector here
-//! lets every instrumented crate (tectonic, dwrf, wire, trainer) emit
-//! spans through the [`crate::Registry`] handle it already holds,
-//! without a new dependency edge.
+//! These are the *mechanisms* only — the deterministic sampling rule and
+//! the structural check live in the `dsi-trace` crate. Keeping the record
+//! types and the collector here lets every instrumented crate (tectonic,
+//! dwrf, wire, the trainer) emit spans through the [`crate::Registry`]
+//! handle it already holds, without a new dependency edge.
 //!
-//! A [`TraceSpan`] is a fixed-size value (eight `u64` words), so the
-//! collector can be a seqlock ring of atomic words: writers claim a slot
-//! with one `fetch_add`, publish with one release store, and never
-//! block; readers snapshot slots and discard torn ones. A registry that
-//! never records a span pays nothing — the ring allocates lazily.
+//! Spans are recorded only for sampled splits, so the collector is a
+//! plain lock around a bounded queue: the lock is off every unsampled
+//! path, and a registry that never records a span pays nothing — the
+//! ring allocates lazily.
 
+use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -56,34 +56,32 @@ impl TraceContext {
     }
 }
 
-/// What a span measured. The discriminants are stable (they are packed
-/// into the ring's meta word and into exported traces).
+/// What a span measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(u8)]
 pub enum SpanKind {
     /// A split was handed to a worker by the Master (top-level span;
     /// re-serves after a failure create sibling `Schedule` spans).
-    Schedule = 0,
+    Schedule,
     /// Worker extract stage: storage fetch + decode of one split.
-    Extract = 1,
+    Extract,
     /// The storage-fetch phase inside extract (Tectonic reads).
-    StorageRead = 2,
+    StorageRead,
     /// One chunk read served by the Tectonic cluster.
-    TectonicIo = 3,
+    TectonicIo,
     /// The DWRF stripe-decode phase inside extract.
-    DwrfDecode = 4,
+    DwrfDecode,
     /// Worker transform stage over one split.
-    Transform = 5,
+    Transform,
     /// Worker load stage: batching + tensor materialization.
-    Load = 6,
+    Load,
     /// A data frame written to the TCP wire (replays flagged).
-    WireSend = 7,
+    WireSend,
     /// A data frame received and decoded from the TCP wire.
-    WireRecv = 8,
+    WireRecv,
     /// An envelope arriving at `Client::accept` (replays flagged).
-    Deliver = 9,
+    Deliver,
     /// The trainer consuming the delivered batch (simulated GPU step).
-    Consume = 10,
+    Consume,
 }
 
 impl SpanKind {
@@ -103,33 +101,14 @@ impl SpanKind {
             SpanKind::Consume => "consume",
         }
     }
-
-    /// Inverse of the `repr(u8)` discriminant (None for garbage).
-    pub fn from_u8(v: u8) -> Option<SpanKind> {
-        Some(match v {
-            0 => SpanKind::Schedule,
-            1 => SpanKind::Extract,
-            2 => SpanKind::StorageRead,
-            3 => SpanKind::TectonicIo,
-            4 => SpanKind::DwrfDecode,
-            5 => SpanKind::Transform,
-            6 => SpanKind::Load,
-            7 => SpanKind::WireSend,
-            8 => SpanKind::WireRecv,
-            9 => SpanKind::Deliver,
-            10 => SpanKind::Consume,
-            _ => return None,
-        })
-    }
 }
 
 /// Flag bit: this span is a replayed execution (wire replay after a
 /// reconnect, or a duplicate delivery deduped by the client).
 pub const FLAG_REPLAY: u8 = 1;
 
-/// One completed span. Fixed-size so the ring can store it as atomic
-/// words; `seq`/`split`/`worker` carry enough payload to label exported
-/// traces without a side table.
+/// One completed span; `seq`/`split`/`worker` carry enough payload to
+/// label exported traces without a side table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceSpan {
     /// Trace this span belongs to.
@@ -164,37 +143,6 @@ impl TraceSpan {
     pub fn is_replay(&self) -> bool {
         self.flags & FLAG_REPLAY != 0
     }
-
-    fn encode(&self) -> [u64; 8] {
-        let meta =
-            ((self.seq as u64) << 32) | ((self.kind as u8 as u64) << 8) | (self.flags as u64);
-        [
-            self.trace_id,
-            self.span_id,
-            self.parent_id,
-            self.start_ns,
-            self.end_ns,
-            self.split,
-            self.worker,
-            meta,
-        ]
-    }
-
-    fn decode(words: [u64; 8]) -> Option<TraceSpan> {
-        let kind = SpanKind::from_u8(((words[7] >> 8) & 0xFF) as u8)?;
-        Some(TraceSpan {
-            trace_id: words[0],
-            span_id: words[1],
-            parent_id: words[2],
-            kind,
-            start_ns: words[3],
-            end_ns: words[4],
-            split: words[5],
-            worker: words[6],
-            seq: (words[7] >> 32) as u32,
-            flags: (words[7] & 0xFF) as u8,
-        })
-    }
 }
 
 static TRACE_EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -213,47 +161,18 @@ pub fn next_span_id() -> u64 {
     NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-struct Slot {
-    /// Seqlock version: even = stable, odd = write in progress. The
-    /// version doubles as a lap counter — slot generation `g` is stable
-    /// at version `2 * (g + 1)` — so a lapped writer's stale CAS fails
-    /// instead of corrupting a newer record.
-    version: AtomicU64,
-    words: [AtomicU64; 8],
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            version: AtomicU64::new(0),
-            words: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-/// Bounded lock-free span collector: a seqlock ring that overwrites the
-/// oldest record when full. Writers never block and never see a lock;
-/// a torn slot (writer raced the reader, or a lapped writer lost its
-/// claim) is skipped by the reader and counted in
+/// Bounded span collector: the newest spans behind one lock. A push
+/// into a full ring evicts the oldest span, counted in
 /// [`SpanRing::dropped`].
+#[derive(Debug)]
 pub struct SpanRing {
-    slots: Box<[Slot]>,
-    head: AtomicU64,
+    capacity: usize,
+    spans: Mutex<VecDeque<TraceSpan>>,
     dropped: AtomicU64,
 }
 
-impl std::fmt::Debug for SpanRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpanRing")
-            .field("capacity", &self.slots.len())
-            .field("recorded", &self.recorded())
-            .field("dropped", &self.dropped())
-            .finish()
-    }
-}
-
 impl SpanRing {
-    /// Default ring capacity in spans (~4.7 MiB of slots).
+    /// Default ring capacity in spans.
     pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
     /// Creates a ring holding up to `capacity` spans.
@@ -264,81 +183,32 @@ impl SpanRing {
     pub fn new(capacity: usize) -> SpanRing {
         assert!(capacity > 0, "span ring capacity must be positive");
         SpanRing {
-            slots: (0..capacity).map(|_| Slot::new()).collect(),
-            head: AtomicU64::new(0),
+            capacity,
+            spans: Mutex::new(VecDeque::new()),
             dropped: AtomicU64::new(0),
         }
     }
 
-    /// Slots in the ring.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Spans pushed since creation (including ones since overwritten).
-    pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
-    }
-
-    /// Pushes claimed by a writer that was lapped before publishing
-    /// (the span is lost; concurrent writers outran the ring).
+    /// Spans evicted to make room for newer ones.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Records one span. Never blocks; returns `false` only when this
-    /// writer was lapped mid-claim and its slot was lost.
-    pub fn push(&self, span: TraceSpan) -> bool {
-        let idx = self.head.fetch_add(1, Ordering::Relaxed);
-        let cap = self.slots.len() as u64;
-        let slot = &self.slots[(idx % cap) as usize];
-        let expected = (idx / cap) * 2;
-        if slot
-            .version
-            .compare_exchange(expected, expected + 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
+    /// Records one span, evicting the oldest when the ring is full.
+    pub fn push(&self, span: TraceSpan) {
+        let mut spans = self.spans.lock();
+        if spans.len() == self.capacity {
+            spans.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
-            return false;
         }
-        for (w, v) in slot.words.iter().zip(span.encode()) {
-            w.store(v, Ordering::Relaxed);
-        }
-        slot.version.store(expected + 2, Ordering::Release);
-        true
+        spans.push_back(span);
     }
 
-    /// A consistent snapshot of every stable span in the ring, sorted by
-    /// start time. Slots mid-write are skipped.
+    /// Every span in the ring, sorted by start time.
     pub fn snapshot(&self) -> Vec<TraceSpan> {
-        let mut out = Vec::new();
-        for slot in self.slots.iter() {
-            let v1 = slot.version.load(Ordering::Acquire);
-            if v1 == 0 || v1 % 2 != 0 {
-                continue;
-            }
-            let words = std::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed));
-            std::sync::atomic::fence(Ordering::Acquire);
-            let v2 = slot.version.load(Ordering::Relaxed);
-            if v1 != v2 {
-                continue; // torn read: a writer raced us
-            }
-            if let Some(span) = TraceSpan::decode(words) {
-                out.push(span);
-            }
-        }
+        let mut out: Vec<TraceSpan> = self.spans.lock().iter().copied().collect();
         out.sort_by_key(|s| (s.start_ns, s.span_id));
         out
-    }
-
-    /// Resets the ring. Only meaningful at quiescence (no concurrent
-    /// writers); racing pushes may be lost but the ring stays valid.
-    pub fn clear(&self) {
-        for slot in self.slots.iter() {
-            slot.version.store(0, Ordering::Relaxed);
-        }
-        self.head.store(0, Ordering::SeqCst);
-        self.dropped.store(0, Ordering::Relaxed);
     }
 }
 
@@ -362,26 +232,12 @@ mod tests {
     }
 
     #[test]
-    fn span_round_trips_through_words() {
+    fn span_interval_and_replay_flag() {
         let mut s = span(7, 8, 9, 100);
-        s.kind = SpanKind::Consume;
+        assert!(!s.is_replay());
         s.flags = FLAG_REPLAY;
-        s.seq = 0xABCD;
-        let back = TraceSpan::decode(s.encode()).expect("decode");
-        assert_eq!(back, s);
-        assert!(back.is_replay());
-        assert_eq!(back.duration_ns(), 10);
-    }
-
-    #[test]
-    fn kind_round_trips_and_rejects_garbage() {
-        for k in 0..=10u8 {
-            let kind = SpanKind::from_u8(k).expect("valid kind");
-            assert_eq!(kind as u8, k);
-            assert!(!kind.as_str().is_empty());
-        }
-        assert!(SpanKind::from_u8(11).is_none());
-        assert!(SpanKind::from_u8(255).is_none());
+        assert!(s.is_replay());
+        assert_eq!(s.duration_ns(), 10);
     }
 
     #[test]
@@ -393,59 +249,48 @@ mod tests {
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].span_id, 3);
         assert_eq!(got[1].span_id, 2);
-        assert_eq!(ring.recorded(), 2);
         assert_eq!(ring.dropped(), 0);
     }
 
     #[test]
-    fn ring_overwrites_oldest_when_full() {
+    fn ring_evicts_oldest_when_full() {
         let ring = SpanRing::new(4);
         for i in 0..10u64 {
-            assert!(ring.push(span(1, i + 1, 0, i)));
+            ring.push(span(1, i + 1, 0, i));
         }
         let got = ring.snapshot();
-        assert_eq!(got.len(), 4);
-        // Only the newest four survive.
+        // Only the newest four survive; the other six were evicted.
         let ids: Vec<u64> = got.iter().map(|s| s.span_id).collect();
         assert_eq!(ids, vec![7, 8, 9, 10]);
-    }
-
-    #[test]
-    fn ring_clear_resets() {
-        let ring = SpanRing::new(4);
-        ring.push(span(1, 1, 0, 1));
-        ring.clear();
-        assert!(ring.snapshot().is_empty());
-        assert_eq!(ring.recorded(), 0);
-        ring.push(span(1, 2, 0, 2));
-        assert_eq!(ring.snapshot().len(), 1);
+        assert_eq!(ring.dropped(), 6);
     }
 
     #[test]
     fn concurrent_pushes_never_corrupt() {
-        let ring = std::sync::Arc::new(SpanRing::new(64));
+        let ring = SpanRing::new(64);
         std::thread::scope(|scope| {
             for t in 0..4u64 {
-                let ring = std::sync::Arc::clone(&ring);
+                let ring = &ring;
                 scope.spawn(move || {
                     for i in 0..1000u64 {
                         ring.push(span(t + 1, t * 10_000 + i + 1, 0, i));
                     }
                 });
             }
-            // Concurrent reader: every snapshot must decode cleanly.
+            // Concurrent reader: every snapshot holds whole spans.
             for _ in 0..50 {
-                for s in ring.snapshot() {
+                let got = ring.snapshot();
+                assert!(got.len() <= 64);
+                for s in got {
                     assert!(s.trace_id >= 1 && s.trace_id <= 4);
+                    assert_eq!(s.span_id / 10_000, s.trace_id - 1);
                     assert_eq!(s.duration_ns(), 10);
                 }
             }
         });
-        let total = ring.recorded();
-        assert_eq!(total, 4000);
-        let got = ring.snapshot();
-        assert!(got.len() <= 64);
-        assert!(!got.is_empty());
+        // Every push is either still held or counted as evicted.
+        assert_eq!(ring.snapshot().len(), 64);
+        assert_eq!(ring.dropped(), 4000 - 64);
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //! ([`tectonic`]), the disaggregated DPP online-preprocessing service
 //! ([`dpp`], [`transforms`] — `dpp` also holds the live trainer, the one
 //! control loop, the watermark and closed-loop scaling policies and the
-//! virtual-time scenarios they are compared on) with its multi-tenant
-//! fleet control plane ([`fleet`]), RecD-style end-to-end deduplication
-//! ([`dedup`]), fleet-level coordination ([`cluster`]), a hardware
-//! simulation substrate ([`hwsim`]), and calibrated synthetic workloads
-//! ([`synth`]).
+//! virtual-time scenarios they are compared on, and its multi-tenant
+//! fleet control plane, re-exported as [`fleet`]), RecD-style
+//! end-to-end deduplication ([`dedup`]), fleet-level coordination
+//! ([`cluster`]), a hardware simulation substrate ([`hwsim`]), and
+//! calibrated synthetic workloads ([`synth`]).
 //!
 //! # Quickstart
 //!
@@ -61,7 +61,7 @@ pub use chaos;
 pub use cluster;
 pub use dedup;
 pub use dpp;
-pub use dsi_fleet as fleet;
+pub use dpp::fleet;
 pub use dsi_obs as obs;
 pub use dsi_trace as trace;
 pub use dsi_types as types;
@@ -78,12 +78,10 @@ pub use wire;
 pub mod prelude {
     pub use chaos::{FaultInjector, FaultKind, FaultPlan, HookPoint};
     pub use dedup::{DedupConfig, DedupSet, DedupStats};
+    pub use dpp::fleet::{FleetAction, FleetDriver, JobPhase, JobSpec, JobStatus, TenantId};
     pub use dpp::{
         AutoScaler, Client, DppSession, KnobBounds, Knobs, LiveTrainer, LiveTuner, Master,
         OnlineTuner, Scenario, SessionSpec, Transport, TunerConfig, TunerPolicy,
-    };
-    pub use dsi_fleet::{
-        FleetAction, FleetConfig, FleetDriver, JobPhase, JobRegistry, JobSpec, JobStatus, TenantId,
     };
     pub use dsi_obs::{json_snapshot, prometheus_text, PipelineReport, Registry};
     pub use dsi_trace::TraceConfig;

@@ -219,7 +219,7 @@ fn drive_epoch(injector: Arc<FaultInjector>, opts: EpochOpts) -> EpochRun {
                 for kind in injector.fire(HookPoint::Harness) {
                     match kind {
                         FaultKind::ClientReconnect => {
-                            // Trainer-side disconnect: delivered counts
+                            // Trainer-side disconnect: delivered seqs
                             // live in the Master's ledger, not the client,
                             // so replayed tensors still dedup.
                             client = session.client();

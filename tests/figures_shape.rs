@@ -312,6 +312,41 @@ fn docs_cite_only_artifacts_and_figures_that_exist() {
     }
 }
 
+/// README's Layout table and DESIGN §2's tree each name exactly the
+/// directories under `crates/`, so a crate added, folded or deleted
+/// cannot leave either list stale.
+#[test]
+fn docs_list_exactly_the_workspace_crates() {
+    use std::collections::BTreeSet;
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let crates: BTreeSet<String> = std::fs::read_dir(root.join("crates"))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.is_dir())
+        .map(|path| path.file_name().unwrap().to_string_lossy().into_owned())
+        .collect();
+    let section = |doc: &str, from: &str, to: &str| {
+        let start = doc.find(from).unwrap();
+        let end = start + doc[start..].find(to).unwrap();
+        doc[start..end].to_string()
+    };
+    let readme = section(include_str!("../README.md"), "\n## Layout", "\n## Install");
+    let listed: BTreeSet<String> = readme
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `crates/")?.split('`').next())
+        .map(str::to_string)
+        .collect();
+    assert_eq!(listed, crates, "README's Layout table");
+    let design = section(include_str!("../DESIGN.md"), "\n## 2. ", "\n## 3. ");
+    let listed: BTreeSet<String> = design
+        .lines()
+        .filter_map(|line| line.strip_prefix("    "))
+        .filter(|entry| !entry.starts_with(' '))
+        .filter_map(|entry| entry.split_once('/').map(|(name, _)| name.to_string()))
+        .collect();
+    assert_eq!(listed, crates, "DESIGN §2's crate tree");
+}
+
 /// The metric catalog is closed. A session writes only series `names.rs`
 /// declares (plus the two stage series), DESIGN §8 lists every declared
 /// name in full, and whatever a session writes outside the process-scoped

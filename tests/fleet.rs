@@ -127,10 +127,7 @@ fn three_tenants_share_one_fleet_exactly_once_and_bitwise() {
         const DAYS: u32 = 3;
         let table = build_table(1, DAYS);
         let reg = Registry::new();
-        let driver = FleetDriver::new(FleetConfig {
-            nodes: 2,
-            slots_per_node: 3,
-        });
+        let driver = FleetDriver::new(6);
         driver.attach_registry(&reg);
 
         // Distinct tenants, distinct priorities, shared 6-slot fleet.
@@ -152,7 +149,7 @@ fn three_tenants_share_one_fleet_exactly_once_and_bitwise() {
         // run of the same spec over the same table.
         let rows_per_job = DAYS as usize * ROWS_PER_DAY as usize;
         for &id in &ids {
-            let status = driver.registry().status(id).unwrap();
+            let status = driver.status(id).unwrap();
             assert_eq!(status.phase, JobPhase::Completed, "job {id}");
             let solo = solo_trace(&table, &session_spec(id.0, DAYS, Transport::InProcess));
             let fleet_trace = &traces[&id];
@@ -235,10 +232,7 @@ fn high_priority_submission_preempts_lower_priority_workers() {
     with_watchdog(WATCHDOG, "mid-run preemption".into(), || {
         const DAYS: u32 = 6; // 24 splits/job: plenty of epoch left mid-run
         let table = build_table(1, DAYS);
-        let driver = FleetDriver::new(FleetConfig {
-            nodes: 2,
-            slots_per_node: 3,
-        });
+        let driver = FleetDriver::new(6);
 
         // Two equal low-priority jobs converge to 3 + 3 on the 6-slot fleet.
         for id in [1u64, 2] {
@@ -255,7 +249,7 @@ fn high_priority_submission_preempts_lower_priority_workers() {
         let settle = driver.tick(); // observe the spawned fleet
         assert!(settle.is_empty(), "converged fleet re-planned: {settle:?}");
         for id in [1u64, 2] {
-            let status = driver.registry().status(SessionId(id)).unwrap();
+            let status = driver.status(SessionId(id)).unwrap();
             assert_eq!(status.allocated_workers, 3, "job {id} fair share");
         }
 
@@ -342,11 +336,11 @@ fn high_priority_submission_preempts_lower_priority_workers() {
         }
         let preemptions: u64 = [1u64, 2]
             .iter()
-            .map(|&id| driver.registry().status(SessionId(id)).unwrap().preemptions)
+            .map(|&id| driver.status(SessionId(id)).unwrap().preemptions)
             .sum();
         assert_eq!(preemptions, 4, "status ledger records the preemptions");
         assert_eq!(
-            driver.registry().status(SessionId(3)).unwrap().preemptions,
+            driver.status(SessionId(3)).unwrap().preemptions,
             0,
             "the high-priority job was never a victim"
         );
@@ -359,10 +353,7 @@ fn tenant_a_fault_storm_leaves_tenant_b_untouched() {
         const DAYS: u32 = 3;
         let table = build_table(1, DAYS);
         let reg = Registry::new();
-        let driver = FleetDriver::new(FleetConfig {
-            nodes: 2,
-            slots_per_node: 2,
-        });
+        let driver = FleetDriver::new(4);
         driver.attach_registry(&reg);
 
         // A dense, finite storm aimed at tenant A only: every 2nd split
@@ -429,10 +420,7 @@ fn reconciler_converges_and_does_not_oscillate() {
     with_watchdog(WATCHDOG, "reconciler idempotence".into(), || {
         const DAYS: u32 = 3;
         let table = build_table(1, DAYS);
-        let driver = FleetDriver::new(FleetConfig {
-            nodes: 2,
-            slots_per_node: 2,
-        });
+        let driver = FleetDriver::new(4);
         // Nothing consumes the clients, so workers fill their buffers and
         // park: the observed world is frozen between ticks.
         for id in [1u64, 2] {
@@ -504,10 +492,7 @@ fn autotuned_job_delivers_exactly_once_and_tuner_steers_demand() {
             const DAYS: u32 = 3;
             let table = build_table(1, DAYS);
             let reg = Registry::new();
-            let driver = FleetDriver::new(FleetConfig {
-                nodes: 2,
-                slots_per_node: 3,
-            });
+            let driver = FleetDriver::new(6);
             driver.attach_registry(&reg);
 
             // One autotuned job next to one statically-scaled neighbor: the
@@ -567,11 +552,54 @@ fn autotuned_job_delivers_exactly_once_and_tuner_steers_demand() {
 }
 
 #[test]
+fn resubmitting_a_running_job_is_refused_and_its_epoch_completes() {
+    // Regression: a resubmit launched a second session over the first, so
+    // the first session's workers kept serving the job's client outside
+    // the fleet's capacity while the driver watched the new session —
+    // which the client never read from, and which never completed.
+    with_watchdog(WATCHDOG, "resubmit a running job".into(), || {
+        const DAYS: u32 = 3;
+        let table = build_table(1, DAYS);
+        let driver = FleetDriver::new(4);
+        let job = SessionId(1);
+        let spec = || {
+            let session = session_spec(job.0, DAYS, Transport::InProcess);
+            JobSpec::new(session, TenantId(1), 1, 1, 4)
+        };
+        driver.submit(spec(), table.clone()).unwrap();
+        let mut client = driver.client(job).unwrap();
+        driver.tick();
+        let err = driver.submit(spec(), table.clone()).unwrap_err();
+        assert!(matches!(err, DsiError::InvalidSpec(_)), "{err:?}");
+
+        let mut trace = EpochTrace::new();
+        let mut idle = 0u32;
+        while !driver.is_complete(job) {
+            driver.tick();
+            match client.try_next_batch() {
+                Some(tensor) => {
+                    trace.push(&tensor);
+                    idle = 0;
+                }
+                None => {
+                    idle += 1;
+                    assert!(idle < 2_000, "job made no progress for 10s");
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+            }
+        }
+        assert_eq!(trace.samples(), DAYS as usize * ROWS_PER_DAY as usize);
+        assert_eq!(trace.sorted(), solo_trace(&table, &spec().session).sorted());
+        driver.remove(job).unwrap().shutdown();
+    });
+}
+
+#[test]
 fn autotuned_job_with_an_inverted_worker_window_is_capped_not_a_panic() {
     // Regression: the tuned demand was `usize::clamp`ed into
     // `[min_workers, max_workers]`, which asserts `min <= max` — with the
     // reconciler's locks held. The ceiling wins, as for a static demand.
-    let driver = FleetDriver::new(FleetConfig::default());
+    let driver = FleetDriver::new(16);
     let job = SessionId(1);
     let spec = JobSpec::new(
         session_spec(job.0, 1, Transport::InProcess),
@@ -584,7 +612,7 @@ fn autotuned_job_with_an_inverted_worker_window_is_capped_not_a_panic() {
     assert!(driver.enable_autotune(job, Box::new(AutoScaler::default())));
     let spawned = driver.tick().len();
     assert_eq!(spawned, 2, "the floor, cut down to the ceiling");
-    let status = driver.registry().status(job).expect("status published");
+    let status = driver.status(job).expect("status published");
     assert_eq!(status.desired_workers, 2);
     driver.remove(job).unwrap().shutdown();
 }
@@ -622,10 +650,7 @@ fn a_depth_move_reaches_every_worker_of_an_autotuned_job() {
         const DAYS: u32 = 32;
         let table = build_table(1, DAYS);
         let spec = session_spec(1, DAYS, Transport::InProcess);
-        let driver = FleetDriver::new(FleetConfig {
-            nodes: 1,
-            slots_per_node: 3,
-        });
+        let driver = FleetDriver::new(3);
         let job = SessionId(1);
         driver
             .submit(

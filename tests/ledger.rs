@@ -2,13 +2,16 @@
 //!
 //! A small world drives the ledger the way a session does. Workers
 //! register, request splits and buffer each split's tensors in a FIFO
-//! endpoint; one client takes envelopes off the endpoints and delivers
-//! them. The faults are:
+//! endpoint; a client takes envelopes off the endpoints and delivers
+//! them in one step. A second client polls the same endpoints and takes
+//! and delivers in two steps, so the first can deliver a split's later
+//! tensor while the second still holds an earlier one. The faults are:
 //! - a worker crash: the ledger fails the worker and its buffer is lost,
 //!   except the envelope the client may already have taken off it;
 //! - a duplicate delivery: a wire reconnect resends the last envelope;
-//! - a master kill: checkpoint → restore, and the session's workers and
-//!   buffers go with it.
+//! - a master kill: checkpoint → restore, and the session's workers,
+//!   buffers and clients go with it — the second client's held envelope
+//!   too.
 //!
 //! Graceful drains, and a worker's own drain when the queue runs dry, are
 //! ordinary events. Every state reachable within the bounds is visited
@@ -46,6 +49,9 @@ struct World {
     /// By worker id; ids restart at 0 after a restore.
     endpoints: Vec<Endpoint>,
     yielded: BTreeSet<(u64, u32)>,
+    /// The envelope the second client took off an endpoint and has not
+    /// delivered yet.
+    held: Option<Envelope>,
     restores_left: u8,
 }
 
@@ -54,6 +60,8 @@ enum Step {
     Spawn,
     Request(usize),
     Deliver(usize),
+    Take(usize),
+    Give,
     Drain(usize),
     Resend(usize),
     Crash(usize),
@@ -69,6 +77,8 @@ struct Bounds {
     restores: u8,
     /// Envelopes a worker may hold buffered and still request.
     buffer: usize,
+    /// Whether the second client polls the endpoints.
+    second_client: bool,
 }
 
 /// What the exploration saw, so a check that passes cannot be vacuous.
@@ -77,8 +87,11 @@ struct Coverage {
     states: usize,
     /// A duplicate final tensor re-acked a replayed split.
     reacks: usize,
-    /// A fresh final tensor's ack was refused (its worker had failed).
+    /// A fresh final tensor did not ack (its worker had failed, or an
+    /// earlier tensor of its split was still out).
     refused_acks: usize,
+    /// A fresh tensor was delivered after a later one of its split.
+    overtaken: usize,
     restores: usize,
 }
 
@@ -88,6 +101,7 @@ impl World {
             ledger: SplitLedger::new(b.tensors.len()),
             endpoints: Vec::new(),
             yielded: BTreeSet::new(),
+            held: None,
             restores_left: b.restores,
         }
     }
@@ -104,6 +118,9 @@ impl World {
             }
             if !e.buffer.is_empty() {
                 steps.push(Step::Deliver(w));
+                if b.second_client && self.held.is_none() {
+                    steps.push(Step::Take(w));
+                }
             }
             if live {
                 steps.push(Step::Drain(w));
@@ -114,6 +131,9 @@ impl World {
             if !e.crashed {
                 steps.push(Step::Crash(w));
             }
+        }
+        if self.held.is_some() {
+            steps.push(Step::Give);
         }
         if self.restores_left > 0 {
             steps.push(Step::Restore);
@@ -154,6 +174,13 @@ impl World {
                     self.endpoints[w].resend = Some(env);
                 }
             }
+            Step::Take(w) => {
+                self.held = self.endpoints[w].buffer.pop_front();
+            }
+            Step::Give => {
+                let env = self.held.take().expect("enabled");
+                self.deliver(env, cov)?;
+            }
             Step::Resend(w) => {
                 let env = self.endpoints[w].resend.expect("enabled");
                 self.deliver(env, cov)?;
@@ -174,6 +201,7 @@ impl World {
                 self.ledger = SplitLedger::restore(&ckpt, b.tensors.len())
                     .map_err(|e| format!("own checkpoint refused: {e}"))?;
                 self.endpoints.clear();
+                self.held = None;
                 self.restores_left -= 1;
                 cov.restores += 1;
             }
@@ -184,6 +212,11 @@ impl World {
     /// One client delivery; a fresh tensor is yielded to the trainer.
     fn deliver(&mut self, env: Envelope, cov: &mut Coverage) -> Result<(), String> {
         let (worker, split, seq, last) = env;
+        let overtaken = self
+            .yielded
+            .range((split, seq + 1)..(split + 1, 0))
+            .next()
+            .is_some();
         let before = self.ledger.completed();
         let delivery = self.ledger.deliver(worker, split, seq, last);
         let acked = self.ledger.completed() > before;
@@ -191,7 +224,10 @@ impl World {
             Delivery::Fresh if !self.yielded.insert((split, seq)) => {
                 return Err(format!("({split}, {seq}) yielded twice"));
             }
-            Delivery::Fresh => cov.refused_acks += usize::from(last && !acked),
+            Delivery::Fresh => {
+                cov.refused_acks += usize::from(last && !acked);
+                cov.overtaken += usize::from(overtaken);
+            }
             Delivery::Duplicate => cov.reacks += usize::from(acked),
             Delivery::Rejected => return Err(format!("known split {split} rejected")),
         }
@@ -241,9 +277,13 @@ impl World {
         self.clone().settle(b, cov)
     }
 
-    /// Faults stop: the control plane spawns one fresh worker, the client
-    /// drains every buffer, and the worker serves until the queue is dry.
+    /// Faults stop: the control plane spawns one fresh worker, the second
+    /// client delivers what it holds, the first drains every buffer, and
+    /// the worker serves until the queue is dry.
     fn settle(mut self, b: Bounds, cov: &mut Coverage) -> Result<(), String> {
+        if let Some(env) = self.held.take() {
+            self.deliver(env, cov)?;
+        }
         let fresh = self.endpoints.len();
         self.endpoints.push(Endpoint::default());
         let registered = self.ledger.register();
@@ -323,23 +363,34 @@ fn visit(
     }
 }
 
-fn assert_covered(cov: &Coverage) {
+fn assert_covered(cov: &Coverage, b: Bounds) {
     assert!(cov.reacks > 0, "no duplicate final re-acked: {cov:?}");
+    if b.second_client {
+        assert!(cov.overtaken > 0, "no tensor overtaken: {cov:?}");
+    }
     assert!(cov.refused_acks > 0, "no fresh final ack refused: {cov:?}");
     assert!(cov.restores > 0, "no restore: {cov:?}");
 }
 
 #[test]
 fn ledger_is_exactly_once_and_live_over_small_interleavings() {
-    for (workers, tensors) in [(2, &[2, 1, 0][..]), (2, &[1, 2, 2][..]), (3, &[2, 1][..])] {
-        let cov = explore(Bounds {
+    // The second client multiplies the states about fivefold, so it runs
+    // on the smallest world (whose one-client interleavings it includes).
+    for (workers, tensors, second_client) in [
+        (2, &[2, 1, 0][..], true),
+        (2, &[1, 2, 2][..], false),
+        (3, &[2, 1][..], false),
+    ] {
+        let b = Bounds {
             workers,
             tensors,
             restores: 1,
             buffer: 2,
-        });
-        println!("{workers} workers, {tensors:?}: {cov:?}");
-        assert_covered(&cov);
+            second_client,
+        };
+        let cov = explore(b);
+        println!("{workers} workers, {tensors:?}, second client {second_client}: {cov:?}");
+        assert_covered(&cov, b);
     }
 }
 
@@ -349,13 +400,15 @@ fn ledger_is_exactly_once_and_live_over_small_interleavings() {
 #[ignore]
 fn ledger_is_exactly_once_and_live_at_the_full_bound() {
     for tensors in [&[2, 2, 2, 2][..], &[2, 1, 0, 2][..]] {
-        let cov = explore(Bounds {
+        let b = Bounds {
             workers: 3,
             tensors,
             restores: 1,
             buffer: 2,
-        });
+            second_client: false,
+        };
+        let cov = explore(b);
         println!("{tensors:?}: {cov:?}");
-        assert_covered(&cov);
+        assert_covered(&cov, b);
     }
 }
