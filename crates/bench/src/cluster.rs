@@ -12,11 +12,10 @@
 //! * [`release`] — the release-process job generator (Fig. 4);
 //! * [`demand`] — one-year fleet demand series (Fig. 5);
 //! * [`scheduler`] — regions, placement, and bin-packing (Fig. 6);
-//! * [`provisioning`] — per-model DSI power roll-ups (Fig. 1);
+//! * [`provisioning`] — storage-node classes, the throughput-to-storage
+//!   gap (§VII) and per-model DSI power roll-ups (Fig. 1);
 //! * [`planner`] — training capacity under a fixed power budget, and what
 //!   DSI efficiency gains buy back.
-
-#![warn(missing_docs)]
 
 pub mod demand;
 pub mod planner;
@@ -25,7 +24,9 @@ pub mod release;
 pub mod scheduler;
 
 pub use demand::{DemandModel, DemandPoint};
-pub use planner::{capacity_gain, plan_capacity, CapacityPlan};
-pub use provisioning::{provision_model, ModelProvisioning};
+pub use planner::{plan_capacity, CapacityPlan};
+pub use provisioning::{
+    provision_model, ModelProvisioning, ProvisionPlan, StorageNodeClass, TieredPlacement,
+};
 pub use release::{Job, JobKind, JobStatus, ReleaseConfig, ReleaseProcess};
 pub use scheduler::{GlobalScheduler, PlacementPolicy, PlacementSummary, Region};

@@ -6,11 +6,10 @@
 //! jobs are on the critical path of model release, so datacenters must be
 //! provisioned for those peaks, not the average.
 
-use crate::release::{JobKind, ReleaseConfig, ReleaseProcess};
-use serde::{Deserialize, Serialize};
+use super::release::{JobKind, ReleaseConfig, ReleaseProcess};
 
 /// One point of the demand series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DemandPoint {
     /// Day index.
     pub day: u32,

@@ -7,16 +7,13 @@
 //! many trainer nodes fit — and how much capacity a DSI efficiency
 //! improvement (like §VII's 2.59× co-designed power reduction) buys back.
 
-use hwsim::PowerModel;
-use serde::{Deserialize, Serialize};
+use super::provisioning::{ProvisionPlan, StorageNodeClass};
+use crate::power::PowerModel;
 use synth::RmProfile;
-use tectonic::{ProvisionPlan, StorageNodeClass};
 
 /// A capacity plan for one model within a power budget.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CapacityPlan {
-    /// Model name.
-    pub model: String,
     /// Trainer nodes deployable within the budget.
     pub trainers: f64,
     /// Watts spent on trainers.
@@ -27,13 +24,6 @@ pub struct CapacityPlan {
     pub storage_w: f64,
     /// Fraction of the budget consumed by DSI.
     pub dsi_fraction: f64,
-}
-
-impl CapacityPlan {
-    /// Total planned power.
-    pub fn total_w(&self) -> f64 {
-        self.training_w + self.preproc_w + self.storage_w
-    }
 }
 
 /// Solves for the trainer count that exactly fills `budget_watts`,
@@ -90,7 +80,6 @@ pub fn plan_capacity(
     let training_w = trainers * power.trainer_node_w;
     let total = training_w + preproc_w + storage_w;
     CapacityPlan {
-        model: profile.class.to_string(),
         trainers,
         training_w,
         preproc_w,
@@ -101,25 +90,6 @@ pub fn plan_capacity(
             0.0
         },
     }
-}
-
-/// Relative training-capacity gain from a DSI efficiency improvement.
-pub fn capacity_gain(
-    profile: &RmProfile,
-    budget_watts: f64,
-    mean_io_size: u64,
-    power: &PowerModel,
-    efficiency_factor: f64,
-) -> f64 {
-    let before = plan_capacity(profile, budget_watts, mean_io_size, power, 1.0);
-    let after = plan_capacity(
-        profile,
-        budget_watts,
-        mean_io_size,
-        power,
-        efficiency_factor,
-    );
-    after.trainers / before.trainers.max(1e-9)
 }
 
 #[cfg(test)]
@@ -135,39 +105,15 @@ mod tests {
         for profile in RmProfile::all() {
             let plan = plan_capacity(&profile, BUDGET, IO, &power, 1.0);
             assert!(plan.trainers > 0.0, "{}: no capacity", profile.class);
+            let total_w = plan.training_w + plan.preproc_w + plan.storage_w;
             assert!(
-                (plan.total_w() - BUDGET).abs() / BUDGET < 0.02,
+                (total_w - BUDGET).abs() / BUDGET < 0.02,
                 "{}: planned {:.2} MW of {:.2} MW",
                 profile.class,
-                plan.total_w() / 1e6,
+                total_w / 1e6,
                 BUDGET / 1e6
             );
         }
-    }
-
-    #[test]
-    fn dsi_efficiency_buys_training_capacity() {
-        // §VII: the co-designed optimizations cut DSI power 2.59x; at a
-        // fixed budget that converts into materially more trainers.
-        let power = PowerModel::production();
-        for profile in RmProfile::all() {
-            let gain = capacity_gain(&profile, BUDGET, IO, &power, 2.59);
-            assert!(
-                gain > 1.3,
-                "{}: capacity gain {gain:.2} from 2.59x DSI efficiency",
-                profile.class
-            );
-        }
-    }
-
-    #[test]
-    fn dsi_heavy_models_gain_most() {
-        let power = PowerModel::production();
-        let rm3 = capacity_gain(&RmProfile::rm3(), BUDGET, IO, &power, 2.0);
-        let rm2 = capacity_gain(&RmProfile::rm2(), BUDGET, IO, &power, 2.0);
-        // RM3 spends a larger DSI share (55 workers/trainer), so efficiency
-        // helps it more.
-        assert!(rm3 > rm2, "rm3 {rm3:.2} vs rm2 {rm2:.2}");
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Storage-node provisioning classes and the throughput-to-storage gap.
+//! Storage provisioning: node classes, the throughput-to-storage gap, and
+//! per-model DSI power roll-ups.
 //!
 //! §VII quantifies the central storage-provisioning tension: given
 //! industry-scale dataset sizes, trainer throughput, preprocessing data
@@ -8,15 +9,20 @@
 //! IOPS per watt but only 9% of the capacity per watt. A tiered layout
 //! placing the *popular* bytes (Fig. 7) on flash captures most of the IOPS
 //! with a fraction of the flash capacity.
+//!
+//! Fig. 1 shows the headline result: for some production models, the
+//! storage and preprocessing legs of the DSI pipeline consume **more power
+//! than the GPU trainers themselves**. [`provision_model`] derives that
+//! breakdown from first principles: trainer count → tensor demand → DPP
+//! workers (Table IX) and storage nodes (IOPS-bound provisioning, above).
 
+use crate::power::{PowerBreakdown, PowerModel};
 use dsi_types::ByteSize;
-use serde::{Deserialize, Serialize};
+use synth::RmProfile;
 
 /// A class of storage node, characterized at the node (chassis) level.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StorageNodeClass {
-    /// Class name.
-    pub name: String,
     /// Usable capacity per node.
     pub capacity: ByteSize,
     /// Effective random-read IOPS per node under the service stack.
@@ -32,7 +38,6 @@ impl StorageNodeClass {
     /// An HDD storage node: 36 × 18 TB disks, ~4.3k effective IOPS, 538 W.
     pub fn hdd() -> Self {
         Self {
-            name: "hdd-node".into(),
             capacity: ByteSize::tib(36 * 18),
             iops: 4_320.0,
             read_bw: 2.0e9,
@@ -45,7 +50,6 @@ impl StorageNodeClass {
     pub fn ssd() -> Self {
         let hdd = Self::hdd();
         Self {
-            name: "ssd-node".into(),
             capacity: hdd.capacity.scale(0.09),
             iops: hdd.iops * 3.26,
             read_bw: 6.0e9,
@@ -65,7 +69,7 @@ impl StorageNodeClass {
 }
 
 /// The result of provisioning storage for a training workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProvisionPlan {
     /// Nodes needed to hold the (replicated) dataset.
     pub nodes_for_capacity: f64,
@@ -114,7 +118,7 @@ impl ProvisionPlan {
 }
 
 /// A tiered plan: hot (popular) bytes on SSD, the rest on HDD.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TieredPlacement {
     /// The HDD leg of the plan.
     pub cold: ProvisionPlan,
@@ -166,6 +170,50 @@ impl TieredPlacement {
     /// Total provisioned power.
     pub fn watts(&self) -> f64 {
         self.cold.watts + self.hot.watts
+    }
+}
+
+/// Provisioned node counts and power for one model's training deployment.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ModelProvisioning {
+    /// DPP worker nodes.
+    pub preproc_nodes: f64,
+    /// Storage nodes.
+    pub storage_nodes: f64,
+    /// Throughput-to-storage gap on the storage leg.
+    pub storage_gap: f64,
+    /// Power breakdown.
+    pub power: PowerBreakdown,
+}
+
+/// Provisions the DSI pipeline for `trainers` trainer nodes of one model.
+///
+/// * Preprocessing scales by Table IX's workers-per-trainer ratio.
+/// * Storage must serve the fleet's aggregate *raw* read demand (tensor
+///   demand amplified by the extract-side data reduction) at Table VI's
+///   mean IO size, over the model's used partitions, with 3× replication.
+pub fn provision_model(
+    profile: &RmProfile,
+    trainers: f64,
+    mean_io_size: u64,
+    power: &PowerModel,
+) -> ModelProvisioning {
+    let preproc_nodes = trainers * profile.workers_per_trainer;
+    // Raw storage demand: each worker pulls `worker_storage_rx` compressed
+    // bytes/s at saturation.
+    let storage_demand = preproc_nodes * profile.worker_storage_rx;
+    let plan = ProvisionPlan::for_workload(
+        &StorageNodeClass::hdd(),
+        profile.used_partitions,
+        3,
+        storage_demand,
+        mean_io_size,
+    );
+    ModelProvisioning {
+        preproc_nodes,
+        storage_nodes: plan.nodes_provisioned,
+        storage_gap: plan.throughput_to_storage_gap,
+        power: power.breakdown(plan.nodes_provisioned, preproc_nodes, trainers),
     }
 }
 
@@ -240,5 +288,51 @@ mod tests {
     #[should_panic(expected = "mean IO size")]
     fn zero_io_size_panics() {
         ProvisionPlan::for_workload(&StorageNodeClass::hdd(), ByteSize::gib(1), 3, 1e6, 0);
+    }
+
+    #[test]
+    fn fig1_dsi_power_can_exceed_training_power() {
+        let power = PowerModel::production();
+        // RM3: 55 workers per trainer — DSI dominates.
+        let rm3 = provision_model(&RmProfile::rm3(), 16.0, 23_200, &power);
+        assert!(
+            rm3.power.dsi_fraction() > 0.5,
+            "RM3 DSI share {:.2}",
+            rm3.power.dsi_fraction()
+        );
+        // RM2: ~9 workers per trainer — training dominates.
+        let rm2 = provision_model(&RmProfile::rm2(), 16.0, 23_200, &power);
+        assert!(
+            rm2.power.dsi_fraction() < rm3.power.dsi_fraction(),
+            "RM2 {:.2} vs RM3 {:.2}",
+            rm2.power.dsi_fraction(),
+            rm3.power.dsi_fraction()
+        );
+    }
+
+    #[test]
+    fn preproc_nodes_scale_with_table_ix() {
+        let p = provision_model(&RmProfile::rm1(), 10.0, 23_200, &PowerModel::production());
+        assert!((p.preproc_nodes - 241.6).abs() < 0.1);
+    }
+
+    #[test]
+    fn storage_leg_is_iops_bound_for_rm1() {
+        let p = provision_model(&RmProfile::rm1(), 64.0, 23_200, &PowerModel::production());
+        assert!(
+            p.storage_gap > 1.0,
+            "storage should be IOPS-bound, gap {:.2}",
+            p.storage_gap
+        );
+        assert!(p.storage_nodes > 0.0);
+    }
+
+    #[test]
+    fn power_scales_linearly_with_trainers() {
+        let power = PowerModel::production();
+        let small = provision_model(&RmProfile::rm1(), 8.0, 23_200, &power);
+        let large = provision_model(&RmProfile::rm1(), 16.0, 23_200, &power);
+        assert!((large.power.preproc_w / small.power.preproc_w - 2.0).abs() < 1e-9);
+        assert!((large.power.training_w / small.power.training_w - 2.0).abs() < 1e-9);
     }
 }

@@ -10,10 +10,9 @@
 
 use dsi_types::rng::SplitMix64;
 use dsi_types::JobId;
-use serde::{Deserialize, Serialize};
 
 /// Phase a job belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobKind {
     /// Small idea-exploration job (<5% of the table).
     Explore,
@@ -24,7 +23,7 @@ pub enum JobKind {
 }
 
 /// Final status of a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobStatus {
     /// Ran to completion.
     Completed,
@@ -35,7 +34,7 @@ pub enum JobStatus {
 }
 
 /// One training job in a release iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Job {
     /// Job identity.
     pub id: JobId,
@@ -53,15 +52,8 @@ pub struct Job {
     pub compute_units: f64,
 }
 
-impl Job {
-    /// Day the job ends.
-    pub fn end_day(&self) -> f64 {
-        self.submit_day + self.duration_days
-    }
-}
-
 /// Release-process generator parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReleaseConfig {
     /// Exploratory jobs per iteration.
     pub explore_jobs: u32,
@@ -103,11 +95,6 @@ impl ReleaseProcess {
     /// Creates a generator.
     pub fn new(config: ReleaseConfig) -> Self {
         Self { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ReleaseConfig {
-        &self.config
     }
 
     /// Generates one iteration's jobs deterministically from `seed`.
@@ -194,21 +181,6 @@ impl ReleaseProcess {
         }
         jobs
     }
-
-    /// Concurrent combo jobs running on each day of the iteration — the
-    /// parallelism the fleet must absorb at peak.
-    pub fn combo_concurrency(jobs: &[Job], horizon_days: u32) -> Vec<u32> {
-        (0..horizon_days)
-            .map(|d| {
-                let day = d as f64;
-                jobs.iter()
-                    .filter(|j| {
-                        j.kind == JobKind::Combo && j.submit_day <= day && j.end_day() > day
-                    })
-                    .count() as u32
-            })
-            .collect()
-    }
 }
 
 impl Default for ReleaseProcess {
@@ -287,16 +259,6 @@ mod tests {
             .iter()
             .filter(|j| j.kind == JobKind::Combo)
             .all(|j| j.table_fraction >= 0.7));
-    }
-
-    #[test]
-    fn concurrency_peaks_inside_the_window() {
-        let jobs = ReleaseProcess::default().generate_iteration(11);
-        let conc = ReleaseProcess::combo_concurrency(&jobs, 30);
-        let peak = *conc.iter().max().unwrap();
-        let peak_day = conc.iter().position(|&c| c == peak).unwrap();
-        assert!(peak >= 10, "peak concurrency {peak}");
-        assert!(peak_day < 15, "peak should fall inside the window");
     }
 
     #[test]

@@ -8,11 +8,10 @@
 
 use dsi_types::rng::SplitMix64;
 use dsi_types::{ByteSize, RegionId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One region of the global fleet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Region {
     /// Region identity.
     pub id: RegionId,
@@ -21,7 +20,7 @@ pub struct Region {
 }
 
 /// How models are spread over regions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementPolicy {
     /// The production default: every model balanced across all regions.
     BalanceEverywhere,
@@ -31,7 +30,7 @@ pub enum PlacementPolicy {
 }
 
 /// The outcome of placing all models.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementSummary {
     /// Per-model compute demand per region (Fig. 6's bars).
     pub demand_by_model_region: BTreeMap<String, BTreeMap<RegionId, f64>>,
@@ -44,7 +43,7 @@ pub struct PlacementSummary {
 }
 
 /// A model to place.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelWorkload {
     /// Name (e.g. `"A"`).
     pub name: String,

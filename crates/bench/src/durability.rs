@@ -112,7 +112,7 @@ pub fn node_loss_mid_epoch(cfg: LabConfig, r: usize) -> NodeLossRun {
         batches += 1;
         if batches == kill_at {
             cluster.fail_node(victim);
-            for _ in 0..tectonic::DEFAULT_HEARTBEAT_K {
+            for _ in 0..tectonic::HEARTBEAT_K {
                 cluster.heartbeat_tick();
             }
         } else if batches > kill_at {

@@ -13,21 +13,23 @@
 //! reproduction targets (see EXPERIMENTS.md).
 //!
 //! Nothing here reads a wall clock: every cell is a count, a modelled rate
-//! (`hwsim` node saturation) or virtual time, so the same seed prints the
+//! ([`node`](crate::node) saturation) or virtual time, so the same seed prints the
 //! same table on any host. Wall-clock rates come from `dsibench` alone.
 
 use crate::accel::AccelModel;
+use crate::cluster::{self, ProvisionPlan, StorageNodeClass, TieredPlacement};
+use crate::growth::GrowthModel;
+use crate::lifecycle::{LifecycleModel, LifecycleSnapshot};
 use crate::model::{loading_sweep, onhost_baseline, per_sample_demand, GpuDemand};
+use crate::node::{NodeSpec, ResourceVector};
+use crate::power::PowerModel;
 use crate::report::{f, pct, print_table};
+use crate::tax::DatacenterTax;
 use crate::{durability, LabConfig, RmLab};
 use dpp::{run_scenario, ExtractCostModel, Scenario, WorkerReport};
 use dsi_types::{ByteSize, Projection};
 use dwrf::{CoalescePolicy, WriterOptions};
-use hwsim::{DatacenterTax, NodeSpec, PowerModel, ResourceVector};
-use synth::{
-    GrowthModel, JobProjectionSampler, LifecycleModel, LifecycleSnapshot, RmClass, RmProfile,
-};
-use tectonic::{ProvisionPlan, StorageNodeClass, TieredPlacement};
+use synth::{JobProjectionSampler, RmClass, RmProfile};
 use transforms::{TransformOp, TransformPlan};
 
 /// One experiment: its id on the command line and the function that prints
@@ -1400,15 +1402,7 @@ fn capacity() {
 
 /// Per-sample demand scaled from lab feature counts to production counts.
 fn scaled_demand(report: &WorkerReport, tax: &DatacenterTax, scale: f64) -> ResourceVector {
-    let base = per_sample_demand(report, tax);
-    ResourceVector {
-        cpu_cycles: base.cpu_cycles * scale,
-        membw_bytes: base.membw_bytes * scale,
-        nic_rx_bytes: base.nic_rx_bytes * scale,
-        nic_tx_bytes: base.nic_tx_bytes * scale,
-        resident_bytes: base.resident_bytes * scale,
-        residency_secs: base.residency_secs,
-    }
+    per_sample_demand(report, tax).scaled(scale)
 }
 
 /// Extension (autotune): closed-loop online tuning vs the static

@@ -5,10 +5,8 @@
 //! user growth, reduced downsampling, more engineered features, and faster
 //! trainers. The model composes those drivers multiplicatively per quarter.
 
-use serde::{Deserialize, Serialize};
-
 /// One quarter's normalized fleet-level DSI demand.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GrowthPoint {
     /// Quarter index (0 = two years ago).
     pub quarter: u32,
@@ -19,7 +17,7 @@ pub struct GrowthPoint {
 }
 
 /// Multiplicative quarterly growth model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GrowthModel {
     /// Quarterly growth of logged samples (organic users + downsampling
     /// reduction).
@@ -59,13 +57,6 @@ impl GrowthModel {
             })
             .collect()
     }
-
-    /// Projects the preprocessing-throughput multiplier `years` ahead
-    /// (§VI-A projects 3.5× within two years).
-    pub fn preprocessing_projection(&self, years: u32) -> f64 {
-        let quarters = (years * 4) as i32;
-        (self.samples_q * self.bytes_per_sample_q * self.trainer_speed_q).powi(quarters)
-    }
 }
 
 #[cfg(test)]
@@ -98,11 +89,5 @@ mod tests {
         }));
         assert_eq!(traj[0].dataset_size, 1.0);
         assert_eq!(traj[0].ingestion_bandwidth, 1.0);
-    }
-
-    #[test]
-    fn preprocessing_projection_near_3_5x() {
-        let p = GrowthModel::default().preprocessing_projection(2);
-        assert!((3.2..4.5).contains(&p), "projection {p:.2}");
     }
 }

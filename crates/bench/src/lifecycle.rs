@@ -8,11 +8,10 @@
 //! deprecated.
 
 use dsi_types::rng::SplitMix64;
-use dsi_types::{FeatureStatus, PartitionId};
-use serde::{Deserialize, Serialize};
+use dsi_types::FeatureStatus;
 
 /// Counts of features per lifecycle status at a point in time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LifecycleSnapshot {
     /// Proposed but not actively logged.
     pub beta: u32,
@@ -47,7 +46,7 @@ impl LifecycleSnapshot {
 /// between statuses with the model's monthly probabilities. The defaults
 /// are fitted so that simulating 6 months of proposals and then aging the
 /// population 6 more months lands near the Table II distribution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LifecycleModel {
     /// New features proposed per month.
     pub proposals_per_month: u32,
@@ -125,29 +124,6 @@ impl LifecycleModel {
         }
         snap
     }
-
-    /// Monthly churn: features added plus deprecated per month in steady
-    /// state — the rate storage must absorb schema changes at.
-    pub fn monthly_churn(&self, seed: u64) -> (u32, u32) {
-        let before = self.simulate(12, 0, seed);
-        let after = self.simulate(13, 0, seed);
-        let added = self.proposals_per_month;
-        let deprecated = after.deprecated.saturating_sub(before.deprecated);
-        (added, deprecated)
-    }
-}
-
-/// The set of partitions (days) in which a feature is actually logged,
-/// given its status history: features only appear in partitions written
-/// while they were logged, so old partitions lack new features and new
-/// partitions lack reaped ones.
-pub fn logged_partitions(
-    first_logged_day: u32,
-    reaped_day: Option<u32>,
-    table_days: u32,
-) -> Vec<PartitionId> {
-    let end = reaped_day.unwrap_or(table_days).min(table_days);
-    (first_logged_day..end).map(PartitionId::new).collect()
 }
 
 #[cfg(test)]
@@ -175,13 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn hundreds_of_features_churn_monthly() {
-        let (added, deprecated) = LifecycleModel::default().monthly_churn(7);
-        assert!(added > 1000);
-        assert!(deprecated > 100, "deprecated churn {deprecated}");
-    }
-
-    #[test]
     fn aging_moves_mass_out_of_beta() {
         let model = LifecycleModel::default();
         let fresh = model.simulate(6, 0, 1);
@@ -189,21 +158,5 @@ mod tests {
         assert!(aged.beta < fresh.beta);
         assert!(aged.deprecated > fresh.deprecated);
         assert_eq!(fresh.total(), aged.total());
-    }
-
-    #[test]
-    fn logged_partitions_window() {
-        let parts = logged_partitions(3, Some(6), 10);
-        assert_eq!(
-            parts,
-            vec![
-                PartitionId::new(3),
-                PartitionId::new(4),
-                PartitionId::new(5)
-            ]
-        );
-        let parts = logged_partitions(8, None, 10);
-        assert_eq!(parts.len(), 2);
-        assert!(logged_partitions(12, None, 10).is_empty());
     }
 }

@@ -7,7 +7,7 @@
 //! (Fig. 8); and performing preprocessing on the trainer host — the status
 //! quo DPP replaces — stalls GPUs 56% of the time (Table VII). A DPP
 //! worker's saturation throughput on a node (Table IX, Fig. 9) is its
-//! measured per-sample demand priced on `hwsim`'s node model.
+//! measured per-sample demand priced on the [`node`](crate::node) model.
 //!
 //! * [`per_sample_demand`] — a measured `WorkerReport` as a per-sample
 //!   resource vector, datacenter tax included;
@@ -16,9 +16,10 @@
 //! * [`onhost_baseline`] — the on-host preprocessing baseline (Table VII);
 //! * [`DedupIngest`] — RecD shared-tensor accounting for deduped batches.
 
+use crate::node::{NodeSpec, ResourceVector, Utilization};
+use crate::tax::DatacenterTax;
 use dpp::WorkerReport;
 use dsi_types::MiniBatchTensor;
-use hwsim::{DatacenterTax, NodeSpec, ResourceVector, Utilization};
 
 /// Mean per-sample resource demand of a measured worker run, including the
 /// datacenter tax on storage receive and tensor transmit — the vector that,
@@ -294,15 +295,6 @@ mod tests {
         let tax = DatacenterTax::production();
         let pt = &loading_sweep(&node, &tax, &[60e9])[0];
         assert!(pt.saturated);
-    }
-
-    #[test]
-    fn tls_offload_cuts_loading_cost() {
-        let node = NodeSpec::trainer();
-        let full = loading_sweep(&node, &DatacenterTax::production(), &[16.5e9]);
-        let off = loading_sweep(&node, &DatacenterTax::tls_offloaded(), &[16.5e9]);
-        assert!(off[0].utilization.cpu < full[0].utilization.cpu);
-        assert!(off[0].utilization.membw < full[0].utilization.membw * 0.6);
     }
 
     /// An RM1-flavoured per-sample preprocessing demand: heavy transform

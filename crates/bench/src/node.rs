@@ -1,8 +1,8 @@
 //! Compute-node catalog and the analytic resource model.
 //!
 //! Table X of the paper lists the general-purpose compute servers DPP runs
-//! on; the trainer front-end is a 2-socket, 8-GPU node. Every pipeline stage
-//! in this workspace expresses its cost as a [`ResourceVector`] — CPU cycles,
+//! on; the trainer front-end is a 2-socket, 8-GPU node. `figures` expresses
+//! each measured stage's cost as a [`ResourceVector`] — CPU cycles,
 //! memory-bandwidth bytes, NIC bytes, and resident memory per item — and a
 //! [`NodeSpec`] converts that cost into achievable throughput, per-resource
 //! utilization, and the binding bottleneck.
@@ -10,14 +10,13 @@
 //! Memory bandwidth saturates at ≈70% of nominal (§VI-B), which the model
 //! applies as a usable-fraction derate.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Fraction of nominal memory bandwidth that is practically achievable.
 pub const MEMBW_USABLE_FRACTION: f64 = 0.70;
 
 /// A hardware resource on a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Resource {
     /// CPU cycles across all cores.
     Cpu,
@@ -51,7 +50,7 @@ impl fmt::Display for Resource {
 /// item is in flight; together with `residency_secs` it imposes a
 /// memory-capacity rate ceiling of `capacity / (resident_bytes ×
 /// residency_secs)` items/s.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResourceVector {
     /// CPU cycles per item.
     pub cpu_cycles: f64,
@@ -95,7 +94,7 @@ impl ResourceVector {
 
 /// Per-resource utilization at a given operating rate, each in `[0, ∞)`
 /// (values above 1.0 mean the demand is infeasible on this node).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Utilization {
     /// CPU utilization fraction.
     pub cpu: f64,
@@ -127,7 +126,7 @@ impl Utilization {
 }
 
 /// Specification of a compute node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// Human-readable model name (e.g. `"C-v1"`).
     pub name: String,
@@ -141,12 +140,6 @@ pub struct NodeSpec {
     pub mem_bytes: u64,
     /// Nominal memory bandwidth in bytes per second.
     pub membw_bytes_per_sec: f64,
-    /// Node power draw in watts (host only; GPUs accounted separately).
-    pub watts: f64,
-    /// Number of training accelerators attached (0 for compute/storage).
-    pub gpus: u32,
-    /// Power per attached accelerator in watts.
-    pub gpu_watts: f64,
 }
 
 impl NodeSpec {
@@ -159,9 +152,6 @@ impl NodeSpec {
             nic_gbps: 12.5,
             mem_bytes: 64 << 30,
             membw_bytes_per_sec: 75e9,
-            watts: 300.0,
-            gpus: 0,
-            gpu_watts: 0.0,
         }
     }
 
@@ -174,9 +164,6 @@ impl NodeSpec {
             nic_gbps: 25.0,
             mem_bytes: 64 << 30,
             membw_bytes_per_sec: 92e9,
-            watts: 350.0,
-            gpus: 0,
-            gpu_watts: 0.0,
         }
     }
 
@@ -189,9 +176,6 @@ impl NodeSpec {
             nic_gbps: 25.0,
             mem_bytes: 64 << 30,
             membw_bytes_per_sec: 83e9,
-            watts: 400.0,
-            gpus: 0,
-            gpu_watts: 0.0,
         }
     }
 
@@ -205,25 +189,6 @@ impl NodeSpec {
             nic_gbps: 200.0,
             mem_bytes: 512 << 30,
             membw_bytes_per_sec: 150e9,
-            watts: 800.0,
-            gpus: 8,
-            gpu_watts: 300.0,
-        }
-    }
-
-    /// An HDD storage node chassis: modest CPU, 25 Gbps, hosting many disks
-    /// (the disks themselves are modeled in `tectonic`).
-    pub fn storage_host() -> Self {
-        Self {
-            name: "storage-host".into(),
-            cores: 16,
-            ghz: 2.2,
-            nic_gbps: 25.0,
-            mem_bytes: 64 << 30,
-            membw_bytes_per_sec: 60e9,
-            watts: 250.0,
-            gpus: 0,
-            gpu_watts: 0.0,
         }
     }
 
@@ -240,11 +205,6 @@ impl NodeSpec {
     /// Usable memory bandwidth (nominal × the ≈70% saturation derate).
     pub fn usable_membw(&self) -> f64 {
         self.membw_bytes_per_sec * MEMBW_USABLE_FRACTION
-    }
-
-    /// Total node power including attached accelerators.
-    pub fn total_watts(&self) -> f64 {
-        self.watts + self.gpus as f64 * self.gpu_watts
     }
 
     /// Maximum sustainable item rate for a per-item demand vector: the
@@ -306,21 +266,6 @@ impl NodeSpec {
             .max_by(|a, b| a.1.partial_cmp(&b.1).expect("utilization is finite"))
             .expect("non-empty")
             .0
-    }
-}
-
-impl fmt::Display for NodeSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: {} cores @ {:.1} GHz, {} Gbps NIC, {} GB mem, {:.0} GB/s membw",
-            self.name,
-            self.cores,
-            self.ghz,
-            self.nic_gbps,
-            self.mem_bytes >> 30,
-            self.membw_bytes_per_sec / 1e9
-        )
     }
 }
 
@@ -418,12 +363,6 @@ mod tests {
         assert_eq!(s.nic_tx_bytes, 4.0);
         let d = s.scaled(2.0);
         assert_eq!(d.cpu_cycles, 8.0);
-    }
-
-    #[test]
-    fn trainer_power_includes_gpus() {
-        let t = NodeSpec::trainer();
-        assert!(t.total_watts() > 8.0 * 300.0);
     }
 
     #[test]

@@ -6,11 +6,8 @@
 //! headline observation that storage + preprocessing can exceed the power of
 //! the GPU trainers themselves.
 
-use serde::{Deserialize, Serialize};
-use std::fmt;
-
 /// Power draw of one leg of the training fleet for a model, in watts.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PowerBreakdown {
     /// Storage-node power (capacity + IOPS provisioning).
     pub storage_w: f64,
@@ -48,22 +45,8 @@ impl PowerBreakdown {
     }
 }
 
-impl fmt::Display for PowerBreakdown {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (s, p, t) = self.percentages();
-        write!(
-            f,
-            "storage {:.1}% | preproc {:.1}% | training {:.1}% (total {:.1} kW)",
-            s,
-            p,
-            t,
-            self.total() / 1e3
-        )
-    }
-}
-
 /// Converts provisioned node counts into power.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Watts per storage node (host + disks).
     pub storage_node_w: f64,
@@ -99,12 +82,6 @@ impl PowerModel {
     }
 }
 
-impl Default for PowerModel {
-    fn default() -> Self {
-        Self::production()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,12 +111,5 @@ mod tests {
         let b = PowerBreakdown::default();
         assert_eq!(b.dsi_fraction(), 0.0);
         assert_eq!(b.percentages(), (0.0, 0.0, 0.0));
-    }
-
-    #[test]
-    fn display_mentions_all_legs() {
-        let b = PowerModel::production().breakdown(1.0, 1.0, 1.0);
-        let s = b.to_string();
-        assert!(s.contains("storage") && s.contains("preproc") && s.contains("training"));
     }
 }

@@ -8,10 +8,9 @@
 //! trainer- and worker-side models charge them uniformly.
 
 use crate::node::ResourceVector;
-use serde::{Deserialize, Serialize};
 
 /// Cost coefficients for datacenter-tax operations, per payload byte.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatacenterTax {
     /// CPU cycles per byte for TLS record decryption/encryption.
     pub tls_cycles_per_byte: f64,
@@ -43,28 +42,6 @@ impl DatacenterTax {
             deser_membw_amplification: 1.2,
             netstack_cycles_per_byte: 0.9,
             netstack_membw_amplification: 0.8,
-        }
-    }
-
-    /// A tax-free variant (e.g. for modeling NIC TLS offload + RDMA).
-    pub fn none() -> Self {
-        Self {
-            tls_cycles_per_byte: 0.0,
-            tls_membw_amplification: 0.0,
-            deser_cycles_per_byte: 0.0,
-            deser_membw_amplification: 0.0,
-            netstack_cycles_per_byte: 0.0,
-            netstack_membw_amplification: 0.0,
-        }
-    }
-
-    /// A variant with TLS offloaded to the NIC (§VII hardware-offload
-    /// opportunity) but software deserialization and network stack retained.
-    pub fn tls_offloaded() -> Self {
-        Self {
-            tls_cycles_per_byte: 0.0,
-            tls_membw_amplification: 0.0,
-            ..Self::production()
         }
     }
 
@@ -111,12 +88,6 @@ impl DatacenterTax {
     }
 }
 
-impl Default for DatacenterTax {
-    fn default() -> Self {
-        Self::production()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,16 +127,6 @@ mod tests {
             "membw utilization {:.2} outside Fig. 8 band",
             u.membw
         );
-    }
-
-    #[test]
-    fn offload_removes_tls_cost() {
-        let full = DatacenterTax::production();
-        let off = DatacenterTax::tls_offloaded();
-        assert!(off.rx_cycles_per_byte() < full.rx_cycles_per_byte());
-        assert!(off.rx_membw_per_byte() <= full.rx_membw_per_byte() - 3.0 + 1e-12);
-        let none = DatacenterTax::none();
-        assert_eq!(none.rx_cost(100.0).cpu_cycles, 0.0);
     }
 
     #[test]

@@ -205,22 +205,6 @@ impl FeatureValue {
         }
     }
 
-    /// Returns the dense scalar, if this is a dense value.
-    pub fn as_dense(&self) -> Option<DenseValue> {
-        match self {
-            FeatureValue::Dense(v) => Some(*v),
-            FeatureValue::Sparse(_) => None,
-        }
-    }
-
-    /// Returns the sparse list, if this is a sparse value.
-    pub fn as_sparse(&self) -> Option<&SparseList> {
-        match self {
-            FeatureValue::Dense(_) => None,
-            FeatureValue::Sparse(l) => Some(l),
-        }
-    }
-
     /// In-memory footprint of the value payload in bytes.
     pub fn payload_bytes(&self) -> usize {
         match self {

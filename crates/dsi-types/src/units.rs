@@ -51,11 +51,6 @@ impl ByteSize {
         self.0
     }
 
-    /// This size expressed in (fractional) mebibytes.
-    pub fn as_mib(self) -> f64 {
-        self.0 as f64 / MIB as f64
-    }
-
     /// This size expressed in (fractional) gibibytes.
     pub fn as_gib(self) -> f64 {
         self.0 as f64 / GIB as f64

@@ -262,8 +262,8 @@ const COPY: usize = 16;
 ///
 /// `out` is sized to the declared length once and written by index. A
 /// literal run or a match that does not reach into its own output, of at
-/// most [`COPY`] bytes, is copied as one fixed-width block when both the
-/// block and the output have [`COPY`] bytes left: the bytes past the
+/// most `COPY` (16) bytes, is copied as one fixed-width block when both
+/// the block and the output have `COPY` bytes left: the bytes past the
 /// token's own are overwritten by the tokens that follow, and a block
 /// whose tokens stop short of the declared length is rejected, so none of
 /// them survive into an `Ok`.

@@ -132,7 +132,7 @@ impl DiskModel {
     ///
     /// Relative to [`DiskModel::hdd`] this yields roughly 326% of the
     /// IOPS per watt and 9% of the capacity per watt quoted in §VII once
-    /// node-level packaging is applied (see `tectonic`).
+    /// node-level packaging is applied (see `dsi_bench::cluster::provisioning`).
     pub fn ssd() -> Self {
         Self {
             kind: DeviceKind::Ssd,

@@ -1,50 +1,32 @@
 //! Hardware simulation substrate for the DSI pipeline.
 //!
-//! The paper characterizes a production fleet: HDD/SSD storage nodes behind
-//! Tectonic, general-purpose compute nodes running DPP Workers (C-v1/v2/v3,
-//! Table X), and 8-GPU trainer nodes. This crate models that hardware so the
-//! rest of the workspace can *measure* — rather than assert — where
-//! bottlenecks fall:
+//! The paper's storage nodes are HDD/SSD chassis behind Tectonic. This
+//! crate simulates the devices those nodes own, so that reads and appends
+//! charge real seek and transfer time against one virtual clock:
 //!
 //! * [`clock`] — a shareable virtual clock in nanoseconds;
 //! * [`device`] — HDD/SSD device models with seek/rotation/transfer timing,
-//!   IOPS and power accounting;
-//! * [`node`] — the compute-node catalog and an analytic resource model
-//!   ([`ResourceVector`], [`NodeSpec`]) that turns per-item resource charges
-//!   into achievable throughput and per-resource utilization;
-//! * [`tax`] — the "datacenter tax": TLS and wire-format (de)serialization
-//!   costs that loading data over the network incurs;
-//! * [`power`] — fleet-level power roll-ups for storage, preprocessing, and
-//!   training.
+//!   IOPS and power accounting.
+//!
+//! The paper's analytic node, datacenter-tax and power models, which price
+//! measured per-sample demand for the figures, live in the `dsi-bench`
+//! crate beside the `figures` binary.
 //!
 //! # Example
 //!
 //! ```
-//! use hwsim::{NodeSpec, ResourceVector};
+//! use hwsim::{DiskModel, IoRequest};
 //!
-//! let node = NodeSpec::c_v1();
-//! // A workload that costs 2k cycles, touches 6 bytes of memory bandwidth
-//! // and 1 byte of NIC receive per item:
-//! let per_item = ResourceVector {
-//!     cpu_cycles: 2_000.0,
-//!     membw_bytes: 6.0,
-//!     nic_rx_bytes: 1.0,
-//!     ..Default::default()
-//! };
-//! let rate = node.max_rate(&per_item);
-//! assert!(rate > 0.0);
+//! let hdd = DiskModel::hdd();
+//! // A random 4 KiB read pays a seek; the same read on flash does not.
+//! let random = hdd.service_time_ns(IoRequest::new(u64::MAX / 2, 4096));
+//! assert!(random > DiskModel::ssd().service_time_ns(IoRequest::new(u64::MAX / 2, 4096)));
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod clock;
 pub mod device;
-pub mod node;
-pub mod power;
-pub mod tax;
 
 pub use clock::SimClock;
 pub use device::{DeviceKind, DeviceStats, DiskModel, IoRequest};
-pub use node::{NodeSpec, Resource, ResourceVector, Utilization};
-pub use power::{PowerBreakdown, PowerModel};
-pub use tax::DatacenterTax;

@@ -11,9 +11,7 @@
 //! * [`profiles`] — RM1/RM2/RM3 calibrated parameters;
 //! * [`popularity`] — Zipf feature popularity and per-job feature
 //!   projections (drives Fig. 7's reuse CDF);
-//! * [`dataset`] — deterministic sample generation for any schema;
-//! * [`lifecycle`] — the feature lifecycle model (Table II);
-//! * [`growth`] — dataset size / ingestion bandwidth growth (Fig. 2).
+//! * [`dataset`] — deterministic sample generation for any schema.
 //!
 //! # Example
 //!
@@ -30,13 +28,9 @@
 #![warn(missing_docs)]
 
 pub mod dataset;
-pub mod growth;
-pub mod lifecycle;
 pub mod popularity;
 pub mod profiles;
 
 pub use dataset::SampleGenerator;
-pub use growth::GrowthModel;
-pub use lifecycle::{LifecycleModel, LifecycleSnapshot};
 pub use popularity::{JobProjectionSampler, ZipfSampler};
 pub use profiles::{RmClass, RmProfile};

@@ -17,7 +17,7 @@ use crate::block::{
 };
 use crate::directory::{ChunkDirectory, ChunkInfo};
 use crate::heal::{HeartbeatDetector, RebuildProgress, RebuildQueue};
-use crate::node::{NodeStats, StorageNode};
+use crate::node::StorageNode;
 use bytes::Bytes;
 use chaos::{FaultInjector, FaultKind, HookPoint};
 use dsi_types::{DsiError, NodeId, Result};
@@ -697,11 +697,6 @@ impl TectonicCluster {
         v
     }
 
-    /// Overrides the heartbeat missed-beat threshold K.
-    pub fn set_heartbeat_k(&self, k: u32) {
-        self.inner.detector.lock().set_k(k);
-    }
-
     /// One heartbeat round: failed nodes miss their beat, live nodes beat.
     /// Nodes reaching K consecutive misses are declared dead and their
     /// chunks are queued for rebuild, most under-replicated first. Returns
@@ -926,11 +921,6 @@ impl TectonicCluster {
             total.seeks += s.seeks;
         }
         total
-    }
-
-    /// Per-node telemetry snapshots.
-    pub fn node_stats(&self) -> Vec<NodeStats> {
-        self.inner.nodes.iter().map(|n| n.lock().stats()).collect()
     }
 
     /// Every recorded IO size across nodes (enable recording first).

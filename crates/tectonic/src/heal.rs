@@ -3,7 +3,7 @@
 //!
 //! The detector is clocked explicitly — [`HeartbeatDetector::tick`] is one
 //! heartbeat round; a failed node misses its beat, and after
-//! [`DEFAULT_HEARTBEAT_K`] consecutive misses it is declared dead. The
+//! [`HEARTBEAT_K`] consecutive misses it is declared dead. The
 //! rebuild queue orders under-replicated chunks most-degraded-first (a
 //! min-heap on live replica count) and revalidates entries lazily on pop,
 //! so stale entries whose chunk has since been re-replicated or deleted
@@ -14,36 +14,27 @@ use dsi_types::NodeId;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
-/// Default missed-beat threshold before a node is declared dead.
-pub const DEFAULT_HEARTBEAT_K: u32 = 3;
+/// Consecutive missed beats before a node is declared dead. One or two
+/// missed beats are routinely a slow disk or a dropped packet, and a false
+/// declaration costs a re-replication of every chunk the node holds; three
+/// rides out those blips while still declaring a real loss within a few
+/// rounds.
+pub const HEARTBEAT_K: u32 = 3;
 
 /// Tracks per-node missed heartbeats and the resulting dead set.
 #[derive(Debug)]
 pub struct HeartbeatDetector {
-    k: u32,
     missed: Vec<u32>,
     dead: HashSet<NodeId>,
 }
 
 impl HeartbeatDetector {
-    /// Creates a detector over `nodes` storage nodes with the default
-    /// missed-beat threshold.
+    /// Creates a detector over `nodes` storage nodes.
     pub fn new(nodes: usize) -> Self {
         Self {
-            k: DEFAULT_HEARTBEAT_K,
             missed: vec![0; nodes],
             dead: HashSet::new(),
         }
-    }
-
-    /// Overrides the missed-beat threshold (K).
-    pub fn set_k(&mut self, k: u32) {
-        self.k = k.max(1);
-    }
-
-    /// The configured missed-beat threshold.
-    pub fn k(&self) -> u32 {
-        self.k
     }
 
     /// One heartbeat round: every node in `failed` misses its beat, every
@@ -55,7 +46,7 @@ impl HeartbeatDetector {
             let node = NodeId(i as u64);
             if failed.contains(&node) {
                 *misses += 1;
-                if *misses >= self.k && self.dead.insert(node) {
+                if *misses >= HEARTBEAT_K && self.dead.insert(node) {
                     newly_dead.push(node);
                 }
             } else {
@@ -71,7 +62,7 @@ impl HeartbeatDetector {
     /// Returns true if the node was not already dead.
     pub fn force_dead(&mut self, node: NodeId) -> bool {
         if let Some(m) = self.missed.get_mut(node.0 as usize) {
-            *m = self.k;
+            *m = HEARTBEAT_K;
         }
         self.dead.insert(node)
     }

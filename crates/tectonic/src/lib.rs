@@ -19,9 +19,7 @@
 //!   queue behind self-healing;
 //! * [`source`] — a [`dwrf::ChunkSource`] adapter so DWRF readers fetch
 //!   through the cluster (and, optionally, the [`cache`] SSD tier) and are
-//!   charged for IO;
-//! * [`provision`] — node-level HDD/SSD efficiency specs and the
-//!   throughput-to-storage gap arithmetic of §VII.
+//!   charged for IO.
 //!
 //! # Example
 //!
@@ -47,7 +45,6 @@ pub mod cluster;
 pub mod directory;
 pub mod heal;
 pub mod node;
-pub mod provision;
 pub mod source;
 
 pub use block::{
@@ -57,7 +54,6 @@ pub use block::{
 pub use cache::{CacheStats, SsdCache};
 pub use cluster::{ClusterConfig, DurabilityCounters, FileMeta, TectonicCluster};
 pub use directory::{ChunkDirectory, ChunkInfo};
-pub use heal::{HeartbeatDetector, RebuildProgress, RebuildQueue, DEFAULT_HEARTBEAT_K};
+pub use heal::{HeartbeatDetector, RebuildProgress, RebuildQueue, HEARTBEAT_K};
 pub use node::{NodeStats, StorageNode, CHECKSUM_PAGE};
-pub use provision::{ProvisionPlan, StorageNodeClass, TieredPlacement};
 pub use source::TectonicSource;

@@ -215,18 +215,6 @@ impl StorageNode {
         self.blocks.remove(&id).is_some()
     }
 
-    /// Length of a resident block.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DsiError::NotFound`] if the block is absent.
-    pub fn peek_len(&self, id: BlockId) -> Result<u64> {
-        self.blocks
-            .get(&id)
-            .map(|block| block.data.len() as u64)
-            .ok_or_else(|| DsiError::not_found(format!("block {id:?}")))
-    }
-
     /// Telemetry snapshot.
     pub fn stats(&self) -> NodeStats {
         NodeStats {

@@ -3,8 +3,8 @@
 //! In production DSI deployments the DPP Workers and the trainer-side
 //! Clients live on different hosts, so every mini-batch pays the
 //! "datacenter tax": serialization, optional TLS, framing, kernel socket
-//! copies, and deserialization on the far side. The in-process pipeline
-//! models that tax analytically (`hwsim::DatacenterTax`); this crate makes
+//! copies, and deserialization on the far side. The paper's figures price
+//! that tax analytically (`dsi_bench::tax::DatacenterTax`); this crate makes
 //! it *measurable* by actually shipping tensors over a socket:
 //!
 //! - [`codec`] serializes [`WireEnvelope`]s (the Worker→Client unit of

@@ -31,15 +31,6 @@ impl<T: ?Sized> Mutex<T> {
         self.0.lock().unwrap_or_else(sync::PoisonError::into_inner)
     }
 
-    /// Attempts to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
     /// Mutable access without locking (requires `&mut self`).
     pub fn get_mut(&mut self) -> &mut T {
         self.0
@@ -75,15 +66,6 @@ impl<T: ?Sized> RwLock<T> {
     /// Acquires an exclusive write lock.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         self.0.write().unwrap_or_else(sync::PoisonError::into_inner)
-    }
-
-    /// Attempts to acquire a read lock without blocking.
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        match self.0.try_read() {
-            Ok(g) => Some(g),
-            Err(sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
     }
 
     /// Mutable access without locking (requires `&mut self`).

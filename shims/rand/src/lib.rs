@@ -1,54 +1,5 @@
 //! Offline shim of `rand`.
 //!
 //! The workspace does all of its randomness through
-//! `dsi_types::rng::SplitMix64`; this crate exists only so manifests that
-//! declare a `rand` dependency resolve offline. A small seedable RNG is
-//! provided for any future caller that wants the familiar names.
-
-/// Minimal RNG trait in the spirit of `rand::Rng`.
-pub trait Rng {
-    /// Next 64 uniformly-random bits.
-    fn next_u64(&mut self) -> u64;
-
-    /// Uniform `f64` in `[0, 1)`.
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
-/// A splitmix64 generator (same construction the workspace uses).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// Creates a generator from a seed.
-    pub fn seed_from_u64(seed: u64) -> Self {
-        Self { state: seed }
-    }
-}
-
-impl Rng for SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn deterministic_and_distributed() {
-        let mut a = SplitMix64::seed_from_u64(9);
-        let mut b = SplitMix64::seed_from_u64(9);
-        assert_eq!(a.next_u64(), b.next_u64());
-        let f = a.next_f64();
-        assert!((0.0..1.0).contains(&f));
-    }
-}
+//! `dsi_types::rng::SplitMix64`, so this crate is empty: it exists only so
+//! manifests that declare a `rand` dependency resolve offline.

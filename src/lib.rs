@@ -11,9 +11,10 @@
 //! control loop, the watermark and closed-loop scaling policies and the
 //! virtual-time scenarios they are compared on, and its multi-tenant
 //! fleet control plane, re-exported as [`fleet`]), RecD-style
-//! end-to-end deduplication ([`dedup`]), fleet-level coordination
-//! ([`cluster`]), a hardware simulation substrate ([`hwsim`]), and
-//! calibrated synthetic workloads ([`synth`]).
+//! end-to-end deduplication ([`dedup`]), a simulated storage-device
+//! substrate ([`hwsim`]), and calibrated synthetic workloads ([`synth`]).
+//! The paper's analytic cost, power and fleet models, which the `figures`
+//! binary prices measurements with, are the `dsi_bench` crate's.
 //!
 //! # Quickstart
 //!
@@ -58,7 +59,6 @@
 #![warn(missing_docs)]
 
 pub use chaos;
-pub use cluster;
 pub use dedup;
 pub use dpp;
 pub use dpp::fleet;
@@ -90,7 +90,6 @@ pub mod prelude {
         Schema, SessionId, SparseList, TableId,
     };
     pub use dwrf::{CoalescePolicy, FileReader, FileWriter, WriterOptions};
-    pub use hwsim::{DatacenterTax, NodeSpec, PowerModel, ResourceVector};
     pub use scribe::{BatchEtl, EventRecord, FeatureLogRecord, MessageBus};
     pub use synth::{RmProfile, SampleGenerator};
     pub use tectonic::{ClusterConfig, TectonicCluster};

@@ -245,7 +245,7 @@ fn drive_epoch(injector: Arc<FaultInjector>, opts: EpochOpts) -> EpochRun {
                             // chunks; drain the queue under a small IOPS
                             // budget so rebuild traffic contends with the
                             // epoch's own foreground reads.
-                            for _ in 0..tectonic::DEFAULT_HEARTBEAT_K {
+                            for _ in 0..tectonic::HEARTBEAT_K {
                                 world.cluster.heartbeat_tick();
                             }
                             while world.cluster.pump_rebuild(8).remaining > 0 {}
@@ -932,7 +932,7 @@ fn durability_rebuild_converges_under_bounded_iops_budget() {
         .unwrap();
     assert!(chunks_held >= 2, "world too small: {chunks_held} chunks");
     world.cluster.fail_node(victim);
-    for _ in 0..tectonic::DEFAULT_HEARTBEAT_K {
+    for _ in 0..tectonic::HEARTBEAT_K {
         world.cluster.heartbeat_tick();
     }
     assert_eq!(world.cluster.dead_nodes(), vec![victim]);
@@ -1138,7 +1138,7 @@ fn tuner_moves_knobs_while_node_dies_mid_epoch_exactly_once() {
                             }
                             let victim = batches % world.cluster.node_count() as u64;
                             world.cluster.fail_node(NodeId(victim));
-                            for _ in 0..tectonic::DEFAULT_HEARTBEAT_K {
+                            for _ in 0..tectonic::HEARTBEAT_K {
                                 world.cluster.heartbeat_tick();
                             }
                             while world.cluster.pump_rebuild(8).remaining > 0 {}

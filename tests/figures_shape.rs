@@ -2,18 +2,21 @@
 //! on the simulated deployment (slower, coarse-scale checks; the `figures`
 //! binary prints the full tables).
 
+use dsi_bench::cluster::{provision_model, ProvisionPlan, StorageNodeClass, TieredPlacement};
+use dsi_bench::growth::GrowthModel;
 use dsi_bench::model::{loading_sweep, per_sample_demand};
+use dsi_bench::node::{NodeSpec, ResourceVector};
+use dsi_bench::power::PowerModel;
+use dsi_bench::tax::DatacenterTax;
 use dsi_bench::{LabConfig, RmLab};
 use dsi_types::{ByteSize, PIB};
-use hwsim::{DatacenterTax, NodeSpec, PowerModel};
-use synth::{GrowthModel, JobProjectionSampler, RmClass, RmProfile};
-use tectonic::{ProvisionPlan, StorageNodeClass, TieredPlacement};
+use synth::{JobProjectionSampler, RmClass, RmProfile};
 
 #[test]
 fn fig1_dsi_power_exceeds_half_for_worker_heavy_models() {
     let power = PowerModel::production();
     for profile in RmProfile::all() {
-        let prov = cluster::provision_model(&profile, 16.0, 1 << 20, &power);
+        let prov = provision_model(&profile, 16.0, 1 << 20, &power);
         assert!(
             prov.power.dsi_fraction() > 0.5,
             "{}: DSI share {:.2}",
@@ -67,7 +70,7 @@ fn table9_worker_throughput_ordering_and_scale() {
         let scale = model_features / projection.len().max(1) as f64;
         let report = lab.measure_worker(&lab.session_spec(projection, 128));
         let d = per_sample_demand(&report, &tax);
-        let scaled = hwsim::ResourceVector {
+        let scaled = ResourceVector {
             cpu_cycles: d.cpu_cycles * scale,
             membw_bytes: d.membw_bytes * scale,
             nic_rx_bytes: d.nic_rx_bytes * scale,
@@ -345,6 +348,72 @@ fn docs_list_exactly_the_workspace_crates() {
         .filter_map(|entry| entry.split_once('/').map(|(name, _)| name.to_string()))
         .collect();
     assert_eq!(listed, crates, "DESIGN §2's crate tree");
+}
+
+/// Every backticked `crate::module[::item]` in DESIGN §3's experiment table
+/// names a module of that crate (`crates/<dir>/src/<module>.rs` or a
+/// `<module>/` directory), and an item after it is declared in that module,
+/// so a moved or renamed module cannot leave the index pointing nowhere.
+#[test]
+fn design_figure_table_names_only_modules_that_exist() {
+    use std::collections::BTreeMap;
+    use std::fs;
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let dirs: BTreeMap<String, std::path::PathBuf> = fs::read_dir(root.join("crates"))
+        .unwrap()
+        .filter_map(|entry| {
+            let dir = entry.unwrap().path();
+            let manifest = fs::read_to_string(dir.join("Cargo.toml")).ok()?;
+            let name = manifest.lines().find_map(|l| l.strip_prefix("name = "))?;
+            Some((name.trim_matches('"').replace('-', "_"), dir))
+        })
+        .collect();
+    let design = include_str!("../DESIGN.md");
+    let start = design.find("\n## 3. ").unwrap();
+    let end = start + design[start..].find("\n## 4. ").unwrap();
+    let rows = design[start..end].lines().filter(|l| l.starts_with('|'));
+    let mut dangling = Vec::new();
+    for path in rows.flat_map(|row| row.split('`').skip(1).step_by(2)) {
+        let Some((krate, rest)) = path.split_once("::") else {
+            continue;
+        };
+        let Some(dir) = dirs.get(krate) else {
+            dangling.push(path.to_string());
+            continue;
+        };
+        let rest = rest.trim_start_matches('{').trim_end_matches('}');
+        for module_path in rest.split(',').map(str::trim) {
+            let mut segments = module_path.split("::");
+            let module = segments.next().unwrap();
+            if module == "*" {
+                continue;
+            }
+            let file = dir.join(format!("src/{module}.rs"));
+            let subdir = dir.join(format!("src/{module}"));
+            let mut source = fs::read_to_string(&file).unwrap_or_default();
+            if let Ok(entries) = fs::read_dir(&subdir) {
+                for entry in entries {
+                    source += &fs::read_to_string(entry.unwrap().path()).unwrap_or_default();
+                }
+            }
+            let declared = |item: &str| {
+                ["fn", "struct", "enum", "trait", "mod", "const", "type"]
+                    .iter()
+                    .any(|kw| {
+                        let decl = format!("{kw} {item}");
+                        source.match_indices(&decl).any(|(at, _)| {
+                            let next = source[at + decl.len()..].chars().next();
+                            !next.is_some_and(|c| c.is_alphanumeric() || c == '_')
+                        })
+                    })
+            };
+            let resolves = file.is_file() || subdir.is_dir();
+            if !resolves || segments.next().is_some_and(|item| !declared(item)) {
+                dangling.push(format!("{krate}::{module_path}"));
+            }
+        }
+    }
+    assert!(dangling.is_empty(), "DESIGN §3 names {dangling:?}");
 }
 
 /// The metric catalog is closed. A session writes only series `names.rs`
