@@ -17,12 +17,10 @@
 //! same table on any host. Wall-clock rates come from `dsibench` alone.
 
 use crate::accel::AccelModel;
-use crate::cluster::{self, ProvisionPlan, StorageNodeClass, TieredPlacement};
-use crate::growth::GrowthModel;
-use crate::lifecycle::{LifecycleModel, LifecycleSnapshot};
 use crate::model::{loading_sweep, onhost_baseline, per_sample_demand, GpuDemand};
 use crate::node::{NodeSpec, ResourceVector};
 use crate::power::PowerModel;
+use crate::provisioning::{provision_model, ProvisionPlan, StorageNodeClass, TieredPlacement};
 use crate::report::{f, pct, print_table};
 use crate::tax::DatacenterTax;
 use crate::{durability, LabConfig, RmLab};
@@ -39,14 +37,9 @@ pub type Figure = (&'static str, fn(bool));
 /// Every experiment `figures` can print, in the order `all` prints them.
 pub const FIGURES: &[Figure] = &[
     ("fig1", |_| fig1()),
-    ("fig2", |_| fig2()),
-    ("fig4", |_| fig4()),
-    ("fig5", |_| fig5()),
-    ("fig6", |_| fig6()),
     ("fig7", |_| fig7()),
     ("fig8", |_| fig8()),
     ("fig9", |_| fig9()),
-    ("table2", |_| table2()),
     ("table3", |_| table3()),
     ("table4", |_| table4()),
     ("table5", |_| table5()),
@@ -63,7 +56,6 @@ pub const FIGURES: &[Figure] = &[
     ("durability", durability_ablation),
     ("autotune", autotune_ablation),
     ("fleet", |_| fleet()),
-    ("capacity", |_| capacity()),
 ];
 
 /// Resolves command-line ids against [`FIGURES`], in table order; no id, or
@@ -124,7 +116,7 @@ fn fig1() {
     let rows: Vec<Vec<String>> = RmProfile::all()
         .iter()
         .map(|p| {
-            let prov = cluster::provision_model(p, 16.0, COALESCED_MEAN_IO, &power);
+            let prov = provision_model(p, 16.0, COALESCED_MEAN_IO, &power);
             let (s, pp, t) = prov.power.percentages();
             vec![
                 p.class.to_string(),
@@ -141,123 +133,6 @@ fn fig1() {
         &rows,
     );
     println!("(paper: DSI exceeds 50% of power for some models)");
-}
-
-fn fig2() {
-    let traj = GrowthModel::default().trajectory(8);
-    let rows: Vec<Vec<String>> = traj
-        .iter()
-        .map(|p| {
-            vec![
-                format!("Q{}", p.quarter),
-                f(p.dataset_size, 2),
-                f(p.ingestion_bandwidth, 2),
-            ]
-        })
-        .collect();
-    print_table(
-        "Fig 2: normalized dataset size and ingestion bandwidth over 2 years",
-        &["quarter", "dataset size", "ingestion bw"],
-        &rows,
-    );
-    let last = traj.last().expect("non-empty trajectory");
-    println!(
-        "(paper: >2x size, >4x bandwidth; measured {:.2}x / {:.2}x)",
-        last.dataset_size, last.ingestion_bandwidth
-    );
-}
-
-fn fig4() {
-    use cluster::{JobKind, JobStatus, ReleaseProcess};
-    let jobs = ReleaseProcess::default().generate_iteration(4);
-    let combos: Vec<_> = jobs.iter().filter(|j| j.kind == JobKind::Combo).collect();
-    let mut durations: Vec<f64> = combos.iter().map(|j| j.duration_days).collect();
-    durations.sort_by(f64::total_cmp);
-    let count = |s: JobStatus| combos.iter().filter(|j| j.status == s).count();
-    let rows = vec![
-        vec!["combo jobs".into(), combos.len().to_string()],
-        vec!["completed".into(), count(JobStatus::Completed).to_string()],
-        vec!["failed".into(), count(JobStatus::Failed).to_string()],
-        vec!["killed".into(), count(JobStatus::Killed).to_string()],
-        vec![
-            "p50 duration (days)".into(),
-            f(durations[durations.len() / 2], 1),
-        ],
-        vec![
-            "p90 duration (days)".into(),
-            f(durations[durations.len() * 9 / 10], 1),
-        ],
-        vec![
-            "max duration (days)".into(),
-            f(*durations.last().expect("non-empty"), 1),
-        ],
-        vec![
-            "submitted in first half of window".into(),
-            combos
-                .iter()
-                .filter(|j| j.submit_day < 7.0)
-                .count()
-                .to_string(),
-        ],
-    ];
-    print_table(
-        "Fig 4: one RM1 combo window — duration skew and outcomes",
-        &["metric", "value"],
-        &rows,
-    );
-    println!("(paper: 82 combo jobs, many killed/failed, durations past 10 days, early-skewed submissions)");
-}
-
-fn fig5() {
-    use cluster::DemandModel;
-    let series = DemandModel::default().series(364, 42);
-    // Weekly aggregation for a readable series.
-    let rows: Vec<Vec<String>> = (0..52)
-        .map(|w| {
-            let days = &series[w * 7..(w + 1) * 7];
-            let total: f64 = days.iter().map(|p| p.total).sum::<f64>() / 7.0;
-            let combo: f64 = days.iter().map(|p| p.combo).sum::<f64>() / 7.0;
-            let bar = "#".repeat((total * 40.0).round() as usize);
-            vec![format!("w{w:02}"), f(total, 2), f(combo, 2), bar]
-        })
-        .collect();
-    print_table(
-        "Fig 5: one year of normalized fleet compute demand (weekly means)",
-        &["week", "total", "combo", ""],
-        &rows,
-    );
-    println!(
-        "(peak/mean {:.2}; peaks are combo-driven)",
-        DemandModel::peak_to_mean(&series)
-    );
-}
-
-fn fig6() {
-    use cluster::scheduler::fig6_models;
-    use cluster::{GlobalScheduler, PlacementPolicy};
-    let sched = GlobalScheduler::five_regions(100.0);
-    let models = fig6_models(ByteSize::tib(10));
-    let placed = sched.place(&models, PlacementPolicy::BalanceEverywhere, 6);
-    let mut rows = Vec::new();
-    for m in &models {
-        let per = &placed.demand_by_model_region[&m.name];
-        let mut row = vec![m.name.clone()];
-        for r in sched.regions() {
-            row.push(f(per.get(&r.id).copied().unwrap_or(0.0), 2));
-        }
-        row.push(f(m.peak_demand, 1));
-        rows.push(row);
-    }
-    print_table(
-        "Fig 6: compute demand of models A-J split across regions R1-R5 (normalized to J)",
-        &["model", "R1", "R2", "R3", "R4", "R5", "total"],
-        &rows,
-    );
-    let packed = sched.place(&models, PlacementPolicy::BinPack, 6);
-    println!(
-        "(balanced placement stores {} of datasets; bin-packing cuts it to {})",
-        placed.stored_bytes, packed.stored_bytes
-    );
 }
 
 fn fig7() {
@@ -364,34 +239,6 @@ fn fig9() {
 }
 
 // ----------------------------------------------------------------- tables
-
-fn table2() {
-    let snap = LifecycleModel::default().simulate(6, 6, 42);
-    let reference = LifecycleSnapshot::table_ii_reference();
-    let rows = vec![
-        vec![
-            "measured".into(),
-            snap.beta.to_string(),
-            snap.experimental.to_string(),
-            snap.active.to_string(),
-            snap.deprecated.to_string(),
-            snap.total().to_string(),
-        ],
-        vec![
-            "paper".into(),
-            reference.beta.to_string(),
-            reference.experimental.to_string(),
-            reference.active.to_string(),
-            reference.deprecated.to_string(),
-            reference.total().to_string(),
-        ],
-    ];
-    print_table(
-        "Table II: fate of features proposed for RM1 in a 6-month window, 6 months later",
-        &["", "beta", "experimental", "active", "deprecated", "total"],
-        &rows,
-    );
-}
 
 fn table3() {
     let rows: Vec<Vec<String>> = RmProfile::all()
@@ -1365,41 +1212,6 @@ fn fleet() {
     );
 }
 
-/// Capacity planning: trainers per 10 MW budget, and what the §VII 2.59x
-/// DSI power reduction buys back.
-fn capacity() {
-    let power = PowerModel::production();
-    let budget = 10e6;
-    let mut rows = Vec::new();
-    for profile in RmProfile::all() {
-        let before = cluster::plan_capacity(&profile, budget, COALESCED_MEAN_IO, &power, 1.0);
-        let after = cluster::plan_capacity(&profile, budget, COALESCED_MEAN_IO, &power, 2.59);
-        rows.push(vec![
-            profile.class.to_string(),
-            f(before.trainers, 0),
-            pct(before.dsi_fraction),
-            f(after.trainers, 0),
-            pct(after.dsi_fraction),
-            format!("{:.2}x", after.trainers / before.trainers),
-        ]);
-    }
-    print_table(
-        "Extension: trainer capacity in a 10 MW datacenter, before/after the 2.59x DSI power reduction",
-        &[
-            "model",
-            "trainers",
-            "DSI share",
-            "trainers @2.59x",
-            "DSI share",
-            "capacity gain",
-        ],
-        &rows,
-    );
-    println!(
-        "(the paper's motivation quantified: DSI power converts directly into training capacity)"
-    );
-}
-
 /// Per-sample demand scaled from lab feature counts to production counts.
 fn scaled_demand(report: &WorkerReport, tax: &DatacenterTax, scale: f64) -> ResourceVector {
     per_sample_demand(report, tax).scaled(scale)
@@ -1461,12 +1273,15 @@ mod tests {
         let ids = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         let names = |v: Vec<Figure>| v.iter().map(|(n, _)| *n).collect::<Vec<_>>();
         assert_eq!(select(&[]).unwrap().len(), FIGURES.len());
-        assert_eq!(select(&ids(&["fig2", "all"])).unwrap().len(), FIGURES.len());
+        assert_eq!(select(&ids(&["fig7", "all"])).unwrap().len(), FIGURES.len());
         assert_eq!(
             names(select(&ids(&["table9", "fig7"])).unwrap()),
             ["fig7", "table9"]
         );
-        for retired in ["gate", "fastpath", "wire", "trace", "tenancy"] {
+        for retired in [
+            "gate", "fastpath", "wire", "trace", "tenancy", "fig2", "fig4", "fig5", "fig6",
+            "table2", "capacity",
+        ] {
             let err = select(&ids(&["fig1", retired])).unwrap_err();
             assert!(err.contains(retired) && err.contains("durability"), "{err}");
         }

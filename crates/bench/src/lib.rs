@@ -9,30 +9,26 @@
 //! splits). The `figures` binary and the criterion benches both build on
 //! it.
 //!
-//! The cost, power and fleet models `figures` prices those measurements
-//! with live here and nowhere else:
+//! The cost and power models `figures` prices those measurements with live
+//! here and nowhere else:
 //!
 //! * [`node`], [`tax`], [`power`] — the compute-node catalog and resource
 //!   model (Table X), the datacenter tax of loading data over the network,
 //!   and fleet power roll-ups;
 //! * [`model`] and [`accel`] — the trainer-side models and the GPU-offload
 //!   model;
-//! * [`cluster`] — the release process, fleet demand, global scheduling,
-//!   storage provisioning and capacity planning (Figs 1, 4–6, §VII);
-//! * [`lifecycle`] and [`growth`] — feature lifecycle (Table II) and
-//!   dataset growth (Fig 2).
+//! * [`provisioning`] — storage-node classes, the throughput-to-storage gap
+//!   (§VII) and per-model DSI power roll-ups (Fig 1).
 
 #![warn(missing_docs)]
 
 pub mod accel;
-pub mod cluster;
 pub mod durability;
 pub mod figures;
-pub mod growth;
-pub mod lifecycle;
 pub mod model;
 pub mod node;
 pub mod power;
+pub mod provisioning;
 pub mod report;
 pub mod rmlab;
 pub mod tax;

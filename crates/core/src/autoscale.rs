@@ -12,10 +12,9 @@
 //! comparison (`figures autotune`, `figures fleet`) runs against.
 
 use crate::tuning::{KnobBounds, Knobs, TunerPolicy, TunerSignals};
-use serde::{Deserialize, Serialize};
 
 /// Controller configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalerConfig {
     /// Never drop below this many workers.
     pub min_workers: usize,

@@ -5,11 +5,10 @@
 //! exhaustively.
 
 use dsi_types::{DsiError, Result, SessionId, WorkerId};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Progress state of one split.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SplitState {
     /// Waiting in the queue.
     Pending,
@@ -32,7 +31,7 @@ pub enum Delivery {
 
 /// A restorable snapshot of the ledger: enough to kill the whole session
 /// mid-epoch and resume it with exactly-once delivery intact.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MasterCheckpoint {
     /// The owning session.
     pub session: SessionId,

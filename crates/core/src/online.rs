@@ -27,7 +27,6 @@
 use crate::tuning::{KnobBounds, Knobs, TunerPolicy, TunerSignals};
 use dsi_obs::stage;
 use dsi_types::rng::SplitMix64;
-use serde::{Deserialize, Serialize};
 
 /// Knob-axis indices, matching [`Knobs::axis`].
 const AXIS_WORKERS: usize = 0;
@@ -35,7 +34,7 @@ const AXIS_READ_AHEAD: usize = 1;
 const AXIS_BATCH: usize = 2;
 
 /// Tuner configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TunerConfig {
     /// Hard per-knob fences.
     pub bounds: KnobBounds,

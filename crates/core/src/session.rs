@@ -8,14 +8,13 @@ use dedup::DedupConfig;
 use dsi_trace::TraceConfig;
 use dsi_types::{FeatureId, FeatureValue, PartitionId, Projection, Sample, SessionId};
 use dwrf::CoalescePolicy;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use transforms::TransformPlan;
 use wire::WireConfig;
 
 /// How the data plane carries tensors from Workers to Clients.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Transport {
     /// In-process bounded channels (the default): the Worker→Client
     /// boundary is free, and the datacenter tax is charged analytically
@@ -38,7 +37,7 @@ pub enum Transport {
 /// jobs obtain them by joining a side table against each sample at
 /// extraction time. The join key is the sample's value of `key`: the first
 /// id of a sparse feature, or a dense feature cast to an id.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Injection {
     /// Feature whose value keys the side table.
     pub key: FeatureId,
@@ -69,7 +68,7 @@ impl Injection {
 }
 
 /// Specification of one preprocessing session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionSpec {
     /// Session identity.
     pub id: SessionId,

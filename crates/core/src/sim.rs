@@ -16,10 +16,9 @@ use crate::autoscale::{AutoScaler, ScalerConfig};
 use crate::online::{OnlineTuner, TunerConfig};
 use crate::tuning::{KnobBounds, Knobs, TunerPolicy, TunerSignals};
 use dsi_obs::SignalSnapshot;
-use serde::{Deserialize, Serialize};
 
 /// One benchmark scenario: a workload shape plus knob fences.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Stable scenario name for reports.
     pub name: &'static str,
@@ -233,7 +232,7 @@ impl Scenario {
 }
 
 /// One sampled controller tick.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TunePoint {
     /// Virtual time, seconds.
     pub t: f64,
@@ -248,7 +247,7 @@ pub struct TunePoint {
 }
 
 /// Result of one policy's run over a scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TuneTrace {
     /// Policy name the trace was produced by.
     pub policy: String,

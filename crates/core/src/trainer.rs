@@ -12,11 +12,10 @@
 //! says how long that was.
 
 use crate::Client;
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// How long a trainer ran and how much of that it waited for data.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StallReport {
     /// Batches consumed.
     pub batches: u64,

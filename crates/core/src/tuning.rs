@@ -15,11 +15,10 @@
 
 use crate::service::{DppSession, WorkerObservation};
 use dsi_obs::SignalSnapshot;
-use serde::{Deserialize, Serialize};
 
 /// One joint setting of every tunable pipeline resource: exactly the
 /// knobs a running [`DppSession`] has an actuator for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Knobs {
     /// DPP worker (preprocessing node) count.
     pub workers: usize,
@@ -69,7 +68,7 @@ impl Default for Knobs {
 
 /// Hard per-knob `[min, max]` floors and ceilings a policy must never
 /// cross — guarded exploration's outer fence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KnobBounds {
     /// Worker-count window.
     pub workers: (usize, usize),

@@ -18,7 +18,6 @@
 use crate::session::SessionSpec;
 use dsi_types::{Batch, MiniBatchTensor, Result, Sample, WorkerId};
 use dwrf::IoPlan;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use transforms::{ColumnarPlan, COLUMNAR_KERNELS};
 use warehouse::{Split, TableScan};
@@ -65,7 +64,7 @@ impl ExecPlan {
 }
 
 /// Cycle and memory-traffic coefficients for the extract stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExtractCostModel {
     /// Cycles per compressed byte for stream decryption.
     pub decrypt_cycles_per_byte: f64,
@@ -102,7 +101,7 @@ impl Default for ExtractCostModel {
 }
 
 /// Cumulative per-worker telemetry.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WorkerReport {
     /// Splits completed.
     pub splits: u64,

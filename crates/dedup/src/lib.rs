@@ -36,7 +36,6 @@
 #![warn(missing_docs)]
 
 use dsi_types::{Batch, FeatureId, FeatureValue, MiniBatchTensor, Sample};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use transforms::plan::PlanCost;
 use transforms::{TransformOp, TransformPlan};
@@ -44,7 +43,7 @@ use transforms::{TransformOp, TransformPlan};
 /// Configuration for the deduplication subsystem, threaded through workload
 /// generation (`synth`), ETL (`scribe`), storage (`dwrf`), and the DPP data
 /// plane (`dpp`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DedupConfig {
     /// How many recently-seen canonical payloads a writer or clusterer
     /// keeps in its lookback window when matching new rows. Sessions are
@@ -100,7 +99,7 @@ pub fn sparse_signature(s: &Sample) -> Vec<u8> {
 }
 
 /// One member's non-shared payload: its label and dense features.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemberDelta {
     /// The member's label.
     pub label: f32,
@@ -120,7 +119,7 @@ impl MemberDelta {
 
 /// A cluster of logical rows sharing one sparse payload: the canonical
 /// sample (the set's first member, stored in full) plus per-member deltas.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DedupSet {
     canonical: Sample,
     deltas: Vec<MemberDelta>,

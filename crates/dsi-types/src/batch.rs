@@ -9,10 +9,9 @@
 use crate::feature::SparseList;
 use crate::id::FeatureId;
 use crate::sample::Sample;
-use serde::{Deserialize, Serialize};
 
 /// An ordered collection of samples awaiting batching.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Batch {
     samples: Vec<Sample>,
 }
@@ -109,7 +108,7 @@ impl Extend<Sample> for Batch {
 }
 
 /// A row-major `rows × cols` matrix of `f32` dense features.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DenseMatrix {
     rows: usize,
     cols: usize,
@@ -229,7 +228,7 @@ impl DenseMatrix {
 ///
 /// `offsets` has `rows + 1` entries; row `r`'s values occupy
 /// `values[offsets[r]..offsets[r + 1]]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SparseTensor {
     feature: FeatureId,
     offsets: Vec<u32>,
@@ -567,7 +566,7 @@ impl SparseTensor {
 }
 
 /// A fully-materialized mini-batch ready to be loaded into trainer memory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MiniBatchTensor {
     /// Dense features, `batch × dense_features`.
     pub dense: DenseMatrix,

@@ -8,14 +8,13 @@
 //!   categorical values (e.g. page ids), optionally weighted with a
 //!   floating-point *score* per value (e.g. page creation time).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense (continuous) feature value.
 pub type DenseValue = f32;
 
 /// The kind of a feature column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FeatureKind {
     /// Continuous scalar, one `f32` per sample.
     Dense,
@@ -47,7 +46,7 @@ impl fmt::Display for FeatureKind {
 ///
 /// The invariant `scores.len() == ids.len()` holds whenever scores are
 /// present; constructors and mutators preserve it.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SparseList {
     ids: Vec<u64>,
     scores: Option<Vec<f32>>,
@@ -187,7 +186,7 @@ impl Extend<u64> for SparseList {
 }
 
 /// A feature value of any kind, as held in a sample's map columns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FeatureValue {
     /// A dense scalar.
     Dense(DenseValue),

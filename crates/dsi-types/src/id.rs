@@ -3,16 +3,12 @@
 //! Newtypes keep the many `u64`-shaped identities in the pipeline from being
 //! confused with one another (a [`FeatureId`] is never a [`TableId`]).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$meta:meta])* $name:ident, $prefix:expr) => {
         $(#[$meta])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-            Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(pub u64);
 
         impl fmt::Display for $name {
@@ -51,21 +47,9 @@ id_type!(
 );
 
 id_type!(
-    /// Identifies a training job (exploratory, combo, or release candidate).
-    JobId,
-    "job"
-);
-
-id_type!(
     /// Identifies a physical node (storage, compute, or trainer).
     NodeId,
     "node"
-);
-
-id_type!(
-    /// Identifies a geographic region of the fleet.
-    RegionId,
-    "r"
 );
 
 id_type!(
@@ -91,9 +75,7 @@ id_type!(
 ///
 /// Partitions are ordered by day index; a training job selects a contiguous
 /// range of them (the "row filter" dimension of dataset selection).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PartitionId {
     /// Days since the table's epoch.
     pub day: u32,
@@ -165,7 +147,7 @@ mod tests {
 
     #[test]
     fn round_trip_u64() {
-        let id = JobId::from(42u64);
+        let id = SplitId::from(42u64);
         assert_eq!(u64::from(id), 42);
     }
 

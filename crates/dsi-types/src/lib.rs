@@ -37,9 +37,7 @@ pub mod units;
 pub use batch::{Batch, DenseMatrix, MiniBatchTensor, SparseTensor};
 pub use error::{DsiError, Result};
 pub use feature::{DenseValue, FeatureKind, FeatureValue, SparseList};
-pub use id::{
-    FeatureId, JobId, NodeId, PartitionId, RegionId, SessionId, SplitId, TableId, WorkerId,
-};
+pub use id::{FeatureId, NodeId, PartitionId, SessionId, SplitId, TableId, WorkerId};
 pub use sample::Sample;
 pub use schema::{FeatureDef, FeatureStatus, Projection, Schema};
 pub use units::{ByteSize, GIB, KIB, MIB, PIB, TIB};

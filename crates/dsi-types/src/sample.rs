@@ -3,7 +3,6 @@
 
 use crate::feature::{DenseValue, FeatureValue, SparseList};
 use crate::id::FeatureId;
-use serde::{Deserialize, Serialize};
 
 /// A map from feature id to `V` held as one vector sorted by id, with no
 /// two entries sharing an id. Rows are built and consumed in id order far
@@ -46,7 +45,7 @@ fn remove<V>(map: &mut FlatMap<V>, id: FeatureId) -> Option<V> {
 /// Each map is a flat map: a vector of `(id, value)` entries kept strictly
 /// ascending by id, so iteration is id-ordered and two samples holding the
 /// same features compare equal however they were built.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Sample {
     dense: FlatMap<DenseValue>,
     sparse: FlatMap<SparseList>,

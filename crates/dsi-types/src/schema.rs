@@ -8,12 +8,11 @@
 
 use crate::feature::FeatureKind;
 use crate::id::FeatureId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Lifecycle status of a feature in a production dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FeatureStatus {
     /// Proposed but not actively logged; may be back-filled or injected for
     /// exploratory jobs.
@@ -46,7 +45,7 @@ impl fmt::Display for FeatureStatus {
 }
 
 /// Definition of one feature column in a table schema.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureDef {
     /// The feature's stable identifier.
     pub id: FeatureId,
@@ -116,7 +115,7 @@ impl FeatureDef {
 }
 
 /// A table schema: the full set of logged feature definitions.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Schema {
     features: BTreeMap<FeatureId, FeatureDef>,
 }
@@ -221,7 +220,7 @@ impl FromIterator<FeatureDef> for Schema {
 }
 
 /// A per-job feature projection: the set of columns a training job reads.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Projection {
     ids: Vec<FeatureId>,
 }

@@ -1,9 +1,8 @@
 //! Byte-size units and human-readable formatting.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
-use std::ops::{Add, AddAssign, Mul, Sub};
+use std::ops::{Add, Sub};
 
 /// One kibibyte (2^10 bytes).
 pub const KIB: u64 = 1024;
@@ -17,9 +16,7 @@ pub const TIB: u64 = 1024 * GIB;
 pub const PIB: u64 = 1024 * TIB;
 
 /// A size in bytes with human-readable display and arithmetic.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ByteSize(pub u64);
 
 impl ByteSize {
@@ -99,23 +96,10 @@ impl Add for ByteSize {
     }
 }
 
-impl AddAssign for ByteSize {
-    fn add_assign(&mut self, rhs: ByteSize) {
-        self.0 += rhs.0;
-    }
-}
-
 impl Sub for ByteSize {
     type Output = ByteSize;
     fn sub(self, rhs: ByteSize) -> ByteSize {
         ByteSize(self.0 - rhs.0)
-    }
-}
-
-impl Mul<u64> for ByteSize {
-    type Output = ByteSize;
-    fn mul(self, rhs: u64) -> ByteSize {
-        ByteSize(self.0 * rhs)
     }
 }
 
@@ -155,7 +139,6 @@ mod tests {
         let a = ByteSize::mib(1) + ByteSize::kib(512);
         assert_eq!(a.bytes(), MIB + 512 * KIB);
         assert_eq!((a - ByteSize::kib(512)).bytes(), MIB);
-        assert_eq!((ByteSize::kib(1) * 3).bytes(), 3 * KIB);
         let total: ByteSize = (0..4).map(|_| ByteSize::kib(1)).sum();
         assert_eq!(total, ByteSize::kib(4));
     }

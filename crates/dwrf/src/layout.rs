@@ -7,11 +7,10 @@
 //! unnecessary features captured inside each coalesced read.
 
 use dsi_types::FeatureId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Policy for ordering feature columns within a stripe.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum StreamOrder {
     /// Features laid out in ascending feature-id order (the
     /// pre-optimization baseline — effectively insertion order for

@@ -6,13 +6,11 @@
 //! fetched in one IO, amortizing seeks at the cost of *over-reading* the
 //! unwanted bytes between them (§VII). [`IoPlan`] captures both effects.
 
-use serde::{Deserialize, Serialize};
-
 /// Default coalescing window: 1.25 MiB.
 pub const DEFAULT_COALESCE_WINDOW: u64 = 1_310_720;
 
 /// How wanted byte ranges become IO requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoalescePolicy {
     /// One IO per wanted range (the pre-optimization baseline).
     None,
@@ -34,7 +32,7 @@ impl Default for CoalescePolicy {
 }
 
 /// One planned IO request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannedRead {
     /// Byte offset within the file.
     pub offset: u64,
@@ -55,7 +53,7 @@ impl PlannedRead {
 }
 
 /// A set of IO requests plus over-read accounting.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct IoPlan {
     /// The IO requests, sorted by offset.
     pub reads: Vec<PlannedRead>,

@@ -12,13 +12,12 @@ use crate::encoding::{
     rle_encode, write_bitmap, write_f32s, write_f32s_xor, write_varint, write_varints, Bitmap,
 };
 use dsi_types::{DsiError, FeatureId, Result, Sample, SparseList};
-use serde::{Deserialize, Serialize};
 
 /// Sentinel feature id for file-level (non-feature) streams.
 pub const FILE_LEVEL: u64 = u64::MAX;
 
 /// The role of a stream within a stripe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StreamKind {
     /// Presence bitmap: one bit per row.
     Present,
@@ -89,7 +88,7 @@ impl StreamKind {
 }
 
 /// Directory entry for one physical stream in the file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamInfo {
     /// Owning feature id, or [`FILE_LEVEL`].
     pub feature: u64,

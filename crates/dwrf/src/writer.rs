@@ -10,14 +10,13 @@ use crate::stream::{
 };
 use bytes::Bytes;
 use dsi_types::{DsiError, FeatureId, Result, Sample};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Trailing file magic.
 pub const MAGIC: &[u8; 8] = b"DWRF\0v1\0";
 
 /// Writer configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WriterOptions {
     /// Feature flattening: each feature gets its own streams (production
     /// layout). When `false`, the whole row maps are serialized per stripe
@@ -76,7 +75,7 @@ impl WriterOptions {
 }
 
 /// Directory metadata for one stripe.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StripeMeta {
     /// Rows in this stripe.
     pub row_count: u64,
@@ -101,7 +100,7 @@ impl StripeMeta {
 }
 
 /// Parsed file footer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FileFooter {
     /// Whether feature flattening was used.
     pub flattened: bool,

@@ -8,11 +8,10 @@
 //! models expose exactly that tension.
 
 use dsi_types::ByteSize;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Kind of storage medium.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     /// Rotational disk: cheap capacity, seek-dominated small IO.
     Hdd,
@@ -46,7 +45,7 @@ impl IoRequest {
 }
 
 /// Cumulative telemetry for one device.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DeviceStats {
     /// Number of IO operations served.
     pub ios: u64,
@@ -92,7 +91,7 @@ impl DeviceStats {
 /// Timing for a request: if the request does not continue sequentially from
 /// the previous IO's end offset, it pays `seek + rotational` latency; all
 /// requests pay `len / sequential_bw` transfer time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiskModel {
     kind: DeviceKind,
     capacity: ByteSize,
@@ -132,7 +131,7 @@ impl DiskModel {
     ///
     /// Relative to [`DiskModel::hdd`] this yields roughly 326% of the
     /// IOPS per watt and 9% of the capacity per watt quoted in §VII once
-    /// node-level packaging is applied (see `dsi_bench::cluster::provisioning`).
+    /// node-level packaging is applied (see `dsi_bench::provisioning`).
     pub fn ssd() -> Self {
         Self {
             kind: DeviceKind::Ssd,

@@ -11,11 +11,10 @@ use crate::logdevice::Lsn;
 use crate::record::{EventRecord, FeatureLogRecord, ScribeRecord};
 use dedup::{DedupConfig, DedupSet, DedupStats};
 use dsi_types::{PartitionId, Result, Sample};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Counters for an ETL engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EtlStats {
     /// Feature logs offered.
     pub features_in: u64,

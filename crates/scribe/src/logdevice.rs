@@ -8,12 +8,9 @@
 
 use crate::record::ScribeRecord;
 use dsi_types::{DsiError, Result};
-use serde::{Deserialize, Serialize};
 
 /// A log sequence number: position of a record within a stream.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Lsn(pub u64);
 
 impl Lsn {

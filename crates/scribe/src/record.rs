@@ -1,10 +1,9 @@
 //! Raw log records produced at model-serving time.
 
 use dsi_types::Sample;
-use serde::{Deserialize, Serialize};
 
 /// Features logged for one serving request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureLogRecord {
     /// Correlates the feature log with its outcome event.
     pub request_id: u64,
@@ -26,7 +25,7 @@ impl FeatureLogRecord {
 }
 
 /// The observed outcome of one recommendation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EventRecord {
     /// Correlates with the feature log.
     pub request_id: u64,
@@ -57,7 +56,7 @@ impl EventRecord {
 }
 
 /// Any record carried by Scribe streams.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScribeRecord {
     /// Raw serving-time features.
     Feature(FeatureLogRecord),

@@ -10,11 +10,10 @@
 //! * Table IX — DPP Worker saturation throughput on a C-v1 node.
 
 use dsi_types::{ByteSize, FeatureDef, FeatureId, Schema, PIB};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which production model a profile describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RmClass {
     /// RM1: largest feature demand, memory-bandwidth/CPU-bound preprocessing.
     Rm1,
@@ -35,7 +34,7 @@ impl fmt::Display for RmClass {
 }
 
 /// Calibrated characteristics of one production model and its dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RmProfile {
     /// Model class.
     pub class: RmClass,

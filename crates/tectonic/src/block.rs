@@ -2,7 +2,6 @@
 
 use dsi_types::rng::{mix2, mix64};
 use dsi_types::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Default block size: 8 MiB.
 pub const DEFAULT_BLOCK_SIZE: u64 = 8 * 1024 * 1024;
@@ -11,7 +10,7 @@ pub const DEFAULT_BLOCK_SIZE: u64 = 8 * 1024 * 1024;
 pub const REPLICATION_FACTOR: usize = 3;
 
 /// Identifies one block of one file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId {
     /// Hash of the owning file path.
     pub file_hash: u64,

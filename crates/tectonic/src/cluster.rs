@@ -24,13 +24,12 @@ use dsi_types::{DsiError, NodeId, Result};
 use fastpath::{ByteView, SourceChunk};
 use hwsim::{DeviceStats, DiskModel, SimClock};
 use parking_lot::{Mutex, RwLock};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Cluster construction parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Number of storage nodes.
     pub nodes: usize,

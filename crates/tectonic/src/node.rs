@@ -5,7 +5,6 @@ use crate::block::{chunk_checksum, BlockId};
 use bytes::Bytes;
 use dsi_types::{DsiError, Result};
 use hwsim::{DeviceStats, DiskModel, IoRequest};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Checksum granularity: sums are kept per 64 KiB page so read-time
@@ -52,7 +51,7 @@ impl StoredBlock {
 }
 
 /// Cumulative node telemetry (device stats plus IO size distribution).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct NodeStats {
     /// Underlying device statistics.
     pub device: DeviceStats,

@@ -21,7 +21,6 @@ use crate::op::TransformOp;
 use crate::plan::{PlanCost, TransformPlan};
 use dsi_types::rng::mix2;
 use dsi_types::{DenseMatrix, FeatureId, MiniBatchTensor, Sample, SparseTensor};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Kernel names for per-op timing attribution, indexed by
@@ -87,7 +86,7 @@ pub struct ColumnarApply {
 }
 
 /// What [`ColumnarPlan::capture_ctx`] records for one sparse feature.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct SparseWant {
     feature: FeatureId,
     /// Materialization cap (`usize::MAX` = none).
@@ -102,7 +101,7 @@ struct SparseWant {
 }
 
 /// A transform plan compiled for columnar execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnarPlan {
     ops: Vec<TransformOp>,
     /// Per op: the cap a generator's output is born with (`usize::MAX` for

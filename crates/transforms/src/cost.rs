@@ -8,11 +8,10 @@
 //! actual elements touched.
 
 use crate::op::TransformOp;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Compute class of an operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// Derives new features (Cartesian, NGram, Bucketize, MapId, ...).
     FeatureGeneration,
@@ -37,7 +36,7 @@ impl fmt::Display for OpClass {
 }
 
 /// Cycle cost weights per element for each class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpCost {
     /// Cycles per element for feature generation (hash + alloc heavy).
     pub feature_generation: f64,

@@ -2,7 +2,6 @@
 
 use dsi_types::rng::{mix2, SplitMix64};
 use dsi_types::{FeatureId, Sample, SparseList};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One preprocessing operation over a sample's features.
@@ -10,7 +9,7 @@ use std::collections::BTreeMap;
 /// Operations never fail: missing inputs simply produce no output (absent
 /// features are routine — coverage is well below 1.0 for most sparse
 /// features).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TransformOp {
     /// Cartesian product of two sparse features: every id pair hashes into
     /// a combined id in `output`.

@@ -8,14 +8,13 @@
 use crate::cost::{OpClass, OpCost};
 use crate::op::TransformOp;
 use dsi_types::{Batch, DsiError, FeatureId, Projection, Result, Sample};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Derived features get ids in a dedicated range above raw feature ids.
 pub const DERIVED_FEATURE_BASE: u64 = 1 << 32;
 
 /// Cycle accounting for one plan application.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PlanCost {
     /// Total estimated CPU cycles.
     pub cycles: f64,
@@ -63,7 +62,7 @@ impl PlanCost {
 }
 
 /// An ordered, serializable list of transform operations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransformPlan {
     ops: Vec<TransformOp>,
     cost_model: OpCost,

@@ -9,12 +9,11 @@
 use crate::scan::ScanStats;
 use crate::table::Table;
 use dsi_types::{DsiError, FeatureId, PartitionId, Projection, Result, Sample};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// A row predicate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
     /// Keep every row.
     True,
@@ -64,7 +63,7 @@ impl Predicate {
 }
 
 /// An aggregation over the filtered rows.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Aggregate {
     /// Row count.
     Count,
@@ -90,7 +89,7 @@ impl Aggregate {
 }
 
 /// One aggregate's result.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AggregateValue {
     /// The aggregate computed.
     pub aggregate: Aggregate,
@@ -99,7 +98,7 @@ pub struct AggregateValue {
 }
 
 /// The result of a query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryResult {
     /// Rows scanned (before the predicate).
     pub rows_scanned: u64,
@@ -112,7 +111,7 @@ pub struct QueryResult {
 }
 
 /// An ad-hoc interactive query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     /// Partition (row) filter.
     pub partitions: Range<PartitionId>,

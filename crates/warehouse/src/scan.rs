@@ -11,7 +11,6 @@ use crate::table::Table;
 use dsi_types::{PartitionId, Projection, Result, Sample};
 use dwrf::writer::FileFooter;
 use dwrf::{CoalescePolicy, FileReader, IoPlan};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::Arc;
 use tectonic::TectonicSource;
@@ -34,7 +33,7 @@ pub struct Split {
 }
 
 /// Accumulated IO accounting for a scan.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ScanStats {
     /// Splits executed.
     pub splits: u64,

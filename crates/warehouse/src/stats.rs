@@ -4,12 +4,11 @@ use crate::table::Table;
 use dsi_types::FeatureId;
 use dsi_types::{ByteSize, PartitionId, Projection};
 use dwrf::stream::FILE_LEVEL;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// Size and selectivity statistics for a table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableStats {
     /// Encoded bytes of every partition.
     pub partition_bytes: BTreeMap<PartitionId, u64>,

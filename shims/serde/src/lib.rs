@@ -1,10 +1,9 @@
 //! Offline shim of `serde`.
 //!
 //! Provides `Serialize`/`Deserialize` as marker traits and re-exports the
-//! no-op derives so `use serde::{Deserialize, Serialize}` and
-//! `#[derive(Serialize, Deserialize)]` compile unchanged. The workspace
-//! never serializes through serde at runtime (it has its own byte
-//! formats), so no functional serialization machinery is needed.
+//! no-op derives. No workspace crate derives or imports them (the
+//! workspace has its own byte formats); the shim stays only while
+//! manifests still name it.
 
 /// Marker stand-in for `serde::Serialize`.
 pub trait Serialize {}

@@ -1,10 +1,9 @@
 //! Offline shim of `serde_derive`.
 //!
-//! The workspace derives `Serialize`/`Deserialize` for documentation and
-//! future wire formats but never serializes through serde at runtime (it
-//! has its own byte formats), so these derives expand to nothing: the
-//! annotation compiles, no trait impl is generated, and no code can bound
-//! on the marker traits (none does).
+//! These derives expand to nothing: the annotation compiles, no trait
+//! impl is generated, and no code can bound on the marker traits. No
+//! workspace crate uses them; the shim stays only while manifests still
+//! name it.
 
 use proc_macro::TokenStream;
 

@@ -2,11 +2,10 @@
 //! on the simulated deployment (slower, coarse-scale checks; the `figures`
 //! binary prints the full tables).
 
-use dsi_bench::cluster::{provision_model, ProvisionPlan, StorageNodeClass, TieredPlacement};
-use dsi_bench::growth::GrowthModel;
 use dsi_bench::model::{loading_sweep, per_sample_demand};
 use dsi_bench::node::{NodeSpec, ResourceVector};
 use dsi_bench::power::PowerModel;
+use dsi_bench::provisioning::{provision_model, ProvisionPlan, StorageNodeClass, TieredPlacement};
 use dsi_bench::tax::DatacenterTax;
 use dsi_bench::{LabConfig, RmLab};
 use dsi_types::{ByteSize, PIB};
@@ -24,13 +23,6 @@ fn fig1_dsi_power_exceeds_half_for_worker_heavy_models() {
             prov.power.dsi_fraction()
         );
     }
-}
-
-#[test]
-fn fig2_growth_doubles_size_quadruples_bandwidth() {
-    let last = *GrowthModel::default().trajectory(8).last().unwrap();
-    assert!(last.dataset_size > 2.0 && last.dataset_size < 2.5);
-    assert!(last.ingestion_bandwidth > 4.0 && last.ingestion_bandwidth < 4.8);
 }
 
 #[test]
@@ -313,6 +305,88 @@ fn docs_cite_only_artifacts_and_figures_that_exist() {
             }
         }
     }
+}
+
+/// Every decimal number in the *Measured* column of EXPERIMENTS' headline
+/// table is one `figures` prints. A row's section of `figures_output.txt`
+/// is every `== title ==` block whose title starts with the row's label
+/// (`Fig 8`, `Table VI`; the `§VII` rows read the `S7` blocks), and each
+/// quoted `x.y` — `x.yK` for thousands — must equal, at the precision
+/// quoted, some number printed there.
+#[test]
+fn headline_numbers_are_numbers_figures_prints() {
+    // Maximal runs of digits and dots, with the character that follows.
+    fn numbers(text: &str) -> Vec<(&str, char)> {
+        let mut out = Vec::new();
+        let mut start = None;
+        for (at, c) in text.char_indices().chain([(text.len(), ' ')]) {
+            match (start, c.is_ascii_digit() || c == '.') {
+                (None, true) => start = Some(at),
+                (Some(from), false) => {
+                    let token = text[from..at].trim_matches('.');
+                    if token.starts_with(|c: char| c.is_ascii_digit()) {
+                        out.push((token, c));
+                    }
+                    start = None;
+                }
+                _ => {}
+            }
+        }
+        out
+    }
+    let experiments = include_str!("../EXPERIMENTS.md");
+    let start = experiments.find("\n## Headline results").unwrap();
+    let end = start + 1 + experiments[start + 1..].find("\n## ").unwrap();
+    let mut rows = experiments[start..end]
+        .lines()
+        .filter(|l| l.starts_with('|'));
+    let header: Vec<&str> = rows.next().unwrap().split('|').map(str::trim).collect();
+    let column = |name: &str| header.iter().position(|h| *h == name).unwrap();
+    let (exp, measured) = (column("Exp"), column("Measured"));
+
+    let output = include_str!("../figures_output.txt");
+    let mut checked = 0;
+    for row in rows.skip(1) {
+        let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+        let label = cells[exp]
+            .split(" — ")
+            .next()
+            .unwrap()
+            .replace("§VII", "S7");
+        let mut section = String::new();
+        let mut inside = false;
+        for line in output.lines() {
+            if let Some(title) = line.strip_prefix("== ") {
+                inside = title
+                    .strip_prefix(label.as_str())
+                    .is_some_and(|rest| rest.starts_with([':', ' ']));
+            }
+            if inside {
+                section += line;
+                section.push('\n');
+            }
+        }
+        assert!(!section.is_empty(), "figures prints no `{label}` section");
+        let printed: Vec<f64> = numbers(&section)
+            .iter()
+            .filter_map(|(n, _)| n.parse().ok())
+            .collect();
+        for (quoted, next) in numbers(cells[measured]) {
+            let Some((_, fraction)) = quoted.split_once('.') else {
+                continue;
+            };
+            let scale = if next == 'K' { 1e3 } else { 1.0 };
+            let value = quoted.parse::<f64>().unwrap() * scale;
+            let half_ulp = 0.5 * scale / 10f64.powi(fraction.len() as i32) + 1e-9;
+            assert!(
+                printed.iter().any(|p| (p - value).abs() <= half_ulp),
+                "EXPERIMENTS `{label}` quotes {quoted}{}, which its figures section does not print",
+                if scale > 1.0 { "K" } else { "" }
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked >= 40, "checked only {checked} quoted numbers");
 }
 
 /// README's Layout table and DESIGN §2's tree each name exactly the
