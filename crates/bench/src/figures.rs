@@ -22,9 +22,10 @@ use crate::node::{NodeSpec, ResourceVector};
 use crate::power::PowerModel;
 use crate::provisioning::{provision_model, ProvisionPlan, StorageNodeClass, TieredPlacement};
 use crate::report::{f, pct, print_table};
+use crate::sim::{run_scenario, Scenario};
 use crate::tax::DatacenterTax;
 use crate::{durability, LabConfig, RmLab};
-use dpp::{run_scenario, ExtractCostModel, Scenario, WorkerReport};
+use dpp::{ExtractCostModel, WorkerReport};
 use dsi_types::{ByteSize, Projection};
 use dwrf::{CoalescePolicy, WriterOptions};
 use synth::{JobProjectionSampler, RmClass, RmProfile};

@@ -18,7 +18,10 @@
 //! * [`model`] and [`accel`] — the trainer-side models and the GPU-offload
 //!   model;
 //! * [`provisioning`] — storage-node classes, the throughput-to-storage gap
-//!   (§VII) and per-model DSI power roll-ups (Fig 1).
+//!   (§VII) and per-model DSI power roll-ups (Fig 1);
+//! * [`sim`] — the virtual-time pipeline [`sim::Scenario`]s the watermark
+//!   scaler and the closed-loop tuner are compared on
+//!   ([`sim::run_scenario`]).
 
 #![warn(missing_docs)]
 
@@ -31,6 +34,7 @@ pub mod power;
 pub mod provisioning;
 pub mod report;
 pub mod rmlab;
+pub mod sim;
 pub mod tax;
 
 pub use figures::FIGURES;

@@ -12,9 +12,10 @@
 //! watermark scaler and the closed-loop tuner compete on identical,
 //! deterministic scenarios.
 
-use crate::autoscale::{AutoScaler, ScalerConfig};
-use crate::online::{OnlineTuner, TunerConfig};
-use crate::tuning::{KnobBounds, Knobs, TunerPolicy, TunerSignals};
+use dpp::{
+    AutoScaler, KnobBounds, Knobs, OnlineTuner, ScalerConfig, TunerConfig, TunerPolicy,
+    TunerSignals,
+};
 use dsi_obs::SignalSnapshot;
 
 /// One benchmark scenario: a workload shape plus knob fences.

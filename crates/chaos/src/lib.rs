@@ -11,9 +11,9 @@
 //!   same plan replays identically.
 //! - [`FaultInjector`] — the runtime handle threaded through hook
 //!   points in every layer (`TectonicCluster::attach_chaos`,
-//!   `MessageBus::attach_chaos`, `DppSession::attach_chaos`), with an
-//!   append-only injected-fault log mirrored into `dsi_chaos_*`
-//!   metrics.
+//!   `MessageBus::attach_chaos`, and at session launch through
+//!   `DppSession::launch_observed_chaos`), with an append-only
+//!   injected-fault log mirrored into `dsi_chaos_*` metrics.
 //! - [`invariants`] — exactly-once / bitwise-equality / obs-accounting
 //!   checkers over [`EpochTrace`] fingerprint multisets, plus the
 //!   deadlock watchdog [`with_watchdog`].

@@ -123,8 +123,8 @@ pub enum FaultKind {
     /// (delivered seqs live in the session's Master, not the client).
     ClientReconnect,
     /// Harness: the master is killed mid-epoch and the session resumed
-    /// from the `MasterCheckpoint` (completed splits and delivered
-    /// tensors) taken at kill time.
+    /// from the Master's checkpoint (its split ledger with nothing in
+    /// flight) taken at kill time.
     MasterKillRestore,
     /// Harness: the SSD cache evicts every resident page at once.
     EvictionStorm,

@@ -161,20 +161,7 @@ impl Client {
     /// Fetches the next tensor batch, blocking until one is available or
     /// the session completes. Returns `None` at end of session.
     pub fn next_batch(&mut self) -> Option<MiniBatchTensor> {
-        let start = Instant::now();
-        loop {
-            match self.poll_once() {
-                Poll::Batch(t) => {
-                    self.note_batch(start);
-                    return Some(t);
-                }
-                Poll::Finished => return None,
-                Poll::Pending => {
-                    self.note_starved();
-                    self.wait_for_data(WAIT_SLICE);
-                }
-            }
-        }
+        self.next_batch_deadline(Duration::MAX)
     }
 
     /// Like [`Client::next_batch`] but gives up after `deadline`.

@@ -206,45 +206,23 @@ impl FleetDriver {
         let targets = fairshare::fair_share(self.capacity, &demands);
 
         // Diff. The actions say why workers move; what each session is
-        // asked for is the net: its live count plus the spawns the fleet
-        // has a free slot for, minus its drains. A draining worker is
+        // asked for is its target, or nothing once its epoch is complete —
+        // exactly where `plan`'s actions move it. A draining worker is
         // committed to leave, so its slot is granted to a beneficiary in
         // the same tick (physical overshoot is bounded by the draining
-        // count) — `plan` emits every shrink before the first spawn.
+        // count).
         let actions = plan(&observed, &demands, &targets);
-        let mut wanted: BTreeMap<SessionId, usize> =
-            observed.iter().map(|o| (o.job, o.active)).collect();
-        let mut in_use: usize = observed.iter().map(|o| o.active).sum();
-        for action in &actions {
-            match *action {
-                FleetAction::Spawn { job } => {
-                    if in_use < self.capacity {
-                        *wanted.entry(job).or_default() += 1;
-                        in_use += 1;
-                    }
-                }
-                FleetAction::Drain { job, count }
-                | FleetAction::Reassign {
-                    from: job, count, ..
-                }
-                | FleetAction::Preempt {
-                    victim: job, count, ..
-                } => {
-                    *wanted.entry(job).or_default() -= count;
-                    in_use -= count;
-                }
-            }
-        }
 
         // Execute, then publish status + metrics.
         let obs = self.obs.lock().clone();
         for ((job, o), snapshot) in jobs.values_mut().zip(&observed).zip(&snapshots) {
-            job.session.scale_to(wanted[&o.job], snapshot);
             let target = targets
                 .iter()
                 .find(|(j, _)| *j == o.job)
                 .map(|(_, t)| *t)
                 .unwrap_or(0);
+            job.session
+                .scale_to(if o.completed { 0 } else { target }, snapshot);
             let preempted: u64 = actions
                 .iter()
                 .filter_map(|a| match a {

@@ -4,8 +4,8 @@
 //! transitions into metrics and spans. `tests/ledger.rs` checks it
 //! exhaustively.
 
-use dsi_types::{DsiError, Result, SessionId, WorkerId};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use dsi_types::{DsiError, Result, WorkerId};
+use std::collections::{BTreeSet, VecDeque};
 
 /// Progress state of one split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -27,22 +27,6 @@ pub enum Delivery {
     Duplicate,
     /// The envelope names a split the session does not have: drop it.
     Rejected,
-}
-
-/// A restorable snapshot of the ledger: enough to kill the whole session
-/// mid-epoch and resume it with exactly-once delivery intact.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MasterCheckpoint {
-    /// The owning session.
-    pub session: SessionId,
-    /// Indices of completed splits.
-    pub completed: BTreeSet<u64>,
-    /// Total splits in the session.
-    pub total: u64,
-    /// The `seq`s delivered per split, for every split that delivered
-    /// any: a replayed tensor in its split's set is a duplicate after a
-    /// restore.
-    pub delivered: BTreeMap<u64, BTreeSet<u32>>,
 }
 
 /// Split states, workers, queue and delivered tensors of one session.
@@ -165,55 +149,31 @@ impl SplitLedger {
         }
     }
 
-    /// Snapshots completed splits and delivered tensors.
-    pub fn checkpoint(&self, session: SessionId) -> MasterCheckpoint {
-        MasterCheckpoint {
-            session,
-            completed: (0..self.total())
-                .filter(|&i| self.state(i) == SplitState::Done)
-                .collect(),
-            total: self.total(),
-            delivered: (0..self.total())
-                .map(|i| (i, self.delivered[i as usize].clone()))
-                .filter(|(_, seqs)| !seqs.is_empty())
-                .collect(),
+    /// The ledger a restarted master resumes from: completed splits and
+    /// delivered `seq` sets are kept, every other split is pending again
+    /// and queued in index order, no worker is registered (ids restart at
+    /// 0) and no final `seq` is known. A replayed tensor already in its
+    /// split's delivered set is then a duplicate.
+    pub fn checkpoint(&self) -> Self {
+        let done = |i: u64| self.state(i) == SplitState::Done;
+        let state = (0..self.total())
+            .map(|i| {
+                if done(i) {
+                    SplitState::Done
+                } else {
+                    SplitState::Pending
+                }
+            })
+            .collect();
+        Self {
+            state,
+            delivered: self.delivered.clone(),
+            last: vec![None; self.state.len()],
+            queue: (0..self.total()).filter(|&i| !done(i)).collect(),
+            registered: BTreeSet::new(),
+            next_worker: 0,
+            completed: self.completed,
         }
-    }
-
-    /// Rebuilds a ledger over `total` re-planned splits from a checkpoint:
-    /// in-flight work is pending again and no worker is registered.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DsiError::InvalidSpec`] if the checkpoint covers another
-    /// split count or names a split outside it: a corrupt or foreign
-    /// checkpoint would otherwise end the session early, or never.
-    pub fn restore(checkpoint: &MasterCheckpoint, total: usize) -> Result<Self> {
-        if checkpoint.total != total as u64 {
-            return Err(DsiError::invalid_spec(format!(
-                "checkpoint covers {} splits, scan planned {total}",
-                checkpoint.total
-            )));
-        }
-        let last = checkpoint
-            .completed
-            .last()
-            .max(checkpoint.delivered.keys().last());
-        if let Some(&bad) = last.filter(|&&i| i >= total as u64) {
-            return Err(DsiError::invalid_spec(format!(
-                "checkpoint names split {bad} but only {total} splits exist"
-            )));
-        }
-        let mut ledger = Self::new(total);
-        for &i in &checkpoint.completed {
-            ledger.state[i as usize] = SplitState::Done;
-        }
-        ledger.completed = checkpoint.completed.len() as u64;
-        ledger.queue.retain(|i| !checkpoint.completed.contains(i));
-        for (&i, seqs) in &checkpoint.delivered {
-            ledger.delivered[i as usize].clone_from(seqs);
-        }
-        Ok(ledger)
     }
 
     /// State of one split; panics if `split` is out of range.
@@ -299,17 +259,5 @@ mod tests {
         assert_eq!(ledger.completed(), 1);
         assert_eq!(ledger.deliver(w, 0, 1, true), Delivery::Duplicate);
         assert_eq!(ledger.completed(), 1, "the split completes once");
-    }
-
-    #[test]
-    fn restore_rejects_out_of_range_delivered_split() {
-        let ckpt = MasterCheckpoint {
-            session: SessionId(1),
-            completed: BTreeSet::new(),
-            total: 2,
-            delivered: [(2, BTreeSet::from([0]))].into_iter().collect(),
-        };
-        let err = SplitLedger::restore(&ckpt, 2).unwrap_err();
-        assert!(matches!(err, DsiError::InvalidSpec(_)), "{err:?}");
     }
 }

@@ -21,8 +21,6 @@
 //!   running session;
 //! * [`online`] — [`OnlineTuner`], the closed-loop policy that moves
 //!   read-ahead and batch size as well as workers;
-//! * [`sim`] — the virtual-time pipeline [`Scenario`]s both policies are
-//!   compared on ([`run_scenario`]);
 //! * [`worker`] — stateless DPP Workers: the extract → transform → load
 //!   executor over real DWRF bytes, with per-stage resource accounting;
 //! * [`client`] — DPP Clients: the trainer-side hook that fetches tensor
@@ -68,19 +66,17 @@ pub mod online;
 mod pipeline;
 pub mod service;
 pub mod session;
-pub mod sim;
 pub mod trainer;
 pub mod tuning;
 pub mod worker;
 
 pub use autoscale::{AutoScaler, ScalerConfig};
 pub use client::Client;
-pub use ledger::{Delivery, MasterCheckpoint, SplitLedger, SplitState};
+pub use ledger::{Delivery, SplitLedger, SplitState};
 pub use master::Master;
 pub use online::{OnlineTuner, TunerConfig};
 pub use service::{DppSession, WorkerObservation};
 pub use session::{Injection, SessionSpec, SessionSpecBuilder, Transport};
-pub use sim::{run_scenario, Scenario, TunePoint, TuneTrace};
 pub use trainer::{LiveTrainer, StallReport};
 pub use tuning::{KnobBounds, KnobDelta, Knobs, LiveTuner, TunerPolicy, TunerSignals};
 pub use wire::WireConfig;

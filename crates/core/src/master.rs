@@ -11,10 +11,10 @@
 //! Every delivery fact lives in its [`SplitLedger`]; the Master adds one
 //! lock, the split payloads, metrics and `Schedule` spans.
 
-use crate::ledger::{Delivery, MasterCheckpoint, SplitLedger};
+use crate::ledger::{Delivery, SplitLedger};
 use dsi_obs::{next_span_id, now_ns, SpanKind, TraceContext, TraceSpan};
 use dsi_trace::TraceConfig;
-use dsi_types::{Result, SessionId, WorkerId};
+use dsi_types::{DsiError, Result, SessionId, WorkerId};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use warehouse::Split;
@@ -213,23 +213,36 @@ impl Master {
     }
 
     /// [`SplitLedger::checkpoint`], counted in the registry.
-    pub fn checkpoint(&self) -> MasterCheckpoint {
+    pub fn checkpoint(&self) -> SplitLedger {
         let s = self.inner.lock();
         if let Some((reg, job)) = &s.registry {
             reg.counter(dsi_obs::names::MASTER_CHECKPOINTS_TOTAL, &[("job", job)])
                 .inc();
         }
-        s.ledger.checkpoint(self.session)
+        s.ledger.checkpoint()
     }
 
-    /// A Master over the (re-planned) splits, from [`SplitLedger::restore`].
+    /// A Master for `session` over the (re-planned) splits, resuming from
+    /// a [`Master::checkpoint`].
     ///
     /// # Errors
     ///
-    /// As [`SplitLedger::restore`].
-    pub fn restore(checkpoint: &MasterCheckpoint, splits: Vec<Split>) -> Result<Master> {
-        let ledger = SplitLedger::restore(checkpoint, splits.len())?;
-        Ok(Self::over(checkpoint.session, ledger, splits))
+    /// Returns [`DsiError::InvalidSpec`] if the checkpoint covers another
+    /// split count than the re-planned scan (the dataset or selection
+    /// changed): it would otherwise end the session early, or never.
+    pub fn restore(
+        session: SessionId,
+        checkpoint: &SplitLedger,
+        splits: Vec<Split>,
+    ) -> Result<Master> {
+        if checkpoint.total() != splits.len() as u64 {
+            return Err(DsiError::invalid_spec(format!(
+                "checkpoint covers {} splits, scan planned {}",
+                checkpoint.total(),
+                splits.len()
+            )));
+        }
+        Ok(Self::over(session, checkpoint.checkpoint(), splits))
     }
 }
 
@@ -237,9 +250,7 @@ impl Master {
 pub(crate) mod tests {
     use super::*;
     use crate::ledger::SplitState;
-    use dsi_types::DsiError;
     use dsi_types::{PartitionId, Projection, Sample, TableId};
-    use std::collections::{BTreeMap, BTreeSet};
     use warehouse::{Table, TableConfig};
 
     /// `n` genuine one-stripe splits of a real table.
@@ -320,174 +331,10 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn checkpoint_restore_resumes() {
-        let splits = make_splits(4);
-        let master = Master::new(SessionId(2), splits.clone());
-        let w = master.register_worker();
-        // Complete two splits, leave one in flight.
-        for _ in 0..2 {
-            let (s, _) = master.request_split(w).unwrap().unwrap();
-            master.complete_split(w, s.index).unwrap();
-        }
-        let _in_flight = master.request_split(w).unwrap().unwrap();
-        let ckpt = master.checkpoint();
-        assert_eq!(ckpt.completed.len(), 2);
-        assert_eq!(2 * ckpt.completed.len() as u64, ckpt.total, "half done");
-
-        // "Master failure": restore from the checkpoint.
-        let restored = Master::restore(&ckpt, splits).unwrap();
-        let w2 = restored.register_worker();
-        let mut remaining = Vec::new();
-        while let Some((s, _)) = restored.request_split(w2).unwrap() {
-            remaining.push(s.index);
-            restored.complete_split(w2, s.index).unwrap();
-        }
-        // The two incomplete splits (including the in-flight one) replay.
-        assert_eq!(remaining.len(), 2);
-        assert!(restored.ledger(SplitLedger::is_complete));
-    }
-
-    #[test]
-    fn checkpoint_carries_delivered_tensors_through_restore() {
-        let splits = make_splits(2);
-        let master = Master::new(SessionId(2), splits.clone());
-        let w = master.register_worker();
-        let (s, _) = master.request_split(w).unwrap().unwrap();
-        assert_eq!(master.deliver(w, s.index, 0, false), Delivery::Fresh);
-        let ckpt = master.checkpoint();
-        assert_eq!(
-            ckpt.delivered,
-            [(s.index, BTreeSet::from([0]))].into_iter().collect()
-        );
-        assert!(ckpt.completed.is_empty());
-
-        // The replacement replays the split: the delivered tensor dedups
-        // and the rest of the split completes it.
-        let restored = Master::restore(&ckpt, splits).unwrap();
-        let w2 = restored.register_worker();
-        let (again, _) = restored.request_split(w2).unwrap().unwrap();
-        assert_eq!(again.index, s.index);
-        assert_eq!(restored.deliver(w2, s.index, 0, false), Delivery::Duplicate);
-        assert_eq!(restored.deliver(w2, s.index, 1, true), Delivery::Fresh);
-        assert_eq!(restored.ledger(|l| l.state(s.index)), SplitState::Done);
-    }
-
-    #[test]
     fn restore_validates_split_count() {
-        let splits = make_splits(2);
-        let ckpt = MasterCheckpoint {
-            session: SessionId(1),
-            completed: BTreeSet::new(),
-            total: 99,
-            delivered: BTreeMap::new(),
-        };
-        assert!(Master::restore(&ckpt, splits).is_err());
-    }
-
-    #[test]
-    fn restore_rejects_out_of_range_completed_split() {
-        let splits = make_splits(2);
-        let ckpt = MasterCheckpoint {
-            session: SessionId(1),
-            completed: [7u64].into_iter().collect(),
-            total: splits.len() as u64,
-            delivered: BTreeMap::new(),
-        };
-        let err = Master::restore(&ckpt, splits).unwrap_err();
+        let ckpt = SplitLedger::new(99);
+        let err = Master::restore(SessionId(1), &ckpt, make_splits(2)).unwrap_err();
         assert!(matches!(err, DsiError::InvalidSpec(_)), "{err:?}");
-    }
-
-    #[test]
-    fn restore_from_zero_completed_checkpoint_replays_everything() {
-        // A checkpoint taken before any split finished (e.g. the master
-        // died during the first splits) restores to a full replay.
-        let splits = make_splits(3);
-        let master = Master::new(SessionId(3), splits.clone());
-        let w = master.register_worker();
-        let _in_flight = master.request_split(w).unwrap().unwrap();
-        let ckpt = master.checkpoint();
-        assert!(ckpt.completed.is_empty());
-        assert_eq!((ckpt.completed.len(), ckpt.total), (0, 3), "none done");
-
-        let restored = Master::restore(&ckpt, splits).unwrap();
-        assert_eq!(restored.ledger(SplitLedger::completed), 0);
-        assert!(!restored.ledger(SplitLedger::is_complete));
-        let w2 = restored.register_worker();
-        let mut served = 0;
-        while let Some((s, _)) = restored.request_split(w2).unwrap() {
-            restored.complete_split(w2, s.index).unwrap();
-            served += 1;
-        }
-        assert_eq!(served, 3, "every split replays");
-        assert!(restored.ledger(SplitLedger::is_complete));
-    }
-
-    #[test]
-    fn restore_after_every_worker_failed_serves_all_remaining_work() {
-        // All workers die with work in flight; a checkpoint taken *after*
-        // the carnage still restores to a master that finishes the epoch.
-        let splits = make_splits(4);
-        let master = Master::new(SessionId(4), splits.clone());
-        let w1 = master.register_worker();
-        let w2 = master.register_worker();
-        let (done, _) = master.request_split(w1).unwrap().unwrap();
-        master.complete_split(w1, done.index).unwrap();
-        let _f1 = master.request_split(w1).unwrap().unwrap();
-        let _f2 = master.request_split(w2).unwrap().unwrap();
-        master.fail_worker(w1);
-        master.fail_worker(w2);
-        assert_eq!(master.ledger(SplitLedger::workers), 0);
-        let ckpt = master.checkpoint();
-        assert_eq!(ckpt.completed.len(), 1);
-
-        let restored = Master::restore(&ckpt, splits).unwrap();
-        assert_eq!(
-            restored.ledger(SplitLedger::workers),
-            0,
-            "restore registers nobody"
-        );
-        let w = restored.register_worker();
-        let mut served = Vec::new();
-        while let Some((s, _)) = restored.request_split(w).unwrap() {
-            served.push(s.index);
-            restored.complete_split(w, s.index).unwrap();
-        }
-        served.sort_unstable();
-        assert_eq!(served.len(), 3, "the completed split does not replay");
-        assert!(!served.contains(&done.index));
-        assert!(restored.ledger(SplitLedger::is_complete));
-    }
-
-    #[test]
-    fn double_restore_from_same_checkpoint_is_independent() {
-        // Restoring twice from one checkpoint (e.g. a botched failover
-        // that started two replacement masters) must yield two masters
-        // with disjoint state: progress on one never leaks into the other.
-        let splits = make_splits(3);
-        let master = Master::new(SessionId(5), splits.clone());
-        let w = master.register_worker();
-        let (s, _) = master.request_split(w).unwrap().unwrap();
-        master.complete_split(w, s.index).unwrap();
-        let ckpt = master.checkpoint();
-
-        let a = Master::restore(&ckpt, splits.clone()).unwrap();
-        let b = Master::restore(&ckpt, splits).unwrap();
-        let wa = a.register_worker();
-        while let Some((s, _)) = a.request_split(wa).unwrap() {
-            a.complete_split(wa, s.index).unwrap();
-        }
-        assert!(a.ledger(SplitLedger::is_complete));
-        // Master B saw none of A's completions.
-        assert_eq!(b.ledger(SplitLedger::completed), 1);
-        assert!(!b.ledger(SplitLedger::is_complete));
-        let wb = b.register_worker();
-        let mut served = 0;
-        while let Some((s, _)) = b.request_split(wb).unwrap() {
-            b.complete_split(wb, s.index).unwrap();
-            served += 1;
-        }
-        assert_eq!(served, 2);
-        assert!(b.ledger(SplitLedger::is_complete));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! Master's health-monitor actions (failure recovery, auto-scaling).
 
 use crate::client::{Client, Endpoint, Envelope};
-use crate::ledger::{MasterCheckpoint, SplitLedger};
+use crate::ledger::SplitLedger;
 use crate::master::Master;
 use crate::session::{SessionSpec, Transport};
 use crate::worker::{Worker, WorkerReport};
@@ -21,8 +21,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use warehouse::{Table, TableScan};
 
-/// A shared, late-bindable chaos injector slot: the worker loop re-reads it
-/// per split so an injector attached after launch still takes effect.
+/// The session's chaos injector, shared by every worker loop and wire
+/// server (the wire's [`wire::transport::WireChaos`]); the session fills it
+/// once, before the first worker spawns.
 pub(crate) type ChaosSlot = Arc<RwLock<Option<Arc<FaultInjector>>>>;
 
 struct WorkerControl {
@@ -113,31 +114,14 @@ impl DppSession {
     /// or the transform plan holds an op no kernel can run
     /// ([`transforms::TransformPlan::validate`]).
     pub fn launch(table: Table, spec: SessionSpec, workers: usize) -> Result<DppSession> {
-        Self::launch_chaos(table, spec, workers, None)
+        Self::launch_observed_chaos(table, spec, workers, None, None)
     }
 
-    /// Like [`DppSession::launch`], but installs a chaos fault injector
-    /// *before* the first worker spawns, so nth-operation fault schedules
-    /// observe every split from the very first one (an injector attached
-    /// after launch races against worker startup).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DppSession::launch`].
-    pub fn launch_chaos(
-        table: Table,
-        spec: SessionSpec,
-        workers: usize,
-        injector: Option<Arc<FaultInjector>>,
-    ) -> Result<DppSession> {
-        Self::launch_observed_chaos(table, spec, workers, None, injector)
-    }
-
-    /// Like [`DppSession::launch_chaos`], but also attaches `registry`
-    /// *before* the first worker spawns. A registry attached after launch
-    /// races worker startup, so the session's earliest splits would be
-    /// served without Schedule spans (and therefore untraced); this
-    /// constructor guarantees trace coverage from split zero.
+    /// Like [`DppSession::launch`], but attaches `registry` and installs a
+    /// chaos fault injector *before* the first worker spawns. Either one
+    /// attached after launch races worker startup: the session's earliest
+    /// splits would be served untraced, and nth-operation fault schedules
+    /// would miss them.
     ///
     /// # Errors
     ///
@@ -171,8 +155,8 @@ impl DppSession {
         Self::open(table, spec, None, registry, injector)
     }
 
-    /// Resumes a session from a checkpoint (the primary Master and its
-    /// workers were lost, or the whole process was killed mid-epoch):
+    /// Resumes a session from a [`Master::checkpoint`] (the primary Master
+    /// and its workers were lost, or the whole process was killed mid-epoch):
     /// completed splits are not re-read, everything else replays, and
     /// replayed tensors a client already consumed dedup against the
     /// checkpoint's delivered seqs. Like
@@ -187,7 +171,7 @@ impl DppSession {
     pub fn resume(
         table: Table,
         spec: SessionSpec,
-        checkpoint: &MasterCheckpoint,
+        checkpoint: &SplitLedger,
         workers: usize,
         registry: Option<&dsi_obs::Registry>,
         injector: Option<Arc<FaultInjector>>,
@@ -201,14 +185,14 @@ impl DppSession {
     fn open(
         table: Table,
         spec: SessionSpec,
-        checkpoint: Option<&MasterCheckpoint>,
+        checkpoint: Option<&SplitLedger>,
         registry: Option<&dsi_obs::Registry>,
         injector: Option<Arc<FaultInjector>>,
     ) -> Result<DppSession> {
         spec.plan.validate()?;
         let splits = session_scan(&table, &spec).plan_splits();
         let master = match checkpoint {
-            Some(checkpoint) => Master::restore(checkpoint, splits)?,
+            Some(checkpoint) => Master::restore(spec.id, checkpoint, splits)?,
             None if splits.is_empty() => {
                 return Err(DsiError::invalid_spec(
                     "session selects no partitions or rows",
@@ -243,14 +227,6 @@ impl DppSession {
             self.spawn_worker();
         }
         self
-    }
-
-    /// Attaches a chaos fault injector to every worker (current and
-    /// future): each split processed fires the injector's `WorkerSplit`
-    /// hook. For schedules that must observe the first splits, install the
-    /// injector at launch via [`DppSession::launch_chaos`] instead.
-    pub fn attach_chaos(&self, injector: Arc<FaultInjector>) {
-        *self.chaos.write() = Some(injector);
     }
 
     /// Worker threads still running (registered or not): crashed workers
@@ -854,7 +830,7 @@ mod tests {
                 first_half.extend(t.labels.iter().map(|&l| l as u32));
             }
             let checkpoint = session.master().checkpoint();
-            assert!(checkpoint.completed.len() >= 2);
+            assert!(checkpoint.completed() >= 2);
             session.shutdown();
 
             // A replacement master resumes from the checkpoint.

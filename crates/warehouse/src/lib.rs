@@ -10,7 +10,6 @@
 //! execute independently.
 //!
 //! * [`table`] — table creation, partition writes, metadata;
-//! * [`catalog`] — the warehouse catalog of tables;
 //! * [`query`] — ad-hoc interactive queries (the Spark/Presto interop path);
 //! * [`scan`] — scan planning, split enumeration, and split execution;
 //! * [`stats`] — table statistics (Table III / Table V reproductions).
@@ -39,13 +38,11 @@
 
 #![warn(missing_docs)]
 
-pub mod catalog;
 pub mod query;
 pub mod scan;
 pub mod stats;
 pub mod table;
 
-pub use catalog::Warehouse;
 pub use query::{Aggregate, Predicate, Query, QueryResult};
 pub use scan::{ScanStats, Split, TableScan};
 pub use stats::TableStats;

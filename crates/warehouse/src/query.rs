@@ -9,7 +9,6 @@
 use crate::scan::ScanStats;
 use crate::table::Table;
 use dsi_types::{DsiError, FeatureId, PartitionId, Projection, Result, Sample};
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// A row predicate.
@@ -244,19 +243,6 @@ impl Query {
     }
 }
 
-/// Per-partition daily row counts — the "how fresh is this table" query
-/// every engineer runs first.
-pub fn partition_row_counts(table: &Table) -> BTreeMap<PartitionId, u64> {
-    table
-        .partitions()
-        .into_iter()
-        .map(|p| {
-            let rows = table.partition_files(p).iter().map(|f| f.rows).sum();
-            (p, rows)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,13 +389,5 @@ mod tests {
             .unwrap();
         assert_eq!(all.rows_scanned, 200);
         assert!(clicked.scan.read_bytes < all.scan.read_bytes);
-    }
-
-    #[test]
-    fn partition_counts() {
-        let table = build_table();
-        let counts = partition_row_counts(&table);
-        assert_eq!(counts.len(), 3);
-        assert!(counts.values().all(|&c| c == 100));
     }
 }

@@ -62,7 +62,6 @@ pub struct PartitionFile {
 pub(crate) struct TableInner {
     pub(crate) config: TableConfig,
     pub(crate) cluster: TectonicCluster,
-    pub(crate) schema: RwLock<Schema>,
     pub(crate) partitions: RwLock<BTreeMap<PartitionId, Vec<PartitionFile>>>,
     pub(crate) cache: RwLock<Option<tectonic::SsdCache>>,
     pub(crate) obs: RwLock<Option<dsi_obs::Registry>>,
@@ -89,15 +88,12 @@ impl Table {
     ///
     /// # Errors
     ///
-    /// Currently infallible but returns `Result` for forward compatibility
-    /// with catalog-backed creation.
+    /// Currently infallible.
     pub fn create(cluster: TectonicCluster, config: TableConfig) -> Result<Table> {
-        let schema = config.schema.clone();
         Ok(Table {
             inner: Arc::new(TableInner {
                 config,
                 cluster,
-                schema: RwLock::new(schema),
                 partitions: RwLock::new(BTreeMap::new()),
                 cache: RwLock::new(None),
                 obs: RwLock::new(None),
@@ -131,14 +127,9 @@ impl Table {
         &self.inner.cluster
     }
 
-    /// A snapshot of the current schema.
+    /// The logged feature schema the table was created with.
     pub fn schema(&self) -> Schema {
-        self.inner.schema.read().clone()
-    }
-
-    /// Replaces the schema (feature sets evolve continuously).
-    pub fn update_schema(&self, schema: Schema) {
-        *self.inner.schema.write() = schema;
+        self.inner.config.schema.clone()
     }
 
     /// Writes a batch of samples as a new DWRF file in `partition`.
@@ -376,16 +367,6 @@ mod tests {
             .read_all()
             .unwrap();
         assert_eq!(rows, expected);
-    }
-
-    #[test]
-    fn schema_updates() {
-        let t = table();
-        assert!(t.schema().is_empty());
-        let mut s = Schema::new();
-        s.add(dsi_types::FeatureDef::dense(FeatureId(1)));
-        t.update_schema(s);
-        assert_eq!(t.schema().len(), 1);
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub mod prelude {
     pub use dpp::fleet::{FleetAction, FleetDriver, JobPhase, JobSpec, JobStatus, TenantId};
     pub use dpp::{
         AutoScaler, Client, DppSession, KnobBounds, Knobs, LiveTrainer, LiveTuner, Master,
-        OnlineTuner, Scenario, SessionSpec, Transport, TunerConfig, TunerPolicy,
+        OnlineTuner, SessionSpec, Transport, TunerConfig, TunerPolicy,
     };
     pub use dsi_obs::{json_snapshot, prometheus_text, PipelineReport, Registry};
     pub use dsi_trace::TraceConfig;
@@ -94,6 +94,6 @@ pub mod prelude {
     pub use synth::{RmProfile, SampleGenerator};
     pub use tectonic::{ClusterConfig, TectonicCluster};
     pub use transforms::{TransformOp, TransformPlan};
-    pub use warehouse::{Table, TableConfig, Warehouse};
+    pub use warehouse::{Table, TableConfig};
     pub use wire::WireConfig;
 }

@@ -20,7 +20,7 @@
 //!   ...
 //! ```
 
-use dpp::{MasterCheckpoint, SessionSpec};
+use dpp::{SessionSpec, SplitLedger};
 use dsi::chaos::{
     check_durability, check_exactly_once, check_obs_accounting, note_injected, shrink_plan,
     with_watchdog, ChaosConfig, DurabilityStats, EpochTrace, FaultEvent, InvariantReport,
@@ -144,7 +144,7 @@ fn launch_with_retry(
     spec: &SessionSpec,
     workers: usize,
     injector: &Arc<FaultInjector>,
-    from: Option<&MasterCheckpoint>,
+    from: Option<&SplitLedger>,
     registry: Option<&Registry>,
 ) -> DppSession {
     let mut last = None;

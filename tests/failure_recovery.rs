@@ -6,7 +6,7 @@
 //! ad-hoc row counters, so every schedule is reproducible and shrinkable.
 //! (The full invariant-checked chaos suite lives in `tests/chaos.rs`.)
 
-use dpp::{Master, SessionSpec, SplitLedger};
+use dpp::{Master, SessionSpec, SplitLedger, SplitState};
 use dsi::chaos::FaultEvent;
 use dsi::prelude::*;
 use std::collections::HashSet;
@@ -100,9 +100,14 @@ fn injected_worker_crashes_mid_split_never_lose_or_duplicate_rows() {
         FaultEvent::new(HookPoint::WorkerSplit, 7, FaultKind::WorkerCrash),
     ]));
     let table = build_table(4, 100);
-    let session =
-        DppSession::launch_chaos(table, spec(4), 3, Some(std::sync::Arc::clone(&injector)))
-            .unwrap();
+    let session = DppSession::launch_observed_chaos(
+        table,
+        spec(4),
+        3,
+        None,
+        Some(std::sync::Arc::clone(&injector)),
+    )
+    .unwrap();
     let mut client = session.client();
     let mut seen = HashSet::new();
     while let Some(tensor) = client.next_batch() {
@@ -141,7 +146,7 @@ fn master_checkpoint_restore_replays_only_incomplete_work() {
         master.complete_split(w, split.index).unwrap();
     }
     let checkpoint = master.checkpoint();
-    assert_eq!(checkpoint.completed.len(), 4);
+    assert_eq!(checkpoint.completed(), 4);
     // The checkpoint and progress show up in the obs counters.
     assert_eq!(reg.counter_value(names::MASTER_CHECKPOINTS_TOTAL, &job), 1);
     assert_eq!(
@@ -156,7 +161,7 @@ fn master_checkpoint_restore_replays_only_incomplete_work() {
     // Master dies; replica restores from the checkpoint + re-planned scan.
     // The replica reports into the same registry: completed-split progress
     // resumes from the checkpoint instead of resetting.
-    let restored = Master::restore(&checkpoint, splits).unwrap();
+    let restored = Master::restore(SessionId(1), &checkpoint, splits).unwrap();
     restored.attach_registry(&reg);
     assert_eq!(
         reg.counter_value(names::MASTER_SPLITS_COMPLETED_TOTAL, &job),
@@ -166,7 +171,7 @@ fn master_checkpoint_restore_replays_only_incomplete_work() {
     let mut replayed = 0;
     while let Some((split, _)) = restored.request_split(w2).unwrap() {
         assert!(
-            !checkpoint.completed.contains(&split.index),
+            checkpoint.state(split.index) != SplitState::Done,
             "split {} replayed despite checkpoint",
             split.index
         );

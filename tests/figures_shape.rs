@@ -196,7 +196,7 @@ fn s7_codesign_improves_dpp_and_power() {
 
 #[test]
 fn autotune_tuner_beats_the_static_scaler_where_workers_alone_cannot_help() {
-    use dpp::{run_scenario, Scenario};
+    use dsi_bench::sim::{run_scenario, Scenario};
     for s in Scenario::all() {
         let tuned = run_scenario(&s, &mut s.tuner());
         let fixed = run_scenario(&s, &mut s.static_policy());

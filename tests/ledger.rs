@@ -9,9 +9,9 @@
 //! - a worker crash: the ledger fails the worker and its buffer is lost,
 //!   except the envelope the client may already have taken off it;
 //! - a duplicate delivery: a wire reconnect resends the last envelope;
-//! - a master kill: checkpoint → restore, and the session's workers,
-//!   buffers and clients go with it — the second client's held envelope
-//!   too.
+//! - a master kill: the ledger is replaced by its checkpoint, and the
+//!   session's workers, buffers and clients go with it — the second
+//!   client's held envelope too.
 //!
 //! Graceful drains, and a worker's own drain when the queue runs dry, are
 //! ordinary events. Every state reachable within the bounds is visited
@@ -19,16 +19,17 @@
 //! - each `(split, seq)` is yielded at most once, and a split is done only
 //!   once every one of its tensors was yielded;
 //! - the queue holds exactly the pending splits;
-//! - `restore(checkpoint(s))` is `s` with its in-flight work requeued;
+//! - `checkpoint(s)` is `s` with every split not done pending again and
+//!   queued in index order, no worker registered and every delivered
+//!   tensor kept; checkpointing it again changes nothing, and a fresh
+//!   worker on it is `WorkerId(0)`, served the pending splits in order;
 //! - once faults stop, one fresh worker and a fault-free schedule reach
 //!   "all done": every split done and every tensor yielded exactly once.
 
 use dpp::{Delivery, SplitLedger, SplitState};
-use dsi::types::{SessionId, WorkerId};
+use dsi::types::WorkerId;
 use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::hash::{DefaultHasher, Hash, Hasher};
-
-const SESSION: SessionId = SessionId(1);
 
 /// `(worker, split, seq, last)`.
 type Envelope = (WorkerId, u64, u32, bool);
@@ -197,9 +198,7 @@ impl World {
                 e.resend = None;
             }
             Step::Restore => {
-                let ckpt = self.ledger.checkpoint(SESSION);
-                self.ledger = SplitLedger::restore(&ckpt, b.tensors.len())
-                    .map_err(|e| format!("own checkpoint refused: {e}"))?;
+                self.ledger = self.ledger.checkpoint();
                 self.endpoints.clear();
                 self.held = None;
                 self.restores_left -= 1;
@@ -259,19 +258,43 @@ impl World {
             ));
         }
 
-        let ckpt = self.ledger.checkpoint(SESSION);
-        let restored = SplitLedger::restore(&ckpt, n as usize)
-            .map_err(|e| format!("own checkpoint refused: {e}"))?;
+        let ckpt = self.ledger.checkpoint();
         let requeued = |s| match s {
             SplitState::Done => SplitState::Done,
             _ => SplitState::Pending,
         };
-        let round_trip = (0..n).all(|i| restored.state(i) == requeued(self.ledger.state(i)))
-            && restored.checkpoint(SESSION) == ckpt
-            && restored.queued() as u64 == n - self.ledger.completed()
-            && restored.workers() == 0;
-        if !round_trip {
-            return Err("restore(checkpoint(s)) is not s with in-flight work requeued".into());
+        let requeues = (0..n).all(|i| ckpt.state(i) == requeued(self.ledger.state(i)))
+            && ckpt.completed() == self.ledger.completed()
+            && ckpt.queued() as u64 == n - self.ledger.completed()
+            && ckpt.workers() == 0;
+        if !requeues {
+            return Err("checkpoint(s) is not s with in-flight work requeued".into());
+        }
+        if ckpt.checkpoint() != ckpt {
+            return Err("checkpoint(checkpoint(s)) != checkpoint(s)".into());
+        }
+        let mut resumed = ckpt.clone();
+        if let Some(&(split, seq)) = self.yielded.iter().find(|&&(split, seq)| {
+            resumed.deliver(WorkerId(0), split, seq, false) != Delivery::Duplicate
+        }) {
+            return Err(format!(
+                "checkpoint(s) forgot that ({split}, {seq}) was delivered"
+            ));
+        }
+        let mut resumed = ckpt.clone();
+        let fresh = resumed.register();
+        if fresh != WorkerId(0) {
+            return Err(format!("first worker on checkpoint(s) is {fresh}"));
+        }
+        let served: Vec<u64> =
+            std::iter::from_fn(|| resumed.request(fresh).expect("registered")).collect();
+        let pending: Vec<u64> = (0..n)
+            .filter(|&i| ckpt.state(i) == SplitState::Pending)
+            .collect();
+        if served != pending {
+            return Err(format!(
+                "checkpoint(s) serves {served:?}, pending {pending:?}"
+            ));
         }
 
         self.clone().settle(b, cov)
