@@ -1,8 +1,8 @@
 //! Micro-benchmarks for the batched codec kernels: chunked varint decode,
-//! run-aware RLE, bulk little-endian f32 streams, pooled envelope
-//! serialization, the LZ block kernel, the stripe encoder and the stripe
-//! decoder — the hot loops behind the fastpath, wire, ingest and extract
-//! numbers.
+//! run-aware RLE, bulk little-endian f32 streams, envelope serialization
+//! (fresh and reused buffer), the LZ block kernel, the stripe encoder and
+//! the stripe decoder — the hot loops behind the fastpath, wire, ingest and
+//! extract numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dsi_types::{Batch, FeatureId, FeatureKind, MiniBatchTensor, Sample, SparseList, WorkerId};

@@ -51,7 +51,7 @@ impl StreamCipher {
 
     /// Encrypts or decrypts `src` out of place into `out` (whatever it held
     /// is replaced), a keystream word at a time. The hot decode path uses
-    /// this to write keystream output straight into pooled scratch instead
+    /// this to write keystream output straight into a fresh buffer instead
     /// of first memcpy'ing the ciphertext into an owned buffer.
     pub fn apply_to(&self, nonce: u64, src: &[u8], out: &mut Vec<u8>) {
         let stream_key = mix2(self.key, nonce);

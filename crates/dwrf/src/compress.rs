@@ -257,8 +257,7 @@ pub fn decompress(block: &[u8]) -> Result<Vec<u8>> {
 const COPY: usize = 16;
 
 /// Decompresses a block produced by [`compress`] into `out` (whatever it
-/// held is replaced), so pooled scratch buffers can absorb the output
-/// allocation.
+/// held is replaced), so the caller owns the output allocation.
 ///
 /// `out` is sized to the declared length once and written by index. A
 /// literal run or a match that does not reach into its own output, of at

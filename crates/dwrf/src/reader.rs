@@ -18,7 +18,7 @@ use crate::stream::{
 use crate::writer::{decode_footer, FileFooter, MAGIC};
 use bytes::Bytes;
 use dsi_types::{DsiError, FeatureId, Projection, Result, Sample, SparseList};
-use fastpath::{global_pool, ByteView, SourceChunk};
+use fastpath::{ByteView, SourceChunk};
 use std::sync::Arc;
 
 /// A source of raw file bytes addressed by `(offset, len)`.
@@ -137,10 +137,10 @@ impl FileReader {
     }
 
     /// Stamps everything this reader publishes — the `dsi_dwrf_*` and
-    /// bytes-copied counters, the shared-buffer-pool series, the three
-    /// stage observations — with the owning session (`{job="sessN"}`). A
-    /// reader used outside a session (a warehouse query) has no job and
-    /// writes unlabeled series; an empty `job` is the same.
+    /// bytes-copied counters, the three stage observations — with the
+    /// owning session (`{job="sessN"}`). A reader used outside a session
+    /// (a warehouse query) has no job and writes unlabeled series; an empty
+    /// `job` is the same.
     pub fn with_job(mut self, job: &str) -> Self {
         if !job.is_empty() {
             self.job = Some(job.into());
@@ -313,7 +313,6 @@ impl FileReader {
                 .add(plan.wanted_bytes);
             reg.counter(names::FASTPATH_BYTES_COPIED_TOTAL, &labels)
                 .add(plan.copied_bytes);
-            global_pool().publish_metrics(reg, job);
             observe_stage_seconds(reg, job, stage::EXTRACT, fetch_secs);
             observe_stage_seconds(reg, job, stage::DECOMPRESS, decompress_secs);
             // Deserialize excludes decompression: it is the column/map
@@ -345,7 +344,6 @@ impl FileReader {
         let row_count = usize::try_from(self.footer.stripes[idx].row_count)
             .map_err(|_| DsiError::corrupt("stripe row count out of range"))?;
         let cipher = StreamCipher::new(self.footer.file_key);
-        let pool = global_pool();
         let mut decode_payload = |info: &StreamInfo| -> Result<ByteView> {
             let raw = fetch(info)?;
             // Integrity gate: stored bytes must match the checksum the
@@ -361,22 +359,22 @@ impl FileReader {
                 )));
             }
             // Decrypt and decompress are decode *work*, not copies: their
-            // outputs land in pooled scratch, and stored (incompressible)
-            // blocks pass through as sub-views.
+            // outputs land in fresh buffers that the views take over, and
+            // stored (incompressible) blocks pass through as sub-views.
             let mut payload = raw;
             if self.footer.encrypted {
-                let mut scratch = pool.take(payload.len());
-                cipher.apply_to(info.nonce, &payload, &mut scratch);
-                payload = scratch.freeze();
+                let mut plain = Vec::with_capacity(payload.len());
+                cipher.apply_to(info.nonce, &payload, &mut plain);
+                payload = ByteView::from(plain);
             }
             if self.footer.compressed {
                 let started = std::time::Instant::now();
                 payload = match compress::stored_payload_range(&payload) {
                     Some(range) => payload.slice(range),
                     None => {
-                        let mut scratch = pool.take(payload.len().saturating_mul(2));
-                        compress::decompress_into(&payload, &mut scratch)?;
-                        scratch.freeze()
+                        let mut inflated = Vec::with_capacity(payload.len().saturating_mul(2));
+                        compress::decompress_into(&payload, &mut inflated)?;
+                        ByteView::from(inflated)
                     }
                 };
                 decompress_secs.set(decompress_secs.get() + started.elapsed().as_secs_f64());
@@ -483,7 +481,7 @@ impl FileReader {
     ///
     /// See [`FileReader::read_stripe`].
     pub fn read_all(&self, projection: &Projection) -> Result<Vec<Sample>> {
-        let mut out = Vec::with_capacity(self.total_rows() as usize);
+        let mut out = Vec::new();
         for i in 0..self.num_stripes() {
             out.extend(self.read_stripe(i, projection)?);
         }
@@ -497,7 +495,7 @@ impl FileReader {
     /// See [`FileReader::read_stripe`].
     pub fn read_all_unprojected(&self) -> Result<Vec<Sample>> {
         let mut src = self.own_source()?;
-        let mut out = Vec::with_capacity(self.total_rows() as usize);
+        let mut out = Vec::new();
         for i in 0..self.num_stripes() {
             let (rows, _) = self.read_stripe_from(i, None, CoalescePolicy::None, &mut src)?;
             out.extend(rows);
@@ -900,6 +898,33 @@ mod tests {
             assert!(reader
                 .read_stripe(1 - stripe, &Projection::new(vec![FeatureId(1)]))
                 .is_ok());
+        }
+    }
+
+    /// A footer's row counts are not reserved before the rows decode: a
+    /// stripe claiming 2^58 rows is an error, and so is a stripe directory
+    /// whose row counts overflow `u64`.
+    #[test]
+    fn footer_row_counts_are_not_trusted() {
+        let file = build_file(
+            WriterOptions {
+                rows_per_stripe: 8,
+                ..Default::default()
+            },
+            13,
+        );
+        let mut huge = file.footer().clone();
+        huge.stripes[0].row_count = 1 << 58;
+        let reader = FileReader::open(with_footer(&file, &huge)).unwrap();
+        assert!(reader
+            .read_all(&Projection::new(vec![FeatureId(1)]))
+            .is_err());
+        assert!(reader.read_all_unprojected().is_err());
+        let mut overflowing = file.footer().clone();
+        overflowing.stripes[0].row_count = u64::MAX;
+        match FileReader::open(with_footer(&file, &overflowing)) {
+            Err(DsiError::Corrupt(msg)) => assert!(msg.contains("row counts overflow"), "{msg}"),
+            other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
         }
     }
 

@@ -549,11 +549,16 @@ pub fn encode_dense_map(rows: &[Sample]) -> Vec<u8> {
 ///
 /// Returns [`DsiError::Corrupt`] on malformed input.
 pub fn decode_dense_map(buf: &[u8], rows: usize) -> Result<Vec<Vec<(FeatureId, f32)>>> {
-    let mut out = Vec::with_capacity(rows);
+    // Every count below is bounded by the bytes left before it is reserved:
+    // a row is at least its count byte, an entry a one-byte id and a value.
+    let mut out = Vec::with_capacity(rows.min(buf.len()));
     let mut pos = 0;
     for _ in 0..rows {
-        let n = read_varint(buf, &mut pos)? as usize;
-        let mut row = Vec::with_capacity(n);
+        let n = read_varint(buf, &mut pos)?;
+        if n > ((buf.len() - pos) / 5) as u64 {
+            return Err(DsiError::corrupt("dense map count exceeds buffer"));
+        }
+        let mut row = Vec::with_capacity(n as usize);
         for _ in 0..n {
             let fid = read_varint(buf, &mut pos)?;
             if pos + 4 > buf.len() {
@@ -592,12 +597,21 @@ pub fn encode_row_sparse(buf: &mut Vec<u8>, row: &Sample) {
 ///
 /// Returns [`DsiError::Corrupt`] on malformed input.
 pub fn decode_row_sparse(buf: &[u8], pos: &mut usize) -> Result<Vec<(FeatureId, SparseList)>> {
-    let n = read_varint(buf, pos)? as usize;
-    let mut row = Vec::with_capacity(n);
+    // Counts are bounded by the bytes left before they are reserved: a
+    // feature is at least three one-byte varints, an id at least one byte.
+    let n = read_varint(buf, pos)?;
+    if n > ((buf.len() - *pos) / 3) as u64 {
+        return Err(DsiError::corrupt("sparse map feature count exceeds buffer"));
+    }
+    let mut row = Vec::with_capacity(n as usize);
     for _ in 0..n {
         let fid = read_varint(buf, pos)?;
-        let len = read_varint(buf, pos)? as usize;
+        let len = read_varint(buf, pos)?;
         let scored = read_varint(buf, pos)? != 0;
+        if len > (buf.len() - *pos) as u64 {
+            return Err(DsiError::corrupt("sparse map id count exceeds buffer"));
+        }
+        let len = len as usize;
         let mut ids = Vec::with_capacity(len);
         for _ in 0..len {
             ids.push(read_varint(buf, pos)?);
@@ -632,7 +646,8 @@ pub fn encode_sparse_map(rows: &[Sample]) -> Vec<u8> {
 ///
 /// Returns [`DsiError::Corrupt`] on malformed input.
 pub fn decode_sparse_map(buf: &[u8], rows: usize) -> Result<Vec<Vec<(FeatureId, SparseList)>>> {
-    let mut out = Vec::with_capacity(rows);
+    // A row is at least its one-byte feature count.
+    let mut out = Vec::with_capacity(rows.min(buf.len()));
     let mut pos = 0;
     for _ in 0..rows {
         out.push(decode_row_sparse(buf, &mut pos)?);
@@ -708,8 +723,12 @@ pub fn decode_dedup_sparse(
     rows: usize,
 ) -> Result<Vec<Vec<(FeatureId, SparseList)>>> {
     let mut pos = 0;
-    let count = read_varint(data, &mut pos)? as usize;
-    let mut canonicals = Vec::with_capacity(count);
+    let count = read_varint(data, &mut pos)?;
+    // A canonical payload is at least its one-byte feature count.
+    if count > (data.len() - pos) as u64 {
+        return Err(DsiError::corrupt("dedup canonical count exceeds buffer"));
+    }
+    let mut canonicals = Vec::with_capacity(count as usize);
     for _ in 0..count {
         canonicals.push(decode_row_sparse(data, &mut pos)?);
     }
@@ -879,6 +898,47 @@ mod tests {
         ];
         assert!(matches!(
             decode_column(FeatureId(3), &streams, 2),
+            Err(DsiError::Corrupt(_))
+        ));
+    }
+
+    /// A varint declaring 2^58 entries, followed by nothing.
+    fn hostile_count() -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_varint(&mut buf, 1 << 58);
+        buf
+    }
+
+    #[test]
+    fn hostile_dense_map_count_is_corrupt() {
+        assert!(matches!(
+            decode_dense_map(&hostile_count(), 1),
+            Err(DsiError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn hostile_sparse_map_counts_are_corrupt() {
+        // The row's feature count, then one feature's id count.
+        assert!(matches!(
+            decode_sparse_map(&hostile_count(), 1),
+            Err(DsiError::Corrupt(_))
+        ));
+        let mut ids = Vec::new();
+        write_varint(&mut ids, 1); // one feature
+        write_varint(&mut ids, 7); // its id
+        write_varint(&mut ids, 1 << 58); // its id count
+        write_varint(&mut ids, 0); // unscored
+        assert!(matches!(
+            decode_sparse_map(&ids, 1),
+            Err(DsiError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn hostile_dedup_canonical_count_is_corrupt() {
+        assert!(matches!(
+            decode_dedup_sparse(&rle_encode(&[0]), &hostile_count(), 1),
             Err(DsiError::Corrupt(_))
         ));
     }

@@ -385,8 +385,14 @@ pub fn decode_footer(buf: &[u8]) -> Result<FileFooter> {
     let file_key = r.u64()?;
     let n_stripes = r.u64()?;
     let mut stripes = Vec::with_capacity(r.remaining().min(n_stripes as usize));
+    // `FileFooter::total_rows` sums the row counts: a directory whose sum
+    // overflows is corrupt.
+    let mut total_rows = 0u64;
     for _ in 0..n_stripes {
         let row_count = r.u64()?;
+        total_rows = total_rows
+            .checked_add(row_count)
+            .ok_or_else(|| DsiError::corrupt("stripe row counts overflow"))?;
         let label_min = r.f64()? as f32;
         let label_max = r.f64()? as f32;
         let n_streams = r.u64()?;

@@ -109,12 +109,6 @@ pub const DEDUP_RATIO: &str = "dsi_dedup_ratio";
 
 // ---- fastpath: zero-copy decode + pipelined prefetch -----------------------
 
-/// Gauge in `[0,1]`, labels `{job}`: decode scratch-pool takes served from a free list.
-pub const FASTPATH_POOL_HIT_RATIO: &str = "dsi_fastpath_pool_hit_ratio";
-/// Counter, labels `{job}`: scratch-pool takes served from a thread-local free list.
-pub const FASTPATH_POOL_HITS_TOTAL: &str = "dsi_fastpath_pool_hits_total";
-/// Counter, labels `{job}`: scratch-pool takes that had to allocate.
-pub const FASTPATH_POOL_MISSES_TOTAL: &str = "dsi_fastpath_pool_misses_total";
 /// Counter, labels `{job}`: bytes physically memcpy'd on the storage→decode path
 /// (zero-copy slicing and in-place decode work are not counted).
 pub const FASTPATH_BYTES_COPIED_TOTAL: &str = "dsi_fastpath_bytes_copied_total";
@@ -147,9 +141,6 @@ pub const WIRE_DESERIALIZE_NANOS_TOTAL: &str = "dsi_wire_deserialize_nanos_total
 /// Counter (nanoseconds), labels `{job}`: time spent compressing payloads on send and
 /// never mixed into [`WIRE_SERIALIZE_NANOS_TOTAL`].
 pub const WIRE_COMPRESS_NANOS_TOTAL: &str = "dsi_wire_compress_nanos_total";
-/// Gauge, labels `{job}`: hit ratio of the pooled wire send buffer (1.0 = every frame
-/// reused a pooled allocation; fresh allocations drag it down).
-pub const WIRE_BUF_POOL_HIT_RATIO: &str = "dsi_wire_buf_pool_hit_ratio";
 /// Counter, labels `{job}`: client-side reconnects to a worker's wire server (each one
 /// triggers a replay of that worker's unacked envelopes).
 pub const WIRE_RECONNECTS_TOTAL: &str = "dsi_wire_reconnects_total";

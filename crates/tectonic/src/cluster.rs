@@ -12,9 +12,7 @@
 //! ([`TectonicCluster::pump_rebuild`]), so rebuild traffic contends with
 //! foreground reads on the same simulated disks and clock.
 
-use crate::block::{
-    chunk_checksum, place_replicas_among, BlockId, DEFAULT_BLOCK_SIZE, REPLICATION_FACTOR,
-};
+use crate::block::{chunk_checksum, place_replicas_among, BlockId, REPLICATION_FACTOR};
 use crate::directory::{ChunkDirectory, ChunkInfo};
 use crate::heal::{HeartbeatDetector, RebuildProgress, RebuildQueue};
 use crate::node::StorageNode;
@@ -50,22 +48,6 @@ impl ClusterConfig {
             replication: REPLICATION_FACTOR,
             hdd: true,
         }
-    }
-
-    /// A production-flavored cluster: `nodes` HDD nodes, 8 MiB blocks, R3.
-    pub fn production(nodes: usize) -> Self {
-        Self {
-            nodes,
-            block_size: DEFAULT_BLOCK_SIZE,
-            replication: REPLICATION_FACTOR,
-            hdd: true,
-        }
-    }
-
-    /// Same shape but SSD-backed.
-    pub fn ssd(mut self) -> Self {
-        self.hdd = false;
-        self
     }
 }
 

@@ -102,8 +102,8 @@ impl TableScan {
         self
     }
 
-    /// Labels the scan's session-scoped metric publications (the shared
-    /// decode-pool series) with the owning job (builder-style). Sessions
+    /// Labels the scan's session-scoped metric publications (the DWRF
+    /// decode series) with the owning job (builder-style). Sessions
     /// sharing one registry under the fleet control plane set this to
     /// their session id; an empty `job` keeps them unlabeled.
     pub fn with_job(mut self, job: &str) -> Self {

@@ -150,7 +150,7 @@ pub fn encode_envelope(env: &WireEnvelope) -> Vec<u8> {
 }
 
 /// [`encode_envelope`] into a caller-supplied buffer (appended), so the
-/// transport can serialize straight into a pooled frame buffer without an
+/// transport can serialize straight into its frame buffer without an
 /// intermediate allocation.
 pub fn encode_envelope_into(env: &WireEnvelope, out: &mut Vec<u8>) {
     out.reserve(64 + env.tensor.payload_bytes());

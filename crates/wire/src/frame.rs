@@ -103,9 +103,9 @@ pub fn encode_frame(kind: FrameKind, flags: u8, nonce: u64, payload: &[u8]) -> V
 }
 
 /// Write the 24-byte header into `buf[..HEADER_LEN]` in place. The caller
-/// has already laid the payload down at `buf[HEADER_LEN..]` (the pooled
-/// send path serializes payload-first, then back-fills the header), so the
-/// whole frame is ready for a single `write_all` with zero extra copies.
+/// has already laid the payload down at `buf[HEADER_LEN..]` (the send path
+/// serializes payload-first, then back-fills the header), so the whole
+/// frame is ready for a single `write_all` with zero extra copies.
 ///
 /// # Panics
 ///

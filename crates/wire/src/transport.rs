@@ -49,7 +49,7 @@ use crate::frame::{
     FLAG_COMPRESSED, FLAG_ENCRYPTED, HEADER_LEN,
 };
 use crate::WireConfig;
-use fastpath::{BufferPool, ByteView};
+use fastpath::ByteView;
 
 /// Shared optional metrics registry, shaped like the DPP session's slot so
 /// the session can hand its own `Arc` straight through.
@@ -134,21 +134,19 @@ fn record_wire_span(
 }
 
 /// Serialize an envelope into a ready-to-send data frame, built in place
-/// inside a pooled buffer: header bytes reserved up front, envelope
-/// serialized directly behind them, compression/encryption applied over
-/// the payload span, header back-filled last. One pool take per frame and
-/// zero intermediate copies on the plaintext path. Serialize, compress,
-/// and encrypt time are charged to separate counters so no stage is ever
-/// double-billed.
+/// inside one buffer: header bytes reserved up front, envelope serialized
+/// directly behind them, compression/encryption applied over the payload
+/// span, header back-filled last. Zero intermediate copies on the
+/// plaintext path. Serialize, compress, and encrypt time are charged to
+/// separate counters so no stage is ever double-billed.
 fn encode_data_frame(
     env: &WireEnvelope,
     nonce: u64,
     cfg: &WireConfig,
     obs: &WireObs,
     job: &str,
-    pool: &BufferPool,
 ) -> ByteView {
-    let mut buf = pool.take(HEADER_LEN + 64 + env.tensor.payload_bytes());
+    let mut buf = Vec::with_capacity(HEADER_LEN + 64 + env.tensor.payload_bytes());
     buf.resize(HEADER_LEN, 0);
     let start = Instant::now();
     encode_envelope_into(env, &mut buf);
@@ -158,8 +156,8 @@ fn encode_data_frame(
     let mut compress_ns = 0u64;
     if cfg.compress {
         let zip_start = Instant::now();
-        // Compress straight into a second pooled frame, behind its header.
-        let mut zipped = pool.take(HEADER_LEN + (buf.len() - HEADER_LEN) / 2 + 16);
+        // Compress straight into a second frame, behind its header.
+        let mut zipped = Vec::with_capacity(HEADER_LEN + (buf.len() - HEADER_LEN) / 2 + 16);
         zipped.resize(HEADER_LEN, 0);
         compress::compress_into(&buf[HEADER_LEN..], &mut zipped);
         buf = zipped;
@@ -189,10 +187,8 @@ fn encode_data_frame(
             reg.counter(names::WIRE_ENCRYPT_NANOS_TOTAL, labels)
                 .add(encrypt_ns);
         }
-        reg.gauge(names::WIRE_BUF_POOL_HIT_RATIO, labels)
-            .set(pool.hit_ratio());
     });
-    buf.freeze()
+    ByteView::from(buf)
 }
 
 /// Reverse [`encode_data_frame`]: decrypt, decompress, and deserialize a
@@ -416,9 +412,6 @@ fn server_loop(
 ) {
     // Encoded frames sent but not yet credited, oldest first. Survives
     // across connections: a reconnecting client gets them all replayed.
-    // Frames live in pooled buffers that recycle once credited, so a
-    // steady-state stream reuses the same few allocations.
-    let pool = BufferPool::new();
     let mut unacked: VecDeque<UnackedFrame> = VecDeque::new();
     let mut source_done = false;
     let mut nonce: u64 = 0;
@@ -512,7 +505,7 @@ fn server_loop(
             if unacked.len() < window && !source_done {
                 match source.recv_timeout(SOURCE_POLL) {
                     Ok(env) => {
-                        let bytes = encode_data_frame(&env, nonce, &cfg, &obs, &job, &pool);
+                        let bytes = encode_data_frame(&env, nonce, &cfg, &obs, &job);
                         nonce += 1;
                         let send_start = now_ns();
                         let outcome =

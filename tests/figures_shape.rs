@@ -504,13 +504,28 @@ fn metric_catalog_is_closed_and_session_series_carry_job() {
         .filter_map(|item| item.split('"').nth(1))
         .filter(|name| name.starts_with("dsi_"))
         .collect();
-    assert!(catalog.len() >= 70, "parsed {} names", catalog.len());
+    assert!(catalog.len() >= 60, "parsed {} names", catalog.len());
     let design = include_str!("../DESIGN.md");
     let section = &design[design.find("\n## 8. ").unwrap()..design.find("\n## 9. ").unwrap()];
     for name in &catalog {
         assert!(
             section.contains(&format!("`{name}`")),
             "DESIGN §8 does not list {name}"
+        );
+    }
+    // The other direction: a deleted series must not leave its row behind.
+    let stage_series = [dsi::obs::STAGE_SECONDS, dsi::obs::STAGE_CYCLES_TOTAL];
+    let rows: Vec<&str> = section
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `dsi_"))
+        .filter_map(|row| row.split('`').next())
+        .collect();
+    assert!(rows.len() >= 60, "parsed {} §8 rows", rows.len());
+    for row in rows {
+        let name = format!("dsi_{row}");
+        assert!(
+            catalog.contains(&name.as_str()) || stage_series.contains(&name.as_str()),
+            "DESIGN §8 lists {name}, which names.rs does not declare"
         );
     }
 
@@ -560,7 +575,6 @@ fn metric_catalog_is_closed_and_session_series_carry_job() {
     assert!(series.len() > 30, "the session wrote {}", series.len());
     for (key, _) in series {
         let name = key.name.as_str();
-        let stage_series = [dsi::obs::STAGE_SECONDS, dsi::obs::STAGE_CYCLES_TOTAL];
         assert!(
             catalog.contains(&name) || stage_series.contains(&name),
             "{name} is not in names.rs"
