@@ -1,5 +1,5 @@
 //! Micro-benchmarks for the batched codec kernels: chunked varint decode,
-//! run-aware RLE, bulk little-endian f32 streams, envelope serialization
+//! frame-of-reference bit packing, run-aware RLE, bulk little-endian f32 streams, envelope serialization
 //! (fresh and reused buffer), the LZ block kernel, the stripe encoder and
 //! the stripe decoder — the hot loops behind the fastpath, wire, ingest and
 //! extract numbers.
@@ -8,8 +8,8 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dsi_types::{Batch, FeatureId, FeatureKind, MiniBatchTensor, Sample, SparseList, WorkerId};
 use dwrf::compress::{compress_into, compress_scalar, decompress_into};
 use dwrf::encoding::{
-    read_f32s, read_varint, read_varints_into, rle_decode, rle_encode, write_f32s, write_varint,
-    write_varints,
+    read_f32s, read_packed, read_varint, read_varints_into, rle_decode, rle_encode, write_f32s,
+    write_packed, write_varint, write_varints,
 };
 use dwrf::stream::encode_columns;
 use dwrf::{CoalescePolicy, FileReader, FileWriter, SliceSource, WriterOptions};
@@ -93,6 +93,39 @@ fn bench_varint(c: &mut Criterion) {
             black_box(out)
         })
     });
+    group.finish();
+}
+
+/// `Data` stream packing at the widths RM1 stores: 20-bit ids once a
+/// feature's `salt × 1,000,003` base is taken off, and 12-bit dictionary
+/// indexes (dictionaries of up to 4,096 ids).
+fn bench_packed(c: &mut Criterion) {
+    let mut group = c.benchmark_group("codec_packed");
+    group.throughput(Throughput::Elements(N as u64));
+    for width in [20u32, 12] {
+        let base = 17 * 1_000_003;
+        let values: Vec<u64> = (0..N as u64)
+            .map(|i| base + (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - width)))
+            .collect();
+        let mut packed = Vec::new();
+        write_packed(&mut packed, &values);
+        group.bench_function(format!("pack_{width}bit"), |b| {
+            let mut out = Vec::with_capacity(packed.len());
+            b.iter(|| {
+                out.clear();
+                write_packed(&mut out, black_box(&values));
+                black_box(out.len())
+            })
+        });
+        group.bench_function(format!("unpack_{width}bit"), |b| {
+            let mut out = Vec::with_capacity(N);
+            b.iter(|| {
+                out.clear();
+                read_packed(black_box(&packed), N, &mut out).expect("valid");
+                black_box(out.len())
+            })
+        });
+    }
     group.finish();
 }
 
@@ -314,6 +347,7 @@ fn bench_stripe_decode(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_varint,
+    bench_packed,
     bench_rle,
     bench_f32,
     bench_envelope,

@@ -1,6 +1,6 @@
-//! Primitive codecs: LEB128 varints, zigzag, run-length encoding, float
-//! arrays, and a tiny binary metadata writer/reader used for stripe and file
-//! footers.
+//! Primitive codecs: LEB128 varints, frame-of-reference bit packing,
+//! zigzag, run-length encoding, float arrays, and a tiny binary metadata
+//! writer/reader used for stripe and file footers.
 
 use dsi_types::{DsiError, Result};
 
@@ -200,6 +200,106 @@ pub fn write_varints(out: &mut Vec<u8>, values: &[u64]) {
         }
     }
     out.extend_from_slice(&slab[..fill]);
+}
+
+/// Frame-of-reference bit packing: appends `varint base · u8 width ·
+/// ⌈n·width/8⌉ bytes`, where `base` is the smallest value, `width` is the
+/// bit length of the largest offset from it (at least 1, so a block of
+/// equal values still has a width), and the bytes hold each `v − base` in
+/// `width` bits, LSB-first. Min and max are found in one pass; the bits
+/// gather in a `u128` flushed 8 bytes at a time. An empty `values` is base
+/// 0, width 1 and no bytes.
+pub fn write_packed(out: &mut Vec<u8>, values: &[u64]) {
+    let (min, max) = values
+        .iter()
+        .fold((u64::MAX, 0), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    let base = min.min(max);
+    let width = (64 - (max - base).leading_zeros()).max(1);
+    write_varint(out, base);
+    out.push(width as u8);
+    out.reserve((values.len() * width as usize).div_ceil(8));
+    let mut acc = 0u128;
+    let mut bits = 0;
+    for &v in values {
+        acc |= u128::from(v - base) << bits;
+        bits += width;
+        if bits >= 64 {
+            out.extend_from_slice(&(acc as u64).to_le_bytes());
+            acc >>= 64;
+            bits -= 64;
+        }
+    }
+    out.extend_from_slice(&(acc as u64).to_le_bytes()[..bits.div_ceil(8) as usize]);
+}
+
+/// The little-endian word at byte `at` of `bytes`; past the end, the bytes
+/// that are there in a zero-padded stack word.
+#[inline]
+fn load_word(bytes: &[u8], at: usize) -> u64 {
+    match bytes.get(at..at + 8) {
+        Some(word) => u64::from_le_bytes(word.try_into().expect("8-byte word")),
+        None => {
+            let tail = &bytes[at.min(bytes.len())..];
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            u64::from_le_bytes(word)
+        }
+    }
+}
+
+/// Decodes the `n` values of a whole [`write_packed`] block into `out`,
+/// reading the block in place: one unaligned `u64` load per value, and a
+/// second when the value straddles it (`width` + bit offset > 64).
+///
+/// # Errors
+///
+/// Returns [`DsiError::Corrupt`] if the width is not in `1..=64`, if the
+/// bytes after the header are not exactly `⌈n·width/8⌉` (checked before
+/// anything is reserved), or if a value overflows `u64` once the base is
+/// added back.
+pub fn read_packed(buf: &[u8], n: usize, out: &mut Vec<u64>) -> Result<()> {
+    let mut pos = 0;
+    let base = read_varint(buf, &mut pos)?;
+    let width = u32::from(
+        *buf.get(pos)
+            .ok_or_else(|| DsiError::corrupt("packed block has no width"))?,
+    );
+    if !(1..=64).contains(&width) {
+        return Err(DsiError::corrupt(format!("packed width {width}")));
+    }
+    let bytes = &buf[pos + 1..];
+    let declared = (n as u64)
+        .checked_mul(u64::from(width))
+        .map(|bits| bits.div_ceil(8));
+    if declared != Some(bytes.len() as u64) {
+        return Err(DsiError::corrupt(format!(
+            "packed block of {n} {width}-bit values holds {} bytes",
+            bytes.len()
+        )));
+    }
+    let mask = u64::MAX >> (64 - width);
+    // `base + v` overflows exactly when `v` exceeds `limit`: one flag for
+    // the block keeps the loop free of early exits.
+    let limit = u64::MAX - base;
+    let mut overflow = false;
+    let start = out.len();
+    out.resize(start + n, 0);
+    let mut bit = 0;
+    for slot in &mut out[start..] {
+        let (at, shift) = (bit / 8, (bit % 8) as u32);
+        let mut word = load_word(bytes, at) >> shift;
+        if width + shift > 64 {
+            word |= load_word(bytes, at + 8) << (64 - shift);
+        }
+        let v = word & mask;
+        overflow |= v > limit;
+        *slot = base.wrapping_add(v);
+        bit += width as usize;
+    }
+    if overflow {
+        return Err(DsiError::corrupt("packed value overflows u64"));
+    }
+    Ok(())
 }
 
 /// Zigzag-encodes a signed value so small magnitudes become small varints.
@@ -608,6 +708,57 @@ mod tests {
         let buf = [0x80u8, 0x80]; // never-terminated varint
         let mut pos = 0;
         assert!(read_varint(&buf, &mut pos).is_err());
+    }
+
+    /// A packed block header: `base`, then `width`, then `bytes` zero bytes.
+    fn packed_block(base: u64, width: u8, bytes: usize) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_varint(&mut buf, base);
+        buf.push(width);
+        buf.resize(buf.len() + bytes, 0);
+        buf
+    }
+
+    fn read_packed_err(buf: &[u8], n: usize) -> bool {
+        matches!(
+            read_packed(buf, n, &mut Vec::new()),
+            Err(DsiError::Corrupt(_))
+        )
+    }
+
+    #[test]
+    fn packed_width_zero_is_corrupt() {
+        assert!(read_packed_err(&packed_block(0, 0, 0), 4));
+    }
+
+    #[test]
+    fn packed_width_65_is_corrupt() {
+        assert!(read_packed_err(&packed_block(0, 65, 65), 8));
+    }
+
+    #[test]
+    fn packed_byte_count_must_match_the_values() {
+        // 5 values of 3 bits take 2 bytes, not 1 or 3.
+        assert!(read_packed(&packed_block(0, 3, 2), 5, &mut Vec::new()).is_ok());
+        assert!(read_packed_err(&packed_block(0, 3, 1), 5));
+        assert!(read_packed_err(&packed_block(0, 3, 3), 5));
+        assert!(read_packed_err(&[], 0));
+    }
+
+    #[test]
+    fn packed_bit_count_overflow_is_corrupt() {
+        assert!(read_packed_err(&packed_block(0, 64, 8), usize::MAX));
+    }
+
+    #[test]
+    fn packed_base_plus_value_overflow_is_corrupt() {
+        let mut buf = packed_block(u64::MAX - 1, 2, 0);
+        buf.push(0b11);
+        assert!(read_packed_err(&buf, 1));
+        *buf.last_mut().unwrap() = 0b01;
+        let mut out = Vec::new();
+        read_packed(&buf, 1, &mut out).unwrap();
+        assert_eq!(out, [u64::MAX]);
     }
 
     #[test]

@@ -744,6 +744,18 @@ mod tests {
         assert!(parse_footer(&file.bytes().slice(..n - 1)).is_err());
     }
 
+    #[test]
+    fn v1_magic_is_corrupt() {
+        let file = build_file(WriterOptions::default(), 4);
+        let mut bytes = file.bytes().to_vec();
+        let n = bytes.len();
+        bytes[n - 8..].copy_from_slice(b"DWRF\0v1\0");
+        assert!(matches!(
+            FileReader::open(Bytes::from(bytes)),
+            Err(DsiError::Corrupt(_))
+        ));
+    }
+
     /// A [`ChunkSource`] that XORs the bytes of one window, slicing the
     /// underlying file zero-copy everywhere else.
     struct CorruptingSource {

@@ -8,8 +8,9 @@
 //! replaced.
 
 use crate::encoding::{
-    read_bitmap, read_f32s, read_f32s_xor, read_varint, read_varints_into, rle_decode_capped,
-    rle_encode, write_bitmap, write_f32s, write_f32s_xor, write_varint, write_varints, Bitmap,
+    read_bitmap, read_f32s, read_f32s_xor, read_packed, read_varint, read_varints_into,
+    rle_decode_capped, rle_encode, write_bitmap, write_f32s, write_f32s_xor, write_packed,
+    write_varint, write_varints, Bitmap,
 };
 use dsi_types::{DsiError, FeatureId, Result, Sample, SparseList};
 
@@ -23,7 +24,8 @@ pub enum StreamKind {
     Present,
     /// RLE varint list lengths, one per present row (sparse features).
     Length,
-    /// Varint categorical ids, concatenated across present rows.
+    /// Categorical ids, concatenated across present rows and bit-packed
+    /// relative to their minimum ([`crate::encoding::write_packed`]).
     Data,
     /// `f32` scores aligned with [`StreamKind::Data`].
     Score,
@@ -35,8 +37,9 @@ pub enum StreamKind {
     DenseMap,
     /// Unflattened row-wise sparse map (file-level baseline).
     SparseMap,
-    /// Dictionary of distinct categorical ids; when present, the feature's
-    /// `Data` stream holds varint indexes into this dictionary.
+    /// Dictionary of distinct categorical ids, sorted and stored as a
+    /// varint count and varint gaps (the first from 0); when present, the
+    /// feature's `Data` stream holds packed indexes into this dictionary.
     Dict,
     /// Per-row back-references into [`StreamKind::DedupData`] (file-level):
     /// RLE'd varint canonical-payload indexes, one per row.
@@ -241,7 +244,7 @@ impl Column<Vec<f32>> {
 }
 
 impl Column<SparseCells> {
-    /// `Present`, `Length` (RLE), `Data` (varint ids or dictionary
+    /// `Present`, `Length` (RLE), `Data` (bit-packed ids or dictionary
     /// indexes), a `Dict` when ids repeat, and a `Score` stream when any
     /// list was scored.
     fn encode(self, rows: usize) -> RawStreams {
@@ -260,15 +263,20 @@ impl Column<SparseCells> {
         let mut dict_buf = Vec::new();
         if use_dict {
             write_varint(&mut dict_buf, distinct.len() as u64);
-            write_varints(&mut dict_buf, &distinct);
+            let gaps: Vec<u64> = std::iter::once(distinct[0])
+                .chain(distinct.windows(2).map(|pair| pair[1] - pair[0]))
+                .collect();
+            write_varints(&mut dict_buf, &gaps);
             for id in &mut ids {
                 *id = distinct
                     .binary_search(id)
                     .expect("id is in its own dictionary") as u64;
             }
         }
+        // Every dictionary index occurs, so indexes pack from base 0 at the
+        // width of the last one.
         let mut ids_buf = Vec::new();
-        write_varints(&mut ids_buf, &ids);
+        write_packed(&mut ids_buf, &ids);
         let mut out = vec![
             present_stream(self.present, rows),
             (StreamKind::Length, rle_encode(&lengths)),
@@ -334,18 +342,14 @@ impl SparseCells {
                 lengths.len()
             )));
         }
-        // Each id is at least one varint byte.
+        // A packed id is at least one bit.
         let total = lengths
             .iter()
             .try_fold(0u64, |sum, &n| sum.checked_add(n))
-            .filter(|&total| total <= data.len() as u64)
+            .filter(|&total| total <= 8 * data.len() as u64)
             .ok_or_else(|| DsiError::corrupt("sparse data stream shorter than lengths"))?;
         let mut ids = Vec::new();
-        let mut pos = 0;
-        read_varints_into(data, &mut pos, total as usize, &mut ids)?;
-        if pos != data.len() {
-            return Err(DsiError::corrupt("trailing bytes in sparse data stream"));
-        }
+        read_packed(data, total as usize, &mut ids)?;
         if let Some(dict) = dict {
             let mut pos = 0;
             let n = read_varint(dict, &mut pos)?;
@@ -356,6 +360,13 @@ impl SparseCells {
             read_varints_into(dict, &mut pos, n as usize, &mut values)?;
             if pos != dict.len() {
                 return Err(DsiError::corrupt("trailing bytes in dictionary stream"));
+            }
+            let mut id = 0u64;
+            for gap in &mut values {
+                id = id
+                    .checked_add(*gap)
+                    .ok_or_else(|| DsiError::corrupt("dictionary id overflows u64"))?;
+                *gap = id;
             }
             for id in &mut ids {
                 *id = usize::try_from(*id)
@@ -575,14 +586,18 @@ pub fn decode_dense_map(buf: &[u8], rows: usize) -> Result<Vec<Vec<(FeatureId, f
 
 /// Encodes one row's sparse map (feature count + per-feature payloads) into
 /// `buf`. Shared by the unflattened baseline and the dedup canonical table.
+/// Each list stores its smallest id (0 when empty) and then every id as a
+/// varint offset from it.
 pub fn encode_row_sparse(buf: &mut Vec<u8>, row: &Sample) {
     write_varint(buf, row.sparse_count() as u64);
     for (fid, list) in row.sparse_iter() {
         write_varint(buf, fid.0);
         write_varint(buf, list.len() as u64);
         write_varint(buf, u64::from(list.is_scored()));
+        let base = list.ids().iter().copied().min().unwrap_or(0);
+        write_varint(buf, base);
         for &id in list.ids() {
-            write_varint(buf, id);
+            write_varint(buf, id - base);
         }
         if let Some(scores) = list.scores() {
             write_f32s(buf, scores);
@@ -598,9 +613,9 @@ pub fn encode_row_sparse(buf: &mut Vec<u8>, row: &Sample) {
 /// Returns [`DsiError::Corrupt`] on malformed input.
 pub fn decode_row_sparse(buf: &[u8], pos: &mut usize) -> Result<Vec<(FeatureId, SparseList)>> {
     // Counts are bounded by the bytes left before they are reserved: a
-    // feature is at least three one-byte varints, an id at least one byte.
+    // feature is at least four one-byte varints, an id at least one byte.
     let n = read_varint(buf, pos)?;
-    if n > ((buf.len() - *pos) / 3) as u64 {
+    if n > ((buf.len() - *pos) / 4) as u64 {
         return Err(DsiError::corrupt("sparse map feature count exceeds buffer"));
     }
     let mut row = Vec::with_capacity(n as usize);
@@ -608,13 +623,17 @@ pub fn decode_row_sparse(buf: &[u8], pos: &mut usize) -> Result<Vec<(FeatureId, 
         let fid = read_varint(buf, pos)?;
         let len = read_varint(buf, pos)?;
         let scored = read_varint(buf, pos)? != 0;
+        let base = read_varint(buf, pos)?;
         if len > (buf.len() - *pos) as u64 {
             return Err(DsiError::corrupt("sparse map id count exceeds buffer"));
         }
         let len = len as usize;
         let mut ids = Vec::with_capacity(len);
         for _ in 0..len {
-            ids.push(read_varint(buf, pos)?);
+            let id = base
+                .checked_add(read_varint(buf, pos)?)
+                .ok_or_else(|| DsiError::corrupt("sparse map id overflows u64"))?;
+            ids.push(id);
         }
         let list = if scored {
             if *pos + 4 * len > buf.len() {
@@ -1090,8 +1109,8 @@ mod tests {
             .1;
         let decoded = decode_column(FeatureId(3), &streams, 50).unwrap();
         assert_eq!(decoded.sparse[0].cells.ids[27..30], [1, 101, 7]);
-        // Indexes are tiny: the data stream is one byte per value.
-        assert_eq!(data.len(), 150);
+        // Nine distinct ids: 150 indexes of 4 bits after a base and a width.
+        assert_eq!(data.len(), 2 + 75);
     }
 
     #[test]
@@ -1106,22 +1125,79 @@ mod tests {
         assert!(!streams.iter().any(|(k, _)| *k == StreamKind::Dict));
     }
 
+    /// A one-row column of `n` ids whose `Data` and `Dict` are given.
+    fn sparse_column(n: u64, data: Vec<u8>, dict: Vec<u8>) -> RawStreams {
+        let mut present = Vec::new();
+        write_bitmap(&mut present, &[true]);
+        vec![
+            (StreamKind::Present, present),
+            (StreamKind::Length, rle_encode(&[n])),
+            (StreamKind::Data, data),
+            (StreamKind::Dict, dict),
+        ]
+    }
+
     #[test]
     fn corrupt_dictionary_detected() {
         let mut bad_dict = Vec::new();
         write_varint(&mut bad_dict, 1); // one entry
         write_varint(&mut bad_dict, 42);
-        let mut present = Vec::new();
-        write_bitmap(&mut present, &[true]);
         let mut data = Vec::new();
-        write_varint(&mut data, 5); // index 5 out of range
-        let streams = vec![
-            (StreamKind::Present, present),
-            (StreamKind::Length, rle_encode(&[1])),
-            (StreamKind::Data, data),
-            (StreamKind::Dict, bad_dict),
-        ];
-        assert!(decode_column(FeatureId(3), &streams, 1).is_err());
+        write_packed(&mut data, &[5]); // index 5 out of range
+        assert!(decode_column(FeatureId(3), &sparse_column(1, data, bad_dict), 1).is_err());
+    }
+
+    #[test]
+    fn dictionary_gap_overflow_is_corrupt() {
+        let mut data = Vec::new();
+        write_packed(&mut data, &[0, 1]);
+        let mut dict = Vec::new();
+        write_varint(&mut dict, 2);
+        write_varints(&mut dict, &[u64::MAX, 1]);
+        assert!(matches!(
+            decode_column(FeatureId(3), &sparse_column(2, data.clone(), dict), 1),
+            Err(DsiError::Corrupt(_))
+        ));
+        // The same gaps one short of the top decode.
+        let mut dict = Vec::new();
+        write_varint(&mut dict, 2);
+        write_varints(&mut dict, &[u64::MAX - 1, 1]);
+        let decoded = decode_column(FeatureId(3), &sparse_column(2, data, dict), 1).unwrap();
+        assert_eq!(decoded.sparse[0].cells.ids, [u64::MAX - 1, u64::MAX]);
+    }
+
+    #[test]
+    fn row_map_offset_overflow_is_corrupt() {
+        let mut buf = Vec::new();
+        write_varint(&mut buf, 1); // one feature
+        write_varint(&mut buf, 7); // its id
+        write_varint(&mut buf, 1); // one id
+        write_varint(&mut buf, 0); // unscored
+        write_varint(&mut buf, u64::MAX); // the list's base
+        write_varint(&mut buf, 1); // its offset
+        assert!(matches!(
+            decode_sparse_map(&buf, 1),
+            Err(DsiError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn row_map_ids_are_offsets_from_the_list_minimum() {
+        let mut row = Sample::new(0.0);
+        row.set_sparse(
+            FeatureId(7),
+            SparseList::from_ids(vec![7_000_021, 7_000_024, 7_000_021]),
+        );
+        row.set_sparse(FeatureId(8), SparseList::from_ids(vec![]));
+        let mut buf = Vec::new();
+        encode_row_sparse(&mut buf, &row);
+        // Count, then per feature id · length · scored · base, and offsets.
+        assert_eq!(buf.len(), 1 + (1 + 1 + 1 + 4 + 3) + (1 + 1 + 1 + 1));
+        let mut pos = 0;
+        let decoded = decode_row_sparse(&buf, &mut pos).unwrap();
+        assert_eq!(pos, buf.len());
+        assert_eq!(decoded[0].1.ids(), [7_000_021, 7_000_024, 7_000_021]);
+        assert!(decoded[1].1.is_empty());
     }
 
     #[test]

@@ -12,8 +12,10 @@ use bytes::Bytes;
 use dsi_types::{DsiError, FeatureId, Result, Sample};
 use std::collections::BTreeSet;
 
-/// Trailing file magic.
-pub const MAGIC: &[u8; 8] = b"DWRF\0v1\0";
+/// Trailing file magic. Version 2 stores sparse ids relative to a base
+/// (packed `Data`, gap-coded `Dict`, row-map lists after their minimum), so
+/// a version 1 file is refused rather than misread.
+pub const MAGIC: &[u8; 8] = b"DWRF\0v2\0";
 
 /// Writer configuration.
 #[derive(Debug, Clone, PartialEq)]

@@ -210,7 +210,8 @@ fn read_u8(buf: &[u8], pos: &mut usize) -> Result<u8> {
 pub fn decode_envelope(buf: &[u8]) -> Result<WireEnvelope> {
     let pos = &mut 0usize;
     let split = read_varint(buf, pos)?;
-    let seq = read_varint(buf, pos)? as u32;
+    let seq = u32::try_from(read_varint(buf, pos)?)
+        .map_err(|_| DsiError::corrupt("envelope seq exceeds u32"))?;
     let last = match read_u8(buf, pos)? {
         0 => false,
         1 => true,
@@ -383,6 +384,23 @@ mod tests {
         let mut bytes = encode_envelope(&env);
         bytes.push(0xFF);
         assert!(decode_envelope(&bytes).is_err());
+    }
+
+    #[test]
+    fn seq_beyond_u32_is_corrupt() {
+        let env = sample_envelope(4);
+        let bytes = encode_envelope(&env);
+        // Rewrite the one-byte seq 7 as 2^32 + 7.
+        let mut pos = 0;
+        read_varint(&bytes, &mut pos).unwrap();
+        assert_eq!(bytes[pos], 7);
+        let mut hostile = bytes[..pos].to_vec();
+        write_varint(&mut hostile, (1 << 32) + 7);
+        hostile.extend_from_slice(&bytes[pos + 1..]);
+        assert!(matches!(
+            decode_envelope(&hostile),
+            Err(DsiError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -494,9 +494,10 @@ proptest! {
         // One stream of a valid stripe with a few bits flipped, or (no
         // flips drawn) replaced by arbitrary bytes: `Ok` or `Err`, never a
         // panic, and never room for more than the streams could hold — one
-        // length per bitmap bit, one id or value per byte, times the
-        // doubling a growing buffer may have left behind. A length, a
-        // count or a run header that declares more is refused first.
+        // length per bitmap bit, one id per `Data` bit (a packed id can be
+        // one bit wide), one value per other byte, times the doubling a
+        // growing buffer may have left behind. A length, a count or a run
+        // header that declares more is refused first.
         let target = target % streams.len().max(1);
         if let Some((_, _, victim)) = streams.get_mut(target) {
             if flips.is_empty() || victim.is_empty() {
@@ -509,15 +510,123 @@ proptest! {
                 }
             }
         }
-        let (mut bitmap_bytes, mut other_bytes) = (0, 0);
+        let (mut bit_bytes, mut other_bytes) = (0, 0);
         for (_, kind, raw) in &streams {
             match kind {
-                StreamKind::Present => bitmap_bytes += raw.len(),
+                StreamKind::Present | StreamKind::Data => bit_bytes += raw.len(),
                 _ => other_bytes += raw.len(),
             }
         }
         if let Ok(decoded) = decode(&streams) {
-            prop_assert!(decoded.reserved_values() <= 2 * (8 * bitmap_bytes + other_bytes));
+            prop_assert!(decoded.reserved_values() <= 2 * (8 * bit_bytes + other_bytes));
+        }
+    }
+
+    #[test]
+    fn row_map_decoders_survive_hostile_streams(
+        samples in proptest::collection::vec(arb_sample(), 1..20),
+        junk in proptest::collection::vec(any::<u8>(), 0..64),
+        flips in proptest::collection::vec((any::<usize>(), 0u8..8), 0..4),
+        window in 1usize..16,
+    ) {
+        use dwrf::stream::{
+            decode_dedup_sparse, decode_dense_map, decode_sparse_map, encode_dedup_sparse,
+            encode_dense_map, encode_sparse_map,
+        };
+        // The unflattened maps and a dedup stripe's canonical table, valid
+        // and then with a few bits flipped (or, no flips drawn, replaced by
+        // arbitrary bytes): `Ok` or `Err`, never a panic, and a map never
+        // decodes more entries than it has bytes.
+        let rows = samples.len();
+        let hostile = |mut bytes: Vec<u8>| {
+            if flips.is_empty() || bytes.is_empty() {
+                return junk.clone();
+            }
+            for &(at, bit) in &flips {
+                let at = at % bytes.len();
+                bytes[at] ^= 1 << bit;
+            }
+            bytes
+        };
+        let sparse = encode_sparse_map(&samples);
+        let want: Vec<Vec<(FeatureId, SparseList)>> = samples
+            .iter()
+            .map(|s| s.sparse_iter().map(|(f, l)| (f, l.clone())).collect())
+            .collect();
+        prop_assert_eq!(&decode_sparse_map(&sparse, rows).expect("valid map"), &want);
+        let sparse = hostile(sparse);
+        if let Ok(decoded) = decode_sparse_map(&sparse, rows) {
+            let ids: usize = decoded.iter().flatten().map(|(_, list)| list.len()).sum();
+            prop_assert!(ids <= sparse.len());
+        }
+        let dense = encode_dense_map(&samples);
+        prop_assert!(decode_dense_map(&dense, rows).is_ok());
+        let dense = hostile(dense);
+        if let Ok(decoded) = decode_dense_map(&dense, rows) {
+            prop_assert!(decoded.iter().map(Vec::len).sum::<usize>() <= dense.len());
+        }
+        let (refs, data, _) = encode_dedup_sparse(&samples, window);
+        prop_assert_eq!(&decode_dedup_sparse(&refs, &data, rows).expect("valid stripe"), &want);
+        let _ = decode_dedup_sparse(&refs, &hostile(data.clone()), rows);
+        let _ = decode_dedup_sparse(&hostile(refs), &data, rows);
+    }
+
+    #[test]
+    fn packed_ids_round_trip_at_every_width(
+        seed: u64,
+        offsets in proptest::collection::vec(any::<u64>(), 0..70),
+        shape in 0u8..4,
+    ) {
+        use dwrf::encoding::{read_packed, read_varint, write_packed};
+        // At every width, values `base + (offset & mask)` with `base`
+        // anywhere up to `u64::MAX − mask`: arbitrary, all equal, spanning
+        // the whole width (its minimum and maximum both present), or based
+        // at the top.
+        for width in 1u32..=64 {
+            let mask = u64::MAX >> (64 - width);
+            let top = u64::MAX - mask;
+            let base = match shape {
+                3 => top,
+                _ => top.checked_add(1).map_or(seed, |bases| seed % bases),
+            };
+            let mut values: Vec<u64> = offsets.iter().map(|&o| base + (o & mask)).collect();
+            if shape == 1 {
+                let first = values.first().copied().unwrap_or(base);
+                values.fill(first);
+            }
+            if shape == 2 && values.len() >= 2 {
+                values[0] = base;
+                values[1] = base + mask;
+            }
+            let mut buf = Vec::new();
+            write_packed(&mut buf, &values);
+            // The header is the minimum and the width of the largest offset.
+            let (min, max) = (values.iter().min().copied(), values.iter().max().copied());
+            let span = max.zip(min).map_or(0, |(hi, lo)| hi - lo);
+            let mut pos = 0;
+            prop_assert_eq!(read_varint(&buf, &mut pos).expect("base"), min.unwrap_or(0));
+            let stored = u32::from(buf[pos]);
+            prop_assert_eq!(stored, (64 - span.leading_zeros()).max(1));
+            if shape == 2 && values.len() >= 2 {
+                prop_assert_eq!(stored, width);
+            }
+            let bytes = &buf[pos + 1..];
+            prop_assert_eq!(bytes.len(), (values.len() * stored as usize).div_ceil(8));
+            // A bit at a time, LSB-first.
+            let base = min.unwrap_or(0);
+            let bitwise: Vec<u64> = (0..values.len())
+                .map(|i| {
+                    let offset = (0..stored as usize).fold(0, |v, b| {
+                        let bit = i * stored as usize + b;
+                        v | u64::from(bytes[bit / 8] >> (bit % 8) & 1) << b
+                    });
+                    base + offset
+                })
+                .collect();
+            let mut unpacked = Vec::new();
+            read_packed(&buf, values.len(), &mut unpacked).expect("valid block");
+            prop_assert_eq!(&bitwise, &values);
+            prop_assert_eq!(&unpacked, &values);
         }
     }
 
