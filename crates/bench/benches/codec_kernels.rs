@@ -234,20 +234,28 @@ fn rm1_rows(n: usize) -> (dsi_types::Schema, Vec<Sample>) {
 
 /// The block compressor against its scalar reference (same bytes out) on
 /// the two sizes it meets. On a few-KiB column stream the reference's
-/// per-call table allocation and fill is most of a call, and reuse shows;
-/// on a ~700 KiB tensor frame it is amortised and only the wider loads
-/// are left — too little to move `wire.compress_s` beyond noise, which is
-/// why a faster wire compressor needs a different (byte-changing) match
-/// search, not a faster table.
+/// per-call table allocation and fill is most of a call, and reuse shows.
+/// On a ~700 KiB tensor frame that is amortised; what is left is the probe
+/// on every byte whose slot is live, which compares the word the slot
+/// carries instead of loading the candidate's bytes from elsewhere in the
+/// input, so the same match search runs faster without changing a byte.
+///
+/// One column stream compressed over and over is not what the writer
+/// does, and the two disagree: `lz_rm1_stripe_streams` compresses every
+/// stream of one RM1 stripe in turn, as `FileWriter` does.
 fn bench_lz(c: &mut Criterion) {
     let (schema, rows) = rm1_rows(1024);
-    let column_stream = encode_columns(&rows, true)
+    let streams: Vec<Vec<u8>> = encode_columns(&rows, true)
         .into_iter()
         .flat_map(|(_, streams)| streams)
         .map(|(_, raw)| raw)
+        .collect();
+    let column_stream = streams
+        .iter()
         .filter(|raw| compress_scalar(raw)[0] == 1) // an LZ block, not stored
         .min_by_key(|raw| raw.len().abs_diff(2048))
-        .expect("an RM1 stripe has compressible columns");
+        .expect("an RM1 stripe has compressible columns")
+        .clone();
     let mut batch = Batch::new();
     for row in &rows[..600] {
         batch.push(row.clone());
@@ -284,6 +292,54 @@ fn bench_lz(c: &mut Criterion) {
         });
         group.finish();
     }
+    let mut group = c.benchmark_group("lz_rm1_stripe_streams");
+    group.sample_size(30);
+    group.throughput(Throughput::Bytes(
+        streams.iter().map(|s| s.len() as u64).sum(),
+    ));
+    group.bench_function("compress_scalar", |b| {
+        b.iter(|| {
+            for stream in &streams {
+                black_box(compress_scalar(black_box(stream)));
+            }
+        })
+    });
+    group.bench_function("compress_into", |b| {
+        let mut out = Vec::new();
+        b.iter(|| {
+            for stream in &streams {
+                out.clear();
+                compress_into(black_box(stream), &mut out);
+                black_box(out.len());
+            }
+        })
+    });
+    group.finish();
+}
+
+/// The dictionary decision alone: the 15 sparse columns of one 1,024-row
+/// RM1 stripe (dense features dropped) through `encode_columns`, where
+/// each column decides whether its ids take a `Dict` and the 10 that do
+/// are rewritten as ranks.
+fn bench_dict_decision(c: &mut Criterion) {
+    let (_, rows) = rm1_rows(1024);
+    let sparse_rows: Vec<Sample> = rows
+        .iter()
+        .map(|row| {
+            let mut s = Sample::new(row.label());
+            for (feature, list) in row.sparse_iter() {
+                s.set_sparse(feature, list.clone());
+            }
+            s
+        })
+        .collect();
+    let mut group = c.benchmark_group("dict_decision");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(sparse_rows.len() as u64));
+    group.bench_function("rm1_1024_rows_sparse", |b| {
+        b.iter(|| black_box(encode_columns(black_box(&sparse_rows), true).len()))
+    });
+    group.finish();
 }
 
 /// One 1,024-row RM1 stripe through `FileWriter` (transpose, encode,
@@ -352,6 +408,7 @@ criterion_group!(
     bench_f32,
     bench_envelope,
     bench_lz,
+    bench_dict_decision,
     bench_stripe_encode,
     bench_stripe_decode
 );

@@ -30,13 +30,15 @@ fn word_at(data: &[u8], i: usize) -> u32 {
 
 /// The match finder's hash table, one per thread and reused by every call.
 ///
-/// A slot holds `base + position + 1` for the call that wrote it. Each call
-/// takes a `base` at or above everything earlier calls stored, so a slot
-/// at or below `base` reads as empty and no call clears or allocates the
-/// table. Only when `base + input.len()` would leave `u32` is the table
-/// zeroed and `base` restarted from 0 — once per 4 GiB compressed.
+/// A slot holds `stamp << 32 | word`: the stamp `base + position + 1` for
+/// the call that wrote it, and the four bytes at that position, so a probe
+/// compares words without reading the candidate's bytes. Each call takes a
+/// `base` at or above everything earlier calls stored, so a slot whose
+/// stamp is at or below `base` reads as empty and no call clears or
+/// allocates the table. Only when `base + input.len()` would leave `u32` is
+/// the table zeroed and `base` restarted from 0 — once per 4 GiB compressed.
 struct MatchTable {
-    slots: Box<[u32; 1 << HASH_BITS]>,
+    slots: Box<[u64; 1 << HASH_BITS]>,
     /// The next call's `base`.
     next_base: u32,
 }
@@ -98,24 +100,25 @@ pub fn compress_into(input: &[u8], out: &mut Vec<u8>) {
 
 /// The LZ parse. The hash, the single-candidate rule, `MIN_MATCH`/`MAX_MATCH`
 /// and the every-other-byte indexing inside a match are
-/// [`compress_scalar`]'s, so the tokens are too; only the table and the
-/// width of the loads differ.
-fn lz_block(input: &[u8], slots: &mut [u32; 1 << HASH_BITS], base: u32, out: &mut Vec<u8>) {
+/// [`compress_scalar`]'s, so the tokens are too; only the table (which
+/// carries each position's word) and the width of the loads differ.
+fn lz_block(input: &[u8], slots: &mut [u64; 1 << HASH_BITS], base: u32, out: &mut Vec<u8>) {
     out.push(1u8);
     write_varint(out, input.len() as u64);
     // Positions fit `u32` (checked by the caller) and `base + input.len()`
     // does not overflow (`MatchTable::begin`).
-    let stamp = |pos: usize| base + pos as u32 + 1;
+    let entry = |pos: usize, word: u32| u64::from(base + pos as u32 + 1) << 32 | u64::from(word);
     let mut i = 0;
     let mut literal_start = 0;
     while i + MIN_MATCH <= input.len() {
         let word = word_at(input, i);
         let slot = &mut slots[hash_word(word)];
         let seen = *slot;
-        *slot = stamp(i);
-        // Every live slot was stamped at a position before `i`.
-        let candidate = (seen > base).then(|| (seen - base - 1) as usize);
-        match candidate.filter(|&c| word_at(input, c) == word) {
+        *slot = entry(i, word);
+        // Every live slot was stamped at a position before `i`, with the
+        // word the input still holds there.
+        let seen_pos = (seen >> 32) as u32;
+        match (seen_pos > base && seen as u32 == word).then(|| (seen_pos - base - 1) as usize) {
             Some(candidate) => {
                 let limit = MAX_MATCH.min(input.len() - i);
                 let len = MIN_MATCH
@@ -130,7 +133,8 @@ fn lz_block(input: &[u8], slots: &mut [u32; 1 << HASH_BITS], base: u32, out: &mu
                 let end = i + len;
                 let mut j = i + 1;
                 while j + MIN_MATCH <= input.len() && j < end {
-                    slots[hash_word(word_at(input, j))] = stamp(j);
+                    let word = word_at(input, j);
+                    slots[hash_word(word)] = entry(j, word);
                     j += 2;
                 }
                 i = end;
@@ -443,6 +447,37 @@ mod tests {
         assert_eq!(compress(&data), want);
         assert_eq!(TABLE.with(|t| t.borrow().next_base), data.len() as u32);
         assert_eq!(compress(&data[1..]), compress_scalar(&data[1..]));
+    }
+
+    #[test]
+    fn colliding_words_match_only_themselves_across_a_table_wrap() {
+        // Two different words that share a slot: each overwrites the other,
+        // and only the word the slot carries may match.
+        let first = 0x0403_0201u32;
+        let second = (first + 1..)
+            .find(|&w| hash_word(w) == hash_word(first))
+            .expect("a colliding word");
+        let mut r = SplitMix64::new(11);
+        let mut data = Vec::new();
+        for k in 0..2000u32 {
+            let word = if r.next_u64().is_multiple_of(3) {
+                first
+            } else {
+                second
+            };
+            data.extend_from_slice(&word.to_le_bytes());
+            // A filler byte now and then shifts the next word off the
+            // four-byte grid.
+            if k.is_multiple_of(5) {
+                data.push(r.next_u64() as u8);
+            }
+        }
+        let want = compress_scalar(&data);
+        assert_eq!(want[0], 1, "compressible input takes the LZ branch");
+        assert_eq!(compress(&data), want);
+        TABLE.with(|t| t.borrow_mut().next_base = u32::MAX - 100);
+        assert_eq!(compress(&data), want);
+        assert_eq!(compress(&data[3..]), compress_scalar(&data[3..]));
     }
 
     #[test]

@@ -243,36 +243,162 @@ impl Column<Vec<f32>> {
     }
 }
 
+/// The most distinct ids a `Dict` stream holds.
+const MAX_DICT: usize = 4096;
+
+/// Scratch for the dictionary decision, reused by every sparse column of
+/// one [`encode_columns`] call: an open-addressed id → first-seen index
+/// table that each column leaves empty again.
+#[derive(Debug)]
+struct DictTable {
+    /// Odd and drawn per table: ids come from logged samples, and a fixed
+    /// multiplier would let chosen ids share a probe chain.
+    multiplier: u64,
+    /// `(id, 1 + first-seen index)`; an index of `0` is an empty slot.
+    slots: Vec<(u64, u32)>,
+    /// The column's distinct ids in first-seen order, with their slots.
+    distinct: Vec<(u64, usize)>,
+    /// First-seen index → rank in the sorted dictionary.
+    ranks: Vec<u64>,
+}
+
+impl DictTable {
+    fn new() -> Self {
+        use std::hash::{BuildHasher, Hasher};
+        Self {
+            multiplier: std::collections::hash_map::RandomState::new()
+                .build_hasher()
+                .finish()
+                | 1,
+            slots: Vec::new(),
+            distinct: Vec::new(),
+            ranks: Vec::new(),
+        }
+    }
+
+    /// The slot `id` probes first in a table of `1 << (64 - shift)` slots.
+    #[inline]
+    fn home_slot(&self, id: u64, shift: u32) -> usize {
+        (id.wrapping_mul(self.multiplier) >> shift) as usize
+    }
+
+    /// Dictionary-encodes `ids` when they repeat enough to pay for the
+    /// dictionary (hot categorical ids — page ids, topic ids — recur across
+    /// samples): when there are ids, at most half as many distinct ones,
+    /// and at most [`MAX_DICT`]. Then each id is replaced by its rank and
+    /// the `Dict` stream is returned; otherwise `ids` are left as they were.
+    ///
+    /// One hashed pass decides, giving up as soon as the distinct count
+    /// passes the cap; only a column that takes a dictionary sorts, and
+    /// only its distinct ids.
+    fn encode(&mut self, ids: &mut [u64]) -> Option<Vec<u8>> {
+        let cap = (ids.len() / 2).min(MAX_DICT);
+        if cap == 0 {
+            return None;
+        }
+        // The table holds at most `cap` ids: a load factor of at most half.
+        let size = (2 * cap).next_power_of_two();
+        if self.slots.len() < size {
+            self.slots.resize(size, (0, 0));
+        }
+        self.distinct.clear();
+        if let Err(at) = self.index(ids, cap, size) {
+            for id in &mut ids[..at] {
+                *id = self.distinct[*id as usize].0;
+            }
+            for &(_, slot) in &self.distinct {
+                self.slots[slot].1 = 0;
+            }
+            return None;
+        }
+        self.distinct.sort_unstable();
+        self.ranks.clear();
+        self.ranks.resize(self.distinct.len(), 0);
+        for (rank, &(_, slot)) in self.distinct.iter().enumerate() {
+            let first_seen = self.slots[slot].1 as usize - 1;
+            self.ranks[first_seen] = rank as u64;
+            self.slots[slot].1 = 0;
+        }
+        for id in ids.iter_mut() {
+            *id = self.ranks[*id as usize];
+        }
+        let gaps: Vec<u64> = std::iter::once(self.distinct[0].0)
+            .chain(self.distinct.windows(2).map(|pair| pair[1].0 - pair[0].0))
+            .collect();
+        let mut dict = Vec::new();
+        write_varint(&mut dict, gaps.len() as u64);
+        write_varints(&mut dict, &gaps);
+        Some(dict)
+    }
+
+    /// Replaces each id with its first-seen index among the column's
+    /// distinct ids, recording them in `distinct`. `Err(at)` when `ids[at]`
+    /// would be distinct id `cap + 1`; the ids before it are replaced.
+    fn index(
+        &mut self,
+        ids: &mut [u64],
+        cap: usize,
+        size: usize,
+    ) -> std::result::Result<(), usize> {
+        let shift = 64 - size.trailing_zeros();
+        for (at, id) in ids.iter_mut().enumerate() {
+            let mut slot = self.home_slot(*id, shift);
+            *id = loop {
+                let (key, tag) = self.slots[slot];
+                if tag == 0 {
+                    if self.distinct.len() == cap {
+                        return Err(at);
+                    }
+                    self.distinct.push((*id, slot));
+                    self.slots[slot] = (*id, self.distinct.len() as u32);
+                    break (self.distinct.len() - 1) as u64;
+                }
+                if key == *id {
+                    break u64::from(tag - 1);
+                }
+                slot = (slot + 1) & (size - 1);
+            };
+        }
+        Ok(())
+    }
+}
+
+/// The sort-based dictionary rule [`DictTable::encode`] replaced: the
+/// reference its property and edge tests compare against.
+#[cfg(test)]
+fn dictionary_by_sorting(ids: &mut [u64]) -> Option<Vec<u8>> {
+    let mut distinct = ids.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    if ids.is_empty() || distinct.len() * 2 > ids.len() || distinct.len() > MAX_DICT {
+        return None;
+    }
+    let mut dict = Vec::new();
+    write_varint(&mut dict, distinct.len() as u64);
+    let gaps: Vec<u64> = std::iter::once(distinct[0])
+        .chain(distinct.windows(2).map(|pair| pair[1] - pair[0]))
+        .collect();
+    write_varints(&mut dict, &gaps);
+    for id in ids {
+        *id = distinct
+            .binary_search(id)
+            .expect("id is in its own dictionary") as u64;
+    }
+    Some(dict)
+}
+
 impl Column<SparseCells> {
     /// `Present`, `Length` (RLE), `Data` (bit-packed ids or dictionary
-    /// indexes), a `Dict` when ids repeat, and a `Score` stream when any
-    /// list was scored.
-    fn encode(self, rows: usize) -> RawStreams {
+    /// indexes), a `Dict` when ids repeat ([`DictTable::encode`]), and a
+    /// `Score` stream when any list was scored.
+    fn encode(self, rows: usize, dict: &mut DictTable) -> RawStreams {
         let SparseCells {
             lengths,
             mut ids,
             scores,
             scored,
         } = self.cells;
-        // Dictionary-encode when ids repeat enough to pay for the dictionary:
-        // hot categorical ids (page ids, topic ids) recur across samples.
-        let mut distinct = ids.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let use_dict = !ids.is_empty() && distinct.len() * 2 <= ids.len() && distinct.len() <= 4096;
-        let mut dict_buf = Vec::new();
-        if use_dict {
-            write_varint(&mut dict_buf, distinct.len() as u64);
-            let gaps: Vec<u64> = std::iter::once(distinct[0])
-                .chain(distinct.windows(2).map(|pair| pair[1] - pair[0]))
-                .collect();
-            write_varints(&mut dict_buf, &gaps);
-            for id in &mut ids {
-                *id = distinct
-                    .binary_search(id)
-                    .expect("id is in its own dictionary") as u64;
-            }
-        }
+        let dict_buf = dict.encode(&mut ids);
         // Every dictionary index occurs, so indexes pack from base 0 at the
         // width of the last one.
         let mut ids_buf = Vec::new();
@@ -282,7 +408,7 @@ impl Column<SparseCells> {
             (StreamKind::Length, rle_encode(&lengths)),
             (StreamKind::Data, ids_buf),
         ];
-        if use_dict {
+        if let Some(dict_buf) = dict_buf {
             out.push((StreamKind::Dict, dict_buf));
         }
         if scored {
@@ -317,9 +443,10 @@ pub fn encode_columns(rows: &[Sample], with_sparse: bool) -> Vec<(FeatureId, Raw
         }
     }
     let dense = dense.into_iter().map(|c| (c.feature, c.encode(rows.len())));
+    let mut dict = DictTable::new();
     let sparse = sparse
         .into_iter()
-        .map(|c| (c.feature, c.encode(rows.len())));
+        .map(|c| (c.feature, c.encode(rows.len(), &mut dict)));
     dense.chain(sparse).collect()
 }
 
@@ -1123,6 +1250,95 @@ mod tests {
         }
         let streams = encode_column(&rows2, FeatureId(3));
         assert!(!streams.iter().any(|(k, _)| *k == StreamKind::Dict));
+    }
+
+    /// Puts `ids` through `table` and through the sort-based reference,
+    /// asserts the two agree on the decision, the `Dict` bytes and the
+    /// `Data` bytes, and that `table` is left empty; returns whether a
+    /// dictionary was taken.
+    fn same_dictionary(table: &mut DictTable, ids: &[u64]) -> bool {
+        let (mut hashed, mut sorted) = (ids.to_vec(), ids.to_vec());
+        let dict = table.encode(&mut hashed);
+        assert_eq!(dict, dictionary_by_sorting(&mut sorted), "Dict bytes");
+        let (mut hashed_data, mut sorted_data) = (Vec::new(), Vec::new());
+        write_packed(&mut hashed_data, &hashed);
+        write_packed(&mut sorted_data, &sorted);
+        assert_eq!(hashed_data, sorted_data, "Data bytes");
+        assert!(
+            table.slots.iter().all(|&(_, tag)| tag == 0),
+            "table left empty"
+        );
+        dict.is_some()
+    }
+
+    #[test]
+    fn dictionary_decision_edges_match_the_sorting_rule() {
+        let mut table = DictTable::new();
+        // Distinct·2 = ids takes a dictionary; one distinct id more does not.
+        assert!(same_dictionary(&mut table, &[1, 2, 1, 2]));
+        assert!(!same_dictionary(&mut table, &[1, 2, 3, 1, 2]));
+        let twice =
+            |distinct: u64| -> Vec<u64> { (0..2 * distinct).map(|i| i % distinct * 7).collect() };
+        assert!(same_dictionary(&mut table, &twice(MAX_DICT as u64)));
+        let mut over = twice(MAX_DICT as u64 + 1);
+        assert!(!same_dictionary(&mut table, &over));
+        // Past the cap on the very last id: every id before it is restored.
+        over.sort_unstable();
+        assert!(!same_dictionary(&mut table, &over));
+        assert!(!same_dictionary(&mut table, &[]));
+        assert!(!same_dictionary(&mut table, &[5]));
+        assert!(same_dictionary(&mut table, &[9; 100]));
+        assert!(same_dictionary(
+            &mut table,
+            &[u64::MAX, 0, 0, u64::MAX, 3, 0]
+        ));
+        assert!(!same_dictionary(&mut table, &[u64::MAX, 0, 1, 2]));
+    }
+
+    #[test]
+    fn colliding_dictionary_ids_probe_past_each_other() {
+        // 64 ids: a cap of 32 distinct ids and a 64-slot table. Every id
+        // below starts at the last slot, so the probes chain and wrap.
+        let mut table = DictTable::new();
+        let shift = 64 - 64u32.trailing_zeros();
+        let colliding: Vec<u64> = (0..)
+            .filter(|&id| table.home_slot(id, shift) == 63)
+            .take(33)
+            .collect();
+        let column = |distinct: usize| -> Vec<u64> {
+            (0..64).map(|i| colliding[(i * 5) % distinct]).collect()
+        };
+        assert!(same_dictionary(&mut table, &column(16)));
+        assert!(same_dictionary(&mut table, &column(32)));
+        assert!(!same_dictionary(&mut table, &column(33)));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn hashed_dictionary_decision_matches_the_sorting_rule(
+            columns in proptest::collection::vec(
+                (
+                    proptest::prelude::any::<u64>(),
+                    1u64..5000,
+                    proptest::collection::vec(proptest::prelude::any::<u64>(), 0..9000),
+                ),
+                1..6,
+            ),
+        ) {
+            // Several columns through one table, as `encode_columns` does:
+            // `alphabet` distinct ids at most, offset from `base` (which
+            // wraps, so 0 and `u64::MAX` occur).
+            let mut table = DictTable::new();
+            for (base, alphabet, draws) in columns {
+                let ids: Vec<u64> = draws
+                    .iter()
+                    .map(|&d| base.wrapping_add(d % alphabet))
+                    .collect();
+                same_dictionary(&mut table, &ids);
+            }
+        }
     }
 
     /// A one-row column of `n` ids whose `Data` and `Dict` are given.

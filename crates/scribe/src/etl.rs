@@ -89,6 +89,12 @@ impl StreamingJoiner {
     /// Offers an event. Returns the labeled sample when it joins a pending
     /// feature log; `None` for orphans.
     pub fn offer_event(&mut self, event: EventRecord) -> Option<Sample> {
+        self.join(event).map(|(_, sample)| sample)
+    }
+
+    /// [`StreamingJoiner::offer_event`], with the joined feature log's
+    /// serving timestamp.
+    pub(crate) fn join(&mut self, event: EventRecord) -> Option<(u64, Sample)> {
         self.stats.events_in += 1;
         match self.pending.remove(&event.request_id) {
             Some(rec) => {
@@ -100,7 +106,7 @@ impl StreamingJoiner {
                 }
                 let mut sample = rec.features;
                 sample.set_label(event.label);
-                Some(sample)
+                Some((rec.ts_ns, sample))
             }
             None => {
                 self.stats.orphan_events += 1;
@@ -112,6 +118,15 @@ impl StreamingJoiner {
     /// Expires feature logs older than the window relative to `now_ns`,
     /// emitting them with negative labels.
     pub fn expire(&mut self, now_ns: u64) -> Vec<Sample> {
+        self.expire_served(now_ns)
+            .into_iter()
+            .map(|(_, sample)| sample)
+            .collect()
+    }
+
+    /// [`StreamingJoiner::expire`], each negative with its feature log's
+    /// serving timestamp.
+    pub(crate) fn expire_served(&mut self, now_ns: u64) -> Vec<(u64, Sample)> {
         let mut out = Vec::new();
         while let Some(&(ts, request_id)) = self.arrival_order.front() {
             if now_ns.saturating_sub(ts) < self.window_ns {
@@ -122,7 +137,7 @@ impl StreamingJoiner {
                 self.stats.expired_negative += 1;
                 let mut sample = rec.features;
                 sample.set_label(0.0);
-                out.push(sample);
+                out.push((rec.ts_ns, sample));
             }
         }
         out
@@ -217,32 +232,28 @@ impl BatchEtl {
 
         let f_tail = bus.tail(features_topic);
         let feature_records = bus.read(features_topic, self.feature_cursor, f_tail)?;
-        // Remember per-request timestamps so joined samples land in the
-        // partition of their serving day.
-        let mut ts_of: HashMap<u64, u64> = HashMap::new();
         for r in feature_records {
             if let ScribeRecord::Feature(f) = r {
-                ts_of.insert(f.request_id, f.ts_ns);
                 self.joiner.offer_features(f);
             }
         }
         self.feature_cursor = f_tail;
 
+        // Joined samples and expired negatives land in the partition of
+        // their feature log's serving day, whichever pass logged it.
         let e_tail = bus.tail(events_topic);
         let event_records = bus.read(events_topic, self.event_cursor, e_tail)?;
         for r in event_records {
             if let ScribeRecord::Event(e) = r {
-                let ts = ts_of.get(&e.request_id).copied().unwrap_or(e.ts_ns);
-                if let Some(sample) = self.joiner.offer_event(e) {
+                if let Some((ts, sample)) = self.joiner.join(e) {
                     emit(self, ts, sample);
                 }
             }
         }
         self.event_cursor = e_tail;
 
-        // Expired feature logs become negatives in their serving partition.
-        for sample in self.joiner.expire(now_ns) {
-            emit(self, now_ns.saturating_sub(self.joiner.window_ns), sample);
+        for (ts, sample) in self.joiner.expire_served(now_ns) {
+            emit(self, ts, sample);
         }
 
         bus.trim(features_topic, self.feature_cursor);
@@ -376,6 +387,37 @@ mod tests {
         assert_eq!(parts[&PartitionId::new(1)].len(), 1);
         // Consumed prefixes trimmed.
         assert!(bus.read("f", Lsn(0), Lsn(1)).is_err());
+    }
+
+    #[test]
+    fn late_joins_land_in_their_serving_day() {
+        // Served at 990 (day 0); the event arrives in the next pass, in day 1.
+        let bus = MessageBus::new();
+        let mut etl = BatchEtl::new(100, 1.0, 1000);
+        bus.publish("f", features(1, 990).into());
+        assert!(etl.run_pass(&bus, "f", "e", 995).unwrap().is_empty());
+        bus.publish("e", EventRecord::positive(1, 1010).into());
+        let parts = etl.run_pass(&bus, "f", "e", 1015).unwrap();
+        assert_eq!(
+            parts.keys().copied().collect::<Vec<_>>(),
+            [PartitionId::new(0)]
+        );
+        assert_eq!(parts[&PartitionId::new(0)][0].label(), 1.0);
+    }
+
+    #[test]
+    fn expired_negatives_land_in_their_serving_day() {
+        // Served at 990 (day 0), expired by a pass at 1500 whose window
+        // start (1400) is in day 1.
+        let bus = MessageBus::new();
+        let mut etl = BatchEtl::new(100, 1.0, 1000);
+        bus.publish("f", features(1, 990).into());
+        let parts = etl.run_pass(&bus, "f", "e", 1500).unwrap();
+        assert_eq!(
+            parts.keys().copied().collect::<Vec<_>>(),
+            [PartitionId::new(0)]
+        );
+        assert_eq!(parts[&PartitionId::new(0)][0].label(), 0.0);
     }
 
     #[test]

@@ -174,12 +174,31 @@ fn arb_plan_op() -> impl Strategy<Value = TransformOp> {
 
 /// Inputs the LZ branch of the block compressor actually runs on (uniform
 /// bytes never match): small alphabets, a window repeated with a few bytes
-/// changed, and byte runs alternating with literal runs whose lengths
-/// straddle `MAX_MATCH` (131) and the 128-byte literal-run limit. Lengths
-/// reach 70 k so a call's table positions pass `u16` and consecutive calls
-/// on the test thread find the table full of the previous input's stamps.
+/// changed, byte runs alternating with literal runs whose lengths
+/// straddle `MAX_MATCH` (131) and the 128-byte literal-run limit, and
+/// tensor-frame-shaped bytes. Lengths reach 70 k so a call's table
+/// positions pass `u16` and consecutive calls on the test thread find the
+/// table full of the previous input's stamps.
 fn arb_compressible() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
+        // Frame-shaped: short words (4–8 bytes) recurring at random
+        // distances between a few random bytes, so most probes find a live
+        // slot and only the word it carries decides whether it matches.
+        (
+            proptest::collection::vec(proptest::collection::vec(any::<u8>(), 4..9), 1..24),
+            proptest::collection::vec(
+                (any::<usize>(), proptest::collection::vec(any::<u8>(), 0..5)),
+                0..3000,
+            ),
+        )
+            .prop_map(|(words, pieces)| {
+                let mut data = Vec::new();
+                for (pick, noise) in pieces {
+                    data.extend_from_slice(&words[pick % words.len()]);
+                    data.extend(noise);
+                }
+                data
+            }),
         (1u8..6, proptest::collection::vec(any::<u8>(), 0..70_000))
             .prop_map(|(alphabet, bytes)| bytes.into_iter().map(|b| b % alphabet).collect()),
         (
