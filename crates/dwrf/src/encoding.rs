@@ -436,7 +436,50 @@ pub fn read_f32s(buf: &[u8]) -> Result<Vec<f32>> {
 /// the previous value's (first against zero). Repeated values (labels,
 /// constant columns) collapse to one byte; slowly-varying columns keep
 /// their shared sign/exponent bits out of the stream.
+///
+/// A delta's at most five LEB128 bytes are assembled in one word and
+/// copied whole into a stack slab, which is flushed to `out` a few hundred
+/// bytes at a time.
 pub fn write_f32s_xor(out: &mut Vec<u8>, values: &[f32]) {
+    write_varint(out, values.len() as u64);
+    out.reserve(values.len());
+    let mut slab = [0u8; 256];
+    let mut fill = 0usize;
+    let mut prev = 0u32;
+    for v in values {
+        let bits = v.to_bits();
+        if fill + 8 > slab.len() {
+            out.extend_from_slice(&slab[..fill]);
+            fill = 0;
+        }
+        let (word, len) = xor_delta_word(bits ^ prev);
+        slab[fill..fill + 8].copy_from_slice(&word.to_le_bytes());
+        fill += len;
+        prev = bits;
+    }
+    out.extend_from_slice(&slab[..fill]);
+}
+
+/// The LEB128 bytes of `delta` in the low bytes of a little-endian word,
+/// and how many of them there are (1 to 5): each 7-bit group moves to its
+/// own byte, and every byte but the last gets the continuation bit.
+#[inline]
+fn xor_delta_word(delta: u32) -> (u64, usize) {
+    let v = u64::from(delta);
+    let spread = (v & 0x7f)
+        | (v & 0x3f80) << 1
+        | (v & 0x1f_c000) << 2
+        | (v & 0x0fe0_0000) << 3
+        | (v & 0xf000_0000) << 4;
+    let len = ((32 - delta.leading_zeros()) as usize).div_ceil(7).max(1);
+    let continuation = 0x80_8080_8080u64 & ((1u64 << (8 * (len - 1))) - 1);
+    (spread | continuation, len)
+}
+
+/// [`write_f32s_xor`] one `write_varint` per value: the reference the
+/// word-assembled writer is tested against.
+#[cfg(test)]
+fn write_f32s_xor_by_value(out: &mut Vec<u8>, values: &[f32]) {
     write_varint(out, values.len() as u64);
     let mut prev = 0u32;
     for v in values {
@@ -475,27 +518,11 @@ pub fn read_f32s_xor(buf: &[u8]) -> Result<Vec<f32>> {
     Ok(out)
 }
 
-/// Packs a boolean presence vector into bits (LSB-first within each byte).
-pub fn write_bitmap(out: &mut Vec<u8>, bits: &[bool]) {
-    write_varint(out, bits.len() as u64);
-    let mut byte = 0u8;
-    for (i, &b) in bits.iter().enumerate() {
-        if b {
-            byte |= 1 << (i % 8);
-        }
-        if i % 8 == 7 {
-            out.push(byte);
-            byte = 0;
-        }
-    }
-    if !bits.is_empty() && !bits.len().is_multiple_of(8) {
-        out.push(byte);
-    }
-}
-
-/// A presence bitmap kept packed the way [`write_bitmap`] stores it, 64
-/// rows to a little-endian word: bit `i` is bit `i % 64` of word `i / 64`,
-/// and the bits past `len` are zero.
+/// A presence bitmap, one bit per row, kept packed the way it is stored:
+/// 64 rows to a little-endian word, bit `i` is bit `i % 64` of word
+/// `i / 64`, and the bits past `len` are zero. The writer sets bits in
+/// one ([`Bitmap::zeros`], [`Bitmap::set`], [`Bitmap::write`]) and the
+/// reader decodes into one ([`read_bitmap`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitmap {
     words: Vec<u64>,
@@ -503,6 +530,33 @@ pub struct Bitmap {
 }
 
 impl Bitmap {
+    /// `len` clear bits.
+    pub fn zeros(len: usize) -> Self {
+        Self {
+            words: vec![0; len.div_ceil(64)],
+            len,
+        }
+    }
+
+    /// Sets bit `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`Bitmap::len`].
+    #[inline]
+    pub fn set(&mut self, i: usize) {
+        assert!(i < self.len, "bit {i} of a {}-bit bitmap", self.len);
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Appends the stored form: a varint bit count, then the `⌈len / 8⌉`
+    /// bytes the bits take, LSB-first within each byte.
+    pub fn write(&self, out: &mut Vec<u8>) {
+        write_varint(out, self.len as u64);
+        let bytes = self.words.iter().flat_map(|word| word.to_le_bytes());
+        out.extend(bytes.take(self.len.div_ceil(8)));
+    }
+
     /// Number of bits.
     pub fn len(&self) -> usize {
         self.len
@@ -543,7 +597,7 @@ pub fn word_ones(mut word: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Decodes a whole buffer produced by [`write_bitmap`], leaving it packed.
+/// Decodes a whole buffer produced by [`Bitmap::write`], leaving it packed.
 ///
 /// # Errors
 ///
@@ -840,6 +894,36 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "bit 3 of a 3-bit bitmap")]
+    fn bitmap_set_past_its_length_panics() {
+        Bitmap::zeros(3).set(3);
+    }
+
+    #[test]
+    fn f32_xor_words_match_the_per_value_writer() {
+        // Every delta length, and the edges of each.
+        let mut deltas = vec![0u32, 1, u32::MAX];
+        for bits in [7, 14, 21, 28] {
+            deltas.extend([(1 << bits) - 1, 1 << bits, (1 << bits) + 1]);
+        }
+        for delta in deltas {
+            let (word, len) = xor_delta_word(delta);
+            let mut want = Vec::new();
+            write_varint(&mut want, u64::from(delta));
+            assert_eq!(&word.to_le_bytes()[..len], &want[..], "delta {delta:#x}");
+            assert_eq!(word >> (8 * len), 0, "delta {delta:#x} spills");
+        }
+        // Long enough to flush the slab several times.
+        let values: Vec<f32> = (0..1000u32)
+            .map(|i| f32::from_bits(i.wrapping_mul(0x9E37_79B9) >> (i % 32)))
+            .collect();
+        let (mut word, mut by_value) = (vec![9], vec![9]);
+        write_f32s_xor(&mut word, &values);
+        write_f32s_xor_by_value(&mut by_value, &values);
+        assert_eq!(word, by_value);
+    }
+
+    #[test]
     fn f32_xor_rejects_corruption() {
         assert!(read_f32s_xor(&[0x80]).is_err()); // truncated varint
         let mut buf = Vec::new();
@@ -848,13 +932,24 @@ mod tests {
         assert!(read_f32s_xor(&buf).is_err());
     }
 
+    /// A bitmap of `n` bits with every third one set.
+    fn every_third(n: usize) -> Bitmap {
+        let mut bits = Bitmap::zeros(n);
+        for i in (0..n).step_by(3) {
+            bits.set(i);
+        }
+        bits
+    }
+
     #[test]
     fn bitmap_round_trip() {
         for n in [0usize, 1, 7, 8, 9, 64, 100] {
-            let bits: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
+            let bits = every_third(n);
             let mut buf = Vec::new();
-            write_bitmap(&mut buf, &bits);
+            bits.write(&mut buf);
+            assert_eq!(buf.len(), 1 + n.div_ceil(8));
             let packed = read_bitmap(&buf).unwrap();
+            assert_eq!(packed, bits);
             assert_eq!(packed.len(), n);
             assert_eq!(packed.words().len(), n.div_ceil(64));
             assert_eq!(packed.count_ones(), n.div_ceil(3));
@@ -870,7 +965,11 @@ mod tests {
     #[test]
     fn bitmap_ignores_bits_past_its_length() {
         let mut buf = Vec::new();
-        write_bitmap(&mut buf, &[true, false, true]);
+        let mut bits = Bitmap::zeros(3);
+        bits.set(0);
+        bits.set(2);
+        bits.write(&mut buf);
+        assert_eq!(buf, [3, 0b101]);
         *buf.last_mut().unwrap() |= 0xf8;
         let packed = read_bitmap(&buf).unwrap();
         assert_eq!(packed.count_ones(), 2);

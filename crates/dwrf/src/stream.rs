@@ -9,8 +9,8 @@
 
 use crate::encoding::{
     read_bitmap, read_f32s, read_f32s_xor, read_packed, read_varint, read_varints_into,
-    rle_decode_capped, rle_encode, write_bitmap, write_f32s, write_f32s_xor, write_packed,
-    write_varint, write_varints, Bitmap,
+    rle_decode_capped, rle_encode, write_f32s, write_f32s_xor, write_packed, write_varint,
+    write_varints, Bitmap,
 };
 use dsi_types::{DsiError, FeatureId, Result, Sample, SparseList};
 
@@ -151,36 +151,37 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
 /// The raw (unencoded) streams produced for one column of one stripe.
 pub type RawStreams = Vec<(StreamKind, Vec<u8>)>;
 
-/// One feature's cells across a stripe. The writer gathers them row by row
-/// under a `Vec<bool>` that grows as rows arrive; the reader decodes them a
-/// stream at a time under the [`Bitmap`] the file stores.
+/// One feature's cells across a stripe, under a presence bit per row. The
+/// writer sizes and fills them row by row; the reader decodes them a
+/// stream at a time.
 #[derive(Debug)]
-pub(crate) struct Column<C, P = Vec<bool>> {
+pub(crate) struct Column<C> {
     pub(crate) feature: FeatureId,
-    /// One bit per row. While a stripe is being written, only up to the
-    /// last row that held the feature: rows after it are absent and padded
-    /// in when the column is encoded.
-    pub(crate) present: P,
+    pub(crate) present: Bitmap,
     pub(crate) cells: C,
 }
 
-fn present_stream(mut present: Vec<bool>, rows: usize) -> (StreamKind, Vec<u8>) {
-    present.resize(rows, false);
-    let mut buf = Vec::new();
-    write_bitmap(&mut buf, &present);
-    (StreamKind::Present, buf)
+impl<C> Column<C> {
+    fn present_stream(&self) -> (StreamKind, Vec<u8>) {
+        let mut buf = Vec::new();
+        self.present.write(&mut buf);
+        (StreamKind::Present, buf)
+    }
 }
 
 /// Marks `feature` present in `row` and returns its cells. A row's
 /// features arrive in ascending id order and `columns` is kept in that
 /// order, so the search resumes at `*cursor` (where the row's previous
 /// feature left it) and the whole row is one merge pass. A feature no
-/// earlier row held opens a column in place.
-fn cells_of<'a, C: Default>(
+/// earlier row held opens a column in place, with a bit for each of
+/// `rows` rows and the cells `open` returns.
+fn cells_of<'a, C>(
     columns: &'a mut Vec<Column<C>>,
     cursor: &mut usize,
     feature: FeatureId,
     row: usize,
+    rows: usize,
+    open: impl FnOnce() -> C,
 ) -> &'a mut C {
     while columns.get(*cursor).is_some_and(|c| c.feature < feature) {
         *cursor += 1;
@@ -190,56 +191,111 @@ fn cells_of<'a, C: Default>(
             *cursor,
             Column {
                 feature,
-                present: Vec::new(),
-                cells: C::default(),
+                present: Bitmap::zeros(rows),
+                cells: open(),
             },
         );
     }
     let column = &mut columns[*cursor];
     *cursor += 1;
-    column.present.resize(row, false);
-    column.present.push(true);
+    column.present.set(row);
     &mut column.cells
 }
 
-/// The present cells of a sparse column, concatenated.
+/// What one sparse column of a stripe holds, counted from the rows' list
+/// headers before any cell is copied.
 #[derive(Debug, Default)]
+struct SparseSize {
+    lists: usize,
+    ids: usize,
+    scored: bool,
+}
+
+/// The sparse columns of `rows` in id order. A first pass over the rows'
+/// list headers sets the presence bits and counts each column's lists and
+/// ids, so every buffer is reserved to exactly what the second pass
+/// copies into it.
+fn sparse_columns(rows: &[Sample]) -> Vec<Column<SparseCells>> {
+    let mut sized: Vec<Column<SparseSize>> = Vec::new();
+    for (r, row) in rows.iter().enumerate() {
+        let mut cursor = 0;
+        for (feature, list) in row.sparse_iter() {
+            let size = cells_of(
+                &mut sized,
+                &mut cursor,
+                feature,
+                r,
+                rows.len(),
+                SparseSize::default,
+            );
+            size.lists += 1;
+            size.ids += list.len();
+            size.scored |= list.scores().is_some();
+        }
+    }
+    let mut columns: Vec<Column<SparseCells>> = sized
+        .into_iter()
+        .map(|c| Column {
+            feature: c.feature,
+            present: c.present,
+            cells: SparseCells::with_capacity(&c.cells),
+        })
+        .collect();
+    for row in rows {
+        // The first pass opened every column a row holds, in order.
+        let mut cursor = 0;
+        for (feature, list) in row.sparse_iter() {
+            while columns[cursor].feature != feature {
+                cursor += 1;
+            }
+            columns[cursor].cells.push(list);
+            cursor += 1;
+        }
+    }
+    columns
+}
+
+/// The present cells of a sparse column, concatenated.
+#[derive(Debug)]
 pub(crate) struct SparseCells {
     pub(crate) lengths: Vec<u64>,
     pub(crate) ids: Vec<u64>,
-    /// Aligned with `ids` once `scored`; empty until then.
+    /// Aligned with `ids` when `scored`, empty otherwise.
     pub(crate) scores: Vec<f32>,
     pub(crate) scored: bool,
 }
 
 impl SparseCells {
+    /// Empty cells with room for exactly what `size` counted.
+    fn with_capacity(size: &SparseSize) -> Self {
+        Self {
+            lengths: Vec::with_capacity(size.lists),
+            ids: Vec::with_capacity(size.ids),
+            scores: Vec::with_capacity(if size.scored { size.ids } else { 0 }),
+            scored: size.scored,
+        }
+    }
+
+    /// Appends `list`; in a scored column an unscored list gets unit
+    /// scores.
     fn push(&mut self, list: &SparseList) {
         self.lengths.push(list.len() as u64);
-        match list.scores() {
-            Some(scores) => {
-                if !self.scored {
-                    // The lists before this one were unscored: unit scores.
-                    self.scored = true;
-                    self.scores.resize(self.ids.len(), 1.0);
-                }
-                self.scores.extend_from_slice(scores);
-            }
-            None if self.scored => self.scores.resize(self.ids.len() + list.len(), 1.0),
-            None => {}
-        }
         self.ids.extend_from_slice(list.ids());
+        if self.scored {
+            match list.scores() {
+                Some(scores) => self.scores.extend_from_slice(scores),
+                None => self.scores.resize(self.ids.len(), 1.0),
+            }
+        }
     }
 }
 
 impl Column<Vec<f32>> {
     /// A `Present` bitmap and a `DenseData` stream of the present values.
-    fn encode(self, rows: usize) -> RawStreams {
+    fn encode(self) -> RawStreams {
         let mut data = Vec::new();
         write_f32s_xor(&mut data, &self.cells);
-        vec![
-            present_stream(self.present, rows),
-            (StreamKind::DenseData, data),
-        ]
+        vec![self.present_stream(), (StreamKind::DenseData, data)]
     }
 }
 
@@ -391,7 +447,8 @@ impl Column<SparseCells> {
     /// `Present`, `Length` (RLE), `Data` (bit-packed ids or dictionary
     /// indexes), a `Dict` when ids repeat ([`DictTable::encode`]), and a
     /// `Score` stream when any list was scored.
-    fn encode(self, rows: usize, dict: &mut DictTable) -> RawStreams {
+    fn encode(self, dict: &mut DictTable) -> RawStreams {
+        let present = self.present_stream();
         let SparseCells {
             lengths,
             mut ids,
@@ -404,7 +461,7 @@ impl Column<SparseCells> {
         let mut ids_buf = Vec::new();
         write_packed(&mut ids_buf, &ids);
         let mut out = vec![
-            present_stream(self.present, rows),
+            present,
             (StreamKind::Length, rle_encode(&lengths)),
             (StreamKind::Data, ids_buf),
         ];
@@ -422,31 +479,33 @@ impl Column<SparseCells> {
 
 /// Transposes `rows` into per-feature columns — one id-ordered merge pass
 /// per row — and encodes each: the dense columns in id order, then (when
-/// `with_sparse`) the sparse columns in id order.
+/// `with_sparse`) the sparse columns in id order. Every buffer is sized
+/// before it is filled: a dense column reserves a value per row, and the
+/// sparse columns count their lists and ids in a first pass over the rows
+/// before a second copies them.
 ///
 /// Scored-ness is a column-level property (as in the production schema):
 /// if any row of the stripe carries scores, the whole column round-trips
 /// as scored, with unscored rows canonicalized to unit scores.
 pub fn encode_columns(rows: &[Sample], with_sparse: bool) -> Vec<(FeatureId, RawStreams)> {
     let mut dense: Vec<Column<Vec<f32>>> = Vec::new();
-    let mut sparse: Vec<Column<SparseCells>> = Vec::new();
     for (r, row) in rows.iter().enumerate() {
         let mut cursor = 0;
         for (feature, value) in row.dense_iter() {
-            cells_of(&mut dense, &mut cursor, feature, r).push(value);
-        }
-        if with_sparse {
-            let mut cursor = 0;
-            for (feature, list) in row.sparse_iter() {
-                cells_of(&mut sparse, &mut cursor, feature, r).push(list);
-            }
+            cells_of(&mut dense, &mut cursor, feature, r, rows.len(), || {
+                Vec::with_capacity(rows.len())
+            })
+            .push(value);
         }
     }
-    let dense = dense.into_iter().map(|c| (c.feature, c.encode(rows.len())));
+    let sparse = if with_sparse {
+        sparse_columns(rows)
+    } else {
+        Vec::new()
+    };
+    let dense = dense.into_iter().map(|c| (c.feature, c.encode()));
     let mut dict = DictTable::new();
-    let sparse = sparse
-        .into_iter()
-        .map(|c| (c.feature, c.encode(rows.len(), &mut dict)));
+    let sparse = sparse.into_iter().map(|c| (c.feature, c.encode(&mut dict)));
     dense.chain(sparse).collect()
 }
 
@@ -521,8 +580,8 @@ impl SparseCells {
 /// list in directory order.
 #[derive(Debug, Default)]
 pub struct DecodedColumns {
-    pub(crate) dense: Vec<Column<Vec<f32>, Bitmap>>,
-    pub(crate) sparse: Vec<Column<SparseCells, Bitmap>>,
+    pub(crate) dense: Vec<Column<Vec<f32>>>,
+    pub(crate) sparse: Vec<Column<SparseCells>>,
 }
 
 impl DecodedColumns {
@@ -922,6 +981,43 @@ mod tests {
         out
     }
 
+    /// A `Present` stream of `rows` set bits.
+    fn all_present(rows: usize) -> Vec<u8> {
+        let mut bits = Bitmap::zeros(rows);
+        for row in 0..rows {
+            bits.set(row);
+        }
+        let mut buf = Vec::new();
+        bits.write(&mut buf);
+        buf
+    }
+
+    #[test]
+    fn sparse_columns_are_filled_to_exactly_their_counted_size() {
+        let mut rows = rows();
+        // An empty list, and a column whose first scored list comes last.
+        rows[1].set_sparse(FeatureId(9), SparseList::from_ids(vec![]));
+        rows[3].set_sparse(FeatureId(9), SparseList::from_ids(vec![4, 5]));
+        rows[4].set_sparse(FeatureId(9), SparseList::from_scored(vec![6], vec![0.5]));
+        let columns = sparse_columns(&rows);
+        let features: Vec<u64> = columns.iter().map(|c| c.feature.0).collect();
+        assert_eq!(features, [7, 8, 9]);
+        for c in &columns {
+            let cells = &c.cells;
+            assert_eq!(cells.lengths.capacity(), cells.lengths.len());
+            assert_eq!(cells.ids.capacity(), cells.ids.len());
+            assert_eq!(cells.scores.capacity(), cells.scores.len());
+            assert_eq!(c.present.count_ones(), cells.lengths.len());
+        }
+        let late = &columns[2];
+        assert_eq!(present_rows(&late.present), [1, 3, 4]);
+        assert_eq!(late.cells.lengths, [0, 2, 1]);
+        assert_eq!(late.cells.ids, [4, 5, 6]);
+        assert!(late.cells.scored);
+        assert_eq!(late.cells.scores, [1.0, 1.0, 0.5]);
+        assert!(!columns[0].cells.scored && columns[0].cells.scores.is_empty());
+    }
+
     /// The encoded streams of the one column `rows` hold for `fid`.
     fn encode_column(rows: &[Sample], fid: FeatureId) -> RawStreams {
         let mut columns = encode_columns(rows, true);
@@ -1035,8 +1131,7 @@ mod tests {
 
     #[test]
     fn hostile_lengths_cannot_overflow_the_id_count() {
-        let mut present = Vec::new();
-        write_bitmap(&mut present, &[true, true]);
+        let present = all_present(2);
         let streams = vec![
             (StreamKind::Present, present),
             (StreamKind::Length, rle_encode(&[u64::MAX, 2])),
@@ -1343,8 +1438,7 @@ mod tests {
 
     /// A one-row column of `n` ids whose `Data` and `Dict` are given.
     fn sparse_column(n: u64, data: Vec<u8>, dict: Vec<u8>) -> RawStreams {
-        let mut present = Vec::new();
-        write_bitmap(&mut present, &[true]);
+        let present = all_present(1);
         vec![
             (StreamKind::Present, present),
             (StreamKind::Length, rle_encode(&[n])),

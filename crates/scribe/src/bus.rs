@@ -110,8 +110,8 @@ impl MessageBus {
     }
 
     /// Releases any chaos-held record: a reordered record must only be
-    /// delayed, never lost, so readers force it out before observing the
-    /// stream.
+    /// delayed, never lost, so consumers force it out before observing
+    /// the stream.
     fn release_held(&self) {
         if let Some((held_topic, held_record)) = self.inner.held.lock().take() {
             self.stream(&held_topic).write().append(held_record);
@@ -128,23 +128,18 @@ impl MessageBus {
             .map_or(Lsn(0), |s| s.read().tail())
     }
 
-    /// Reads `[from, to)` from a topic (empty for unknown topics).
+    /// Takes `[from, to)` out of a topic and trims the topic to `to`
+    /// ([`LogStream::take_range`]); empty for unknown topics. A record a
+    /// reorder fault is holding back is released first.
     ///
     /// # Errors
     ///
     /// Returns an error if `from` precedes the topic's trim point.
-    pub fn read(&self, topic: &str, from: Lsn, to: Lsn) -> Result<Vec<ScribeRecord>> {
+    pub fn take(&self, topic: &str, from: Lsn, to: Lsn) -> Result<Vec<ScribeRecord>> {
         self.release_held();
         match self.inner.streams.read().get(topic) {
-            Some(s) => s.read().read_range(from, to),
+            Some(s) => s.write().take_range(from, to),
             None => Ok(Vec::new()),
-        }
-    }
-
-    /// Trims a topic up to `upto`.
-    pub fn trim(&self, topic: &str, upto: Lsn) {
-        if let Some(s) = self.inner.streams.read().get(topic) {
-            s.write().trim(upto);
         }
     }
 
@@ -177,13 +172,26 @@ mod tests {
     use super::*;
     use crate::record::EventRecord;
 
+    fn ids(records: Vec<ScribeRecord>) -> Vec<u64> {
+        records
+            .into_iter()
+            .map(|r| match r {
+                ScribeRecord::Event(e) => e.request_id,
+                other => panic!("unexpected record {other:?}"),
+            })
+            .collect()
+    }
+
     #[test]
-    fn publish_and_read() {
+    fn publish_and_take() {
         let bus = MessageBus::new();
         bus.publish("t", EventRecord::positive(1, 0).into());
         bus.publish("t", EventRecord::negative(2, 1).into());
-        let got = bus.read("t", Lsn(0), bus.tail("t")).unwrap();
-        assert_eq!(got.len(), 2);
+        let got = bus.take("t", Lsn(0), bus.tail("t")).unwrap();
+        assert_eq!(ids(got), [1, 2]);
+        // Taken records are gone; the tail stays.
+        assert!(bus.take("t", Lsn(2), Lsn(10)).unwrap().is_empty());
+        assert_eq!(bus.tail("t"), Lsn(2));
     }
 
     #[test]
@@ -192,7 +200,8 @@ mod tests {
         bus.publish("a", EventRecord::positive(1, 0).into());
         assert_eq!(bus.tail("a"), Lsn(1));
         assert_eq!(bus.tail("b"), Lsn(0));
-        assert!(bus.read("b", Lsn(0), Lsn(10)).unwrap().is_empty());
+        assert!(bus.take("b", Lsn(0), Lsn(10)).unwrap().is_empty());
+        assert_eq!(bus.tail("b"), Lsn(0));
         assert_eq!(bus.topics(), vec!["a".to_string()]);
     }
 
@@ -233,21 +242,13 @@ mod tests {
         for id in 1..=4u64 {
             bus.publish("t", EventRecord::positive(id, 0).into());
         }
-        let ids: Vec<u64> = bus
-            .read("t", Lsn(0), bus.tail("t"))
-            .unwrap()
-            .into_iter()
-            .map(|r| match r {
-                ScribeRecord::Event(e) => e.request_id,
-                other => panic!("unexpected record {other:?}"),
-            })
-            .collect();
+        let got = bus.take("t", Lsn(0), bus.tail("t")).unwrap();
         // 1 dropped, 2 duplicated, 3 held until 4 landed.
-        assert_eq!(ids, vec![2, 2, 4, 3]);
+        assert_eq!(ids(got), [2, 2, 4, 3]);
     }
 
     #[test]
-    fn chaos_reorder_hold_is_released_to_readers() {
+    fn chaos_reorder_hold_is_released_to_takers() {
         use chaos::{FaultEvent, FaultPlan};
         let bus = MessageBus::new();
         let plan = FaultPlan::named(vec![FaultEvent::new(
@@ -257,19 +258,21 @@ mod tests {
         )]);
         bus.attach_chaos(FaultInjector::new(plan));
         bus.publish("t", EventRecord::positive(9, 0).into());
-        // No successor record ever arrives; reading must still surface it.
-        let got = bus.read("t", Lsn(0), Lsn(10)).unwrap();
-        assert_eq!(got.len(), 1);
+        // No successor record ever arrives; taking must still surface it.
+        assert_eq!(ids(bus.take("t", Lsn(0), Lsn(10)).unwrap()), [9]);
     }
 
     #[test]
-    fn trim_through_bus() {
+    fn take_through_bus_trims() {
         let bus = MessageBus::new();
         for i in 0..10 {
             bus.publish("t", EventRecord::positive(i, 0).into());
         }
-        bus.trim("t", Lsn(5));
-        assert!(bus.read("t", Lsn(0), Lsn(10)).is_err());
-        assert_eq!(bus.read("t", Lsn(5), Lsn(10)).unwrap().len(), 5);
+        assert_eq!(ids(bus.take("t", Lsn(2), Lsn(5)).unwrap()), [2, 3, 4]);
+        assert!(bus.take("t", Lsn(0), Lsn(10)).is_err());
+        assert_eq!(
+            ids(bus.take("t", Lsn(5), Lsn(10)).unwrap()),
+            [5, 6, 7, 8, 9]
+        );
     }
 }

@@ -166,6 +166,7 @@ pub struct BatchEtl {
     negative_keep_fraction: f64,
     ns_per_day: u64,
     negative_seen: u64,
+    negative_kept: u64,
     dedup_stats: DedupStats,
 }
 
@@ -187,33 +188,31 @@ impl BatchEtl {
             negative_keep_fraction,
             ns_per_day,
             negative_seen: 0,
+            negative_kept: 0,
             dedup_stats: DedupStats::default(),
         }
     }
 
+    /// Whether to keep the next negative: exactly `⌊n · fraction⌋` (in
+    /// `f64`) of the first `n` negatives are kept, spread evenly.
     fn keep_negative(&mut self) -> bool {
-        // Deterministic stride-based downsampling.
         self.negative_seen += 1;
-        if self.negative_keep_fraction >= 1.0 {
-            return true;
-        }
-        if self.negative_keep_fraction <= 0.0 {
-            return false;
-        }
-        let stride = (1.0 / self.negative_keep_fraction).round() as u64;
-        self.negative_seen.is_multiple_of(stride)
+        let due = (self.negative_seen as f64 * self.negative_keep_fraction).floor() as u64;
+        let keep = due > self.negative_kept;
+        self.negative_kept += u64::from(keep);
+        keep
     }
 
-    /// Runs one ETL pass: reads new records from `features_topic` and
-    /// `events_topic` on `bus`, joins/labels/downsamples, and returns
-    /// samples grouped by day partition. Also trims consumed log prefixes.
+    /// Runs one ETL pass: takes new records off `features_topic` and
+    /// `events_topic` on `bus` (trimming what it took), joins, labels and
+    /// downsamples them, and returns samples grouped by day partition.
     ///
     /// `now_ns` drives join-window expiry; timestamps map to partitions via
     /// `ts / ns_per_day`.
     ///
     /// # Errors
     ///
-    /// Propagates bus read failures.
+    /// Propagates bus take failures.
     pub fn run_pass(
         &mut self,
         bus: &MessageBus,
@@ -231,8 +230,7 @@ impl BatchEtl {
         };
 
         let f_tail = bus.tail(features_topic);
-        let feature_records = bus.read(features_topic, self.feature_cursor, f_tail)?;
-        for r in feature_records {
+        for r in bus.take(features_topic, self.feature_cursor, f_tail)? {
             if let ScribeRecord::Feature(f) = r {
                 self.joiner.offer_features(f);
             }
@@ -242,8 +240,7 @@ impl BatchEtl {
         // Joined samples and expired negatives land in the partition of
         // their feature log's serving day, whichever pass logged it.
         let e_tail = bus.tail(events_topic);
-        let event_records = bus.read(events_topic, self.event_cursor, e_tail)?;
-        for r in event_records {
+        for r in bus.take(events_topic, self.event_cursor, e_tail)? {
             if let ScribeRecord::Event(e) = r {
                 if let Some((ts, sample)) = self.joiner.join(e) {
                     emit(self, ts, sample);
@@ -256,8 +253,6 @@ impl BatchEtl {
             emit(self, ts, sample);
         }
 
-        bus.trim(features_topic, self.feature_cursor);
-        bus.trim(events_topic, self.event_cursor);
         if let Some(reg) = self.joiner.registry.clone() {
             self.joiner.publish_metrics(&reg);
             bus.publish_metrics(&reg);
@@ -273,7 +268,7 @@ impl BatchEtl {
     ///
     /// # Errors
     ///
-    /// Propagates bus read failures.
+    /// Propagates bus take failures.
     pub fn run_dedup_pass(
         &mut self,
         bus: &MessageBus,
@@ -385,8 +380,12 @@ mod tests {
         assert_eq!(parts.len(), 2);
         assert_eq!(parts[&PartitionId::new(0)].len(), 2);
         assert_eq!(parts[&PartitionId::new(1)].len(), 1);
-        // Consumed prefixes trimmed.
-        assert!(bus.read("f", Lsn(0), Lsn(1)).is_err());
+        // Consumed prefixes were taken off the bus.
+        assert!(bus.take("f", Lsn(0), Lsn(1)).is_err());
+        assert!(bus
+            .take("f", bus.tail("f"), Lsn(u64::MAX))
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -433,10 +432,48 @@ mod tests {
         let mut etl = BatchEtl::new(10, 0.5, 1_000_000);
         let parts = etl.run_pass(&bus, "f", "e", 1_000).unwrap();
         let total: usize = parts.values().map(Vec::len).sum();
-        // 10 positives + ~45 of 90 negatives.
-        assert!((50..=60).contains(&total), "total {total}");
+        // 10 positives + every second of 90 negatives.
+        assert_eq!(total, 55);
         let positives: usize = parts.values().flatten().filter(|s| s.label() > 0.0).count();
         assert_eq!(positives, 10);
+    }
+
+    /// Negatives kept from 1,000 feature logs that all expire.
+    fn negatives_kept(fraction: f64) -> usize {
+        let bus = MessageBus::new();
+        for rid in 0..1_000u64 {
+            bus.publish("f", features(rid, rid).into());
+        }
+        let mut etl = BatchEtl::new(10, fraction, 1_000_000);
+        let parts = etl.run_pass(&bus, "f", "e", 1_000_000).unwrap();
+        assert_eq!(etl.stats().expired_negative, 1_000);
+        parts.values().map(Vec::len).sum()
+    }
+
+    #[test]
+    fn batch_etl_keeps_the_asked_fraction_of_negatives() {
+        // A stride of round(1 / fraction) kept 1,000 at 0.75 and 333 at 0.3.
+        assert_eq!(negatives_kept(0.75), 750);
+        assert_eq!(negatives_kept(0.3), 300);
+        assert_eq!(negatives_kept(0.5), 500);
+        assert_eq!(negatives_kept(1.0), 1_000);
+        assert_eq!(negatives_kept(0.0), 0);
+    }
+
+    #[test]
+    fn negative_downsampling_keeps_the_floor_at_every_prefix() {
+        for fraction in [0.3, 0.6, 0.75, 0.9] {
+            let mut etl = BatchEtl::new(10, fraction, 1);
+            let mut kept = 0u64;
+            for n in 1..=1_000u64 {
+                kept += u64::from(etl.keep_negative());
+                assert_eq!(
+                    kept,
+                    (n as f64 * fraction).floor() as u64,
+                    "{fraction} at {n}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -77,48 +77,43 @@ impl LogStream {
         self.len() == 0
     }
 
-    /// Reads records in `[from, to)`, clamped to the readable range.
+    /// Takes the records in `[from, to)`, clamped to the readable range,
+    /// out of the stream, and trims everything before `to`: records in
+    /// `[head, from)` are released unread. Each record is moved, never
+    /// cloned; a segment the range ends inside keeps its later records,
+    /// at the same LSNs, for the next take.
     ///
     /// # Errors
     ///
     /// Returns [`DsiError::InvalidState`] if `from` precedes the trim point.
-    pub fn read_range(&self, from: Lsn, to: Lsn) -> Result<Vec<ScribeRecord>> {
+    pub fn take_range(&mut self, from: Lsn, to: Lsn) -> Result<Vec<ScribeRecord>> {
         if from.0 < self.trim_point {
             return Err(DsiError::InvalidState(format!(
                 "lsn {} precedes trim point {}",
                 from.0, self.trim_point
             )));
         }
-        let to = to.0.min(self.next_lsn);
-        let mut out = Vec::new();
-        if from.0 >= to {
-            return Ok(out);
-        }
-        for seg in &self.segments {
-            let seg_end = seg.base + seg.records.len() as u64;
-            if seg_end <= from.0 || seg.base >= to {
-                continue;
+        let to = to.0.min(self.next_lsn).max(self.trim_point);
+        let mut out = Vec::with_capacity(to.saturating_sub(from.0) as usize);
+        let mut emptied = 0;
+        for seg in &mut self.segments {
+            if seg.base >= to {
+                break;
             }
-            let lo = from.0.max(seg.base) - seg.base;
-            let hi = to.min(seg_end) - seg.base;
-            out.extend(seg.records[lo as usize..hi as usize].iter().cloned());
+            let end = ((to - seg.base) as usize).min(seg.records.len());
+            let skip = (from.0.saturating_sub(seg.base) as usize).min(end);
+            out.extend(seg.records.drain(..end).skip(skip));
+            seg.base += end as u64;
+            emptied += usize::from(seg.records.is_empty());
         }
+        // Only a prefix of segments can have been emptied: the one the
+        // range ends inside stops the loop.
+        self.segments.drain(..emptied);
+        self.trim_point = to;
         Ok(out)
     }
 
-    /// Trims (releases) every record before `upto`. Trimming past the tail
-    /// clamps to the tail.
-    pub fn trim(&mut self, upto: Lsn) {
-        let upto = upto.0.min(self.next_lsn).max(self.trim_point);
-        self.trim_point = upto;
-        self.segments.retain(|seg| {
-            let seg_end = seg.base + seg.records.len() as u64;
-            seg_end > upto
-        });
-    }
-
-    /// Approximate retained record count across segments (for memory
-    /// accounting; trimming drops whole segments lazily).
+    /// Records held across segments (for memory accounting).
     pub fn retained_records(&self) -> usize {
         self.segments.iter().map(|s| s.records.len()).sum()
     }
@@ -142,60 +137,78 @@ mod tests {
         assert_eq!(s.len(), 2);
     }
 
+    fn ids(records: &[ScribeRecord]) -> Vec<u64> {
+        records
+            .iter()
+            .map(|r| match r {
+                ScribeRecord::Event(e) => e.request_id,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect()
+    }
+
     #[test]
-    fn read_range_spans_segments() {
+    fn take_range_spans_segments_in_order() {
         let mut s = LogStream::new();
-        for i in 0..(SEGMENT_CAPACITY as u64 * 2 + 10) {
+        let cap = SEGMENT_CAPACITY as u64;
+        for i in 0..(cap * 2 + 10) {
             s.append(ev(i));
         }
-        let got = s
-            .read_range(
-                Lsn(SEGMENT_CAPACITY as u64 - 5),
-                Lsn(SEGMENT_CAPACITY as u64 + 5),
-            )
-            .unwrap();
-        assert_eq!(got.len(), 10);
-        match &got[0] {
-            ScribeRecord::Event(e) => assert_eq!(e.request_id, SEGMENT_CAPACITY as u64 - 5),
-            other => panic!("unexpected {other:?}"),
-        }
+        let got = s.take_range(Lsn(cap - 5), Lsn(cap + 5)).unwrap();
+        assert_eq!(ids(&got), (cap - 5..cap + 5).collect::<Vec<_>>());
+        // Everything before the range went with it.
+        assert_eq!(s.head(), Lsn(cap + 5));
+        assert_eq!(s.len(), cap as usize + 5);
+        assert_eq!(s.retained_records(), cap as usize + 5);
     }
 
     #[test]
-    fn read_clamps_to_tail() {
+    fn take_clamps_to_tail() {
         let mut s = LogStream::new();
         s.append(ev(0));
-        let got = s.read_range(Lsn(0), Lsn(100)).unwrap();
-        assert_eq!(got.len(), 1);
-        assert!(s.read_range(Lsn(5), Lsn(10)).unwrap().is_empty());
+        assert_eq!(ids(&s.take_range(Lsn(0), Lsn(100)).unwrap()), [0]);
+        assert_eq!(s.head(), Lsn(1));
+        assert!(s.is_empty());
+        assert!(s.take_range(Lsn(5), Lsn(10)).unwrap().is_empty());
+        assert_eq!(s.head(), Lsn(1), "the trim point stops at the tail");
+        assert_eq!(s.append(ev(1)), Lsn(1));
+        assert_eq!(ids(&s.take_range(Lsn(1), Lsn(2)).unwrap()), [1]);
     }
 
     #[test]
-    fn trim_releases_prefix() {
+    fn take_before_the_trim_point_is_invalid_state() {
         let mut s = LogStream::new();
         for i in 0..(SEGMENT_CAPACITY as u64 + 100) {
             s.append(ev(i));
         }
-        s.trim(Lsn(SEGMENT_CAPACITY as u64));
+        s.take_range(Lsn(0), Lsn(SEGMENT_CAPACITY as u64)).unwrap();
         assert_eq!(s.head(), Lsn(SEGMENT_CAPACITY as u64));
+        assert!(matches!(
+            s.take_range(Lsn(0), Lsn(1)),
+            Err(DsiError::InvalidState(_))
+        ));
+        // A refused take changes nothing.
         assert_eq!(s.len(), 100);
-        // Whole trimmed segments are dropped.
-        assert!(s.retained_records() <= SEGMENT_CAPACITY + 100);
-        assert!(s.read_range(Lsn(0), Lsn(1)).is_err());
-        let got = s
-            .read_range(Lsn(SEGMENT_CAPACITY as u64), s.tail())
-            .unwrap();
-        assert_eq!(got.len(), 100);
+        // The trim point cannot move backwards; taking nothing still
+        // trims to `to`.
+        assert!(s.take_range(s.tail(), Lsn(0)).unwrap().is_empty());
+        assert_eq!((s.head(), s.len()), (Lsn(SEGMENT_CAPACITY as u64), 100));
+        assert!(s.take_range(s.tail(), s.tail()).unwrap().is_empty());
+        assert_eq!(s.head(), s.tail());
     }
 
     #[test]
-    fn trim_is_idempotent_and_clamped() {
+    fn take_ending_mid_segment_leaves_the_rest_at_their_lsns() {
         let mut s = LogStream::new();
-        s.append(ev(0));
-        s.trim(Lsn(100));
-        assert_eq!(s.head(), Lsn(1));
-        s.trim(Lsn(0)); // cannot move backwards
-        assert_eq!(s.head(), Lsn(1));
+        for i in 0..10 {
+            s.append(ev(i));
+        }
+        assert_eq!(ids(&s.take_range(Lsn(2), Lsn(6)).unwrap()), [2, 3, 4, 5]);
+        assert_eq!((s.head(), s.tail(), s.len()), (Lsn(6), Lsn(10), 4));
+        assert_eq!(s.retained_records(), 4);
+        // Appends after a partial take land behind the rest.
+        assert_eq!(s.append(ev(10)), Lsn(10));
+        assert_eq!(ids(&s.take_range(Lsn(7), s.tail()).unwrap()), [7, 8, 9, 10]);
         assert!(s.is_empty());
     }
 }

@@ -15,7 +15,7 @@
 use crate::block::{chunk_checksum, place_replicas_among, BlockId, REPLICATION_FACTOR};
 use crate::directory::{ChunkDirectory, ChunkInfo};
 use crate::heal::{HeartbeatDetector, RebuildProgress, RebuildQueue};
-use crate::node::StorageNode;
+use crate::node::{PagedChunk, StorageNode};
 use bytes::Bytes;
 use chaos::{FaultInjector, FaultKind, HookPoint};
 use dsi_types::{DsiError, NodeId, Result};
@@ -260,6 +260,7 @@ impl TectonicCluster {
             let id = BlockId::new(path, block_index);
             if within == 0 {
                 let replicas = place_replicas_among(id, &live, r);
+                let chunk = PagedChunk::new(chunk);
                 for &node in &replicas {
                     self.inner.nodes[node.0 as usize]
                         .lock()
@@ -270,7 +271,7 @@ impl TectonicCluster {
                     id,
                     ChunkInfo {
                         replicas: replicas.clone(),
-                        checksum: chunk_checksum(&chunk),
+                        checksum: chunk_checksum(chunk.data()),
                         len: take as u64,
                     },
                 );
@@ -301,7 +302,7 @@ impl TectonicCluster {
                     .read(id, 0, within)?;
                 let mut combined = existing.to_vec();
                 combined.extend_from_slice(&chunk);
-                let combined = Bytes::from(combined);
+                let combined = PagedChunk::new(Bytes::from(combined));
                 if holders.len() < r {
                     let spare: Vec<NodeId> = live
                         .iter()
@@ -322,8 +323,8 @@ impl TectonicCluster {
                     id,
                     ChunkInfo {
                         replicas: holders.clone(),
-                        checksum: chunk_checksum(&combined),
-                        len: combined.len() as u64,
+                        checksum: chunk_checksum(combined.data()),
+                        len: combined.data().len() as u64,
                     },
                 );
                 if degraded {
@@ -614,10 +615,11 @@ impl TectonicCluster {
         if chunk_checksum(&data) != info.checksum {
             return;
         }
+        let chunk = PagedChunk::new(data);
         for &node in bad {
             if self.inner.nodes[node.0 as usize]
                 .lock()
-                .store(id, data.clone())
+                .store(id, chunk.clone())
                 .is_ok()
             {
                 self.inner.read_repairs.fetch_add(1, Ordering::Relaxed);
@@ -793,10 +795,11 @@ impl TectonicCluster {
             let needed = r.saturating_sub(holders.len());
             let mut new_replicas = holders.clone();
             if needed > 0 && !spare.is_empty() {
+                let chunk = PagedChunk::new(data);
                 for target in place_replicas_among(id, &spare, needed) {
                     if let Ok(ns) = self.inner.nodes[target.0 as usize]
                         .lock()
-                        .store_charged(id, data.clone())
+                        .store_charged(id, chunk.clone())
                     {
                         total_ns += ns;
                         progress.ios += 1;

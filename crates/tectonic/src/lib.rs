@@ -55,5 +55,5 @@ pub use cache::{CacheStats, SsdCache};
 pub use cluster::{ClusterConfig, DurabilityCounters, FileMeta, TectonicCluster};
 pub use directory::{ChunkDirectory, ChunkInfo};
 pub use heal::{HeartbeatDetector, RebuildProgress, RebuildQueue, HEARTBEAT_K};
-pub use node::{NodeStats, StorageNode, CHECKSUM_PAGE};
+pub use node::{NodeStats, PagedChunk, StorageNode, CHECKSUM_PAGE};
 pub use source::TectonicSource;

@@ -6,30 +6,43 @@ use bytes::Bytes;
 use dsi_types::{DsiError, Result};
 use hwsim::{DeviceStats, DiskModel, IoRequest};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Checksum granularity: sums are kept per 64 KiB page so read-time
 /// verification costs are proportional to bytes actually read.
 pub const CHECKSUM_PAGE: usize = 64 * 1024;
 
-/// A resident replica: its disk offset, payload, and per-page checksums
-/// computed at store time and verified on every read.
+/// A chunk payload with its per-page checksums, computed once when the
+/// chunk is written and shared by every replica that stores it: cloning
+/// one is two reference-count bumps.
+#[derive(Debug, Clone)]
+pub struct PagedChunk {
+    data: Bytes,
+    page_sums: Arc<[u64]>,
+}
+
+impl PagedChunk {
+    /// Sums every [`CHECKSUM_PAGE`] of `data`.
+    pub fn new(data: Bytes) -> Self {
+        let page_sums = data.chunks(CHECKSUM_PAGE).map(chunk_checksum).collect();
+        Self { data, page_sums }
+    }
+
+    /// The payload.
+    pub fn data(&self) -> &Bytes {
+        &self.data
+    }
+}
+
+/// A resident replica: its disk offset and its chunk, whose page sums
+/// are verified on every read.
 #[derive(Debug)]
 struct StoredBlock {
     offset: u64,
-    data: Bytes,
-    page_sums: Vec<u64>,
+    chunk: PagedChunk,
 }
 
 impl StoredBlock {
-    fn new(offset: u64, data: Bytes) -> Self {
-        let page_sums = data.chunks(CHECKSUM_PAGE).map(chunk_checksum).collect();
-        Self {
-            offset,
-            data,
-            page_sums,
-        }
-    }
-
     /// Verifies the checksums of every page overlapping `[offset, end)`.
     fn verify_range(&self, id: BlockId, offset: u64, end: u64) -> Result<()> {
         if end == offset {
@@ -39,8 +52,8 @@ impl StoredBlock {
         let last = (end as usize - 1) / CHECKSUM_PAGE;
         for page in first..=last {
             let lo = page * CHECKSUM_PAGE;
-            let hi = (lo + CHECKSUM_PAGE).min(self.data.len());
-            if chunk_checksum(&self.data[lo..hi]) != self.page_sums[page] {
+            let hi = (lo + CHECKSUM_PAGE).min(self.chunk.data.len());
+            if chunk_checksum(&self.chunk.data[lo..hi]) != self.chunk.page_sums[page] {
                 return Err(DsiError::corrupt(format!(
                     "checksum mismatch in block {id:?} page {page}"
                 )));
@@ -98,16 +111,17 @@ impl StorageNode {
     /// # Errors
     ///
     /// Returns [`DsiError::Exhausted`] if the disk is out of capacity.
-    pub fn store(&mut self, id: BlockId, data: Bytes) -> Result<()> {
-        if self.next_offset + data.len() as u64 > self.disk.capacity().bytes() {
+    pub fn store(&mut self, id: BlockId, chunk: PagedChunk) -> Result<()> {
+        let len = chunk.data.len() as u64;
+        if self.next_offset + len > self.disk.capacity().bytes() {
             return Err(DsiError::Exhausted(format!(
                 "storage node disk full at {} bytes",
                 self.next_offset
             )));
         }
         let offset = self.next_offset;
-        self.next_offset += data.len() as u64;
-        self.blocks.insert(id, StoredBlock::new(offset, data));
+        self.next_offset += len;
+        self.blocks.insert(id, StoredBlock { offset, chunk });
         Ok(())
     }
 
@@ -119,9 +133,9 @@ impl StorageNode {
     /// # Errors
     ///
     /// Returns [`DsiError::Exhausted`] if the disk is out of capacity.
-    pub fn store_charged(&mut self, id: BlockId, data: Bytes) -> Result<u64> {
-        let len = data.len() as u64;
-        self.store(id, data)?;
+    pub fn store_charged(&mut self, id: BlockId, chunk: PagedChunk) -> Result<u64> {
+        let len = chunk.data.len() as u64;
+        self.store(id, chunk)?;
         let offset = self.next_offset - len;
         let ns = self.disk.serve(IoRequest::new(offset, len));
         if self.record_io_sizes {
@@ -135,10 +149,10 @@ impl StorageNode {
     /// verifying read must detect. Returns false if the block is absent.
     pub fn corrupt(&mut self, id: BlockId, xor: u8) -> bool {
         match self.blocks.get_mut(&id) {
-            Some(block) if !block.data.is_empty() => {
-                let mut bytes = block.data.to_vec();
+            Some(block) if !block.chunk.data.is_empty() => {
+                let mut bytes = block.chunk.data.to_vec();
                 bytes[0] ^= xor;
-                block.data = Bytes::from(bytes);
+                block.chunk.data = Bytes::from(bytes);
                 true
             }
             _ => false,
@@ -176,10 +190,10 @@ impl StorageNode {
             .ok_or_else(|| DsiError::not_found(format!("block {id:?}")))?;
         let end = offset
             .checked_add(len)
-            .filter(|&e| e <= block.data.len() as u64)
+            .filter(|&e| e <= block.chunk.data.len() as u64)
             .ok_or_else(|| DsiError::corrupt("read beyond block"))?;
         block.verify_range(id, offset, end)?;
-        let slice = block.data.slice(offset as usize..end as usize);
+        let slice = block.chunk.data.slice(offset as usize..end as usize);
         let disk_offset = block.offset;
         let ns = self.disk.serve(IoRequest::new(disk_offset + offset, len));
         if self.record_io_sizes {
@@ -202,10 +216,10 @@ impl StorageNode {
             .ok_or_else(|| DsiError::not_found(format!("block {id:?}")))?;
         let end = offset
             .checked_add(len)
-            .filter(|&e| e <= block.data.len() as u64)
+            .filter(|&e| e <= block.chunk.data.len() as u64)
             .ok_or_else(|| DsiError::corrupt("read beyond block"))?;
         block.verify_range(id, offset, end)?;
-        Ok(block.data.slice(offset as usize..end as usize))
+        Ok(block.chunk.data.slice(offset as usize..end as usize))
     }
 
     /// Removes a block replica (retention/reaping). The disk space is
@@ -244,11 +258,15 @@ mod tests {
         StorageNode::new(DiskModel::hdd())
     }
 
+    fn paged(bytes: Vec<u8>) -> PagedChunk {
+        PagedChunk::new(Bytes::from(bytes))
+    }
+
     #[test]
     fn store_and_read_round_trip() {
         let mut n = node();
         let id = BlockId::new("f", 0);
-        n.store(id, Bytes::from(vec![9u8; 1000])).unwrap();
+        n.store(id, paged(vec![9u8; 1000])).unwrap();
         let (data, ns) = n.read(id, 100, 50).unwrap();
         assert_eq!(data.as_ref(), &[9u8; 50][..]);
         assert!(ns > 0);
@@ -270,7 +288,7 @@ mod tests {
     fn read_beyond_block_is_corrupt() {
         let mut n = node();
         let id = BlockId::new("f", 0);
-        n.store(id, Bytes::from(vec![0u8; 10])).unwrap();
+        n.store(id, paged(vec![0u8; 10])).unwrap();
         assert!(n.read(id, 5, 10).is_err());
         assert!(n.read(id, u64::MAX, 1).is_err());
     }
@@ -287,19 +305,15 @@ mod tests {
             100.0,
         );
         let mut n = StorageNode::new(small);
-        assert!(n
-            .store(BlockId::new("f", 0), Bytes::from(vec![0u8; 60]))
-            .is_ok());
-        assert!(n
-            .store(BlockId::new("f", 1), Bytes::from(vec![0u8; 60]))
-            .is_err());
+        assert!(n.store(BlockId::new("f", 0), paged(vec![0u8; 60])).is_ok());
+        assert!(n.store(BlockId::new("f", 1), paged(vec![0u8; 60])).is_err());
     }
 
     #[test]
     fn corrupted_replica_fails_checksum_on_read() {
         let mut n = node();
         let id = BlockId::new("f", 0);
-        n.store(id, Bytes::from(vec![7u8; 1000])).unwrap();
+        n.store(id, paged(vec![7u8; 1000])).unwrap();
         assert!(n.corrupt(id, 0x01));
         let err = n.read(id, 0, 100).unwrap_err();
         assert!(matches!(err, DsiError::Corrupt(_)), "got {err:?}");
@@ -312,12 +326,26 @@ mod tests {
     }
 
     #[test]
+    fn replicas_of_one_chunk_share_sums_but_not_corruption() {
+        let chunk = paged(vec![5u8; 2 * CHECKSUM_PAGE + 7]);
+        let (mut a, mut b) = (node(), node());
+        let id = BlockId::new("f", 0);
+        a.store(id, chunk.clone()).unwrap();
+        b.store(id, chunk).unwrap();
+        // Flipping one replica's data leaves the shared sums, and the
+        // other replica, as they were.
+        assert!(a.corrupt(id, 0x10));
+        assert!(matches!(a.read(id, 0, 10), Err(DsiError::Corrupt(_))));
+        let (data, _) = b.read(id, 0, 2 * CHECKSUM_PAGE as u64 + 7).unwrap();
+        assert!(data.iter().all(|&byte| byte == 5));
+    }
+
+    #[test]
     fn checksum_verification_is_per_page() {
         let mut n = node();
         let id = BlockId::new("f", 0);
         // Two checksum pages; corrupt byte 0 (first page only).
-        n.store(id, Bytes::from(vec![3u8; CHECKSUM_PAGE + 100]))
-            .unwrap();
+        n.store(id, paged(vec![3u8; CHECKSUM_PAGE + 100])).unwrap();
         assert!(n.corrupt(id, 0xFF));
         assert!(n.read(id, 0, 10).is_err(), "touched corrupt page");
         // A read confined to the clean second page still succeeds.
@@ -329,7 +357,7 @@ mod tests {
     fn io_sizes_recorded_when_enabled() {
         let mut n = node();
         let id = BlockId::new("f", 0);
-        n.store(id, Bytes::from(vec![0u8; 1000])).unwrap();
+        n.store(id, paged(vec![0u8; 1000])).unwrap();
         n.read(id, 0, 10).unwrap();
         assert!(n.stats().io_sizes.is_empty());
         n.set_record_io_sizes(true);

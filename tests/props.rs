@@ -368,6 +368,92 @@ fn arb_sample_op() -> impl Strategy<Value = SampleOp> {
     ]
 }
 
+/// A stripe shaped for the writer's sizing pass, and the rows it must
+/// decode to. On top of [`arb_sample`] rows (which already hold empty
+/// lists and features absent from arbitrary rows):
+/// - feature `hole` is taken out of the first and the last row;
+/// - dense feature 92 is held by the middle rows only;
+/// - sparse feature 91 holds only empty lists;
+/// - sparse feature 90 holds unscored lists (some empty) until row `late`,
+///   a non-empty scored list there, and either kind after it. Scored-ness is a
+///   column property, so its unscored lists decode with unit scores.
+fn arb_shaped_stripe() -> impl Strategy<Value = (Vec<Sample>, Vec<Sample>)> {
+    (
+        proptest::collection::vec(arb_sample(), 2..40),
+        0u64..80,
+        0usize..40,
+        proptest::collection::vec(any::<bool>(), 40..41),
+    )
+        .prop_map(|(mut rows, hole, late, scored_after)| {
+            let n = rows.len();
+            let late = late % n;
+            for at in [0, n - 1] {
+                rows[at].remove(FeatureId(hole));
+            }
+            let mut expected = rows.clone();
+            for (r, (row, want)) in rows.iter_mut().zip(&mut expected).enumerate() {
+                if r > 0 && r + 1 < n {
+                    row.set_dense(FeatureId(92), r as f32);
+                    want.set_dense(FeatureId(92), r as f32);
+                }
+                if r % 2 == 0 {
+                    row.set_sparse(FeatureId(91), SparseList::from_ids(vec![]));
+                    want.set_sparse(FeatureId(91), SparseList::from_ids(vec![]));
+                }
+                // An empty list carries no scores, so the first scored one
+                // holds an id.
+                let len = r % 3 + usize::from(r == late);
+                let ids: Vec<u64> = (0..len as u64).map(|k| r as u64 * 7 + k).collect();
+                let unit = vec![1.0; ids.len()];
+                let scores: Vec<f32> = ids.iter().map(|&id| id as f32 / 2.0).collect();
+                let list = if r == late || (r > late && scored_after[r]) {
+                    SparseList::from_scored(ids.clone(), scores.clone())
+                } else {
+                    SparseList::from_ids(ids.clone())
+                };
+                row.set_sparse(FeatureId(90), list);
+                let decoded = if r == late || (r > late && scored_after[r]) {
+                    SparseList::from_scored(ids, scores)
+                } else {
+                    SparseList::from_scored(ids, unit)
+                };
+                want.set_sparse(FeatureId(90), decoded);
+            }
+            (rows, expected)
+        })
+}
+
+/// The old `write_bitmap`, bit by bit: a varint count, then the bits
+/// LSB-first, a byte per eight.
+fn bitmap_by_bits(out: &mut Vec<u8>, bits: &[bool]) {
+    dwrf::encoding::write_varint(out, bits.len() as u64);
+    let mut byte = 0u8;
+    for (i, &b) in bits.iter().enumerate() {
+        byte |= u8::from(b) << (i % 8);
+        if i % 8 == 7 {
+            out.push(byte);
+            byte = 0;
+        }
+    }
+    if !bits.len().is_multiple_of(8) {
+        out.push(byte);
+    }
+}
+
+/// `f32` bit patterns the XOR writer must carry exactly: arbitrary words,
+/// ±0, subnormals and NaN payloads of either sign.
+fn arb_f32_bits() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        any::<u32>(),
+        Just(0u32),
+        Just(0x8000_0000u32),
+        1u32..0x0080_0000,
+        0x7f80_0001u32..0x8000_0000,
+        0xff80_0001u32..u32::MAX,
+        Just(u32::MAX),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -539,6 +625,101 @@ proptest! {
         if let Ok(decoded) = decode(&streams) {
             prop_assert!(decoded.reserved_values() <= 2 * (8 * bit_bytes + other_bytes));
         }
+    }
+
+    #[test]
+    fn sized_columns_round_trip_the_shapes_sizing_must_count(
+        (rows, expected) in arb_shaped_stripe(),
+    ) {
+        use dwrf::stream::{decode_columns, encode_columns};
+        use dwrf::StreamKind;
+        let features: std::collections::BTreeSet<FeatureId> = rows
+            .iter()
+            .flat_map(|row| row.dense_iter().map(|(f, _)| f).chain(row.sparse_iter().map(|(f, _)| f)))
+            .collect();
+        let streams: Vec<(FeatureId, StreamKind, Vec<u8>)> = encode_columns(&rows, true)
+            .into_iter()
+            .flat_map(|(feature, streams)| {
+                streams.into_iter().map(move |(kind, raw)| (feature, kind, raw))
+            })
+            .collect();
+        let decoded = decode_columns(streams.iter().map(|(f, k, raw)| Ok((*f, *k, raw))), rows.len())
+            .expect("valid streams");
+        prop_assert_eq!(decoded.len(), features.len());
+        // One flattened stripe, so the column-level scored-ness is the
+        // stripe's, then every cell back through the reader.
+        let mut w = FileWriter::new(WriterOptions {
+            rows_per_stripe: rows.len(),
+            ..Default::default()
+        });
+        for row in &rows {
+            w.push(row.clone());
+        }
+        let file = w.finish().expect("non-empty file");
+        let reader = FileReader::open(file.bytes().clone()).expect("valid file");
+        let got = reader.read_all_unprojected().expect("decodable");
+        prop_assert_eq!(got.len(), expected.len());
+        for (r, (got, want)) in got.iter().zip(&expected).enumerate() {
+            for &f in &features {
+                prop_assert_eq!((r, f, got.feature(f)), (r, f, want.feature(f)));
+            }
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn bitmap_writer_matches_a_bit_by_bit_reference(
+        bits in proptest::collection::vec(any::<bool>(), 0..300),
+        prefix in proptest::collection::vec(any::<u8>(), 0..4),
+    ) {
+        use dwrf::encoding::{read_bitmap, Bitmap};
+        let mut bitmap = Bitmap::zeros(bits.len());
+        for (i, _) in bits.iter().enumerate().filter(|(_, &b)| b) {
+            bitmap.set(i);
+        }
+        let mut reference = prefix.clone();
+        bitmap_by_bits(&mut reference, &bits);
+        let mut written = prefix.clone();
+        bitmap.write(&mut written);
+        prop_assert_eq!(&written, &reference);
+        let read = read_bitmap(&written[prefix.len()..]).expect("its own bytes");
+        let ones: Vec<usize> = (0..bits.len()).filter(|&i| bits[i]).collect();
+        prop_assert_eq!(read.ones().collect::<Vec<_>>(), ones);
+        prop_assert_eq!(&read, &bitmap);
+    }
+
+    #[test]
+    fn word_xor_writer_matches_the_per_value_reference(
+        draws in proptest::collection::vec((arb_f32_bits(), any::<bool>()), 0..200),
+        prefix in proptest::collection::vec(any::<u8>(), 0..4),
+    ) {
+        use dwrf::encoding::{read_f32s_xor, write_f32s_xor, write_varint};
+        // A flagged draw complements its predecessor: a u32::MAX delta.
+        let mut bits: Vec<u32> = Vec::with_capacity(draws.len());
+        for (draw, complement) in draws {
+            let next = match bits.last() {
+                Some(&prev) if complement => !prev,
+                _ => draw,
+            };
+            bits.push(next);
+        }
+        let values: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+        let mut reference = prefix.clone();
+        write_varint(&mut reference, values.len() as u64);
+        let mut prev = 0u32;
+        for &b in &bits {
+            write_varint(&mut reference, u64::from(b ^ prev));
+            prev = b;
+        }
+        let mut written = prefix.clone();
+        write_f32s_xor(&mut written, &values);
+        prop_assert_eq!(&written, &reference);
+        let read: Vec<u32> = read_f32s_xor(&written[prefix.len()..])
+            .expect("its own bytes")
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        prop_assert_eq!(&read, &bits);
     }
 
     #[test]
