@@ -156,9 +156,7 @@ fn bench_plans(c: &mut Criterion) {
 /// per sample then `materialize`, against the worker's four calls
 /// (`capture_ctx`, `sparse_caps`, `materialize_capped`, `apply_with_cost`).
 fn bench_columnar(c: &mut Criterion) {
-    use dsi_types::rng::SplitMix64;
     use dsi_types::{Batch, FeatureKind};
-    use synth::{JobProjectionSampler, RmClass, RmProfile, SampleGenerator};
     use transforms::ColumnarPlan;
     let mut group = c.benchmark_group("columnar_vs_row");
     group.sample_size(20);
@@ -222,35 +220,121 @@ fn bench_columnar(c: &mut Criterion) {
     // Generation: the derivation-heavy preset (three derived features per
     // stored one) over an RM1 job's projection, as dsibench's
     // `transform_bound` runs it.
-    let profile = RmProfile::of(RmClass::Rm1);
-    let schema = profile.build_schema(120);
-    let projection = JobProjectionSampler::new(&schema, &profile, 0xd51)
-        .sample_projection(&mut SplitMix64::new(0xd51 ^ 0xabc));
-    let of_kind = |kind| -> Vec<FeatureId> {
-        let ids = schema.ids_of_kind(kind).into_iter();
-        ids.filter(|f| projection.contains(*f)).collect()
-    };
+    let rm1 = Rm1::new(512);
     let plan = TransformPlan::preset(
-        &projection,
-        &schema.ids_of_kind(FeatureKind::Sparse),
-        &schema.ids_of_kind(FeatureKind::Dense),
+        &rm1.projection,
+        &rm1.schema.ids_of_kind(FeatureKind::Sparse),
+        &rm1.schema.ids_of_kind(FeatureKind::Dense),
         3.0,
         1_000_000,
     );
-    let dense_ids = of_kind(FeatureKind::Dense);
-    let mut sparse_ids = of_kind(FeatureKind::Sparse);
+    let mut sparse_ids = rm1.sparse_ids.clone();
     sparse_ids.extend(plan.derived_feature_ids());
-    let batch: Batch = SampleGenerator::new(&schema, 18)
-        .take_samples(512)
-        .into_iter()
-        .map(|mut s| {
-            s.project(|f| projection.contains(f));
-            s
-        })
-        .collect();
-    case("generation", &plan, &batch, &dense_ids, &sparse_ids);
+    case("generation", &plan, &rm1.batch, &rm1.dense_ids, &sparse_ids);
     group.finish();
 }
 
-criterion_group!(benches, bench_ops, bench_plans, bench_columnar);
+/// An RM1 job's projection and one batch of its rows, projected.
+struct Rm1 {
+    schema: dsi_types::Schema,
+    projection: dsi_types::Projection,
+    dense_ids: Vec<FeatureId>,
+    sparse_ids: Vec<FeatureId>,
+    batch: dsi_types::Batch,
+}
+
+impl Rm1 {
+    fn new(rows: usize) -> Self {
+        use dsi_types::rng::SplitMix64;
+        use dsi_types::FeatureKind;
+        use synth::{JobProjectionSampler, RmClass, RmProfile, SampleGenerator};
+        let profile = RmProfile::of(RmClass::Rm1);
+        let schema = profile.build_schema(120);
+        let projection = JobProjectionSampler::new(&schema, &profile, 0xd51)
+            .sample_projection(&mut SplitMix64::new(0xd51 ^ 0xabc));
+        let of_kind = |kind| -> Vec<FeatureId> {
+            let ids = schema.ids_of_kind(kind).into_iter();
+            ids.filter(|f| projection.contains(*f)).collect()
+        };
+        let (dense_ids, sparse_ids) = (of_kind(FeatureKind::Dense), of_kind(FeatureKind::Sparse));
+        let batch = SampleGenerator::new(&schema, 18)
+            .take_samples(rows)
+            .into_iter()
+            .map(|mut s| {
+                s.project(|f| projection.contains(f));
+                s
+            })
+            .collect();
+        Rm1 {
+            schema,
+            projection,
+            dense_ids,
+            sparse_ids,
+            batch,
+        }
+    }
+}
+
+/// The columnar hashing kernels the worker runs, one one-op plan each over
+/// one 256-row RM1 batch, timed through `apply_with_cost`. The inputs are
+/// the batch's two longest sparse features, and only the op's columns are
+/// materialized, so the tensor clone each iteration pays stays small.
+fn bench_columnar_kernels(c: &mut Criterion) {
+    use transforms::ColumnarPlan;
+    let mut group = c.benchmark_group("columnar_kernels");
+    group.sample_size(30);
+    let rm1 = Rm1::new(256);
+    let mut by_ids = rm1.sparse_ids.clone();
+    let ids_of = |f| -> usize {
+        let lists = rm1.batch.samples().iter().filter_map(|s| s.sparse(f));
+        lists.map(SparseList::len).sum()
+    };
+    by_ids.sort_by_key(|&f| std::cmp::Reverse(ids_of(f)));
+    let (a, b) = (by_ids[0], by_ids[1]);
+    let output = FeatureId(transforms::plan::DERIVED_FEATURE_BASE);
+    let ngram = |n| TransformOp::NGram {
+        input: a,
+        n,
+        output,
+    };
+    let cases = [
+        (
+            "sigrid_hash",
+            TransformOp::SigridHash {
+                input: a,
+                salt: 7,
+                modulus: 1_000_000,
+            },
+        ),
+        ("ngram2", ngram(2)),
+        ("ngram3", ngram(3)),
+        ("cartesian", TransformOp::Cartesian { a, b, output }),
+    ];
+    for (name, op) in cases {
+        let mut sparse_ids = op.sparse_inputs();
+        sparse_ids.extend(op.output_feature());
+        sparse_ids.sort_unstable();
+        sparse_ids.dedup();
+        let plan = TransformPlan::new(vec![op]);
+        let (_, columnar) = ColumnarPlan::split_plan(&plan);
+        let ctx = columnar.capture_ctx(rm1.batch.samples(), &[], &sparse_ids);
+        let tensor = rm1.batch.materialize(&[], &sparse_ids);
+        group.bench_function(name, |bench| {
+            bench.iter(|| {
+                let mut tensor = tensor.clone();
+                let applied = columnar.apply_with_cost(&mut tensor, &[], &ctx, plan.cost_model());
+                black_box((tensor, applied.cost))
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_ops,
+    bench_plans,
+    bench_columnar,
+    bench_columnar_kernels
+);
 criterion_main!(benches);

@@ -19,7 +19,7 @@
 use crate::cost::OpCost;
 use crate::op::TransformOp;
 use crate::plan::{PlanCost, TransformPlan};
-use dsi_types::rng::mix2;
+use dsi_types::rng::{mix2, mix64};
 use dsi_types::{DenseMatrix, FeatureId, MiniBatchTensor, Sample, SparseTensor};
 use std::collections::BTreeMap;
 
@@ -464,7 +464,12 @@ impl Columns<'_> {
                 salt,
                 modulus,
             } => self.in_place(*input, |t, _| {
-                t.map_values_in_place(|v| mix2(*salt, v) % modulus)
+                let modulus = Modulus::new(*modulus);
+                let values = t.rows_mut().1;
+                wide(
+                    #[inline(always)]
+                    || sigrid_hash(values, *salt, modulus),
+                )
             }),
             TransformOp::PositiveModulus { input, modulus } => {
                 self.in_place(*input, |t, _| t.map_values_in_place(|v| v % modulus))
@@ -531,7 +536,7 @@ impl Columns<'_> {
             } => {
                 let tz = *tz_offset_secs as i64;
                 self.dense_apply(*input, |v| {
-                    ((v as i64 + tz).rem_euclid(86_400) / 3_600) as f32
+                    ((v as i64).wrapping_add(tz).rem_euclid(86_400) / 3_600) as f32
                 })
             }
             TransformOp::NGram { input, n, output } => {
@@ -541,7 +546,10 @@ impl Columns<'_> {
                 let n64 = *n as u64;
                 let elements = row_lens(col).map(|l| l.saturating_sub(n64 - 1) * n64).sum();
                 if self.sparse(*output).is_some() {
-                    let fresh = ngram(col, *n, born_cap);
+                    let fresh = wide(
+                        #[inline(always)]
+                        || ngram(col, *n, born_cap),
+                    );
                     self.install(*output, fresh, self.written(&[*input]), born_cap);
                 }
                 elements
@@ -552,7 +560,10 @@ impl Columns<'_> {
                 };
                 let elements = row_lens(ca).zip(row_lens(cb)).map(|(la, lb)| la * lb).sum();
                 if self.sparse(*output).is_some() {
-                    let fresh = cartesian(ca, cb, born_cap);
+                    let fresh = wide(
+                        #[inline(always)]
+                        || cartesian(ca, cb, born_cap),
+                    );
                     self.install(*output, fresh, self.written(&[*a, *b]), born_cap);
                 }
                 elements
@@ -738,6 +749,7 @@ impl Columns<'_> {
 /// A generator's output before it joins its column: a CSR over the whole
 /// batch, each row cut at the cap the column is born with (rows the
 /// generator skips are empty), and the rows' lengths before the cut.
+#[derive(Debug, PartialEq)]
 struct Fresh {
     offsets: Vec<u32>,
     values: Vec<u64>,
@@ -762,42 +774,166 @@ impl Fresh {
     }
 }
 
+/// Runs a hashing kernel as the widest build of it the host can run. The
+/// builds are one body compiled for different vector units: the closure
+/// must be `#[inline(always)]` (and so must the kernel it calls), or it
+/// stays out of line and compiles without the features.
+///
+/// The vectorized loops are the 64-bit multiplies of `mix64`. AVX-512
+/// (F, DQ and VL) does them natively, eight lanes at a time (`vpmullq`);
+/// AVX2 builds each from three 32-bit multiplies, four lanes at a time.
+/// The x86-64 baseline (SSE2) build does the same two lanes at a time,
+/// which is slower than scalar code, but LLVM picks it anyway, so it runs
+/// only on x86-64 hosts without AVX2. NEON has no 64-bit lane multiply
+/// either.
+#[inline(always)]
+fn wide<R>(kernel: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if has_avx512() {
+            // SAFETY: the host has every feature `avx512` enables.
+            return unsafe { avx512(kernel) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the host has AVX2, the one feature `avx2` enables.
+            return unsafe { avx2(kernel) };
+        }
+    }
+    kernel()
+}
+
+/// Whether the host can run [`avx512`]. `std` caches the detection: after
+/// the first call each check is a load.
+#[cfg(target_arch = "x86_64")]
+fn has_avx512() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512dq")
+        && std::arch::is_x86_feature_detected!("avx512vl")
+}
+
+/// [`wide`]'s AVX-512 build: `kernel` inlined into a body compiled with
+/// the features.
+///
+/// # Safety
+///
+/// The host must support AVX-512F, AVX-512DQ and AVX-512VL.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+unsafe fn avx512<R>(kernel: impl FnOnce() -> R) -> R {
+    kernel()
+}
+
+/// [`wide`]'s AVX2 build, for hosts without AVX-512.
+///
+/// # Safety
+///
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn avx2<R>(kernel: impl FnOnce() -> R) -> R {
+    kernel()
+}
+
+/// `x % d` for one divisor `d` over many `x`, without a divide: Barrett
+/// reduction by `m = ⌊(2⁶⁴ − 1) / d⌋`. The quotient estimate
+/// `q = ⌊x·m / 2⁶⁴⌋` undershoots `x / d` by `x·(2⁶⁴/d − m) / 2⁶⁴`, and
+/// `2⁶⁴/d − m ≤ 1`, so by less than one for every `x < 2⁶⁴`: `q` is at
+/// most one short, and one conditional subtract makes the remainder exact.
+#[derive(Debug, Clone, Copy)]
+struct Modulus {
+    d: u64,
+    m: u64,
+}
+
+impl Modulus {
+    /// # Panics
+    ///
+    /// Panics if `d` is zero.
+    fn new(d: u64) -> Self {
+        assert!(d > 0, "modulus must be positive");
+        Modulus { d, m: u64::MAX / d }
+    }
+
+    #[inline(always)]
+    fn rem(self, x: u64) -> u64 {
+        let q = ((u128::from(x) * u128::from(self.m)) >> 64) as u64;
+        let r = x - q * self.d;
+        if r >= self.d {
+            r - self.d
+        } else {
+            r
+        }
+    }
+}
+
+/// `SigridHash` over a column's values, in two passes that each vectorize:
+/// every id salted and mixed, then every hash reduced.
+#[inline(always)]
+fn sigrid_hash(values: &mut [u64], salt: u64, modulus: Modulus) {
+    for v in values.iter_mut() {
+        *v = mix2(salt, *v);
+    }
+    for v in values.iter_mut() {
+        *v = modulus.rem(*v);
+    }
+}
+
 /// Windows of `n` ids a list of `len` has, at most `cap` of them kept.
 fn windows_kept(len: usize, n: usize, cap: usize) -> usize {
     (len + 1).saturating_sub(n).min(cap)
 }
 
-/// `NGram`: each window of `n` consecutive ids of a row folds into one id.
-/// An absent row is empty and has no windows, like a short one.
+/// `NGram`: each window of `n` consecutive ids of a row folds into one id,
+/// `fold(0, mix2)` with `mix2(acc, id) = mix64(acc ^ mix64(id))`. An absent
+/// row is empty and has no windows, like a short one.
+///
+/// Column-wide: every id is mixed once, then level `k` of `n` folds id
+/// `p + k` into the window at `p` for every `p` of the column at once. A
+/// window near a row's end reads into the next row; it is never kept.
+#[inline(always)]
 fn ngram(input: &SparseTensor, n: usize, cap: usize) -> Fresh {
-    let rows = input.rows();
-    let nnz = (0..rows)
-        .map(|r| windows_kept(input.row(r).len(), n, cap))
-        .sum();
-    let mut out = Fresh::with_capacity(rows, nnz);
-    for r in 0..rows {
-        let row = input.row(r);
-        let hashed = row.windows(n).take(cap);
-        out.values
-            .extend(hashed.map(|w| w.iter().fold(0u64, |acc, &id| mix2(acc, id))));
-        out.end_row(windows_kept(row.len(), n, usize::MAX) as u64);
+    assert!(n >= 1, "n must be at least 1");
+    let (offsets, ids) = (input.offsets(), input.values());
+    let lens = || offsets.windows(2).map(|w| (w[1] - w[0]) as usize);
+    let nnz = lens().map(|l| windows_kept(l, n, cap)).sum();
+    let mut out = Fresh::with_capacity(input.rows(), nnz);
+    let mixed: Vec<u64> = ids.iter().map(|&id| mix64(id)).collect();
+    let mut acc = vec![0u64; ids.len()];
+    for k in 0..n.min(ids.len()) {
+        for (a, &m) in acc[..ids.len() - k].iter_mut().zip(&mixed[k..]) {
+            *a = mix64(*a ^ m);
+        }
+    }
+    for (start, len) in offsets.iter().zip(lens()) {
+        let start = *start as usize;
+        let kept = windows_kept(len, n, cap);
+        out.values.extend_from_slice(&acc[start..start + kept]);
+        out.end_row(windows_kept(len, n, usize::MAX) as u64);
     }
     out
 }
 
 /// `Cartesian`: every id pair of a row, `a`-major, stopping at `cap` pairs.
+/// A pair hashes as `mix2(ia, ib) = mix64(ia ^ mix64(ib))`, so every `b` id
+/// is mixed once and each pair costs one `mix64`.
+#[inline(always)]
 fn cartesian(a: &SparseTensor, b: &SparseTensor, cap: usize) -> Fresh {
     let rows = a.rows();
     let pairs = |r: usize| a.row(r).len() as u64 * b.row(r).len() as u64;
     let nnz = (0..rows).map(|r| pairs(r).min(cap as u64) as usize).sum();
     let mut out = Fresh::with_capacity(rows, nnz);
+    let mixed_b: Vec<u64> = b.values().iter().map(|&id| mix64(id)).collect();
+    let b_offsets = b.offsets();
     for r in 0..rows {
-        let (row_a, row_b) = (a.row(r), b.row(r));
+        let row_b = &mixed_b[b_offsets[r] as usize..b_offsets[r + 1] as usize];
         let mut room = cap;
-        for &ia in row_a {
+        for &ia in a.row(r) {
             let take = room.min(row_b.len());
-            out.values
-                .extend(row_b[..take].iter().map(|&ib| mix2(ia, ib)));
+            let at = out.values.len();
+            out.values.resize(at + take, 0);
+            for (o, &mb) in out.values[at..].iter_mut().zip(&row_b[..take]) {
+                *o = mix64(ia ^ mb);
+            }
             room -= take;
             if room == 0 {
                 break;
@@ -898,12 +1034,20 @@ mod tests {
     /// Runs `plan` both ways over [`batch`] — the whole plan per sample,
     /// and the worker's four calls — and checks tensors and cost agree.
     fn assert_matches_row_path(plan: &TransformPlan, sparse_ids: &[FeatureId]) -> MiniBatchTensor {
-        let (row_out, row_cost) = plan.apply_batch(batch(), 0);
+        assert_matches_row_path_over(batch(), plan, sparse_ids)
+    }
+
+    /// [`assert_matches_row_path`] over a batch of the caller's.
+    fn assert_matches_row_path_over(
+        batch: Batch,
+        plan: &TransformPlan,
+        sparse_ids: &[FeatureId],
+    ) -> MiniBatchTensor {
+        let (row_out, row_cost) = plan.apply_batch(batch.clone(), 0);
         let row_tensor = row_out.materialize(&DENSE, sparse_ids);
 
         let (residue, columnar) = ColumnarPlan::split_plan(plan);
         assert!(residue.is_empty());
-        let batch = batch();
         let ctx = columnar.capture_ctx(batch.samples(), &DENSE, sparse_ids);
         let caps = columnar.sparse_caps(sparse_ids);
         let mut tensor = batch.materialize_capped(&DENSE, sparse_ids, &caps);
@@ -1079,6 +1223,143 @@ mod tests {
         // With a default nothing drops.
         let plan = TransformPlan::new(vec![map_id(Some(9)), enumerate, score]);
         assert_eq!(assert_matches_row_path(&plan, &ids).sparse[0].nnz(), 128);
+    }
+
+    #[test]
+    fn get_local_hour_survives_extreme_timestamps() {
+        // `v as i64` saturates, so the offset used to overflow the add:
+        // a debug build panicked, a release build wrapped. Both wrap now.
+        let extremes = [
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1e19,
+            -1e19,
+            f32::MAX,
+            -f32::MAX,
+        ];
+        let batch: Batch = extremes
+            .iter()
+            .map(|&v| {
+                let mut s = Sample::new(0.0);
+                s.set_dense(FeatureId(1), v);
+                s
+            })
+            .collect();
+        for tz_offset_secs in [-3_600, 3_600] {
+            let plan = TransformPlan::new(vec![TransformOp::GetLocalHour {
+                input: FeatureId(1),
+                tz_offset_secs,
+            }]);
+            let tensor = assert_matches_row_path_over(batch.clone(), &plan, &[]);
+            for r in 0..extremes.len() {
+                let hour = tensor.dense.get(r, 1);
+                assert!((0.0..24.0).contains(&hour), "row {r}: hour {hour}");
+            }
+        }
+    }
+
+    #[test]
+    fn modulus_matches_the_remainder_operator() {
+        let mut divisors = vec![1, 3, 1_000_000, u64::MAX - 1, u64::MAX];
+        for k in [1, 2, 7, 31, 32, 33, 63] {
+            let p = 1u64 << k;
+            divisors.extend([p - 1, p, p + 1]);
+        }
+        let mut rng = dsi_types::rng::SplitMix64::new(0x5eed);
+        // A random divisor and dividend of every pair of bit lengths.
+        let mut of_bits = |bits: u32| (rng.next_u64() >> (64 - bits)) | 1 << (bits - 1);
+        let mut pairs = Vec::new();
+        for db in 1..=64 {
+            for xb in 1..=64 {
+                pairs.push((of_bits(db), of_bits(xb)));
+            }
+        }
+        for &d in &divisors {
+            for x in [0, d - 1, d, d.wrapping_add(1), u64::MAX] {
+                pairs.push((d, x));
+            }
+        }
+        for (d, x) in pairs {
+            assert_eq!(Modulus::new(d).rem(x), x % d, "{x} % {d}");
+        }
+    }
+
+    /// Runs `kernel` as every build of [`wide`] this host can run, checks
+    /// each against the portable one, and returns that. A host without a
+    /// build checks only the others.
+    fn every_build<R: PartialEq + std::fmt::Debug>(kernel: impl Fn() -> R) -> R {
+        let portable = kernel();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if has_avx512() {
+                // SAFETY: the host has every feature `avx512` enables.
+                assert_eq!(unsafe { avx512(&kernel) }, portable, "avx512");
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: the host has AVX2.
+                assert_eq!(unsafe { avx2(&kernel) }, portable, "avx2");
+            }
+        }
+        portable
+    }
+
+    #[test]
+    fn wide_kernels_equal_their_portable_bodies() {
+        // Rows of every length 0..=7, ids spread over all 64 bits.
+        let mut rng = dsi_types::rng::SplitMix64::new(7);
+        let (mut offsets, mut values) = (vec![0u32], Vec::new());
+        for r in 0..40 {
+            values.extend((0..r % 8).map(|_| rng.next_u64()));
+            offsets.push(values.len() as u32);
+        }
+        let a = SparseTensor::from_parts(FeatureId(1), offsets.clone(), values.clone(), None);
+        offsets.reverse();
+        let offsets: Vec<u32> = offsets.iter().map(|&o| values.len() as u32 - o).collect();
+        let b = SparseTensor::from_parts(FeatureId(2), offsets, values.clone(), None);
+
+        for cap in [0, 1, 3, usize::MAX] {
+            for n in 1..=6 {
+                let portable = every_build(
+                    #[inline(always)]
+                    || ngram(&a, n, cap),
+                );
+                // The row-at-a-time fold the passes replace.
+                let folded: Vec<u64> = (0..a.rows())
+                    .flat_map(|r| {
+                        let windows = a.row(r).windows(n).take(cap);
+                        windows.map(|w| w.iter().fold(0, |acc, &id| mix2(acc, id)))
+                    })
+                    .collect();
+                assert_eq!(portable.values, folded, "n {n} cap {cap}");
+            }
+            let portable = every_build(
+                #[inline(always)]
+                || cartesian(&a, &b, cap),
+            );
+            let paired: Vec<u64> = (0..a.rows())
+                .flat_map(|r| {
+                    let (row_a, row_b) = (a.row(r), b.row(r));
+                    let pairs = row_a
+                        .iter()
+                        .flat_map(|&ia| row_b.iter().map(move |&ib| mix2(ia, ib)));
+                    pairs.take(cap)
+                })
+                .collect();
+            assert_eq!(portable.values, paired, "cap {cap}");
+        }
+        for d in [1, 997, 1 << 40, u64::MAX] {
+            let modulus = Modulus::new(d);
+            let portable = every_build(
+                #[inline(always)]
+                || {
+                    let mut hashed = values.clone();
+                    sigrid_hash(&mut hashed, 5, modulus);
+                    hashed
+                },
+            );
+            let reference: Vec<u64> = values.iter().map(|&v| mix2(5, v) % d).collect();
+            assert_eq!(portable, reference);
+        }
     }
 
     #[test]

@@ -342,7 +342,7 @@ impl TransformOp {
                 tz_offset_secs,
             } => {
                 if let Some(v) = s.dense(*input) {
-                    let local = v as i64 + *tz_offset_secs as i64;
+                    let local = (v as i64).wrapping_add(i64::from(*tz_offset_secs));
                     let hour = local.rem_euclid(86_400) / 3_600;
                     s.set_dense(*input, hour as f32);
                 }

@@ -104,13 +104,22 @@ fn arb_output() -> impl Strategy<Value = FeatureId> {
 /// residue).
 fn arb_plan_op() -> impl Strategy<Value = TransformOp> {
     prop_oneof![
-        (arb_feature(40..90), any::<u64>(), 1u64..100_000).prop_map(|(input, salt, modulus)| {
-            TransformOp::SigridHash {
+        // Moduli small enough that hashed ids collide and reach MapId's
+        // keys, every other positive `u64`, and the powers of two.
+        (
+            arb_feature(40..90),
+            any::<u64>(),
+            prop_oneof![
+                1u64..100_000,
+                any::<u64>().prop_map(|m| m.max(1)),
+                (0u32..64).prop_map(|k| 1u64 << k)
+            ]
+        )
+            .prop_map(|(input, salt, modulus)| TransformOp::SigridHash {
                 input,
                 salt,
                 modulus,
-            }
-        }),
+            }),
         (arb_feature(40..90), 1u64..1_000)
             .prop_map(|(input, modulus)| TransformOp::PositiveModulus { input, modulus }),
         (arb_feature(40..90), 0usize..15).prop_map(|(input, x)| TransformOp::FirstX { input, x }),
@@ -154,7 +163,9 @@ fn arb_plan_op() -> impl Strategy<Value = TransformOp> {
             .prop_map(|(a, b, output)| TransformOp::Cartesian { a, b, output }),
         (arb_feature(40..90), arb_feature(40..90), arb_output())
             .prop_map(|(a, b, output)| TransformOp::IdListTransform { a, b, output }),
-        (arb_feature(40..90), 1usize..4, arb_output())
+        // Up to 5: windows longer than most rows, and NGram's column-wide
+        // level passes reading across row ends.
+        (arb_feature(40..90), 1usize..6, arb_output())
             .prop_map(|(input, n, output)| TransformOp::NGram { input, n, output }),
         (arb_feature(0..40), arb_output()).prop_map(|(input, output)| TransformOp::Bucketize {
             input,
