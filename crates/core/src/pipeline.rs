@@ -31,7 +31,7 @@ use dsi_obs::{
     names, next_span_id, now_ns, observe_stage_seconds, stage, Registry, SpanKind, TraceContext,
     TraceSpan,
 };
-use dsi_types::{Batch, Sample, WorkerId};
+use dsi_types::{ColumnBatch, WorkerId};
 use dwrf::IoPlan;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -64,7 +64,7 @@ enum EndReason {
 /// A split fetched and decoded, waiting for the transform stage.
 struct Fetched {
     split: Split,
-    rows: Vec<Sample>,
+    columns: ColumnBatch,
     plan: IoPlan,
     /// Trace context of the split's `Schedule` span (NONE when unsampled);
     /// each stage parents its span under it.
@@ -77,7 +77,7 @@ struct Fetched {
 /// A transformed split, waiting for the deliver stage.
 struct Transformed {
     split: Split,
-    batch: Batch,
+    batch: ColumnBatch,
     delta: WorkerReport,
     trace: TraceContext,
 }
@@ -193,16 +193,16 @@ impl Stages {
         // failed read records none.
         let stage = self.open(trace, SpanKind::Extract, split.index);
         let read = match &stage {
-            Some(s) => self.scan.read_split_traced(&split, s.ctx(), &s.reg),
-            None => self.scan.read_split(&split),
+            Some(s) => self.scan.read_split_columns_traced(&split, s.ctx(), &s.reg),
+            None => self.scan.read_split_columns(&split),
         };
-        let (rows, plan) = read.map_err(|_| EndReason::StageFailed)?;
+        let (columns, plan) = read.map_err(|_| EndReason::StageFailed)?;
         if let Some(s) = stage {
             s.close();
         }
         Ok(Fetched {
             split,
-            rows,
+            columns,
             plan,
             trace,
             ready_at: Instant::now(),
@@ -215,7 +215,7 @@ impl Stages {
     fn transform(&self, f: Fetched) -> Transformed {
         let stage = self.open(f.trace, SpanKind::Transform, f.split.index);
         let (batch, delta) = Worker::transform_stage(
-            &self.spec, &self.exec, &self.cost, &f.split, f.rows, &f.plan,
+            &self.spec, &self.exec, &self.cost, &f.split, f.columns, &f.plan,
         );
         if let Some(s) = stage {
             s.close();

@@ -3,11 +3,16 @@
 //! A Worker repeatedly asks its Master for a split, then (§III-B1):
 //!
 //! 1. **extract** — reads the split's raw Tectonic chunks, decrypts,
-//!    decompresses, and decodes them into rows, filtering unused features;
+//!    decompresses, and decodes them into a [`dsi_types::ColumnBatch`],
+//!    filtering unused features;
 //! 2. **transform** — applies the session's [`transforms::TransformPlan`]
 //!    locally to each mini-batch;
-//! 3. **load** — batches samples into [`dsi_types::MiniBatchTensor`]s and
-//!    buffers them for Clients.
+//! 3. **load** — slices the columns into [`dsi_types::MiniBatchTensor`]s
+//!    and buffers them for Clients.
+//!
+//! The split stays in columns from stripe to tensor. Only sessions whose
+//! transform stage must see rows — dedup, `fastpath: false` and beta-feature
+//! injection — turn it into [`dsi_types::Sample`]s and back.
 //!
 //! Workers are stateless: any split can run on any worker, so the fleet
 //! scales out freely and failures need no checkpoint restore. Every stage
@@ -16,9 +21,11 @@
 //! bottlenecks (Table IX, Fig. 9).
 
 use crate::session::SessionSpec;
-use dsi_types::{Batch, MiniBatchTensor, Result, Sample, WorkerId};
+use dsi_types::{Batch, Bitmap, ColumnBatch, MiniBatchTensor, Result, WorkerId};
 use dwrf::IoPlan;
+use std::ops::Range;
 use std::sync::Arc;
+use transforms::plan::PlanCost;
 use transforms::{ColumnarPlan, COLUMNAR_KERNELS};
 use warehouse::{Split, TableScan};
 
@@ -30,10 +37,14 @@ use warehouse::{Split, TableScan};
 /// the whole plan on rows.
 #[derive(Debug)]
 pub(crate) struct ExecPlan {
-    /// What must see individual [`Sample`]s: the whole plan for dedup and
-    /// non-fastpath sessions, otherwise only its `Sampling` ops (the
-    /// batch-level row filter).
+    /// What must see individual [`dsi_types::Sample`]s: the whole plan for
+    /// dedup and non-fastpath sessions, otherwise only its `Sampling` ops
+    /// (the batch-level row filter).
     pub row: transforms::TransformPlan,
+    /// Whether the transform stage works on rows: dedup, non-fastpath and
+    /// injection sessions. The rest only filter, by a row mask over the
+    /// split's columns.
+    pub on_rows: bool,
     /// Every other op, run over the materialized tensor's columns.
     pub columnar: ColumnarPlan,
     /// Per-feature materialization caps aligned with `spec.sparse_ids`
@@ -50,12 +61,14 @@ impl ExecPlan {
             let sparse_caps = columnar.sparse_caps(&spec.sparse_ids);
             Self {
                 row,
+                on_rows: !spec.injections.is_empty(),
                 columnar,
                 sparse_caps,
             }
         } else {
             Self {
                 row: spec.plan.clone(),
+                on_rows: true,
                 columnar: ColumnarPlan::empty(),
                 sparse_caps: Vec::new(),
             }
@@ -269,7 +282,8 @@ pub struct Worker {
     pub(crate) exec: Arc<ExecPlan>,
     pub(crate) scan: TableScan,
     pub(crate) cost: ExtractCostModel,
-    carry: Batch,
+    /// Rows left over after the last full mini-batch.
+    carry: ColumnBatch,
     report: WorkerReport,
 }
 
@@ -284,7 +298,7 @@ impl Worker {
             exec,
             scan,
             cost: ExtractCostModel::default(),
-            carry: Batch::new(),
+            carry: ColumnBatch::default(),
             report: WorkerReport::default(),
         }
     }
@@ -315,15 +329,15 @@ impl Worker {
     ///
     /// Propagates storage and decode failures.
     pub fn process_split(&mut self, split: &Split) -> Result<Vec<MiniBatchTensor>> {
-        let (rows, plan) = self.scan.read_split(split)?;
+        let (columns, plan) = self.scan.read_split_columns(split)?;
         let (transformed, delta) =
-            Self::transform_stage(&self.spec, &self.exec, &self.cost, split, rows, &plan);
+            Self::transform_stage(&self.spec, &self.exec, &self.cost, split, columns, &plan);
         Ok(self.load_stage(transformed, delta))
     }
 
     /// The middle stage: extract accounting, beta-feature injection, and
-    /// the transform plan, all on already-read rows. Free of worker state
-    /// so it can run on a different thread than the owner of the
+    /// the transform plan, all on already-read columns. Free of worker
+    /// state so it can run on a different thread than the owner of the
     /// [`WorkerReport`]; its accounting comes back as a report delta for
     /// [`Worker::load_stage`] to merge. It sees only this split's rows —
     /// samples carried over from the previous split were transformed with
@@ -334,12 +348,12 @@ impl Worker {
         exec: &ExecPlan,
         cost: &ExtractCostModel,
         split: &Split,
-        rows: Vec<Sample>,
+        columns: ColumnBatch,
         plan: &IoPlan,
-    ) -> (Batch, WorkerReport) {
+    ) -> (ColumnBatch, WorkerReport) {
         let mut delta = WorkerReport::default();
         // ---- extract accounting ----
-        let decoded_bytes: u64 = rows.iter().map(|s| s.payload_bytes() as u64).sum();
+        let decoded_bytes = columns.payload_bytes() as u64;
         // Over-read bytes are transferred (NIC + memcpy) but never
         // decrypted/decompressed; decode is charged on the true
         // decompressed volume (whole rows for unflattened map files).
@@ -357,30 +371,42 @@ impl Worker {
         delta.membw_bytes = transferred as f64 * cost.transfer_membw_per_byte
             + wanted as f64 * (cost.decrypt_membw_per_byte + cost.decompress_membw_per_byte)
             + uncompressed as f64 * cost.decode_membw_per_byte;
-        delta.samples = rows.len() as u64;
+        delta.samples = columns.len() as u64;
         delta.peak_resident_bytes = uncompressed + transferred;
-
-        // ---- inject back-filled beta features (dynamic join) ----
-        let mut rows = rows;
-        for injection in &spec.injections {
-            for row in &mut rows {
-                injection.apply(row);
-            }
-        }
 
         // ---- transform ----
         let base_row = split.index * 1_000_000; // distinct sampling domains per split
-        let batch = Batch::from_samples(rows);
-        let (transformed, tcost) = if let Some(cfg) = &spec.dedup {
-            let (out, tcost, stats) = dedup::apply_batch_dedup(&spec.plan, batch, base_row, cfg);
-            delta.dedup_sets = stats.sets;
-            delta.dedup_rows = stats.rows;
-            delta.dedup_reuse_hits = stats.reuse_hits;
-            (out, tcost)
+        let (transformed, tcost) = if exec.on_rows {
+            let mut rows = columns.into_rows();
+            // ---- inject back-filled beta features (dynamic join) ----
+            for injection in &spec.injections {
+                for row in &mut rows {
+                    injection.apply(row);
+                }
+            }
+            let batch = Batch::from_samples(rows);
+            let (out, tcost) = if let Some(cfg) = &spec.dedup {
+                let (out, tcost, stats) =
+                    dedup::apply_batch_dedup(&spec.plan, batch, base_row, cfg);
+                delta.dedup_sets = stats.sets;
+                delta.dedup_rows = stats.rows;
+                delta.dedup_reuse_hits = stats.reuse_hits;
+                (out, tcost)
+            } else {
+                exec.row.apply_batch(batch, base_row)
+            };
+            (ColumnBatch::from_rows(out.samples()), tcost)
+        } else if exec.row.is_empty() {
+            (columns, PlanCost::default())
         } else {
             // On the fast path `exec.row` only filters rows: every other
             // op runs over the materialized tensor in the load stage.
-            exec.row.apply_batch(batch, base_row)
+            let (survivors, tcost) = exec.row.sample_rows(columns.len(), base_row);
+            if survivors.count_ones() == columns.len() {
+                (columns, tcost)
+            } else {
+                (columns.gather(&survivors), tcost)
+            }
         };
         delta.transform_cycles = tcost.cycles;
         delta.feature_generation_cycles = tcost.feature_generation_cycles;
@@ -391,27 +417,32 @@ impl Worker {
         (transformed, delta)
     }
 
-    /// The final stage: merges the transform stage's report
-    /// delta and batches the carry plus the transformed samples into
-    /// tensors. Owns the carry and the cumulative report, so it always
-    /// runs on the worker's own thread.
+    /// The final stage: merges the transform stage's report delta and
+    /// slices the carry plus the transformed rows into tensors. Owns the
+    /// carry and the cumulative report, so it always runs on the worker's
+    /// own thread.
     pub(crate) fn load_stage(
         &mut self,
-        transformed: Batch,
+        transformed: ColumnBatch,
         delta: WorkerReport,
     ) -> Vec<MiniBatchTensor> {
         self.report.merge(&delta);
-        let mut tensors = Vec::new();
-        let mut pending: Vec<Sample> = std::mem::take(&mut self.carry).into_samples();
-        pending.extend(transformed.into_samples());
+        let pending = std::mem::take(&mut self.carry).concat(transformed);
         let bs = self.spec.batch_size;
-        while pending.len() >= bs {
-            let rest = pending.split_off(bs);
-            let full = Batch::from_samples(pending);
-            pending = rest;
-            tensors.push(self.materialize(&full));
-        }
-        self.carry = Batch::from_samples(pending);
+        let full = pending.len() / bs * bs;
+        let tensors = (0..full)
+            .step_by(bs)
+            .map(|at| self.materialize(&pending, at..at + bs))
+            .collect();
+        self.carry = if full == 0 {
+            pending
+        } else if full < pending.len() {
+            let mut tail = Bitmap::zeros(pending.len());
+            (full..pending.len()).for_each(|row| tail.set(row));
+            pending.gather(&tail)
+        } else {
+            ColumnBatch::default()
+        };
         tensors
     }
 
@@ -421,18 +452,20 @@ impl Worker {
             return None;
         }
         let batch = std::mem::take(&mut self.carry);
-        Some(self.materialize(&batch))
+        Some(self.materialize(&batch, 0..batch.len()))
     }
 
-    fn materialize(&mut self, batch: &Batch) -> MiniBatchTensor {
+    fn materialize(&mut self, batch: &ColumnBatch, rows: Range<usize>) -> MiniBatchTensor {
         let ctx = (!self.exec.columnar.is_empty()).then(|| {
-            self.exec.columnar.capture_ctx(
-                batch.samples(),
+            self.exec.columnar.columns_ctx(
+                batch,
+                rows.clone(),
                 &self.spec.dense_ids,
                 &self.spec.sparse_ids,
             )
         });
-        let mut tensor = batch.materialize_capped(
+        let mut tensor = batch.tensor(
+            rows,
             &self.spec.dense_ids,
             &self.spec.sparse_ids,
             &self.exec.sparse_caps,
@@ -479,7 +512,7 @@ impl Worker {
 mod tests {
     use super::*;
     use crate::session::SessionSpec;
-    use dsi_types::{FeatureId, PartitionId, Projection, SessionId, SparseList, TableId};
+    use dsi_types::{FeatureId, PartitionId, Projection, Sample, SessionId, SparseList, TableId};
     use transforms::{TransformOp, TransformPlan};
     use warehouse::{Table, TableConfig};
 

@@ -297,6 +297,25 @@ impl SparseTensor {
         }
     }
 
+    /// A tensor from CSR parts already known to be well formed (a
+    /// [`crate::ColumnBatch`] slices them): `scores` is `None` or
+    /// value-aligned.
+    pub(crate) fn from_csr(
+        feature: FeatureId,
+        offsets: Vec<u32>,
+        values: Vec<u64>,
+        scores: Option<Vec<f32>>,
+    ) -> Self {
+        debug_assert_eq!(offsets.last().map(|&o| o as usize), Some(values.len()));
+        Self {
+            feature,
+            offsets,
+            values,
+            scored: scores.is_some(),
+            scores: scores.unwrap_or_default(),
+        }
+    }
+
     /// Appends one sample's list as the next row.
     pub fn push_row(&mut self, list: &SparseList) {
         self.push_row_capped(list, usize::MAX);

@@ -2,7 +2,8 @@
 //!
 //! This crate defines the vocabulary of the whole workspace: identifiers
 //! ([`FeatureId`], [`TableId`], ...), feature values ([`DenseValue`],
-//! [`SparseList`]), training [`Sample`]s, materialized [`MiniBatchTensor`]s,
+//! [`SparseList`]), training [`Sample`]s, the [`ColumnBatch`] a stripe decodes
+//! into, materialized [`MiniBatchTensor`]s,
 //! table [`Schema`]s, byte-size [`units`], and the shared error type
 //! [`DsiError`].
 //!
@@ -26,6 +27,8 @@
 #![warn(missing_docs)]
 
 pub mod batch;
+pub mod bitmap;
+pub mod columns;
 pub mod error;
 pub mod feature;
 pub mod id;
@@ -35,6 +38,8 @@ pub mod schema;
 pub mod units;
 
 pub use batch::{Batch, DenseMatrix, MiniBatchTensor, SparseTensor};
+pub use bitmap::Bitmap;
+pub use columns::{ColumnBatch, DenseColumn, SparseColumn};
 pub use error::{DsiError, Result};
 pub use feature::{DenseValue, FeatureKind, FeatureValue, SparseList};
 pub use id::{FeatureId, NodeId, PartitionId, SessionId, SplitId, TableId, WorkerId};

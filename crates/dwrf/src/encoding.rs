@@ -4,6 +4,9 @@
 
 use dsi_types::{DsiError, Result};
 
+/// The presence bitmap lives with the column batches it is part of.
+pub use dsi_types::bitmap::{word_ones, Bitmap};
+
 /// Appends a LEB128 varint encoding of `v` to `out`.
 pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
@@ -518,85 +521,6 @@ pub fn read_f32s_xor(buf: &[u8]) -> Result<Vec<f32>> {
     Ok(out)
 }
 
-/// A presence bitmap, one bit per row, kept packed the way it is stored:
-/// 64 rows to a little-endian word, bit `i` is bit `i % 64` of word
-/// `i / 64`, and the bits past `len` are zero. The writer sets bits in
-/// one ([`Bitmap::zeros`], [`Bitmap::set`], [`Bitmap::write`]) and the
-/// reader decodes into one ([`read_bitmap`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Bitmap {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl Bitmap {
-    /// `len` clear bits.
-    pub fn zeros(len: usize) -> Self {
-        Self {
-            words: vec![0; len.div_ceil(64)],
-            len,
-        }
-    }
-
-    /// Sets bit `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is not below [`Bitmap::len`].
-    #[inline]
-    pub fn set(&mut self, i: usize) {
-        assert!(i < self.len, "bit {i} of a {}-bit bitmap", self.len);
-        self.words[i / 64] |= 1 << (i % 64);
-    }
-
-    /// Appends the stored form: a varint bit count, then the `⌈len / 8⌉`
-    /// bytes the bits take, LSB-first within each byte.
-    pub fn write(&self, out: &mut Vec<u8>) {
-        write_varint(out, self.len as u64);
-        let bytes = self.words.iter().flat_map(|word| word.to_le_bytes());
-        out.extend(bytes.take(self.len.div_ceil(8)));
-    }
-
-    /// Number of bits.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the bitmap holds no bits.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The bits, 64 to a word.
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// The indexes of the set bits, ascending.
-    pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words
-            .iter()
-            .enumerate()
-            .flat_map(|(at, &word)| word_ones(word).map(move |bit| at * 64 + bit))
-    }
-}
-
-/// The positions of the set bits of `word`, ascending.
-pub fn word_ones(mut word: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (word != 0).then(|| {
-            let bit = word.trailing_zeros() as usize;
-            word &= word - 1;
-            bit
-        })
-    })
-}
-
 /// Decodes a whole buffer produced by [`Bitmap::write`], leaving it packed.
 ///
 /// # Errors
@@ -613,7 +537,7 @@ pub fn read_bitmap(buf: &[u8]) -> Result<Bitmap> {
             "bitmap length disagrees with its bit count",
         ));
     }
-    let mut words: Vec<u64> = bytes
+    let words: Vec<u64> = bytes
         .chunks(8)
         .map(|chunk| {
             let mut word = [0u8; 8];
@@ -621,11 +545,8 @@ pub fn read_bitmap(buf: &[u8]) -> Result<Bitmap> {
             u64::from_le_bytes(word)
         })
         .collect();
-    // A hostile tail must not count as rows.
-    if let Some(last) = words.last_mut().filter(|_| len % 64 != 0) {
-        *last &= (1 << (len % 64)) - 1;
-    }
-    Ok(Bitmap { words, len })
+    // A hostile tail must not count as rows: `from_words` clears it.
+    Ok(Bitmap::from_words(words, len))
 }
 
 /// A growable little-endian binary writer for footers and metadata.

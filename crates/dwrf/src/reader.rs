@@ -9,15 +9,14 @@
 
 use crate::cipher::StreamCipher;
 use crate::compress;
-use crate::encoding::{word_ones, Bitmap};
 use crate::plan::{CoalescePolicy, IoPlan};
 use crate::stream::{
     checksum64, decode_columns, decode_dedup_sparse, decode_dense_map, decode_labels,
-    decode_sparse_map, DecodedColumns, StreamInfo, StreamKind, FILE_LEVEL,
+    decode_sparse_map, StreamInfo, StreamKind, FILE_LEVEL,
 };
 use crate::writer::{decode_footer, FileFooter, MAGIC};
 use bytes::Bytes;
-use dsi_types::{DsiError, FeatureId, Projection, Result, Sample, SparseList};
+use dsi_types::{ColumnBatch, DsiError, FeatureId, Projection, Result, Sample};
 use fastpath::{ByteView, SourceChunk};
 use std::sync::Arc;
 
@@ -231,13 +230,29 @@ impl FileReader {
         Ok(plan_reads(&self.wanted_streams(idx, selection)?, policy))
     }
 
-    /// Reads and decodes stripe `idx` through `source`, returning the rows
-    /// and the executed IO plan.
+    /// Reads and decodes stripe `idx` through `source`, returning its
+    /// columns and the executed IO plan.
     ///
     /// # Errors
     ///
     /// Returns an error if the stripe index is out of range, the source
     /// fails, or the data is corrupt.
+    pub fn read_stripe_columns(
+        &self,
+        idx: usize,
+        selection: Option<&Projection>,
+        policy: CoalescePolicy,
+        source: &mut dyn ChunkSource,
+    ) -> Result<(ColumnBatch, IoPlan)> {
+        self.read_stripe_with(idx, selection, policy, source, |columns| columns)
+    }
+
+    /// [`FileReader::read_stripe_columns`] with the stripe's rows in place
+    /// of its columns ([`ColumnBatch::into_rows`], inside the decode span).
+    ///
+    /// # Errors
+    ///
+    /// As for [`FileReader::read_stripe_columns`].
     pub fn read_stripe_from(
         &self,
         idx: usize,
@@ -245,6 +260,19 @@ impl FileReader {
         policy: CoalescePolicy,
         source: &mut dyn ChunkSource,
     ) -> Result<(Vec<Sample>, IoPlan)> {
+        self.read_stripe_with(idx, selection, policy, source, ColumnBatch::into_rows)
+    }
+
+    /// Fetches and decodes stripe `idx`, handing the decoded columns to
+    /// `finish` inside the decode span and timing.
+    fn read_stripe_with<T>(
+        &self,
+        idx: usize,
+        selection: Option<&Projection>,
+        policy: CoalescePolicy,
+        source: &mut dyn ChunkSource,
+        finish: impl FnOnce(ColumnBatch) -> T,
+    ) -> Result<(T, IoPlan)> {
         let wanted = self.wanted_streams(idx, selection)?;
         let mut plan = plan_reads(&wanted, policy);
         let cost = DecodeCost::default();
@@ -284,7 +312,7 @@ impl FileReader {
         };
         let decode_started = std::time::Instant::now();
         let decode_start_ns = dsi_obs::now_ns();
-        let rows = self.decode_stripe(idx, &wanted, selection, fetch, &cost)?;
+        let decoded = finish(self.decode_stripe(idx, &wanted, selection, fetch, &cost)?);
         if let Some(sink) = &self.trace {
             sink.registry.record_span(dsi_obs::TraceSpan {
                 trace_id: sink.ctx.trace_id,
@@ -324,7 +352,7 @@ impl FileReader {
                 (decode_started.elapsed().as_secs_f64() - decompress_secs).max(0.0),
             );
         }
-        Ok((rows, plan))
+        Ok((decoded, plan))
     }
 
     /// Decodes stripe `idx` given its wanted streams and a function that
@@ -336,7 +364,7 @@ impl FileReader {
         selection: Option<&Projection>,
         mut fetch: impl FnMut(&StreamInfo) -> Result<ByteView>,
         cost: &DecodeCost,
-    ) -> Result<Vec<Sample>> {
+    ) -> Result<ColumnBatch> {
         let DecodeCost {
             uncompressed,
             decompress_secs,
@@ -419,12 +447,16 @@ impl FileReader {
                 .iter()
                 .filter(|info| info.feature != FILE_LEVEL)
                 .map(|info| Ok((FeatureId(info.feature), info.kind, decode_payload(info)?))),
-            row_count,
+            labels,
         )?;
-        if !self.footer.flattened && !columns.is_empty() {
+        if !self.footer.flattened && columns.column_count() > 0 {
             return Err(DsiError::corrupt("feature streams in an unflattened file"));
         }
-        let mut samples = assemble_rows(columns, labels);
+        if dense_map.is_none() && sparse_map.is_none() && !self.footer.dedup {
+            return Ok(columns);
+        }
+        // Map and dedup layouts store rows: fill them, then transpose.
+        let mut samples = columns.into_rows();
 
         let selected = |fid: FeatureId| selection.is_none_or(|p| p.contains(fid));
         if let Some(raw) = dense_map {
@@ -451,7 +483,7 @@ impl FileReader {
                 sample.set_sparse(fid, list);
             }
         }
-        Ok(samples)
+        Ok(ColumnBatch::from_rows(&samples))
     }
 
     fn own_source(&self) -> Result<SliceSource> {
@@ -507,67 +539,6 @@ impl FileReader {
 /// One IO range per wanted stream, merged under `policy`.
 fn plan_reads(wanted: &[StreamInfo], policy: CoalescePolicy) -> IoPlan {
     IoPlan::build(wanted.iter().map(|s| (s.offset, s.len)).collect(), policy)
-}
-
-/// Builds a stripe's rows from its decoded columns, one row per label.
-/// The columns are put in feature-id order first and each row is created
-/// with exactly the room its features take, so every `set_*` appends and
-/// no map regrows. The fill is row-major at the grain of a bitmap word:
-/// 64 rows at a time, column by column, so a column's present bits cost one
-/// load per 64 rows and its cursor stays in a register, while the rows
-/// being appended to stay in cache until the block is done.
-fn assemble_rows(columns: DecodedColumns, labels: Vec<f32>) -> Vec<Sample> {
-    let DecodedColumns {
-        mut dense,
-        mut sparse,
-    } = columns;
-    // Directory order is id order except under `StreamOrder::Popularity`.
-    dense.sort_by_key(|column| column.feature);
-    sparse.sort_by_key(|column| column.feature);
-    // How many columns hold each row.
-    let row_counts = |present: &mut dyn Iterator<Item = &Bitmap>| {
-        let mut counts = vec![0usize; labels.len()];
-        for row in present.flat_map(Bitmap::ones) {
-            counts[row] += 1;
-        }
-        counts
-    };
-    let dense_counts = row_counts(&mut dense.iter().map(|column| &column.present));
-    let sparse_counts = row_counts(&mut sparse.iter().map(|column| &column.present));
-    let mut samples: Vec<Sample> = labels
-        .into_iter()
-        .zip(dense_counts.into_iter().zip(sparse_counts))
-        .map(|(label, (dense, sparse))| Sample::with_capacity(label, dense, sparse))
-        .collect();
-    // Per column: the next present cell, and for sparse columns the next id.
-    let mut dense_at = vec![0usize; dense.len()];
-    let mut sparse_at = vec![(0usize, 0usize); sparse.len()];
-    for (block, rows) in samples.chunks_mut(64).enumerate() {
-        for (column, at) in dense.iter().zip(&mut dense_at) {
-            for row in word_ones(column.present.words()[block]) {
-                rows[row].set_dense(column.feature, column.cells[*at]);
-                *at += 1;
-            }
-        }
-        for (column, (cell, id)) in sparse.iter().zip(&mut sparse_at) {
-            let cells = &column.cells;
-            for row in word_ones(column.present.words()[block]) {
-                let ids = *id..*id + cells.lengths[*cell] as usize;
-                *cell += 1;
-                *id = ids.end;
-                let list = if cells.scored {
-                    SparseList::from_scored(
-                        cells.ids[ids.clone()].to_vec(),
-                        cells.scores[ids].to_vec(),
-                    )
-                } else {
-                    SparseList::from_ids(cells.ids[ids].to_vec())
-                };
-                rows[row].set_sparse(column.feature, list);
-            }
-        }
-    }
-    samples
 }
 
 /// Parses the footer from a complete file buffer.

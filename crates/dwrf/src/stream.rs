@@ -12,7 +12,9 @@ use crate::encoding::{
     rle_decode_capped, rle_encode, write_f32s, write_f32s_xor, write_packed, write_varint,
     write_varints, Bitmap,
 };
-use dsi_types::{DsiError, FeatureId, Result, Sample, SparseList};
+use dsi_types::{
+    ColumnBatch, DenseColumn, DsiError, FeatureId, Result, Sample, SparseColumn, SparseList,
+};
 
 /// Sentinel feature id for file-level (non-feature) streams.
 pub const FILE_LEVEL: u64 = u64::MAX;
@@ -509,102 +511,77 @@ pub fn encode_columns(rows: &[Sample], with_sparse: bool) -> Vec<(FeatureId, Raw
     dense.chain(sparse).collect()
 }
 
-impl SparseCells {
-    /// Decodes the streams of a sparse column with `present` present rows;
-    /// a dictionary, when there is one, is resolved in place.
-    fn decode(
-        present: usize,
-        lengths: &[u8],
-        data: &[u8],
-        dict: Option<&[u8]>,
-        scores: Option<&[u8]>,
-    ) -> Result<Self> {
-        // The bitmap bounds the row count, so a corrupt length header cannot
-        // force an allocation beyond one length per present row.
-        let lengths = rle_decode_capped(lengths, present)?;
-        if lengths.len() != present {
-            return Err(DsiError::corrupt(format!(
-                "sparse column has {} lengths for {present} present rows",
-                lengths.len()
-            )));
-        }
-        // A packed id is at least one bit.
-        let total = lengths
-            .iter()
-            .try_fold(0u64, |sum, &n| sum.checked_add(n))
-            .filter(|&total| total <= 8 * data.len() as u64)
-            .ok_or_else(|| DsiError::corrupt("sparse data stream shorter than lengths"))?;
-        let mut ids = Vec::new();
-        read_packed(data, total as usize, &mut ids)?;
-        if let Some(dict) = dict {
-            let mut pos = 0;
-            let n = read_varint(dict, &mut pos)?;
-            if n > (dict.len() - pos) as u64 {
-                return Err(DsiError::corrupt("dictionary count exceeds buffer"));
-            }
-            let mut values = Vec::new();
-            read_varints_into(dict, &mut pos, n as usize, &mut values)?;
-            if pos != dict.len() {
-                return Err(DsiError::corrupt("trailing bytes in dictionary stream"));
-            }
-            let mut id = 0u64;
-            for gap in &mut values {
-                id = id
-                    .checked_add(*gap)
-                    .ok_or_else(|| DsiError::corrupt("dictionary id overflows u64"))?;
-                *gap = id;
-            }
-            for id in &mut ids {
-                *id = usize::try_from(*id)
-                    .ok()
-                    .and_then(|index| values.get(index).copied())
-                    .ok_or_else(|| DsiError::corrupt("dictionary index out of range"))?;
-            }
-        }
-        let scored = scores.is_some();
-        let scores = scores.map_or(Ok(Vec::new()), read_f32s)?;
-        if scored && scores.len() != ids.len() {
-            return Err(DsiError::corrupt("score stream misaligned with ids"));
-        }
-        Ok(Self {
-            lengths,
-            ids,
-            scores,
-            scored,
-        })
+/// Decodes the streams of sparse column `feature` under `present`; a
+/// dictionary, when there is one, is resolved in place.
+fn decode_sparse(
+    feature: FeatureId,
+    present: Bitmap,
+    lengths: &[u8],
+    data: &[u8],
+    dict: Option<&[u8]>,
+    scores: Option<&[u8]>,
+) -> Result<SparseColumn> {
+    // The bitmap bounds the row count, so a corrupt length header cannot
+    // force an allocation beyond one length per present row.
+    let cells = present.count_ones();
+    let lengths = rle_decode_capped(lengths, cells)?;
+    if lengths.len() != cells {
+        return Err(DsiError::corrupt(format!(
+            "sparse column has {} lengths for {cells} present rows",
+            lengths.len()
+        )));
     }
+    // A packed id is at least one bit.
+    let total = lengths
+        .iter()
+        .try_fold(0u64, |sum, &n| sum.checked_add(n))
+        .filter(|&total| total <= 8 * data.len() as u64)
+        .ok_or_else(|| DsiError::corrupt("sparse data stream shorter than lengths"))?;
+    let lengths = lengths
+        .into_iter()
+        .map(u32::try_from)
+        .collect::<std::result::Result<Vec<u32>, _>>()
+        .map_err(|_| DsiError::corrupt("sparse list longer than a tensor row"))?;
+    let mut ids = Vec::new();
+    read_packed(data, total as usize, &mut ids)?;
+    if let Some(dict) = dict {
+        let mut pos = 0;
+        let n = read_varint(dict, &mut pos)?;
+        if n > (dict.len() - pos) as u64 {
+            return Err(DsiError::corrupt("dictionary count exceeds buffer"));
+        }
+        let mut values = Vec::new();
+        read_varints_into(dict, &mut pos, n as usize, &mut values)?;
+        if pos != dict.len() {
+            return Err(DsiError::corrupt("trailing bytes in dictionary stream"));
+        }
+        let mut id = 0u64;
+        for gap in &mut values {
+            id = id
+                .checked_add(*gap)
+                .ok_or_else(|| DsiError::corrupt("dictionary id overflows u64"))?;
+            *gap = id;
+        }
+        for id in &mut ids {
+            *id = usize::try_from(*id)
+                .ok()
+                .and_then(|index| values.get(index).copied())
+                .ok_or_else(|| DsiError::corrupt("dictionary index out of range"))?;
+        }
+    }
+    let scores = scores.map(read_f32s).transpose()?;
+    SparseColumn::new(feature, present, lengths, ids, scores)
 }
 
-/// A stripe's feature columns as [`decode_columns`] leaves them: present
-/// bits packed as stored, values / lengths / ids / scores contiguous, each
-/// list in directory order.
-#[derive(Debug, Default)]
-pub struct DecodedColumns {
-    pub(crate) dense: Vec<Column<Vec<f32>>>,
-    pub(crate) sparse: Vec<Column<SparseCells>>,
+/// A stripe's feature columns as [`decode_columns`] collects them, in
+/// directory order.
+#[derive(Default)]
+struct Decoded {
+    dense: Vec<DenseColumn>,
+    sparse: Vec<SparseColumn>,
 }
 
-impl DecodedColumns {
-    /// Number of columns.
-    pub fn len(&self) -> usize {
-        self.dense.len() + self.sparse.len()
-    }
-
-    /// Whether there is no column.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Values the column buffers have room for. Hostile-stream tests hold
-    /// it against the bytes that were decoded.
-    pub fn reserved_values(&self) -> usize {
-        let dense = self.dense.iter().map(|c| c.cells.capacity());
-        let sparse = self.sparse.iter().map(|c| {
-            c.cells.lengths.capacity() + c.cells.ids.capacity() + c.cells.scores.capacity()
-        });
-        dense.chain(sparse).sum()
-    }
-
+impl Decoded {
     /// Decodes the column group `streams` hold for `feature` and appends
     /// the column.
     fn push_group<B: AsRef<[u8]>>(
@@ -637,55 +614,43 @@ impl DecodedColumns {
                 present.len()
             )));
         }
-        let expected = present.count_ones();
         if let Some(data) = stream(StreamKind::DenseData) {
-            let cells = read_f32s_xor(data)?;
-            if cells.len() != expected {
-                return Err(DsiError::corrupt(format!(
-                    "dense column has {} values for {expected} present rows",
-                    cells.len()
-                )));
-            }
-            self.dense.push(Column {
-                feature,
-                present,
-                cells,
-            });
+            let values = read_f32s_xor(data)?;
+            self.dense.push(DenseColumn::new(feature, present, values)?);
             return Ok(());
         }
-        let cells = SparseCells::decode(
-            expected,
+        self.sparse.push(decode_sparse(
+            feature,
+            present,
             required(StreamKind::Length)?,
             required(StreamKind::Data)?,
             stream(StreamKind::Dict),
             stream(StreamKind::Score),
-        )?;
-        self.sparse.push(Column {
-            feature,
-            present,
-            cells,
-        });
+        )?);
         Ok(())
     }
 }
 
-/// Decodes a stripe's feature streams into columns — the inverse of
-/// [`encode_columns`]. `streams` yields the decoded payloads in directory
-/// order: each `Present` stream opens its feature's column group and the
-/// group's other streams follow it. A group is decoded, and its payloads
-/// dropped, as soon as the next one opens, so a caller producing payloads
-/// lazily holds one group's worth at a time.
+/// Decodes a stripe's feature streams into a [`ColumnBatch`] with
+/// `labels`, one row per label — the inverse of [`encode_columns`].
+/// `streams` yields the decoded payloads in directory order: each
+/// `Present` stream opens its feature's column group and the group's other
+/// streams follow it. A group is decoded, and its payloads dropped, as soon
+/// as the next one opens, so a caller producing payloads lazily holds one
+/// group's worth at a time.
 ///
 /// # Errors
 ///
 /// Returns the first error `streams` yields, and [`DsiError::Corrupt`] if a
-/// group is malformed, its streams disagree with each other, or its
-/// bitmap does not hold exactly `rows` rows.
+/// group is malformed, its streams disagree with each other, its bitmap
+/// does not hold exactly one bit per label, or two groups hold one feature
+/// as the same kind.
 pub fn decode_columns<B: AsRef<[u8]>>(
     streams: impl IntoIterator<Item = Result<(FeatureId, StreamKind, B)>>,
-    rows: usize,
-) -> Result<DecodedColumns> {
-    let mut out = DecodedColumns::default();
+    labels: Vec<f32>,
+) -> Result<ColumnBatch> {
+    let rows = labels.len();
+    let mut out = Decoded::default();
     // The open group: its feature, and its streams with `Present` first.
     let mut owner: Option<FeatureId> = None;
     let mut group: Vec<(StreamKind, B)> = Vec::new();
@@ -707,7 +672,7 @@ pub fn decode_columns<B: AsRef<[u8]>>(
     if let Some(done) = owner {
         out.push_group(done, &group, rows)?;
     }
-    Ok(out)
+    ColumnBatch::new(labels, out.dense, out.sparse)
 }
 
 /// Encodes labels for a stripe.
@@ -1027,10 +992,10 @@ mod tests {
     }
 
     /// Decodes the one column group `streams` hold for `fid`.
-    fn decode_column(fid: FeatureId, streams: &RawStreams, rows: usize) -> Result<DecodedColumns> {
+    fn decode_column(fid: FeatureId, streams: &RawStreams, rows: usize) -> Result<ColumnBatch> {
         decode_columns(
             streams.iter().map(|(kind, raw)| Ok((fid, *kind, raw))),
-            rows,
+            vec![0.0; rows],
         )
     }
 
@@ -1043,11 +1008,10 @@ mod tests {
         let rows = rows();
         let streams = encode_column(&rows, FeatureId(1));
         let decoded = decode_column(FeatureId(1), &streams, 5).unwrap();
-        assert!(decoded.sparse.is_empty());
-        let column = &decoded.dense[0];
-        assert_eq!(column.feature, FeatureId(1));
-        assert_eq!(present_rows(&column.present), vec![0, 1, 3, 4]);
-        assert_eq!(column.cells, vec![0.0, 1.0, 3.0, 4.0]);
+        assert_eq!(decoded.column_count(), 1);
+        let column = decoded.dense(FeatureId(1)).unwrap();
+        assert_eq!(present_rows(column.present()), vec![0, 1, 3, 4]);
+        assert_eq!(column.values(), [0.0, 1.0, 3.0, 4.0]);
     }
 
     #[test]
@@ -1056,12 +1020,12 @@ mod tests {
         let streams = encode_column(&rows, FeatureId(7));
         assert_eq!(streams.len(), 3); // no scores
         let decoded = decode_column(FeatureId(7), &streams, 5).unwrap();
-        assert!(decoded.dense.is_empty());
-        let column = &decoded.sparse[0];
-        assert_eq!(present_rows(&column.present), vec![0, 2, 4]);
-        assert_eq!(column.cells.lengths, vec![2, 2, 2]);
-        assert_eq!(column.cells.ids, vec![0, 0, 2, 20, 4, 40]);
-        assert!(!column.cells.scored);
+        assert_eq!(decoded.column_count(), 1);
+        let column = decoded.sparse(FeatureId(7)).unwrap();
+        assert_eq!(present_rows(column.present()), vec![0, 2, 4]);
+        assert_eq!(column.lengths(), [2, 2, 2]);
+        assert_eq!(column.ids(), [0, 0, 2, 20, 4, 40]);
+        assert!(column.scores().is_none());
     }
 
     #[test]
@@ -1070,10 +1034,9 @@ mod tests {
         let streams = encode_column(&rows, FeatureId(8));
         assert_eq!(streams.len(), 4);
         let decoded = decode_column(FeatureId(8), &streams, 5).unwrap();
-        let cells = &decoded.sparse[0].cells;
-        assert!(cells.scored);
-        assert_eq!(cells.ids[3], 103);
-        assert_eq!(cells.scores[3], 3.0);
+        let column = decoded.sparse(FeatureId(8)).unwrap();
+        assert_eq!(column.ids()[3], 103);
+        assert_eq!(column.scores().unwrap()[3], 3.0);
     }
 
     #[test]
@@ -1088,10 +1051,10 @@ mod tests {
                     .map(move |(kind, raw)| (fid, kind, raw))
             })
             .collect();
-        let decoded = decode_columns(streams.iter().cloned().map(Ok), 5).unwrap();
-        assert_eq!(decoded.len(), 2);
-        assert_eq!(decoded.dense[0].feature, FeatureId(1));
-        assert_eq!(decoded.sparse[0].feature, FeatureId(8));
+        let decoded = decode_columns(streams.iter().cloned().map(Ok), vec![0.0; 5]).unwrap();
+        assert_eq!(decoded.column_count(), 2);
+        assert!(decoded.dense(FeatureId(1)).is_some());
+        assert!(decoded.sparse(FeatureId(8)).is_some());
         // The first error the stream source yields is the result.
         let failing = streams
             .iter()
@@ -1099,7 +1062,7 @@ mod tests {
             .map(Ok)
             .chain([Err(DsiError::corrupt("stream checksum mismatch"))]);
         assert!(matches!(
-            decode_columns(failing, 5),
+            decode_columns(failing, vec![0.0; 5]),
             Err(DsiError::Corrupt(msg)) if msg.contains("checksum")
         ));
     }
@@ -1120,9 +1083,15 @@ mod tests {
             Ok((FeatureId(1), StreamKind::Present, &dense[0].1)),
             Ok((FeatureId(2), StreamKind::DenseData, &dense[1].1)),
         ];
-        assert!(decode_columns(stray, 5).is_err());
+        assert!(decode_columns(stray, vec![0.0; 5]).is_err());
         let labelled = vec![dense[0].clone(), (StreamKind::Label, dense[1].1.clone())];
         assert!(decode_column(FeatureId(1), &labelled, 5).is_err());
+        // One feature's group twice.
+        let twice = dense
+            .iter()
+            .chain(&dense)
+            .map(|(kind, raw)| Ok((FeatureId(1), *kind, raw)));
+        assert!(decode_columns(twice, vec![0.0; 5]).is_err());
         // A sparse group missing its lengths or its data.
         assert!(decode_column(FeatureId(7), &sparse[..2].to_vec(), 5).is_err());
         let no_lengths = vec![sparse[0].clone(), sparse[2].clone()];
@@ -1330,7 +1299,10 @@ mod tests {
             .expect("data")
             .1;
         let decoded = decode_column(FeatureId(3), &streams, 50).unwrap();
-        assert_eq!(decoded.sparse[0].cells.ids[27..30], [1, 101, 7]);
+        assert_eq!(
+            decoded.sparse(FeatureId(3)).unwrap().ids()[27..30],
+            [1, 101, 7]
+        );
         // Nine distinct ids: 150 indexes of 4 bits after a base and a width.
         assert_eq!(data.len(), 2 + 75);
     }
@@ -1473,7 +1445,10 @@ mod tests {
         write_varint(&mut dict, 2);
         write_varints(&mut dict, &[u64::MAX - 1, 1]);
         let decoded = decode_column(FeatureId(3), &sparse_column(2, data, dict), 1).unwrap();
-        assert_eq!(decoded.sparse[0].cells.ids, [u64::MAX - 1, u64::MAX]);
+        assert_eq!(
+            decoded.sparse(FeatureId(3)).unwrap().ids(),
+            [u64::MAX - 1, u64::MAX]
+        );
     }
 
     #[test]

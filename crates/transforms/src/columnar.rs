@@ -20,8 +20,9 @@ use crate::cost::OpCost;
 use crate::op::TransformOp;
 use crate::plan::{PlanCost, TransformPlan};
 use dsi_types::rng::{mix2, mix64};
-use dsi_types::{DenseMatrix, FeatureId, MiniBatchTensor, Sample, SparseTensor};
+use dsi_types::{ColumnBatch, DenseMatrix, FeatureId, MiniBatchTensor, Sample, SparseTensor};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Kernel names for per-op timing attribution, indexed by
 /// [`ColumnarPlan::kernel_slot`].
@@ -49,7 +50,7 @@ pub const COLUMNAR_KERNELS: [&str; 15] = [
 /// columnar replay needs per-row presence and scored masks, the true
 /// lengths of columns that materialize already truncated, and the values
 /// of columns the session does not materialize but an op reads.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ColumnarCtx {
     /// Per dense input feature: `(present mask, present count)`.
     dense_present: BTreeMap<FeatureId, (Vec<bool>, u64)>,
@@ -363,18 +364,7 @@ impl ColumnarPlan {
             }
         }
 
-        ctx.scratch_dense_ids = self
-            .dense_wants
-            .iter()
-            .filter(|(f, values)| *values && !dense_ids.contains(f))
-            .map(|&(f, _)| f)
-            .collect();
-        let (scratch_ids, scratch_caps): (Vec<FeatureId>, Vec<usize>) = self
-            .sparse_wants
-            .iter()
-            .filter(|w| w.read && !sparse_ids.contains(&w.feature))
-            .map(|w| (w.feature, w.cap))
-            .unzip();
+        let (scratch_ids, scratch_caps) = self.scratch(&mut ctx, dense_ids, sparse_ids);
         if !(ctx.scratch_dense_ids.is_empty() && scratch_ids.is_empty()) {
             let scratch = MiniBatchTensor::from_samples(
                 samples,
@@ -386,6 +376,90 @@ impl ColumnarPlan {
             ctx.scratch_sparse = scratch.sparse;
         }
         ctx
+    }
+
+    /// [`ColumnarPlan::capture_ctx`] over rows `range` of `batch`, read off
+    /// the columns' present bits, lengths and scored rows instead of a
+    /// merge-join over samples: equal to `capture_ctx` over the same rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` ends past the batch.
+    pub fn columns_ctx(
+        &self,
+        batch: &ColumnBatch,
+        range: Range<usize>,
+        dense_ids: &[FeatureId],
+        sparse_ids: &[FeatureId],
+    ) -> ColumnarCtx {
+        let rows = range.len();
+        let mut ctx = ColumnarCtx::default();
+        for &(f, _) in &self.dense_wants {
+            let mut mask = vec![false; rows];
+            let mut count = 0;
+            if let Some(column) = batch.dense(f) {
+                for row in column.present().ones_in(range.clone()) {
+                    mask[row - range.start] = true;
+                    count += 1;
+                }
+            }
+            ctx.dense_present.insert(f, (mask, count));
+        }
+        for w in &self.sparse_wants {
+            let column = batch.sparse(w.feature);
+            if w.cap != usize::MAX || w.generator_input {
+                // Per row: its list's length, `None` where it has none.
+                let lengths: Vec<Option<usize>> = match column {
+                    Some(c) => c.row_lengths(range.clone()).collect(),
+                    None => vec![None; rows],
+                };
+                if w.cap != usize::MAX {
+                    let lens = lengths.iter().map(|len| len.unwrap_or(0) as u32);
+                    ctx.shadow_lens.insert(w.feature, lens.collect());
+                }
+                if w.generator_input {
+                    let present = lengths.iter().map(Option::is_some);
+                    ctx.sparse_present.insert(w.feature, present.collect());
+                }
+            }
+            let scored = column.and_then(|c| c.scored_rows());
+            if let Some(scored) =
+                scored.filter(|s| w.scored && s.ones_in(range.clone()).next().is_some())
+            {
+                let flags = range.clone().map(|row| scored.get(row));
+                ctx.scored_rows.insert(w.feature, flags.collect());
+            }
+        }
+        let (scratch_ids, scratch_caps) = self.scratch(&mut ctx, dense_ids, sparse_ids);
+        if !(ctx.scratch_dense_ids.is_empty() && scratch_ids.is_empty()) {
+            let scratch = batch.tensor(range, &ctx.scratch_dense_ids, &scratch_ids, &scratch_caps);
+            ctx.scratch_dense = scratch.dense;
+            ctx.scratch_sparse = scratch.sparse;
+        }
+        ctx
+    }
+
+    /// Sets the context's scratch dense columns: the dense features a
+    /// generator reads that the session leaves out of its tensors. Returns
+    /// the scratch sparse columns, with their caps: the sparse features an
+    /// op reads that the session leaves out.
+    fn scratch(
+        &self,
+        ctx: &mut ColumnarCtx,
+        dense_ids: &[FeatureId],
+        sparse_ids: &[FeatureId],
+    ) -> (Vec<FeatureId>, Vec<usize>) {
+        ctx.scratch_dense_ids = self
+            .dense_wants
+            .iter()
+            .filter(|(f, values)| *values && !dense_ids.contains(f))
+            .map(|&(f, _)| f)
+            .collect();
+        self.sparse_wants
+            .iter()
+            .filter(|w| w.read && !sparse_ids.contains(&w.feature))
+            .map(|w| (w.feature, w.cap))
+            .unzip()
     }
 
     /// Applies the plan to a materialized mini-batch with row-path-exact

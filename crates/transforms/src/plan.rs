@@ -7,7 +7,7 @@
 
 use crate::cost::{OpClass, OpCost};
 use crate::op::TransformOp;
-use dsi_types::{Batch, DsiError, FeatureId, Projection, Result, Sample};
+use dsi_types::{Batch, Bitmap, DsiError, FeatureId, Projection, Result, Sample};
 use std::collections::BTreeMap;
 
 /// Derived features get ids in a dedicated range above raw feature ids.
@@ -45,6 +45,16 @@ impl PlanCost {
             OpClass::DenseNormalization => self.dense_normalization_cycles += cycles,
             OpClass::Filter => {}
         }
+    }
+
+    /// Adds another application's accounting to this one.
+    fn add(&mut self, other: &PlanCost) {
+        self.cycles += other.cycles;
+        self.feature_generation_cycles += other.feature_generation_cycles;
+        self.sparse_normalization_cycles += other.sparse_normalization_cycles;
+        self.dense_normalization_cycles += other.dense_normalization_cycles;
+        self.elements += other.elements;
+        self.membw_bytes += other.membw_bytes;
     }
 
     /// Fraction of cycles in each class `(feature gen, sparse norm, dense
@@ -178,16 +188,42 @@ impl TransformPlan {
             if !sampling.iter().all(|op| op.sample_survives(row)) {
                 continue;
             }
-            let c = self.apply_sample_with_cost(&mut s);
-            cost.cycles += c.cycles;
-            cost.feature_generation_cycles += c.feature_generation_cycles;
-            cost.sparse_normalization_cycles += c.sparse_normalization_cycles;
-            cost.dense_normalization_cycles += c.dense_normalization_cycles;
-            cost.elements += c.elements;
-            cost.membw_bytes += c.membw_bytes;
+            cost.add(&self.apply_sample_with_cost(&mut s));
             out.push(s);
         }
         (out, cost)
+    }
+
+    /// [`TransformPlan::apply_batch`] for a plan of `Sampling` ops only
+    /// (the fast path's row residue), without the rows: which of `rows`
+    /// rows starting at dataset index `base_row` survive, and the cost
+    /// `apply_batch` charges for them, summed row by row in the same
+    /// order. A `Sampling` op costs the same on every row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan holds an op other than `Sampling`.
+    pub fn sample_rows(&self, rows: usize, base_row: u64) -> (Bitmap, PlanCost) {
+        assert!(
+            self.ops
+                .iter()
+                .all(|op| matches!(op, TransformOp::Sampling { .. })),
+            "only Sampling ops decide rows without reading them"
+        );
+        let per_row = self.apply_sample_with_cost(&mut Sample::default());
+        let mut survivors = Bitmap::zeros(rows);
+        let mut cost = PlanCost::default();
+        for i in 0..rows {
+            if self
+                .ops
+                .iter()
+                .all(|op| op.sample_survives(base_row + i as u64))
+            {
+                survivors.set(i);
+                cost.add(&per_row);
+            }
+        }
+        (survivors, cost)
     }
 
     /// Builds a production-shaped plan over the features of `projection`:

@@ -8,7 +8,7 @@
 //! exactly one split.
 
 use crate::table::Table;
-use dsi_types::{PartitionId, Projection, Result, Sample};
+use dsi_types::{ColumnBatch, PartitionId, Projection, Result, Sample};
 use dwrf::writer::FileFooter;
 use dwrf::{CoalescePolicy, FileReader, IoPlan};
 use std::ops::Range;
@@ -161,36 +161,63 @@ impl TableScan {
     ///
     /// Propagates storage and decode failures.
     pub fn read_split(&self, split: &Split) -> Result<(Vec<Sample>, IoPlan)> {
-        self.read_split_inner(split, None)
+        let (reader, mut source) = self.open_split(split, None);
+        reader.read_stripe_from(
+            split.stripe,
+            Some(&self.projection),
+            self.policy,
+            &mut source,
+        )
     }
 
-    /// [`TableScan::read_split`] under a distributed-trace context: the
-    /// fetch phase records a `StorageRead` span, each chunk read a
-    /// `TectonicIo` span beneath it, and the decode phase a `DwrfDecode`
-    /// span — all within `ctx`'s trace, parented under `ctx`'s span (the
-    /// worker's extract span). Falls back to the untraced path when `ctx`
-    /// is unsampled.
+    /// [`TableScan::read_split`], returning the split's columns instead of
+    /// its rows.
     ///
     /// # Errors
     ///
     /// Propagates storage and decode failures.
-    pub fn read_split_traced(
+    pub fn read_split_columns(&self, split: &Split) -> Result<(ColumnBatch, IoPlan)> {
+        let (reader, mut source) = self.open_split(split, None);
+        reader.read_stripe_columns(
+            split.stripe,
+            Some(&self.projection),
+            self.policy,
+            &mut source,
+        )
+    }
+
+    /// [`TableScan::read_split_columns`] under a distributed-trace context:
+    /// the fetch phase records a `StorageRead` span, each chunk read a
+    /// `TectonicIo` span beneath it, and the decode phase a `DwrfDecode`
+    /// span — all within `ctx`'s trace, parented under `ctx`'s span (the
+    /// worker's extract span). Records nothing when `ctx` is unsampled.
+    ///
+    /// # Errors
+    ///
+    /// Propagates storage and decode failures.
+    pub fn read_split_columns_traced(
         &self,
         split: &Split,
         ctx: dsi_obs::TraceContext,
         trace_registry: &dsi_obs::Registry,
-    ) -> Result<(Vec<Sample>, IoPlan)> {
-        if !ctx.is_sampled() {
-            return self.read_split_inner(split, None);
-        }
-        self.read_split_inner(split, Some((ctx, trace_registry)))
+    ) -> Result<(ColumnBatch, IoPlan)> {
+        let (reader, mut source) = self.open_split(split, Some((ctx, trace_registry)));
+        reader.read_stripe_columns(
+            split.stripe,
+            Some(&self.projection),
+            self.policy,
+            &mut source,
+        )
     }
 
-    fn read_split_inner(
+    /// The reader and the source one split is read through: the table's
+    /// registry, job label and cache, and under a sampled `trace` the
+    /// spans the read records.
+    fn open_split(
         &self,
         split: &Split,
         trace: Option<(dsi_obs::TraceContext, &dsi_obs::Registry)>,
-    ) -> Result<(Vec<Sample>, IoPlan)> {
+    ) -> (FileReader, TectonicSource) {
         // The footer is shared by reference: splits of the same file decode
         // against one parsed footer instead of cloning it per split.
         let mut reader = FileReader::from_footer(Arc::clone(&split.footer));
@@ -204,7 +231,7 @@ impl TableScan {
         if let Some(cache) = self.table.cache() {
             source = source.with_cache(cache);
         }
-        if let Some((ctx, reg)) = trace {
+        if let Some((ctx, reg)) = trace.filter(|(ctx, _)| ctx.is_sampled()) {
             // Pre-allocate the StorageRead span id so per-chunk TectonicIo
             // spans can parent under it before the reader records it.
             let storage_span = dsi_obs::next_span_id();
@@ -215,12 +242,7 @@ impl TableScan {
             };
             source = source.with_trace(reg, storage_ctx, split.index);
         }
-        reader.read_stripe_from(
-            split.stripe,
-            Some(&self.projection),
-            self.policy,
-            &mut source,
-        )
+        (reader, source)
     }
 
     /// Executes the whole scan serially, returning all rows.
@@ -435,8 +457,10 @@ mod tests {
             trace_id: 0xACE,
             span_id: 500,
         };
-        let (rows, _) = scan.read_split_traced(split, extract_ctx, &reg).unwrap();
-        assert_eq!(rows.len(), 25);
+        let (columns, _) = scan
+            .read_split_columns_traced(split, extract_ctx, &reg)
+            .unwrap();
+        assert_eq!(columns.len(), 25);
 
         let spans = reg.trace_spans();
         let storage: Vec<_> = spans
@@ -464,7 +488,7 @@ mod tests {
 
         // Unsampled context records nothing.
         let reg2 = dsi_obs::Registry::new();
-        scan.read_split_traced(split, dsi_obs::TraceContext::NONE, &reg2)
+        scan.read_split_columns_traced(split, dsi_obs::TraceContext::NONE, &reg2)
             .unwrap();
         assert!(reg2.trace_spans().is_empty());
     }

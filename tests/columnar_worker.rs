@@ -132,6 +132,14 @@ fn assert_columnar_worker_matches_row_worker(sampling: bool) -> WorkerReport {
         }
         assert_eq!(col.sparse.len(), row.sparse.len());
     }
+    // Both sessions read the same rows: the column worker's extract
+    // accounting is the row worker's.
+    assert_eq!(col.samples, row.samples);
+    assert_eq!(col.transform_rx_bytes, row.transform_rx_bytes);
+    assert_eq!(col.uncompressed_bytes, row.uncompressed_bytes);
+    assert_eq!(col.storage_rx_bytes, row.storage_rx_bytes);
+    assert_eq!(col.storage_wanted_bytes, row.storage_wanted_bytes);
+    assert_eq!(col.copied_bytes, row.copied_bytes);
     assert_eq!(col.batches, row.batches);
     assert_eq!(col.transform_tx_bytes, row.transform_tx_bytes);
     // The default weights are whole numbers, so the sums are exact.

@@ -41,6 +41,54 @@ fn arb_sample() -> impl Strategy<Value = Sample> {
         })
 }
 
+/// Samples whose sparse features 40..80 each hold a scored or an unscored
+/// list row by row (a row transform can leave a column so), and whose
+/// dense features 0..45 share 40..45 with the sparse ones.
+fn arb_mixed_sample() -> impl Strategy<Value = Sample> {
+    (
+        -1e6f32..1e6f32,
+        proptest::collection::btree_map(0u64..45, -1e6f32..1e6f32, 0..10),
+        proptest::collection::btree_map(
+            40u64..80,
+            prop_oneof![arb_unscored_list(), arb_scored_list()],
+            0..8,
+        ),
+    )
+        .prop_map(|(label, dense, sparse)| {
+            let mut s = Sample::new(label);
+            for (id, v) in dense {
+                s.set_dense(FeatureId(id), v);
+            }
+            for (id, l) in sparse {
+                s.set_sparse(FeatureId(id), l);
+            }
+            s
+        })
+}
+
+/// `rows` with every scored list's scores dropped.
+fn unscored(rows: &[Sample]) -> Vec<Sample> {
+    rows.iter()
+        .map(|row| {
+            let mut row = row.clone();
+            let lists: Vec<(FeatureId, SparseList)> = row
+                .sparse_iter()
+                .map(|(f, l)| (f, SparseList::from_ids(l.ids().to_vec())))
+                .collect();
+            for (f, list) in lists {
+                row.set_sparse(f, list);
+            }
+            row
+        })
+        .collect()
+}
+
+/// Rows `start..start + len` of `n`, both folded into range.
+fn sub_range(n: usize, start: usize, len: usize) -> std::ops::Range<usize> {
+    let start = start % (n + 1);
+    start..start + len % (n - start + 1)
+}
+
 /// Features the random plans and [`arb_hot_sample`] agree to crowd onto, so
 /// that a dozen random ops chain, collide and find their inputs present
 /// often enough for 64 cases to reach every kernel: two dense columns, one
@@ -604,9 +652,9 @@ proptest! {
             .collect();
         let columns = streams.iter().filter(|s| s.1 == StreamKind::Present).count();
         let decode = |streams: &[(FeatureId, StreamKind, Vec<u8>)]| {
-            decode_columns(streams.iter().map(|(f, k, raw)| Ok((*f, *k, raw))), rows)
+            decode_columns(streams.iter().map(|(f, k, raw)| Ok((*f, *k, raw))), vec![0.0; rows])
         };
-        prop_assert_eq!(decode(&streams).expect("valid streams").len(), columns);
+        prop_assert_eq!(decode(&streams).expect("valid streams").column_count(), columns);
         // One stream of a valid stripe with a few bits flipped, or (no
         // flips drawn) replaced by arbitrary bytes: `Ok` or `Err`, never a
         // panic, and never room for more than the streams could hold — one
@@ -654,9 +702,10 @@ proptest! {
                 streams.into_iter().map(move |(kind, raw)| (feature, kind, raw))
             })
             .collect();
-        let decoded = decode_columns(streams.iter().map(|(f, k, raw)| Ok((*f, *k, raw))), rows.len())
+        let labels = vec![0.0; rows.len()];
+        let decoded = decode_columns(streams.iter().map(|(f, k, raw)| Ok((*f, *k, raw))), labels)
             .expect("valid streams");
-        prop_assert_eq!(decoded.len(), features.len());
+        prop_assert_eq!(decoded.column_count(), features.len());
         // One flattened stripe, so the column-level scored-ness is the
         // stripe's, then every cell back through the reader.
         let mut w = FileWriter::new(WriterOptions {
@@ -675,6 +724,211 @@ proptest! {
                 prop_assert_eq!((r, f, got.feature(f)), (r, f, want.feature(f)));
             }
             prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn column_batch_holds_rows_and_slices_them_as_from_samples_does(
+        rows in proptest::collection::vec(arb_mixed_sample(), 0..150),
+        keep in proptest::collection::vec(any::<bool>(), 150..151),
+        cut in any::<usize>(),
+        (start, len) in (any::<usize>(), any::<usize>()),
+        caps in proptest::collection::vec(
+            prop_oneof![Just(0usize), Just(1), Just(3), Just(usize::MAX)],
+            7..8,
+        ),
+        capped: bool,
+    ) {
+        use dsi_types::{Bitmap, ColumnBatch};
+        let batch = ColumnBatch::from_rows(&rows);
+        let bytes: usize = rows.iter().map(Sample::payload_bytes).sum();
+        prop_assert_eq!(batch.payload_bytes(), bytes);
+        prop_assert_eq!(&batch.clone().into_rows(), &rows);
+
+        // A column twice in a list, features of the other kind (5 is only
+        // dense, 60 and 75 only sparse, 40..45 either) and one nobody holds.
+        let dense_ids: Vec<FeatureId> = [0, 7, 7, 42, 60, 81].map(FeatureId).to_vec();
+        let sparse_ids: Vec<FeatureId> = [41, 60, 60, 5, 75, 81, 43].map(FeatureId).to_vec();
+        let caps = if capped { caps } else { Vec::new() };
+        let tensor_eq = |batch: &ColumnBatch, rows: &[Sample], range: std::ops::Range<usize>| {
+            let got = batch.tensor(range.clone(), &dense_ids, &sparse_ids, &caps);
+            let want = MiniBatchTensor::from_samples(&rows[range], &dense_ids, &sparse_ids, &caps);
+            got == want
+        };
+        let range = sub_range(rows.len(), start, len);
+        prop_assert!(tensor_eq(&batch, &rows, range.clone()), "rows {:?}", range);
+
+        let mut mask = Bitmap::zeros(rows.len());
+        for row in (0..rows.len()).filter(|&r| keep[r]) {
+            mask.set(row);
+        }
+        let kept: Vec<Sample> = mask.ones().map(|r| rows[r].clone()).collect();
+        prop_assert_eq!(&batch.gather(&mask).into_rows(), &kept);
+
+        // A batch whose columns carry scores joined with one whose lists
+        // carry none, either way round: unit scores fill the unscored
+        // side's ids, as `push_row_capped` backfills them.
+        let cut = cut % (rows.len() + 1);
+        let (scored, plain) = (rows[..cut].to_vec(), unscored(&rows[cut..]));
+        for (a, b) in [(&scored, &plain), (&plain, &scored)] {
+            let joined = ColumnBatch::from_rows(a).concat(ColumnBatch::from_rows(b));
+            let want: Vec<Sample> = a.iter().chain(b).cloned().collect();
+            prop_assert!(tensor_eq(&joined, &want, range.clone()), "rows {:?}", range);
+            prop_assert_eq!(&joined.into_rows(), &want);
+        }
+    }
+
+    #[test]
+    fn column_stage_equals_row_stage_over_random_plans(
+        samples in proptest::collection::vec(arb_hot_sample(), 1..100),
+        ops in proptest::collection::vec(arb_plan_op(), 0..16),
+        base_row in 0u64..1_000_000,
+        (start, len) in (any::<usize>(), any::<usize>()),
+    ) {
+        use dsi_types::{Batch, ColumnBatch};
+        use transforms::ColumnarPlan;
+        let plan = TransformPlan::new(ops);
+        // The id spaces of `split_plan_columnar_equals_row_path_over_random_plans`.
+        let dense_ids: Vec<FeatureId> = (0..36).map(FeatureId).collect();
+        let sparse_ids: Vec<FeatureId> = (40..72).chain(80..86).map(FeatureId).collect();
+        let batch: Batch = samples.into_iter().collect();
+        let (residue, columnar) = ColumnarPlan::split_plan(&plan);
+
+        // Sampling as a row mask: the rows and the cost `apply_batch` gives.
+        let (rows, rows_cost) = residue.apply_batch(batch.clone(), base_row);
+        let (survivors, cost) = residue.sample_rows(batch.len(), base_row);
+        prop_assert_eq!(cost, rows_cost);
+        let columns = ColumnBatch::from_rows(batch.samples()).gather(&survivors);
+        prop_assert_eq!(&columns.clone().into_rows(), rows.samples());
+
+        // The context read off the columns is the one captured from rows,
+        // and so is the tensor, over any rows of the batch.
+        let range = sub_range(columns.len(), start, len);
+        let rows = &rows.samples()[range.clone()];
+        prop_assert_eq!(
+            columnar.columns_ctx(&columns, range.clone(), &dense_ids, &sparse_ids),
+            columnar.capture_ctx(rows, &dense_ids, &sparse_ids)
+        );
+        let caps = columnar.sparse_caps(&sparse_ids);
+        prop_assert!(
+            columns.tensor(range, &dense_ids, &sparse_ids, &caps)
+                == MiniBatchTensor::from_samples(rows, &dense_ids, &sparse_ids, &caps)
+        );
+    }
+
+    #[test]
+    fn read_stripe_columns_is_read_stripe_from_as_columns(
+        samples in proptest::collection::vec(arb_sample(), 1..40),
+        rows_per_stripe in 1usize..20,
+        layout in 0usize..3,
+        sealed: bool,
+        keep in proptest::collection::btree_set(0u64..80, 0..20),
+        project: bool,
+    ) {
+        use dwrf::SliceSource;
+        // Flattened, row maps, or flattened with deduplicated sparse rows;
+        // plain, or encrypted and compressed.
+        let mut w = FileWriter::new(WriterOptions {
+            flattened: layout != 1,
+            dedup: layout == 2,
+            compressed: sealed,
+            encrypted: sealed,
+            rows_per_stripe,
+            ..Default::default()
+        });
+        for s in &samples {
+            w.push(s.clone());
+        }
+        let file = w.finish().expect("non-empty file");
+        let reader = FileReader::open(file.bytes().clone()).expect("valid file");
+        let projection = project.then(|| Projection::new(keep.iter().map(|&k| FeatureId(k)).collect()));
+        let policy = CoalescePolicy::default_window();
+        for stripe in 0..reader.num_stripes() {
+            let mut source = SliceSource::new(file.bytes().clone());
+            let (rows, plan) = reader
+                .read_stripe_from(stripe, projection.as_ref(), policy, &mut source)
+                .expect("decodable");
+            let mut source = SliceSource::new(file.bytes().clone());
+            let (columns, columns_plan) = reader
+                .read_stripe_columns(stripe, projection.as_ref(), policy, &mut source)
+                .expect("decodable");
+            prop_assert_eq!(&columns_plan, &plan);
+            let bytes: usize = rows.iter().map(Sample::payload_bytes).sum();
+            prop_assert_eq!(columns.payload_bytes(), bytes);
+            prop_assert_eq!(&columns.into_rows(), &rows);
+        }
+    }
+
+    #[test]
+    fn read_stripe_columns_survives_hostile_streams(
+        samples in proptest::collection::vec(arb_sample(), 1..40),
+        encrypted: bool,
+        junk in proptest::collection::vec(any::<u8>(), 1..64),
+        target in any::<usize>(),
+        flips in proptest::collection::vec((any::<usize>(), 0u8..8), 0..4),
+    ) {
+        use dsi_types::DsiError;
+        use dwrf::stream::checksum64;
+        use dwrf::writer::{encode_footer, MAGIC};
+        use dwrf::{SliceSource, StreamKind};
+        // Uncompressed, so that the stored bytes are the bytes decoded (a
+        // stream cipher flips the same bits it is handed).
+        let mut w = FileWriter::new(WriterOptions {
+            compressed: false,
+            encrypted,
+            rows_per_stripe: samples.len(),
+            ..Default::default()
+        });
+        for s in &samples {
+            w.push(s.clone());
+        }
+        let file = w.finish().expect("non-empty file");
+        let mut footer = file.footer().clone();
+        let streams_end = file.len() - encode_footer(&footer).len() - 24;
+        let mut bytes = file.bytes()[..streams_end].to_vec();
+        // One stream with a few bits flipped, or (no flips drawn) its bytes
+        // replaced, under a checksum that matches: the decoders, not the
+        // integrity gate, meet the hostile bytes.
+        let streams = &mut footer.stripes[0].streams;
+        let target = target % streams.len();
+        let info = &mut streams[target];
+        let at = info.offset as usize..(info.offset + info.len) as usize;
+        let victim = &mut bytes[at.clone()];
+        if flips.is_empty() {
+            for (byte, &j) in victim.iter_mut().zip(junk.iter().cycle()) {
+                *byte = j;
+            }
+        }
+        for (pos, bit) in flips {
+            if !victim.is_empty() {
+                let pos = pos % victim.len();
+                victim[pos] ^= 1 << bit;
+            }
+        }
+        info.checksum = checksum64(&bytes[at]);
+        let (mut bit_bytes, mut other_bytes) = (0, 0);
+        for info in streams.iter() {
+            match info.kind {
+                StreamKind::Present | StreamKind::Data => bit_bytes += info.len as usize,
+                _ => other_bytes += info.len as usize,
+            }
+        }
+        let encoded = encode_footer(&footer);
+        bytes.extend_from_slice(&encoded);
+        bytes.extend_from_slice(&checksum64(&encoded).to_le_bytes());
+        bytes.extend_from_slice(&(encoded.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(MAGIC);
+        let bytes = Bytes::from(bytes);
+        let reader = FileReader::open(bytes.clone()).expect("the footer is intact");
+        let mut source = SliceSource::new(bytes);
+        // `Corrupt`, or columns with no more room than the streams could
+        // fill (as `decode_columns_survives_hostile_streams` bounds it).
+        match reader.read_stripe_columns(0, None, CoalescePolicy::None, &mut source) {
+            Ok((columns, _)) => prop_assert!(
+                columns.reserved_values() <= 2 * (8 * bit_bytes + other_bytes)
+            ),
+            Err(DsiError::Corrupt(_)) => {}
+            Err(other) => prop_assert!(false, "expected Corrupt, got {:?}", other),
         }
     }
 
