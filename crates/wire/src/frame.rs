@@ -45,8 +45,10 @@ pub const FLAG_ENCRYPTED: u8 = 0b10;
 pub enum FrameKind {
     /// A serialized [`crate::WireEnvelope`].
     Data,
-    /// Flow-control credit from client to server; the nonce field holds
-    /// the number of credits granted.
+    /// Flow-control credit from client to server, one per envelope the
+    /// client hands on. The nonce field holds the count, 1; the server
+    /// counts the frame as one credit whatever it holds, since the
+    /// checksum does not cover the header.
     Credit,
     /// Graceful end-of-stream from the server; no more data will come.
     Goodbye,
@@ -69,20 +71,6 @@ impl FrameKind {
             FrameKind::Goodbye => 2,
         }
     }
-}
-
-/// A decoded frame: header fields plus the raw (still compressed and/or
-/// encrypted) payload bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame {
-    /// What the payload is.
-    pub kind: FrameKind,
-    /// Flag bits ([`FLAG_COMPRESSED`], [`FLAG_ENCRYPTED`]).
-    pub flags: u8,
-    /// Frame id / cipher nonce (credit count for [`FrameKind::Credit`]).
-    pub nonce: u64,
-    /// Payload bytes exactly as they crossed the socket.
-    pub payload: Vec<u8>,
 }
 
 /// Encode a complete frame (header + payload) into one buffer, ready for a
@@ -127,6 +115,7 @@ pub fn fill_header(
 }
 
 /// Parsed header fields: kind, flags, nonce, payload length, checksum.
+#[derive(Debug)]
 pub struct Header {
     /// Frame kind.
     pub kind: FrameKind,
@@ -237,25 +226,11 @@ pub fn write_all_retry(
     Ok(true)
 }
 
-/// Read one whole frame from the stream, verifying magic, length cap, and
-/// payload checksum. Returns `Ok(None)` if `stop` turned true while
-/// waiting; any corruption surfaces as `InvalidData` so the caller can
-/// tear down and reconnect.
-pub fn read_frame(stream: &mut TcpStream, stop: &dyn Fn() -> bool) -> io::Result<Option<Frame>> {
-    let mut payload = Vec::new();
-    Ok(read_frame_into(stream, stop, &mut payload)?.map(|h| {
-        payload.truncate(h.len);
-        Frame {
-            kind: h.kind,
-            flags: h.flags,
-            nonce: h.nonce,
-            payload,
-        }
-    }))
-}
-
-/// [`read_frame`] into a caller-reused payload buffer: the frame's payload
+/// Read one whole frame from the stream into a caller-reused payload
+/// buffer, verifying magic, length cap, and payload checksum: the payload
 /// lands in `payload[..header.len]` and the validated header is returned.
+/// `Ok(None)` means `stop` turned true while waiting; any corruption
+/// surfaces as `InvalidData` so the caller can tear down and reconnect.
 /// The buffer only grows (it is never shrunk or zeroed beyond the first
 /// fill), so a steady-state reader of similar-size frames does no per-frame
 /// allocation or memset.
@@ -307,11 +282,14 @@ mod tests {
         let payload = b"hello datacenter tax".to_vec();
         let bytes = encode_frame(FrameKind::Data, FLAG_ENCRYPTED, 9, &payload);
         write_all_retry(&mut a, &bytes, &|| false).expect("write");
-        let frame = read_frame(&mut b, &|| false).expect("read").expect("frame");
-        assert_eq!(frame.kind, FrameKind::Data);
-        assert_eq!(frame.flags, FLAG_ENCRYPTED);
-        assert_eq!(frame.nonce, 9);
-        assert_eq!(frame.payload, payload);
+        let mut got = Vec::new();
+        let h = read_frame_into(&mut b, &|| false, &mut got)
+            .expect("read")
+            .expect("frame");
+        assert_eq!(h.kind, FrameKind::Data);
+        assert_eq!(h.flags, FLAG_ENCRYPTED);
+        assert_eq!(h.nonce, 9);
+        assert_eq!(got[..h.len], payload);
     }
 
     #[test]
@@ -321,7 +299,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         write_all_retry(&mut a, &bytes, &|| false).expect("write");
-        let err = read_frame(&mut b, &|| false).expect_err("must fail");
+        let err = read_frame_into(&mut b, &|| false, &mut Vec::new()).expect_err("must fail");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
@@ -331,7 +309,7 @@ mod tests {
         let mut bytes = encode_frame(FrameKind::Credit, 0, 1, &[]);
         bytes[0] = 0x00;
         write_all_retry(&mut a, &bytes, &|| false).expect("write");
-        assert!(read_frame(&mut b, &|| false).is_err());
+        assert!(read_frame_into(&mut b, &|| false, &mut Vec::new()).is_err());
     }
 
     #[test]
@@ -340,7 +318,7 @@ mod tests {
         let bytes = encode_frame(FrameKind::Data, 0, 1, b"will be torn");
         write_all_retry(&mut a, &bytes[..bytes.len() / 2], &|| false).expect("write");
         drop(a);
-        let err = read_frame(&mut b, &|| false).expect_err("torn frame");
+        let err = read_frame_into(&mut b, &|| false, &mut Vec::new()).expect_err("torn frame");
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 
@@ -355,7 +333,8 @@ mod tests {
             std::thread::sleep(Duration::from_millis(30));
             s2.store(true, Ordering::SeqCst);
         });
-        let got = read_frame(&mut b, &|| stop.load(Ordering::SeqCst)).expect("no io error");
+        let got = read_frame_into(&mut b, &|| stop.load(Ordering::SeqCst), &mut Vec::new())
+            .expect("no io error");
         assert!(got.is_none());
     }
 }

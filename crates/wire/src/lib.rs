@@ -13,13 +13,16 @@
 //! - [`frame`] wraps payloads in a 24-byte header (magic, kind, flags,
 //!   nonce, length, FNV-1a checksum) so torn writes and corruption are
 //!   detected instead of silently mis-parsed.
-//! - [`transport`] runs one [`WireServer`] per Worker (serialize + send
-//!   thread, credit-reader thread per connection) and one client reader
-//!   thread per connection, with credit-based flow control mirroring the
-//!   bounded-channel backpressure of the in-process path and
-//!   reconnect-with-replay of unacked envelopes. Replays can duplicate
-//!   envelopes; exactly-once delivery is restored end-to-end by the DPP
-//!   Client's sequence-number dedup.
+//! - [`window`] is the server's [`SendWindow`]: the frames written and not
+//!   yet credited, as a pure value that owns every flow-control and replay
+//!   decision.
+//! - [`transport`] runs one [`WireServer`] thread per Worker around that
+//!   window, reading the client's credits off the socket it sends on, and
+//!   one client reader thread per connection, with credit-based flow
+//!   control mirroring the bounded-channel backpressure of the in-process
+//!   path and reconnect-with-replay of unacked envelopes. Replays can
+//!   duplicate envelopes; exactly-once delivery is restored end-to-end by
+//!   the DPP Client's sequence-number dedup.
 //!
 //! Encryption is a stream-cipher TLS stand-in ([`dwrf::cipher`]) keyed per
 //! session and nonced per frame; compression reuses the DWRF block codec.
@@ -31,10 +34,12 @@
 pub mod codec;
 pub mod frame;
 pub mod transport;
+pub mod window;
 
 pub use codec::WireEnvelope;
-pub use frame::{Frame, FrameKind, HEADER_LEN, MAGIC};
+pub use frame::{FrameKind, HEADER_LEN, MAGIC};
 pub use transport::{connect, WireChaos, WireObs, WireServer};
+pub use window::SendWindow;
 
 /// Tunables for a wire transport session. Both endpoints of a connection
 /// must agree on the config (it is carried in the `SessionSpec`).

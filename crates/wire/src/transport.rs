@@ -1,23 +1,32 @@
-//! TCP transport threads: one [`WireServer`] per Worker, one reader thread
-//! per Client connection.
+//! TCP transport threads: one [`WireServer`] thread per Worker, one reader
+//! thread per Client connection.
 //!
 //! ## Flow control
 //!
 //! The in-process data plane backpressures Workers through a bounded
 //! channel of `buffer_capacity` envelopes. The wire path mirrors that with
-//! credits: the server keeps at most `window` frames un-acknowledged; the
-//! client grants one credit per envelope it has pushed into its local
-//! bounded channel. A slow trainer therefore stalls the Worker exactly as
-//! it does in process — no unbounded socket queueing.
+//! credits: the client grants one credit per envelope it has pushed into
+//! its local bounded channel, and the server's [`SendWindow`] holds at most
+//! `window` frames uncredited. A slow trainer therefore stalls the Worker
+//! exactly as it does in process — no unbounded socket queueing.
+//!
+//! The server is one thread around that window. While the window has room
+//! and the source is open it receives, encodes, sends and admits;
+//! otherwise it reads one Credit frame off the same socket. Credits wait in
+//! the socket until the window is full or the source has closed. A Credit
+//! frame counts as one credit whatever its count says: the count rides in
+//! the header's nonce, which the checksum does not cover.
 //!
 //! ## Reconnect with replay
 //!
-//! Encoded data frames stay in the server's `unacked` ring until credited.
-//! When a connection dies (fault injection, torn frame, checksum
-//! mismatch), the client dials again and the server replays every unacked
-//! frame before sending new ones. Replay can duplicate envelopes the
-//! client had received but not yet credited; the DPP `Client::accept`
-//! sequence-number dedup drops those, preserving exactly-once end to end.
+//! A frame stays in the window until credited. When a connection dies
+//! (fault injection, torn frame, checksum mismatch), the client dials
+//! again and the server writes every unacked frame again, in order, before
+//! new ones. A replay can resend envelopes the client had received,
+//! including those whose credits were still unread in the dead socket; the
+//! DPP `Client::accept` sequence-number dedup drops those, preserving
+//! exactly-once end to end. A connection the client drops on its own is
+//! noticed at the server's next write or credit read.
 //!
 //! ## Shutdown
 //!
@@ -28,10 +37,9 @@
 //! channel sender, which the DPP client observes exactly like an
 //! in-process worker exiting.
 
-use std::collections::VecDeque;
 use std::io;
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -45,9 +53,10 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::codec::{decode_envelope, encode_envelope_into, WireEnvelope};
 use crate::frame::{
-    encode_frame, fill_header, read_frame, read_frame_into, write_all_retry, FrameKind, Header,
+    encode_frame, fill_header, read_frame_into, write_all_retry, FrameKind, Header,
     FLAG_COMPRESSED, FLAG_ENCRYPTED, HEADER_LEN,
 };
+use crate::window::SendWindow;
 use crate::WireConfig;
 use fastpath::ByteView;
 
@@ -61,10 +70,6 @@ pub type WireChaos = Arc<RwLock<Option<Arc<FaultInjector>>>>;
 
 const ACCEPT_POLL: Duration = Duration::from_millis(1);
 const SOURCE_POLL: Duration = Duration::from_millis(2);
-/// Fallback timeout while parked on the credit-wake channel with a full
-/// window; the wake normally arrives well before this (it is only a guard
-/// against a lost edge trigger around connection teardown).
-const CREDIT_POLL: Duration = Duration::from_millis(2);
 const IO_TIMEOUT: Duration = Duration::from_millis(25);
 const CONNECT_RETRY: Duration = Duration::from_millis(2);
 /// Consecutive failed dials before the client reader concludes the server
@@ -88,7 +93,7 @@ fn with_job_registry(obs: &WireObs, job: &str, f: impl FnOnce(&Registry, &[(&str
     }
 }
 
-/// One encoded data frame held in the server's unacked ring, plus the
+/// One encoded data frame held in the server's send window, plus the
 /// trace coordinates needed to record replayed sends as sibling spans.
 struct UnackedFrame {
     bytes: ByteView,
@@ -239,7 +244,8 @@ fn decode_data_frame(
 }
 
 /// The worker-side half of a wire connection: owns the listener and the
-/// serialize-and-send thread for one Worker's envelope stream.
+/// one thread that serializes, sends and reads credits for one Worker's
+/// envelope stream.
 pub struct WireServer {
     port: u16,
     stop: Arc<AtomicBool>,
@@ -291,11 +297,8 @@ impl WireServer {
     }
 
     /// Stop and wait for the server thread to exit.
-    pub fn join(mut self) {
-        self.stop();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+    pub fn join(self) {
+        drop(self);
     }
 }
 
@@ -370,35 +373,6 @@ fn send_data_frame(
     }
 }
 
-/// Per-connection credit reader: bumps `acked` once per credit received,
-/// flips `alive` off on EOF or a socket error so the writer reconnects.
-/// Each credit also edge-triggers `wake` (capacity 1, `try_send`) so a
-/// writer parked on a full window resumes immediately instead of sleeping
-/// through a poll interval.
-fn credit_reader(
-    mut stream: TcpStream,
-    alive: Arc<AtomicBool>,
-    acked: Arc<AtomicU64>,
-    stop: Arc<AtomicBool>,
-    wake: Sender<()>,
-) {
-    let stop_check = || stop.load(Ordering::SeqCst) || !alive.load(Ordering::SeqCst);
-    loop {
-        match read_frame(&mut stream, &stop_check) {
-            Ok(Some(frame)) if frame.kind == FrameKind::Credit => {
-                acked.fetch_add(frame.nonce.max(1), Ordering::SeqCst);
-                let _ = wake.try_send(());
-            }
-            Ok(Some(_)) => {}
-            Ok(None) => return,
-            Err(_) => {
-                alive.store(false, Ordering::SeqCst);
-                return;
-            }
-        }
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 fn server_loop(
     listener: TcpListener,
@@ -410,13 +384,15 @@ fn server_loop(
     chaos: WireChaos,
     job: String,
 ) {
-    // Encoded frames sent but not yet credited, oldest first. Survives
-    // across connections: a reconnecting client gets them all replayed.
-    let mut unacked: VecDeque<UnackedFrame> = VecDeque::new();
-    let mut source_done = false;
+    // Outlives every connection: a reconnecting client gets each frame
+    // still unacked written again.
+    let mut window = SendWindow::<UnackedFrame>::new(window);
     let mut nonce: u64 = 0;
+    // Credit frames carry no payload; this only backs the reads.
+    let mut credit_payload = Vec::new();
+    let stopped = || stop.load(Ordering::SeqCst);
 
-    'accept: while !stop.load(Ordering::SeqCst) {
+    'accept: while !stopped() {
         let mut stream = match listener.accept() {
             Ok((s, _)) => s,
             Err(_) => {
@@ -425,133 +401,89 @@ fn server_loop(
             }
         };
         let _ = stream.set_nodelay(true);
+        let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
         let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-        let reader_stream = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        let _ = reader_stream.set_read_timeout(Some(IO_TIMEOUT));
-        let alive = Arc::new(AtomicBool::new(true));
-        let acked = Arc::new(AtomicU64::new(0));
-        let (wake_tx, wake_rx) = bounded::<()>(1);
-        let reader = {
-            let alive = alive.clone();
-            let acked = acked.clone();
-            let stop = stop.clone();
-            thread::Builder::new()
-                .name("wire-credit-reader".into())
-                .spawn(move || credit_reader(reader_stream, alive, acked, stop, wake_tx))
-                .expect("spawn credit reader")
-        };
-        let mut popped: u64 = 0;
 
-        // Replay everything still unacked from the previous connection.
-        // The credit reader only pops via `popped` below, so the window is
-        // stable here even if credits race in.
-        for frame in &unacked {
+        for frame in window.reconnect() {
             let send_start = now_ns();
             match send_data_frame(&mut stream, &frame.bytes, &chaos, &obs, &stop, &job) {
-                SendOutcome::Sent => {
-                    record_wire_span(
-                        &obs,
-                        SpanKind::WireSend,
-                        frame.trace_id,
-                        frame.parent_span,
-                        send_start,
-                        frame.split,
-                        frame.seq,
-                        frame.worker,
-                        FLAG_REPLAY,
-                    );
-                }
-                SendOutcome::ConnDead => {
-                    alive.store(false, Ordering::SeqCst);
-                    break;
-                }
-                SendOutcome::Stopped => {
-                    alive.store(false, Ordering::SeqCst);
-                    let _ = reader.join();
-                    return;
-                }
+                SendOutcome::Sent => record_wire_span(
+                    &obs,
+                    SpanKind::WireSend,
+                    frame.trace_id,
+                    frame.parent_span,
+                    send_start,
+                    frame.split,
+                    frame.seq,
+                    frame.worker,
+                    FLAG_REPLAY,
+                ),
+                SendOutcome::ConnDead => continue 'accept,
+                SendOutcome::Stopped => return,
             }
         }
 
         loop {
-            if stop.load(Ordering::SeqCst) {
-                alive.store(false, Ordering::SeqCst);
-                let _ = reader.join();
-                return;
-            }
-            let credited = acked.load(Ordering::SeqCst);
-            while popped < credited {
-                if unacked.pop_front().is_none() {
-                    break; // over-credit from a confused peer; ignore
-                }
-                popped += 1;
-            }
-            if !alive.load(Ordering::SeqCst) {
-                let _ = reader.join();
-                continue 'accept;
-            }
-            if source_done && unacked.is_empty() {
+            if window.finished() {
                 // Every envelope delivered and credited: graceful close.
                 let goodbye = encode_frame(FrameKind::Goodbye, 0, 0, &[]);
-                let stop_check = || stop.load(Ordering::SeqCst);
-                let _ = write_all_retry(&mut stream, &goodbye, &stop_check);
-                alive.store(false, Ordering::SeqCst);
-                let _ = reader.join();
+                let _ = write_all_retry(&mut stream, &goodbye, &stopped);
                 return;
             }
-            if unacked.len() < window && !source_done {
-                match source.recv_timeout(SOURCE_POLL) {
-                    Ok(env) => {
-                        let bytes = encode_data_frame(&env, nonce, &cfg, &obs, &job);
-                        nonce += 1;
-                        let send_start = now_ns();
-                        let outcome =
-                            send_data_frame(&mut stream, &bytes, &chaos, &obs, &stop, &job);
-                        // Push after sending (a ByteView is cheap to move,
-                        // and sending first avoids re-borrowing the ring);
-                        // the frame stays unacked either way, so a dead
-                        // connection still replays it.
-                        unacked.push_back(UnackedFrame {
-                            bytes,
-                            trace_id: env.trace_id,
-                            parent_span: env.parent_span,
-                            split: env.split,
-                            seq: env.seq,
-                            worker: env.worker.0,
-                        });
-                        match outcome {
-                            SendOutcome::Sent => {
-                                record_wire_span(
-                                    &obs,
-                                    SpanKind::WireSend,
-                                    env.trace_id,
-                                    env.parent_span,
-                                    send_start,
-                                    env.split,
-                                    env.seq,
-                                    env.worker.0,
-                                    0,
-                                );
-                            }
-                            SendOutcome::ConnDead => alive.store(false, Ordering::SeqCst),
-                            SendOutcome::Stopped => {
-                                alive.store(false, Ordering::SeqCst);
-                                let _ = reader.join();
-                                return;
-                            }
-                        }
+            if !window.has_room() {
+                // Window full, or the source closed with frames unacked.
+                // The count rides in the unchecksummed nonce and the client
+                // grants one credit per envelope, so a Credit frame is one.
+                match read_frame_into(&mut stream, &stopped, &mut credit_payload) {
+                    Ok(Some(h)) if h.kind == FrameKind::Credit => {
+                        window.credit(1);
                     }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => source_done = true,
+                    Ok(Some(_)) => {}
+                    Ok(None) => return,
+                    Err(_) => continue 'accept,
                 }
-            } else {
-                // Window full: park until the credit reader signals (or the
-                // guard timeout lapses) rather than sleeping blind — on a
-                // busy box the wake lands as soon as the peer credits.
-                let _ = wake_rx.recv_timeout(CREDIT_POLL);
+                continue;
+            }
+            let env = match source.recv_timeout(SOURCE_POLL) {
+                Ok(env) => env,
+                Err(RecvTimeoutError::Timeout) if stopped() => return,
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => {
+                    window.close();
+                    continue;
+                }
+            };
+            let bytes = encode_data_frame(&env, nonce, &cfg, &obs, &job);
+            nonce += 1;
+            let send_start = now_ns();
+            let outcome = send_data_frame(&mut stream, &bytes, &chaos, &obs, &stop, &job);
+            // Admitted whatever the outcome: a frame whose write failed is
+            // written again on the next connection.
+            let frame = UnackedFrame {
+                bytes,
+                trace_id: env.trace_id,
+                parent_span: env.parent_span,
+                split: env.split,
+                seq: env.seq,
+                worker: env.worker.0,
+            };
+            if window.admit(frame).is_err() {
+                unreachable!("the window had room before the receive");
+            }
+            match outcome {
+                SendOutcome::Sent => record_wire_span(
+                    &obs,
+                    SpanKind::WireSend,
+                    env.trace_id,
+                    env.parent_span,
+                    send_start,
+                    env.split,
+                    env.seq,
+                    env.worker.0,
+                    0,
+                ),
+                SendOutcome::ConnDead => continue 'accept,
+                SendOutcome::Stopped => return,
             }
         }
     }
@@ -889,6 +821,88 @@ mod tests {
         if let Some(orig) = original {
             assert_ne!(orig.span_id, replay.span_id);
             assert_eq!(orig.parent_id, replay.parent_id);
+        }
+    }
+
+    /// Reads data frames off a raw peer connection and returns their
+    /// splits in arrival order. With `credit` it grants one credit per
+    /// frame and stops at `Goodbye`; without, it stops when the server
+    /// closes the connection.
+    fn read_splits(peer: &mut TcpStream, credit: bool) -> Vec<u64> {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut payload = Vec::new();
+        let mut splits = Vec::new();
+        while let Ok(Some(h)) = read_frame_into(peer, &|| Instant::now() > deadline, &mut payload) {
+            if h.kind == FrameKind::Goodbye {
+                break;
+            }
+            let env = decode_data_frame(
+                &h,
+                &mut payload[..h.len],
+                &WireConfig::plaintext(),
+                &no_obs(),
+                "",
+            )
+            .expect("a plaintext data frame");
+            splits.push(env.split);
+            if credit {
+                let one = encode_frame(FrameKind::Credit, 0, 1, &[]);
+                write_all_retry(peer, &one, &|| false).expect("credit");
+            }
+        }
+        splits
+    }
+
+    /// A raw peer reads frame 0 of 8 from a server with a window of 4 and
+    /// credits it with `count`, by which time frames 1–3 are written and
+    /// unread. It gives the server time to run past its window, half-closes,
+    /// reads what the server wrote on that connection until the server
+    /// drops it, then redials and takes the rest, crediting each frame.
+    /// Returns the splits seen on each connection.
+    fn over_credit_run(count: u64) -> (Vec<u64>, Vec<u64>) {
+        let (tx, rx) = bounded::<WireEnvelope>(8);
+        for i in 0..8 {
+            tx.send(envelope(i, 0, true)).expect("send");
+        }
+        drop(tx);
+        let cfg = WireConfig::plaintext();
+        let server = WireServer::serve(rx, cfg, 4, no_obs(), no_chaos(), "").expect("serve");
+        let dial = || {
+            let peer = TcpStream::connect(("127.0.0.1", server.port()))?;
+            peer.set_read_timeout(Some(IO_TIMEOUT))?;
+            Ok::<_, io::Error>(peer)
+        };
+        let mut peer = dial().expect("dial");
+        let mut payload = Vec::new();
+        let h = read_frame_into(&mut peer, &|| false, &mut payload)
+            .expect("frame 0")
+            .expect("no stop");
+        assert_eq!(h.kind, FrameKind::Data);
+        let over = encode_frame(FrameKind::Credit, 0, count, &[]);
+        write_all_retry(&mut peer, &over, &|| false).expect("credit");
+        // Only time for a server that banks the count to run ahead: a
+        // correct one reads the credit before the half-close whatever the
+        // timing, since the socket delivers them in order.
+        thread::sleep(Duration::from_millis(200));
+        peer.shutdown(Shutdown::Write).expect("half-close");
+        let mut first = vec![0];
+        first.extend(read_splits(&mut peer, false));
+        drop(peer);
+        // A server that already said Goodbye is gone: nothing is replayed.
+        let second = dial()
+            .map(|mut peer| read_splits(&mut peer, true))
+            .unwrap_or_default();
+        server.join();
+        (first, second)
+    }
+
+    #[test]
+    fn an_over_credit_retires_one_frame_and_runs_no_frame_past_the_window() {
+        for count in [1000, u64::MAX, 1] {
+            let (first, second) = over_credit_run(count);
+            // One frame credited, so at most a window of 4 more goes out.
+            assert_eq!(first, [0, 1, 2, 3, 4], "credit {count}: past the window");
+            assert_eq!(second, [1, 2, 3, 4, 5, 6, 7], "credit {count}: lost frames");
         }
     }
 

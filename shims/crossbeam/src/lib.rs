@@ -18,15 +18,6 @@ pub mod channel {
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct RecvError;
 
-    /// Error returned by [`Sender::try_send`].
-    #[derive(Debug, PartialEq, Eq)]
-    pub enum TrySendError<T> {
-        /// The buffer is at capacity; the value is handed back.
-        Full(T),
-        /// Every receiver has disconnected; the value is handed back.
-        Disconnected(T),
-    }
-
     /// Error returned by [`Receiver::try_recv`].
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum TryRecvError {
@@ -271,26 +262,6 @@ pub mod channel {
                 }
                 s = self.inner.not_full.wait(s).unwrap();
             }
-        }
-
-        /// Enqueues `value` without blocking.
-        ///
-        /// # Errors
-        ///
-        /// [`TrySendError::Full`] when the buffer is at capacity;
-        /// [`TrySendError::Disconnected`] when every receiver is gone.
-        pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-            let mut s = self.inner.state.lock().unwrap();
-            if s.receivers == 0 {
-                return Err(TrySendError::Disconnected(value));
-            }
-            if s.buf.len() >= s.cap {
-                return Err(TrySendError::Full(value));
-            }
-            s.buf.push_back(value);
-            self.inner.not_empty.notify_one();
-            self.inner.notify_watchers();
-            Ok(())
         }
 
         /// Messages currently buffered.
