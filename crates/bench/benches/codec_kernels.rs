@@ -9,7 +9,7 @@ use dsi_types::{Batch, FeatureId, FeatureKind, MiniBatchTensor, Sample, SparseLi
 use dwrf::compress::{compress_into, compress_scalar, decompress_into};
 use dwrf::encoding::{
     read_f32s, read_packed, read_varint, read_varints_into, rle_decode, rle_encode, write_f32s,
-    write_packed, write_varint, write_varints,
+    write_f32s_xor, write_packed, write_varint, write_varints,
 };
 use dwrf::stream::encode_columns;
 use dwrf::{CoalescePolicy, FileReader, FileWriter, SliceSource, WriterOptions};
@@ -167,6 +167,15 @@ fn bench_f32(c: &mut Criterion) {
     group.bench_function("decode", |b| {
         b.iter(|| black_box(read_f32s(black_box(&raw)).expect("valid")))
     });
+    // The `DenseData` and `Label` writer: varint XOR deltas.
+    group.bench_function("encode_xor", |b| {
+        let mut out = Vec::new();
+        b.iter(|| {
+            out.clear();
+            write_f32s_xor(&mut out, black_box(&values));
+            black_box(out.len())
+        })
+    });
     group.finish();
 }
 
@@ -317,14 +326,9 @@ fn bench_lz(c: &mut Criterion) {
     group.finish();
 }
 
-/// The dictionary decision alone: the 15 sparse columns of one 1,024-row
-/// RM1 stripe (dense features dropped) through `encode_columns`, where
-/// each column decides whether its ids take a `Dict` and the 10 that do
-/// are rewritten as ranks.
-fn bench_dict_decision(c: &mut Criterion) {
-    let (_, rows) = rm1_rows(1024);
-    let sparse_rows: Vec<Sample> = rows
-        .iter()
+/// `rows` with their dense features dropped.
+fn sparse_only(rows: &[Sample]) -> Vec<Sample> {
+    rows.iter()
         .map(|row| {
             let mut s = Sample::new(row.label());
             for (feature, list) in row.sparse_iter() {
@@ -332,13 +336,33 @@ fn bench_dict_decision(c: &mut Criterion) {
             }
             s
         })
-        .collect();
+        .collect()
+}
+
+/// The dictionary decision alone: the 15 sparse columns of one 1,024-row
+/// stripe (dense features dropped) through `encode_columns`, where each
+/// column decides whether its ids take a `Dict` and those that do are
+/// rewritten as ranks. `rm1` is the RM1 stripe dsibench stores (ids below
+/// 10^6, 10 of 15 columns take a `Dict`); `hashed` is the same schema with
+/// 64-bit hashed ids, as production logs them and `tests/format_pin.rs`
+/// writes them, where a radix pass per key byte would show.
+fn bench_dict_decision(c: &mut Criterion) {
+    let (schema, rows) = rm1_rows(1024);
+    let hashed = SampleGenerator::new(&schema, 0xbe7c)
+        .with_hashed_ids()
+        .take_samples(1024);
     let mut group = c.benchmark_group("dict_decision");
     group.sample_size(20);
-    group.throughput(Throughput::Elements(sparse_rows.len() as u64));
-    group.bench_function("rm1_1024_rows_sparse", |b| {
-        b.iter(|| black_box(encode_columns(black_box(&sparse_rows), true).len()))
-    });
+    group.throughput(Throughput::Elements(rows.len() as u64));
+    for (name, rows) in [
+        ("rm1_1024_rows_sparse", rows),
+        ("hashed_1024_rows_sparse", hashed),
+    ] {
+        let sparse_rows = sparse_only(&rows);
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(encode_columns(black_box(&sparse_rows), true).len()))
+        });
+    }
     group.finish();
 }
 
@@ -358,6 +382,21 @@ fn bench_stripe_encode(c: &mut Criterion) {
             }
             black_box(writer.finish().expect("non-empty").len())
         })
+    });
+    group.finish();
+}
+
+/// The column encoder alone on borrowed rows: one 1,024-row RM1 stripe,
+/// dense features included, through `encode_columns` (transpose, dictionary
+/// decision, packing, XOR floats; no LZ, cipher or row clone), so a writer
+/// gain is not diluted by `stripe_encode`'s per-iteration clone.
+fn bench_column_encode(c: &mut Criterion) {
+    let (_, rows) = rm1_rows(1024);
+    let mut group = c.benchmark_group("column_encode");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(rows.len() as u64));
+    group.bench_function("rm1_1024_rows", |b| {
+        b.iter(|| black_box(encode_columns(black_box(&rows), true).len()))
     });
     group.finish();
 }
@@ -410,6 +449,7 @@ criterion_group!(
     bench_lz,
     bench_dict_decision,
     bench_stripe_encode,
+    bench_column_encode,
     bench_stripe_decode
 );
 criterion_main!(benches);

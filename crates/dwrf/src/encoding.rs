@@ -209,10 +209,79 @@ pub fn write_varints(out: &mut Vec<u8>, values: &[u64]) {
 /// ⌈n·width/8⌉ bytes`, where `base` is the smallest value, `width` is the
 /// bit length of the largest offset from it (at least 1, so a block of
 /// equal values still has a width), and the bytes hold each `v − base` in
-/// `width` bits, LSB-first. Min and max are found in one pass; the bits
-/// gather in a `u128` flushed 8 bytes at a time. An empty `values` is base
-/// 0, width 1 and no bytes.
+/// `width` bits, LSB-first. An empty `values` is base 0, width 1 and no
+/// bytes.
 pub fn write_packed(out: &mut Vec<u8>, values: &[u64]) {
+    let (min, max) = min_max(values);
+    write_packed_offsets(
+        out,
+        min,
+        packed_width(max - min),
+        values.iter().map(|&v| v - min),
+    );
+}
+
+/// The smallest and largest of `values`; `(0, 0)` when there are none,
+/// the base and span [`write_packed`] gives an empty block.
+pub fn min_max(values: &[u64]) -> (u64, u64) {
+    let (min, max) = values
+        .iter()
+        .fold((u64::MAX, 0), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    (min.min(max), max)
+}
+
+/// The width [`write_packed`] stores offsets of at most `span` in: the bit
+/// length of `span`, at least 1.
+#[inline]
+pub fn packed_width(span: u64) -> u32 {
+    (64 - span.leading_zeros()).max(1)
+}
+
+/// Appends a [`write_packed`] block of `base` and `width` whose values are
+/// `base + offset` for each of `offsets`, every one below `2^width`: a
+/// caller that already knows the base and width (the stripe writer finds
+/// them while it decides on a dictionary) packs without another pass.
+///
+/// The bytes are laid down a word at a time: each offset is ORed into a
+/// 64-bit accumulator, which is stored into the next word of the sized
+/// output once full and restarts with the offset's spilled high bits.
+pub fn write_packed_offsets(
+    out: &mut Vec<u8>,
+    base: u64,
+    width: u32,
+    offsets: impl ExactSizeIterator<Item = u64>,
+) {
+    debug_assert!((1..=64).contains(&width), "packed width {width}");
+    write_varint(out, base);
+    out.push(width as u8);
+    let start = out.len();
+    let bytes = (offsets.len() * width as usize).div_ceil(8);
+    out.resize(start + bytes.next_multiple_of(8), 0);
+    let mut words = out[start..].chunks_exact_mut(8);
+    let (mut acc, mut bits) = (0u64, 0u32);
+    for offset in offsets {
+        debug_assert!(width == 64 || offset >> width == 0, "offset past width");
+        acc |= offset << bits;
+        let end = bits + width;
+        if end >= 64 {
+            let word = words.next().expect("sized for every offset");
+            word.copy_from_slice(&acc.to_le_bytes());
+            // The offset's bits past the full word; `>> 1 >> (63 - bits)`
+            // is `>> (64 - bits)` without the shift by 64 of `bits == 0`.
+            acc = offset >> 1 >> (63 - bits);
+        }
+        bits = end % 64;
+    }
+    if let Some(word) = words.next() {
+        word.copy_from_slice(&acc.to_le_bytes());
+    }
+    out.truncate(start + bytes);
+}
+
+/// [`write_packed`] one value at a time through a `u128` accumulator: the
+/// reference the word-wide packer is tested against.
+#[cfg(test)]
+pub(crate) fn write_packed_by_value(out: &mut Vec<u8>, values: &[u64]) {
     let (min, max) = values
         .iter()
         .fold((u64::MAX, 0), |(lo, hi), &v| (lo.min(v), hi.max(v)));
@@ -220,7 +289,6 @@ pub fn write_packed(out: &mut Vec<u8>, values: &[u64]) {
     let width = (64 - (max - base).leading_zeros()).max(1);
     write_varint(out, base);
     out.push(width as u8);
-    out.reserve((values.len() * width as usize).div_ceil(8));
     let mut acc = 0u128;
     let mut bits = 0;
     for &v in values {
@@ -440,27 +508,24 @@ pub fn read_f32s(buf: &[u8]) -> Result<Vec<f32>> {
 /// constant columns) collapse to one byte; slowly-varying columns keep
 /// their shared sign/exponent bits out of the stream.
 ///
-/// A delta's at most five LEB128 bytes are assembled in one word and
-/// copied whole into a stack slab, which is flushed to `out` a few hundred
-/// bytes at a time.
+/// A delta's at most five LEB128 bytes are assembled in one word, which is
+/// stored whole at the end of the output (sized up front for five bytes a
+/// value) and advanced by the delta's length.
 pub fn write_f32s_xor(out: &mut Vec<u8>, values: &[f32]) {
     write_varint(out, values.len() as u64);
-    out.reserve(values.len());
-    let mut slab = [0u8; 256];
-    let mut fill = 0usize;
+    let start = out.len();
+    // Five bytes a delta at most, and three past the last for its word.
+    out.resize(start + 5 * values.len() + 3, 0);
+    let mut at = start;
     let mut prev = 0u32;
     for v in values {
         let bits = v.to_bits();
-        if fill + 8 > slab.len() {
-            out.extend_from_slice(&slab[..fill]);
-            fill = 0;
-        }
         let (word, len) = xor_delta_word(bits ^ prev);
-        slab[fill..fill + 8].copy_from_slice(&word.to_le_bytes());
-        fill += len;
+        out[at..at + 8].copy_from_slice(&word.to_le_bytes());
+        at += len;
         prev = bits;
     }
-    out.extend_from_slice(&slab[..fill]);
+    out.truncate(at);
 }
 
 /// The LEB128 bytes of `delta` in the low bytes of a little-endian word,
@@ -468,14 +533,26 @@ pub fn write_f32s_xor(out: &mut Vec<u8>, values: &[f32]) {
 /// own byte, and every byte but the last gets the continuation bit.
 #[inline]
 fn xor_delta_word(delta: u32) -> (u64, usize) {
+    /// By a delta's leading zeros: the bytes it takes (`⌈bits / 7⌉`, at
+    /// least 1) and their continuation bits.
+    const BYTES: [(u64, usize); 33] = {
+        let mut table = [(0, 0); 33];
+        let mut zeros: usize = 0;
+        while zeros <= 32 {
+            let bits = 32 - zeros;
+            let len = if bits == 0 { 1 } else { bits.div_ceil(7) };
+            table[zeros] = (0x80_8080_8080 & ((1 << (8 * (len - 1))) - 1), len);
+            zeros += 1;
+        }
+        table
+    };
     let v = u64::from(delta);
     let spread = (v & 0x7f)
         | (v & 0x3f80) << 1
         | (v & 0x1f_c000) << 2
         | (v & 0x0fe0_0000) << 3
         | (v & 0xf000_0000) << 4;
-    let len = ((32 - delta.leading_zeros()) as usize).div_ceil(7).max(1);
-    let continuation = 0x80_8080_8080u64 & ((1u64 << (8 * (len - 1))) - 1);
+    let (continuation, len) = BYTES[delta.leading_zeros() as usize];
     (spread | continuation, len)
 }
 

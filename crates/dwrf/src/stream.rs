@@ -8,9 +8,9 @@
 //! replaced.
 
 use crate::encoding::{
-    read_bitmap, read_f32s, read_f32s_xor, read_packed, read_varint, read_varints_into,
-    rle_decode_capped, rle_encode, write_f32s, write_f32s_xor, write_packed, write_varint,
-    write_varints, Bitmap,
+    packed_width, read_bitmap, read_f32s, read_f32s_xor, read_packed, read_varint,
+    read_varints_into, rle_decode_capped, rle_encode, word_ones, write_f32s, write_f32s_xor,
+    write_packed_offsets, write_varint, write_varints, Bitmap,
 };
 use dsi_types::{
     ColumnBatch, DenseColumn, DsiError, FeatureId, Result, Sample, SparseColumn, SparseList,
@@ -153,38 +153,51 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
 /// The raw (unencoded) streams produced for one column of one stripe.
 pub type RawStreams = Vec<(StreamKind, Vec<u8>)>;
 
-/// One feature's cells across a stripe, under a presence bit per row. The
-/// writer sizes and fills them row by row; the reader decodes them a
-/// stream at a time.
+/// One feature's cells across the rows of a stripe, under a presence bit
+/// per row. The writer keeps one for every feature it has met in a file,
+/// fills it a row at a time, and empties it for the next stripe once the
+/// stripe is encoded, so its buffers keep the size a stripe grew them to.
 #[derive(Debug)]
-pub(crate) struct Column<C> {
-    pub(crate) feature: FeatureId,
-    pub(crate) present: Bitmap,
-    pub(crate) cells: C,
+struct Column<C> {
+    feature: FeatureId,
+    /// Presence bits, 64 rows to a word, bit `r % 64` of word `r / 64`;
+    /// the words past the last present row so far are not there yet.
+    present: Vec<u64>,
+    cells: C,
 }
 
 impl<C> Column<C> {
-    fn present_stream(&self) -> (StreamKind, Vec<u8>) {
+    /// Marks `row` present.
+    #[inline]
+    fn set(&mut self, row: usize) {
+        let word = row / 64;
+        if self.present.len() <= word {
+            self.present.resize(word + 1, 0);
+        }
+        self.present[word] |= 1 << (row % 64);
+    }
+
+    /// The `Present` stream of a stripe of `rows` rows, leaving the
+    /// column with no bits set.
+    fn take_present(&mut self, rows: usize) -> (StreamKind, Vec<u8>) {
+        let mut words = std::mem::take(&mut self.present);
+        words.resize(rows.div_ceil(64), 0);
         let mut buf = Vec::new();
-        self.present.write(&mut buf);
+        Bitmap::from_words(words, rows).write(&mut buf);
         (StreamKind::Present, buf)
     }
 }
 
-/// Marks `feature` present in `row` and returns its cells. A row's
-/// features arrive in ascending id order and `columns` is kept in that
-/// order, so the search resumes at `*cursor` (where the row's previous
-/// feature left it) and the whole row is one merge pass. A feature no
-/// earlier row held opens a column in place, with a bit for each of
-/// `rows` rows and the cells `open` returns.
-fn cells_of<'a, C>(
+/// The column of `feature` in `columns`, which is kept in id order. A row's
+/// features arrive in ascending id order, so the search resumes at
+/// `*cursor` (where the row's previous feature left it) and the whole row
+/// is one merge pass. A feature no column holds yet opens one in place.
+#[inline]
+fn column_of<'a, C: Default>(
     columns: &'a mut Vec<Column<C>>,
     cursor: &mut usize,
     feature: FeatureId,
-    row: usize,
-    rows: usize,
-    open: impl FnOnce() -> C,
-) -> &'a mut C {
+) -> &'a mut Column<C> {
     while columns.get(*cursor).is_some_and(|c| c.feature < feature) {
         *cursor += 1;
     }
@@ -193,131 +206,238 @@ fn cells_of<'a, C>(
             *cursor,
             Column {
                 feature,
-                present: Bitmap::zeros(rows),
-                cells: open(),
+                present: Vec::new(),
+                cells: C::default(),
             },
         );
     }
     let column = &mut columns[*cursor];
     *cursor += 1;
-    column.present.set(row);
-    &mut column.cells
-}
-
-/// What one sparse column of a stripe holds, counted from the rows' list
-/// headers before any cell is copied.
-#[derive(Debug, Default)]
-struct SparseSize {
-    lists: usize,
-    ids: usize,
-    scored: bool,
-}
-
-/// The sparse columns of `rows` in id order. A first pass over the rows'
-/// list headers sets the presence bits and counts each column's lists and
-/// ids, so every buffer is reserved to exactly what the second pass
-/// copies into it.
-fn sparse_columns(rows: &[Sample]) -> Vec<Column<SparseCells>> {
-    let mut sized: Vec<Column<SparseSize>> = Vec::new();
-    for (r, row) in rows.iter().enumerate() {
-        let mut cursor = 0;
-        for (feature, list) in row.sparse_iter() {
-            let size = cells_of(
-                &mut sized,
-                &mut cursor,
-                feature,
-                r,
-                rows.len(),
-                SparseSize::default,
-            );
-            size.lists += 1;
-            size.ids += list.len();
-            size.scored |= list.scores().is_some();
-        }
-    }
-    let mut columns: Vec<Column<SparseCells>> = sized
-        .into_iter()
-        .map(|c| Column {
-            feature: c.feature,
-            present: c.present,
-            cells: SparseCells::with_capacity(&c.cells),
-        })
-        .collect();
-    for row in rows {
-        // The first pass opened every column a row holds, in order.
-        let mut cursor = 0;
-        for (feature, list) in row.sparse_iter() {
-            while columns[cursor].feature != feature {
-                cursor += 1;
-            }
-            columns[cursor].cells.push(list);
-            cursor += 1;
-        }
-    }
-    columns
+    column
 }
 
 /// The present cells of a sparse column, concatenated.
-#[derive(Debug)]
-pub(crate) struct SparseCells {
-    pub(crate) lengths: Vec<u64>,
-    pub(crate) ids: Vec<u64>,
+#[derive(Debug, PartialEq)]
+struct SparseCells {
+    lengths: Vec<u64>,
+    ids: Vec<u64>,
+    /// The smallest and largest of `ids`, found while they are copied in;
+    /// `(u64::MAX, 0)` while there are none.
+    bounds: (u64, u64),
     /// Aligned with `ids` when `scored`, empty otherwise.
-    pub(crate) scores: Vec<f32>,
-    pub(crate) scored: bool,
+    scores: Vec<f32>,
+    scored: bool,
+}
+
+impl Default for SparseCells {
+    fn default() -> Self {
+        Self {
+            lengths: Vec::new(),
+            ids: Vec::new(),
+            bounds: (u64::MAX, 0),
+            scores: Vec::new(),
+            scored: false,
+        }
+    }
 }
 
 impl SparseCells {
-    /// Empty cells with room for exactly what `size` counted.
-    fn with_capacity(size: &SparseSize) -> Self {
-        Self {
-            lengths: Vec::with_capacity(size.lists),
-            ids: Vec::with_capacity(size.ids),
-            scores: Vec::with_capacity(if size.scored { size.ids } else { 0 }),
-            scored: size.scored,
-        }
-    }
-
-    /// Appends `list`; in a scored column an unscored list gets unit
-    /// scores.
+    /// Appends `list`. A column is scored once any of its lists is: the
+    /// unscored lists before its first scored one get unit scores then, and
+    /// every unscored list after it as it comes.
+    #[inline]
     fn push(&mut self, list: &SparseList) {
         self.lengths.push(list.len() as u64);
         self.ids.extend_from_slice(list.ids());
-        if self.scored {
-            match list.scores() {
-                Some(scores) => self.scores.extend_from_slice(scores),
-                None => self.scores.resize(self.ids.len(), 1.0),
+        self.bounds = list
+            .ids()
+            .iter()
+            .fold(self.bounds, |(lo, hi), &id| (lo.min(id), hi.max(id)));
+        match list.scores() {
+            Some(scores) => {
+                if !self.scored {
+                    self.scored = true;
+                    self.scores.resize(self.ids.len() - scores.len(), 1.0);
+                }
+                self.scores.extend_from_slice(scores);
             }
+            None if self.scored => self.scores.resize(self.ids.len(), 1.0),
+            None => {}
         }
+    }
+
+    fn clear(&mut self) {
+        self.lengths.clear();
+        self.ids.clear();
+        self.bounds = (u64::MAX, 0);
+        self.scores.clear();
+        self.scored = false;
     }
 }
 
-impl Column<Vec<f32>> {
-    /// A `Present` bitmap and a `DenseData` stream of the present values.
-    fn encode(self) -> RawStreams {
+/// A stripe's feature columns, built a row at a time and encoded once the
+/// stripe is complete. [`crate::FileWriter`] keeps one for the whole file
+/// and pushes each row as it arrives, so a row's cells are copied while
+/// they are still in cache, the row can be dropped right after, and every
+/// column buffer, once grown to a stripe's cells, is reused by the next.
+#[derive(Debug)]
+pub(crate) struct StripeColumns {
+    with_sparse: bool,
+    /// Rows pushed since the last [`StripeColumns::encode`].
+    rows: usize,
+    dense: Vec<Column<Vec<f32>>>,
+    sparse: Vec<Column<SparseCells>>,
+    dict: DictTable,
+}
+
+impl StripeColumns {
+    /// Empty columns; sparse features are left out unless `with_sparse`.
+    pub(crate) fn new(with_sparse: bool) -> Self {
+        Self {
+            with_sparse,
+            rows: 0,
+            dense: Vec::new(),
+            sparse: Vec::new(),
+            dict: DictTable::new(),
+        }
+    }
+
+    /// Appends `row`'s cells to their columns: one id-ordered merge pass
+    /// over each of its maps.
+    pub(crate) fn push(&mut self, row: &Sample) {
+        let r = self.rows;
+        self.rows += 1;
+        let mut cursor = 0;
+        for (feature, value) in row.dense_iter() {
+            let column = column_of(&mut self.dense, &mut cursor, feature);
+            column.set(r);
+            column.cells.push(value);
+        }
+        if self.with_sparse {
+            let mut cursor = 0;
+            for (feature, list) in row.sparse_iter() {
+                let column = column_of(&mut self.sparse, &mut cursor, feature);
+                column.set(r);
+                column.cells.push(list);
+            }
+        }
+    }
+
+    /// Encodes every column some pushed row holds — the dense columns in id
+    /// order, then the sparse ones — and empties them all for the next
+    /// stripe.
+    pub(crate) fn encode(&mut self) -> Vec<(FeatureId, RawStreams)> {
+        let rows = std::mem::take(&mut self.rows);
+        let mut out = Vec::new();
+        for column in self.dense.iter_mut().filter(|c| !c.cells.is_empty()) {
+            let mut data = Vec::new();
+            write_f32s_xor(&mut data, &column.cells);
+            let streams = vec![column.take_present(rows), (StreamKind::DenseData, data)];
+            out.push((column.feature, streams));
+            column.cells.clear();
+        }
+        for column in self
+            .sparse
+            .iter_mut()
+            .filter(|c| !c.cells.lengths.is_empty())
+        {
+            out.push((column.feature, column.encode(rows, &mut self.dict)));
+            column.cells.clear();
+        }
+        out
+    }
+}
+
+impl Column<SparseCells> {
+    /// `Present`, `Length` (RLE), `Data` (bit-packed ids or dictionary
+    /// indexes), a `Dict` when ids repeat ([`DictTable::encode_ids`]), and a
+    /// `Score` stream when any list was scored.
+    fn encode(&mut self, rows: usize, dict: &mut DictTable) -> RawStreams {
+        let present = self.take_present(rows);
+        let cells = &self.cells;
         let mut data = Vec::new();
-        write_f32s_xor(&mut data, &self.cells);
-        vec![self.present_stream(), (StreamKind::DenseData, data)]
+        let dict_buf = dict.encode_ids(&cells.ids, cells.bounds, &mut data);
+        let mut out = vec![
+            present,
+            (StreamKind::Length, rle_encode(&cells.lengths)),
+            (StreamKind::Data, data),
+        ];
+        if let Some(dict_buf) = dict_buf {
+            out.push((StreamKind::Dict, dict_buf));
+        }
+        if cells.scored {
+            let mut sbuf = Vec::new();
+            write_f32s(&mut sbuf, &cells.scores);
+            out.push((StreamKind::Score, sbuf));
+        }
+        out
     }
 }
 
 /// The most distinct ids a `Dict` stream holds.
 const MAX_DICT: usize = 4096;
 
-/// Scratch for the dictionary decision, reused by every sparse column of
-/// one [`encode_columns`] call: an open-addressed id → first-seen index
-/// table that each column leaves empty again.
+/// The most words [`DictTable`] gives a bitmap with a bit per key of a
+/// column's span: 512 KiB.
+const MAX_DIRECT_WORDS: usize = 1 << 16;
+
+/// The most bitmap words per id a column's span may take for the bitmap
+/// to decide it; a sparser bitmap spreads the ids over more cache lines
+/// than the hashed path touches.
+const DIRECT_WORDS_PER_ID: usize = 4;
+
+/// Widest radix digit [`DictTable`] sorts by: 2,048 buckets, so 64-bit
+/// hashed ids sort in six passes.
+const MAX_DIGIT_BITS: u32 = 11;
+
+/// A slot of [`DictTable`]'s id index; it holds an id of the current column
+/// only when its `generation` is the table's.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    id: u64,
+    generation: u32,
+    /// The id's first-seen index among the column's distinct ids.
+    index: u32,
+}
+
+/// Scratch for the dictionary decision, reused by every sparse column a
+/// [`StripeColumns`] encodes.
+///
+/// A column's ids are keyed relative to their minimum. When the keys'
+/// span is narrow enough, a bitmap with a bit per key counts the distinct
+/// ids exactly and holds them in order, so its prefix counts are the
+/// ranks. Otherwise a hashed bitset gives a lower bound on the distinct
+/// count that rejects most columns over the cap before any id is indexed;
+/// the rest go through an open-addressed id → first-seen index table, and
+/// a column that takes a dictionary radix-sorts its distinct keys.
 #[derive(Debug)]
 struct DictTable {
     /// Odd and drawn per table: ids come from logged samples, and a fixed
     /// multiplier would let chosen ids share a probe chain.
     multiplier: u64,
-    /// `(id, 1 + first-seen index)`; an index of `0` is an empty slot.
-    slots: Vec<(u64, u32)>,
-    /// The column's distinct ids in first-seen order, with their slots.
-    distinct: Vec<(u64, usize)>,
+    /// A bit per key (narrow spans) or per hash (wide ones); all clear
+    /// between columns.
+    bits: Vec<u64>,
+    /// A bit per word of `bits` that has a bit set.
+    nonzero: Vec<u64>,
+    /// Set bits before each word of `bits`: a key's rank, less the set
+    /// bits below it in its own word.
+    prefix: Vec<u32>,
+    slots: Vec<Slot>,
+    /// The current column's tag in `slots`; every other value is empty.
+    generation: u32,
+    /// The column's distinct ids as `(id − min, first-seen index)`, in
+    /// first-seen order until sorted.
+    distinct: Vec<(u64, u32)>,
+    /// The radix sort's second buffer and its digit counts.
+    sorted: Vec<(u64, u32)>,
+    counts: Vec<u32>,
+    /// Each id's first-seen index, in column order.
+    firsts: Vec<u32>,
     /// First-seen index → rank in the sorted dictionary.
-    ranks: Vec<u64>,
+    ranks: Vec<u32>,
+    /// The `Dict` stream's values: the first id, then the gaps.
+    gaps: Vec<u64>,
 }
 
 impl DictTable {
@@ -328,9 +448,17 @@ impl DictTable {
                 .build_hasher()
                 .finish()
                 | 1,
+            bits: Vec::new(),
+            nonzero: Vec::new(),
+            prefix: Vec::new(),
             slots: Vec::new(),
+            generation: 0,
             distinct: Vec::new(),
+            sorted: Vec::new(),
+            counts: Vec::new(),
+            firsts: Vec::new(),
             ranks: Vec::new(),
+            gaps: Vec::new(),
         }
     }
 
@@ -340,88 +468,262 @@ impl DictTable {
         (id.wrapping_mul(self.multiplier) >> shift) as usize
     }
 
-    /// Dictionary-encodes `ids` when they repeat enough to pay for the
+    /// Appends the `Data` stream of a sparse column's `ids` to `data`, and
+    /// dictionary-encodes them when they repeat enough to pay for the
     /// dictionary (hot categorical ids — page ids, topic ids — recur across
     /// samples): when there are ids, at most half as many distinct ones,
-    /// and at most [`MAX_DICT`]. Then each id is replaced by its rank and
-    /// the `Dict` stream is returned; otherwise `ids` are left as they were.
-    ///
-    /// One hashed pass decides, giving up as soon as the distinct count
-    /// passes the cap; only a column that takes a dictionary sorts, and
-    /// only its distinct ids.
-    fn encode(&mut self, ids: &mut [u64]) -> Option<Vec<u8>> {
+    /// and at most [`MAX_DICT`]. Then `data` holds each id's rank in the
+    /// sorted dictionary and the `Dict` stream is returned; otherwise it
+    /// holds the ids packed relative to their minimum. `(min, max)` are the
+    /// smallest and largest of `ids`, `(u64::MAX, 0)` when there are none.
+    fn encode_ids(
+        &mut self,
+        ids: &[u64],
+        (min, max): (u64, u64),
+        data: &mut Vec<u8>,
+    ) -> Option<Vec<u8>> {
         let cap = (ids.len() / 2).min(MAX_DICT);
-        if cap == 0 {
-            return None;
+        // An empty column packs as base 0.
+        let min = min.min(max);
+        let span = max - min;
+        let mut dict = None;
+        if cap > 0 {
+            let direct = (span >> 6) as usize + 1;
+            if direct <= MAX_DIRECT_WORDS.min(DIRECT_WORDS_PER_ID * ids.len()) {
+                if self.mark(ids, cap, direct, |id| (id - min) as usize) {
+                    dict = Some(self.dictionary_from_bits(ids, min, data));
+                }
+            } else {
+                // 16 bits per id the cap allows: a column well past the cap
+                // is caught close to where an exact count would catch it.
+                let hashed = (16 * cap).next_power_of_two().max(64);
+                let shift = 64 - hashed.trailing_zeros();
+                let multiplier = self.multiplier;
+                let hash = |id: u64| (id.wrapping_mul(multiplier) >> shift) as usize;
+                if self.mark(ids, cap, hashed / 64, hash) {
+                    dict = self.dictionary(ids, cap, min, span, data);
+                }
+            }
+            self.clear_bits();
         }
+        if dict.is_none() {
+            write_packed_offsets(
+                data,
+                min,
+                packed_width(span),
+                ids.iter().map(|&id| id - min),
+            );
+        }
+        dict
+    }
+
+    /// Sets bit `bit(id)` of a `words`-word bitset for each of `ids`, and
+    /// returns whether at most `cap` bits are set, stopping as soon as more
+    /// are. Equal ids set the same bit, so the set bits never outnumber the
+    /// distinct ids, and equal them when `bit` is one-to-one. Leaves the
+    /// bits for [`DictTable::clear_bits`].
+    fn mark(&mut self, ids: &[u64], cap: usize, words: usize, bit: impl Fn(u64) -> usize) -> bool {
+        if self.bits.len() < words {
+            self.bits.resize(words, 0);
+            self.nonzero.resize(words.div_ceil(64), 0);
+        }
+        let mut set = 0;
+        for chunk in ids.chunks(64) {
+            for &id in chunk {
+                let at = bit(id);
+                let word = &mut self.bits[at / 64];
+                let mask = 1 << (at % 64);
+                set += usize::from(*word & mask == 0);
+                *word |= mask;
+                self.nonzero[at / 4096] |= 1 << (at / 64 % 64);
+            }
+            if set > cap {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// The indexes of the words of `bits` with a bit set, ascending.
+    fn nonzero_words(nonzero: &[u64]) -> impl Iterator<Item = usize> + '_ {
+        nonzero
+            .iter()
+            .enumerate()
+            .flat_map(|(at, &summary)| word_ones(summary).map(move |bit| 64 * at + bit))
+    }
+
+    /// Clears what [`DictTable::mark`] set: only the words it touched.
+    fn clear_bits(&mut self) {
+        for at in Self::nonzero_words(&self.nonzero) {
+            self.bits[at] = 0;
+        }
+        self.nonzero.fill(0);
+    }
+
+    /// The `Dict` stream of `ids`, whose keys relative to `min` are the
+    /// set bits of `bits`, with their ranks appended to `data`: the set
+    /// bits are the dictionary in order, and a key's rank is the number of
+    /// set bits below it.
+    fn dictionary_from_bits(&mut self, ids: &[u64], min: u64, data: &mut Vec<u8>) -> Vec<u8> {
+        // Only words some id fell in are read back, so only theirs are set.
+        if self.prefix.len() < self.bits.len() {
+            self.prefix.resize(self.bits.len(), 0);
+        }
+        self.gaps.clear();
+        let mut below = 0;
+        let mut last = None;
+        for at in Self::nonzero_words(&self.nonzero) {
+            self.prefix[at] = below;
+            for bit in word_ones(self.bits[at]) {
+                let key = (64 * at + bit) as u64;
+                self.gaps.push(match last {
+                    None => min + key,
+                    Some(last) => key - last,
+                });
+                last = Some(key);
+                below += 1;
+            }
+        }
+        let (bits, prefix) = (&self.bits, &self.prefix);
+        let ranks = ids.iter().map(|&id| {
+            let key = (id - min) as usize;
+            let lower = bits[key / 64] & ((1 << (key % 64)) - 1);
+            u64::from(prefix[key / 64] + lower.count_ones())
+        });
+        self.dictionary_streams(ranks, data)
+    }
+
+    /// Appends `ranks` to `data` and returns the `Dict` stream of the ids
+    /// `gaps` holds.
+    fn dictionary_streams(
+        &self,
+        ranks: impl ExactSizeIterator<Item = u64>,
+        data: &mut Vec<u8>,
+    ) -> Vec<u8> {
+        // Every rank occurs, so ranks pack from base 0 at the width of the
+        // last one.
+        let last = self.gaps.len() as u64 - 1;
+        write_packed_offsets(data, 0, packed_width(last), ranks);
+        let mut dict = Vec::with_capacity(10 + self.gaps.len());
+        write_varint(&mut dict, self.gaps.len() as u64);
+        write_varints(&mut dict, &self.gaps);
+        dict
+    }
+
+    /// The `Dict` stream of `ids`, whose smallest id is `min` and whose
+    /// keys span `span`, with their ranks appended to `data`; or `None`,
+    /// with `data` untouched, once a distinct id past `cap` turns up.
+    fn dictionary(
+        &mut self,
+        ids: &[u64],
+        cap: usize,
+        min: u64,
+        span: u64,
+        data: &mut Vec<u8>,
+    ) -> Option<Vec<u8>> {
         // The table holds at most `cap` ids: a load factor of at most half.
         let size = (2 * cap).next_power_of_two();
         if self.slots.len() < size {
-            self.slots.resize(size, (0, 0));
+            self.slots.resize(size, Slot::default());
         }
-        self.distinct.clear();
-        if let Err(at) = self.index(ids, cap, size) {
-            for id in &mut ids[..at] {
-                *id = self.distinct[*id as usize].0;
-            }
-            for &(_, slot) in &self.distinct {
-                self.slots[slot].1 = 0;
-            }
-            return None;
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.slots.fill(Slot::default());
+            self.generation = 1;
         }
-        self.distinct.sort_unstable();
-        self.ranks.clear();
-        self.ranks.resize(self.distinct.len(), 0);
-        for (rank, &(_, slot)) in self.distinct.iter().enumerate() {
-            let first_seen = self.slots[slot].1 as usize - 1;
-            self.ranks[first_seen] = rank as u64;
-            self.slots[slot].1 = 0;
-        }
-        for id in ids.iter_mut() {
-            *id = self.ranks[*id as usize];
-        }
-        let gaps: Vec<u64> = std::iter::once(self.distinct[0].0)
-            .chain(self.distinct.windows(2).map(|pair| pair[1].0 - pair[0].0))
-            .collect();
-        let mut dict = Vec::new();
-        write_varint(&mut dict, gaps.len() as u64);
-        write_varints(&mut dict, &gaps);
-        Some(dict)
-    }
-
-    /// Replaces each id with its first-seen index among the column's
-    /// distinct ids, recording them in `distinct`. `Err(at)` when `ids[at]`
-    /// would be distinct id `cap + 1`; the ids before it are replaced.
-    fn index(
-        &mut self,
-        ids: &mut [u64],
-        cap: usize,
-        size: usize,
-    ) -> std::result::Result<(), usize> {
+        let generation = self.generation;
         let shift = 64 - size.trailing_zeros();
-        for (at, id) in ids.iter_mut().enumerate() {
-            let mut slot = self.home_slot(*id, shift);
-            *id = loop {
-                let (key, tag) = self.slots[slot];
-                if tag == 0 {
+        self.distinct.clear();
+        self.firsts.clear();
+        for &id in ids {
+            let mut at = self.home_slot(id, shift);
+            let index = loop {
+                let slot = &mut self.slots[at];
+                if slot.generation != generation {
                     if self.distinct.len() == cap {
-                        return Err(at);
+                        return None;
                     }
-                    self.distinct.push((*id, slot));
-                    self.slots[slot] = (*id, self.distinct.len() as u32);
-                    break (self.distinct.len() - 1) as u64;
+                    let index = self.distinct.len() as u32;
+                    *slot = Slot {
+                        id,
+                        generation,
+                        index,
+                    };
+                    self.distinct.push((id - min, index));
+                    break index;
                 }
-                if key == *id {
-                    break u64::from(tag - 1);
+                if slot.id == id {
+                    break slot.index;
                 }
-                slot = (slot + 1) & (size - 1);
+                at = (at + 1) & (size - 1);
             };
+            self.firsts.push(index);
         }
-        Ok(())
+        radix_sort(
+            &mut self.distinct,
+            &mut self.sorted,
+            &mut self.counts,
+            packed_width(span),
+        );
+        self.ranks.resize(self.distinct.len(), 0);
+        for (rank, &(_, index)) in self.distinct.iter().enumerate() {
+            self.ranks[index as usize] = rank as u32;
+        }
+        self.gaps.clear();
+        self.gaps.push(min + self.distinct[0].0);
+        self.gaps
+            .extend(self.distinct.windows(2).map(|pair| pair[1].0 - pair[0].0));
+        let ranks = self
+            .firsts
+            .iter()
+            .map(|&f| u64::from(self.ranks[f as usize]));
+        Some(self.dictionary_streams(ranks, data))
     }
 }
 
-/// The sort-based dictionary rule [`DictTable::encode`] replaced: the
+/// Sorts `items` by key, every key below `2^width`: least-significant digit
+/// first, in as few passes of at most [`MAX_DIGIT_BITS`] as `width` needs,
+/// counting every pass's digits in one read of the keys and skipping a pass
+/// whose digit all keys share. `sorted` and `counts` are scratch.
+fn radix_sort(
+    items: &mut Vec<(u64, u32)>,
+    sorted: &mut Vec<(u64, u32)>,
+    counts: &mut Vec<u32>,
+    width: u32,
+) {
+    let passes = width.div_ceil(MAX_DIGIT_BITS).max(1);
+    let digit_bits = width.div_ceil(passes).max(1);
+    let buckets = 1usize << digit_bits;
+    let digit = |key: u64, pass: u32| (key >> (pass * digit_bits)) as usize & (buckets - 1);
+    counts.clear();
+    counts.resize(passes as usize * buckets, 0);
+    for &(key, _) in items.iter() {
+        for pass in 0..passes {
+            counts[pass as usize * buckets + digit(key, pass)] += 1;
+        }
+    }
+    sorted.resize(items.len(), (0, 0));
+    for pass in 0..passes {
+        let counts = &mut counts[pass as usize * buckets..][..buckets];
+        if counts[digit(items[0].0, pass)] as usize == items.len() {
+            continue;
+        }
+        let mut next = 0;
+        for count in counts.iter_mut() {
+            let n = *count;
+            *count = next;
+            next += n;
+        }
+        for &item in items.iter() {
+            let bucket = &mut counts[digit(item.0, pass)];
+            sorted[*bucket as usize] = item;
+            *bucket += 1;
+        }
+        std::mem::swap(items, sorted);
+    }
+}
+
+/// The sort-based dictionary rule [`DictTable::encode_ids`] replaced: the
 /// reference its property and edge tests compare against.
 #[cfg(test)]
 fn dictionary_by_sorting(ids: &mut [u64]) -> Option<Vec<u8>> {
@@ -445,70 +747,19 @@ fn dictionary_by_sorting(ids: &mut [u64]) -> Option<Vec<u8>> {
     Some(dict)
 }
 
-impl Column<SparseCells> {
-    /// `Present`, `Length` (RLE), `Data` (bit-packed ids or dictionary
-    /// indexes), a `Dict` when ids repeat ([`DictTable::encode`]), and a
-    /// `Score` stream when any list was scored.
-    fn encode(self, dict: &mut DictTable) -> RawStreams {
-        let present = self.present_stream();
-        let SparseCells {
-            lengths,
-            mut ids,
-            scores,
-            scored,
-        } = self.cells;
-        let dict_buf = dict.encode(&mut ids);
-        // Every dictionary index occurs, so indexes pack from base 0 at the
-        // width of the last one.
-        let mut ids_buf = Vec::new();
-        write_packed(&mut ids_buf, &ids);
-        let mut out = vec![
-            present,
-            (StreamKind::Length, rle_encode(&lengths)),
-            (StreamKind::Data, ids_buf),
-        ];
-        if let Some(dict_buf) = dict_buf {
-            out.push((StreamKind::Dict, dict_buf));
-        }
-        if scored {
-            let mut sbuf = Vec::new();
-            write_f32s(&mut sbuf, &scores);
-            out.push((StreamKind::Score, sbuf));
-        }
-        out
-    }
-}
-
 /// Transposes `rows` into per-feature columns — one id-ordered merge pass
 /// per row — and encodes each: the dense columns in id order, then (when
-/// `with_sparse`) the sparse columns in id order. Every buffer is sized
-/// before it is filled: a dense column reserves a value per row, and the
-/// sparse columns count their lists and ids in a first pass over the rows
-/// before a second copies them.
+/// `with_sparse`) the sparse columns in id order.
 ///
 /// Scored-ness is a column-level property (as in the production schema):
 /// if any row of the stripe carries scores, the whole column round-trips
 /// as scored, with unscored rows canonicalized to unit scores.
 pub fn encode_columns(rows: &[Sample], with_sparse: bool) -> Vec<(FeatureId, RawStreams)> {
-    let mut dense: Vec<Column<Vec<f32>>> = Vec::new();
-    for (r, row) in rows.iter().enumerate() {
-        let mut cursor = 0;
-        for (feature, value) in row.dense_iter() {
-            cells_of(&mut dense, &mut cursor, feature, r, rows.len(), || {
-                Vec::with_capacity(rows.len())
-            })
-            .push(value);
-        }
+    let mut columns = StripeColumns::new(with_sparse);
+    for row in rows {
+        columns.push(row);
     }
-    let sparse = if with_sparse {
-        sparse_columns(rows)
-    } else {
-        Vec::new()
-    };
-    let dense = dense.into_iter().map(|c| (c.feature, c.encode()));
-    let mut dict = DictTable::new();
-    let sparse = sparse.into_iter().map(|c| (c.feature, c.encode(&mut dict)));
-    dense.chain(sparse).collect()
+    columns.encode()
 }
 
 /// Decodes the streams of sparse column `feature` under `present`; a
@@ -673,14 +924,6 @@ pub fn decode_columns<B: AsRef<[u8]>>(
         out.push_group(done, &group, rows)?;
     }
     ColumnBatch::new(labels, out.dense, out.sparse)
-}
-
-/// Encodes labels for a stripe.
-pub fn encode_labels(rows: &[Sample]) -> Vec<u8> {
-    let labels: Vec<f32> = rows.iter().map(Sample::label).collect();
-    let mut buf = Vec::new();
-    write_f32s_xor(&mut buf, &labels);
-    buf
 }
 
 /// Decodes a label stream.
@@ -926,6 +1169,7 @@ pub fn decode_dedup_sparse(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoding::{min_max, write_packed};
 
     fn rows() -> Vec<Sample> {
         let mut out = Vec::new();
@@ -957,30 +1201,122 @@ mod tests {
         buf
     }
 
+    /// What one sparse column of a stripe holds, counted from the rows'
+    /// list headers before any cell is copied.
+    #[derive(Default)]
+    struct SparseSize {
+        lists: usize,
+        ids: usize,
+        scored: bool,
+    }
+
+    /// The two-pass sparse transpose [`StripeColumns::push`] replaced: a
+    /// first pass over the rows' list headers sets the presence bits and
+    /// counts each column's lists and ids, and a second copies the cells
+    /// into buffers reserved to exactly that. The reference the one-pass
+    /// builder is tested against.
+    fn sparse_columns_by_two_passes(rows: &[Sample]) -> Vec<(FeatureId, Bitmap, SparseCells)> {
+        let mut sized: Vec<(FeatureId, Bitmap, SparseSize)> = Vec::new();
+        for (r, row) in rows.iter().enumerate() {
+            for (feature, list) in row.sparse_iter() {
+                let at = match sized.binary_search_by_key(&feature, |c| c.0) {
+                    Ok(at) => at,
+                    Err(at) => {
+                        sized.insert(
+                            at,
+                            (feature, Bitmap::zeros(rows.len()), SparseSize::default()),
+                        );
+                        at
+                    }
+                };
+                let (_, present, size) = &mut sized[at];
+                present.set(r);
+                size.lists += 1;
+                size.ids += list.len();
+                size.scored |= list.scores().is_some();
+            }
+        }
+        let mut columns: Vec<(FeatureId, Bitmap, SparseCells)> = sized
+            .into_iter()
+            .map(|(feature, present, size)| {
+                let cells = SparseCells {
+                    lengths: Vec::with_capacity(size.lists),
+                    ids: Vec::with_capacity(size.ids),
+                    bounds: (u64::MAX, 0),
+                    scores: Vec::with_capacity(if size.scored { size.ids } else { 0 }),
+                    scored: size.scored,
+                };
+                (feature, present, cells)
+            })
+            .collect();
+        for row in rows {
+            for (feature, list) in row.sparse_iter() {
+                let at = columns
+                    .binary_search_by_key(&feature, |c| c.0)
+                    .expect("sized");
+                let cells = &mut columns[at].2;
+                cells.lengths.push(list.len() as u64);
+                cells.ids.extend_from_slice(list.ids());
+                for &id in list.ids() {
+                    cells.bounds = (cells.bounds.0.min(id), cells.bounds.1.max(id));
+                }
+                if cells.scored {
+                    match list.scores() {
+                        Some(scores) => cells.scores.extend_from_slice(scores),
+                        None => cells.scores.resize(cells.ids.len(), 1.0),
+                    }
+                }
+            }
+        }
+        columns
+    }
+
+    /// The sparse columns `columns` holds after pushing `rows`, as the
+    /// reference returns them, leaving `columns` empty for the next stripe.
+    fn one_pass_sparse(
+        columns: &mut StripeColumns,
+        rows: &[Sample],
+    ) -> Vec<(FeatureId, Bitmap, SparseCells)> {
+        for row in rows {
+            columns.push(row);
+        }
+        let held = columns
+            .sparse
+            .iter_mut()
+            .filter(|c| !c.cells.lengths.is_empty())
+            .map(|c| {
+                let mut words = std::mem::take(&mut c.present);
+                words.resize(rows.len().div_ceil(64), 0);
+                let cells = std::mem::take(&mut c.cells);
+                (c.feature, Bitmap::from_words(words, rows.len()), cells)
+            })
+            .collect();
+        columns.encode();
+        held
+    }
+
     #[test]
-    fn sparse_columns_are_filled_to_exactly_their_counted_size() {
+    fn one_pass_columns_hold_what_the_two_pass_sizing_copied() {
         let mut rows = rows();
         // An empty list, and a column whose first scored list comes last.
         rows[1].set_sparse(FeatureId(9), SparseList::from_ids(vec![]));
         rows[3].set_sparse(FeatureId(9), SparseList::from_ids(vec![4, 5]));
         rows[4].set_sparse(FeatureId(9), SparseList::from_scored(vec![6], vec![0.5]));
-        let columns = sparse_columns(&rows);
-        let features: Vec<u64> = columns.iter().map(|c| c.feature.0).collect();
+        let reference = sparse_columns_by_two_passes(&rows);
+        let features: Vec<u64> = reference.iter().map(|c| c.0 .0).collect();
         assert_eq!(features, [7, 8, 9]);
-        for c in &columns {
-            let cells = &c.cells;
-            assert_eq!(cells.lengths.capacity(), cells.lengths.len());
-            assert_eq!(cells.ids.capacity(), cells.ids.len());
-            assert_eq!(cells.scores.capacity(), cells.scores.len());
-            assert_eq!(c.present.count_ones(), cells.lengths.len());
+        let late = &reference[2];
+        assert_eq!(present_rows(&late.1), [1, 3, 4]);
+        assert_eq!(late.2.lengths, [0, 2, 1]);
+        assert_eq!(late.2.scores, [1.0, 1.0, 0.5]);
+        // One builder across stripes: a column absent from a stripe, and
+        // one a stripe opens, are neither carried over nor lost.
+        let mut columns = StripeColumns::new(true);
+        let stripes = [&rows[..], &rows[2..], &rows[..0], &rows[4..], &rows[1..4]];
+        for stripe in stripes {
+            let reference = sparse_columns_by_two_passes(stripe);
+            assert_eq!(one_pass_sparse(&mut columns, stripe), reference);
         }
-        let late = &columns[2];
-        assert_eq!(present_rows(&late.present), [1, 3, 4]);
-        assert_eq!(late.cells.lengths, [0, 2, 1]);
-        assert_eq!(late.cells.ids, [4, 5, 6]);
-        assert!(late.cells.scored);
-        assert_eq!(late.cells.scores, [1.0, 1.0, 0.5]);
-        assert!(!columns[0].cells.scored && columns[0].cells.scores.is_empty());
     }
 
     /// The encoded streams of the one column `rows` hold for `fid`.
@@ -1155,8 +1491,9 @@ mod tests {
 
     #[test]
     fn labels_round_trip() {
-        let rows = rows();
-        let buf = encode_labels(&rows);
+        let rows: Vec<f32> = rows().iter().map(Sample::label).collect();
+        let mut buf = Vec::new();
+        write_f32s_xor(&mut buf, &rows);
         let labels = decode_labels(&buf).unwrap();
         assert_eq!(labels.len(), 5);
         assert!((labels[3] - 0.3).abs() < 1e-6);
@@ -1319,22 +1656,18 @@ mod tests {
         assert!(!streams.iter().any(|(k, _)| *k == StreamKind::Dict));
     }
 
-    /// Puts `ids` through `table` and through the sort-based reference,
-    /// asserts the two agree on the decision, the `Dict` bytes and the
-    /// `Data` bytes, and that `table` is left empty; returns whether a
-    /// dictionary was taken.
+    /// Puts `ids` through `table` and through the sort-based reference
+    /// with the per-value packer, asserts the two agree on the decision,
+    /// the `Dict` bytes and the `Data` bytes; returns whether a dictionary
+    /// was taken.
     fn same_dictionary(table: &mut DictTable, ids: &[u64]) -> bool {
-        let (mut hashed, mut sorted) = (ids.to_vec(), ids.to_vec());
-        let dict = table.encode(&mut hashed);
+        let mut data = Vec::new();
+        let dict = table.encode_ids(ids, min_max(ids), &mut data);
+        let mut sorted = ids.to_vec();
         assert_eq!(dict, dictionary_by_sorting(&mut sorted), "Dict bytes");
-        let (mut hashed_data, mut sorted_data) = (Vec::new(), Vec::new());
-        write_packed(&mut hashed_data, &hashed);
-        write_packed(&mut sorted_data, &sorted);
-        assert_eq!(hashed_data, sorted_data, "Data bytes");
-        assert!(
-            table.slots.iter().all(|&(_, tag)| tag == 0),
-            "table left empty"
-        );
+        let mut sorted_data = Vec::new();
+        crate::encoding::write_packed_by_value(&mut sorted_data, &sorted);
+        assert_eq!(data, sorted_data, "Data bytes");
         dict.is_some()
     }
 
@@ -1384,11 +1717,12 @@ mod tests {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
 
         #[test]
-        fn hashed_dictionary_decision_matches_the_sorting_rule(
+        fn dictionary_decision_matches_the_sorting_rule_on_narrow_and_wide_ids(
             columns in proptest::collection::vec(
                 (
                     proptest::prelude::any::<u64>(),
                     1u64..5000,
+                    proptest::prelude::any::<bool>(),
                     proptest::collection::vec(proptest::prelude::any::<u64>(), 0..9000),
                 ),
                 1..6,
@@ -1396,12 +1730,14 @@ mod tests {
         ) {
             // Several columns through one table, as `encode_columns` does:
             // `alphabet` distinct ids at most, offset from `base` (which
-            // wraps, so 0 and `u64::MAX` occur).
+            // wraps, so 0 and `u64::MAX` occur) by one apart, or spread
+            // over all of `u64` so the hashed path decides.
             let mut table = DictTable::new();
-            for (base, alphabet, draws) in columns {
+            for (base, alphabet, spread, draws) in columns {
+                let stride = if spread { 0x9e37_79b9_7f4a_7c15 } else { 1 };
                 let ids: Vec<u64> = draws
                     .iter()
-                    .map(|&d| base.wrapping_add(d % alphabet))
+                    .map(|&d| base.wrapping_add((d % alphabet).wrapping_mul(stride)))
                     .collect();
                 same_dictionary(&mut table, &ids);
             }

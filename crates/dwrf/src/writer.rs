@@ -2,11 +2,11 @@
 
 use crate::cipher::StreamCipher;
 use crate::compress;
-use crate::encoding::MetaWriter;
+use crate::encoding::{write_f32s_xor, MetaWriter};
 use crate::layout::StreamOrder;
 use crate::stream::{
-    checksum64, encode_columns, encode_dedup_sparse, encode_dense_map, encode_labels,
-    encode_sparse_map, DedupEncodeStats, StreamInfo, StreamKind, FILE_LEVEL,
+    checksum64, encode_dedup_sparse, encode_dense_map, encode_sparse_map, DedupEncodeStats,
+    StreamInfo, StreamKind, StripeColumns, FILE_LEVEL,
 };
 use bytes::Bytes;
 use dsi_types::{DsiError, FeatureId, Result, Sample};
@@ -183,11 +183,20 @@ impl DwrfFile {
 
 /// Streaming DWRF writer.
 ///
-/// Rows are buffered and flushed as stripes; [`FileWriter::finish`] appends
-/// the footer and returns the immutable [`DwrfFile`].
+/// Rows are flushed as stripes; [`FileWriter::finish`] appends the footer
+/// and returns the immutable [`DwrfFile`]. A flattened file's rows go to
+/// their columns as they are pushed and are dropped there; only the layouts
+/// that encode whole rows (unflattened maps, dedup's canonical table) keep
+/// a stripe's rows until it is flushed.
 #[derive(Debug)]
 pub struct FileWriter {
     opts: WriterOptions,
+    /// The current stripe's feature columns (flattened files), reused by
+    /// every stripe of the file.
+    columns: StripeColumns,
+    /// The current stripe's labels, one per pushed row.
+    labels: Vec<f32>,
+    /// The current stripe's rows, when the layout encodes whole rows.
     pending: Vec<Sample>,
     buf: Vec<u8>,
     stripes: Vec<StripeMeta>,
@@ -204,7 +213,11 @@ impl FileWriter {
     pub fn new(opts: WriterOptions) -> Self {
         assert!(opts.rows_per_stripe > 0, "rows_per_stripe must be positive");
         Self {
+            // Deduped files carry the whole sparse map in the canonical
+            // table instead of per-feature sparse streams.
+            columns: StripeColumns::new(!opts.dedup),
             opts,
+            labels: Vec::new(),
             pending: Vec::new(),
             buf: Vec::new(),
             stripes: Vec::new(),
@@ -220,15 +233,21 @@ impl FileWriter {
 
     /// Appends a row, flushing a stripe when the row budget is reached.
     pub fn push(&mut self, sample: Sample) {
-        self.pending.push(sample);
-        if self.pending.len() >= self.opts.rows_per_stripe {
+        self.labels.push(sample.label());
+        if self.opts.flattened {
+            self.columns.push(&sample);
+        }
+        if !self.opts.flattened || self.opts.dedup {
+            self.pending.push(sample);
+        }
+        if self.labels.len() >= self.opts.rows_per_stripe {
             self.flush_stripe();
         }
     }
 
     /// Rows buffered but not yet flushed into a stripe.
     pub fn pending_rows(&self) -> usize {
-        self.pending.len()
+        self.labels.len()
     }
 
     /// Compresses and encrypts `raw` onto the end of the file and records
@@ -258,16 +277,19 @@ impl FileWriter {
 
     /// Flushes buffered rows into a stripe (no-op when empty).
     pub fn flush_stripe(&mut self) {
-        if self.pending.is_empty() {
+        if self.labels.is_empty() {
             return;
+        }
+        // Room for one more stripe of the mean size written so far, so the
+        // file does not grow in the middle of one.
+        if let Some(mean) = self.buf.len().checked_div(self.stripes.len()) {
+            self.buf.reserve(mean);
         }
         let rows = std::mem::take(&mut self.pending);
         let mut streams: Vec<StreamInfo> = Vec::new();
 
         if self.opts.flattened {
-            // Deduped files carry the whole sparse map in the canonical
-            // table instead of per-feature sparse streams.
-            let mut columns = encode_columns(&rows, !self.opts.dedup);
+            let mut columns = self.columns.encode();
             self.opts
                 .order
                 .sort_by_feature(&mut columns, |(feature, _)| *feature);
@@ -294,20 +316,23 @@ impl FileWriter {
             self.emit(FILE_LEVEL, StreamKind::DedupRefs, &refs, &mut streams);
             self.emit(FILE_LEVEL, StreamKind::DedupData, &data, &mut streams);
         }
-        let labels = encode_labels(&rows);
+        let mut labels = Vec::new();
+        write_f32s_xor(&mut labels, &self.labels);
         self.emit(FILE_LEVEL, StreamKind::Label, &labels, &mut streams);
 
-        let label_min = rows.iter().map(Sample::label).fold(f32::INFINITY, f32::min);
-        let label_max = rows
+        let label_min = self.labels.iter().copied().fold(f32::INFINITY, f32::min);
+        let label_max = self
+            .labels
             .iter()
-            .map(Sample::label)
+            .copied()
             .fold(f32::NEG_INFINITY, f32::max);
         self.stripes.push(StripeMeta {
-            row_count: rows.len() as u64,
+            row_count: self.labels.len() as u64,
             label_min,
             label_max,
             streams,
         });
+        self.labels.clear();
     }
 
     /// Finishes the file: flushes the final stripe, appends the footer and
