@@ -76,7 +76,7 @@ pub use ledger::{Delivery, SplitLedger, SplitState};
 pub use master::Master;
 pub use online::{OnlineTuner, TunerConfig};
 pub use service::{DppSession, WorkerObservation};
-pub use session::{Injection, SessionSpec, SessionSpecBuilder, Transport};
+pub use session::{SessionSpec, SessionSpecBuilder, Transport};
 pub use trainer::{LiveTrainer, StallReport};
 pub use tuning::{KnobBounds, KnobDelta, Knobs, LiveTuner, TunerPolicy, TunerSignals};
 pub use wire::WireConfig;

@@ -6,9 +6,8 @@
 
 use dedup::DedupConfig;
 use dsi_trace::TraceConfig;
-use dsi_types::{FeatureId, FeatureValue, PartitionId, Projection, Sample, SessionId};
+use dsi_types::{FeatureId, PartitionId, Projection, SessionId};
 use dwrf::CoalescePolicy;
-use std::collections::BTreeMap;
 use std::ops::Range;
 use transforms::TransformPlan;
 use wire::WireConfig;
@@ -29,42 +28,6 @@ pub enum Transport {
     /// channel), and reconnects replay unacked envelopes through the
     /// client's exactly-once dedup.
     Tcp(WireConfig),
-}
-
-/// A dynamically-joined (back-filled) beta feature.
-///
-/// Beta features are not logged to storage (§IV-C, Table II); exploratory
-/// jobs obtain them by joining a side table against each sample at
-/// extraction time. The join key is the sample's value of `key`: the first
-/// id of a sparse feature, or a dense feature cast to an id.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Injection {
-    /// Feature whose value keys the side table.
-    pub key: FeatureId,
-    /// Back-filled values by key.
-    pub side: BTreeMap<u64, FeatureValue>,
-    /// Beta feature id materialized on matching samples.
-    pub output: FeatureId,
-}
-
-impl Injection {
-    /// The sample's join-key value, if the key feature is present.
-    pub fn key_of(&self, sample: &Sample) -> Option<u64> {
-        if let Some(list) = sample.sparse(self.key) {
-            return list.ids().first().copied();
-        }
-        sample.dense(self.key).map(|v| v as u64)
-    }
-
-    /// Applies the injection to one sample (no-op when the key is absent
-    /// or unmatched).
-    pub fn apply(&self, sample: &mut Sample) {
-        if let Some(k) = self.key_of(sample) {
-            if let Some(v) = self.side.get(&k) {
-                sample.set_feature(self.output, v.clone());
-            }
-        }
-    }
 }
 
 /// Specification of one preprocessing session.
@@ -91,8 +54,6 @@ pub struct SessionSpec {
     pub sparse_ids: Vec<FeatureId>,
     /// Per-worker tensor buffer capacity (batches).
     pub buffer_capacity: usize,
-    /// Beta features dynamically joined at extraction time (§IV-C).
-    pub injections: Vec<Injection>,
     /// RecD-style deduplication: workers detect DedupSets in each split,
     /// transform the canonical copy once, and fan results out to members.
     pub dedup: Option<DedupConfig>,
@@ -147,7 +108,6 @@ impl SessionSpecBuilder {
                 dense_ids: Vec::new(),
                 sparse_ids: Vec::new(),
                 buffer_capacity: 8,
-                injections: Vec::new(),
                 dedup: None,
                 read_ahead: 0,
                 fastpath: true,
@@ -213,12 +173,6 @@ impl SessionSpecBuilder {
     pub fn buffer_capacity(mut self, n: usize) -> Self {
         assert!(n > 0, "buffer capacity must be positive");
         self.spec.buffer_capacity = n;
-        self
-    }
-
-    /// Adds a back-filled beta feature (builder-style).
-    pub fn inject(mut self, injection: Injection) -> Self {
-        self.spec.injections.push(injection);
         self
     }
 
@@ -292,32 +246,6 @@ mod tests {
             }
             Transport::InProcess => panic!("expected TCP transport"),
         }
-    }
-
-    #[test]
-    fn injection_joins_by_key() {
-        use dsi_types::SparseList;
-        let side: BTreeMap<u64, FeatureValue> =
-            [(7u64, FeatureValue::Dense(0.9))].into_iter().collect();
-        let inj = Injection {
-            key: FeatureId(2),
-            side,
-            output: FeatureId(100),
-        };
-        let mut hit = Sample::new(0.0);
-        hit.set_sparse(FeatureId(2), SparseList::from_ids(vec![7, 3]));
-        inj.apply(&mut hit);
-        assert_eq!(hit.dense(FeatureId(100)), Some(0.9));
-
-        let mut miss = Sample::new(0.0);
-        miss.set_sparse(FeatureId(2), SparseList::from_ids(vec![8]));
-        inj.apply(&mut miss);
-        assert!(!miss.contains(FeatureId(100)));
-
-        // Dense keys work too.
-        let mut dense_key = Sample::new(0.0);
-        dense_key.set_dense(FeatureId(2), 7.2);
-        assert_eq!(inj.key_of(&dense_key), Some(7));
     }
 
     #[test]

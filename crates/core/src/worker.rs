@@ -11,8 +11,8 @@
 //!    and buffers them for Clients.
 //!
 //! The split stays in columns from stripe to tensor. Only sessions whose
-//! transform stage must see rows — dedup, `fastpath: false` and beta-feature
-//! injection — turn it into [`dsi_types::Sample`]s and back.
+//! transform stage must see rows — dedup and `fastpath: false` — turn it
+//! into [`dsi_types::Sample`]s and back.
 //!
 //! Workers are stateless: any split can run on any worker, so the fleet
 //! scales out freely and failures need no checkpoint restore. Every stage
@@ -41,9 +41,9 @@ pub(crate) struct ExecPlan {
     /// dedup and non-fastpath sessions, otherwise only its `Sampling` ops
     /// (the batch-level row filter).
     pub row: transforms::TransformPlan,
-    /// Whether the transform stage works on rows: dedup, non-fastpath and
-    /// injection sessions. The rest only filter, by a row mask over the
-    /// split's columns.
+    /// Whether the transform stage works on rows: dedup and non-fastpath
+    /// sessions. The rest only filter, by a row mask over the split's
+    /// columns.
     pub on_rows: bool,
     /// Every other op, run over the materialized tensor's columns.
     pub columnar: ColumnarPlan,
@@ -61,7 +61,7 @@ impl ExecPlan {
             let sparse_caps = columnar.sparse_caps(&spec.sparse_ids);
             Self {
                 row,
-                on_rows: !spec.injections.is_empty(),
+                on_rows: false,
                 columnar,
                 sparse_caps,
             }
@@ -335,8 +335,8 @@ impl Worker {
         Ok(self.load_stage(transformed, delta))
     }
 
-    /// The middle stage: extract accounting, beta-feature injection, and
-    /// the transform plan, all on already-read columns. Free of worker
+    /// The middle stage: extract accounting and the transform plan, on
+    /// already-read columns. Free of worker
     /// state so it can run on a different thread than the owner of the
     /// [`WorkerReport`]; its accounting comes back as a report delta for
     /// [`Worker::load_stage`] to merge. It sees only this split's rows —
@@ -377,14 +377,7 @@ impl Worker {
         // ---- transform ----
         let base_row = split.index * 1_000_000; // distinct sampling domains per split
         let (transformed, tcost) = if exec.on_rows {
-            let mut rows = columns.into_rows();
-            // ---- inject back-filled beta features (dynamic join) ----
-            for injection in &spec.injections {
-                for row in &mut rows {
-                    injection.apply(row);
-                }
-            }
-            let batch = Batch::from_samples(rows);
+            let batch = Batch::from_samples(columns.into_rows());
             let (out, tcost) = if let Some(cfg) = &spec.dedup {
                 let (out, tcost, stats) =
                     dedup::apply_batch_dedup(&spec.plan, batch, base_row, cfg);

@@ -4,11 +4,17 @@
 //! tensors laid out the way the trainer consumes them: a dense matrix
 //! (`batch × features`) and, per sparse feature, a CSR-style
 //! (offsets, values) pair — the *flatmap* layout the paper's co-design work
-//! adopted to cut format conversions and memory-bandwidth demand.
+//! adopted to cut format conversions and memory-bandwidth demand. A
+//! [`crate::ColumnBatch`] holds each sparse column in the same
+//! [`SparseTensor`] over all of its rows, so a mini-batch's tensor is a
+//! [`SparseTensor::cut`] of it; [`MiniBatchTensor::from_samples`] builds
+//! the same tensors from rows.
 
+use crate::bitmap::Bitmap;
 use crate::feature::SparseList;
 use crate::id::FeatureId;
 use crate::sample::Sample;
+use std::ops::Range;
 
 /// An ordered collection of samples awaiting batching.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -227,14 +233,14 @@ impl DenseMatrix {
 /// CSR-style tensor for one sparse feature across a mini-batch.
 ///
 /// `offsets` has `rows + 1` entries; row `r`'s values occupy
-/// `values[offsets[r]..offsets[r + 1]]`.
+/// `values[offsets[r]..offsets[r + 1]]`, and a scored tensor's scores the
+/// same positions of `scores`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseTensor {
     feature: FeatureId,
     offsets: Vec<u32>,
     values: Vec<u64>,
-    scores: Vec<f32>,
-    scored: bool,
+    scores: Option<Vec<f32>>,
 }
 
 impl SparseTensor {
@@ -244,8 +250,7 @@ impl SparseTensor {
             feature,
             offsets: vec![0],
             values: Vec::new(),
-            scores: Vec::new(),
-            scored: false,
+            scores: None,
         }
     }
 
@@ -281,24 +286,14 @@ impl SparseTensor {
             values.len(),
             "offsets must end at nnz"
         );
-        let (scores, scored) = match scores {
-            Some(s) => {
-                assert_eq!(s.len(), values.len(), "scores must align with values");
-                (s, true)
-            }
-            None => (Vec::new(), false),
-        };
-        Self {
-            feature,
-            offsets,
-            values,
-            scores,
-            scored,
+        if let Some(s) = &scores {
+            assert_eq!(s.len(), values.len(), "scores must align with values");
         }
+        Self::from_csr(feature, offsets, values, scores)
     }
 
     /// A tensor from CSR parts already known to be well formed (a
-    /// [`crate::ColumnBatch`] slices them): `scores` is `None` or
+    /// [`crate::ColumnBatch`] builds them): `scores` is `None` or
     /// value-aligned.
     pub(crate) fn from_csr(
         feature: FeatureId,
@@ -311,8 +306,7 @@ impl SparseTensor {
             feature,
             offsets,
             values,
-            scored: scores.is_some(),
-            scores: scores.unwrap_or_default(),
+            scores,
         }
     }
 
@@ -327,24 +321,84 @@ impl SparseTensor {
     /// the list.
     pub fn push_row_capped(&mut self, list: &SparseList, cap: usize) {
         let keep = list.len().min(cap);
-        if keep > 0 && list.scores().is_some() && !self.scored {
-            // First scored row after unscored ones: backfill unit scores
-            // for every value already pushed so scores stay value-aligned.
-            self.scored = true;
-            self.scores.resize(self.values.len(), 1.0);
+        self.push_ids(&list.ids()[..keep], list.scores().map(|s| &s[..keep]));
+    }
+
+    /// Appends a row holding `ids`, with `scores` where its list carries
+    /// them. The first scored non-empty row makes the tensor scored, with
+    /// unit scores for every value already pushed; after it, an unscored
+    /// row's values get unit scores too.
+    // Inlined: `MiniBatchTensor::from_samples` calls it per row and feature.
+    #[inline]
+    pub(crate) fn push_ids(&mut self, ids: &[u64], scores: Option<&[f32]>) {
+        if scores.is_some() && !ids.is_empty() && self.scores.is_none() {
+            self.scores = Some(vec![1.0; self.values.len()]);
         }
-        self.values.extend_from_slice(&list.ids()[..keep]);
-        match list.scores() {
-            Some(scores) if keep > 0 => self.scores.extend_from_slice(&scores[..keep]),
-            _ => {
-                if self.scored {
-                    // Keep scores aligned when a mix of scored/unscored
-                    // rows appears.
-                    self.scores.resize(self.values.len(), 1.0);
-                }
+        self.values.extend_from_slice(ids);
+        if let Some(to) = &mut self.scores {
+            match scores {
+                Some(scores) => to.extend_from_slice(scores),
+                None => to.resize(self.values.len(), 1.0),
             }
         }
         self.offsets.push(self.values.len() as u32);
+    }
+
+    /// Appends `n` empty rows.
+    pub(crate) fn push_empty_rows(&mut self, n: usize) {
+        let end = self.values.len() as u32;
+        self.offsets.resize(self.offsets.len() + n, end);
+    }
+
+    /// Rows `range` as a tensor of their own, each cut to its first `cap`
+    /// values: the offsets rebased to start at zero and the values and
+    /// scores copied, in one slice each where no row is longer than `cap`
+    /// and a slice a row where one is. The cut is scored once a kept value
+    /// came from a row that `scored_rows` marks (any row, without it): an
+    /// empty list carries no scores, and a column's unscored rows hold
+    /// only unit backfills.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` ends past the tensor's rows.
+    pub fn cut(
+        &self,
+        range: Range<usize>,
+        cap: usize,
+        scored_rows: Option<&Bitmap>,
+    ) -> SparseTensor {
+        let offsets = &self.offsets[range.start..=range.end];
+        let kept_from = |row: usize| cap > 0 && self.offsets[row + 1] > self.offsets[row];
+        let scores = self.scores.as_ref().filter(|_| match scored_rows {
+            Some(rows) => rows.ones_in(range.clone()).any(kept_from),
+            None => range.clone().any(kept_from),
+        });
+        let (start, end) = (offsets[0], offsets[range.len()]);
+        if offsets.windows(2).all(|w| (w[1] - w[0]) as usize <= cap) {
+            let ids = start as usize..end as usize;
+            return SparseTensor {
+                feature: self.feature,
+                offsets: offsets.iter().map(|&o| o - start).collect(),
+                values: self.values[ids.clone()].to_vec(),
+                scores: scores.map(|s| s[ids].to_vec()),
+            };
+        }
+        let mut out = SparseTensor {
+            feature: self.feature,
+            offsets: Vec::with_capacity(range.len() + 1),
+            values: Vec::new(),
+            scores: scores.map(|_| Vec::new()),
+        };
+        out.offsets.push(0);
+        for w in offsets.windows(2) {
+            let ids = w[0] as usize..(w[0] as usize).saturating_add(cap).min(w[1] as usize);
+            out.values.extend_from_slice(&self.values[ids.clone()]);
+            if let (Some(to), Some(from)) = (&mut out.scores, scores) {
+                to.extend_from_slice(&from[ids]);
+            }
+            out.offsets.push(out.values.len() as u32);
+        }
+        out
     }
 
     /// Number of rows (samples).
@@ -369,11 +423,7 @@ impl SparseTensor {
 
     /// The concatenated scores, if any row carried scores.
     pub fn scores(&self) -> Option<&[f32]> {
-        if self.scored {
-            Some(&self.scores)
-        } else {
-            None
-        }
+        self.scores.as_deref()
     }
 
     /// Values of row `r`.
@@ -389,7 +439,15 @@ impl SparseTensor {
 
     /// Payload size in bytes (offsets + values + scores).
     pub fn payload_bytes(&self) -> usize {
-        self.offsets.len() * 4 + self.values.len() * 8 + self.scores.len() * 4
+        let scores = self.scores.as_ref().map_or(0, Vec::len);
+        self.offsets.len() * 4 + self.values.len() * 8 + scores * 4
+    }
+
+    /// Buffer room, in values, the tensor's offsets, values and scores
+    /// hold.
+    pub(crate) fn reserved_values(&self) -> usize {
+        let scores = self.scores.as_ref().map_or(0, Vec::capacity);
+        self.offsets.capacity() + self.values.capacity() + scores
     }
 
     /// Applies `f` to every categorical value in place (columnar
@@ -400,44 +458,13 @@ impl SparseTensor {
         }
     }
 
-    /// Truncates every row to at most `x` values (columnar `FirstX`),
-    /// rebuilding offsets and compacting values/scores in one pass.
+    /// Truncates every row to at most `x` values (columnar `FirstX`): the
+    /// tensor is [`SparseTensor::cut`] to `x`, unless no row is longer and
+    /// some value is left.
     pub fn truncate_rows(&mut self, x: usize) {
-        if self.values.is_empty() {
-            // Canonical form: an empty tensor carries no scores.
-            self.scored = false;
-            self.scores.clear();
-            return;
-        }
-        // Already within the cap everywhere (common when materialization
-        // pre-capped the column): skip the rebuild entirely.
-        if self.offsets.windows(2).all(|w| (w[1] - w[0]) as usize <= x) {
-            return;
-        }
-        let rows = self.rows();
-        let mut new_values = Vec::with_capacity(self.values.len().min(rows * x));
-        let mut new_scores = Vec::new();
-        let mut new_offsets = Vec::with_capacity(rows + 1);
-        new_offsets.push(0u32);
-        for r in 0..rows {
-            let start = self.offsets[r] as usize;
-            let end = self.offsets[r + 1] as usize;
-            let keep = (end - start).min(x);
-            new_values.extend_from_slice(&self.values[start..start + keep]);
-            if self.scored {
-                new_scores.extend_from_slice(&self.scores[start..start + keep]);
-            }
-            new_offsets.push(new_values.len() as u32);
-        }
-        self.values = new_values;
-        self.scores = new_scores;
-        self.offsets = new_offsets;
-        // Canonical form: an empty list carries no scores, so a column whose
-        // every row truncated away must come out unscored — exactly what the
-        // row path produces via `SparseList::truncate`.
-        if self.values.is_empty() {
-            self.scored = false;
-            self.scores.clear();
+        let within = self.offsets.windows(2).all(|w| (w[1] - w[0]) as usize <= x);
+        if !within || self.values.is_empty() {
+            *self = self.cut(0..self.rows(), x, None);
         }
     }
 
@@ -464,8 +491,8 @@ impl SparseTensor {
             for i in start..end {
                 if let Some(mapped) = f(self.values[i]) {
                     self.values[kept] = mapped;
-                    if self.scored {
-                        self.scores[kept] = self.scores[i];
+                    if let Some(scores) = &mut self.scores {
+                        scores[kept] = scores[i];
                     }
                     kept += 1;
                 }
@@ -474,8 +501,8 @@ impl SparseTensor {
             self.offsets[r + 1] = kept as u32;
         }
         self.values.truncate(kept);
-        if self.scored {
-            self.scores.truncate(kept);
+        if let Some(scores) = &mut self.scores {
+            scores.truncate(kept);
         }
         self.settle_scored(scored_rows.iter().copied());
     }
@@ -507,15 +534,11 @@ impl SparseTensor {
         );
         if self.values.is_empty() {
             // Nothing to keep: the new CSR is the column, unscored.
-            *self = SparseTensor {
-                offsets,
-                values,
-                ..SparseTensor::new(self.feature)
-            };
+            *self = SparseTensor::from_csr(self.feature, offsets, values, None);
             return;
         }
         let mut merged = SparseTensor::new(self.feature);
-        merged.scored = self.scored;
+        merged.scores = self.scores.as_ref().map(|_| Vec::new());
         merged.offsets.reserve(self.rows());
         merged.values.reserve(self.values.len() + values.len());
         for (r, &fresh) in written.iter().enumerate() {
@@ -526,10 +549,10 @@ impl SparseTensor {
             };
             let (start, end) = (offs[r] as usize, offs[r + 1] as usize);
             merged.values.extend_from_slice(&vals[start..end]);
-            if self.scored && !fresh {
-                merged.scores.extend_from_slice(&self.scores[start..end]);
-            } else if self.scored {
-                merged.scores.resize(merged.values.len(), 1.0);
+            match (&mut merged.scores, &self.scores) {
+                (Some(to), Some(from)) if !fresh => to.extend_from_slice(&from[start..end]),
+                (Some(to), _) => to.resize(merged.values.len(), 1.0),
+                _ => {}
             }
             merged.offsets.push(merged.values.len() as u32);
         }
@@ -547,17 +570,8 @@ impl SparseTensor {
             .windows(2)
             .zip(scored_rows)
             .any(|(w, scored)| scored && w[1] > w[0]);
-        if self.scored && !survives {
-            self.scored = false;
-            self.scores.clear();
-        }
-    }
-
-    /// Applies `f` to every score in place (columnar `ComputeScore`); no-op
-    /// for unscored tensors.
-    pub fn map_scores_in_place<F: FnMut(f32) -> f32>(&mut self, mut f: F) {
-        for v in &mut self.scores {
-            *v = f(*v);
+        if !survives {
+            self.scores = None;
         }
     }
 
@@ -567,18 +581,14 @@ impl SparseTensor {
     /// Rows beyond `rows.len()` are left unchanged; no-op for unscored
     /// tensors.
     pub fn map_scores_rows_in_place<F: FnMut(f32) -> f32>(&mut self, rows: &[bool], mut f: F) {
-        if !self.scored {
+        let Some(scores) = &mut self.scores else {
             return;
-        }
-        let n = self.rows();
-        for (r, &wanted) in rows.iter().enumerate().take(n) {
-            if !wanted {
-                continue;
-            }
-            let start = self.offsets[r] as usize;
-            let end = self.offsets[r + 1] as usize;
-            for v in &mut self.scores[start..end] {
-                *v = f(*v);
+        };
+        for (w, &wanted) in self.offsets.windows(2).zip(rows) {
+            if wanted {
+                for v in &mut scores[w[0] as usize..w[1] as usize] {
+                    *v = f(*v);
+                }
             }
         }
     }
@@ -631,7 +641,6 @@ impl MiniBatchTensor {
         let mut dense = DenseMatrix::zeros(rows, dense_ids.len());
         let mut sparse: Vec<SparseTensor> =
             sparse_ids.iter().map(|&id| SparseTensor::new(id)).collect();
-        let empty = SparseList::new();
         for (r, s) in samples.iter().enumerate() {
             let row = dense.row_mut(r);
             let mut cols = dense_cols.iter().peekable();
@@ -644,7 +653,7 @@ impl MiniBatchTensor {
             let mut slots = sparse_slots.iter().peekable();
             for (id, list) in s.sparse_iter() {
                 while let Some(&(_, slot)) = slots.next_if(|&&(f, _)| f < id) {
-                    sparse[slot].push_row(&empty);
+                    sparse[slot].push_empty_rows(1);
                 }
                 while let Some(&(_, slot)) = slots.next_if(|&&(f, _)| f == id) {
                     let cap = caps.get(slot).copied().unwrap_or(usize::MAX);
@@ -652,7 +661,7 @@ impl MiniBatchTensor {
                 }
             }
             for &(_, slot) in slots {
-                sparse[slot].push_row(&empty);
+                sparse[slot].push_empty_rows(1);
             }
         }
         let labels = samples.iter().map(Sample::label).collect();
@@ -784,8 +793,34 @@ mod tests {
         t.truncate_rows(2);
         assert_eq!(t.values(), &[1, 2, 4]);
         assert_eq!(t.scores().unwrap(), &[0.1, 0.2, 0.4]);
-        t.map_scores_in_place(|s| s * 10.0);
-        assert!((t.scores().unwrap()[2] - 4.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn a_cut_rebases_caps_and_is_scored_only_by_a_kept_scored_value() {
+        let mut t = SparseTensor::new(FeatureId(1));
+        t.push_row(&SparseList::from_ids(vec![1, 2, 3]));
+        t.push_row(&SparseList::new());
+        t.push_row(&SparseList::from_scored(vec![4, 5], vec![0.4, 0.5]));
+        t.push_row(&SparseList::from_ids(vec![6]));
+        let mut scored_rows = Bitmap::zeros(4);
+        scored_rows.set(2);
+        let cut = t.cut(2..4, usize::MAX, Some(&scored_rows));
+        assert_eq!(
+            (cut.offsets(), cut.values()),
+            (&[0, 2, 3][..], &[4, 5, 6][..])
+        );
+        assert_eq!(cut.scores().unwrap(), &[0.4, 0.5, 1.0]);
+        let cut = t.cut(0..3, 1, Some(&scored_rows));
+        assert_eq!(
+            (cut.offsets(), cut.values()),
+            (&[0, 1, 1, 2][..], &[1, 4][..])
+        );
+        assert_eq!(cut.scores().unwrap(), &[1.0, 0.4]);
+        // Row 3's unit backfill does not make a cut scored, nor does a cap
+        // that keeps nothing of row 2.
+        assert!(t.cut(3..4, 5, Some(&scored_rows)).scores().is_none());
+        assert!(t.cut(0..4, 0, Some(&scored_rows)).scores().is_none());
+        assert_eq!(t.cut(1..1, 2, None), SparseTensor::new(FeatureId(1)));
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! DWRF stores each feature as a column (present bits, then values or
 //! lengths and ids), and the trainer takes each feature as a column (a
 //! dense matrix column, a CSR tensor). A [`ColumnBatch`] keeps the rows in
-//! that shape the whole way: the reader decodes into one, `Sampling` is a
-//! row mask and a [`ColumnBatch::gather`], and [`ColumnBatch::tensor`]
-//! slices a mini-batch out of it. [`ColumnBatch::into_rows`] and
+//! that shape the whole way: a sparse column *is* a [`SparseTensor`] over
+//! every row of the batch, beside its present bits and scored rows. The
+//! reader decodes into one, `Sampling` is a row mask and a
+//! [`ColumnBatch::gather`], and [`ColumnBatch::tensor`] cuts a mini-batch
+//! out of it with [`SparseTensor::cut`]: an offset rebase and two slice
+//! copies per sparse column. [`ColumnBatch::into_rows`] and
 //! [`ColumnBatch::from_rows`] convert to and from [`Sample`]s for the code
 //! that works on rows.
 
@@ -61,32 +64,23 @@ impl DenseColumn {
     }
 }
 
-/// Scores of a scored sparse column: one per id, and the rows whose list
-/// carries them. Every other row's ids have unit scores, as
-/// [`SparseTensor::push_row`] backfills them.
-#[derive(Debug, Clone, PartialEq)]
-struct Scores {
-    values: Vec<f32>,
-    /// Present rows with a non-empty scored list (an empty list carries no
-    /// scores, [`SparseList::from_scored`]).
-    rows: Bitmap,
-}
-
-/// One sparse feature across a batch: a present bit per row, a list length
-/// per present row, the lists' ids concatenated in row order, and for a
-/// scored column a score per id.
+/// One sparse feature across a batch: a present bit per row, the lists as
+/// a CSR tensor over every row (an absent row is an empty list with a
+/// clear present bit), and for a scored column the rows whose list carries
+/// scores (the other rows' ids hold unit scores, as
+/// [`SparseTensor::push_row`] backfills them).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseColumn {
-    feature: FeatureId,
     present: Bitmap,
-    lengths: Vec<u32>,
-    ids: Vec<u64>,
-    scores: Option<Scores>,
+    /// Present only when some row is scored; then the tensor is too.
+    scored: Option<Bitmap>,
+    csr: SparseTensor,
 }
 
 impl SparseColumn {
-    /// A column from its parts. With `scores`, every non-empty present
-    /// list is scored: scored-ness is a column property in a stored file.
+    /// A column from its parts: a length per present row, and the lists'
+    /// ids in row order. With `scores`, every non-empty present list is
+    /// scored: scored-ness is a column property in a stored file.
     ///
     /// # Errors
     ///
@@ -103,67 +97,74 @@ impl SparseColumn {
         if present.count_ones() != lengths.len() {
             return Err(corrupt("has a length count unlike its present count"));
         }
-        let total: u64 = lengths.iter().map(|&n| u64::from(n)).sum();
-        if total != ids.len() as u64 {
+        if scores.as_ref().is_some_and(|s| s.len() != ids.len()) {
+            return Err(corrupt("has scores misaligned with its ids"));
+        }
+        let rows = present.len();
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0u32);
+        let mut scored = Bitmap::zeros(if scores.is_some() { rows } else { 0 });
+        for (row, &len) in present.ones().zip(&lengths) {
+            let end = *offsets.last().expect("offsets start at zero");
+            offsets.resize(row + 1, end);
+            let end = end.checked_add(len);
+            offsets.push(end.ok_or_else(|| corrupt("has more ids than u32 offsets hold"))?);
+            if scores.is_some() && len > 0 {
+                scored.set(row);
+            }
+        }
+        let end = *offsets.last().expect("offsets start at zero");
+        if end as usize != ids.len() {
             return Err(corrupt("has lengths that do not sum to its ids"));
         }
-        let scores = match scores {
-            Some(values) if values.len() != ids.len() => {
-                return Err(corrupt("has scores misaligned with its ids"))
-            }
-            Some(values) => {
-                let mut rows = Bitmap::zeros(present.len());
-                for (row, &len) in present.ones().zip(&lengths) {
-                    if len > 0 {
-                        rows.set(row);
-                    }
-                }
-                Some(Scores { values, rows })
-            }
-            None => None,
-        };
+        offsets.resize(rows + 1, end);
+        let scores = scores.filter(|_| !ids.is_empty());
         Ok(Self {
-            feature,
             present,
-            lengths,
-            ids,
-            scores,
+            scored: scores.as_ref().map(|_| scored),
+            csr: SparseTensor::from_csr(feature, offsets, ids, scores),
         })
     }
 
-    /// An empty column over `rows` rows, to push lists into.
-    fn open(feature: FeatureId, rows: usize) -> Self {
+    /// An empty column of no rows, to push rows into.
+    fn open(feature: FeatureId) -> Self {
         Self {
-            feature,
-            present: Bitmap::zeros(rows),
-            lengths: Vec::new(),
-            ids: Vec::new(),
-            scores: None,
+            present: Bitmap::default(),
+            scored: None,
+            csr: SparseTensor::new(feature),
         }
     }
 
-    /// Sets row `row` to `list`. Rows arrive in order.
-    fn push(&mut self, row: usize, list: &SparseList) {
-        self.present.set(row);
-        let len = u32::try_from(list.len()).expect("a list fits a tensor's u32 offsets");
-        self.lengths.push(len);
-        let before = self.ids.len();
-        self.ids.extend_from_slice(list.ids());
-        match (list.scores(), &mut self.scores) {
-            (Some(scores), None) => {
-                let mut values = vec![1.0; before];
-                values.extend_from_slice(scores);
-                let mut rows = Bitmap::zeros(self.present.len());
-                rows.set(row);
-                self.scores = Some(Scores { values, rows });
-            }
-            (Some(scores), Some(s)) => {
-                s.values.extend_from_slice(scores);
-                s.rows.set(row);
-            }
-            (None, Some(s)) => s.values.resize(self.ids.len(), 1.0),
-            (None, None) => {}
+    /// Appends absent rows until the column holds `rows`.
+    fn pad(&mut self, rows: usize) {
+        let n = rows - self.present.len();
+        self.present.extend_zeros(n);
+        if let Some(scored) = &mut self.scored {
+            scored.extend_zeros(n);
         }
+        self.csr.push_empty_rows(n);
+    }
+
+    /// Appends a present row holding `ids`, with `scores` where its list
+    /// carries them.
+    fn push(&mut self, ids: &[u64], scores: Option<&[f32]>) {
+        let is_scored = scores.is_some() && !ids.is_empty();
+        match &mut self.scored {
+            Some(scored) => scored.push(is_scored),
+            None if is_scored => {
+                let mut scored = Bitmap::zeros(self.present.len());
+                scored.push(true);
+                self.scored = Some(scored);
+            }
+            None => {}
+        }
+        self.present.push(true);
+        self.csr.push_ids(ids, scores);
+    }
+
+    /// The feature the column holds.
+    pub fn feature(&self) -> FeatureId {
+        self.csr.feature()
     }
 
     /// One bit per row: whether the row holds the feature.
@@ -171,99 +172,24 @@ impl SparseColumn {
         &self.present
     }
 
-    /// The present rows' list lengths, in row order.
-    pub fn lengths(&self) -> &[u32] {
-        &self.lengths
-    }
-
-    /// The lists' ids, concatenated in row order.
-    pub fn ids(&self) -> &[u64] {
-        &self.ids
-    }
-
-    /// One score per id, when any list of the column is scored.
-    pub fn scores(&self) -> Option<&[f32]> {
-        self.scores.as_ref().map(|s| s.values.as_slice())
+    /// The lists as a CSR tensor over every row of the batch.
+    pub fn csr(&self) -> &SparseTensor {
+        &self.csr
     }
 
     /// One bit per row: whether the row's list carries scores (the other
     /// rows of a scored column have unit scores), when any list does.
     pub fn scored_rows(&self) -> Option<&Bitmap> {
-        self.scores.as_ref().map(|s| &s.rows)
+        self.scored.as_ref()
     }
 
-    /// Per row of `range`: its list's length, or `None` where the row
-    /// does not hold the feature.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` ends past the column's rows.
-    pub fn row_lengths(&self, range: Range<usize>) -> impl Iterator<Item = Option<usize>> + '_ {
-        assert!(
-            range.end <= self.present.len(),
-            "rows {range:?} of {}",
-            self.present.len()
-        );
-        let mut cell = self.present.rank(range.start);
-        let words = self.present.words();
-        range.map(move |row| {
-            (words[row / 64] >> (row % 64) & 1 == 1).then(|| {
-                cell += 1;
-                self.lengths[cell - 1] as usize
-            })
-        })
-    }
-
-    /// Rows `range` as a tensor column, each list cut to `cap` ids.
-    fn tensor(&self, range: Range<usize>, cap: usize) -> SparseTensor {
-        let first = self.present.rank(range.start);
-        let last = self.present.rank(range.end);
-        let start: usize = self.lengths[..first].iter().map(|&n| n as usize).sum();
-        let mut offsets = Vec::with_capacity(range.len() + 1);
-        offsets.push(0u32);
-        let scored = self.scores.as_ref();
-        // A tensor is scored once a kept id came from a scored list.
-        let mut any_scored = false;
-        let (values, scores) = if self.lengths[first..last].iter().all(|&n| n as usize <= cap) {
-            // Nothing to cut: the rows' ids are one contiguous run.
-            let mut kept = 0u32;
-            for len in self.row_lengths(range.clone()) {
-                kept += len.unwrap_or(0) as u32;
-                offsets.push(kept);
-            }
-            let ids = start..start + kept as usize;
-            any_scored = scored.is_some_and(|s| s.rows.ones_in(range).next().is_some());
-            let scores = scored
-                .filter(|_| any_scored)
-                .map(|s| s.values[ids.clone()].to_vec());
-            (self.ids[ids].to_vec(), scores)
-        } else {
-            let mut values = Vec::new();
-            let mut scores = Vec::new();
-            let mut at = start;
-            for (row, len) in range.clone().zip(self.row_lengths(range)) {
-                let len = len.unwrap_or(0);
-                let keep = len.min(cap);
-                values.extend_from_slice(&self.ids[at..at + keep]);
-                if let Some(s) = scored {
-                    scores.extend_from_slice(&s.values[at..at + keep]);
-                    any_scored |= keep > 0 && s.rows.get(row);
-                }
-                at += len;
-                offsets.push(values.len() as u32);
-            }
-            (values, any_scored.then_some(scores))
-        };
-        SparseTensor::from_csr(self.feature, offsets, values, scores)
-    }
-
-    /// Ids the column holds with their scores, counted as
-    /// [`SparseList::payload_bytes`] counts them: only a scored list's.
-    fn scored_ids(&self) -> usize {
-        let Some(s) = &self.scores else { return 0 };
-        let cells = self.present.ones().zip(&self.lengths);
-        let scored = cells.filter(|&(row, _)| s.rows.get(row));
-        scored.map(|(_, &len)| len as usize).sum()
+    /// Row `row`'s ids, and its scores when its list carries them.
+    fn list(&self, row: usize) -> (&[u64], Option<&[f32]>) {
+        let offsets = self.csr.offsets();
+        let ids = offsets[row] as usize..offsets[row + 1] as usize;
+        let scored = self.scored.as_ref().is_some_and(|s| s.get(row));
+        let scores = self.csr.scores().filter(|_| scored);
+        (&self.csr.values()[ids.clone()], scores.map(|s| &s[ids]))
     }
 }
 
@@ -292,11 +218,11 @@ impl ColumnBatch {
         mut sparse: Vec<SparseColumn>,
     ) -> Result<Self> {
         dense.sort_by_key(|column| column.feature);
-        sparse.sort_by_key(|column| column.feature);
+        sparse.sort_by_key(SparseColumn::feature);
         let columns = dense
             .iter()
             .map(|c| (c.feature, &c.present))
-            .chain(sparse.iter().map(|c| (c.feature, &c.present)));
+            .chain(sparse.iter().map(|c| (c.feature(), &c.present)));
         for (feature, present) in columns {
             if present.len() != labels.len() {
                 return Err(DsiError::corrupt(format!(
@@ -310,8 +236,8 @@ impl ColumnBatch {
         let twice = (dense.windows(2).find(|w| w[0].feature == w[1].feature))
             .map(|w| w[0].feature)
             .or_else(|| {
-                let pair = sparse.windows(2).find(|w| w[0].feature == w[1].feature);
-                pair.map(|w| w[0].feature)
+                let pair = sparse.windows(2).find(|w| w[0].feature() == w[1].feature());
+                pair.map(|w| w[0].feature())
             });
         if let Some(feature) = twice {
             return Err(DsiError::corrupt(format!(
@@ -349,7 +275,9 @@ impl ColumnBatch {
 
     /// The sparse column of `feature`, if any row holds it.
     pub fn sparse(&self, feature: FeatureId) -> Option<&SparseColumn> {
-        let at = self.sparse.binary_search_by_key(&feature, |c| c.feature);
+        let at = self
+            .sparse
+            .binary_search_by_key(&feature, SparseColumn::feature);
         at.ok().map(|i| &self.sparse[i])
     }
 
@@ -357,10 +285,7 @@ impl ColumnBatch {
     /// it against the bytes that were decoded.
     pub fn reserved_values(&self) -> usize {
         let dense = self.dense.iter().map(|c| c.values.capacity());
-        let sparse = self.sparse.iter().map(|c| {
-            let scores = c.scores.as_ref().map_or(0, |s| s.values.capacity());
-            c.lengths.capacity() + c.ids.capacity() + scores
-        });
+        let sparse = self.sparse.iter().map(|c| c.csr.reserved_values());
         dense.chain(sparse).sum()
     }
 
@@ -375,9 +300,12 @@ impl ColumnBatch {
             .sparse
             .iter()
             .map(|c| {
-                c.lengths.len() * key
-                    + c.ids.len() * std::mem::size_of::<u64>()
-                    + c.scored_ids() * std::mem::size_of::<f32>()
+                // Only a scored list's ids carry their scores.
+                let scored = c.scored.iter().flat_map(Bitmap::ones);
+                let scored_ids: usize = scored.map(|row| c.list(row).0.len()).sum();
+                c.present.count_ones() * key
+                    + c.csr.nnz() * std::mem::size_of::<u64>()
+                    + scored_ids * std::mem::size_of::<f32>()
             })
             .sum();
         dense * (key + std::mem::size_of::<DenseValue>())
@@ -448,9 +376,11 @@ impl ColumnBatch {
             .iter()
             .enumerate()
             .map(|(slot, &feature)| match self.sparse(feature) {
-                Some(column) => {
-                    column.tensor(range.clone(), caps.get(slot).copied().unwrap_or(usize::MAX))
-                }
+                Some(column) => column.csr.cut(
+                    range.clone(),
+                    caps.get(slot).copied().unwrap_or(usize::MAX),
+                    column.scored.as_ref(),
+                ),
                 None => SparseTensor::from_csr(feature, vec![0; rows + 1], Vec::new(), None),
             })
             .collect();
@@ -486,15 +416,19 @@ impl ColumnBatch {
             }
             let mut cursor = 0;
             for (feature, list) in row.sparse_iter() {
-                column_of(
+                let column = column_of(
                     &mut sparse,
                     &mut cursor,
                     feature,
-                    |c| c.feature,
-                    || SparseColumn::open(feature, n),
-                )
-                .push(r, list);
+                    SparseColumn::feature,
+                    || SparseColumn::open(feature),
+                );
+                column.pad(r);
+                column.push(list.ids(), list.scores());
             }
+        }
+        for column in &mut sparse {
+            column.pad(n);
         }
         ColumnBatch {
             labels: rows.iter().map(Sample::label).collect(),
@@ -530,9 +464,8 @@ impl ColumnBatch {
             .zip(dense_counts.into_iter().zip(sparse_counts))
             .map(|(label, (dense, sparse))| Sample::with_capacity(label, dense, sparse))
             .collect();
-        // Per column: the next present cell, and for sparse columns the next id.
+        // Per dense column: the next present cell.
         let mut dense_at = vec![0usize; dense.len()];
-        let mut sparse_at = vec![(0usize, 0usize); sparse.len()];
         for (block, rows) in samples.chunks_mut(64).enumerate() {
             for (column, at) in dense.iter().zip(&mut dense_at) {
                 for row in word_ones(column.present.words()[block]) {
@@ -540,19 +473,15 @@ impl ColumnBatch {
                     *at += 1;
                 }
             }
-            for (column, (cell, id)) in sparse.iter().zip(&mut sparse_at) {
+            for column in &sparse {
                 for row in word_ones(column.present.words()[block]) {
-                    let ids = *id..*id + column.lengths[*cell] as usize;
-                    *cell += 1;
-                    *id = ids.end;
-                    let list = match &column.scores {
-                        Some(s) if s.rows.get(block * 64 + row) => SparseList::from_scored(
-                            column.ids[ids.clone()].to_vec(),
-                            s.values[ids].to_vec(),
-                        ),
-                        _ => SparseList::from_ids(column.ids[ids].to_vec()),
+                    let list = match column.list(block * 64 + row) {
+                        (ids, Some(scores)) => {
+                            SparseList::from_scored(ids.to_vec(), scores.to_vec())
+                        }
+                        (ids, None) => SparseList::from_ids(ids.to_vec()),
                     };
-                    rows[row].set_sparse(column.feature, list);
+                    rows[row].set_sparse(column.feature(), list);
                 }
             }
         }
@@ -592,8 +521,8 @@ fn part_rows<'a>((batch, mask): Part<'a>) -> impl Iterator<Item = (usize, bool)>
 
 /// The batch of `parts`' rows in order: from each part, the rows its mask
 /// sets, or every row without one. A column absent from a part is absent
-/// from its rows, and a sparse column scored in any part gives the other
-/// parts' ids unit scores.
+/// from its rows, and a sparse column with a scored row among those taken
+/// gives the other rows' ids unit scores.
 fn stack(parts: &[Part<'_>]) -> ColumnBatch {
     let kept = |(batch, mask): Part<'_>| mask.map_or(batch.len(), Bitmap::count_ones);
     let features = |of: &dyn Fn(&ColumnBatch) -> Vec<FeatureId>| {
@@ -638,51 +567,21 @@ fn stack(parts: &[Part<'_>]) -> ColumnBatch {
             out
         })
         .collect();
-    let sparse = features(&|b| b.sparse.iter().map(|c| c.feature).collect())
+    let sparse = features(&|b| b.sparse.iter().map(SparseColumn::feature).collect())
         .into_iter()
         .map(|feature| {
-            let mut out = SparseColumn::open(feature, 0);
-            let scored = parts
-                .iter()
-                .any(|(b, _)| b.sparse(feature).is_some_and(|c| c.scores.is_some()));
-            if scored {
-                out.scores = Some(Scores {
-                    values: Vec::new(),
-                    rows: Bitmap::default(),
-                });
-            }
+            let mut out = SparseColumn::open(feature);
             for &part in parts {
                 let Some(column) = part.0.sparse(feature) else {
-                    out.present.extend_zeros(kept(part));
-                    if let Some(to) = &mut out.scores {
-                        to.rows.extend_zeros(kept(part));
-                    }
+                    out.pad(out.present.len() + kept(part));
                     continue;
                 };
-                let lengths = column.row_lengths(0..part.0.len());
-                let mut at = 0;
-                for ((row, keep), len) in part_rows(part).zip(lengths) {
-                    let ids = at..at + len.unwrap_or(0);
-                    at = ids.end;
-                    if !keep {
-                        continue;
-                    }
-                    out.present.push(len.is_some());
-                    if len.is_some() {
-                        out.lengths.push(ids.len() as u32);
-                        out.ids.extend_from_slice(&column.ids[ids.clone()]);
-                    }
-                    if let Some(to) = &mut out.scores {
-                        match &column.scores {
-                            Some(from) => {
-                                to.values.extend_from_slice(&from.values[ids]);
-                                to.rows.push(from.rows.get(row));
-                            }
-                            None => {
-                                to.values.resize(out.ids.len(), 1.0);
-                                to.rows.push(false);
-                            }
-                        }
+                for row in part_rows(part).filter(|&(_, k)| k).map(|(r, _)| r) {
+                    if column.present.get(row) {
+                        let (ids, scores) = column.list(row);
+                        out.push(ids, scores);
+                    } else {
+                        out.pad(out.present.len() + 1);
                     }
                 }
             }
@@ -738,7 +637,7 @@ mod tests {
         let batch = ColumnBatch::from_rows(&rows);
         let dense = [FeatureId(1), FeatureId(2), FeatureId(1)];
         let sparse = [FeatureId(3), FeatureId(2), FeatureId(9), FeatureId(1)];
-        for range in [0..70, 3..67, 6..8, 65..70, 10..10] {
+        for range in [0..70, 3..67, 6..8, 7..9, 65..70, 10..10] {
             for caps in [vec![], vec![0, 1, 3, usize::MAX], vec![1; 4]] {
                 let want =
                     MiniBatchTensor::from_samples(&rows[range.clone()], &dense, &sparse, &caps);
@@ -786,6 +685,9 @@ mod tests {
             SparseColumn::new(FeatureId(2), present.clone(), lengths, ids, scores).is_ok()
         };
         assert!(ok(vec![1, 0], vec![7], Some(vec![0.5])));
+        // A length per present row: rows 0 and 2, row 1 is absent.
+        let column = SparseColumn::new(FeatureId(2), present.clone(), vec![0, 2], vec![7, 8], None);
+        assert_eq!(column.unwrap().csr().offsets(), [0, 0, 0, 2]);
         assert!(!ok(vec![1], vec![7], None));
         assert!(!ok(vec![1, 1], vec![7], None));
         assert!(!ok(vec![1, 0], vec![7], Some(vec![])));

@@ -150,15 +150,6 @@ impl SparseList {
         }
     }
 
-    /// Iterates over `(id, score)` pairs; score defaults to `1.0` when the
-    /// list is unscored.
-    pub fn iter_scored(&self) -> impl Iterator<Item = (u64, f32)> + '_ {
-        self.ids.iter().enumerate().map(move |(i, &id)| {
-            let score = self.scores.as_ref().map_or(1.0, |s| s[i]);
-            (id, score)
-        })
-    }
-
     /// In-memory footprint of the value payload in bytes (ids + scores).
     pub fn payload_bytes(&self) -> usize {
         self.ids.len() * std::mem::size_of::<u64>()
@@ -245,13 +236,6 @@ mod tests {
     #[should_panic(expected = "one score per id")]
     fn from_scored_validates_lengths() {
         let _ = SparseList::from_scored(vec![1, 2], vec![0.1]);
-    }
-
-    #[test]
-    fn iter_scored_defaults_to_unit_score() {
-        let l = SparseList::from_ids(vec![4, 5]);
-        let pairs: Vec<_> = l.iter_scored().collect();
-        assert_eq!(pairs, vec![(4, 1.0), (5, 1.0)]);
     }
 
     #[test]

@@ -181,24 +181,6 @@ impl Schema {
             .collect()
     }
 
-    /// Ids of features that are actively logged (everything but beta).
-    pub fn logged_ids(&self) -> Vec<FeatureId> {
-        self.features
-            .values()
-            .filter(|d| d.status.is_logged())
-            .map(|d| d.id)
-            .collect()
-    }
-
-    /// Count of features in each lifecycle status, keyed by status.
-    pub fn status_counts(&self) -> BTreeMap<String, usize> {
-        let mut counts = BTreeMap::new();
-        for def in self.features.values() {
-            *counts.entry(def.status.to_string()).or_insert(0) += 1;
-        }
-        counts
-    }
-
     /// Expected stored payload bytes per row over all logged features.
     pub fn expected_bytes_per_row(&self) -> f64 {
         self.features
@@ -259,19 +241,6 @@ impl Projection {
         self.ids.binary_search(&id).is_ok()
     }
 
-    /// Fraction of `schema`'s features this projection selects.
-    pub fn feature_fraction(&self, schema: &Schema) -> f64 {
-        if schema.is_empty() {
-            return 0.0;
-        }
-        let hits = self
-            .ids
-            .iter()
-            .filter(|id| schema.feature(**id).is_some())
-            .count();
-        hits as f64 / schema.len() as f64
-    }
-
     /// Fraction of `schema`'s expected stored bytes this projection selects.
     pub fn byte_fraction(&self, schema: &Schema) -> f64 {
         let total = schema.expected_bytes_per_row();
@@ -320,14 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn beta_features_are_not_logged() {
-        let s = schema();
-        let logged = s.logged_ids();
-        assert!(!logged.contains(&FeatureId(2)));
-        assert_eq!(logged.len(), 3);
-    }
-
-    #[test]
     fn expected_bytes_accounts_for_coverage_and_length() {
         let s = schema();
         // dense f1: 4, sparse f10: 8*20=160, deprecated f11: 0.5*8*10=40
@@ -339,7 +300,6 @@ mod tests {
     fn projection_fractions() {
         let s = schema();
         let p = Projection::new(vec![FeatureId(1), FeatureId(10)]);
-        assert!((p.feature_fraction(&s) - 0.5).abs() < 1e-9);
         let bf = p.byte_fraction(&s);
         assert!((bf - 164.0 / 204.0).abs() < 1e-9);
     }
@@ -350,15 +310,6 @@ mod tests {
         assert_eq!(p.ids(), &[FeatureId(1), FeatureId(5)]);
         assert!(p.contains(FeatureId(5)));
         assert!(!p.contains(FeatureId(2)));
-    }
-
-    #[test]
-    fn status_counts_tally() {
-        let s = schema();
-        let counts = s.status_counts();
-        assert_eq!(counts["active"], 2);
-        assert_eq!(counts["beta"], 1);
-        assert_eq!(counts["deprecated"], 1);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Primitive codecs: LEB128 varints, frame-of-reference bit packing,
-//! zigzag, run-length encoding, float arrays, and a tiny binary metadata
+//! run-length encoding, float arrays, and a tiny binary metadata
 //! writer/reader used for stripe and file footers.
 
 use dsi_types::{DsiError, Result};
@@ -373,16 +373,6 @@ pub fn read_packed(buf: &[u8], n: usize, out: &mut Vec<u64>) -> Result<()> {
     Ok(())
 }
 
-/// Zigzag-encodes a signed value so small magnitudes become small varints.
-pub fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-pub fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
 /// Run-length encodes a u64 slice as `(run_len, value)` varint pairs,
 /// falling back to literal runs for non-repeating data.
 ///
@@ -730,11 +720,6 @@ impl<'a> MetaReader<'a> {
     pub fn remaining(&self) -> usize {
         self.buf.len().saturating_sub(self.pos)
     }
-
-    /// Whether the cursor has consumed the whole buffer.
-    pub fn is_exhausted(&self) -> bool {
-        self.pos >= self.buf.len()
-    }
 }
 
 #[cfg(test)]
@@ -811,15 +796,6 @@ mod tests {
         let mut out = Vec::new();
         read_packed(&buf, 1, &mut out).unwrap();
         assert_eq!(out, [u64::MAX]);
-    }
-
-    #[test]
-    fn zigzag_round_trip() {
-        for v in [-5i64, -1, 0, 1, 5, i64::MIN, i64::MAX] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
-        assert_eq!(zigzag(-1), 1);
-        assert_eq!(zigzag(1), 2);
     }
 
     #[test]
@@ -993,6 +969,5 @@ mod tests {
         assert_eq!(r.bytes().unwrap(), b"hello");
         assert_eq!(r.f64().unwrap(), 2.5);
         assert_eq!(r.u64().unwrap(), u64::MAX);
-        assert!(r.is_exhausted());
     }
 }

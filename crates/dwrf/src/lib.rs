@@ -11,8 +11,8 @@
 //!
 //! The crate provides:
 //!
-//! * [`encoding`] — varint/zigzag/RLE primitive codecs and a small binary
-//!   metadata codec;
+//! * [`encoding`] — varint, bit-packing and RLE primitive codecs and a
+//!   small binary metadata codec;
 //! * [`compress`] — an LZ-style block compressor;
 //! * [`cipher`] — a keystream cipher standing in for at-rest encryption
 //!   (models the datacenter-tax cost; **not** cryptographically secure);

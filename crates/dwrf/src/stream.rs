@@ -1359,9 +1359,9 @@ mod tests {
         assert_eq!(decoded.column_count(), 1);
         let column = decoded.sparse(FeatureId(7)).unwrap();
         assert_eq!(present_rows(column.present()), vec![0, 2, 4]);
-        assert_eq!(column.lengths(), [2, 2, 2]);
-        assert_eq!(column.ids(), [0, 0, 2, 20, 4, 40]);
-        assert!(column.scores().is_none());
+        assert_eq!(column.csr().offsets(), [0, 2, 2, 4, 4, 6]);
+        assert_eq!(column.csr().values(), [0, 0, 2, 20, 4, 40]);
+        assert!(column.csr().scores().is_none());
     }
 
     #[test]
@@ -1371,8 +1371,8 @@ mod tests {
         assert_eq!(streams.len(), 4);
         let decoded = decode_column(FeatureId(8), &streams, 5).unwrap();
         let column = decoded.sparse(FeatureId(8)).unwrap();
-        assert_eq!(column.ids()[3], 103);
-        assert_eq!(column.scores().unwrap()[3], 3.0);
+        assert_eq!(column.csr().values()[3], 103);
+        assert_eq!(column.csr().scores().unwrap()[3], 3.0);
     }
 
     #[test]
@@ -1637,7 +1637,7 @@ mod tests {
             .1;
         let decoded = decode_column(FeatureId(3), &streams, 50).unwrap();
         assert_eq!(
-            decoded.sparse(FeatureId(3)).unwrap().ids()[27..30],
+            decoded.sparse(FeatureId(3)).unwrap().csr().values()[27..30],
             [1, 101, 7]
         );
         // Nine distinct ids: 150 indexes of 4 bits after a base and a width.
@@ -1782,7 +1782,7 @@ mod tests {
         write_varints(&mut dict, &[u64::MAX - 1, 1]);
         let decoded = decode_column(FeatureId(3), &sparse_column(2, data, dict), 1).unwrap();
         assert_eq!(
-            decoded.sparse(FeatureId(3)).unwrap().ids(),
+            decoded.sparse(FeatureId(3)).unwrap().csr().values(),
             [u64::MAX - 1, u64::MAX]
         );
     }

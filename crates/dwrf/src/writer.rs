@@ -245,11 +245,6 @@ impl FileWriter {
         }
     }
 
-    /// Rows buffered but not yet flushed into a stripe.
-    pub fn pending_rows(&self) -> usize {
-        self.labels.len()
-    }
-
     /// Compresses and encrypts `raw` onto the end of the file and records
     /// the stream in the stripe's directory.
     fn emit(&mut self, feature: u64, kind: StreamKind, raw: &[u8], streams: &mut Vec<StreamInfo>) {
@@ -476,7 +471,6 @@ mod tests {
         for i in 0..10 {
             w.push(sample(i));
         }
-        assert_eq!(w.pending_rows(), 2);
         let file = w.finish().unwrap();
         assert_eq!(file.footer().stripes.len(), 3);
         assert_eq!(file.total_rows(), 10);

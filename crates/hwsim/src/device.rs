@@ -66,24 +66,6 @@ impl DeviceStats {
             self.bytes as f64 / self.ios as f64
         }
     }
-
-    /// Achieved throughput in bytes/second over the busy time.
-    pub fn achieved_bytes_per_sec(&self) -> f64 {
-        if self.busy_ns == 0 {
-            0.0
-        } else {
-            self.bytes as f64 / (self.busy_ns as f64 / 1e9)
-        }
-    }
-
-    /// Achieved IO operations per second over the busy time.
-    pub fn achieved_iops(&self) -> f64 {
-        if self.busy_ns == 0 {
-            0.0
-        } else {
-            self.ios as f64 / (self.busy_ns as f64 / 1e9)
-        }
-    }
 }
 
 /// An analytic disk model with seek/rotation/transfer timing.
@@ -304,8 +286,6 @@ mod tests {
         assert_eq!(s.ios, 2);
         assert_eq!(s.bytes, 4000);
         assert!(s.mean_io_size() == 2000.0);
-        assert!(s.achieved_bytes_per_sec() > 0.0);
-        assert!(s.achieved_iops() > 0.0);
         d.reset_stats();
         assert_eq!(d.stats().ios, 0);
     }

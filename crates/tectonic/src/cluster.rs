@@ -362,11 +362,6 @@ impl TectonicCluster {
         v
     }
 
-    /// Total logical bytes across files (before replication).
-    pub fn total_file_bytes(&self) -> u64 {
-        self.inner.files.read().values().sum()
-    }
-
     /// Attaches a chaos fault injector: every subsequent charged read
     /// (a [`TectonicCluster::read`] or [`TectonicCluster::read_view`]
     /// call) fires the injector's `TectonicRead` hook exactly once.
@@ -1010,7 +1005,6 @@ mod tests {
             hdd: true,
         });
         c.append("f", Bytes::from(vec![1u8; 2048])).unwrap();
-        assert_eq!(c.total_file_bytes(), 2048);
         assert_eq!(c.stored_bytes(), 3 * 2048);
     }
 

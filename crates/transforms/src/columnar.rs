@@ -379,7 +379,7 @@ impl ColumnarPlan {
     }
 
     /// [`ColumnarPlan::capture_ctx`] over rows `range` of `batch`, read off
-    /// the columns' present bits, lengths and scored rows instead of a
+    /// the columns' present bits, offsets and scored rows instead of a
     /// merge-join over samples: equal to `capture_ctx` over the same rows.
     ///
     /// # Panics
@@ -407,20 +407,22 @@ impl ColumnarPlan {
         }
         for w in &self.sparse_wants {
             let column = batch.sparse(w.feature);
-            if w.cap != usize::MAX || w.generator_input {
-                // Per row: its list's length, `None` where it has none.
-                let lengths: Vec<Option<usize>> = match column {
-                    Some(c) => c.row_lengths(range.clone()).collect(),
-                    None => vec![None; rows],
+            if w.cap != usize::MAX {
+                let lens = match column {
+                    Some(c) => {
+                        let offsets = &c.csr().offsets()[range.start..=range.end];
+                        offsets.windows(2).map(|o| o[1] - o[0]).collect()
+                    }
+                    None => vec![0; rows],
                 };
-                if w.cap != usize::MAX {
-                    let lens = lengths.iter().map(|len| len.unwrap_or(0) as u32);
-                    ctx.shadow_lens.insert(w.feature, lens.collect());
-                }
-                if w.generator_input {
-                    let present = lengths.iter().map(Option::is_some);
-                    ctx.sparse_present.insert(w.feature, present.collect());
-                }
+                ctx.shadow_lens.insert(w.feature, lens);
+            }
+            if w.generator_input {
+                let present = match column {
+                    Some(c) => range.clone().map(|row| c.present().get(row)).collect(),
+                    None => vec![false; rows],
+                };
+                ctx.sparse_present.insert(w.feature, present);
             }
             let scored = column.and_then(|c| c.scored_rows());
             if let Some(scored) =

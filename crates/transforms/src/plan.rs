@@ -8,7 +8,6 @@
 use crate::cost::{OpClass, OpCost};
 use crate::op::TransformOp;
 use dsi_types::{Batch, Bitmap, DsiError, FeatureId, Projection, Result, Sample};
-use std::collections::BTreeMap;
 
 /// Derived features get ids in a dedicated range above raw feature ids.
 pub const DERIVED_FEATURE_BASE: u64 = 1 << 32;
@@ -55,19 +54,6 @@ impl PlanCost {
         self.dense_normalization_cycles += other.dense_normalization_cycles;
         self.elements += other.elements;
         self.membw_bytes += other.membw_bytes;
-    }
-
-    /// Fraction of cycles in each class `(feature gen, sparse norm, dense
-    /// norm)`.
-    pub fn class_shares(&self) -> (f64, f64, f64) {
-        if self.cycles == 0.0 {
-            return (0.0, 0.0, 0.0);
-        }
-        (
-            self.feature_generation_cycles / self.cycles,
-            self.sparse_normalization_cycles / self.cycles,
-            self.dense_normalization_cycles / self.cycles,
-        )
     }
 }
 
@@ -343,15 +329,6 @@ impl TransformPlan {
         ids.dedup();
         ids
     }
-
-    /// Count of ops per class.
-    pub fn class_counts(&self) -> BTreeMap<String, usize> {
-        let mut counts = BTreeMap::new();
-        for op in &self.ops {
-            *counts.entry(OpCost::class_of(op).to_string()).or_insert(0) += 1;
-        }
-        counts
-    }
 }
 
 #[cfg(test)]
@@ -436,13 +413,15 @@ mod tests {
         ]);
         let mut s = sample();
         let cost = plan.apply_sample_with_cost(&mut s);
-        let (generation, sparse, dense) = cost.class_shares();
+        let generation = cost.feature_generation_cycles;
+        let sparse = cost.sparse_normalization_cycles;
+        let dense = cost.dense_normalization_cycles;
         assert!(
             generation > sparse && sparse > dense,
             "{generation} {sparse} {dense}"
         );
         assert!(cost.membw_bytes > 0.0);
-        assert!((generation + sparse + dense - 1.0).abs() < 1e-9);
+        assert!((generation + sparse + dense - cost.cycles).abs() < 1e-9 * cost.cycles);
     }
 
     #[test]
@@ -482,7 +461,5 @@ mod tests {
         let derived = plan.derived_feature_ids();
         assert_eq!(derived.len(), 2);
         assert!(derived.iter().all(|f| f.0 >= DERIVED_FEATURE_BASE));
-        let counts = plan.class_counts();
-        assert!(counts["feature-generation"] >= 2);
     }
 }

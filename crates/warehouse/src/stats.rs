@@ -2,10 +2,9 @@
 
 use crate::table::Table;
 use dsi_types::FeatureId;
-use dsi_types::{ByteSize, PartitionId, Projection};
+use dsi_types::{PartitionId, Projection};
 use dwrf::stream::FILE_LEVEL;
 use std::collections::BTreeMap;
-use std::ops::Range;
 
 /// Size and selectivity statistics for a table.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,17 +46,6 @@ impl TableStats {
             return 0.0;
         }
         self.total_bytes as f64 / self.partition_bytes.len() as f64
-    }
-
-    /// Encoded bytes in a partition range (the "used partitions" of a job).
-    pub fn used_bytes(&self, range: Range<PartitionId>) -> ByteSize {
-        ByteSize(
-            self.partition_bytes
-                .iter()
-                .filter(|(p, _)| **p >= range.start && **p < range.end)
-                .map(|(_, b)| *b)
-                .sum(),
-        )
     }
 }
 
@@ -137,9 +125,6 @@ mod tests {
         assert_eq!(stats.total_rows, 60);
         assert_eq!(stats.feature_count, 3);
         assert!(stats.mean_partition_bytes() > 0.0);
-        let used = stats.used_bytes(PartitionId::new(0)..PartitionId::new(2));
-        assert!(used.bytes() < stats.total_bytes);
-        assert!(used.bytes() > 0);
     }
 
     #[test]

@@ -13,10 +13,11 @@ use std::sync::Arc;
 ///
 /// Clones share one allocation; [`Bytes::slice`] returns a view over the
 /// same allocation with adjusted bounds, matching the semantics of the
-/// real `bytes::Bytes` for the operations this workspace uses.
+/// real `bytes::Bytes` for the operations this workspace uses. A `Vec`
+/// becomes `Bytes` in place: its buffer is kept, not copied.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -94,7 +95,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
         Self {
-            data: Arc::from(v.into_boxed_slice()),
+            data: Arc::new(v),
             start: 0,
             end,
         }
@@ -171,6 +172,17 @@ mod tests {
         let ss = s.slice(5..);
         assert_eq!(ss.as_slice(), &[15, 16, 17, 18, 19]);
         assert_eq!(b.len(), 100);
+    }
+
+    #[test]
+    fn a_vec_becomes_bytes_without_a_copy() {
+        let mut v = Vec::with_capacity(64);
+        v.extend_from_slice(b"landed file");
+        let at = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), at);
+        assert_eq!(b.slice(7..).as_ptr(), at.wrapping_add(7));
+        assert_eq!(b, b"landed file".to_vec());
     }
 
     #[test]
