@@ -28,44 +28,34 @@ impl StreamCipher {
         self.key
     }
 
-    /// Encrypts or decrypts `data` in place under the given stream nonce.
+    /// Encrypts or decrypts `data` in place under the given stream nonce,
+    /// four keystream words at a time; a last short block is ciphered in a
+    /// zero-padded copy.
     pub fn apply_in_place(&self, nonce: u64, data: &mut [u8]) {
         let stream_key = mix2(self.key, nonce);
-        let mut counter = 0u64;
-        let mut chunks = data.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            let ks = mix2(stream_key, counter).to_le_bytes();
-            for (b, k) in chunk.iter_mut().zip(ks) {
-                *b ^= k;
-            }
-            counter += 1;
+        let mut blocks = data.chunks_exact_mut(BLOCK);
+        let mut counter = 0;
+        for block in &mut blocks {
+            xor_block(stream_key, counter, block.try_into().expect("full block"));
+            counter += (BLOCK / 8) as u64;
         }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let ks = mix2(stream_key, counter).to_le_bytes();
-            for (b, k) in rem.iter_mut().zip(ks) {
-                *b ^= k;
-            }
+        let tail = blocks.into_remainder();
+        if !tail.is_empty() {
+            let mut last = [0u8; BLOCK];
+            last[..tail.len()].copy_from_slice(tail);
+            xor_block(stream_key, counter, &mut last);
+            tail.copy_from_slice(&last[..tail.len()]);
         }
     }
 
     /// Encrypts or decrypts `src` out of place into `out` (whatever it held
-    /// is replaced), a keystream word at a time. The hot decode path uses
-    /// this to write keystream output straight into a fresh buffer instead
-    /// of first memcpy'ing the ciphertext into an owned buffer.
+    /// is replaced): one copy, then [`StreamCipher::apply_in_place`]'s block
+    /// loop over it. The hot decode path uses this to decrypt straight into
+    /// a buffer it owns.
     pub fn apply_to(&self, nonce: u64, src: &[u8], out: &mut Vec<u8>) {
-        let stream_key = mix2(self.key, nonce);
         out.clear();
-        out.reserve(src.len());
-        let mut counter = 0u64;
-        let mut chunks = src.chunks_exact(8);
-        for chunk in &mut chunks {
-            let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-            out.extend_from_slice(&(word ^ mix2(stream_key, counter)).to_le_bytes());
-            counter += 1;
-        }
-        let ks = mix2(stream_key, counter).to_le_bytes();
-        out.extend(chunks.remainder().iter().zip(ks).map(|(b, k)| b ^ k));
+        out.extend_from_slice(src);
+        self.apply_in_place(nonce, out);
     }
 
     /// Encrypts `data`, returning a new buffer.
@@ -79,6 +69,20 @@ impl StreamCipher {
     pub fn decrypt(&self, nonce: u64, data: &[u8]) -> Vec<u8> {
         // XOR keystream: decryption is identical to encryption.
         self.encrypt(nonce, data)
+    }
+}
+
+/// Bytes ciphered per step: four independent keystream words, which
+/// overlap in the pipeline where one word a step would wait on each
+/// `mix2` in turn.
+const BLOCK: usize = 32;
+
+/// XORs keystream words `counter..counter + 4` into `block`, little-endian.
+#[inline(always)]
+fn xor_block(stream_key: u64, counter: u64, block: &mut [u8; BLOCK]) {
+    for (i, chunk) in (0u64..).zip(block.chunks_exact_mut(8)) {
+        let word = u64::from_le_bytes((&*chunk).try_into().expect("8-byte chunk"));
+        chunk.copy_from_slice(&(word ^ mix2(stream_key, counter + i)).to_le_bytes());
     }
 }
 
@@ -114,13 +118,21 @@ mod tests {
     #[test]
     fn out_of_place_matches_in_place() {
         let c = StreamCipher::new(0x5eed);
-        for n in [0usize, 1, 7, 8, 9, 63, 64, 65, 1000] {
+        let stream_key = mix2(0x5eed, 11);
+        for n in (0usize..=72).chain([1000, 4095, 4096, 4097, 65_543]) {
             let data: Vec<u8> = (0..n).map(|i| (i * 37) as u8).collect();
-            let mut expect = data.clone();
-            c.apply_in_place(11, &mut expect);
+            // Byte `i` is XORed with byte `i % 8` of keystream word `i / 8`.
+            let expect: Vec<u8> = data
+                .iter()
+                .enumerate()
+                .map(|(i, b)| b ^ mix2(stream_key, (i / 8) as u64).to_le_bytes()[i % 8])
+                .collect();
+            let mut in_place = data.clone();
+            c.apply_in_place(11, &mut in_place);
+            assert_eq!(in_place, expect, "in place, len {n}");
             let mut out = vec![0xff; 3]; // apply_to clears stale content
             c.apply_to(11, &data, &mut out);
-            assert_eq!(out, expect, "len {n}");
+            assert_eq!(out, expect, "out of place, len {n}");
         }
     }
 

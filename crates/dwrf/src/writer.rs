@@ -11,6 +11,8 @@ use crate::stream::{
 use bytes::Bytes;
 use dsi_types::{DsiError, FeatureId, Result, Sample};
 use std::collections::BTreeSet;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::thread::{self, JoinHandle};
 
 /// Trailing file magic. Version 2 stores sparse ids relative to a base
 /// (packed `Data`, gap-coded `Dict`, row-map lists after their minimum), so
@@ -188,6 +190,13 @@ impl DwrfFile {
 /// their columns as they are pushed and are dropped there; only the layouts
 /// that encode whole rows (unflattened maps, dedup's canonical table) keep
 /// a stripe's rows until it is flushed.
+///
+/// The caller's thread pushes rows and builds each full stripe's raw
+/// streams; one encoder thread the writer owns compresses, ciphers and
+/// checksums them onto the file while the next stripe's rows are pushed.
+/// It takes the stripes one at a time in the order they were flushed, so
+/// every offset and nonce is the one a single thread would assign. A
+/// writer dropped without [`FileWriter::finish`] ends its thread.
 #[derive(Debug)]
 pub struct FileWriter {
     opts: WriterOptions,
@@ -198,20 +207,38 @@ pub struct FileWriter {
     labels: Vec<f32>,
     /// The current stripe's rows, when the layout encodes whole rows.
     pending: Vec<Sample>,
-    buf: Vec<u8>,
-    stripes: Vec<StripeMeta>,
-    next_nonce: u64,
+    /// The encoder thread's queue: one stripe waits there while the thread
+    /// encodes the one before. `None` once the queue is closed.
+    to_encoder: Option<SyncSender<RawStripe>>,
+    /// The encoder thread, which hands its [`StripeSink`] back once the
+    /// queue closes.
+    encoder: Option<JoinHandle<StripeSink>>,
     dedup_stats: DedupEncodeStats,
 }
 
+/// One stripe's raw streams in file order, with its directory entry still
+/// missing the streams.
+#[derive(Debug)]
+struct RawStripe {
+    meta: StripeMeta,
+    streams: Vec<(u64, StreamKind, Vec<u8>)>,
+}
+
 impl FileWriter {
-    /// Creates a writer with the given options.
+    /// Creates a writer with the given options and starts its encoder
+    /// thread.
     ///
     /// # Panics
     ///
-    /// Panics if `rows_per_stripe` is zero.
+    /// Panics if `rows_per_stripe` is zero or the thread cannot be spawned.
     pub fn new(opts: WriterOptions) -> Self {
         assert!(opts.rows_per_stripe > 0, "rows_per_stripe must be positive");
+        let (to_encoder, queue) = sync_channel::<RawStripe>(1);
+        let sink = StripeSink::new(&opts);
+        let encoder = thread::Builder::new()
+            .name("dwrf-encoder".into())
+            .spawn(move || sink.run(queue))
+            .expect("spawn the DWRF encoder thread");
         Self {
             // Deduped files carry the whole sparse map in the canonical
             // table instead of per-feature sparse streams.
@@ -219,9 +246,8 @@ impl FileWriter {
             opts,
             labels: Vec::new(),
             pending: Vec::new(),
-            buf: Vec::new(),
-            stripes: Vec::new(),
-            next_nonce: 0,
+            to_encoder: Some(to_encoder),
+            encoder: Some(encoder),
             dedup_stats: DedupEncodeStats::default(),
         }
     }
@@ -245,44 +271,14 @@ impl FileWriter {
         }
     }
 
-    /// Compresses and encrypts `raw` onto the end of the file and records
-    /// the stream in the stripe's directory.
-    fn emit(&mut self, feature: u64, kind: StreamKind, raw: &[u8], streams: &mut Vec<StreamInfo>) {
-        let offset = self.buf.len();
-        if self.opts.compressed {
-            compress::compress_into(raw, &mut self.buf);
-        } else {
-            self.buf.extend_from_slice(raw);
-        }
-        let payload = &mut self.buf[offset..];
-        let nonce = self.next_nonce;
-        self.next_nonce += 1;
-        if self.opts.encrypted {
-            StreamCipher::new(self.opts.file_key).apply_in_place(nonce, payload);
-        }
-        streams.push(StreamInfo {
-            feature,
-            kind,
-            offset: offset as u64,
-            len: payload.len() as u64,
-            nonce,
-            checksum: checksum64(payload),
-        });
-    }
-
-    /// Flushes buffered rows into a stripe (no-op when empty).
-    pub fn flush_stripe(&mut self) {
+    /// Builds the buffered rows' raw streams and hands them to the encoder
+    /// thread (no-op when empty).
+    fn flush_stripe(&mut self) {
         if self.labels.is_empty() {
             return;
         }
-        // Room for one more stripe of the mean size written so far, so the
-        // file does not grow in the middle of one.
-        if let Some(mean) = self.buf.len().checked_div(self.stripes.len()) {
-            self.buf.reserve(mean);
-        }
         let rows = std::mem::take(&mut self.pending);
-        let mut streams: Vec<StreamInfo> = Vec::new();
-
+        let mut streams = Vec::new();
         if self.opts.flattened {
             let mut columns = self.columns.encode();
             self.opts
@@ -290,15 +286,14 @@ impl FileWriter {
                 .sort_by_feature(&mut columns, |(feature, _)| *feature);
             for (feature, raw_streams) in columns {
                 for (kind, raw) in raw_streams {
-                    self.emit(feature.0, kind, &raw, &mut streams);
+                    streams.push((feature.0, kind, raw));
                 }
             }
         } else {
-            let dense_map = encode_dense_map(&rows);
-            self.emit(FILE_LEVEL, StreamKind::DenseMap, &dense_map, &mut streams);
+            streams.push((FILE_LEVEL, StreamKind::DenseMap, encode_dense_map(&rows)));
             if !self.opts.dedup {
                 let sparse_map = encode_sparse_map(&rows);
-                self.emit(FILE_LEVEL, StreamKind::SparseMap, &sparse_map, &mut streams);
+                streams.push((FILE_LEVEL, StreamKind::SparseMap, sparse_map));
             }
         }
         if self.opts.dedup {
@@ -308,12 +303,12 @@ impl FileWriter {
             self.dedup_stats.rows += stats.rows;
             self.dedup_stats.canonicals += stats.canonicals;
             self.dedup_stats.bytes_saved += stats.bytes_saved;
-            self.emit(FILE_LEVEL, StreamKind::DedupRefs, &refs, &mut streams);
-            self.emit(FILE_LEVEL, StreamKind::DedupData, &data, &mut streams);
+            streams.push((FILE_LEVEL, StreamKind::DedupRefs, refs));
+            streams.push((FILE_LEVEL, StreamKind::DedupData, data));
         }
         let mut labels = Vec::new();
         write_f32s_xor(&mut labels, &self.labels);
-        self.emit(FILE_LEVEL, StreamKind::Label, &labels, &mut streams);
+        streams.push((FILE_LEVEL, StreamKind::Label, labels));
 
         let label_min = self.labels.iter().copied().fold(f32::INFINITY, f32::min);
         let label_max = self
@@ -321,24 +316,45 @@ impl FileWriter {
             .iter()
             .copied()
             .fold(f32::NEG_INFINITY, f32::max);
-        self.stripes.push(StripeMeta {
+        let meta = StripeMeta {
             row_count: self.labels.len() as u64,
             label_min,
             label_max,
-            streams,
-        });
+            streams: Vec::new(),
+        };
         self.labels.clear();
+        let queue = self.to_encoder.as_ref().expect("the queue is open");
+        if queue.send(RawStripe { meta, streams }).is_err() {
+            // The thread lets go of the queue early only by panicking.
+            self.join_encoder();
+        }
     }
 
-    /// Finishes the file: flushes the final stripe, appends the footer and
-    /// magic, and returns the immutable file.
+    /// Closes the encoder thread's queue and waits for the thread to encode
+    /// what is left in it, re-raising its panic if it had one.
+    fn join_encoder(&mut self) -> StripeSink {
+        self.to_encoder = None;
+        let encoder = self.encoder.take().expect("the encoder is joined once");
+        encoder
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+
+    /// Finishes the file: flushes the final stripe, waits for the encoder
+    /// thread, appends the footer and magic, and returns the immutable
+    /// file.
     ///
     /// # Errors
     ///
     /// Returns [`DsiError::InvalidState`] if no rows were ever written.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of the encoder thread.
     pub fn finish(mut self) -> Result<DwrfFile> {
         self.flush_stripe();
-        if self.stripes.is_empty() {
+        let sink = self.join_encoder();
+        if sink.stripes.is_empty() {
             return Err(DsiError::InvalidState(
                 "cannot finish an empty DWRF file".into(),
             ));
@@ -349,10 +365,10 @@ impl FileWriter {
             encrypted: self.opts.encrypted,
             dedup: self.opts.dedup,
             file_key: self.opts.file_key,
-            stripes: self.stripes,
+            stripes: sink.stripes,
         };
         let footer_bytes = encode_footer(&footer);
-        let mut buf = self.buf;
+        let mut buf = sink.buf;
         buf.extend_from_slice(&footer_bytes);
         // Footer integrity: [footer][checksum u64][len u64][MAGIC], so a
         // corrupted directory is rejected before any stream is trusted.
@@ -364,6 +380,89 @@ impl FileWriter {
             footer,
             dedup_stats: self.dedup_stats,
         })
+    }
+}
+
+impl Drop for FileWriter {
+    /// Ends the encoder thread of a writer that was not finished; a panic
+    /// it had is not raised again here.
+    fn drop(&mut self) {
+        self.to_encoder = None;
+        if let Some(encoder) = self.encoder.take() {
+            let _ = encoder.join();
+        }
+    }
+}
+
+/// The file as the encoder thread builds it: each stripe's streams
+/// compressed, ciphered and checksummed onto the end of `buf`, and the
+/// stripe directory.
+#[derive(Debug)]
+struct StripeSink {
+    compressed: bool,
+    cipher: Option<StreamCipher>,
+    buf: Vec<u8>,
+    stripes: Vec<StripeMeta>,
+    next_nonce: u64,
+}
+
+impl StripeSink {
+    fn new(opts: &WriterOptions) -> Self {
+        Self {
+            compressed: opts.compressed,
+            cipher: opts.encrypted.then(|| StreamCipher::new(opts.file_key)),
+            buf: Vec::new(),
+            stripes: Vec::new(),
+            next_nonce: 0,
+        }
+    }
+
+    /// The encoder thread: appends the queued stripes in order until the
+    /// queue closes.
+    fn run(mut self, queue: Receiver<RawStripe>) -> Self {
+        for stripe in queue {
+            self.append(stripe);
+        }
+        self
+    }
+
+    /// Appends one stripe's streams and its directory entry.
+    fn append(&mut self, stripe: RawStripe) {
+        // Room for one more stripe of the mean size written so far, so the
+        // file does not grow in the middle of one.
+        if let Some(mean) = self.buf.len().checked_div(self.stripes.len()) {
+            self.buf.reserve(mean);
+        }
+        let RawStripe { mut meta, streams } = stripe;
+        for (feature, kind, raw) in streams {
+            meta.streams.push(self.emit(feature, kind, &raw));
+        }
+        self.stripes.push(meta);
+    }
+
+    /// Compresses and encrypts `raw` onto the end of the file and returns
+    /// the stream's directory entry.
+    fn emit(&mut self, feature: u64, kind: StreamKind, raw: &[u8]) -> StreamInfo {
+        let offset = self.buf.len();
+        if self.compressed {
+            compress::compress_into(raw, &mut self.buf);
+        } else {
+            self.buf.extend_from_slice(raw);
+        }
+        let payload = &mut self.buf[offset..];
+        let nonce = self.next_nonce;
+        self.next_nonce += 1;
+        if let Some(cipher) = &self.cipher {
+            cipher.apply_in_place(nonce, payload);
+        }
+        StreamInfo {
+            feature,
+            kind,
+            offset: offset as u64,
+            len: payload.len() as u64,
+            nonce,
+            checksum: checksum64(payload),
+        }
     }
 }
 
@@ -553,6 +652,79 @@ mod tests {
         let file = w.finish().unwrap();
         let bytes = file.bytes();
         assert_eq!(&bytes[bytes.len() - 8..], MAGIC);
+    }
+
+    #[test]
+    fn nonces_run_through_the_file_in_stream_order() {
+        let mut w = FileWriter::new(WriterOptions {
+            rows_per_stripe: 2,
+            ..Default::default()
+        });
+        for i in 0..9 {
+            w.push(sample(i));
+        }
+        let file = w.finish().unwrap();
+        assert_eq!(file.footer().stripes.len(), 5);
+        let nonces: Vec<u64> = file
+            .footer()
+            .stripes
+            .iter()
+            .flat_map(|stripe| stripe.streams.iter().map(|s| s.nonce))
+            .collect();
+        assert_eq!(nonces, (0..nonces.len() as u64).collect::<Vec<_>>());
+    }
+
+    /// Swaps `w`'s encoder thread for one running `encode` over a fresh
+    /// queue, after ending the one it had.
+    fn swap_encoder(
+        w: &mut FileWriter,
+        encode: impl FnOnce(Receiver<RawStripe>) -> StripeSink + Send + 'static,
+    ) {
+        let (to_encoder, queue) = sync_channel(1);
+        drop(w.to_encoder.replace(to_encoder));
+        let old = w.encoder.replace(thread::spawn(move || encode(queue)));
+        old.unwrap().join().unwrap();
+    }
+
+    #[test]
+    fn a_writer_dropped_mid_file_ends_its_thread() {
+        let opts = WriterOptions {
+            rows_per_stripe: 2,
+            ..Default::default()
+        };
+        let mut w = FileWriter::new(opts.clone());
+        let (done, ended) = sync_channel(1);
+        swap_encoder(&mut w, move |queue| {
+            let mut sink = StripeSink::new(&opts);
+            for stripe in queue {
+                // Slower than the pushes, so stripes are still queued
+                // when the writer is dropped.
+                thread::sleep(std::time::Duration::from_millis(20));
+                sink.append(stripe);
+            }
+            done.send(sink.stripes.len()).unwrap();
+            sink
+        });
+        for i in 0..7 {
+            w.push(sample(i));
+        }
+        drop(w);
+        // The drop waited for the thread, which encoded every stripe
+        // handed to it; the last row's stripe was never flushed.
+        assert_eq!(ended.try_recv(), Ok(3));
+    }
+
+    #[test]
+    fn an_encoder_panic_resurfaces_from_finish() {
+        let mut w = FileWriter::new(WriterOptions::default());
+        swap_encoder(&mut w, |queue| {
+            let _stripe = queue.recv();
+            panic!("encoder fault")
+        });
+        w.push(sample(0));
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.finish()))
+            .expect_err("finish re-raises the encoder's panic");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"encoder fault"));
     }
 
     #[test]

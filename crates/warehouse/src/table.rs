@@ -370,6 +370,46 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_partition_writes_store_the_serial_bytes() {
+        let opts = dwrf::WriterOptions {
+            rows_per_stripe: 8,
+            ..Default::default()
+        };
+        let new_table = || {
+            let cluster = TectonicCluster::new(ClusterConfig::small());
+            let config = TableConfig::new(TableId(11), "rm_par").with_writer_options(opts.clone());
+            Table::create(cluster, config).unwrap()
+        };
+        let rows = |p: u32| {
+            let first = u64::from(p) * 100;
+            (first..first + 45).map(sample).collect::<Vec<_>>()
+        };
+        let serial = new_table();
+        for p in 0..4 {
+            serial
+                .write_partition(PartitionId::new(p), rows(p))
+                .unwrap();
+        }
+        let parallel = new_table();
+        std::thread::scope(|scope| {
+            for p in 0..4 {
+                let table = &parallel;
+                scope.spawn(move || table.write_partition(PartitionId::new(p), rows(p)).unwrap());
+            }
+        });
+        let stored = |t: &Table, p: u32| {
+            let files = t.partition_files(PartitionId::new(p));
+            assert_eq!(files.len(), 1);
+            let file = &files[0];
+            assert_eq!(file.footer.stripes.len(), 6);
+            t.cluster().read(&file.path, 0, file.encoded_bytes).unwrap()
+        };
+        for p in 0..4 {
+            assert_eq!(stored(&parallel, p), stored(&serial, p), "partition {p}");
+        }
+    }
+
+    #[test]
     fn handles_share_state() {
         let t = table();
         let t2 = t.clone();

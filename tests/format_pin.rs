@@ -187,3 +187,44 @@ fn dwrf_files_read_back_the_rows_written() {
         );
     }
 }
+
+/// Stripes in [`many_stripe_file_bytes_are_pinned`]'s file: ten full ones
+/// and a short last one.
+const MANY_STRIPES: usize = 11;
+
+/// A compressed, encrypted file of eleven stripes. The writer encodes each
+/// stripe on its own thread while the next stripe's rows are pushed; the
+/// file must still hold every offset and nonce that one thread writing the
+/// stripes back to back gives it. The constant was taken from the writer
+/// that encoded every stripe on the caller's thread.
+#[test]
+fn many_stripe_file_bytes_are_pinned() {
+    let schema = RmProfile::rm1().build_schema(60);
+    let rows = SampleGenerator::new(&schema, 0x057e_19e5)
+        .with_hashed_ids()
+        .take_samples((MANY_STRIPES - 1) * ROWS_PER_STRIPE + 7);
+    let mut writer = FileWriter::new(WriterOptions {
+        rows_per_stripe: ROWS_PER_STRIPE,
+        ..Default::default()
+    });
+    for row in rows.clone() {
+        writer.push(row);
+    }
+    let file = writer.finish().expect("non-empty file");
+    let footer = file.footer();
+    assert!(footer.compressed && footer.encrypted);
+    assert_eq!(footer.stripes.len(), MANY_STRIPES);
+    let nonces: Vec<u64> = footer
+        .stripes
+        .iter()
+        .flat_map(|stripe| stripe.streams.iter().map(|stream| stream.nonce))
+        .collect();
+    assert_eq!(nonces, (0..nonces.len() as u64).collect::<Vec<_>>());
+    let checksum = checksum64(file.bytes());
+    assert_eq!(
+        checksum, 0xf80e_926c_e36e_4d1c,
+        "DWRF bytes changed; got {checksum:#x}"
+    );
+    let reader = FileReader::open(file.bytes().clone()).expect("valid file");
+    assert_eq!(reader.read_all_unprojected().expect("decodable"), rows);
+}
