@@ -16,11 +16,8 @@
 //! ([`node`](crate::node) saturation) or virtual time, so the same seed prints the
 //! same table on any host. Wall-clock rates come from `dsibench` alone.
 
-use crate::accel::AccelModel;
-use crate::model::{loading_sweep, onhost_baseline, per_sample_demand, GpuDemand};
+use crate::model::{onhost_baseline, per_sample_demand, GpuDemand};
 use crate::node::{NodeSpec, ResourceVector};
-use crate::power::PowerModel;
-use crate::provisioning::{provision_model, ProvisionPlan, StorageNodeClass, TieredPlacement};
 use crate::report::{f, pct, print_table};
 use crate::sim::{run_scenario, Scenario};
 use crate::tax::DatacenterTax;
@@ -29,7 +26,6 @@ use dpp::{ExtractCostModel, WorkerReport};
 use dsi_types::{ByteSize, Projection};
 use dwrf::{CoalescePolicy, WriterOptions};
 use synth::{JobProjectionSampler, RmClass, RmProfile};
-use transforms::{TransformOp, TransformPlan};
 
 /// One experiment: its id on the command line and the function that prints
 /// it (the argument is `--smoke`, which only the ablations look at).
@@ -37,9 +33,7 @@ pub type Figure = (&'static str, fn(bool));
 
 /// Every experiment `figures` can print, in the order `all` prints them.
 pub const FIGURES: &[Figure] = &[
-    ("fig1", |_| fig1()),
     ("fig7", |_| fig7()),
-    ("fig8", |_| fig8()),
     ("fig9", |_| fig9()),
     ("table3", |_| table3()),
     ("table4", |_| table4()),
@@ -50,8 +44,6 @@ pub const FIGURES: &[Figure] = &[
     ("table9", |_| table9()),
     ("table10", |_| table10()),
     ("table11", |_| table11()),
-    ("gap", |_| gap()),
-    ("accel", |_| accel()),
     ("codesign", |_| codesign()),
     ("dedup", dedup_ablation),
     ("durability", durability_ablation),
@@ -81,13 +73,6 @@ pub fn select(ids: &[String]) -> Result<Vec<Figure>, String> {
         .collect())
 }
 
-/// Table VI mean IO size (pre-coalescing, per-stream reads).
-const PAPER_MEAN_IO: u64 = 23_200;
-
-/// Effective IO size once coalesced reads (1.25 MiB windows) are deployed —
-/// the production configuration power provisioning assumes.
-const COALESCED_MEAN_IO: u64 = 1 << 20;
-
 fn lab_for(class: RmClass) -> RmLab {
     RmLab::build(class, LabConfig::default())
 }
@@ -111,30 +96,6 @@ fn feature_scale(lab: &RmLab, projection: &Projection) -> f64 {
 }
 
 // ---------------------------------------------------------------- figures
-
-fn fig1() {
-    let power = PowerModel::production();
-    let rows: Vec<Vec<String>> = RmProfile::all()
-        .iter()
-        .map(|p| {
-            let prov = provision_model(p, 16.0, COALESCED_MEAN_IO, &power);
-            let (s, pp, t) = prov.power.percentages();
-            vec![
-                p.class.to_string(),
-                f(s, 1),
-                f(pp, 1),
-                f(t, 1),
-                pct(prov.power.dsi_fraction()),
-            ]
-        })
-        .collect();
-    print_table(
-        "Fig 1: power shares of storage / preprocessing / training per RM",
-        &["model", "storage %", "preproc %", "training %", "DSI share"],
-        &rows,
-    );
-    println!("(paper: DSI exceeds 50% of power for some models)");
-}
 
 fn fig7() {
     let mut rows = Vec::new();
@@ -164,35 +125,6 @@ fn fig7() {
         ],
         &rows,
     );
-}
-
-fn fig8() {
-    let node = NodeSpec::trainer();
-    let tax = DatacenterTax::production();
-    let rates: Vec<f64> = (1..=12).map(|i| i as f64 * 2e9).collect();
-    let pts = loading_sweep(&node, &tax, &rates);
-    let rows: Vec<Vec<String>> = pts
-        .iter()
-        .map(|p| {
-            vec![
-                f(p.rate / 1e9, 0),
-                pct(p.utilization.cpu),
-                pct(p.utilization.membw),
-                pct(p.utilization.nic_rx),
-                if p.saturated {
-                    "SATURATED".into()
-                } else {
-                    String::new()
-                },
-            ]
-        })
-        .collect();
-    print_table(
-        "Fig 8: trainer front-end utilization vs data-loading rate (dummy trainer)",
-        &["GB/s", "cpu", "membw", "nic rx", ""],
-        &rows,
-    );
-    println!("(vertical lines of the paper: RM2 4.69, RM3 12.0, RM1 16.5 GB/s)");
 }
 
 fn fig9() {
@@ -567,160 +499,6 @@ fn table11() {
 
 // ------------------------------------------------------------ §VII extras
 
-fn gap() {
-    let rm1 = RmProfile::rm1();
-    let trainers = 64.0;
-    let storage_demand = trainers * rm1.workers_per_trainer * rm1.worker_storage_rx;
-    let hdd_small = ProvisionPlan::for_workload(
-        &StorageNodeClass::hdd(),
-        rm1.used_partitions,
-        3,
-        storage_demand,
-        PAPER_MEAN_IO,
-    );
-    let deployed_io = 512 * 1024; // post-coalescing effective IO size
-    let hdd = ProvisionPlan::for_workload(
-        &StorageNodeClass::hdd(),
-        rm1.used_partitions,
-        3,
-        storage_demand,
-        deployed_io,
-    );
-    let ssd = ProvisionPlan::for_workload(
-        &StorageNodeClass::ssd(),
-        rm1.used_partitions,
-        3,
-        storage_demand,
-        deployed_io,
-    );
-    let tiered = TieredPlacement::plan(
-        rm1.used_partitions,
-        3,
-        storage_demand,
-        deployed_io,
-        rm1.popular_bytes_for_80pct_traffic,
-        0.8,
-    );
-    let hddc = StorageNodeClass::hdd();
-    let ssdc = StorageNodeClass::ssd();
-    let rows = vec![
-        vec![
-            "HDD @ Table VI IO (23 KiB)".into(),
-            f(hdd_small.nodes_for_capacity, 0),
-            f(hdd_small.nodes_for_iops, 0),
-            f(hdd_small.throughput_to_storage_gap, 1),
-            f(hdd_small.watts / 1e6, 2),
-        ],
-        vec![
-            "HDD @ coalesced IO (512 KiB)".into(),
-            f(hdd.nodes_for_capacity, 0),
-            f(hdd.nodes_for_iops, 0),
-            f(hdd.throughput_to_storage_gap, 1),
-            f(hdd.watts / 1e6, 2),
-        ],
-        vec![
-            "SSD @ coalesced IO".into(),
-            f(ssd.nodes_for_capacity, 0),
-            f(ssd.nodes_for_iops, 0),
-            f(ssd.throughput_to_storage_gap, 2),
-            f(ssd.watts / 1e6, 2),
-        ],
-        vec![
-            "tiered (hot->SSD)".into(),
-            f(
-                tiered.cold.nodes_provisioned + tiered.hot.nodes_provisioned,
-                0,
-            ),
-            "-".into(),
-            "-".into(),
-            f(tiered.watts() / 1e6, 2),
-        ],
-    ];
-    print_table(
-        "S7: RM1 storage provisioning at 64 trainer nodes (throughput-to-storage gap)",
-        &[
-            "configuration",
-            "nodes for capacity",
-            "nodes for IOPS",
-            "gap",
-            "MW",
-        ],
-        &rows,
-    );
-    println!(
-        "(paper: >8x gap even with coalescing — measured {:.1}x; SSD vs HDD: {:.0}% IOPS/W at {:.0}% capacity/W — paper 326%/9%; tiering saves {:.0}% power vs all-HDD)",
-        hdd.throughput_to_storage_gap,
-        100.0 * ssdc.iops_per_watt() / hddc.iops_per_watt(),
-        100.0 * ssdc.capacity_per_watt() / hddc.capacity_per_watt(),
-        100.0 * (1.0 - tiered.watts() / hdd.watts),
-    );
-}
-
-fn accel() {
-    use dsi_types::FeatureId;
-    let model = AccelModel::default();
-    let ops = [
-        TransformOp::SigridHash {
-            input: FeatureId(1),
-            salt: 0,
-            modulus: 1000,
-        },
-        TransformOp::Bucketize {
-            input: FeatureId(1),
-            borders: vec![0.0, 1.0],
-            output: FeatureId(2),
-        },
-        TransformOp::NGram {
-            input: FeatureId(1),
-            n: 2,
-            output: FeatureId(2),
-        },
-        TransformOp::Logit {
-            input: FeatureId(1),
-        },
-        TransformOp::MapId {
-            input: FeatureId(1),
-            mapping: Default::default(),
-            default: None,
-        },
-    ];
-    let rows: Vec<Vec<String>> = ops
-        .iter()
-        .map(|op| {
-            let name = format!("{op:?}");
-            let name = name.split([' ', '{']).next().unwrap_or("?").to_string();
-            vec![name, f(AccelModel::gpu_speedup(op), 1)]
-        })
-        .collect();
-    print_table(
-        "S7: GPU/CPU speedup per transform op (paper measured SigridHash 11.9x, Bucketize 1.3x)",
-        &["op", "speedup"],
-        &rows,
-    );
-    let plan = TransformPlan::new(vec![
-        TransformOp::SigridHash {
-            input: FeatureId(1),
-            salt: 0,
-            modulus: 1000,
-        };
-        4
-    ]);
-    let rows: Vec<Vec<String>> = [8u64, 64, 512, 4096, 32768]
-        .iter()
-        .map(|&bs| {
-            vec![
-                bs.to_string(),
-                f(model.effective_plan_speedup(&plan, bs, 25.0), 2),
-            ]
-        })
-        .collect();
-    print_table(
-        "S7: effective offload speedup vs batch size (kernel-launch amortization)",
-        &["batch", "speedup"],
-        &rows,
-    );
-}
-
 fn codesign() {
     // The §VII co-design ablation on the real byte path. Steps:
     //   0 baseline: unflattened maps, per-stream IO, id order, row-major
@@ -984,7 +762,6 @@ fn dedup_ablation(smoke: bool) {
         // Dedup-on pipeline: DedupSet stream encoding + set-aware executor.
         let dedup_writer = WriterOptions {
             dedup: true,
-            dedup_window: dcfg.session_window,
             ..raw_writer.clone()
         };
         let lab_on = RmLab::build_dedup(RmClass::Rm1, cfg, Some(dedup_writer), dup);
@@ -1077,7 +854,6 @@ fn dedup_ablation(smoke: bool) {
         cfg,
         Some(WriterOptions {
             dedup: true,
-            dedup_window: dcfg.session_window,
             ..raw_writer
         }),
         Some(dcfg),
@@ -1280,10 +1056,10 @@ mod tests {
             ["fig7", "table9"]
         );
         for retired in [
-            "gate", "fastpath", "wire", "trace", "tenancy", "fig2", "fig4", "fig5", "fig6",
-            "table2", "capacity",
+            "gate", "fastpath", "wire", "trace", "tenancy", "fig1", "fig2", "fig4", "fig5", "fig6",
+            "fig8", "table2", "capacity", "gap", "accel",
         ] {
-            let err = select(&ids(&["fig1", retired])).unwrap_err();
+            let err = select(&ids(&["fig7", retired])).unwrap_err();
             assert!(err.contains(retired) && err.contains("durability"), "{err}");
         }
     }

@@ -9,29 +9,24 @@
 //! splits). The `figures` binary and the criterion benches both build on
 //! it.
 //!
-//! The cost and power models `figures` prices those measurements with live
-//! here and nowhere else:
+//! The cost models `figures` prices those measurements with live here and
+//! nowhere else:
 //!
-//! * [`node`], [`tax`], [`power`] — the compute-node catalog and resource
-//!   model (Table X), the datacenter tax of loading data over the network,
-//!   and fleet power roll-ups;
-//! * [`model`] and [`accel`] — the trainer-side models and the GPU-offload
-//!   model;
-//! * [`provisioning`] — storage-node classes, the throughput-to-storage gap
-//!   (§VII) and per-model DSI power roll-ups (Fig 1);
+//! * [`node`] and [`tax`] — the compute-node catalog and resource model
+//!   (Table X) and the datacenter tax of loading data over the network;
+//! * [`model`] — the trainer-side models: per-sample worker demand, GPU
+//!   ingestion demand, the on-host preprocessing baseline and RecD's
+//!   shared-tensor accounting;
 //! * [`sim`] — the virtual-time pipeline [`sim::Scenario`]s the watermark
 //!   scaler and the closed-loop tuner are compared on
 //!   ([`sim::run_scenario`]).
 
 #![warn(missing_docs)]
 
-pub mod accel;
 pub mod durability;
 pub mod figures;
 pub mod model;
 pub mod node;
-pub mod power;
-pub mod provisioning;
 pub mod report;
 pub mod rmlab;
 pub mod sim;

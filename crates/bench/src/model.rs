@@ -12,7 +12,6 @@
 //! * [`per_sample_demand`] — a measured `WorkerReport` as a per-sample
 //!   resource vector, datacenter tax included;
 //! * [`GpuDemand`] — a trainer node's tensor ingestion demand;
-//! * [`loading_sweep`] — host-side loading cost vs ingestion rate (Fig. 8);
 //! * [`onhost_baseline`] — the on-host preprocessing baseline (Table VII);
 //! * [`DedupIngest`] — RecD shared-tensor accounting for deduped batches.
 
@@ -73,39 +72,6 @@ impl GpuDemand {
     pub fn samples_per_sec(&self) -> f64 {
         self.bytes_per_sec / self.bytes_per_sample
     }
-}
-
-/// One point of the Fig. 8 sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LoadingPoint {
-    /// Ingestion rate in bytes/second.
-    pub rate: f64,
-    /// Host utilization at that rate.
-    pub utilization: Utilization,
-    /// Whether the demand is infeasible on this node (some resource > 1).
-    pub saturated: bool,
-}
-
-/// Sweeps data-loading utilization over ingestion rates on `node`.
-///
-/// Even with all extraction and transformation offloaded to DPP, the
-/// trainer host still pays the "datacenter tax" — network stack, TLS
-/// decryption, Thrift-style deserialization, memory management — for every
-/// tensor byte loaded.
-pub fn loading_sweep(node: &NodeSpec, tax: &DatacenterTax, rates: &[f64]) -> Vec<LoadingPoint> {
-    let per_byte = tax.rx_cost(1.0);
-    rates
-        .iter()
-        .map(|&rate| {
-            let utilization = node.utilization_at(&per_byte, rate);
-            let (_, max) = utilization.max_component();
-            LoadingPoint {
-                rate,
-                utilization,
-                saturated: max >= 1.0,
-            }
-        })
-        .collect()
 }
 
 /// Outcome of running preprocessing on the trainer host.
@@ -250,51 +216,6 @@ mod tests {
     #[should_panic(expected = "demand must be positive")]
     fn zero_demand_rejected() {
         GpuDemand::new(0.0, 1.0);
-    }
-
-    #[test]
-    fn loading_utilization_grows_linearly_with_rate() {
-        let node = NodeSpec::trainer();
-        let tax = DatacenterTax::production();
-        let pts = loading_sweep(&node, &tax, &[1e9, 2e9, 4e9]);
-        assert!(pts[1].utilization.cpu > pts[0].utilization.cpu);
-        assert!(
-            (pts[2].utilization.cpu - 4.0 * pts[0].utilization.cpu).abs() < 1e-9,
-            "linear scaling"
-        );
-    }
-
-    #[test]
-    fn rm1_loading_lands_in_fig8_bands() {
-        // At RM1's 16.5 GB/s: ~40% CPU, ~55% membw, NIC approaching
-        // saturation on the 2×100 Gbps front-end.
-        let node = NodeSpec::trainer();
-        let tax = DatacenterTax::production();
-        let pt = &loading_sweep(&node, &tax, &[16.5e9])[0];
-        assert!(
-            (0.30..=0.50).contains(&pt.utilization.cpu),
-            "cpu {}",
-            pt.utilization.cpu
-        );
-        assert!(
-            (0.45..=0.65).contains(&pt.utilization.membw),
-            "membw {}",
-            pt.utilization.membw
-        );
-        assert!(
-            pt.utilization.nic_rx > 0.6,
-            "nic approaching saturation: {}",
-            pt.utilization.nic_rx
-        );
-        assert!(!pt.saturated);
-    }
-
-    #[test]
-    fn excessive_loading_rate_saturates() {
-        let node = NodeSpec::trainer();
-        let tax = DatacenterTax::production();
-        let pt = &loading_sweep(&node, &tax, &[60e9])[0];
-        assert!(pt.saturated);
     }
 
     /// An RM1-flavoured per-sample preprocessing demand: heavy transform

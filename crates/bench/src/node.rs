@@ -108,23 +108,6 @@ pub struct Utilization {
     pub mem_capacity: f64,
 }
 
-impl Utilization {
-    /// The most-utilized resource and its fraction.
-    pub fn max_component(&self) -> (Resource, f64) {
-        let pairs = [
-            (Resource::Cpu, self.cpu),
-            (Resource::MemBw, self.membw),
-            (Resource::NicRx, self.nic_rx),
-            (Resource::NicTx, self.nic_tx),
-            (Resource::MemCapacity, self.mem_capacity),
-        ];
-        pairs
-            .into_iter()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("utilization is finite"))
-            .expect("non-empty")
-    }
-}
-
 /// Specification of a compute node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
@@ -363,17 +346,5 @@ mod tests {
         assert_eq!(s.nic_tx_bytes, 4.0);
         let d = s.scaled(2.0);
         assert_eq!(d.cpu_cycles, 8.0);
-    }
-
-    #[test]
-    fn utilization_max_component() {
-        let u = Utilization {
-            cpu: 0.3,
-            membw: 0.9,
-            nic_rx: 0.5,
-            nic_tx: 0.1,
-            mem_capacity: 0.2,
-        };
-        assert_eq!(u.max_component(), (Resource::MemBw, 0.9));
     }
 }

@@ -300,11 +300,7 @@ mod tests {
         let on = RmLab::build_dedup(
             RmClass::Rm1,
             cfg,
-            Some(WriterOptions {
-                dedup: true,
-                dedup_window: dcfg.session_window,
-                ..raw
-            }),
+            Some(WriterOptions { dedup: true, ..raw }),
             Some(dcfg),
         );
         let (b_off, b_on) = (

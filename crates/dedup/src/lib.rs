@@ -9,10 +9,9 @@
 //!
 //! This crate is the layer-independent core of that subsystem:
 //!
-//! * [`DedupConfig`] — session window, set-size cap, and the synthetic
-//!   duplication ratio, threaded from workload generation to the trainer;
-//! * [`DedupSet`] / [`cluster_sessions`] — the ETL-side clustering of a
-//!   sample stream into one canonical copy plus per-member deltas;
+//! * [`DedupConfig`] — set-size cap and the synthetic duplication ratio,
+//!   threaded from workload generation to the DPP workers;
+//! * [`sparse_signature`] — the byte key two rows of one session share;
 //! * [`apply_batch_dedup`] — a dedup-aware [`TransformPlan`] executor that
 //!   transforms each set's canonical copy once and fans the results out to
 //!   members, provably bit-identical to [`TransformPlan::apply_batch`];
@@ -41,16 +40,13 @@ use transforms::plan::PlanCost;
 use transforms::{TransformOp, TransformPlan};
 
 /// Configuration for the deduplication subsystem, threaded through workload
-/// generation (`synth`), ETL (`scribe`), storage (`dwrf`), and the DPP data
-/// plane (`dpp`).
+/// generation (`synth`) and the DPP data plane (`dpp`). The storage side
+/// (`dwrf`'s `WriterOptions::dedup_window`) is configured on the writer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DedupConfig {
-    /// How many recently-seen canonical payloads a writer or clusterer
-    /// keeps in its lookback window when matching new rows. Sessions are
-    /// temporally local, so a small window captures nearly all duplication.
-    pub session_window: usize,
-    /// Maximum logical rows per DedupSet (bounds fan-out amplification and
-    /// the blast radius of a corrupt canonical).
+    /// Maximum logical rows per dedup set, a run of consecutive rows sharing
+    /// one sparse payload (bounds fan-out amplification and the blast
+    /// radius of a corrupt canonical).
     pub max_set_size: usize,
     /// Target mean logical rows per canonical payload when *generating*
     /// synthetic workloads (`synth`); read paths ignore it.
@@ -60,7 +56,6 @@ pub struct DedupConfig {
 impl Default for DedupConfig {
     fn default() -> Self {
         Self {
-            session_window: 64,
             max_set_size: 32,
             duplication_ratio: 4.0,
         }
@@ -98,154 +93,19 @@ pub fn sparse_signature(s: &Sample) -> Vec<u8> {
     buf
 }
 
-/// One member's non-shared payload: its label and dense features.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MemberDelta {
-    /// The member's label.
-    pub label: f32,
-    /// The member's dense features (sparse features come from the
-    /// canonical copy).
-    pub dense: Vec<(FeatureId, f32)>,
-}
-
-impl MemberDelta {
-    fn of(s: &Sample) -> Self {
-        Self {
-            label: s.label(),
-            dense: s.dense_iter().collect(),
-        }
-    }
-}
-
-/// A cluster of logical rows sharing one sparse payload: the canonical
-/// sample (the set's first member, stored in full) plus per-member deltas.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DedupSet {
-    canonical: Sample,
-    deltas: Vec<MemberDelta>,
-}
-
-impl DedupSet {
-    /// A set holding a single sample (the degenerate no-duplication case).
-    pub fn singleton(canonical: Sample) -> Self {
-        Self {
-            canonical,
-            deltas: Vec::new(),
-        }
-    }
-
-    /// The canonical sample (first member, full payload).
-    pub fn canonical(&self) -> &Sample {
-        &self.canonical
-    }
-
-    /// Number of logical rows in the set (canonical included).
-    pub fn len(&self) -> usize {
-        1 + self.deltas.len()
-    }
-
-    /// Whether the set is empty (never true: a set always has a canonical).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Bytes of sparse payload this set stores once instead of
-    /// [`DedupSet::len`] times.
-    pub fn shared_payload_bytes(&self) -> usize {
-        self.canonical
-            .sparse_iter()
-            .map(|(_, l)| std::mem::size_of::<FeatureId>() + l.payload_bytes())
-            .sum()
-    }
-
-    /// Expands the set back into its logical rows, in original order.
-    pub fn expand(&self) -> Vec<Sample> {
-        let mut out = Vec::with_capacity(self.len());
-        out.push(self.canonical.clone());
-        for d in &self.deltas {
-            let mut s = Sample::new(d.label);
-            for (fid, list) in self.canonical.sparse_iter() {
-                s.set_sparse(fid, list.clone());
-            }
-            for &(fid, v) in &d.dense {
-                s.set_dense(fid, v);
-            }
-            out.push(s);
-        }
-        out
-    }
-}
-
-/// Aggregate statistics from one clustering pass.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct DedupStats {
-    /// Logical rows clustered.
-    pub rows: u64,
-    /// DedupSets formed (canonical payloads kept).
-    pub sets: u64,
-    /// Sparse-payload bytes the sets avoid storing (duplicate copies).
-    pub bytes_saved: u64,
-}
-
-impl DedupStats {
-    /// Logical rows per canonical payload (1.0 = no duplication).
-    pub fn ratio(&self) -> f64 {
-        if self.sets == 0 {
-            return 1.0;
-        }
-        self.rows as f64 / self.sets as f64
-    }
-}
-
-/// Clusters a sample stream into session DedupSets.
-///
-/// Consecutive samples with bit-identical sparse maps join the open set
-/// (user sessions are temporally local, so duplicates arrive back to back
-/// out of the ETL join), capped at `max_set_size` rows per set. Expanding
-/// the returned sets in order reproduces `samples` exactly.
-pub fn cluster_sessions(samples: &[Sample], cfg: &DedupConfig) -> (Vec<DedupSet>, DedupStats) {
-    let cap = cfg.max_set_size.max(1);
-    let mut sets: Vec<DedupSet> = Vec::new();
-    let mut stats = DedupStats::default();
-    let mut open_sig: Option<Vec<u8>> = None;
-    for s in samples {
-        stats.rows += 1;
-        let sig = sparse_signature(s);
-        let joins = match (&open_sig, sets.last()) {
-            (Some(prev), Some(open)) => *prev == sig && open.len() < cap,
-            _ => false,
-        };
-        if joins {
-            let open = sets.last_mut().expect("open set exists");
-            stats.bytes_saved += open.shared_payload_bytes() as u64;
-            open.deltas.push(MemberDelta::of(s));
-        } else {
-            sets.push(DedupSet::singleton(s.clone()));
-            stats.sets += 1;
-            open_sig = Some(sig);
-        }
-    }
-    (sets, stats)
-}
-
-/// Expands a slice of sets back into the flat logical row stream.
-pub fn expand_sets(sets: &[DedupSet]) -> Vec<Sample> {
-    sets.iter().flat_map(DedupSet::expand).collect()
-}
-
 /// Execution statistics from one dedup-aware transform pass.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DedupExecStats {
     /// Surviving rows transformed.
     pub rows: u64,
-    /// DedupSets encountered (canonical transforms performed).
+    /// Dedup sets encountered (canonical transforms performed).
     pub sets: u64,
     /// Op applications skipped by fanning a canonical result out to a
     /// member (the transform-reuse hit counter).
     pub reuse_hits: u64,
 }
 
-/// Which ops of `plan` can be computed once per DedupSet whose canonical
+/// Which ops of `plan` can be computed once per dedup set whose canonical
 /// carries exactly `shared` sparse features, and fanned out to members.
 ///
 /// Walks the plan in order tracking the member-invariant feature set: an op
@@ -276,7 +136,7 @@ fn cacheable_mask(plan: &TransformPlan, shared: &BTreeSet<FeatureId>) -> Vec<boo
 
 /// Applies `plan` to a batch the way [`TransformPlan::apply_batch`] does —
 /// same sampling filter, same per-row dataset indexing, bit-identical
-/// output — but transforms each DedupSet's canonical copy once and fans
+/// output — but transforms each dedup set's canonical copy once and fans
 /// cacheable op results out to the set's members.
 ///
 /// Sets are detected on the fly (consecutive rows with identical sparse
@@ -403,15 +263,6 @@ pub fn deduped_tensor_bytes(tensor: &MiniBatchTensor, refs: &[u32]) -> usize {
     bytes
 }
 
-/// Checks the executor against the plain path on the same inputs — the
-/// correctness invariant the integration tests assert end to end.
-#[doc(hidden)]
-pub fn matches_plain_apply(plan: &TransformPlan, batch: &Batch, base_row: u64) -> bool {
-    let (plain, _) = plan.apply_batch(batch.clone(), base_row);
-    let (deduped, _, _) = apply_batch_dedup(plan, batch.clone(), base_row, &DedupConfig::default());
-    plain == deduped
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,6 +291,15 @@ mod tests {
         out
     }
 
+    /// Checks the executor against the plain path on the same inputs — the
+    /// correctness invariant the integration tests assert end to end.
+    fn matches_plain_apply(plan: &TransformPlan, batch: &Batch, base_row: u64) -> bool {
+        let (plain, _) = plan.apply_batch(batch.clone(), base_row);
+        let (deduped, _, _) =
+            apply_batch_dedup(plan, batch.clone(), base_row, &DedupConfig::default());
+        plain == deduped
+    }
+
     fn plan() -> TransformPlan {
         let sparse = vec![FeatureId(10), FeatureId(11)];
         let dense = vec![FeatureId(1), FeatureId(2)];
@@ -450,40 +310,6 @@ mod tests {
             FeatureId(11),
         ]);
         TransformPlan::preset(&proj, &sparse, &dense, 0.8, 100_000)
-    }
-
-    #[test]
-    fn cluster_then_expand_is_identity() {
-        let samples = sessionized(&[(3, 4), (9, 1), (12, 6), (3, 2)]);
-        let (sets, stats) = cluster_sessions(&samples, &DedupConfig::default());
-        assert_eq!(stats.rows, 13);
-        assert_eq!(stats.sets, 4);
-        assert!(stats.bytes_saved > 0);
-        assert!(stats.ratio() > 3.0);
-        assert_eq!(expand_sets(&sets), samples);
-    }
-
-    #[test]
-    fn set_size_cap_splits_long_sessions() {
-        let samples = sessionized(&[(5, 10)]);
-        let cfg = DedupConfig {
-            max_set_size: 4,
-            ..Default::default()
-        };
-        let (sets, stats) = cluster_sessions(&samples, &cfg);
-        assert_eq!(stats.sets, 3); // 4 + 4 + 2
-        assert!(sets.iter().all(|s| s.len() <= 4));
-        assert_eq!(expand_sets(&sets), samples);
-    }
-
-    #[test]
-    fn no_duplication_degenerates_to_singletons() {
-        let samples = sessionized(&[(1, 1), (2, 1), (3, 1)]);
-        let (sets, stats) = cluster_sessions(&samples, &DedupConfig::default());
-        assert_eq!(stats.sets, 3);
-        assert_eq!(stats.bytes_saved, 0);
-        assert!((stats.ratio() - 1.0).abs() < 1e-9);
-        assert_eq!(expand_sets(&sets), samples);
     }
 
     #[test]

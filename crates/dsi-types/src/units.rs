@@ -48,11 +48,6 @@ impl ByteSize {
         self.0
     }
 
-    /// This size expressed in (fractional) gibibytes.
-    pub fn as_gib(self) -> f64 {
-        self.0 as f64 / GIB as f64
-    }
-
     /// This size expressed in (fractional) pebibytes.
     pub fn as_pib(self) -> f64 {
         self.0 as f64 / PIB as f64
@@ -152,8 +147,6 @@ mod tests {
 
     #[test]
     fn conversions() {
-        assert!((ByteSize::gib(2).as_gib() - 2.0).abs() < 1e-12);
-        assert!((ByteSize::mib(1536).as_gib() - 1.5).abs() < 1e-12);
         assert_eq!(ByteSize::from(10u64).bytes(), 10);
     }
 

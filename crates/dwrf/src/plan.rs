@@ -138,11 +138,6 @@ impl IoPlan {
         self.reads.len()
     }
 
-    /// The read covering `[offset, offset+len)`, if any.
-    pub fn read_covering(&self, offset: u64, len: u64) -> Option<&PlannedRead> {
-        self.reads.iter().find(|r| r.covers(offset, len))
-    }
-
     /// Merges another plan's accounting into this one (multi-stripe totals).
     pub fn merge(&mut self, other: &IoPlan) {
         self.reads.extend_from_slice(&other.reads);
@@ -199,13 +194,6 @@ mod tests {
         assert_eq!(plan.amplification(), 1.0);
         let plan = IoPlan::build(vec![(10, 0)], CoalescePolicy::None);
         assert_eq!(plan.io_count(), 0);
-    }
-
-    #[test]
-    fn read_covering_finds_container() {
-        let plan = IoPlan::build(vec![(0, 10), (30, 10)], CoalescePolicy::Window(100));
-        assert!(plan.read_covering(30, 10).is_some());
-        assert!(plan.read_covering(45, 10).is_none());
     }
 
     #[test]

@@ -47,26 +47,6 @@ impl SimClock {
         *t += delta;
         *t
     }
-
-    /// Advances the clock by `secs` seconds (must be non-negative).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `secs` is negative or not finite.
-    pub fn advance_secs(&self, secs: f64) -> u64 {
-        assert!(secs.is_finite() && secs >= 0.0, "advance must be >= 0");
-        self.advance_ns((secs * 1e9).round() as u64)
-    }
-
-    /// Moves the clock forward to at least `target_ns` (no-op if already
-    /// past it), returning the new time.
-    pub fn advance_to_ns(&self, target_ns: u64) -> u64 {
-        let mut t = self.now_ns.lock();
-        if target_ns > *t {
-            *t = target_ns;
-        }
-        *t
-    }
 }
 
 impl fmt::Display for SimClock {
@@ -87,28 +67,6 @@ mod tests {
         assert_eq!(v.now_ns(), 10);
         v.advance_ns(5);
         assert_eq!(c.now_ns(), 15);
-    }
-
-    #[test]
-    fn advance_to_is_monotone() {
-        let c = SimClock::new();
-        c.advance_to_ns(100);
-        assert_eq!(c.now_ns(), 100);
-        c.advance_to_ns(50); // no-op
-        assert_eq!(c.now_ns(), 100);
-    }
-
-    #[test]
-    fn advance_secs_converts() {
-        let c = SimClock::new();
-        c.advance_secs(0.25);
-        assert_eq!(c.now_ns(), 250_000_000);
-    }
-
-    #[test]
-    #[should_panic(expected = "advance must be >= 0")]
-    fn negative_advance_panics() {
-        SimClock::new().advance_secs(-1.0);
     }
 
     #[test]

@@ -110,10 +110,6 @@ impl DiskModel {
 
     /// A datacenter NVMe SSD: no mechanical latency, 60 µs access, 3 GB/s
     /// sequential, 4 TB, ~12 W. Random IOPS ceiling ≈ 500k.
-    ///
-    /// Relative to [`DiskModel::hdd`] this yields roughly 326% of the
-    /// IOPS per watt and 9% of the capacity per watt quoted in §VII once
-    /// node-level packaging is applied (see `dsi_bench::provisioning`).
     pub fn ssd() -> Self {
         Self {
             kind: DeviceKind::Ssd,
@@ -228,16 +224,6 @@ impl DiskModel {
         self.stats = DeviceStats::default();
         self.next_sequential_offset = u64::MAX;
     }
-
-    /// Maximum sustainable throughput in bytes/second for a random-read
-    /// workload with the given mean IO size: the device serves
-    /// `min(max_iops, 1/io_time)` IOs per second.
-    pub fn random_read_bytes_per_sec(&self, io_size: u64) -> f64 {
-        let io_time_s =
-            (self.seek_ns + self.rotation_ns) as f64 / 1e9 + io_size as f64 / self.seq_bw as f64;
-        let iops = (1.0 / io_time_s).min(self.max_iops);
-        iops * io_size as f64
-    }
 }
 
 #[cfg(test)]
@@ -250,13 +236,6 @@ mod tests {
         // 4 KiB random read: ~8 ms positioning dominates ~20 µs transfer.
         let t = hdd.service_time_ns(IoRequest::new(1 << 30, 4096));
         assert!(t > 7_000_000, "positioning should dominate: {t} ns");
-        // Same read at 1.25 MiB amortizes the seek substantially.
-        let big = hdd.random_read_bytes_per_sec(1_310_720);
-        let small = hdd.random_read_bytes_per_sec(4096);
-        assert!(
-            big / small > 50.0,
-            "coalescing should win big on HDD: {big} vs {small}"
-        );
     }
 
     #[test]
@@ -288,14 +267,6 @@ mod tests {
         assert!(s.mean_io_size() == 2000.0);
         d.reset_stats();
         assert_eq!(d.stats().ios, 0);
-    }
-
-    #[test]
-    fn random_read_respects_iops_ceiling() {
-        let ssd = DiskModel::ssd();
-        // Tiny IOs: bounded by the 500k IOPS ceiling, not transfer time.
-        let bps = ssd.random_read_bytes_per_sec(512);
-        assert!(bps <= 500_000.0 * 512.0 + 1.0);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 use crate::bus::MessageBus;
 use crate::logdevice::Lsn;
 use crate::record::{EventRecord, FeatureLogRecord, ScribeRecord};
-use dedup::{DedupConfig, DedupSet, DedupStats};
 use dsi_types::{PartitionId, Result, Sample};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -143,11 +142,6 @@ impl StreamingJoiner {
         out
     }
 
-    /// Feature logs still waiting for events.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> EtlStats {
         self.stats
@@ -167,7 +161,6 @@ pub struct BatchEtl {
     ns_per_day: u64,
     negative_seen: u64,
     negative_kept: u64,
-    dedup_stats: DedupStats,
 }
 
 impl BatchEtl {
@@ -189,7 +182,6 @@ impl BatchEtl {
             ns_per_day,
             negative_seen: 0,
             negative_kept: 0,
-            dedup_stats: DedupStats::default(),
         }
     }
 
@@ -260,46 +252,6 @@ impl BatchEtl {
         Ok(out)
     }
 
-    /// Runs one ETL pass and clusters each partition's output into RecD
-    /// session [`DedupSet`]s: requests served close together share
-    /// bit-identical sparse payloads, so the canonical payload is kept
-    /// once with per-member dense/label deltas (the form the warehouse
-    /// stores and DPP transforms once per set).
-    ///
-    /// # Errors
-    ///
-    /// Propagates bus take failures.
-    pub fn run_dedup_pass(
-        &mut self,
-        bus: &MessageBus,
-        features_topic: &str,
-        events_topic: &str,
-        now_ns: u64,
-        cfg: &DedupConfig,
-    ) -> Result<BTreeMap<PartitionId, Vec<DedupSet>>> {
-        let parts = self.run_pass(bus, features_topic, events_topic, now_ns)?;
-        let mut out = BTreeMap::new();
-        for (part, samples) in parts {
-            let (sets, stats) = dedup::cluster_sessions(&samples, cfg);
-            self.dedup_stats.rows += stats.rows;
-            self.dedup_stats.sets += stats.sets;
-            self.dedup_stats.bytes_saved += stats.bytes_saved;
-            out.insert(part, sets);
-        }
-        if let Some(reg) = self.joiner.registry.clone() {
-            use dsi_obs::names;
-            reg.counter(names::DEDUP_SETS_TOTAL, &[])
-                .advance_to(self.dedup_stats.sets);
-            reg.counter(names::DEDUP_ROWS_TOTAL, &[])
-                .advance_to(self.dedup_stats.rows);
-            reg.counter(names::DEDUP_BYTES_SAVED_TOTAL, &[])
-                .advance_to(self.dedup_stats.bytes_saved);
-            reg.gauge(names::DEDUP_RATIO, &[])
-                .set(self.dedup_stats.ratio());
-        }
-        Ok(out)
-    }
-
     /// Attaches a metrics registry; every [`BatchEtl::run_pass`] then
     /// records join lag and republishes ETL counters and bus backlog.
     pub fn attach_registry(&mut self, registry: &dsi_obs::Registry) {
@@ -309,11 +261,6 @@ impl BatchEtl {
     /// Joiner counters.
     pub fn stats(&self) -> EtlStats {
         self.joiner.stats()
-    }
-
-    /// Cumulative session-clustering counters (dedup passes only).
-    pub fn dedup_stats(&self) -> DedupStats {
-        self.dedup_stats
     }
 }
 
@@ -336,7 +283,7 @@ mod tests {
         assert_eq!(s.label(), 1.0);
         assert_eq!(s.dense(FeatureId(1)), Some(1.0));
         assert_eq!(j.stats().joined, 1);
-        assert_eq!(j.pending_count(), 0);
+        assert!(j.pending.is_empty());
     }
 
     #[test]
@@ -355,7 +302,7 @@ mod tests {
         let expired = j.expire(160);
         assert_eq!(expired.len(), 2);
         assert!(expired.iter().all(|s| s.label() == 0.0));
-        assert_eq!(j.pending_count(), 1);
+        assert_eq!(j.pending.len(), 1);
         assert_eq!(j.stats().expired_negative, 2);
     }
 
@@ -508,53 +455,6 @@ mod tests {
             reg.gauge_value(dsi_obs::names::SCRIBE_BUS_BACKLOG, &[("topic", "f")]),
             0.0
         );
-    }
-
-    #[test]
-    fn dedup_pass_clusters_sessions_and_preserves_rows() {
-        use dsi_types::SparseList;
-        let publish_sessions = |bus: &MessageBus| {
-            // 4 sessions of 4 requests each: members share a sparse payload.
-            for rid in 0..16u64 {
-                let session = rid / 4;
-                let mut s = Sample::new(0.0);
-                s.set_dense(FeatureId(1), rid as f32);
-                s.set_sparse(
-                    FeatureId(2),
-                    SparseList::from_ids((0..10).map(|k| session * 50 + k).collect()),
-                );
-                bus.publish("f", FeatureLogRecord::new(rid, rid, s).into());
-                bus.publish("e", EventRecord::positive(rid, rid + 1).into());
-            }
-        };
-        let cfg = DedupConfig::default();
-
-        let plain_bus = MessageBus::new();
-        publish_sessions(&plain_bus);
-        let mut plain_etl = BatchEtl::new(100, 1.0, 1_000_000);
-        let plain: Vec<Sample> = plain_etl
-            .run_pass(&plain_bus, "f", "e", 2_000)
-            .unwrap()
-            .into_values()
-            .flatten()
-            .collect();
-
-        let bus = MessageBus::new();
-        publish_sessions(&bus);
-        let reg = dsi_obs::Registry::new();
-        let mut etl = BatchEtl::new(100, 1.0, 1_000_000);
-        etl.attach_registry(&reg);
-        let parts = etl.run_dedup_pass(&bus, "f", "e", 2_000, &cfg).unwrap();
-        let sets: Vec<_> = parts.into_values().flatten().collect();
-        assert_eq!(sets.len(), 4);
-        assert_eq!(dedup::expand_sets(&sets), plain, "expansion is lossless");
-        let stats = etl.dedup_stats();
-        assert_eq!(stats.rows, 16);
-        assert_eq!(stats.sets, 4);
-        assert!(stats.bytes_saved > 0);
-        assert_eq!(reg.counter_value(dsi_obs::names::DEDUP_SETS_TOTAL, &[]), 4);
-        assert_eq!(reg.counter_value(dsi_obs::names::DEDUP_ROWS_TOTAL, &[]), 16);
-        assert!((reg.gauge_value(dsi_obs::names::DEDUP_RATIO, &[]) - 4.0).abs() < 1e-9);
     }
 
     #[test]

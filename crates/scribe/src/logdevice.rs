@@ -112,11 +112,6 @@ impl LogStream {
         self.trim_point = to;
         Ok(out)
     }
-
-    /// Records held across segments (for memory accounting).
-    pub fn retained_records(&self) -> usize {
-        self.segments.iter().map(|s| s.records.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -147,6 +142,12 @@ mod tests {
             .collect()
     }
 
+    /// Records the stream still holds in its segments: a take must release
+    /// what it took, not just move the head.
+    fn retained(s: &LogStream) -> usize {
+        s.segments.iter().map(|seg| seg.records.len()).sum()
+    }
+
     #[test]
     fn take_range_spans_segments_in_order() {
         let mut s = LogStream::new();
@@ -159,7 +160,7 @@ mod tests {
         // Everything before the range went with it.
         assert_eq!(s.head(), Lsn(cap + 5));
         assert_eq!(s.len(), cap as usize + 5);
-        assert_eq!(s.retained_records(), cap as usize + 5);
+        assert_eq!(retained(&s), cap as usize + 5);
     }
 
     #[test]
@@ -205,7 +206,7 @@ mod tests {
         }
         assert_eq!(ids(&s.take_range(Lsn(2), Lsn(6)).unwrap()), [2, 3, 4, 5]);
         assert_eq!((s.head(), s.tail(), s.len()), (Lsn(6), Lsn(10), 4));
-        assert_eq!(s.retained_records(), 4);
+        assert_eq!(retained(&s), 4);
         // Appends after a partial take land behind the rest.
         assert_eq!(s.append(ev(10)), Lsn(10));
         assert_eq!(ids(&s.take_range(Lsn(7), s.tail()).unwrap()), [7, 8, 9, 10]);

@@ -148,11 +148,6 @@ impl TableScan {
         splits
     }
 
-    /// Total rows the scan selects.
-    pub fn selected_rows(&self) -> u64 {
-        self.plan_splits().iter().map(|s| s.rows).sum()
-    }
-
     /// Executes one split, returning its decoded rows and the IO plan.
     ///
     /// Reads go through the table's SSD cache tier when one is attached.
@@ -318,7 +313,7 @@ mod tests {
         let splits = scan.plan_splits();
         // 2 partitions × 25 rows at 10 rows/stripe = 3 stripes each.
         assert_eq!(splits.len(), 6);
-        assert_eq!(scan.selected_rows(), 50);
+        assert_eq!(splits.iter().map(|s| s.rows).sum::<u64>(), 50);
         // Indices are sequential.
         for (i, s) in splits.iter().enumerate() {
             assert_eq!(s.index, i as u64);
@@ -390,7 +385,6 @@ mod tests {
             Projection::new(vec![FeatureId(1)]),
         );
         assert!(scan.plan_splits().is_empty());
-        assert_eq!(scan.selected_rows(), 0);
         assert!(scan.read_all().unwrap().is_empty());
     }
 

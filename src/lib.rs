@@ -77,7 +77,7 @@ pub use wire;
 /// Commonly-used items across the whole pipeline.
 pub mod prelude {
     pub use chaos::{FaultInjector, FaultKind, FaultPlan, HookPoint};
-    pub use dedup::{DedupConfig, DedupSet, DedupStats};
+    pub use dedup::DedupConfig;
     pub use dpp::fleet::{FleetAction, FleetDriver, JobPhase, JobSpec, JobStatus, TenantId};
     pub use dpp::{
         AutoScaler, Client, DppSession, KnobBounds, Knobs, LiveTrainer, LiveTuner, Master,

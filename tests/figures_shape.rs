@@ -2,28 +2,12 @@
 //! on the simulated deployment (slower, coarse-scale checks; the `figures`
 //! binary prints the full tables).
 
-use dsi_bench::model::{loading_sweep, per_sample_demand};
+use dsi_bench::model::per_sample_demand;
 use dsi_bench::node::{NodeSpec, ResourceVector};
-use dsi_bench::power::PowerModel;
-use dsi_bench::provisioning::{provision_model, ProvisionPlan, StorageNodeClass, TieredPlacement};
 use dsi_bench::tax::DatacenterTax;
 use dsi_bench::{LabConfig, RmLab};
 use dsi_types::{ByteSize, PIB};
 use synth::{JobProjectionSampler, RmClass, RmProfile};
-
-#[test]
-fn fig1_dsi_power_exceeds_half_for_worker_heavy_models() {
-    let power = PowerModel::production();
-    for profile in RmProfile::all() {
-        let prov = provision_model(&profile, 16.0, 1 << 20, &power);
-        assert!(
-            prov.power.dsi_fraction() > 0.5,
-            "{}: DSI share {:.2}",
-            profile.class,
-            prov.power.dsi_fraction()
-        );
-    }
-}
 
 #[test]
 fn fig7_popularity_ordering_holds_across_models() {
@@ -38,16 +22,6 @@ fn fig7_popularity_ordering_holds_across_models() {
     assert!(rm3 < rm1, "rm3 {rm3:.2} vs rm1 {rm1:.2}");
     assert!(rm1 < 0.6, "popular bytes dominate traffic: {rm1:.2}");
     assert!(rm3 < 0.35, "rm3 hot set is small: {rm3:.2}");
-}
-
-#[test]
-fn fig8_loading_alone_consumes_significant_host_resources() {
-    let node = NodeSpec::trainer();
-    let tax = DatacenterTax::production();
-    let pt = &loading_sweep(&node, &tax, &[16.5e9])[0];
-    assert!(pt.utilization.cpu > 0.3 && pt.utilization.cpu < 0.5);
-    assert!(pt.utilization.membw > 0.45 && pt.utilization.membw < 0.65);
-    assert!(pt.utilization.nic_rx > 0.6, "approaching NIC saturation");
 }
 
 #[test]
@@ -85,52 +59,6 @@ fn table9_worker_throughput_ordering_and_scale() {
     assert!(
         (4_000.0..35_000.0).contains(&rm1),
         "rm1 saturation {rm1:.0} qps"
-    );
-}
-
-#[test]
-fn s7_storage_gap_exceeds_8x_at_table_vi_io_sizes() {
-    let rm1 = RmProfile::rm1();
-    let demand = 64.0 * rm1.workers_per_trainer * rm1.worker_storage_rx;
-    let plan = ProvisionPlan::for_workload(
-        &StorageNodeClass::hdd(),
-        rm1.used_partitions,
-        3,
-        demand,
-        23_200,
-    );
-    assert!(
-        plan.throughput_to_storage_gap > 8.0,
-        "gap {:.1}",
-        plan.throughput_to_storage_gap
-    );
-    // SSD flips to capacity-bound.
-    let ssd = ProvisionPlan::for_workload(
-        &StorageNodeClass::ssd(),
-        rm1.used_partitions,
-        3,
-        demand,
-        1 << 20,
-    );
-    assert!(ssd.throughput_to_storage_gap < 1.0);
-}
-
-#[test]
-fn s7_tiering_beats_single_medium_power() {
-    let rm1 = RmProfile::rm1();
-    let demand = 64.0 * rm1.workers_per_trainer * rm1.worker_storage_rx;
-    let io = 512 * 1024;
-    let hdd =
-        ProvisionPlan::for_workload(&StorageNodeClass::hdd(), rm1.used_partitions, 3, demand, io);
-    let ssd =
-        ProvisionPlan::for_workload(&StorageNodeClass::ssd(), rm1.used_partitions, 3, demand, io);
-    let tiered = TieredPlacement::plan(rm1.used_partitions, 3, demand, io, 0.39, 0.8);
-    assert!(
-        tiered.watts() < hdd.watts.min(ssd.watts),
-        "tiered {:.2} MW vs hdd {:.2} / ssd {:.2}",
-        tiered.watts() / 1e6,
-        hdd.watts / 1e6,
-        ssd.watts / 1e6
     );
 }
 

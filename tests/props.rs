@@ -1404,26 +1404,6 @@ proptest! {
     }
 
     #[test]
-    fn cluster_sessions_expand_is_lossless(
-        samples in proptest::collection::vec(arb_sample(), 0..40),
-        session_window in 1usize..8,
-        max_set_size in 1usize..12,
-    ) {
-        let cfg = dedup::DedupConfig {
-            session_window,
-            max_set_size,
-            ..Default::default()
-        };
-        let (sets, stats) = dedup::cluster_sessions(&samples, &cfg);
-        prop_assert_eq!(dedup::expand_sets(&sets), samples.clone());
-        prop_assert_eq!(stats.rows, samples.len() as u64);
-        prop_assert_eq!(stats.sets, sets.len() as u64);
-        for set in &sets {
-            prop_assert!(set.len() <= max_set_size);
-        }
-    }
-
-    #[test]
     fn dictionary_encoding_round_trips_repetitive_ids(
         hot in proptest::collection::vec(0u64..16, 1..8),
         rows in 8usize..80,
