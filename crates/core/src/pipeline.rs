@@ -1,24 +1,25 @@
-//! The one worker loop: extract → transform → load as three stage
+//! The one worker loop: fetch → decode → transform → load as stage
 //! functions, run at a depth.
 //!
 //! [`crate::session::SessionSpec::read_ahead`] is the depth. At depth 0
 //! the worker's own thread calls the stages back to back — no channel, no
-//! extra thread. At depth ≥ 1 fetch and transform move to their own
-//! threads, so storage I/O overlaps CPU work:
+//! extra thread. At depth ≥ 1 fetch moves to a thread of its own, so the
+//! storage I/O of the next splits overlaps the CPU work on this one:
 //!
 //! ```text
-//!   fetch+decode ──bounded(depth)──▶ transform ──bounded(2)──▶ load/deliver
-//!   (storage I/O)                    (CPU)                     (worker thread)
+//!   fetch ──bounded(depth)──▶ decode → transform → load/deliver
+//!   (storage I/O)             (CPU, on the worker thread)
 //! ```
 //!
-//! Either way the same three functions run. Fetch is the only stage that
+//! Either way the same functions run. Fetch is the only stage that
 //! *requests* work from the Master, deliver is the only one that
-//! *acknowledges* or ships it, and transform is stateless (its accounting
-//! travels downstream as a [`WorkerReport`] delta), so the exactly-once
-//! envelope protocol does not depend on depth: a split is in flight from
-//! `request_split` until the client acks its last tensor, wherever it sits
-//! in the pipe. The stream ends with an [`EndReason`], which flows through
-//! the same path as the items and is settled with the Master in one place.
+//! *acknowledges* or ships it, and everything between is stateless (its
+//! accounting travels to load as a [`WorkerReport`] delta), so the
+//! exactly-once envelope protocol does not depend on depth: a split is in
+//! flight from `request_split` until the client acks its last tensor,
+//! wherever it sits in the pipe. The stream ends with an [`EndReason`],
+//! which flows through the same path as the items and is settled with the
+//! Master in one place.
 
 use crate::client::Envelope;
 use crate::master::Master;
@@ -32,13 +33,12 @@ use dsi_obs::{
     TraceSpan,
 };
 use dsi_types::{ColumnBatch, WorkerId};
-use dwrf::IoPlan;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use warehouse::{Split, TableScan};
+use warehouse::{FetchedSplit, Split, TableScan};
 
 /// Why a worker's stream of splits ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,8 +50,8 @@ enum EndReason {
     /// The kill flag was observed: a simulated hard crash, which neither
     /// deregisters nor acknowledges — the health monitor requeues.
     Killed,
-    /// `read_split` failed, or a stage thread died; the worker's splits
-    /// must be requeued elsewhere.
+    /// A split failed to fetch or decode, or the fetch thread died; the
+    /// worker's splits must be requeued elsewhere.
     StageFailed,
     /// An injected `WorkerCrash` fired.
     Crashed,
@@ -61,29 +61,20 @@ enum EndReason {
     ShutDown,
 }
 
-/// A split fetched and decoded, waiting for the transform stage.
+/// A split read from storage, waiting for the worker thread to decode it.
 struct Fetched {
     split: Split,
-    columns: ColumnBatch,
-    plan: IoPlan,
+    stripe: FetchedSplit,
     /// Trace context of the split's `Schedule` span (NONE when unsampled);
     /// each stage parents its span under it.
     trace: TraceContext,
-    /// When decode finished — at depth ≥ 1 the gap until transform picks
-    /// the item up is time the stages genuinely overlapped.
+    /// When the read finished — at depth ≥ 1 the gap until the worker
+    /// thread takes the item is time the stages genuinely overlapped.
     ready_at: Instant,
 }
 
-/// A transformed split, waiting for the deliver stage.
-struct Transformed {
-    split: Split,
-    batch: ColumnBatch,
-    delta: WorkerReport,
-    trace: TraceContext,
-}
-
 /// What the stages of one worker read but never write; cloned into the
-/// stage threads. The carry and the report stay with the [`Worker`], which
+/// fetch thread. The carry and the report stay with the [`Worker`], which
 /// only the deliver stage touches.
 #[derive(Clone)]
 struct Stages {
@@ -139,10 +130,10 @@ impl Stages {
     /// no registry is attached — nothing below the slot read runs then, so
     /// an unobserved session reads no clock. Transform and load are timed
     /// here on every split; extract's seconds are the reader's to record
-    /// (storage fetch, decompress and deserialize, three disjoint stages),
-    /// so its bracket exists only to carry a sampled split's span. The
-    /// slot is re-read per stage so a registry attached after launch still
-    /// collects this worker's stages.
+    /// (storage fetch at fetch, decompress and deserialize at decode, three
+    /// disjoint stages), so its bracket exists only to carry a sampled
+    /// split's span. The slot is re-read per stage so a registry attached
+    /// after launch still collects this worker's stages.
     fn open(&self, trace: TraceContext, kind: SpanKind, split: u64) -> Option<OpenStage<'_>> {
         let reg = self.obs.lock().clone()?;
         let timed = match kind {
@@ -173,8 +164,9 @@ impl Stages {
         })
     }
 
-    /// Stage 1: asks the Master for a split and reads + decodes it. The
-    /// only place the kill and drain flags stop the stream between splits.
+    /// Stage 1: asks the Master for a split and reads its stripe from
+    /// storage, decoding nothing. The only place the kill and drain flags
+    /// stop the stream between splits.
     fn fetch(&self) -> Result<Fetched, EndReason> {
         if self.kill.load(Ordering::SeqCst) {
             return Err(EndReason::Killed);
@@ -189,56 +181,61 @@ impl Stages {
             Ok(None) => return Err(EndReason::Exhausted),
             Err(_) => return Err(EndReason::MasterGone),
         };
-        // Traced reads hang the storage subtree under the Extract span; a
-        // failed read records none.
+        // Traced reads hang the storage subtree and, once decoded, the
+        // decode span under the Extract span; a failed read records none.
         let stage = self.open(trace, SpanKind::Extract, split.index);
-        let read = match &stage {
-            Some(s) => self.scan.read_split_columns_traced(&split, s.ctx(), &s.reg),
-            None => self.scan.read_split_columns(&split),
-        };
-        let (columns, plan) = read.map_err(|_| EndReason::StageFailed)?;
+        let stripe = self
+            .scan
+            .fetch_split(&split, stage.as_ref().map(|s| (s.ctx(), &s.reg)))
+            .map_err(|_| EndReason::StageFailed)?;
         if let Some(s) = stage {
             s.close();
         }
         Ok(Fetched {
             split,
-            columns,
-            plan,
+            stripe,
             trace,
             ready_at: Instant::now(),
         })
     }
 
-    /// Stage 2: extract accounting plus the row-path transform plan (on
+    /// Stage 2, on the worker's own thread: decodes the fetched stripe,
+    /// then runs extract accounting plus the row-path transform plan (on
     /// the fast path that is the `Sampling` filter alone; the columnar
-    /// kernels run in [`Worker::load_stage`], on the worker's own thread).
-    fn transform(&self, f: Fetched) -> Transformed {
-        let stage = self.open(f.trace, SpanKind::Transform, f.split.index);
-        let (batch, delta) = Worker::transform_stage(
-            &self.spec, &self.exec, &self.cost, &f.split, f.columns, &f.plan,
-        );
+    /// kernels run in [`Worker::load_stage`]). A stripe that does not
+    /// decode — a stream failing its checksum — ends the stream.
+    fn transform(
+        &self,
+        split: &Split,
+        trace: TraceContext,
+        stripe: FetchedSplit,
+    ) -> Result<(ColumnBatch, WorkerReport), EndReason> {
+        let (columns, plan) = self
+            .scan
+            .decode_split(stripe)
+            .map_err(|_| EndReason::StageFailed)?;
+        let stage = self.open(trace, SpanKind::Transform, split.index);
+        let out =
+            Worker::transform_stage(&self.spec, &self.exec, &self.cost, split, columns, &plan);
         if let Some(s) = stage {
             s.close();
         }
-        Transformed {
-            split: f.split,
-            batch,
-            delta,
-            trace: f.trace,
-        }
+        Ok(out)
     }
 
-    /// Stage 3: batches the split into tensors and ships them. Always on
-    /// the worker's own thread — it owns the carry and the report.
+    /// Stage 3: runs stage 2 on the fetched split, then batches it into
+    /// tensors and ships them. Always on the worker's own thread — it owns
+    /// the carry and the report.
     fn deliver(
         &self,
         worker: &mut Worker,
-        t: Transformed,
+        f: Fetched,
         tx: &Sender<Envelope>,
     ) -> Result<(), EndReason> {
+        let (batch, delta) = self.transform(&f.split, f.trace, f.stripe)?;
         self.fire_worker_chaos()?;
-        let stage = self.open(t.trace, SpanKind::Load, t.split.index);
-        let mut tensors = worker.load_stage(t.batch, t.delta);
+        let stage = self.open(f.trace, SpanKind::Load, f.split.index);
+        let mut tensors = worker.load_stage(batch, delta);
         // Per-split flush keeps replay exact under failures (no cross-split
         // rows inside any delivered tensor).
         tensors.extend(worker.flush());
@@ -253,13 +250,13 @@ impl Stages {
         if tensors.is_empty() {
             // Nothing to deliver (e.g. sampling filtered every row): safe
             // to acknowledge immediately.
-            let _ = self.master.complete_split(self.id, t.split.index);
+            let _ = self.master.complete_split(self.id, f.split.index);
             return Ok(());
         }
         let total = tensors.len();
         for (seq, tensor) in tensors.into_iter().enumerate() {
             let env = Envelope {
-                split: t.split.index,
+                split: f.split.index,
                 seq: seq as u32,
                 last: seq + 1 == total,
                 worker: self.id,
@@ -276,7 +273,7 @@ impl Stages {
         Ok(())
     }
 
-    /// Fires the `WorkerSplit` chaos hook: once per split, after extract
+    /// Fires the `WorkerSplit` chaos hook: once per split, after decode
     /// and transform, before load. `WorkerHang` and `SlowTransform` stall
     /// the worker's thread in place; `WorkerCrash` ends the stream, and
     /// every split this worker still holds — in the pipe or undelivered —
@@ -304,57 +301,43 @@ impl Stages {
         &self,
         worker: &mut Worker,
         tx: &Sender<Envelope>,
-        mut next: impl FnMut() -> Result<Transformed, EndReason>,
+        mut next: impl FnMut() -> Result<Fetched, EndReason>,
     ) -> EndReason {
         loop {
-            if let Err(end) = next().and_then(|t| self.deliver(worker, t, tx)) {
+            if let Err(end) = next().and_then(|f| self.deliver(worker, f, tx)) {
                 return end;
             }
         }
     }
 
-    /// Depth ≥ 1: starts fetch and transform on their own threads and
-    /// returns the channel the deliver stage reads. The end reason travels
-    /// the channels behind the last item.
-    fn spawn_upstream(
-        &self,
-        depth: usize,
-        threads: &mut Vec<JoinHandle<()>>,
-    ) -> Receiver<Result<Transformed, EndReason>> {
-        let (fetch_tx, fetch_rx) = bounded::<Result<Fetched, EndReason>>(depth);
-        let (t_tx, t_rx) = bounded(2);
-
+    /// Depth ≥ 1: starts fetch on its own thread and returns the channel
+    /// the worker thread reads. The end reason travels the channel behind
+    /// the last item.
+    fn spawn_fetch(&self, depth: usize) -> (Receiver<Result<Fetched, EndReason>>, JoinHandle<()>) {
+        let (fetch_tx, fetch_rx) = bounded(depth);
         let stages = self.clone();
-        threads.push(std::thread::spawn(move || loop {
+        let thread = std::thread::spawn(move || loop {
             let item = stages.fetch();
             let last = item.is_err();
             // A failed send means downstream is gone; it decides why.
             if fetch_tx.send(item).is_err() || last {
                 return;
             }
-        }));
+        });
+        (fetch_rx, thread)
+    }
 
-        let stages = self.clone();
-        threads.push(std::thread::spawn(move || {
-            while let Ok(item) = fetch_rx.recv() {
-                let out = item.map(|f| {
-                    if let Some(reg) = stages.obs.lock().clone() {
-                        let labels = [("job", &*stages.job)];
-                        // Depth of the decode read-ahead buffer *behind*
-                        // this item: how far fetch has run ahead.
-                        reg.gauge(names::FASTPATH_PREFETCH_DEPTH, &labels)
-                            .set(fetch_rx.len() as f64);
-                        reg.histogram(names::FASTPATH_STAGE_OVERLAP_SECONDS, &labels)
-                            .record(f.ready_at.elapsed().as_secs_f64());
-                    }
-                    stages.transform(f)
-                });
-                if t_tx.send(out).is_err() {
-                    return;
-                }
-            }
-        }));
-        t_rx
+    /// Samples the read-ahead as the worker thread takes a fetched split:
+    /// `behind` is how many more fetch has already read, and the overlap
+    /// is how long this one waited.
+    fn observe_prefetch(&self, f: &Fetched, behind: usize) {
+        if let Some(reg) = self.obs.lock().clone() {
+            let labels = [("job", &*self.job)];
+            reg.gauge(names::FASTPATH_PREFETCH_DEPTH, &labels)
+                .set(behind as f64);
+            reg.histogram(names::FASTPATH_STAGE_OVERLAP_SECONDS, &labels)
+                .record(f.ready_at.elapsed().as_secs_f64());
+        }
     }
 
     /// Settles the end of the stream with the Master.
@@ -369,12 +352,12 @@ impl Stages {
     }
 }
 
-/// Deliver-thread poll slice while waiting on the transform thread; bounds
-/// how stale a kill observation can get when the pipe is idle.
+/// Worker-thread poll slice while waiting on the fetch thread; bounds how
+/// stale a kill observation can get when the pipe is idle.
 const POLL_SLICE: Duration = Duration::from_millis(5);
 
 /// Runs one worker until its stream of splits ends, `depth` splits of
-/// read-ahead between fetch and transform.
+/// read-ahead between fetch and decode.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn worker_loop(
     master: Master,
@@ -399,33 +382,38 @@ pub(crate) fn worker_loop(
         exec: Arc::clone(&worker.exec),
         cost: worker.cost,
     };
-    let mut stage_threads = Vec::new();
-    let end = if depth == 0 {
-        stages.deliver_all(&mut worker, &tx, || {
-            stages.fetch().map(|f| stages.transform(f))
-        })
+    let (end, fetch_thread) = if depth == 0 {
+        (
+            stages.deliver_all(&mut worker, &tx, || stages.fetch()),
+            None,
+        )
     } else {
-        let transformed = stages.spawn_upstream(depth, &mut stage_threads);
-        stages.deliver_all(&mut worker, &tx, || loop {
+        let (fetched, thread) = stages.spawn_fetch(depth);
+        let end = stages.deliver_all(&mut worker, &tx, || loop {
             if stages.kill.load(Ordering::SeqCst) {
                 return Err(EndReason::Killed);
             }
-            match transformed.recv_timeout(POLL_SLICE) {
-                Ok(item) => return item,
+            match fetched.recv_timeout(POLL_SLICE) {
+                Ok(item) => {
+                    if let Ok(f) = &item {
+                        stages.observe_prefetch(f, fetched.len());
+                    }
+                    return item;
+                }
                 Err(RecvTimeoutError::Timeout) => continue,
                 Err(RecvTimeoutError::Disconnected) => return Err(EndReason::StageFailed),
             }
-        })
-        // Dropping `transformed` here fails the transform thread's next
-        // send, whose exit in turn fails the fetch thread's.
+        });
+        // Dropping `fetched` here fails the fetch thread's next send.
+        (end, Some(thread))
     };
     stages.settle(end);
     if !stages.kill.load(Ordering::SeqCst) {
-        // Only a hard crash detaches its stage threads. Every other exit
-        // waits for them, so no read is still charging the cluster after
-        // the worker is gone. A stage thread that panicked has already
-        // ended the stream as `StageFailed`.
-        for thread in stage_threads {
+        // Only a hard crash detaches the fetch thread. Every other exit
+        // waits for it, so no read is still charging the cluster after the
+        // worker is gone. A fetch thread that panicked has already ended
+        // the stream as `StageFailed`.
+        if let Some(thread) = fetch_thread {
             let _ = thread.join();
         }
     }

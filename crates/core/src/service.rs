@@ -997,8 +997,8 @@ mod tests {
         let labels = drain_labels(&mut client);
         assert_eq!(labels.len(), 256);
         session.shutdown();
-        // Every fetched split waited measurably between decode and
-        // transform, so the overlap histogram saw every split.
+        // Every fetched split waited measurably between fetch and
+        // decode, so the overlap histogram saw every split.
         let overlap = reg
             .histogram(names::FASTPATH_STAGE_OVERLAP_SECONDS, &[("job", "sess5")])
             .snapshot();

@@ -57,10 +57,10 @@ pub struct SessionSpec {
     /// RecD-style deduplication: workers detect DedupSets in each split,
     /// transform the canonical copy once, and fan results out to members.
     pub dedup: Option<DedupConfig>,
-    /// Depth of the worker loop: splits each worker fetches ahead of its
-    /// transform stage. At `0` (the default) one thread runs fetch+decode
-    /// → transform → batch/load back to back; at `n > 0` fetch and
-    /// transform get their own threads with an `n`-deep buffer between.
+    /// Depth of the worker loop: splits each worker reads from storage
+    /// ahead of decoding them. At `0` (the default) one thread runs fetch
+    /// → decode → transform → batch/load back to back; at `n > 0` fetch
+    /// gets a thread of its own with an `n`-deep buffer to the rest.
     pub read_ahead: usize,
     /// Where the transform plan runs: on the materialized tensor's columns
     /// (`true`, the default; only `Sampling` stays on rows), or the whole
@@ -183,7 +183,7 @@ impl SessionSpecBuilder {
         self
     }
 
-    /// Sets the per-worker decode read-ahead depth (`0` = sequential).
+    /// Sets the per-worker storage read-ahead depth (`0` = sequential).
     pub fn read_ahead(mut self, n: usize) -> Self {
         self.spec.read_ahead = n;
         self

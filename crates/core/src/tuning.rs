@@ -22,7 +22,7 @@ use dsi_obs::SignalSnapshot;
 pub struct Knobs {
     /// DPP worker (preprocessing node) count.
     pub workers: usize,
-    /// Splits each worker prefetches ahead of its transform stage
+    /// Splits each worker reads from storage ahead of decoding them
     /// (`SessionSpec::read_ahead`).
     pub read_ahead: usize,
     /// Samples per produced tensor batch (`SessionSpec::batch_size`).

@@ -277,7 +277,7 @@ impl WorkerReport {
 pub struct Worker {
     id: WorkerId,
     // Read-only after construction; the worker loop hands clones of these
-    // to its fetch and transform stages.
+    // to its stages and its fetch thread.
     pub(crate) spec: Arc<SessionSpec>,
     pub(crate) exec: Arc<ExecPlan>,
     pub(crate) scan: TableScan,
@@ -329,7 +329,8 @@ impl Worker {
     ///
     /// Propagates storage and decode failures.
     pub fn process_split(&mut self, split: &Split) -> Result<Vec<MiniBatchTensor>> {
-        let (columns, plan) = self.scan.read_split_columns(split)?;
+        let fetched = self.scan.fetch_split(split, None)?;
+        let (columns, plan) = self.scan.decode_split(fetched)?;
         let (transformed, delta) =
             Self::transform_stage(&self.spec, &self.exec, &self.cost, split, columns, &plan);
         Ok(self.load_stage(transformed, delta))

@@ -2,10 +2,12 @@
 //! stripe decoding.
 //!
 //! The reader separates *planning* (which byte ranges a projection needs,
-//! [`FileReader::plan_stripe`]) from *fetching* (any [`ChunkSource`] — an
-//! in-memory slice here, a Tectonic client in the `tectonic` crate) from
-//! *decoding* (decrypt → decompress → column decode). This mirrors the DPP
-//! Worker extract path and lets storage simulations charge real IO.
+//! [`FileReader::plan_stripe`]) from *fetching* ([`FileReader::fetch_stripe`]
+//! through any [`ChunkSource`] — an in-memory slice here, a Tectonic client
+//! in the `tectonic` crate) from *decoding* ([`FileReader::decode_fetched`]:
+//! checksum → decrypt → decompress → column decode, on any thread). This
+//! mirrors the DPP Worker extract path and lets storage simulations charge
+//! real IO.
 
 use crate::cipher::StreamCipher;
 use crate::compress;
@@ -84,6 +86,44 @@ struct DecodeCost {
     uncompressed: std::cell::Cell<u64>,
     decompress_secs: std::cell::Cell<f64>,
 }
+
+impl TraceSink {
+    /// Records a span of `kind` under the sink's context, from `start_ns`
+    /// to now.
+    fn record(&self, span_id: u64, kind: dsi_obs::SpanKind, start_ns: u64) {
+        self.registry.record_span(dsi_obs::TraceSpan {
+            trace_id: self.ctx.trace_id,
+            span_id,
+            parent_id: self.ctx.span_id,
+            kind,
+            start_ns,
+            end_ns: dsi_obs::now_ns(),
+            split: self.split,
+            worker: 0,
+            seq: 0,
+            flags: 0,
+        });
+    }
+}
+
+/// A stripe read from storage but not yet checked or decoded: the stripe,
+/// the streams its selection wants, the executed IO plan and the views
+/// the source produced (owned, no copy added). It is `Send`, so one thread
+/// can fetch while another decodes; [`FileReader::decode_fetched`] on the
+/// reader that fetched it finishes the read.
+#[derive(Debug)]
+pub struct FetchedStripe {
+    idx: usize,
+    wanted: Vec<StreamInfo>,
+    plan: IoPlan,
+    buffers: Vec<(u64, ByteView)>,
+}
+
+// Fetch and decode run on different threads in a pipelined worker.
+const _: () = {
+    const fn send<T: Send>() {}
+    send::<FetchedStripe>();
+};
 
 /// Reads DWRF files.
 #[derive(Debug, Clone)]
@@ -231,7 +271,8 @@ impl FileReader {
     }
 
     /// Reads and decodes stripe `idx` through `source`, returning its
-    /// columns and the executed IO plan.
+    /// columns and the executed IO plan: [`FileReader::fetch_stripe`]
+    /// followed by [`FileReader::decode_fetched`].
     ///
     /// # Errors
     ///
@@ -244,7 +285,8 @@ impl FileReader {
         policy: CoalescePolicy,
         source: &mut dyn ChunkSource,
     ) -> Result<(ColumnBatch, IoPlan)> {
-        self.read_stripe_with(idx, selection, policy, source, |columns| columns)
+        let fetched = self.fetch_stripe(idx, selection, policy, source)?;
+        self.decode_fetched(fetched, selection)
     }
 
     /// [`FileReader::read_stripe_columns`] with the stripe's rows in place
@@ -260,47 +302,86 @@ impl FileReader {
         policy: CoalescePolicy,
         source: &mut dyn ChunkSource,
     ) -> Result<(Vec<Sample>, IoPlan)> {
-        self.read_stripe_with(idx, selection, policy, source, ColumnBatch::into_rows)
+        let fetched = self.fetch_stripe(idx, selection, policy, source)?;
+        self.decode_with(fetched, selection, ColumnBatch::into_rows)
     }
 
-    /// Fetches and decodes stripe `idx`, handing the decoded columns to
-    /// `finish` inside the decode span and timing.
-    fn read_stripe_with<T>(
+    /// The storage half of a stripe read: plans the reads `selection`
+    /// needs from stripe `idx` and executes them through `source`, keeping
+    /// whatever view the source produced (usually a zero-copy slice of
+    /// resident bytes). Records the `StorageRead` span and the `extract`
+    /// seconds; nothing is checked or decoded yet.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the stripe index is out of range or the source
+    /// fails.
+    pub fn fetch_stripe(
         &self,
         idx: usize,
         selection: Option<&Projection>,
         policy: CoalescePolicy,
         source: &mut dyn ChunkSource,
-        finish: impl FnOnce(ColumnBatch) -> T,
-    ) -> Result<(T, IoPlan)> {
+    ) -> Result<FetchedStripe> {
         let wanted = self.wanted_streams(idx, selection)?;
         let mut plan = plan_reads(&wanted, policy);
-        let cost = DecodeCost::default();
-        // Fetch each planned read once, keeping whatever view the source
-        // produced (usually a zero-copy slice of resident bytes).
-        let fetch_started = std::time::Instant::now();
-        let fetch_start_ns = dsi_obs::now_ns();
-        let mut buffers: Vec<(u64, ByteView)> = Vec::with_capacity(plan.reads.len());
+        let started = std::time::Instant::now();
+        let start_ns = dsi_obs::now_ns();
+        let mut buffers = Vec::with_capacity(plan.reads.len());
         for r in &plan.reads {
             let chunk = source.read(r.offset, r.len)?;
             plan.copied_bytes += chunk.copied_bytes;
             buffers.push((r.offset, chunk.view));
         }
-        let fetch_secs = fetch_started.elapsed().as_secs_f64();
+        let secs = started.elapsed().as_secs_f64();
         if let Some(sink) = &self.trace {
-            sink.registry.record_span(dsi_obs::TraceSpan {
-                trace_id: sink.ctx.trace_id,
-                span_id: sink.storage_span,
-                parent_id: sink.ctx.span_id,
-                kind: dsi_obs::SpanKind::StorageRead,
-                start_ns: fetch_start_ns,
-                end_ns: dsi_obs::now_ns(),
-                split: sink.split,
-                worker: 0,
-                seq: 0,
-                flags: 0,
-            });
+            sink.record(sink.storage_span, dsi_obs::SpanKind::StorageRead, start_ns);
         }
+        if let Some(reg) = &self.registry {
+            let job = self.job.as_deref().unwrap_or("");
+            dsi_obs::observe_stage_seconds(reg, job, dsi_obs::stage::EXTRACT, secs);
+        }
+        Ok(FetchedStripe {
+            idx,
+            wanted,
+            plan,
+            buffers,
+        })
+    }
+
+    /// The CPU half of a stripe read: checksums, decrypts, inflates and
+    /// decodes a stripe [`FileReader::fetch_stripe`] read with the same
+    /// reader and `selection`, on whichever thread holds it. Records the
+    /// `DwrfDecode` span, the `decompress` and `deserialize` seconds and
+    /// the stripe's byte counters.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DsiError::Corrupt`] if a stream fails its checksum or
+    /// does not decode.
+    pub fn decode_fetched(
+        &self,
+        fetched: FetchedStripe,
+        selection: Option<&Projection>,
+    ) -> Result<(ColumnBatch, IoPlan)> {
+        self.decode_with(fetched, selection, |columns| columns)
+    }
+
+    /// Decodes a fetched stripe, handing the decoded columns to `finish`
+    /// inside the decode span and timing.
+    fn decode_with<T>(
+        &self,
+        fetched: FetchedStripe,
+        selection: Option<&Projection>,
+        finish: impl FnOnce(ColumnBatch) -> T,
+    ) -> Result<(T, IoPlan)> {
+        let FetchedStripe {
+            idx,
+            wanted,
+            mut plan,
+            buffers,
+        } = fetched;
+        let cost = DecodeCost::default();
         let fetch = |info: &StreamInfo| -> Result<ByteView> {
             for (off, buf) in &buffers {
                 if info.offset >= *off && info.offset + info.len <= off + buf.len() as u64 {
@@ -310,22 +391,15 @@ impl FileReader {
             }
             Err(DsiError::corrupt("stream not covered by IO plan"))
         };
-        let decode_started = std::time::Instant::now();
-        let decode_start_ns = dsi_obs::now_ns();
+        let started = std::time::Instant::now();
+        let start_ns = dsi_obs::now_ns();
         let decoded = finish(self.decode_stripe(idx, &wanted, selection, fetch, &cost)?);
         if let Some(sink) = &self.trace {
-            sink.registry.record_span(dsi_obs::TraceSpan {
-                trace_id: sink.ctx.trace_id,
-                span_id: dsi_obs::next_span_id(),
-                parent_id: sink.ctx.span_id,
-                kind: dsi_obs::SpanKind::DwrfDecode,
-                start_ns: decode_start_ns,
-                end_ns: dsi_obs::now_ns(),
-                split: sink.split,
-                worker: 0,
-                seq: 0,
-                flags: 0,
-            });
+            sink.record(
+                dsi_obs::next_span_id(),
+                dsi_obs::SpanKind::DwrfDecode,
+                start_ns,
+            );
         }
         let decompress_secs = cost.decompress_secs.get();
         plan.uncompressed_bytes = cost.uncompressed.get();
@@ -341,7 +415,6 @@ impl FileReader {
                 .add(plan.wanted_bytes);
             reg.counter(names::FASTPATH_BYTES_COPIED_TOTAL, &labels)
                 .add(plan.copied_bytes);
-            observe_stage_seconds(reg, job, stage::EXTRACT, fetch_secs);
             observe_stage_seconds(reg, job, stage::DECOMPRESS, decompress_secs);
             // Deserialize excludes decompression: it is the column/map
             // decode cost the paper attributes to wire-format handling.
@@ -349,7 +422,7 @@ impl FileReader {
                 reg,
                 job,
                 stage::DESERIALIZE,
-                (decode_started.elapsed().as_secs_f64() - decompress_secs).max(0.0),
+                (started.elapsed().as_secs_f64() - decompress_secs).max(0.0),
             );
         }
         Ok((decoded, plan))
@@ -685,6 +758,37 @@ mod tests {
             .read_stripe_from(0, Some(&proj), CoalescePolicy::default_window(), &mut src)
             .unwrap();
         assert_eq!(rows.len(), 500);
+    }
+
+    #[test]
+    fn fetched_stripe_decodes_on_another_thread_as_one_read() {
+        let opts = WriterOptions {
+            rows_per_stripe: 8,
+            ..Default::default()
+        };
+        assert!(opts.encrypted && opts.compressed);
+        let file = build_file(opts, 20);
+        let reader = FileReader::open(file.bytes().clone()).unwrap();
+        let proj = Projection::new(vec![FeatureId(2), FeatureId(3), FeatureId(4)]);
+        let policy = CoalescePolicy::default_window();
+        let mut src = SliceSource::new(file.bytes().clone());
+        assert_eq!(reader.num_stripes(), 3);
+        for stripe in 0..reader.num_stripes() {
+            let whole = reader
+                .read_stripe_columns(stripe, Some(&proj), policy, &mut src)
+                .unwrap();
+            let fetched = reader
+                .fetch_stripe(stripe, Some(&proj), policy, &mut src)
+                .unwrap();
+            let halves = std::thread::scope(|s| {
+                s.spawn(|| reader.decode_fetched(fetched, Some(&proj)))
+                    .join()
+                    .unwrap()
+            })
+            .unwrap();
+            assert!(whole.1.uncompressed_bytes > 0);
+            assert_eq!(halves, whole, "stripe {stripe}");
+        }
     }
 
     #[test]

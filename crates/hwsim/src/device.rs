@@ -1,32 +1,12 @@
-//! Storage device models: HDD and SSD timing, IOPS, and power accounting.
+//! Storage device models: HDD and SSD seek, rotation and transfer timing.
 //!
 //! The paper's storage layer runs on HDD storage nodes whose IOPS — not
 //! capacity — constrain training reads: heavy feature filtering produces
 //! small, scattered IOs (Table VI), and each seek costs milliseconds. The
-//! fleet's SSD nodes trade the opposite way: per watt they deliver 326% of
-//! the IOPS but only 9% of the capacity of HDD nodes (§VII). These device
-//! models expose exactly that tension.
+//! SSD model has no mechanical latency, so the same reads cost
+//! microseconds there.
 
 use dsi_types::ByteSize;
-use std::fmt;
-
-/// Kind of storage medium.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DeviceKind {
-    /// Rotational disk: cheap capacity, seek-dominated small IO.
-    Hdd,
-    /// Flash: high IOPS per watt, expensive capacity.
-    Ssd,
-}
-
-impl fmt::Display for DeviceKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DeviceKind::Hdd => f.write_str("hdd"),
-            DeviceKind::Ssd => f.write_str("ssd"),
-        }
-    }
-}
 
 /// A single read request against a device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,7 +55,6 @@ impl DeviceStats {
 /// requests pay `len / sequential_bw` transfer time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiskModel {
-    kind: DeviceKind,
     capacity: ByteSize,
     /// Average seek time in nanoseconds (0 for SSD).
     seek_ns: u64,
@@ -83,42 +62,31 @@ pub struct DiskModel {
     rotation_ns: u64,
     /// Sequential transfer bandwidth in bytes per second.
     seq_bw: u64,
-    /// Device power draw in watts.
-    watts: f64,
-    /// Random-IO operations per second ceiling.
-    max_iops: f64,
     stats: DeviceStats,
     next_sequential_offset: u64,
 }
 
 impl DiskModel {
-    /// A nearline datacenter HDD: ~8 ms access, 200 MB/s sequential, 18 TB,
-    /// ~8 W. Random IOPS ceiling ≈ 120.
+    /// A nearline datacenter HDD: ~8 ms access, 200 MB/s sequential, 18 TB.
     pub fn hdd() -> Self {
         Self {
-            kind: DeviceKind::Hdd,
             capacity: ByteSize::tib(18),
             seek_ns: 6_000_000,
             rotation_ns: 2_000_000,
             seq_bw: 200 * 1024 * 1024,
-            watts: 8.0,
-            max_iops: 120.0,
             stats: DeviceStats::default(),
             next_sequential_offset: u64::MAX,
         }
     }
 
     /// A datacenter NVMe SSD: no mechanical latency, 60 µs access, 3 GB/s
-    /// sequential, 4 TB, ~12 W. Random IOPS ceiling ≈ 500k.
+    /// sequential, 4 TB.
     pub fn ssd() -> Self {
         Self {
-            kind: DeviceKind::Ssd,
             capacity: ByteSize::tib(4),
             seek_ns: 60_000,
             rotation_ns: 0,
             seq_bw: 3 * 1024 * 1024 * 1024,
-            watts: 12.0,
-            max_iops: 500_000.0,
             stats: DeviceStats::default(),
             next_sequential_offset: u64::MAX,
         }
@@ -128,64 +96,22 @@ impl DiskModel {
     ///
     /// # Panics
     ///
-    /// Panics if `seq_bw == 0` or `max_iops <= 0`.
-    pub fn custom(
-        kind: DeviceKind,
-        capacity: ByteSize,
-        seek_ns: u64,
-        rotation_ns: u64,
-        seq_bw: u64,
-        watts: f64,
-        max_iops: f64,
-    ) -> Self {
+    /// Panics if `seq_bw == 0`.
+    pub fn custom(capacity: ByteSize, seek_ns: u64, rotation_ns: u64, seq_bw: u64) -> Self {
         assert!(seq_bw > 0, "sequential bandwidth must be positive");
-        assert!(max_iops > 0.0, "IOPS ceiling must be positive");
         Self {
-            kind,
             capacity,
             seek_ns,
             rotation_ns,
             seq_bw,
-            watts,
-            max_iops,
             stats: DeviceStats::default(),
             next_sequential_offset: u64::MAX,
         }
     }
 
-    /// The medium kind.
-    pub fn kind(&self) -> DeviceKind {
-        self.kind
-    }
-
     /// Device capacity.
     pub fn capacity(&self) -> ByteSize {
         self.capacity
-    }
-
-    /// Device power draw in watts.
-    pub fn watts(&self) -> f64 {
-        self.watts
-    }
-
-    /// Random-IO operations per second ceiling.
-    pub fn max_iops(&self) -> f64 {
-        self.max_iops
-    }
-
-    /// Sequential bandwidth in bytes per second.
-    pub fn seq_bw(&self) -> u64 {
-        self.seq_bw
-    }
-
-    /// Random IOPS per watt — the heterogeneous-storage efficiency metric.
-    pub fn iops_per_watt(&self) -> f64 {
-        self.max_iops / self.watts
-    }
-
-    /// Capacity (bytes) per watt.
-    pub fn capacity_per_watt(&self) -> f64 {
-        self.capacity.bytes() as f64 / self.watts
     }
 
     /// Time to serve one request, in nanoseconds, without recording it.
@@ -249,14 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn ssd_iops_per_watt_far_exceeds_hdd() {
-        let hdd = DiskModel::hdd();
-        let ssd = DiskModel::ssd();
-        assert!(ssd.iops_per_watt() / hdd.iops_per_watt() > 100.0);
-        assert!(ssd.capacity_per_watt() < hdd.capacity_per_watt());
-    }
-
-    #[test]
     fn stats_aggregate() {
         let mut d = DiskModel::ssd();
         d.serve(IoRequest::new(0, 1000));
@@ -272,6 +190,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "bandwidth must be positive")]
     fn custom_validates() {
-        let _ = DiskModel::custom(DeviceKind::Hdd, ByteSize::tib(1), 0, 0, 0, 1.0, 10.0);
+        let _ = DiskModel::custom(ByteSize::tib(1), 0, 0, 0);
     }
 }

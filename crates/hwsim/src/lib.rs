@@ -5,8 +5,7 @@
 //! charge real seek and transfer time against one virtual clock:
 //!
 //! * [`clock`] — a shareable virtual clock in nanoseconds;
-//! * [`device`] — HDD/SSD device models with seek/rotation/transfer timing,
-//!   IOPS and power accounting.
+//! * [`device`] — HDD/SSD device models with seek/rotation/transfer timing.
 //!
 //! The paper's analytic node, datacenter-tax and power models, which price
 //! measured per-sample demand for the figures, live in the `dsi-bench`
@@ -29,4 +28,4 @@ pub mod clock;
 pub mod device;
 
 pub use clock::SimClock;
-pub use device::{DeviceKind, DeviceStats, DiskModel, IoRequest};
+pub use device::{DeviceStats, DiskModel, IoRequest};

@@ -112,11 +112,12 @@ pub const DEDUP_RATIO: &str = "dsi_dedup_ratio";
 /// Counter, labels `{job}`: bytes physically memcpy'd on the storage→decode path
 /// (zero-copy slicing and in-place decode work are not counted).
 pub const FASTPATH_BYTES_COPIED_TOTAL: &str = "dsi_fastpath_bytes_copied_total";
-/// Gauge, labels `{job}`: splits currently prefetched ahead of the transform stage.
+/// Gauge, labels `{job}`: splits the fetch thread has read ahead of the one the
+/// worker thread just took to decode.
 pub const FASTPATH_PREFETCH_DEPTH: &str = "dsi_fastpath_prefetch_depth";
-/// Histogram (seconds), labels `{job}`: how long each prefetched split sat decoded and
-/// ready before the transform stage picked it up (decode/transform
-/// overlap won by the worker pipeline).
+/// Histogram (seconds), labels `{job}`: how long each prefetched split sat read and
+/// ready before the worker thread took it to decode (storage I/O overlapped
+/// with CPU work by the worker pipeline).
 pub const FASTPATH_STAGE_OVERLAP_SECONDS: &str = "dsi_fastpath_stage_overlap_seconds";
 
 // ---- wire: framed TCP data plane -------------------------------------------

@@ -252,7 +252,6 @@ impl StorageNode {
 mod tests {
     use super::*;
     use dsi_types::ByteSize;
-    use hwsim::DeviceKind;
 
     fn node() -> StorageNode {
         StorageNode::new(DiskModel::hdd())
@@ -295,15 +294,7 @@ mod tests {
 
     #[test]
     fn capacity_enforced() {
-        let small = DiskModel::custom(
-            DeviceKind::Hdd,
-            ByteSize(100),
-            1000,
-            0,
-            1_000_000,
-            5.0,
-            100.0,
-        );
+        let small = DiskModel::custom(ByteSize(100), 1000, 0, 1_000_000);
         let mut n = StorageNode::new(small);
         assert!(n.store(BlockId::new("f", 0), paged(vec![0u8; 60])).is_ok());
         assert!(n.store(BlockId::new("f", 1), paged(vec![0u8; 60])).is_err());

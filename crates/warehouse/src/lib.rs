@@ -44,6 +44,6 @@ pub mod stats;
 pub mod table;
 
 pub use query::{Aggregate, Predicate, Query, QueryResult};
-pub use scan::{ScanStats, Split, TableScan};
+pub use scan::{FetchedSplit, ScanStats, Split, TableScan};
 pub use stats::TableStats;
 pub use table::{PartitionFile, Table, TableConfig};

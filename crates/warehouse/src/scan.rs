@@ -10,7 +10,7 @@
 use crate::table::Table;
 use dsi_types::{ColumnBatch, PartitionId, Projection, Result, Sample};
 use dwrf::writer::FileFooter;
-use dwrf::{CoalescePolicy, FileReader, IoPlan};
+use dwrf::{CoalescePolicy, FetchedStripe, FileReader, IoPlan};
 use std::ops::Range;
 use std::sync::Arc;
 use tectonic::TectonicSource;
@@ -69,6 +69,15 @@ impl ScanStats {
         self.ios += plan.io_count() as u64;
         self.copied_bytes += plan.copied_bytes;
     }
+}
+
+/// A split fetched by [`TableScan::fetch_split`], waiting to be decoded:
+/// the stripe's bytes and the reader that decodes them, which carries the
+/// table's registry, the job label and the split's trace context.
+#[derive(Debug)]
+pub struct FetchedSplit {
+    reader: FileReader,
+    stripe: FetchedStripe,
 }
 
 /// A planned scan over a table.
@@ -165,44 +174,42 @@ impl TableScan {
         )
     }
 
-    /// [`TableScan::read_split`], returning the split's columns instead of
-    /// its rows.
+    /// The storage half of reading one split's columns: the split's
+    /// stripe read through the table's cache, nothing decoded yet.
+    /// [`TableScan::decode_split`] finishes it, on any thread. Under a
+    /// sampled `trace` context the read records a `StorageRead` span with
+    /// a `TectonicIo` span per chunk beneath it, and the decode a
+    /// `DwrfDecode` span, all parented under the context's span (the
+    /// worker's extract span).
     ///
     /// # Errors
     ///
-    /// Propagates storage and decode failures.
-    pub fn read_split_columns(&self, split: &Split) -> Result<(ColumnBatch, IoPlan)> {
-        let (reader, mut source) = self.open_split(split, None);
-        reader.read_stripe_columns(
-            split.stripe,
-            Some(&self.projection),
-            self.policy,
-            &mut source,
-        )
-    }
-
-    /// [`TableScan::read_split_columns`] under a distributed-trace context:
-    /// the fetch phase records a `StorageRead` span, each chunk read a
-    /// `TectonicIo` span beneath it, and the decode phase a `DwrfDecode`
-    /// span — all within `ctx`'s trace, parented under `ctx`'s span (the
-    /// worker's extract span). Records nothing when `ctx` is unsampled.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage and decode failures.
-    pub fn read_split_columns_traced(
+    /// Propagates storage failures.
+    pub fn fetch_split(
         &self,
         split: &Split,
-        ctx: dsi_obs::TraceContext,
-        trace_registry: &dsi_obs::Registry,
-    ) -> Result<(ColumnBatch, IoPlan)> {
-        let (reader, mut source) = self.open_split(split, Some((ctx, trace_registry)));
-        reader.read_stripe_columns(
+        trace: Option<(dsi_obs::TraceContext, &dsi_obs::Registry)>,
+    ) -> Result<FetchedSplit> {
+        let (reader, mut source) = self.open_split(split, trace);
+        let stripe = reader.fetch_stripe(
             split.stripe,
             Some(&self.projection),
             self.policy,
             &mut source,
-        )
+        )?;
+        Ok(FetchedSplit { reader, stripe })
+    }
+
+    /// The decode half: the split's columns and the executed IO plan.
+    ///
+    /// # Errors
+    ///
+    /// Propagates decode failures: a stream that fails its checksum or
+    /// does not decode.
+    pub fn decode_split(&self, fetched: FetchedSplit) -> Result<(ColumnBatch, IoPlan)> {
+        fetched
+            .reader
+            .decode_fetched(fetched.stripe, Some(&self.projection))
     }
 
     /// The reader and the source one split is read through: the table's
@@ -451,9 +458,8 @@ mod tests {
             trace_id: 0xACE,
             span_id: 500,
         };
-        let (columns, _) = scan
-            .read_split_columns_traced(split, extract_ctx, &reg)
-            .unwrap();
+        let fetched = scan.fetch_split(split, Some((extract_ctx, &reg))).unwrap();
+        let (columns, _) = scan.decode_split(fetched).unwrap();
         assert_eq!(columns.len(), 25);
 
         let spans = reg.trace_spans();
@@ -482,8 +488,10 @@ mod tests {
 
         // Unsampled context records nothing.
         let reg2 = dsi_obs::Registry::new();
-        scan.read_split_columns_traced(split, dsi_obs::TraceContext::NONE, &reg2)
+        let fetched = scan
+            .fetch_split(split, Some((dsi_obs::TraceContext::NONE, &reg2)))
             .unwrap();
+        scan.decode_split(fetched).unwrap();
         assert!(reg2.trace_spans().is_empty());
     }
 

@@ -404,7 +404,7 @@ fn flagship_eight_fault_classes_exactly_once_under_pipeline() {
         "flagship must span >=5 classes"
     );
     let opts = EpochOpts {
-        read_ahead: 2, // kill the master while the 3-stage pipeline runs
+        read_ahead: 2, // kill the master while the two-stage pipeline runs
         ..EpochOpts::default()
     };
     check_plan_injects(
@@ -495,6 +495,25 @@ fn regression_corrupt_chunk_is_detected_and_split_replayed_fastpath() {
         FaultKind::CorruptChunk { xor: 0xA5 },
     )]);
     check_plan_injects(plan, EpochOpts::default(), &["corrupt_chunk"]);
+}
+
+#[test]
+fn regression_corrupt_chunk_is_detected_and_split_replayed_pipelined() {
+    // The same in-flight corruption with read-ahead: the fetch thread only
+    // reads, so the DWRF checksum failure is raised on the worker thread
+    // after the raw stripe was handed over. It must still end the stream
+    // (a worker that skipped the split would leave it in flight forever)
+    // and every sample must arrive exactly once.
+    let plan = FaultPlan::named(vec![FaultEvent::new(
+        HookPoint::TectonicRead,
+        7,
+        FaultKind::CorruptChunk { xor: 0xA5 },
+    )]);
+    let opts = EpochOpts {
+        read_ahead: 2,
+        ..EpochOpts::default()
+    };
+    check_plan_injects(plan, opts, &["corrupt_chunk"]);
 }
 
 #[test]
@@ -792,7 +811,7 @@ fn corrupted_blocks_never_reach_the_trainer() {
 
 #[test]
 fn durability_kill_one_storage_node_mid_epoch_over_tcp_pipeline() {
-    // A storage node dies while the 3-stage pipeline streams batches over
+    // A storage node dies while the two-stage pipeline streams batches over
     // TCP: the heartbeat detector declares it dead, its chunks rebuild
     // under a bounded IOPS budget, and the epoch loses nothing.
     let plan = FaultPlan::named(vec![FaultEvent::new(
