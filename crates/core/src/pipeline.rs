@@ -3,13 +3,18 @@
 //!
 //! [`crate::session::SessionSpec::read_ahead`] is the depth. At depth 0
 //! the worker's own thread calls the stages back to back — no channel, no
-//! extra thread. At depth ≥ 1 fetch moves to a thread of its own, so the
+//! extra thread. At depth ≥ 1 the worker thread fetches and delivers its
+//! first split itself, then moves fetch to a thread of its own, so the
 //! storage I/O of the next splits overlaps the CPU work on this one:
 //!
 //! ```text
 //!   fetch ──bounded(depth)──▶ decode → transform → load/deliver
 //!   (storage I/O)             (CPU, on the worker thread)
 //! ```
+//!
+//! Load streams: each tensor is sent as soon as it is cut and its columnar
+//! kernels have run, so the consumer takes a split's first tensor while
+//! the rest are still being built.
 //!
 //! Either way the same functions run. Fetch is the only stage that
 //! *requests* work from the Master, deliver is the only one that
@@ -25,7 +30,7 @@ use crate::client::Envelope;
 use crate::master::Master;
 use crate::service::ChaosSlot;
 use crate::session::SessionSpec;
-use crate::worker::{ExecPlan, ExtractCostModel, Worker, WorkerReport};
+use crate::worker::{ExecPlan, ExtractCostModel, Tail, Worker, WorkerReport};
 use chaos::{FaultKind, HookPoint};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use dsi_obs::{
@@ -223,9 +228,10 @@ impl Stages {
         Ok(out)
     }
 
-    /// Stage 3: runs stage 2 on the fetched split, then batches it into
-    /// tensors and ships them. Always on the worker's own thread — it owns
-    /// the carry and the report.
+    /// Stage 3: runs stage 2 on the fetched split, then cuts it into
+    /// tensors and ships each one as soon as its kernels have run, so the
+    /// consumer takes the first while the rest are being built. Always on
+    /// the worker's own thread — it owns the carry and the report.
     fn deliver(
         &self,
         worker: &mut Worker,
@@ -234,27 +240,33 @@ impl Stages {
     ) -> Result<(), EndReason> {
         let (batch, delta) = self.transform(&f.split, f.trace, f.stripe)?;
         self.fire_worker_chaos()?;
-        let stage = self.open(f.trace, SpanKind::Load, f.split.index);
-        let mut tensors = worker.load_stage(batch, delta);
-        // Per-split flush keeps replay exact under failures (no cross-split
-        // rows inside any delivered tensor).
-        tensors.extend(worker.flush());
-        // All of a split's envelopes carry the Load span as their parent,
-        // so wire/client spans attach per delivered tensor.
-        let parent = stage.map_or(TraceContext::NONE, OpenStage::close);
-        if self.kill.load(Ordering::SeqCst) {
-            // Crash before delivering: the split replays on another worker,
-            // so rows are still delivered exactly once.
-            return Err(EndReason::Killed);
-        }
-        if tensors.is_empty() {
+        // Every split ships its own tail (no cross-split rows inside any
+        // delivered tensor keeps replay exact under failures), so the carry
+        // is empty here and the split's tensor count is known before the
+        // first send.
+        let total = batch.len().div_ceil(self.spec.batch_size);
+        if total == 0 {
+            if self.kill.load(Ordering::SeqCst) {
+                return Err(EndReason::Killed);
+            }
             // Nothing to deliver (e.g. sampling filtered every row): safe
             // to acknowledge immediately.
             let _ = self.master.complete_split(self.id, f.split.index);
             return Ok(());
         }
-        let total = tensors.len();
-        for (seq, tensor) in tensors.into_iter().enumerate() {
+        let mut seq = 0;
+        let mut stage = self.open(f.trace, SpanKind::Load, f.split.index);
+        worker.load_stage(batch, delta, Tail::Ship, |tensor| {
+            // One Load span per tensor, closed before the send: it is the
+            // envelope's parent, and time blocked on a full buffer is not
+            // load time.
+            let parent = stage.take().map_or(TraceContext::NONE, OpenStage::close);
+            if self.kill.load(Ordering::SeqCst) {
+                // Crash before delivering the rest: the split replays on
+                // another worker, and the ledger drops the tensors already
+                // delivered, so rows still arrive exactly once.
+                return Err(EndReason::Killed);
+            }
             let env = Envelope {
                 split: f.split.index,
                 seq: seq as u32,
@@ -264,13 +276,15 @@ impl Stages {
                 parent_span: parent.span_id,
                 tensor,
             };
-            if tx.send(env).is_err() {
-                return Err(EndReason::ShutDown);
+            tx.send(env).map_err(|_| EndReason::ShutDown)?;
+            seq += 1;
+            if seq < total {
+                stage = self.open(f.trace, SpanKind::Load, f.split.index);
             }
-        }
+            Ok(())
+        })
         // Completion is acknowledged by the Client that consumes the
         // split's last tensor — not here.
-        Ok(())
     }
 
     /// Fires the `WorkerSplit` chaos hook: once per split, after decode
@@ -387,7 +401,14 @@ pub(crate) fn worker_loop(
             stages.deliver_all(&mut worker, &tx, || stages.fetch()),
             None,
         )
+    } else if let Err(end) = stages
+        .fetch()
+        .and_then(|f| stages.deliver(&mut worker, f, &tx))
+    {
+        (end, None)
     } else {
+        // The first split was fetched and delivered right here: it does
+        // not wait on a thread that has only just been spawned.
         let (fetched, thread) = stages.spawn_fetch(depth);
         let end = stages.deliver_all(&mut worker, &tx, || loop {
             if stages.kill.load(Ordering::SeqCst) {

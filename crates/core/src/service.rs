@@ -1081,6 +1081,103 @@ mod tests {
     }
 
     #[test]
+    fn split_streams_its_tensors_and_acks_on_the_last() {
+        // One worker, a one-slot buffer and 4 batches per 16-row split: the
+        // worker ships each tensor as soon as it is cut, so the trainer
+        // takes a split's first tensor while its last one is still being
+        // built, and the split is acknowledged only by its last tensor.
+        use dsi_obs::SpanKind;
+        for read_ahead in [0, 2] {
+            let table = build_table(2, 64);
+            let mut sp = spec(2);
+            sp.read_ahead = read_ahead;
+            sp.batch_size = 4;
+            sp.buffer_capacity = 1;
+            sp.trace = dsi_trace::TraceConfig::all();
+            let reg = dsi_obs::Registry::new();
+            let session =
+                DppSession::launch_observed_chaos(table, sp, 1, Some(&reg), None).unwrap();
+            let mut client = session.client();
+            let first = client.next_batch().unwrap();
+            assert_eq!(first.labels[0], 0.0, "split 0 comes first");
+            assert_eq!(
+                session.master().ledger(|l| l.state(0)),
+                crate::SplitState::InFlight(WorkerId(0)),
+                "read_ahead={read_ahead}: split 0 acked before its last tensor"
+            );
+            let mut labels = drain_labels(&mut client);
+            labels.extend(first.labels.iter().map(|&l| l as u32));
+            labels.sort_unstable();
+            assert_eq!(labels, (0..128).collect::<Vec<_>>());
+            session.shutdown();
+
+            let spans = reg.trace_spans();
+            let splits: std::collections::BTreeSet<u64> = spans.iter().map(|s| s.split).collect();
+            assert_eq!(splits.len(), 8);
+            for split in splits {
+                let of = |kind| {
+                    spans
+                        .iter()
+                        .filter(move |s| s.kind == kind && s.split == split)
+                };
+                let first_deliver = of(SpanKind::Deliver).map(|s| s.start_ns).min().unwrap();
+                let last_load = of(SpanKind::Load).map(|s| s.end_ns).max().unwrap();
+                assert!(
+                    first_deliver < last_load,
+                    "read_ahead={read_ahead} split {split}: first Deliver at {first_deliver} \
+                     ns, after the last Load closed at {last_load} ns"
+                );
+                assert_eq!(of(SpanKind::Load).count(), 4, "one Load span per tensor");
+            }
+        }
+    }
+
+    #[test]
+    fn pipelined_decode_error_requeues_the_split() {
+        // A stripe corrupted in flight fails its checksum on the worker
+        // thread, after fetch handed the raw bytes over. The stream must
+        // end so the split requeues: a worker that skipped it would leave
+        // it in flight forever. Every wait is bounded, so that shows as a
+        // missing row within five seconds.
+        use chaos::{FaultEvent, FaultInjector, FaultKind, FaultPlan, HookPoint};
+        let table = build_table(4, 64);
+        let injector = FaultInjector::new(FaultPlan::named(vec![FaultEvent::new(
+            HookPoint::TectonicRead,
+            7,
+            FaultKind::CorruptChunk { xor: 0xA5 },
+        )]));
+        table.cluster().attach_chaos(Arc::clone(&injector));
+        let mut sp = spec(4);
+        sp.read_ahead = 2;
+        let session = DppSession::launch(table, sp, 1).unwrap();
+        let mut client = session.client();
+        let mut labels = Vec::new();
+        let mut idle = 0;
+        while idle < 100 {
+            match client.next_batch_deadline(std::time::Duration::from_millis(50)) {
+                Some(t) => labels.extend(t.labels.iter().map(|&l| l as u32)),
+                None if session.is_complete() => break,
+                None => {
+                    // The failed worker's splits requeue; stand in for the
+                    // control plane and restore capacity.
+                    if session.live_worker_threads() == 0 {
+                        session.spawn_worker();
+                    }
+                    idle += 1;
+                }
+            }
+        }
+        session.shutdown();
+        assert_eq!(injector.injected_count(), 1, "the corruption fired");
+        labels.sort_unstable();
+        assert_eq!(
+            labels,
+            (0..256).collect::<Vec<_>>(),
+            "every row exactly once"
+        );
+    }
+
+    #[test]
     fn transforms_applied_in_flight() {
         let table = build_table(1, 64);
         let mut spec = spec(1);

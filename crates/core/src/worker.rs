@@ -7,8 +7,10 @@
 //!    filtering unused features;
 //! 2. **transform** — applies the session's [`transforms::TransformPlan`]
 //!    locally to each mini-batch;
-//! 3. **load** — slices the columns into [`dsi_types::MiniBatchTensor`]s
-//!    and buffers them for Clients.
+//! 3. **load** — slices the columns into [`dsi_types::MiniBatchTensor`]s,
+//!    runs the columnar kernels on each, and hands every tensor on as soon
+//!    as it is built (to the Client buffers in a session, to a `Vec` in
+//!    [`Worker::process_split`]).
 //!
 //! The split stays in columns from stripe to tensor. Only sessions whose
 //! transform stage must see rows — dedup and `fastpath: false` — turn it
@@ -23,6 +25,7 @@
 use crate::session::SessionSpec;
 use dsi_types::{Batch, Bitmap, ColumnBatch, MiniBatchTensor, Result, WorkerId};
 use dwrf::IoPlan;
+use std::convert::Infallible;
 use std::ops::Range;
 use std::sync::Arc;
 use transforms::plan::PlanCost;
@@ -272,6 +275,16 @@ impl WorkerReport {
     }
 }
 
+/// What [`Worker::load_stage`] does with the rows short of a full batch.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Tail {
+    /// Keep them for the next split ([`Worker::process_split`]).
+    Carry,
+    /// Ship them as one last, short tensor, so a split that starts with an
+    /// empty carry cuts ⌈rows / batch⌉ tensors and none spans two splits.
+    Ship,
+}
+
 /// One stateless Worker bound to a session.
 #[derive(Debug)]
 pub struct Worker {
@@ -333,7 +346,12 @@ impl Worker {
         let (columns, plan) = self.scan.decode_split(fetched)?;
         let (transformed, delta) =
             Self::transform_stage(&self.spec, &self.exec, &self.cost, split, columns, &plan);
-        Ok(self.load_stage(transformed, delta))
+        let mut tensors = Vec::new();
+        let Ok(()) = self.load_stage(transformed, delta, Tail::Carry, |tensor| {
+            tensors.push(tensor);
+            Ok::<_, Infallible>(())
+        });
+        Ok(tensors)
     }
 
     /// The middle stage: extract accounting and the transform plan, on
@@ -411,33 +429,38 @@ impl Worker {
         (transformed, delta)
     }
 
-    /// The final stage: merges the transform stage's report delta and
-    /// slices the carry plus the transformed rows into tensors. Owns the
-    /// carry and the cumulative report, so it always runs on the worker's
-    /// own thread.
-    pub(crate) fn load_stage(
+    /// The final stage: merges the transform stage's report delta, then
+    /// cuts the carry plus the transformed rows into tensors and hands each
+    /// one to `ship` as soon as it is cut and its columnar kernels have run,
+    /// so the first tensor leaves before the rest are built. `tail` says
+    /// what happens to the rows short of a full batch. Stops at the first
+    /// error `ship` returns. Owns the carry and the cumulative report, so it
+    /// always runs on the worker's own thread.
+    pub(crate) fn load_stage<E>(
         &mut self,
         transformed: ColumnBatch,
         delta: WorkerReport,
-    ) -> Vec<MiniBatchTensor> {
+        tail: Tail,
+        mut ship: impl FnMut(MiniBatchTensor) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
         self.report.merge(&delta);
         let pending = std::mem::take(&mut self.carry).concat(transformed);
         let bs = self.spec.batch_size;
-        let full = pending.len() / bs * bs;
-        let tensors = (0..full)
-            .step_by(bs)
-            .map(|at| self.materialize(&pending, at..at + bs))
-            .collect();
-        self.carry = if full == 0 {
-            pending
-        } else if full < pending.len() {
-            let mut tail = Bitmap::zeros(pending.len());
-            (full..pending.len()).for_each(|row| tail.set(row));
-            pending.gather(&tail)
-        } else {
-            ColumnBatch::default()
+        let end = match tail {
+            Tail::Carry => pending.len() / bs * bs,
+            Tail::Ship => pending.len(),
         };
-        tensors
+        for at in (0..end).step_by(bs) {
+            ship(self.materialize(&pending, at..(at + bs).min(end)))?;
+        }
+        if end == 0 {
+            self.carry = pending;
+        } else if end < pending.len() {
+            let mut rest = Bitmap::zeros(pending.len());
+            (end..pending.len()).for_each(|row| rest.set(row));
+            self.carry = pending.gather(&rest);
+        }
+        Ok(())
     }
 
     /// Materializes any carried partial batch (end of session).

@@ -113,7 +113,8 @@ pub const DEDUP_RATIO: &str = "dsi_dedup_ratio";
 /// (zero-copy slicing and in-place decode work are not counted).
 pub const FASTPATH_BYTES_COPIED_TOTAL: &str = "dsi_fastpath_bytes_copied_total";
 /// Gauge, labels `{job}`: splits the fetch thread has read ahead of the one the
-/// worker thread just took to decode.
+/// worker thread just took to decode. A worker's first split is fetched on the
+/// worker thread itself, before the fetch thread starts, so it is not sampled.
 pub const FASTPATH_PREFETCH_DEPTH: &str = "dsi_fastpath_prefetch_depth";
 /// Histogram (seconds), labels `{job}`: how long each prefetched split sat read and
 /// ready before the worker thread took it to decode (storage I/O overlapped

@@ -289,9 +289,10 @@ fn tcp_transport_batches_bitwise_identical_to_in_process() {
 
 #[test]
 fn worker_loop_depth_changes_neither_tensors_nor_report() {
-    // `read_ahead` only moves fetch and transform onto their own threads:
-    // with one worker (so split order is fixed) every depth must deliver
-    // the same tensors in the same order and account the same work.
+    // `read_ahead` only moves fetch (after the first split) onto a thread
+    // of its own: with one worker (so split order is fixed) every depth
+    // must deliver the same tensors in the same order and account the
+    // same work.
     let table = wire_table(23);
     let run = |depth: usize| {
         let mut spec = wire_spec(Transport::InProcess);
