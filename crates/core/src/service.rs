@@ -375,8 +375,9 @@ impl DppSession {
         });
         // In-process: the worker's bounded channel *is* the endpoint. TCP:
         // the channel feeds a per-worker wire server, and the endpoint is
-        // fed by a client reader dialing it — same capacity on both hops,
-        // so backpressure reaches the worker exactly as before.
+        // fed by a client reader on a connection `connect` dials here,
+        // before it returns — same capacity on both hops, so backpressure
+        // reaches the worker exactly as before.
         let receiver = match spec.transport {
             Transport::InProcess => rx,
             Transport::Tcp(cfg) => {

@@ -19,6 +19,10 @@
 //!
 //! ## Reconnect with replay
 //!
+//! [`connect`] dials the first connection on the caller's thread, so it is
+//! queued at the listener before the reader thread starts; the reader's
+//! dial loop serves re-dials, and the first dial only if that one failed.
+//!
 //! A frame stays in the window until credited. When a connection dies
 //! (fault injection, torn frame, checksum mismatch), the client dials
 //! again and the server writes every unacked frame again, in order, before
@@ -494,10 +498,14 @@ fn server_loop(
 /// the trainer-side backpressure matches the in-process path; the reader
 /// grants one flow-control credit per envelope it enqueues.
 ///
-/// The reader reconnects on any connection failure (counting
-/// `dsi_wire_reconnects_total`) and exits — dropping its sender, which the
-/// DPP client observes as the endpoint disconnecting — on a `Goodbye`
-/// frame, on channel teardown, or once the server stops answering dials.
+/// The first dial happens here, on the caller's thread, so the connection
+/// is already in the server's accept queue when this returns and the
+/// reader starts reading on it. If that dial fails, the reader dials
+/// instead. On any later connection failure the reader dials again
+/// (counting `dsi_wire_reconnects_total`). It exits — dropping its sender,
+/// which the DPP client observes as the endpoint disconnecting — on a
+/// `Goodbye` frame, on channel teardown, or once the server stops
+/// answering dials.
 ///
 /// `job` labels this client's wire metrics (the owning session id; empty
 /// for unlabeled standalone transfers).
@@ -510,18 +518,34 @@ pub fn connect(
 ) -> Receiver<WireEnvelope> {
     let (tx, rx) = bounded(capacity.max(1));
     let job = job.to_string();
+    let first = TcpStream::connect(("127.0.0.1", port)).ok();
     thread::Builder::new()
         .name(format!("wire-client-{port}"))
-        .spawn(move || client_loop(port, cfg, tx, obs, job))
+        .spawn(move || client_loop(port, first, cfg, tx, obs, job))
         .expect("spawn wire client thread");
     rx
 }
 
-fn client_loop(port: u16, cfg: WireConfig, tx: Sender<WireEnvelope>, obs: WireObs, job: String) {
+/// The reader: starts on `first` when [`connect`]'s dial succeeded, and
+/// dials itself otherwise and after every dead connection.
+fn client_loop(
+    port: u16,
+    mut first: Option<TcpStream>,
+    cfg: WireConfig,
+    tx: Sender<WireEnvelope>,
+    obs: WireObs,
+    job: String,
+) {
     let mut connected_before = false;
     let mut failed_dials = 0u32;
+    // Every credit is the same frame.
+    let credit = encode_frame(FrameKind::Credit, 0, 1, &[]);
     'dial: loop {
-        let mut stream = match TcpStream::connect(("127.0.0.1", port)) {
+        let dialed = match first.take() {
+            Some(s) => Ok(s),
+            None => TcpStream::connect(("127.0.0.1", port)),
+        };
+        let mut stream = match dialed {
             Ok(s) => s,
             Err(_) => {
                 failed_dials += 1;
@@ -581,7 +605,6 @@ fn client_loop(port: u16, cfg: WireConfig, tx: Sender<WireEnvelope>, obs: WireOb
                     if tx.send(env).is_err() {
                         return; // endpoint dropped; session is shutting down
                     }
-                    let credit = encode_frame(FrameKind::Credit, 0, 1, &[]);
                     if write_all_retry(&mut stream, &credit, &|| false).is_err() {
                         continue 'dial;
                     }
@@ -715,6 +738,65 @@ mod tests {
     }
 
     #[test]
+    fn connect_queues_its_connection_before_it_returns() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).expect("non-blocking");
+        let port = listener.local_addr().expect("addr").port();
+        let out = connect(port, WireConfig::plaintext(), 1, no_obs(), "");
+        let (mut peer, _) = listener
+            .accept()
+            .expect("connect dials before it returns, not on the reader thread");
+        drop(listener);
+        peer.set_nonblocking(false).expect("blocking");
+        let goodbye = encode_frame(FrameKind::Goodbye, 0, 0, &[]);
+        write_all_retry(&mut peer, &goodbye, &|| false).expect("goodbye");
+        // The reader read the Goodbye on the connection it was handed.
+        assert!(matches!(
+            out.recv_timeout(Duration::from_secs(5)),
+            Err(RecvTimeoutError::Disconnected)
+        ));
+    }
+
+    fn reconnects(reg: &Registry) -> u64 {
+        reg.counter_value(names::WIRE_RECONNECTS_TOTAL, &[])
+    }
+
+    #[test]
+    fn a_clean_transfer_dials_once_and_replays_nothing() {
+        let reg = Registry::new();
+        let obs: WireObs = Arc::new(Mutex::new(Some(reg.clone())));
+        let (tx, rx) = bounded::<WireEnvelope>(2);
+        let cfg = WireConfig::plaintext();
+        let server = WireServer::serve(rx, cfg, 2, obs.clone(), no_chaos(), "").expect("serve");
+        let out = connect(server.port(), cfg, 2, obs, "");
+        let producer = thread::spawn(move || {
+            for i in 0..8u64 {
+                let mut env = envelope(i, 0, true);
+                env.trace_id = 1 + i;
+                tx.send(env).expect("send");
+            }
+        });
+        let mut splits = Vec::new();
+        while let Ok(env) = out.recv() {
+            splits.push(env.split);
+        }
+        producer.join().expect("producer");
+        server.join();
+        assert_eq!(splits, (0..8).collect::<Vec<_>>());
+        assert_eq!(reconnects(&reg), 0, "a clean transfer re-dialed");
+        let spans = reg.trace_spans();
+        let sends: Vec<_> = spans
+            .iter()
+            .filter(|s| s.kind == SpanKind::WireSend)
+            .collect();
+        assert!(
+            !sends.iter().any(|s| s.is_replay()),
+            "a clean transfer replayed a frame"
+        );
+        assert_eq!(sends.len(), 8, "one send per frame");
+    }
+
+    #[test]
     fn chaos_drops_force_reconnect_and_replay_covers_all() {
         let plan = FaultPlan::named(vec![
             FaultEvent::new(HookPoint::WireFrame, 2, FaultKind::ConnDrop),
@@ -757,9 +839,9 @@ mod tests {
 
     #[test]
     fn traced_frames_record_send_recv_spans_and_replay_siblings() {
-        // Sever the connection at the second frame: that frame stays
-        // unacked and is replayed on reconnect, which must surface as a
-        // sibling WireSend span flagged as a replay.
+        // Sever the connection at the first frame (`nth` is 1-based): it
+        // stays unacked and is replayed on reconnect, which must surface as
+        // a sibling WireSend span flagged as a replay.
         let plan = FaultPlan::named(vec![FaultEvent::new(
             HookPoint::WireFrame,
             1,
@@ -788,6 +870,7 @@ mod tests {
         producer.join().expect("producer");
         server.join();
         assert_eq!(delivered.len(), 4);
+        assert_eq!(reconnects(&reg), 1, "one drop, one re-dial");
 
         let spans = reg.trace_spans();
         let sends: Vec<_> = spans

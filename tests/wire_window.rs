@@ -26,10 +26,21 @@
 //! - `Goodbye` goes out only once every admitted frame was received;
 //! - once faults stop, a fault-free schedule reaches `Goodbye`, with every
 //!   admitted frame received.
+//!
+//! A smoke test then runs the real thing once: a `WireServer` and
+//! `wire::connect` over localhost TCP, with one connection drop mid-stream.
 
 use std::collections::{HashSet, VecDeque};
 use std::hash::{DefaultHasher, Hash, Hasher};
-use wire::SendWindow;
+use std::sync::Arc;
+use std::thread;
+use std::time::Duration;
+
+use chaos::{FaultEvent, FaultInjector, FaultKind, FaultPlan, HookPoint};
+use crossbeam::channel::{bounded, RecvTimeoutError};
+use dsi_obs::{names, Registry};
+use dsi_types::{Batch, FeatureId, Sample, SparseList, WorkerId};
+use wire::{SendWindow, WireChaos, WireConfig, WireEnvelope, WireObs, WireServer};
 
 /// A data frame is its admission index.
 type Frame = u8;
@@ -434,4 +445,100 @@ fn send_window_delivers_every_frame_at_the_full_bound() {
         println!("window {window}, {frames} frames, channel {channel}, {drops} drops: {cov:?}");
         assert_covered(&cov);
     }
+}
+
+fn envelope(split: u64) -> WireEnvelope {
+    let mut batch = Batch::new();
+    for i in 0..8u64 {
+        let mut s = Sample::new((split * 10 + i) as f32);
+        s.set_dense(FeatureId(1), split as f32 * 0.5 + i as f32);
+        s.set_sparse(
+            FeatureId(2),
+            SparseList::from_ids(vec![i, split, split * i]),
+        );
+        batch.push(s);
+    }
+    WireEnvelope {
+        split,
+        seq: 0,
+        last: true,
+        worker: WorkerId(3),
+        trace_id: 0,
+        parent_span: 0,
+        tensor: batch.materialize(&[FeatureId(1)], &[FeatureId(2)]),
+    }
+}
+
+/// One connection drop over real TCP, ciphered and compressed: the server
+/// severs the connection instead of writing frame `DROP_AT`. The client
+/// re-dials once, and the server writes every frame still unacked again
+/// before the rest. So the stream the client sees is `0..a` from the first
+/// connection and `j..N` from the second, where the replay start `j` is no
+/// later than `a` (only received frames are credited) and no earlier than
+/// `DROP_AT + 1 - WINDOW` (the window had room for frame `DROP_AT`): the
+/// only duplicates are frames that were unacked at the drop.
+#[test]
+fn tcp_reconnect_replays_only_unacked_frames_bitwise() {
+    const N: u64 = 24;
+    const WINDOW: u64 = 4;
+    const DROP_AT: u64 = 10;
+    // `nth` counts writes from 1, replays included; none precede the drop.
+    let plan = FaultPlan::named(vec![FaultEvent::new(
+        HookPoint::WireFrame,
+        DROP_AT + 1,
+        FaultKind::ConnDrop,
+    )]);
+    let chaos = WireChaos::default();
+    *chaos.write() = Some(FaultInjector::new(plan));
+    let reg = Registry::new();
+    let obs = WireObs::default();
+    *obs.lock() = Some(reg.clone());
+    let cfg = WireConfig {
+        encrypt: true,
+        compress: true,
+        key: 0x5EED,
+    };
+
+    let (tx, rx) = bounded(WINDOW as usize);
+    let server = WireServer::serve(rx, cfg, WINDOW as usize, Arc::clone(&obs), chaos, "")
+        .expect("bind a localhost wire server");
+    let out = wire::connect(server.port(), cfg, WINDOW as usize, obs, "");
+    let producer = thread::spawn(move || {
+        for split in 0..N {
+            tx.send(envelope(split))
+                .expect("the server takes every envelope");
+        }
+    });
+    // A bug that loses a frame leaves both ends waiting on each other, so
+    // a stall fails the test instead of hanging it.
+    let mut got = Vec::new();
+    loop {
+        match out.recv_timeout(Duration::from_secs(5)) {
+            Ok(env) => {
+                assert!(
+                    env == envelope(env.split),
+                    "split {} changed on the wire",
+                    env.split
+                );
+                got.push(env.split);
+            }
+            Err(RecvTimeoutError::Disconnected) => break,
+            Err(RecvTimeoutError::Timeout) => panic!("the stream stalled after {got:?}"),
+        }
+    }
+    producer.join().expect("producer");
+    server.join();
+
+    let a = got.iter().zip(0..).take_while(|(s, i)| *s == i).count() as u64;
+    let j = got.get(a as usize).copied().expect("frames after the drop");
+    assert_eq!(got[a as usize..], (j..N).collect::<Vec<_>>()[..], "{got:?}");
+    assert!(
+        a <= DROP_AT,
+        "frame {DROP_AT} went out on the dropped connection: {got:?}"
+    );
+    assert!(
+        DROP_AT + 1 - WINDOW <= j && j <= a,
+        "replay from {j} after {a} received: {got:?}"
+    );
+    assert_eq!(reg.counter_value(names::WIRE_RECONNECTS_TOTAL, &[]), 1);
 }
