@@ -74,10 +74,10 @@ impl HookPoint {
 pub enum FaultKind {
     /// Storage read fails with `DsiError::Unavailable` (node IO error).
     IoError,
-    /// Storage read succeeds but a straggler disk charges `micros` of
-    /// extra simulated latency first.
+    /// Storage read succeeds, but a straggler disk stalls the reading
+    /// thread for `micros` of wall time first; the bytes are unchanged.
     SlowIo {
-        /// Simulated extra latency in microseconds.
+        /// Wall-clock stall in microseconds.
         micros: u64,
     },
     /// One byte of the returned chunk is XOR-flipped with `xor`

@@ -17,27 +17,26 @@
 //! the rest are still being built.
 //!
 //! Either way the same functions run. Fetch is the only stage that
-//! *requests* work from the Master, deliver is the only one that
-//! *acknowledges* or ships it, and everything between is stateless (its
-//! accounting travels to load as a [`WorkerReport`] delta), so the
-//! exactly-once envelope protocol does not depend on depth: a split is in
-//! flight from `request_split` until the client acks its last tensor,
-//! wherever it sits in the pipe. The stream ends with an [`EndReason`],
-//! which flows through the same path as the items and is settled with the
-//! Master in one place.
+//! *requests* work from the Master and touches nothing of the [`Worker`];
+//! deliver, on the worker thread, decodes, transforms and loads with the
+//! worker's carry and report and is the only stage that *acknowledges* or
+//! ships a split, so the exactly-once envelope protocol does not depend on
+//! depth: a split is in flight from `request_split` until the client acks
+//! its last tensor, wherever it sits in the pipe. The stream ends with an
+//! [`EndReason`], which flows through the same path as the items and is
+//! settled with the Master in one place.
 
 use crate::client::Envelope;
 use crate::master::Master;
 use crate::service::ChaosSlot;
-use crate::session::SessionSpec;
-use crate::worker::{ExecPlan, ExtractCostModel, Tail, Worker, WorkerReport};
+use crate::worker::{Tail, Worker, WorkerReport};
 use chaos::{FaultKind, HookPoint};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use dsi_obs::{
     names, next_span_id, now_ns, observe_stage_seconds, stage, Registry, SpanKind, TraceContext,
     TraceSpan,
 };
-use dsi_types::{ColumnBatch, WorkerId};
+use dsi_types::WorkerId;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -79,8 +78,8 @@ struct Fetched {
 }
 
 /// What the stages of one worker read but never write; cloned into the
-/// fetch thread. The carry and the report stay with the [`Worker`], which
-/// only the deliver stage touches.
+/// fetch thread. The session spec, plan, carry and report stay with the
+/// [`Worker`], which only the deliver stage touches.
 #[derive(Clone)]
 struct Stages {
     master: Master,
@@ -92,9 +91,6 @@ struct Stages {
     job: Arc<str>,
     chaos: ChaosSlot,
     scan: TableScan,
-    spec: Arc<SessionSpec>,
-    exec: Arc<ExecPlan>,
-    cost: ExtractCostModel,
 }
 
 /// A stage that has started; [`OpenStage::close`] records it. This is the
@@ -204,47 +200,34 @@ impl Stages {
         })
     }
 
-    /// Stage 2, on the worker's own thread: decodes the fetched stripe,
-    /// then runs extract accounting plus the row-path transform plan (on
-    /// the fast path that is the `Sampling` filter alone; the columnar
-    /// kernels run in [`Worker::load_stage`]). A stripe that does not
-    /// decode — a stream failing its checksum — ends the stream.
-    fn transform(
-        &self,
-        split: &Split,
-        trace: TraceContext,
-        stripe: FetchedSplit,
-    ) -> Result<(ColumnBatch, WorkerReport), EndReason> {
-        let (columns, plan) = self
-            .scan
-            .decode_split(stripe)
-            .map_err(|_| EndReason::StageFailed)?;
-        let stage = self.open(trace, SpanKind::Transform, split.index);
-        let out =
-            Worker::transform_stage(&self.spec, &self.exec, &self.cost, split, columns, &plan);
-        if let Some(s) = stage {
-            s.close();
-        }
-        Ok(out)
-    }
-
-    /// Stage 3: runs stage 2 on the fetched split, then cuts it into
-    /// tensors and ships each one as soon as its kernels have run, so the
-    /// consumer takes the first while the rest are being built. Always on
-    /// the worker's own thread — it owns the carry and the report.
+    /// Stage 2, always on the worker's own thread: decodes the fetched
+    /// stripe, runs extract accounting plus the row-path transform plan (on
+    /// the fast path that is the `Sampling` filter alone), then cuts the
+    /// split into tensors and ships each one as soon as its columnar
+    /// kernels have run, so the consumer takes the first while the rest are
+    /// being built. A stripe that does not decode — a stream failing its
+    /// checksum — ends the stream.
     fn deliver(
         &self,
         worker: &mut Worker,
         f: Fetched,
         tx: &Sender<Envelope>,
     ) -> Result<(), EndReason> {
-        let (batch, delta) = self.transform(&f.split, f.trace, f.stripe)?;
+        let (columns, plan) = self
+            .scan
+            .decode_split(f.stripe)
+            .map_err(|_| EndReason::StageFailed)?;
+        let stage = self.open(f.trace, SpanKind::Transform, f.split.index);
+        let batch = worker.transform_stage(&f.split, columns, &plan);
+        if let Some(s) = stage {
+            s.close();
+        }
         self.fire_worker_chaos()?;
         // Every split ships its own tail (no cross-split rows inside any
         // delivered tensor keeps replay exact under failures), so the carry
         // is empty here and the split's tensor count is known before the
         // first send.
-        let total = batch.len().div_ceil(self.spec.batch_size);
+        let total = batch.len().div_ceil(worker.spec.batch_size);
         if total == 0 {
             if self.kill.load(Ordering::SeqCst) {
                 return Err(EndReason::Killed);
@@ -256,7 +239,7 @@ impl Stages {
         }
         let mut seq = 0;
         let mut stage = self.open(f.trace, SpanKind::Load, f.split.index);
-        worker.load_stage(batch, delta, Tail::Ship, |tensor| {
+        worker.load_stage(batch, Tail::Ship, |tensor| {
             // One Load span per tensor, closed before the send: it is the
             // envelope's parent, and time blocked on a full buffer is not
             // load time.
@@ -392,9 +375,6 @@ pub(crate) fn worker_loop(
         obs,
         chaos,
         scan: worker.scan.clone(),
-        spec: Arc::clone(&worker.spec),
-        exec: Arc::clone(&worker.exec),
-        cost: worker.cost,
     };
     let (end, fetch_thread) = if depth == 0 {
         (
@@ -444,6 +424,7 @@ pub(crate) fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::SessionSpec;
     use dsi_types::{Projection, SessionId, TableId};
 
     #[test]
@@ -451,7 +432,7 @@ mod tests {
         let cluster = tectonic::TectonicCluster::new(tectonic::ClusterConfig::small());
         let table = warehouse::Table::create(cluster, warehouse::TableConfig::new(TableId(1), "t"))
             .unwrap();
-        let spec = Arc::new(SessionSpec::builder(SessionId(4)).build());
+        let spec = SessionSpec::builder(SessionId(4)).build();
         let stages = Stages {
             master: Master::new(spec.id, Vec::new()),
             id: WorkerId(0),
@@ -461,9 +442,6 @@ mod tests {
             job: "sess4".into(),
             chaos: Arc::default(),
             scan: table.scan(spec.partitions(), Projection::new(Vec::new())),
-            exec: Arc::new(ExecPlan::for_spec(&spec)),
-            spec,
-            cost: ExtractCostModel::default(),
         };
         let sampled = TraceContext {
             trace_id: 7,

@@ -87,42 +87,41 @@ impl LiveTrainer {
     /// Consumes up to `max_batches` batches (or until the session ends),
     /// returning the stall report and the number of samples trained.
     ///
-    /// At `depth` 0 the trainer's own thread fetches each batch and then
-    /// trains on it. At depth ≥ 1 a dedicated thread fetches through a
-    /// `depth`-deep bounded buffer, so the next tensor's network/deserialize
-    /// latency overlaps the current batch's GPU time instead of extending
-    /// the stall — the trainer-side leg of the end-to-end fastpath pipeline.
-    /// Either way at most `max_batches` tensors leave the client, so a
+    /// Each iteration waits on the client for a tensor (time blocked there
+    /// is the stall), then occupies the GPU for the batch's service time.
+    /// The client already reads from bounded worker buffers (and, on TCP,
+    /// a reader thread decodes frames), so the trainer's own thread does
+    /// the fetching. At most `max_batches` tensors leave the client, so a
     /// capped run leaves the rest for the next call.
-    pub fn train(&mut self, max_batches: u64, depth: usize) -> (StallReport, u64) {
-        let client = &mut self.client;
-        let (report, samples) = if depth == 0 {
-            let next = || client.next_batch().map(|t| (t, client.last_trace()));
-            consume(self.samples_per_sec, &self.registry, max_batches, next)
-        } else {
-            // The prefetch channel carries each tensor's delivery trace
-            // context alongside it, so Consume spans stay attached to the
-            // right trace even with `depth` tensors in flight between
-            // fetch and consume.
-            let (tx, rx) = crossbeam::channel::bounded(depth);
-            std::thread::scope(|scope| {
-                scope.spawn(move || {
-                    for _ in 0..max_batches {
-                        let Some(tensor) = client.next_batch() else {
-                            break;
-                        };
-                        let trace = client.last_trace();
-                        if tx.send((tensor, trace)).is_err() {
-                            break;
-                        }
-                    }
-                });
-                // The consumer takes every tensor the fetcher sends (at most
-                // `max_batches`); `rx` dropping with this closure only
-                // unblocks the fetcher if the consumer panics.
-                let next = move || rx.recv().ok();
-                consume(self.samples_per_sec, &self.registry, max_batches, next)
-            })
+    pub fn train(&mut self, max_batches: u64) -> (StallReport, u64) {
+        let start = Instant::now();
+        let mut stalled = Duration::ZERO;
+        let mut batches = 0u64;
+        let mut samples = 0u64;
+        while batches < max_batches {
+            let wait_start = Instant::now();
+            let Some(tensor) = self.client.next_batch() else {
+                break;
+            };
+            stalled += wait_start.elapsed();
+            let trace = self.client.last_trace();
+            batches += 1;
+            samples += tensor.batch_size() as u64;
+            let service = tensor.batch_size() as f64 / self.samples_per_sec;
+            let consume_start = dsi_obs::now_ns();
+            spin_sleep(Duration::from_secs_f64(service));
+            record_consume(&self.registry, trace, consume_start);
+        }
+        let elapsed = start.elapsed();
+        let report = StallReport {
+            batches,
+            elapsed_secs: elapsed.as_secs_f64(),
+            stalled_secs: stalled.as_secs_f64(),
+            stall_fraction: if elapsed.is_zero() {
+                0.0
+            } else {
+                stalled.as_secs_f64() / elapsed.as_secs_f64()
+            },
         };
         if let Some(reg) = &self.registry {
             report.publish_metrics(reg, self.client.job());
@@ -134,46 +133,6 @@ impl LiveTrainer {
         }
         (report, samples)
     }
-}
-
-/// The consume loop: waits on `next` (time blocked there is the stall),
-/// then occupies the GPU for the batch's service time, until `max_batches`
-/// or `next` runs dry.
-fn consume(
-    samples_per_sec: f64,
-    registry: &Option<dsi_obs::Registry>,
-    max_batches: u64,
-    mut next: impl FnMut() -> Option<(dsi_types::MiniBatchTensor, dsi_obs::TraceContext)>,
-) -> (StallReport, u64) {
-    let start = Instant::now();
-    let mut stalled = Duration::ZERO;
-    let mut batches = 0u64;
-    let mut samples = 0u64;
-    while batches < max_batches {
-        let wait_start = Instant::now();
-        let Some((tensor, trace)) = next() else {
-            break;
-        };
-        stalled += wait_start.elapsed();
-        batches += 1;
-        samples += tensor.batch_size() as u64;
-        let service = tensor.batch_size() as f64 / samples_per_sec;
-        let consume_start = dsi_obs::now_ns();
-        spin_sleep(Duration::from_secs_f64(service));
-        record_consume(registry, trace, consume_start);
-    }
-    let elapsed = start.elapsed();
-    let report = StallReport {
-        batches,
-        elapsed_secs: elapsed.as_secs_f64(),
-        stalled_secs: stalled.as_secs_f64(),
-        stall_fraction: if elapsed.is_zero() {
-            0.0
-        } else {
-            stalled.as_secs_f64() / elapsed.as_secs_f64()
-        },
-    };
-    (report, samples)
 }
 
 /// Records the trainer-side `Consume` span: the GPU service time of one
@@ -261,7 +220,7 @@ mod tests {
         let session = DppSession::launch(table, spec(), 2).unwrap();
         // A slow GPU: preprocessing keeps up, stalls near 0.
         let mut trainer = LiveTrainer::new(session.client(), 32_000.0);
-        let (report, samples) = trainer.train(u64::MAX, 0);
+        let (report, samples) = trainer.train(u64::MAX);
         assert_eq!(samples, 256);
         assert_eq!(report.batches, 8);
         session.shutdown();
@@ -312,7 +271,7 @@ mod tests {
         let reg = dsi_obs::Registry::new();
         session.attach_registry(&reg);
         let mut trainer = LiveTrainer::new(session.client(), 320_000.0).with_registry(&reg);
-        let (report, samples) = trainer.train(u64::MAX, 0);
+        let (report, samples) = trainer.train(u64::MAX);
         session.shutdown();
         // Trainer metrics carry the session's `job` label.
         let job = [("job", "sess1")];
@@ -331,72 +290,47 @@ mod tests {
     }
 
     #[test]
-    fn consume_spans_terminate_traces_at_every_depth() {
-        for depth in [0, 2] {
-            let table = build_table(128);
-            let mut s = spec();
-            s.trace = dsi_trace::TraceConfig::all();
-            let reg = dsi_obs::Registry::new();
-            let session = DppSession::launch_observed_chaos(table, s, 2, Some(&reg), None).unwrap();
-            let mut trainer = LiveTrainer::new(session.client(), 3_200_000.0).with_registry(&reg);
-            let (_, samples) = trainer.train(u64::MAX, depth);
-            assert_eq!(samples, 128);
-            session.shutdown();
-
-            let spans = reg.trace_spans();
-            dsi_trace::validate(&spans).expect("traces stay well-formed through Consume");
-            let consumes: Vec<_> = spans
-                .iter()
-                .filter(|sp| sp.kind == dsi_obs::SpanKind::Consume)
-                .collect();
-            assert!(
-                !consumes.is_empty(),
-                "depth {depth}: trainer recorded no Consume spans"
-            );
-            // Every Consume parents under a Deliver span of the same trace.
-            for c in &consumes {
-                assert!(
-                    spans.iter().any(|sp| sp.kind == dsi_obs::SpanKind::Deliver
-                        && sp.span_id == c.parent_id
-                        && sp.trace_id == c.trace_id),
-                    "Consume span must chain to a Deliver span"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn prefetched_training_matches_sequential_consumption() {
-        let table = build_table(256);
+    fn consume_spans_terminate_traces() {
+        let table = build_table(128);
         let mut s = spec();
-        s.read_ahead = 2; // worker-side pipeline on too
-        let session = DppSession::launch(table, s, 2).unwrap();
-        let mut trainer = LiveTrainer::new(session.client(), 320_000.0);
-        let (report, samples) = trainer.train(u64::MAX, 4);
-        assert_eq!(samples, 256);
-        assert_eq!(report.batches, 8);
+        s.trace = dsi_trace::TraceConfig::all();
+        let reg = dsi_obs::Registry::new();
+        let session = DppSession::launch_observed_chaos(table, s, 2, Some(&reg), None).unwrap();
+        let mut trainer = LiveTrainer::new(session.client(), 3_200_000.0).with_registry(&reg);
+        let (_, samples) = trainer.train(u64::MAX);
+        assert_eq!(samples, 128);
         session.shutdown();
+
+        let spans = reg.trace_spans();
+        dsi_trace::validate(&spans).expect("traces stay well-formed through Consume");
+        let consumes: Vec<_> = spans
+            .iter()
+            .filter(|sp| sp.kind == dsi_obs::SpanKind::Consume)
+            .collect();
+        assert!(!consumes.is_empty(), "trainer recorded no Consume spans");
+        // Every Consume parents under a Deliver span of the same trace.
+        for c in &consumes {
+            assert!(
+                spans.iter().any(|sp| sp.kind == dsi_obs::SpanKind::Deliver
+                    && sp.span_id == c.parent_id
+                    && sp.trace_id == c.trace_id),
+                "Consume span must chain to a Deliver span"
+            );
+        }
     }
 
     #[test]
     fn a_capped_run_leaves_every_untrained_tensor_to_the_next() {
-        // A capped run trains exactly its cap, and at any prefetch depth
-        // the tensors it did not train stay with the client: the fetcher
-        // takes no more than the cap, because a tensor taken from the
-        // client counts as delivered.
-        for depth in [0, 2] {
-            let table = build_table(256);
-            let session = DppSession::launch(table, spec(), 2).unwrap();
-            let mut trainer = LiveTrainer::new(session.client(), 320_000.0);
-            let (capped, first) = trainer.train(3, depth);
-            assert_eq!(capped.batches, 3);
-            let (_, rest) = trainer.train(u64::MAX, depth);
-            session.shutdown();
-            assert_eq!(
-                first + rest,
-                256,
-                "depth {depth}: a capped run lost tensors"
-            );
-        }
+        // A capped run trains exactly its cap, and the tensors it did not
+        // train stay with the client: a tensor taken from the client
+        // counts as delivered, so the trainer takes no more than the cap.
+        let table = build_table(256);
+        let session = DppSession::launch(table, spec(), 2).unwrap();
+        let mut trainer = LiveTrainer::new(session.client(), 320_000.0);
+        let (capped, first) = trainer.train(3);
+        assert_eq!(capped.batches, 3);
+        let (_, rest) = trainer.train(u64::MAX);
+        session.shutdown();
+        assert_eq!(first + rest, 256, "a capped run lost tensors");
     }
 }

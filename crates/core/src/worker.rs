@@ -289,12 +289,12 @@ pub(crate) enum Tail {
 #[derive(Debug)]
 pub struct Worker {
     id: WorkerId,
-    // Read-only after construction; the worker loop hands clones of these
-    // to its stages and its fetch thread.
+    // Read-only after construction; the worker loop hands a clone of the
+    // scan to its stages and its fetch thread.
     pub(crate) spec: Arc<SessionSpec>,
-    pub(crate) exec: Arc<ExecPlan>,
+    exec: ExecPlan,
     pub(crate) scan: TableScan,
-    pub(crate) cost: ExtractCostModel,
+    cost: ExtractCostModel,
     /// Rows left over after the last full mini-batch.
     carry: ColumnBatch,
     report: WorkerReport,
@@ -304,11 +304,10 @@ impl Worker {
     /// Creates a worker. `scan` must be the session's scan (same
     /// projection/policy the Master planned splits from).
     pub fn new(id: WorkerId, spec: Arc<SessionSpec>, scan: TableScan) -> Self {
-        let exec = Arc::new(ExecPlan::for_spec(&spec));
         Self {
             id,
+            exec: ExecPlan::for_spec(&spec),
             spec,
-            exec,
             scan,
             cost: ExtractCostModel::default(),
             carry: ColumnBatch::default(),
@@ -344,10 +343,9 @@ impl Worker {
     pub fn process_split(&mut self, split: &Split) -> Result<Vec<MiniBatchTensor>> {
         let fetched = self.scan.fetch_split(split, None)?;
         let (columns, plan) = self.scan.decode_split(fetched)?;
-        let (transformed, delta) =
-            Self::transform_stage(&self.spec, &self.exec, &self.cost, split, columns, &plan);
+        let transformed = self.transform_stage(split, columns, &plan);
         let mut tensors = Vec::new();
-        let Ok(()) = self.load_stage(transformed, delta, Tail::Carry, |tensor| {
+        let Ok(()) = self.load_stage(transformed, Tail::Carry, |tensor| {
             tensors.push(tensor);
             Ok::<_, Infallible>(())
         });
@@ -355,21 +353,17 @@ impl Worker {
     }
 
     /// The middle stage: extract accounting and the transform plan, on
-    /// already-read columns. Free of worker
-    /// state so it can run on a different thread than the owner of the
-    /// [`WorkerReport`]; its accounting comes back as a report delta for
-    /// [`Worker::load_stage`] to merge. It sees only this split's rows —
-    /// samples carried over from the previous split were transformed with
-    /// theirs — so `Sampling` draws by position in the split, whatever the
-    /// batch size left behind.
+    /// already-read columns, charged to the report as one split's worth.
+    /// It sees only this split's rows — samples carried over from the
+    /// previous split were transformed with theirs — so `Sampling` draws
+    /// by position in the split, whatever the batch size left behind.
     pub(crate) fn transform_stage(
-        spec: &SessionSpec,
-        exec: &ExecPlan,
-        cost: &ExtractCostModel,
+        &mut self,
         split: &Split,
         columns: ColumnBatch,
         plan: &IoPlan,
-    ) -> (ColumnBatch, WorkerReport) {
+    ) -> ColumnBatch {
+        let (spec, exec, cost) = (&self.spec, &self.exec, &self.cost);
         let mut delta = WorkerReport::default();
         // ---- extract accounting ----
         let decoded_bytes = columns.payload_bytes() as u64;
@@ -426,24 +420,21 @@ impl Worker {
         delta.dense_normalization_cycles = tcost.dense_normalization_cycles;
         delta.membw_bytes += tcost.membw_bytes;
         delta.splits = 1;
-        (transformed, delta)
+        self.report.merge(&delta);
+        transformed
     }
 
-    /// The final stage: merges the transform stage's report delta, then
-    /// cuts the carry plus the transformed rows into tensors and hands each
-    /// one to `ship` as soon as it is cut and its columnar kernels have run,
-    /// so the first tensor leaves before the rest are built. `tail` says
-    /// what happens to the rows short of a full batch. Stops at the first
-    /// error `ship` returns. Owns the carry and the cumulative report, so it
-    /// always runs on the worker's own thread.
+    /// The final stage: cuts the carry plus the transformed rows into
+    /// tensors and hands each one to `ship` as soon as it is cut and its
+    /// columnar kernels have run, so the first tensor leaves before the
+    /// rest are built. `tail` says what happens to the rows short of a
+    /// full batch. Stops at the first error `ship` returns.
     pub(crate) fn load_stage<E>(
         &mut self,
         transformed: ColumnBatch,
-        delta: WorkerReport,
         tail: Tail,
         mut ship: impl FnMut(MiniBatchTensor) -> std::result::Result<(), E>,
     ) -> std::result::Result<(), E> {
-        self.report.merge(&delta);
         let pending = std::mem::take(&mut self.carry).concat(transformed);
         let bs = self.spec.batch_size;
         let end = match tail {

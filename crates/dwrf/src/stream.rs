@@ -114,41 +114,9 @@ pub struct StreamInfo {
     pub checksum: u64,
 }
 
-/// Integrity checksum for stored streams, footers, and wire frames. Not
-/// cryptographic — it guards against bit rot and injected corruption, not
-/// adversaries (the stream cipher handles privacy).
-///
-/// FNV-style xor-multiply folding, but over four independent 64-bit lanes
-/// of 8-byte words instead of single bytes: byte-at-a-time FNV-1a is a
-/// strict serial dependency chain (~3 cycles *latency* per byte on the
-/// multiply), which showed up as a per-frame tax on the wire hot path.
-/// Four lanes keep the multiplier pipeline full, folding 32 bytes per
-/// round; the tail and the total length fold in byte-wise.
-pub fn checksum64(bytes: &[u8]) -> u64 {
-    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut lanes = [
-        SEED,
-        SEED ^ PRIME,
-        SEED.rotate_left(17),
-        SEED.rotate_left(31),
-    ];
-    let mut chunks = bytes.chunks_exact(32);
-    for c in &mut chunks {
-        for (lane, w) in lanes.iter_mut().zip(c.chunks_exact(8)) {
-            let v = u64::from_le_bytes(w.try_into().expect("8-byte word"));
-            *lane = (*lane ^ v).wrapping_mul(PRIME);
-        }
-    }
-    let mut h = lanes[0];
-    for &lane in &lanes[1..] {
-        h = (h ^ lane).wrapping_mul(PRIME);
-    }
-    for &b in chunks.remainder() {
-        h = (h ^ b as u64).wrapping_mul(PRIME);
-    }
-    (h ^ bytes.len() as u64).wrapping_mul(PRIME)
-}
+/// Re-exported so readers, writers, the wire codec and the benchmark
+/// keep importing the stream checksum from here.
+pub use dsi_types::rng::checksum64;
 
 /// The raw (unencoded) streams produced for one column of one stripe.
 pub type RawStreams = Vec<(StreamKind, Vec<u8>)>;

@@ -1,13 +1,12 @@
 //! Hardware simulation substrate for the DSI pipeline.
 //!
 //! The paper's storage nodes are HDD/SSD chassis behind Tectonic. This
-//! crate simulates the devices those nodes own, so that reads and appends
-//! charge real seek and transfer time against one virtual clock:
+//! crate is the device model those nodes own: [`device`] prices each IO
+//! with seek, rotation and transfer timing and counts IOs, bytes, seeks
+//! and busy time per device. Nothing waits on that modelled time; the
+//! live pipeline runs on the wall clock.
 //!
-//! * [`clock`] — a shareable virtual clock in nanoseconds;
-//! * [`device`] — HDD/SSD device models with seek/rotation/transfer timing.
-//!
-//! The paper's analytic node, datacenter-tax and power models, which price
+//! The paper's analytic node and datacenter-tax models, which price
 //! measured per-sample demand for the figures, live in the `dsi-bench`
 //! crate beside the `figures` binary.
 //!
@@ -24,8 +23,6 @@
 
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod device;
 
-pub use clock::SimClock;
 pub use device::{DeviceStats, DiskModel, IoRequest};

@@ -80,26 +80,6 @@ pub fn place_replicas_among(block: BlockId, candidates: &[NodeId], replicas: usi
         .collect()
 }
 
-/// Whole-chunk FNV-1a checksum folded 8 bytes at a time (word-at-a-time so
-/// verification costs stay proportional to bytes read, not a per-byte mix).
-pub fn chunk_checksum(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut chunks = bytes.chunks_exact(8);
-    for w in &mut chunks {
-        h = (h ^ u64::from_le_bytes(w.try_into().unwrap())).wrapping_mul(0x100_0000_01b3);
-        h ^= h >> 29;
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rem.len()].copy_from_slice(rem);
-        // Fold the length in so "abc" and "abc\0" differ.
-        h = (h ^ u64::from_le_bytes(tail) ^ (rem.len() as u64) << 56).wrapping_mul(0x100_0000_01b3);
-        h ^= h >> 29;
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,23 +205,5 @@ mod tests {
         let got = place_replicas_among(BlockId::new("f", 1), &live, 3);
         assert_eq!(got.len(), 2);
         assert!(got.contains(&NodeId(3)) && got.contains(&NodeId(7)));
-    }
-
-    #[test]
-    fn chunk_checksum_detects_single_bit_flips() {
-        let mut data = vec![0u8; 4096];
-        for (i, b) in data.iter_mut().enumerate() {
-            *b = (i % 251) as u8;
-        }
-        let clean = chunk_checksum(&data);
-        assert_eq!(clean, chunk_checksum(&data), "deterministic");
-        for pos in [0usize, 7, 8, 100, 4090, 4095] {
-            let mut bad = data.clone();
-            bad[pos] ^= 0x40;
-            assert_ne!(clean, chunk_checksum(&bad), "flip at {pos} undetected");
-        }
-        // Tail-length folding: a trailing zero byte changes the sum.
-        assert_ne!(chunk_checksum(b"abc"), chunk_checksum(b"abc\0"));
-        assert_ne!(chunk_checksum(b""), chunk_checksum(b"\0"));
     }
 }

@@ -10,21 +10,23 @@
 //! Node loss is detected by the heartbeat detector after K missed beats
 //! and healed by draining the priority rebuild queue under an IOPS budget
 //! ([`TectonicCluster::pump_rebuild`]), so rebuild traffic contends with
-//! foreground reads on the same simulated disks and clock.
+//! foreground reads on the same simulated disks.
 
-use crate::block::{chunk_checksum, place_replicas_among, BlockId, REPLICATION_FACTOR};
+use crate::block::{place_replicas_among, BlockId, REPLICATION_FACTOR};
 use crate::directory::{ChunkDirectory, ChunkInfo};
 use crate::heal::{HeartbeatDetector, RebuildProgress, RebuildQueue};
 use crate::node::{PagedChunk, StorageNode};
 use bytes::Bytes;
 use chaos::{FaultInjector, FaultKind, HookPoint};
+use dsi_types::rng::checksum64;
 use dsi_types::{DsiError, NodeId, Result};
 use fastpath::{ByteView, SourceChunk};
-use hwsim::{DeviceStats, DiskModel, SimClock};
+use hwsim::{DeviceStats, DiskModel};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Cluster construction parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,7 +135,6 @@ struct ClusterInner {
     detector: Mutex<HeartbeatDetector>,
     rebuild: Mutex<RebuildQueue>,
     replica_cursor: AtomicU64,
-    clock: SimClock,
     chaos: RwLock<Option<Arc<FaultInjector>>>,
     checksum_failures: AtomicU64,
     read_repairs: AtomicU64,
@@ -191,7 +192,6 @@ impl TectonicCluster {
                 detector: Mutex::new(HeartbeatDetector::new(node_count)),
                 rebuild: Mutex::new(RebuildQueue::new()),
                 replica_cursor: AtomicU64::new(0),
-                clock: SimClock::new(),
                 chaos: RwLock::new(None),
                 checksum_failures: AtomicU64::new(0),
                 read_repairs: AtomicU64::new(0),
@@ -205,11 +205,6 @@ impl TectonicCluster {
     /// The cluster's configuration.
     pub fn config(&self) -> &ClusterConfig {
         &self.inner.config
-    }
-
-    /// The shared simulated clock (advanced by IO service time).
-    pub fn clock(&self) -> &SimClock {
-        &self.inner.clock
     }
 
     /// Number of storage nodes.
@@ -271,7 +266,7 @@ impl TectonicCluster {
                     id,
                     ChunkInfo {
                         replicas: replicas.clone(),
-                        checksum: chunk_checksum(chunk.data()),
+                        checksum: checksum64(chunk.data()),
                         len: take as u64,
                     },
                 );
@@ -297,7 +292,7 @@ impl TectonicCluster {
                         "every replica of {path} block {block_index} is on a failed node"
                     )));
                 }
-                let (existing, _) = self.inner.nodes[holders[0].0 as usize]
+                let existing = self.inner.nodes[holders[0].0 as usize]
                     .lock()
                     .read(id, 0, within)?;
                 let mut combined = existing.to_vec();
@@ -323,7 +318,7 @@ impl TectonicCluster {
                     id,
                     ChunkInfo {
                         replicas: holders.clone(),
-                        checksum: chunk_checksum(combined.data()),
+                        checksum: checksum64(combined.data()),
                         len: combined.data().len() as u64,
                     },
                 );
@@ -371,36 +366,37 @@ impl TectonicCluster {
 
     /// Fires the `TectonicRead` chaos hook once per charged read.
     ///
-    /// Applies latency faults to the cluster clock immediately, surfaces
-    /// injected IO errors, and returns the corruption faults the caller
-    /// must apply: an in-flight XOR ([`FaultKind::CorruptChunk`]) and/or
-    /// at-rest replica corruption ([`FaultKind::CorruptReplica`]).
+    /// Surfaces injected IO errors, sleeps the reading thread for
+    /// [`FaultKind::SlowIo`] once the injector is released, and returns
+    /// the corruption faults the caller must apply: an in-flight XOR
+    /// ([`FaultKind::CorruptChunk`]) and/or at-rest replica corruption
+    /// ([`FaultKind::CorruptReplica`]).
     fn fire_read_chaos(&self, path: &str, offset: u64) -> Result<ReadChaos> {
-        let guard = self.inner.chaos.read();
-        let Some(injector) = guard.as_ref() else {
-            return Ok(ReadChaos::default());
-        };
         let mut chaos = ReadChaos::default();
-        for kind in injector.fire(HookPoint::TectonicRead) {
-            match kind {
-                FaultKind::IoError => {
-                    return Err(DsiError::Unavailable(format!(
-                        "chaos: injected IO error reading {path} at offset {offset}"
-                    )))
+        let mut stall = 0;
+        if let Some(injector) = self.inner.chaos.read().as_ref() {
+            for kind in injector.fire(HookPoint::TectonicRead) {
+                match kind {
+                    FaultKind::IoError => {
+                        return Err(DsiError::Unavailable(format!(
+                            "chaos: injected IO error reading {path} at offset {offset}"
+                        )))
+                    }
+                    FaultKind::SlowIo { micros } => stall += micros,
+                    FaultKind::CorruptChunk { xor: mask } => chaos.xor = Some(mask),
+                    FaultKind::CorruptReplica { xor: mask } => chaos.at_rest = Some(mask),
+                    _ => {}
                 }
-                FaultKind::SlowIo { micros } => {
-                    self.inner.clock.advance_ns(micros * 1_000);
-                }
-                FaultKind::CorruptChunk { xor: mask } => chaos.xor = Some(mask),
-                FaultKind::CorruptReplica { xor: mask } => chaos.at_rest = Some(mask),
-                _ => {}
             }
+        }
+        if stall > 0 {
+            std::thread::sleep(Duration::from_micros(stall));
         }
         Ok(chaos)
     }
 
-    /// Reads `len` bytes of `path` at `offset`, charging simulated disk
-    /// time on the chosen replicas and advancing the cluster clock.
+    /// Reads `len` bytes of `path` at `offset`, charging one disk IO on
+    /// the serving replica of each block the range touches.
     /// Checksums are verified on the serving node; a corrupt replica is
     /// transparently failed over and repaired in place.
     ///
@@ -445,8 +441,8 @@ impl TectonicCluster {
     }
 
     /// The one read body behind the four public reads. A charged read
-    /// fires the chaos hook once, charges disk time on the serving
-    /// replicas and advances the clock; an uncharged one only peeks. A
+    /// fires the chaos hook once and charges the serving replicas' disks;
+    /// an uncharged one only peeks. A
     /// single-block range is a zero-copy slice of the replica's bytes; a
     /// multi-block range is assembled, and in-flight corruption forces a
     /// private copy so the replica's stored bytes stay pristine for other
@@ -463,11 +459,10 @@ impl TectonicCluster {
         let mut slice = None;
         let mut owned = Vec::with_capacity(if single { 0 } else { len as usize });
         let mut corrupt_once = chaos.at_rest;
-        let mut total_ns = 0u64;
         let mut pos = offset;
         while pos < end {
             let take = (bs - pos % bs).min(end - pos);
-            let (bytes, ns) = self.read_block_verified(
+            let bytes = self.read_block_verified(
                 path,
                 pos / bs,
                 pos % bs,
@@ -480,10 +475,8 @@ impl TectonicCluster {
             } else {
                 owned.extend_from_slice(&bytes);
             }
-            total_ns += ns;
             pos += take;
         }
-        self.inner.clock.advance_ns(total_ns);
         let Some(mask) = chaos.xor else {
             return Ok(slice.map_or(Served::Assembled(owned), Served::Slice));
         };
@@ -533,7 +526,7 @@ impl TectonicCluster {
         take: u64,
         charge: bool,
         corrupt_first: Option<u8>,
-    ) -> Result<(Bytes, u64)> {
+    ) -> Result<Bytes> {
         let id = BlockId::new(path, block_index);
         let info = self
             .inner
@@ -569,18 +562,18 @@ impl TectonicCluster {
                 if charge {
                     n.read(id, within, take)
                 } else {
-                    n.peek(id, within, take).map(|b| (b, 0))
+                    n.peek(id, within, take)
                 }
             };
             match attempt {
-                Ok((bytes, ns)) => {
+                Ok(bytes) => {
                     if i > 0 {
                         self.inner.failovers.fetch_add(1, Ordering::Relaxed);
                     }
                     if !bad.is_empty() {
                         self.read_repair(id, &info, node, &bad);
                     }
-                    return Ok((bytes, ns));
+                    return Ok(bytes);
                 }
                 Err(DsiError::Corrupt(e)) => {
                     self.inner.checksum_failures.fetch_add(1, Ordering::Relaxed);
@@ -607,7 +600,7 @@ impl TectonicCluster {
             Ok(d) => d,
             Err(_) => return,
         };
-        if chunk_checksum(&data) != info.checksum {
+        if checksum64(&data) != info.checksum {
             return;
         }
         let chunk = PagedChunk::new(data);
@@ -729,15 +722,14 @@ impl TectonicCluster {
 
     /// Drains the rebuild queue under an IOPS budget: pops the most
     /// under-replicated chunks, copies each from a checksum-verified live
-    /// source onto rendezvous-chosen live targets (charging real disk time
-    /// on both ends, so rebuild contends with foreground reads), and
+    /// source onto rendezvous-chosen live targets (charging an IO to the
+    /// disks on both ends, so rebuild contends with foreground reads), and
     /// updates the directory. Chunks with no live verified source are
     /// requeued. The budget bounds the IOs *started* per call; one chunk
     /// may overshoot by its own cost.
     pub fn pump_rebuild(&self, io_budget: u64) -> RebuildProgress {
         let mut progress = RebuildProgress::default();
         let mut requeue: Vec<(BlockId, usize)> = Vec::new();
-        let mut total_ns = 0u64;
         let r = self.inner.config.replication;
         while progress.ios < io_budget {
             let Some(id) = self.inner.rebuild.lock().pop() else {
@@ -766,8 +758,7 @@ impl TectonicCluster {
                     .read(id, 0, info.len);
                 progress.ios += 1;
                 match attempt {
-                    Ok((bytes, ns)) if chunk_checksum(&bytes) == info.checksum => {
-                        total_ns += ns;
+                    Ok(bytes) if checksum64(&bytes) == info.checksum => {
                         data = Some(bytes);
                         break;
                     }
@@ -792,11 +783,11 @@ impl TectonicCluster {
             if needed > 0 && !spare.is_empty() {
                 let chunk = PagedChunk::new(data);
                 for target in place_replicas_among(id, &spare, needed) {
-                    if let Ok(ns) = self.inner.nodes[target.0 as usize]
+                    if self.inner.nodes[target.0 as usize]
                         .lock()
                         .store_charged(id, chunk.clone())
+                        .is_ok()
                     {
-                        total_ns += ns;
                         progress.ios += 1;
                         new_replicas.push(target);
                     }
@@ -822,39 +813,7 @@ impl TectonicCluster {
         self.inner
             .rebuild_ios
             .fetch_add(progress.ios, Ordering::Relaxed);
-        self.inner.clock.advance_ns(total_ns);
         progress
-    }
-
-    /// Re-replicates every block that lost a replica to a failed node by
-    /// declaring the failed nodes dead (skipping the heartbeat grace
-    /// period), queueing their chunks, and draining the rebuild queue with
-    /// an unbounded budget. Returns the number of chunks re-replicated.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DsiError::Unavailable`] if some chunk has no live,
-    /// checksum-verified replica to rebuild from.
-    pub fn repair(&self) -> Result<u64> {
-        let failed = self.failed_nodes();
-        if failed.is_empty() {
-            return Ok(0);
-        }
-        {
-            let mut detector = self.inner.detector.lock();
-            for &node in &failed {
-                detector.force_dead(node);
-            }
-        }
-        self.enqueue_chunks_of(&failed);
-        let progress = self.pump_rebuild(u64::MAX);
-        if progress.remaining > 0 {
-            return Err(DsiError::Unavailable(format!(
-                "{} chunks have no live replica to rebuild from",
-                progress.remaining
-            )));
-        }
-        Ok(progress.chunks_rebuilt)
     }
 
     /// Snapshot of the durability counters and degradation state.
@@ -977,6 +936,17 @@ impl TectonicCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heal::HEARTBEAT_K;
+
+    /// What production and `figures durability` do after node loss: the
+    /// detector declares the failed nodes dead after K missed beats, then
+    /// the rebuild queue drains with an unbounded budget.
+    fn heal(c: &TectonicCluster) -> RebuildProgress {
+        for _ in 0..HEARTBEAT_K {
+            c.heartbeat_tick();
+        }
+        c.pump_rebuild(u64::MAX)
+    }
 
     #[test]
     fn append_and_read_across_blocks() {
@@ -1043,7 +1013,10 @@ mod tests {
         let chunk = c.read_view("f", 1200, 600).unwrap();
         assert_eq!(chunk.copied_bytes, 0);
         assert_eq!(chunk.view.as_slice(), &data[1200..1800]);
-        assert!(c.clock().now_ns() > 0, "view reads still charge disk time");
+        assert!(
+            c.total_stats().busy_ns > 0,
+            "view reads still charge disk time"
+        );
 
         // Block-spanning range: must assemble, and says so.
         let chunk = c.read_view("f", 900, 2200).unwrap();
@@ -1059,15 +1032,34 @@ mod tests {
     }
 
     #[test]
-    fn reads_charge_disk_time_and_advance_clock() {
+    fn reads_charge_disk_time() {
         let c = TectonicCluster::new(ClusterConfig::small());
         c.append("f", Bytes::from(vec![0u8; 10_000])).unwrap();
-        assert_eq!(c.clock().now_ns(), 0);
+        assert_eq!(c.total_stats().busy_ns, 0);
         c.read("f", 0, 4096).unwrap();
-        assert!(c.clock().now_ns() > 0);
+        assert!(c.total_stats().busy_ns > 0);
         let stats = c.total_stats();
         assert_eq!(stats.ios, 1);
         assert_eq!(stats.bytes, 4096);
+    }
+
+    #[test]
+    fn slow_io_sleeps_the_reading_thread_and_keeps_the_bytes() {
+        use chaos::{FaultEvent, FaultPlan};
+        let c = TectonicCluster::new(ClusterConfig::small());
+        let data: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
+        c.append("f", Bytes::from(data.clone())).unwrap();
+        let injector = FaultInjector::new(FaultPlan::named(vec![FaultEvent::new(
+            HookPoint::TectonicRead,
+            1,
+            FaultKind::SlowIo { micros: 2_000 },
+        )]));
+        c.attach_chaos(Arc::clone(&injector));
+        let started = std::time::Instant::now();
+        let got = c.read("f", 100, 4096).unwrap();
+        assert!(started.elapsed() >= Duration::from_millis(2));
+        assert_eq!(injector.injected_count(), 1);
+        assert_eq!(got, &data[100..4196]);
     }
 
     #[test]
@@ -1133,7 +1125,7 @@ mod tests {
     }
 
     #[test]
-    fn repair_restores_replication_factor() {
+    fn rebuild_restores_replication_factor() {
         let c = TectonicCluster::new(ClusterConfig {
             nodes: 6,
             block_size: 512,
@@ -1142,7 +1134,9 @@ mod tests {
         });
         c.append("f", Bytes::from(vec![9u8; 4096])).unwrap();
         c.fail_node(NodeId(2));
-        let restored = c.repair().unwrap();
+        let progress = heal(&c);
+        assert_eq!(progress.remaining, 0);
+        let restored = progress.chunks_rebuilt;
         // Blocks that had a replica on node 2 were re-replicated.
         let meta = c.stat("f").unwrap();
         for replicas in &meta.blocks {
@@ -1155,10 +1149,10 @@ mod tests {
         }
         // Some blocks likely lived on node 2 (rendezvous spread).
         assert!(restored > 0, "expected restorations, got {restored}");
-        // After repair even the failed node's data is readable elsewhere.
+        // After the rebuild even the failed node's data is readable elsewhere.
         assert_eq!(c.read("f", 0, 4096).unwrap(), vec![9u8; 4096]);
-        // Repair is idempotent.
-        assert_eq!(c.repair().unwrap(), 0);
+        // Healing again finds nothing to do.
+        assert_eq!(heal(&c), RebuildProgress::default());
     }
 
     #[test]
@@ -1174,7 +1168,8 @@ mod tests {
         c.fail_node(NodeId(1));
         c.fail_node(NodeId(2));
         assert!(matches!(c.read("f", 0, 10), Err(DsiError::Unavailable(_))));
-        assert!(c.repair().is_err());
+        // No live source: the rebuild requeues the chunk instead.
+        assert_eq!(heal(&c).remaining, 1);
         // Recovery restores service (immutable blocks are still valid).
         c.recover_node(NodeId(0));
         c.recover_node(NodeId(1));

@@ -3,7 +3,7 @@
 //!
 //! Tectonic's metadata layer is modeled here as a flat map — each chunk
 //! records where its replicas live (chosen by rendezvous hashing over the
-//! live nodes at write time) and the FNV checksum of its full payload, so
+//! live nodes at write time) and the checksum of its full payload, so
 //! the rebuild worker can validate a source replica before fanning copies
 //! back out.
 
@@ -16,7 +16,7 @@ use std::collections::HashMap;
 pub struct ChunkInfo {
     /// Nodes currently holding (or assigned) a replica of this chunk.
     pub replicas: Vec<NodeId>,
-    /// Whole-chunk checksum of the canonical payload.
+    /// [`dsi_types::rng::checksum64`] of the canonical payload.
     pub checksum: u64,
     /// Payload length in bytes.
     pub len: u64,

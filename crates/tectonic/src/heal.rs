@@ -57,16 +57,6 @@ impl HeartbeatDetector {
         newly_dead
     }
 
-    /// Declares a node dead immediately (operator-initiated decommission —
-    /// the explicit `repair()` path skips the K-round grace period).
-    /// Returns true if the node was not already dead.
-    pub fn force_dead(&mut self, node: NodeId) -> bool {
-        if let Some(m) = self.missed.get_mut(node.0 as usize) {
-            *m = HEARTBEAT_K;
-        }
-        self.dead.insert(node)
-    }
-
     /// Clears a node's failure history (it rejoined the cluster).
     pub fn recover(&mut self, node: NodeId) {
         if let Some(m) = self.missed.get_mut(node.0 as usize) {
@@ -183,14 +173,6 @@ mod tests {
         // Recovery clears the dead mark.
         d.recover(NodeId(0));
         assert!(!d.is_dead(NodeId(0)));
-    }
-
-    #[test]
-    fn force_dead_skips_the_grace_period() {
-        let mut d = HeartbeatDetector::new(3);
-        assert!(d.force_dead(NodeId(1)));
-        assert!(!d.force_dead(NodeId(1)), "idempotent");
-        assert!(d.is_dead(NodeId(1)));
     }
 
     #[test]

@@ -4,14 +4,13 @@
 //! Files are split into fixed-size **blocks**, each replicated across three
 //! storage nodes for durability (§VII notes the 8× throughput-to-storage gap
 //! holds *even after* accounting for triplicate replication). Every storage
-//! node owns a simulated disk ([`hwsim::DiskModel`]), so reads charge real
-//! seek/transfer time and the cluster reports IOPS, throughput, and
-//! busy-time telemetry per node.
+//! node owns a simulated disk ([`hwsim::DiskModel`]), so each charged read
+//! counts its IO, bytes, seeks and modelled busy time on that node's
+//! device. The only clock a read waits on is the wall clock.
 //!
-//! * [`block`] — block sizing, rendezvous-hash replica placement, and the
-//!   whole-chunk checksum;
+//! * [`block`] — block sizing and rendezvous-hash replica placement;
 //! * [`node`] — a storage node: device + block store (with per-page
-//!   checksums verified on read) + telemetry;
+//!   [`dsi_types::rng::checksum64`] sums verified on read) + telemetry;
 //! * [`cluster`] — the name node and client API ([`TectonicCluster`]);
 //! * [`directory`] — the chunk directory mapping every block to its
 //!   replica set and checksum;
@@ -48,8 +47,7 @@ pub mod node;
 pub mod source;
 
 pub use block::{
-    chunk_checksum, place_replicas, place_replicas_among, BlockId, DEFAULT_BLOCK_SIZE,
-    REPLICATION_FACTOR,
+    place_replicas, place_replicas_among, BlockId, DEFAULT_BLOCK_SIZE, REPLICATION_FACTOR,
 };
 pub use cache::{CacheStats, SsdCache};
 pub use cluster::{ClusterConfig, DurabilityCounters, FileMeta, TectonicCluster};

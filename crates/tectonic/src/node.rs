@@ -1,8 +1,9 @@
 //! A storage node: one simulated disk plus its resident blocks and
 //! telemetry.
 
-use crate::block::{chunk_checksum, BlockId};
+use crate::block::BlockId;
 use bytes::Bytes;
+use dsi_types::rng::checksum64;
 use dsi_types::{DsiError, Result};
 use hwsim::{DeviceStats, DiskModel, IoRequest};
 use std::collections::HashMap;
@@ -24,7 +25,7 @@ pub struct PagedChunk {
 impl PagedChunk {
     /// Sums every [`CHECKSUM_PAGE`] of `data`.
     pub fn new(data: Bytes) -> Self {
-        let page_sums = data.chunks(CHECKSUM_PAGE).map(chunk_checksum).collect();
+        let page_sums = data.chunks(CHECKSUM_PAGE).map(checksum64).collect();
         Self { data, page_sums }
     }
 
@@ -53,7 +54,7 @@ impl StoredBlock {
         for page in first..=last {
             let lo = page * CHECKSUM_PAGE;
             let hi = (lo + CHECKSUM_PAGE).min(self.chunk.data.len());
-            if chunk_checksum(&self.chunk.data[lo..hi]) != self.chunk.page_sums[page] {
+            if checksum64(&self.chunk.data[lo..hi]) != self.chunk.page_sums[page] {
                 return Err(DsiError::corrupt(format!(
                     "checksum mismatch in block {id:?} page {page}"
                 )));
@@ -70,13 +71,6 @@ pub struct NodeStats {
     pub device: DeviceStats,
     /// Every served IO size in bytes (for distribution analysis, Table VI).
     pub io_sizes: Vec<u64>,
-}
-
-impl NodeStats {
-    /// Total bytes served.
-    pub fn bytes(&self) -> u64 {
-        self.device.bytes
-    }
 }
 
 /// One storage node holding replicated blocks on a simulated disk.
@@ -126,22 +120,25 @@ impl StorageNode {
     }
 
     /// Stores a block replica like [`StorageNode::store`] but also charges
-    /// one write IO of simulated disk time (rebuild/repair traffic that
-    /// must contend with foreground reads). Returns the service time in
-    /// nanoseconds.
+    /// one write IO to the disk (rebuild traffic that contends with
+    /// foreground reads on the same device).
     ///
     /// # Errors
     ///
     /// Returns [`DsiError::Exhausted`] if the disk is out of capacity.
-    pub fn store_charged(&mut self, id: BlockId, chunk: PagedChunk) -> Result<u64> {
+    pub fn store_charged(&mut self, id: BlockId, chunk: PagedChunk) -> Result<()> {
         let len = chunk.data.len() as u64;
         self.store(id, chunk)?;
-        let offset = self.next_offset - len;
-        let ns = self.disk.serve(IoRequest::new(offset, len));
+        self.charge(self.next_offset - len, len);
+        Ok(())
+    }
+
+    /// Charges one IO of `len` bytes at disk offset `offset`.
+    fn charge(&mut self, offset: u64, len: u64) {
+        self.disk.serve(IoRequest::new(offset, len));
         if self.record_io_sizes {
             self.io_sizes.push(len);
         }
-        Ok(ns)
     }
 
     /// Flips bits in a resident replica *without* refreshing its page
@@ -174,41 +171,28 @@ impl StorageNode {
         self.next_offset
     }
 
-    /// Reads `len` bytes at `offset` within block `id`, charging disk time
-    /// and verifying the checksums of every touched page. Returns the data
-    /// and the simulated service time in nanoseconds.
+    /// [`StorageNode::peek`]s `len` bytes at `offset` within block `id`,
+    /// then charges the read as one disk IO.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DsiError::NotFound`] / [`DsiError::Corrupt`] like
+    /// [`StorageNode::peek`]; a failed read charges nothing.
+    pub fn read(&mut self, id: BlockId, offset: u64, len: u64) -> Result<Bytes> {
+        let bytes = self.peek(id, offset, len)?;
+        self.charge(self.blocks[&id].offset + offset, len);
+        Ok(bytes)
+    }
+
+    /// Reads `len` bytes at `offset` within block `id` without charging the
+    /// device (cache-served data whose IO was accounted elsewhere),
+    /// verifying the checksums of every touched page.
     ///
     /// # Errors
     ///
     /// Returns [`DsiError::NotFound`] if the block is absent, or
     /// [`DsiError::Corrupt`] if the range exceeds the block or a touched
     /// page fails checksum verification.
-    pub fn read(&mut self, id: BlockId, offset: u64, len: u64) -> Result<(Bytes, u64)> {
-        let block = self
-            .blocks
-            .get(&id)
-            .ok_or_else(|| DsiError::not_found(format!("block {id:?}")))?;
-        let end = offset
-            .checked_add(len)
-            .filter(|&e| e <= block.chunk.data.len() as u64)
-            .ok_or_else(|| DsiError::corrupt("read beyond block"))?;
-        block.verify_range(id, offset, end)?;
-        let slice = block.chunk.data.slice(offset as usize..end as usize);
-        let disk_offset = block.offset;
-        let ns = self.disk.serve(IoRequest::new(disk_offset + offset, len));
-        if self.record_io_sizes {
-            self.io_sizes.push(len);
-        }
-        Ok((slice, ns))
-    }
-
-    /// Reads block bytes without charging the device (cache-served data
-    /// whose IO was accounted elsewhere). Still verifies touched pages.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DsiError::NotFound`] / [`DsiError::Corrupt`] like
-    /// [`StorageNode::read`].
     pub fn peek(&self, id: BlockId, offset: u64, len: u64) -> Result<Bytes> {
         let block = self
             .blocks
@@ -241,11 +225,6 @@ impl StorageNode {
         self.disk.reset_stats();
         self.io_sizes.clear();
     }
-
-    /// The node's disk model (for capacity/power queries).
-    pub fn disk(&self) -> &DiskModel {
-        &self.disk
-    }
 }
 
 #[cfg(test)]
@@ -266,9 +245,9 @@ mod tests {
         let mut n = node();
         let id = BlockId::new("f", 0);
         n.store(id, paged(vec![9u8; 1000])).unwrap();
-        let (data, ns) = n.read(id, 100, 50).unwrap();
+        let data = n.read(id, 100, 50).unwrap();
         assert_eq!(data.as_ref(), &[9u8; 50][..]);
-        assert!(ns > 0);
+        assert!(n.stats().device.busy_ns > 0);
         assert!(n.holds(id));
         assert_eq!(n.block_count(), 1);
         assert_eq!(n.stored_bytes(), 1000);
@@ -327,7 +306,7 @@ mod tests {
         // other replica, as they were.
         assert!(a.corrupt(id, 0x10));
         assert!(matches!(a.read(id, 0, 10), Err(DsiError::Corrupt(_))));
-        let (data, _) = b.read(id, 0, 2 * CHECKSUM_PAGE as u64 + 7).unwrap();
+        let data = b.read(id, 0, 2 * CHECKSUM_PAGE as u64 + 7).unwrap();
         assert!(data.iter().all(|&byte| byte == 5));
     }
 
@@ -340,7 +319,7 @@ mod tests {
         assert!(n.corrupt(id, 0xFF));
         assert!(n.read(id, 0, 10).is_err(), "touched corrupt page");
         // A read confined to the clean second page still succeeds.
-        let (data, _) = n.read(id, CHECKSUM_PAGE as u64, 50).unwrap();
+        let data = n.read(id, CHECKSUM_PAGE as u64, 50).unwrap();
         assert_eq!(data.as_ref(), &[3u8; 50][..]);
     }
 

@@ -36,18 +36,11 @@ use std::collections::{HashMap, HashSet};
 pub use dsi_obs::trace::{
     next_span_id, now_ns, SpanKind, SpanRing, TraceContext, TraceSpan, FLAG_REPLAY,
 };
+use dsi_types::rng::mix64;
 use dsi_types::SessionId;
 
 /// Default sampling rate: one trace per four splits.
 pub const DEFAULT_SAMPLE_ONE_IN: u32 = 4;
-
-/// SplitMix64 finalizer: avalanche a 64-bit value.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Deterministic trace id for `(session, split)` — identical on every
 /// process and every replay, never 0.
@@ -161,6 +154,12 @@ pub fn validate(spans: &[TraceSpan]) -> Result<(), Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn trace_ids_are_pinned() {
+        // A changed id would re-pick which splits every session samples.
+        assert_eq!(trace_id_for(7, 3), 0x7e5a_98c0_2960_32e2);
+    }
 
     fn span(trace: u64, id: u64, parent: u64, kind: SpanKind, start: u64, end: u64) -> TraceSpan {
         TraceSpan {

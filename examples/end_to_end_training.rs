@@ -68,7 +68,7 @@ fn main() -> dsi_types::Result<()> {
     let mut consumed = 0u64;
     let mut scale_ups = 0u32;
     loop {
-        let (report, samples) = trainer.train(8, 0);
+        let (report, samples) = trainer.train(8);
         consumed += samples;
         if report.batches == 0 {
             break;

@@ -87,7 +87,7 @@ fn main() -> dsi_types::Result<()> {
     let session = DppSession::launch(table.clone(), spec, 2)?;
     session.attach_registry(&registry);
     let mut trainer = LiveTrainer::new(session.client(), 200_000.0).with_registry(&registry);
-    let (stall, trained) = trainer.train(u64::MAX, 0);
+    let (stall, trained) = trainer.train(u64::MAX);
     println!(
         "trainer: {trained} samples in {} batches, stall fraction {:.1}%",
         stall.batches,

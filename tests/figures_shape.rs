@@ -488,7 +488,7 @@ fn metric_catalog_is_closed_and_session_series_carry_job() {
     let reg = Registry::new();
     let session = DppSession::launch_observed_chaos(table, spec, 2, Some(&reg), None).unwrap();
     let mut trainer = LiveTrainer::new(session.client(), 1_000_000.0).with_registry(&reg);
-    assert_eq!(trainer.train(u64::MAX, 0).1, 256);
+    assert_eq!(trainer.train(u64::MAX).1, 256);
     session.shutdown();
 
     let process_scoped = [

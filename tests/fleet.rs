@@ -199,7 +199,7 @@ fn two_sessions_on_one_registry_read_their_own_signals() {
         };
         let (drained, idle) = (launch(1), launch(2));
         let mut trainer = LiveTrainer::new(drained.client(), 1_000_000.0).with_registry(&reg);
-        let (_, samples) = trainer.train(u64::MAX, 0);
+        let (_, samples) = trainer.train(u64::MAX);
         assert_eq!(samples, DAYS as u64 * ROWS_PER_DAY);
         // The idle job's client exists and never polls; its workers run
         // until every tensor buffer is full, then block.

@@ -521,7 +521,7 @@ fn live_trainer_with_adequate_dpp_barely_stalls() {
     let session = DppSession::launch(table, spec, 4).unwrap();
     // A modest GPU demand that 4 workers easily satisfy.
     let mut trainer = LiveTrainer::new(session.client(), 10_000.0);
-    let (report, samples) = trainer.train(u64::MAX, 0);
+    let (report, samples) = trainer.train(u64::MAX);
     assert_eq!(samples, 1_000);
     session.shutdown();
     assert!(
@@ -577,7 +577,7 @@ fn live_tuner_sees_the_run_it_tunes() {
             let recorder = Recorder(std::sync::Arc::clone(&seen));
             let mut tuner = LiveTuner::new(Box::new(recorder), &session);
             let mut trainer = LiveTrainer::new(session.client(), 1_000_000.0).with_registry(&reg);
-            let (stall, samples) = trainer.train(u64::MAX, 0);
+            let (stall, samples) = trainer.train(u64::MAX);
             assert_eq!(samples, 288);
             tuner.tick(&session);
             session.shutdown();
