@@ -5,11 +5,15 @@
 //! the worker's own thread calls the stages back to back — no channel, no
 //! extra thread. At depth ≥ 1 the worker thread fetches and delivers its
 //! first split itself, then moves fetch to a thread of its own, so the
-//! storage I/O of the next splits overlaps the CPU work on this one:
+//! storage I/O of the next splits overlaps the CPU work on this one. When
+//! the hand-off already holds `depth` splits, the worker thread is the
+//! bottleneck, so the fetch thread decodes the split it just read before
+//! it waits for room; the worker thread decodes only what arrives raw:
 //!
 //! ```text
-//!   fetch ──bounded(depth)──▶ decode → transform → load/deliver
-//!   (storage I/O)             (CPU, on the worker thread)
+//!   fetch [→ decode] ──bounded(depth)──▶ [decode →] transform → load/deliver
+//!   (fetch thread: storage I/O;           (worker thread: CPU)
+//!    decode only when the pipe is full)
 //! ```
 //!
 //! Load streams: each tensor is sent as soon as it is cut and its columnar
@@ -18,9 +22,9 @@
 //!
 //! Either way the same functions run. Fetch is the only stage that
 //! *requests* work from the Master and touches nothing of the [`Worker`];
-//! deliver, on the worker thread, decodes, transforms and loads with the
-//! worker's carry and report and is the only stage that *acknowledges* or
-//! ships a split, so the exactly-once envelope protocol does not depend on
+//! deliver, on the worker thread, transforms and loads with the worker's
+//! carry and report and is the only stage that *acknowledges* or ships a
+//! split, so the exactly-once envelope protocol does not depend on
 //! depth: a split is in flight from `request_split` until the client acks
 //! its last tensor, wherever it sits in the pipe. The stream ends with an
 //! [`EndReason`], which flows through the same path as the items and is
@@ -36,7 +40,8 @@ use dsi_obs::{
     names, next_span_id, now_ns, observe_stage_seconds, stage, Registry, SpanKind, TraceContext,
     TraceSpan,
 };
-use dsi_types::WorkerId;
+use dsi_types::{ColumnBatch, WorkerId};
+use dwrf::IoPlan;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -65,16 +70,24 @@ enum EndReason {
     ShutDown,
 }
 
-/// A split read from storage, waiting for the worker thread to decode it.
+/// A split read from storage, on its way to the worker thread.
 struct Fetched {
     split: Split,
-    stripe: FetchedSplit,
+    stripe: Stripe,
     /// Trace context of the split's `Schedule` span (NONE when unsampled);
     /// each stage parents its span under it.
     trace: TraceContext,
-    /// When the read finished — at depth ≥ 1 the gap until the worker
-    /// thread takes the item is time the stages genuinely overlapped.
+    /// When the read (and a fetch-thread decode) finished — at depth ≥ 1
+    /// the gap until the worker thread takes the item is time the stages
+    /// genuinely overlapped.
     ready_at: Instant,
+}
+
+/// A fetched split's stripe: as read, or already decoded by the fetch
+/// thread, which found its hand-off full.
+enum Stripe {
+    Raw(FetchedSplit),
+    Decoded(ColumnBatch, IoPlan),
 }
 
 /// What the stages of one worker read but never write; cloned into the
@@ -194,29 +207,56 @@ impl Stages {
         }
         Ok(Fetched {
             split,
-            stripe,
+            stripe: Stripe::Raw(stripe),
             trace,
             ready_at: Instant::now(),
         })
     }
 
-    /// Stage 2, always on the worker's own thread: decodes the fetched
-    /// stripe, runs extract accounting plus the row-path transform plan (on
-    /// the fast path that is the `Sampling` filter alone), then cuts the
-    /// split into tensors and ships each one as soon as its columnar
-    /// kernels have run, so the consumer takes the first while the rest are
-    /// being built. A stripe that does not decode — a stream failing its
-    /// checksum — ends the stream.
+    /// Decodes a raw stripe; a decoded one passes through. A stripe that
+    /// does not decode — a stream failing its checksum — ends the stream.
+    fn decode(&self, stripe: Stripe) -> Result<(ColumnBatch, IoPlan), EndReason> {
+        match stripe {
+            Stripe::Raw(raw) => self
+                .scan
+                .decode_split(raw)
+                .map_err(|_| EndReason::StageFailed),
+            Stripe::Decoded(columns, plan) => Ok((columns, plan)),
+        }
+    }
+
+    /// Decode on the fetch thread, run when its hand-off is full: the
+    /// split goes down the pipe decoded, and ready from now.
+    fn decode_ahead(&self, f: Fetched) -> Result<Fetched, EndReason> {
+        let decoded = self.decode(f.stripe);
+        if let Some(reg) = self.obs.lock().clone() {
+            reg.counter(
+                names::FASTPATH_FETCH_DECODED_SPLITS_TOTAL,
+                &[("job", &*self.job)],
+            )
+            .inc();
+        }
+        let (columns, plan) = decoded?;
+        Ok(Fetched {
+            stripe: Stripe::Decoded(columns, plan),
+            ready_at: Instant::now(),
+            ..f
+        })
+    }
+
+    /// Stage 2, on the worker's own thread: decodes the stripe if it
+    /// arrived raw, runs extract accounting plus the row-path transform
+    /// plan (on the fast path that is the `Sampling` filter alone), then
+    /// cuts the split into tensors and ships each one as soon as its
+    /// columnar kernels have run, so the consumer takes the first while
+    /// the rest are being built.
     fn deliver(
         &self,
         worker: &mut Worker,
         f: Fetched,
         tx: &Sender<Envelope>,
     ) -> Result<(), EndReason> {
-        let (columns, plan) = self
-            .scan
-            .decode_split(f.stripe)
-            .map_err(|_| EndReason::StageFailed)?;
+        let (columns, plan) = self.decode(f.stripe)?;
         let stage = self.open(f.trace, SpanKind::Transform, f.split.index);
         let batch = worker.transform_stage(&f.split, columns, &plan);
         if let Some(s) = stage {
@@ -308,13 +348,18 @@ impl Stages {
     }
 
     /// Depth ≥ 1: starts fetch on its own thread and returns the channel
-    /// the worker thread reads. The end reason travels the channel behind
-    /// the last item.
+    /// the worker thread reads. A split fetched while the channel holds
+    /// `depth` items is decoded before it is sent, so the thread works
+    /// instead of waiting for room. The end reason — a failed decode's
+    /// too — travels the channel behind the last item.
     fn spawn_fetch(&self, depth: usize) -> (Receiver<Result<Fetched, EndReason>>, JoinHandle<()>) {
         let (fetch_tx, fetch_rx) = bounded(depth);
         let stages = self.clone();
         let thread = std::thread::spawn(move || loop {
-            let item = stages.fetch();
+            let mut item = stages.fetch();
+            if fetch_tx.len() >= depth {
+                item = item.and_then(|f| stages.decode_ahead(f));
+            }
             let last = item.is_err();
             // A failed send means downstream is gone; it decides why.
             if fetch_tx.send(item).is_err() || last {
@@ -326,7 +371,7 @@ impl Stages {
 
     /// Samples the read-ahead as the worker thread takes a fetched split:
     /// `behind` is how many more fetch has already read, and the overlap
-    /// is how long this one waited.
+    /// is how long this one waited once read (and decoded, if it was).
     fn observe_prefetch(&self, f: &Fetched, behind: usize) {
         if let Some(reg) = self.obs.lock().clone() {
             let labels = [("job", &*self.job)];

@@ -1133,24 +1133,39 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pipelined_decode_error_requeues_the_split() {
-        // A stripe corrupted in flight fails its checksum on the worker
-        // thread, after fetch handed the raw bytes over. The stream must
-        // end so the split requeues: a worker that skipped it would leave
-        // it in flight forever. Every wait is bounded, so that shows as a
-        // missing row within five seconds.
+    /// `kind` on each of the first `ops` operations at `hook`.
+    fn each_op(hook: chaos::HookPoint, ops: u64, kind: chaos::FaultKind) -> Vec<chaos::FaultEvent> {
+        (1..=ops)
+            .map(|n| chaos::FaultEvent::new(hook, n, kind))
+            .collect()
+    }
+
+    fn fetch_decoded(reg: &dsi_obs::Registry) -> u64 {
+        reg.counter_value(
+            dsi_obs::names::FASTPATH_FETCH_DECODED_SPLITS_TOTAL,
+            &[("job", "sess5")],
+        )
+    }
+
+    /// Drains a one-worker, `read_ahead: 2` session over 16 one-read
+    /// splits whose `nth` storage read is corrupted in flight, `events`
+    /// firing too, and returns its sorted labels and the splits its fetch
+    /// threads decoded. It stands in for the control plane: a failed
+    /// worker's splits requeue, and a new worker restores capacity. Every
+    /// wait is bounded, so a split left in flight forever shows as missing
+    /// rows within five seconds.
+    fn drain_corrupted(mut events: Vec<chaos::FaultEvent>, nth: u64) -> (Vec<u32>, u64) {
         use chaos::{FaultEvent, FaultInjector, FaultKind, FaultPlan, HookPoint};
         let table = build_table(4, 64);
-        let injector = FaultInjector::new(FaultPlan::named(vec![FaultEvent::new(
-            HookPoint::TectonicRead,
-            7,
-            FaultKind::CorruptChunk { xor: 0xA5 },
-        )]));
+        let corrupt = FaultKind::CorruptChunk { xor: 0xA5 };
+        events.push(FaultEvent::new(HookPoint::TectonicRead, nth, corrupt));
+        let injector = FaultInjector::new(FaultPlan::named(events));
         table.cluster().attach_chaos(Arc::clone(&injector));
         let mut sp = spec(4);
         sp.read_ahead = 2;
-        let session = DppSession::launch(table, sp, 1).unwrap();
+        let reg = dsi_obs::Registry::new();
+        let chaos = Some(Arc::clone(&injector));
+        let session = DppSession::launch_observed_chaos(table, sp, 1, Some(&reg), chaos).unwrap();
         let mut client = session.client();
         let mut labels = Vec::new();
         let mut idle = 0;
@@ -1159,8 +1174,6 @@ mod tests {
                 Some(t) => labels.extend(t.labels.iter().map(|&l| l as u32)),
                 None if session.is_complete() => break,
                 None => {
-                    // The failed worker's splits requeue; stand in for the
-                    // control plane and restore capacity.
                     if session.live_worker_threads() == 0 {
                         session.spawn_worker();
                     }
@@ -1169,12 +1182,96 @@ mod tests {
             }
         }
         session.shutdown();
-        assert_eq!(injector.injected_count(), 1, "the corruption fired");
+        let fired = injector
+            .injected()
+            .iter()
+            .filter(|f| f.kind == corrupt)
+            .count();
+        assert_eq!(fired, 1, "the corruption fired");
         labels.sort_unstable();
+        (labels, fetch_decoded(&reg))
+    }
+
+    #[test]
+    fn pipelined_decode_error_requeues_the_split() {
+        // A stripe corrupted in flight fails its checksum on the worker
+        // thread, after fetch handed the raw bytes over: every storage read
+        // stalls 3 ms, so the pipe never fills and the fetch thread decodes
+        // nothing. The stream must end so the split requeues: a worker that
+        // skipped it would leave it in flight forever.
+        let slow_io = chaos::FaultKind::SlowIo { micros: 3_000 };
+        let (labels, decoded) =
+            drain_corrupted(each_op(chaos::HookPoint::TectonicRead, 64, slow_io), 7);
+        assert_eq!(decoded, 0, "the worker thread decoded every split");
         assert_eq!(
             labels,
             (0..256).collect::<Vec<_>>(),
             "every row exactly once"
+        );
+    }
+
+    #[test]
+    fn fetch_thread_decode_error_requeues_the_split() {
+        // The worker is held 5 ms per split, so its pipe is full by the
+        // time the fetch thread reads split 8 (the ninth read) and decodes
+        // it. Its stripe is corrupted in flight: the failed decode must go
+        // down the pipe behind the splits already queued and end the
+        // stream, so the split requeues. A fetch thread that dropped it and
+        // read on would leave it in flight forever.
+        let slow = chaos::FaultKind::SlowTransform { micros: 5_000 };
+        let (labels, decoded) =
+            drain_corrupted(each_op(chaos::HookPoint::WorkerSplit, 32, slow), 9);
+        assert!(decoded >= 1, "the fetch thread decoded no split");
+        assert_eq!(
+            labels,
+            (0..256).collect::<Vec<_>>(),
+            "every row exactly once"
+        );
+    }
+
+    #[test]
+    fn full_pipe_decodes_on_the_fetch_thread_as_the_worker_would() {
+        // A worker held 5 ms per split fills its read-ahead pipe, so the
+        // fetch thread decodes the splits it reads after that. What the
+        // session delivers, and what its worker reports read and decoded,
+        // must be what the same session delivers and reports at depth 0.
+        let run = |read_ahead| {
+            let slow = chaos::FaultKind::SlowTransform { micros: 5_000 };
+            let plan = chaos::FaultPlan::named(each_op(chaos::HookPoint::WorkerSplit, 16, slow));
+            let mut sp = spec(4);
+            sp.read_ahead = read_ahead;
+            let reg = dsi_obs::Registry::new();
+            let chaos = Some(chaos::FaultInjector::new(plan));
+            let session =
+                DppSession::launch_observed_chaos(build_table(4, 64), sp, 1, Some(&reg), chaos)
+                    .unwrap();
+            let mut client = session.client();
+            let mut tensors = Vec::new();
+            while let Some(t) = client.next_batch() {
+                tensors.push(format!("{t:?}"));
+            }
+            let r = session.shutdown();
+            let bytes = (
+                r.storage_rx_bytes,
+                r.storage_wanted_bytes,
+                r.uncompressed_bytes,
+                r.copied_bytes,
+            );
+            (tensors, bytes, fetch_decoded(&reg))
+        };
+        let (flat, flat_bytes, none) = run(0);
+        let (piped, piped_bytes, decoded) = run(2);
+        assert_eq!(none, 0, "depth 0 has no fetch thread");
+        assert!(decoded >= 1, "the fetch thread decoded no split");
+        assert_eq!(flat.len(), 16);
+        assert!(
+            piped == flat,
+            "read_ahead 2 delivered other tensors than depth 0"
+        );
+        assert!(flat_bytes.0 > 0);
+        assert_eq!(
+            piped_bytes, flat_bytes,
+            "storage rx, wanted, uncompressed, copied bytes"
         );
     }
 

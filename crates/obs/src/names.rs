@@ -113,12 +113,15 @@ pub const DEDUP_RATIO: &str = "dsi_dedup_ratio";
 /// (zero-copy slicing and in-place decode work are not counted).
 pub const FASTPATH_BYTES_COPIED_TOTAL: &str = "dsi_fastpath_bytes_copied_total";
 /// Gauge, labels `{job}`: splits the fetch thread has read ahead of the one the
-/// worker thread just took to decode. A worker's first split is fetched on the
+/// worker thread just took. A worker's first split is fetched on the
 /// worker thread itself, before the fetch thread starts, so it is not sampled.
 pub const FASTPATH_PREFETCH_DEPTH: &str = "dsi_fastpath_prefetch_depth";
-/// Histogram (seconds), labels `{job}`: how long each prefetched split sat read and
-/// ready before the worker thread took it to decode (storage I/O overlapped
-/// with CPU work by the worker pipeline).
+/// Counter, labels `{job}`: splits the fetch thread decoded itself because its
+/// hand-off to the worker thread was full (a decode that failed counts too).
+pub const FASTPATH_FETCH_DECODED_SPLITS_TOTAL: &str = "dsi_fastpath_fetch_decoded_splits_total";
+/// Histogram (seconds), labels `{job}`: how long each prefetched split sat ready
+/// (read, and decoded if the fetch thread decoded it) before the worker thread
+/// took it (work overlapped by the worker pipeline's two threads).
 pub const FASTPATH_STAGE_OVERLAP_SECONDS: &str = "dsi_fastpath_stage_overlap_seconds";
 
 // ---- wire: framed TCP data plane -------------------------------------------

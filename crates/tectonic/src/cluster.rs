@@ -1098,10 +1098,20 @@ mod tests {
         c.delete("reap").unwrap();
         assert_eq!(c.list_files().len(), before - 1);
         assert!(matches!(c.read("reap", 0, 1), Err(DsiError::NotFound(_))));
-        // Blocks are gone from every node.
-        let total_blocks: usize = (0..5).map(|i| c.inner.nodes[i].lock().block_count()).sum();
-        assert_eq!(total_blocks, 3 * 3); // only "keep"'s 3 blocks x R3
-                                         // The kept file is intact.
+        // Blocks are gone from every node: only "keep"'s 3 blocks x R3 stay.
+        let replicas = |path: &str| -> usize {
+            (0..3)
+                .map(|b| {
+                    let id = BlockId::new(path, b);
+                    (0..5)
+                        .filter(|&i| c.inner.nodes[i].lock().peek(id, 0, 1).is_ok())
+                        .count()
+                })
+                .sum()
+        };
+        assert_eq!(replicas("reap"), 0);
+        assert_eq!(replicas("keep"), 3 * 3);
+        // The kept file is intact.
         assert_eq!(c.read("keep", 0, 2500).unwrap(), vec![1u8; 2500]);
         assert!(c.delete("reap").is_err());
     }

@@ -71,11 +71,6 @@ impl HeartbeatDetector {
         v.sort();
         v
     }
-
-    /// Whether `node` is declared dead.
-    pub fn is_dead(&self, node: NodeId) -> bool {
-        self.dead.contains(&node)
-    }
 }
 
 /// Priority queue of chunks awaiting re-replication, most under-replicated
@@ -155,7 +150,6 @@ mod tests {
         assert!(d.tick(&failed).is_empty());
         assert_eq!(d.tick(&failed), vec![NodeId(2)], "dead after K=3 misses");
         assert!(d.tick(&failed).is_empty(), "declared once");
-        assert!(d.is_dead(NodeId(2)));
         assert_eq!(d.dead_nodes(), vec![NodeId(2)]);
     }
 
@@ -172,7 +166,7 @@ mod tests {
         assert_eq!(d.tick(&failed), vec![NodeId(0)]);
         // Recovery clears the dead mark.
         d.recover(NodeId(0));
-        assert!(!d.is_dead(NodeId(0)));
+        assert!(d.dead_nodes().is_empty());
     }
 
     #[test]

@@ -156,16 +156,6 @@ impl StorageNode {
         }
     }
 
-    /// Whether this node holds a replica of `id`.
-    pub fn holds(&self, id: BlockId) -> bool {
-        self.blocks.contains_key(&id)
-    }
-
-    /// Number of resident block replicas.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Bytes of resident block data.
     pub fn stored_bytes(&self) -> u64 {
         self.next_offset
@@ -248,8 +238,6 @@ mod tests {
         let data = n.read(id, 100, 50).unwrap();
         assert_eq!(data.as_ref(), &[9u8; 50][..]);
         assert!(n.stats().device.busy_ns > 0);
-        assert!(n.holds(id));
-        assert_eq!(n.block_count(), 1);
         assert_eq!(n.stored_bytes(), 1000);
     }
 
