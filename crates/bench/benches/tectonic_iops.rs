@@ -45,7 +45,7 @@ fn bench_cluster_reads(c: &mut Criterion) {
             b.iter(|| {
                 for i in 0..reads {
                     let off = (i * 104_729) % ((16 << 20) - io);
-                    black_box(cluster.read("bench/file", off, io).expect("in range"));
+                    black_box(cluster.read_view("bench/file", off, io).expect("in range"));
                 }
             })
         });

@@ -33,7 +33,7 @@ pub const FULL: LabConfig = LabConfig {
 /// Rows per batch the epoch's client consumes.
 const BATCH: usize = 256;
 
-/// Disk IOs each consumed batch buys the rebuild queue once the node is
+/// Disk IOs each consumed batch buys the rebuild pump once the node is
 /// declared dead.
 pub const REBUILD_IOS_PER_BATCH: u64 = 8;
 
@@ -62,13 +62,14 @@ pub struct NodeLossRun {
 /// Runs one RM3 epoch over an `r`-way replicated 8-node HDD cluster and
 /// kills the node holding the most chunk replicas a third of the way in:
 /// the heartbeat detector declares it dead, and from then on every batch
-/// the client consumes pumps the rebuild queue with
-/// [`REBUILD_IOS_PER_BATCH`] IOs on the disks the epoch is reading from.
-/// Whatever backlog is left when the epoch ends drains in pumps of the
-/// same size.
+/// the client consumes pumps the rebuild with [`REBUILD_IOS_PER_BATCH`]
+/// IOs on the disks the epoch is reading from (the pump reads its work,
+/// the chunks short of `r` replicas off the dead node, from the chunk
+/// directory). Whatever backlog is left when the epoch ends drains in
+/// pumps of the same size.
 pub fn node_loss_mid_epoch(cfg: LabConfig, r: usize) -> NodeLossRun {
-    // Small blocks so the victim holds many chunks and the rebuild queue is
-    // deep enough for budget pacing to matter.
+    // Small blocks so the victim holds many chunks and the rebuild backlog
+    // is deep enough for budget pacing to matter.
     let lab = RmLab::build_custom(
         RmClass::Rm3,
         cfg,

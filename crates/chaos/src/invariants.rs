@@ -224,7 +224,8 @@ pub fn check_obs_accounting(
 pub struct DurabilityStats {
     /// Chunks still below their target live replica count.
     pub under_replicated: u64,
-    /// Chunks still queued for rebuild.
+    /// Under-replicated chunks a rebuild pump could still move (a live
+    /// holder to copy from and a live spare node to copy to).
     pub rebuild_queue_depth: u64,
     /// Nodes the failure detector currently declares dead.
     pub dead_nodes: u64,
@@ -239,8 +240,8 @@ pub struct DurabilityStats {
 /// Durability invariants over an end-of-run [`DurabilityStats`] snapshot:
 ///
 /// * **rebuild_converged** — no chunk is left under-replicated and the
-///   rebuild queue drained to empty (self-healing finished within the
-///   run);
+///   rebuild pump has nothing left it could move (self-healing finished
+///   within the run);
 /// * **repair_accounting** — every detected checksum failure led to at
 ///   least one in-place repair or queued rebuild (corruption is never
 ///   detected and then silently forgotten).

@@ -276,11 +276,11 @@ mod tests {
         let (cluster, cache) = setup(ByteSize::mib(4));
         let mut cached = TectonicSource::new(cluster.clone(), "hot/file").with_cache(cache);
         for (off, len) in [(0u64, 100u64), (64 * 1024 - 10, 50), (1_500_000, 4_000)] {
-            let direct = cluster.read("hot/file", off, len).unwrap();
+            let direct = cluster.read_view("hot/file", off, len).unwrap().view;
             let through = cached.read(off, len).unwrap().view;
-            assert_eq!(direct, through.as_slice(), "range ({off}, {len})");
+            assert_eq!(direct, through, "range ({off}, {len})");
             // Read again from cache.
-            assert_eq!(cached.read(off, len).unwrap().view.as_slice(), direct);
+            assert_eq!(cached.read(off, len).unwrap().view, direct);
         }
     }
 
@@ -402,12 +402,12 @@ mod tests {
         let primary = cluster.stat("hot/file").unwrap().blocks[0][0];
         cluster.fail_node(primary);
         let mut src = TectonicSource::new(cluster.clone(), "hot/file").with_cache(cache.clone());
-        let direct = cluster.read("hot/file", 100, 3_000).unwrap();
+        let direct = cluster.read_view("hot/file", 100, 3_000).unwrap().view;
         let through = src.read(100, 3_000).unwrap().view;
-        assert_eq!(direct, through.as_slice());
+        assert_eq!(direct, through);
         let after_miss = cache.stats();
         let again = src.read(100, 3_000).unwrap().view;
-        assert_eq!(again.as_slice(), direct);
+        assert_eq!(again, direct);
         let after_hit = cache.stats();
         assert_eq!(
             after_hit.misses, after_miss.misses,

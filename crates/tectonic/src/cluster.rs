@@ -8,13 +8,14 @@
 //! checksums on the serving node, and transparently fail over to a
 //! surviving replica on corruption — repairing the bad copy in place.
 //! Node loss is detected by the heartbeat detector after K missed beats
-//! and healed by draining the priority rebuild queue under an IOPS budget
-//! ([`TectonicCluster::pump_rebuild`]), so rebuild traffic contends with
-//! foreground reads on the same simulated disks.
+//! and healed under an IOPS budget by [`TectonicCluster::pump_rebuild`],
+//! which reads its work from the directory (the chunks short of R
+//! replicas off declared-dead nodes, most degraded first), so rebuild
+//! traffic contends with foreground reads on the same simulated disks.
 
 use crate::block::{place_replicas_among, BlockId, REPLICATION_FACTOR};
 use crate::directory::{ChunkDirectory, ChunkInfo};
-use crate::heal::{HeartbeatDetector, RebuildProgress, RebuildQueue};
+use crate::heal::{HeartbeatDetector, RebuildProgress};
 use crate::node::{PagedChunk, StorageNode};
 use bytes::Bytes;
 use chaos::{FaultInjector, FaultKind, HookPoint};
@@ -88,7 +89,8 @@ pub struct DurabilityCounters {
     pub dead_nodes: u64,
     /// Chunks currently below their target live replica count.
     pub under_replicated: u64,
-    /// Chunks currently queued for rebuild.
+    /// Under-replicated chunks a rebuild pump can move now: each has a
+    /// live holder to copy from and a live node without a copy to copy to.
     pub rebuild_queue_depth: u64,
 }
 
@@ -133,7 +135,6 @@ struct ClusterInner {
     files: RwLock<HashMap<String, u64>>,
     directory: RwLock<ChunkDirectory>,
     detector: Mutex<HeartbeatDetector>,
-    rebuild: Mutex<RebuildQueue>,
     replica_cursor: AtomicU64,
     chaos: RwLock<Option<Arc<FaultInjector>>>,
     checksum_failures: AtomicU64,
@@ -190,7 +191,6 @@ impl TectonicCluster {
                 files: RwLock::new(HashMap::new()),
                 directory: RwLock::new(ChunkDirectory::new()),
                 detector: Mutex::new(HeartbeatDetector::new(node_count)),
-                rebuild: Mutex::new(RebuildQueue::new()),
                 replica_cursor: AtomicU64::new(0),
                 chaos: RwLock::new(None),
                 checksum_failures: AtomicU64::new(0),
@@ -224,7 +224,7 @@ impl TectonicCluster {
     /// splitting it into blocks whose replicas fan out R ways over the
     /// live nodes by rendezvous hashing. With fewer than R live nodes the
     /// write degrades gracefully (all live nodes hold a copy) and the
-    /// chunk is queued for rebuild once capacity returns.
+    /// rebuild pump tops the chunk up once a spare node is live.
     ///
     /// # Errors
     ///
@@ -261,18 +261,14 @@ impl TectonicCluster {
                         .lock()
                         .store(id, chunk.clone())?;
                 }
-                let degraded = replicas.len() < r;
                 dir.insert(
                     id,
                     ChunkInfo {
-                        replicas: replicas.clone(),
+                        replicas,
                         checksum: checksum64(chunk.data()),
                         len: take as u64,
                     },
                 );
-                if degraded {
-                    self.inner.rebuild.lock().push(id, replicas.len());
-                }
             } else {
                 // Extend the partial tail block in place. Failed holders are
                 // dropped from the replica set (their copy is now stale) and
@@ -313,18 +309,14 @@ impl TectonicCluster {
                         .lock()
                         .store(id, combined.clone())?;
                 }
-                let degraded = holders.len() < r;
                 dir.insert(
                     id,
                     ChunkInfo {
-                        replicas: holders.clone(),
+                        replicas: holders,
                         checksum: checksum64(combined.data()),
                         len: combined.data().len() as u64,
                     },
                 );
-                if degraded {
-                    self.inner.rebuild.lock().push(id, holders.len());
-                }
             }
             *len += take as u64;
             written += take as u64;
@@ -358,8 +350,8 @@ impl TectonicCluster {
     }
 
     /// Attaches a chaos fault injector: every subsequent charged read
-    /// (a [`TectonicCluster::read`] or [`TectonicCluster::read_view`]
-    /// call) fires the injector's `TectonicRead` hook exactly once.
+    /// (a [`TectonicCluster::read_view`] call) fires the injector's
+    /// `TectonicRead` hook exactly once.
     pub fn attach_chaos(&self, injector: Arc<FaultInjector>) {
         *self.inner.chaos.write() = Some(injector);
     }
@@ -398,35 +390,28 @@ impl TectonicCluster {
     /// Reads `len` bytes of `path` at `offset`, charging one disk IO on
     /// the serving replica of each block the range touches.
     /// Checksums are verified on the serving node; a corrupt replica is
-    /// transparently failed over and repaired in place.
+    /// transparently failed over and repaired in place. The result is a
+    /// shared view with an honest copy ledger: a range resident in a
+    /// single block is served as a zero-copy slice of the replica's stored
+    /// bytes (`copied_bytes` 0); a range spanning blocks must be assembled
+    /// and reports the copy.
     ///
     /// # Errors
     ///
     /// Returns [`DsiError::NotFound`] for missing files and
     /// [`DsiError::Corrupt`] for out-of-range reads.
-    pub fn read(&self, path: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
-        self.serve(path, offset, len, true).map(Served::into_vec)
-    }
-
-    /// Like [`TectonicCluster::read`], but returns a shared view with an
-    /// honest copy ledger: a range resident in a single block is served as
-    /// a zero-copy slice of the replica's stored bytes (`copied_bytes` 0);
-    /// a range spanning blocks must be assembled and reports the copy.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TectonicCluster::read`].
     pub fn read_view(&self, path: &str, offset: u64, len: u64) -> Result<SourceChunk> {
         self.serve(path, offset, len, true).map(Served::into_chunk)
     }
 
-    /// Like [`TectonicCluster::read`] but charges no disk time and fires no
-    /// chaos hook — used by cache tiers that accounted the IO on another
-    /// device. Still verifies checksums and fails over to a live replica.
+    /// Like [`TectonicCluster::read_view`] but copies the bytes out,
+    /// charges no disk time and fires no chaos hook — used by cache tiers
+    /// that accounted the IO on another device. Still verifies checksums
+    /// and fails over to a live replica.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`TectonicCluster::read`].
+    /// Same conditions as [`TectonicCluster::read_view`].
     pub fn read_uncharged(&self, path: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
         self.serve(path, offset, len, false).map(Served::into_vec)
     }
@@ -435,12 +420,12 @@ impl TectonicCluster {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`TectonicCluster::read`].
+    /// Same conditions as [`TectonicCluster::read_view`].
     pub fn read_view_uncharged(&self, path: &str, offset: u64, len: u64) -> Result<SourceChunk> {
         self.serve(path, offset, len, false).map(Served::into_chunk)
     }
 
-    /// The one read body behind the four public reads. A charged read
+    /// The one read body behind the three public reads. A charged read
     /// fires the chaos hook once and charges the serving replicas' disks;
     /// an uncharged one only peeks. A
     /// single-block range is a zero-copy slice of the replica's bytes; a
@@ -630,7 +615,6 @@ impl TectonicCluster {
             .remove(path)
             .ok_or_else(|| DsiError::not_found(format!("file {path}")))?;
         let mut dir = self.inner.directory.write();
-        let mut rebuild = self.inner.rebuild.lock();
         let bs = self.inner.config.block_size;
         for block_index in 0..len.div_ceil(bs) {
             let id = BlockId::new(path, block_index);
@@ -639,16 +623,15 @@ impl TectonicCluster {
                     self.inner.nodes[node.0 as usize].lock().remove(id);
                 }
             }
-            rebuild.discard(id);
         }
         Ok(())
     }
 
     /// Marks a storage node failed: it stops serving reads and misses its
     /// heartbeats until recovered. The heartbeat detector declares it dead
-    /// after K missed beats ([`TectonicCluster::heartbeat_tick`]), which
-    /// queues its chunks for rebuild. Durable data survives via the
-    /// remaining replicas meanwhile.
+    /// after K missed beats ([`TectonicCluster::heartbeat_tick`]), and
+    /// only then do its chunks count as under-replicated to the rebuild
+    /// pump. Durable data survives via the remaining replicas meanwhile.
     pub fn fail_node(&self, node: NodeId) {
         self.inner.failed.write().insert(node);
     }
@@ -669,40 +652,17 @@ impl TectonicCluster {
     }
 
     /// One heartbeat round: failed nodes miss their beat, live nodes beat.
-    /// Nodes reaching K consecutive misses are declared dead and their
-    /// chunks are queued for rebuild, most under-replicated first. Returns
-    /// the newly-dead nodes.
+    /// Nodes reaching K consecutive misses are declared dead, which puts
+    /// their chunks on the rebuild pump's work list. Returns the
+    /// newly-dead nodes.
     pub fn heartbeat_tick(&self) -> Vec<NodeId> {
         let failed = self.inner.failed.read().clone();
-        let newly_dead = self.inner.detector.lock().tick(&failed);
-        if !newly_dead.is_empty() {
-            self.enqueue_chunks_of(&newly_dead);
-        }
-        newly_dead
+        self.inner.detector.lock().tick(&failed)
     }
 
     /// Nodes currently declared dead by the heartbeat detector.
     pub fn dead_nodes(&self) -> Vec<NodeId> {
         self.inner.detector.lock().dead_nodes()
-    }
-
-    /// Queues every chunk with a replica on any of `nodes` for rebuild.
-    fn enqueue_chunks_of(&self, nodes: &[NodeId]) {
-        let failed = self.inner.failed.read().clone();
-        let dir = self.inner.directory.read();
-        let mut rebuild = self.inner.rebuild.lock();
-        let mut seen: HashSet<BlockId> = HashSet::new();
-        for &node in nodes {
-            for id in dir.chunks_on(node) {
-                if seen.insert(id) {
-                    let live = dir
-                        .get(id)
-                        .map(|info| info.replicas.iter().filter(|n| !failed.contains(n)).count())
-                        .unwrap_or(0);
-                    rebuild.push(id, live);
-                }
-            }
-        }
     }
 
     /// Chunks whose live replica count is below the target (R, capped by
@@ -720,21 +680,44 @@ impl TectonicCluster {
             .collect()
     }
 
-    /// Drains the rebuild queue under an IOPS budget: pops the most
-    /// under-replicated chunks, copies each from a checksum-verified live
-    /// source onto rendezvous-chosen live targets (charging an IO to the
-    /// disks on both ends, so rebuild contends with foreground reads), and
-    /// updates the directory. Chunks with no live verified source are
-    /// requeued. The budget bounds the IOs *started* per call; one chunk
-    /// may overshoot by its own cost.
+    /// The rebuild pump's work list, read from the directory: chunks with
+    /// fewer than R replicas off declared-dead nodes (a failed node moves
+    /// nothing until K missed beats declare it), most under-replicated
+    /// first, kept to those a pump can move now — a live holder to copy
+    /// from and a live node without a copy to copy to.
+    fn rebuild_work(&self) -> Vec<BlockId> {
+        let dead = self.dead_nodes();
+        let failed = self.inner.failed.read().clone();
+        let live = self.live_nodes(&failed).len();
+        let dir = self.inner.directory.read();
+        dir.under_replicated(&dead, self.inner.config.replication)
+            .into_iter()
+            .filter(|&(id, _)| {
+                let holders = dir.get(id).map_or(0, |info| {
+                    info.replicas.iter().filter(|n| !failed.contains(n)).count()
+                });
+                holders > 0 && holders < live
+            })
+            .map(|(id, _)| id)
+            .collect()
+    }
+
+    /// Re-replicates under an IOPS budget: walks the work list
+    /// ([`DurabilityCounters::rebuild_queue_depth`] chunks, most
+    /// under-replicated first), copies each chunk from a checksum-verified
+    /// live holder onto rendezvous-chosen live spares (charging an IO to
+    /// the disks on both ends, so rebuild contends with foreground reads),
+    /// and updates the directory. A chunk no live spare can take costs
+    /// nothing and stays in the directory's list until one returns. The
+    /// budget bounds the IOs *started* per call; one chunk may overshoot
+    /// by its own cost.
     pub fn pump_rebuild(&self, io_budget: u64) -> RebuildProgress {
         let mut progress = RebuildProgress::default();
-        let mut requeue: Vec<(BlockId, usize)> = Vec::new();
         let r = self.inner.config.replication;
-        while progress.ios < io_budget {
-            let Some(id) = self.inner.rebuild.lock().pop() else {
+        for id in self.rebuild_work() {
+            if progress.ios >= io_budget {
                 break;
-            };
+            }
             // Snapshot; the chunk may have been deleted or healed since.
             let Some(info) = self.inner.directory.read().get(id).cloned() else {
                 continue;
@@ -746,9 +729,13 @@ impl TectonicCluster {
                 .filter(|n| !failed.contains(n))
                 .copied()
                 .collect();
-            let has_lost_holder = holders.len() < info.replicas.len();
-            if holders.len() >= r && !has_lost_holder {
-                continue; // healed while queued
+            let spare: Vec<NodeId> = self
+                .live_nodes(&failed)
+                .into_iter()
+                .filter(|n| !holders.contains(n))
+                .collect();
+            if spare.is_empty() || holders.len() >= r {
+                continue;
             }
             // Find a checksum-verified source among the live holders.
             let mut data: Option<Bytes> = None;
@@ -769,28 +756,19 @@ impl TectonicCluster {
                 }
             }
             let Some(data) = data else {
-                requeue.push((id, holders.len()));
                 continue;
             };
             // Fan the chunk back out to R over live non-holders.
-            let spare: Vec<NodeId> = self
-                .live_nodes(&failed)
-                .into_iter()
-                .filter(|n| !holders.contains(n))
-                .collect();
-            let needed = r.saturating_sub(holders.len());
+            let chunk = PagedChunk::new(data);
             let mut new_replicas = holders.clone();
-            if needed > 0 && !spare.is_empty() {
-                let chunk = PagedChunk::new(data);
-                for target in place_replicas_among(id, &spare, needed) {
-                    if self.inner.nodes[target.0 as usize]
-                        .lock()
-                        .store_charged(id, chunk.clone())
-                        .is_ok()
-                    {
-                        progress.ios += 1;
-                        new_replicas.push(target);
-                    }
+            for target in place_replicas_among(id, &spare, r - holders.len()) {
+                if self.inner.nodes[target.0 as usize]
+                    .lock()
+                    .store_charged(id, chunk.clone())
+                    .is_ok()
+                {
+                    progress.ios += 1;
+                    new_replicas.push(target);
                 }
             }
             if new_replicas != info.replicas {
@@ -803,13 +781,7 @@ impl TectonicCluster {
                 self.inner.rebuilt_chunks.fetch_add(1, Ordering::Relaxed);
             }
         }
-        {
-            let mut rebuild = self.inner.rebuild.lock();
-            for (id, live) in requeue {
-                rebuild.push(id, live);
-            }
-            progress.remaining = rebuild.len() as u64;
-        }
+        progress.remaining = self.rebuild_work().len() as u64;
         self.inner
             .rebuild_ios
             .fetch_add(progress.ios, Ordering::Relaxed);
@@ -826,7 +798,7 @@ impl TectonicCluster {
             rebuild_ios: self.inner.rebuild_ios.load(Ordering::Relaxed),
             dead_nodes: self.dead_nodes().len() as u64,
             under_replicated: self.under_replicated_chunks().len() as u64,
-            rebuild_queue_depth: self.inner.rebuild.lock().len() as u64,
+            rebuild_queue_depth: self.rebuild_work().len() as u64,
         }
     }
 
@@ -940,12 +912,18 @@ mod tests {
 
     /// What production and `figures durability` do after node loss: the
     /// detector declares the failed nodes dead after K missed beats, then
-    /// the rebuild queue drains with an unbounded budget.
+    /// rebuild pumps once with an unbounded budget.
     fn heal(c: &TectonicCluster) -> RebuildProgress {
         for _ in 0..HEARTBEAT_K {
             c.heartbeat_tick();
         }
         c.pump_rebuild(u64::MAX)
+    }
+
+    /// A charged read's bytes.
+    fn read(c: &TectonicCluster, path: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
+        c.read_view(path, offset, len)
+            .map(|chunk| chunk.view.to_vec())
     }
 
     #[test]
@@ -962,7 +940,7 @@ mod tests {
         assert_eq!(meta.len, 3500);
         assert_eq!(meta.blocks.len(), 4);
         // Read spanning three blocks.
-        let got = c.read("f", 900, 2200).unwrap();
+        let got = read(&c, "f", 900, 2200).unwrap();
         assert_eq!(got, &data[900..3100]);
     }
 
@@ -992,7 +970,7 @@ mod tests {
         let meta = c.stat("f").unwrap();
         assert_eq!(meta.len, 120);
         assert_eq!(meta.blocks.len(), 2);
-        let got = c.read("f", 0, 120).unwrap();
+        let got = read(&c, "f", 0, 120).unwrap();
         assert_eq!(&got[..30], &[1u8; 30]);
         assert_eq!(&got[30..60], &[2u8; 30]);
         assert_eq!(&got[60..], &[3u8; 60]);
@@ -1036,7 +1014,7 @@ mod tests {
         let c = TectonicCluster::new(ClusterConfig::small());
         c.append("f", Bytes::from(vec![0u8; 10_000])).unwrap();
         assert_eq!(c.total_stats().busy_ns, 0);
-        c.read("f", 0, 4096).unwrap();
+        read(&c, "f", 0, 4096).unwrap();
         assert!(c.total_stats().busy_ns > 0);
         let stats = c.total_stats();
         assert_eq!(stats.ios, 1);
@@ -1056,7 +1034,7 @@ mod tests {
         )]));
         c.attach_chaos(Arc::clone(&injector));
         let started = std::time::Instant::now();
-        let got = c.read("f", 100, 4096).unwrap();
+        let got = read(&c, "f", 100, 4096).unwrap();
         assert!(started.elapsed() >= Duration::from_millis(2));
         assert_eq!(injector.injected_count(), 1);
         assert_eq!(got, &data[100..4196]);
@@ -1065,9 +1043,9 @@ mod tests {
     #[test]
     fn missing_file_and_bad_range() {
         let c = TectonicCluster::new(ClusterConfig::small());
-        assert!(matches!(c.read("nope", 0, 1), Err(DsiError::NotFound(_))));
+        assert!(matches!(read(&c, "nope", 0, 1), Err(DsiError::NotFound(_))));
         c.append("f", Bytes::from(vec![0u8; 10])).unwrap();
-        assert!(c.read("f", 5, 10).is_err());
+        assert!(read(&c, "f", 5, 10).is_err());
     }
 
     #[test]
@@ -1075,8 +1053,8 @@ mod tests {
         let c = TectonicCluster::new(ClusterConfig::small());
         c.append("f", Bytes::from(vec![0u8; 10_000])).unwrap();
         c.set_record_io_sizes(true);
-        c.read("f", 0, 100).unwrap();
-        c.read("f", 500, 200).unwrap();
+        read(&c, "f", 0, 100).unwrap();
+        read(&c, "f", 500, 200).unwrap();
         let mut sizes = c.all_io_sizes();
         sizes.sort();
         assert_eq!(sizes, vec![100, 200]);
@@ -1097,7 +1075,7 @@ mod tests {
         let before = c.list_files().len();
         c.delete("reap").unwrap();
         assert_eq!(c.list_files().len(), before - 1);
-        assert!(matches!(c.read("reap", 0, 1), Err(DsiError::NotFound(_))));
+        assert!(matches!(read(&c, "reap", 0, 1), Err(DsiError::NotFound(_))));
         // Blocks are gone from every node: only "keep"'s 3 blocks x R3 stay.
         let replicas = |path: &str| -> usize {
             (0..3)
@@ -1112,7 +1090,7 @@ mod tests {
         assert_eq!(replicas("reap"), 0);
         assert_eq!(replicas("keep"), 3 * 3);
         // The kept file is intact.
-        assert_eq!(c.read("keep", 0, 2500).unwrap(), vec![1u8; 2500]);
+        assert_eq!(read(&c, "keep", 0, 2500).unwrap(), vec![1u8; 2500]);
         assert!(c.delete("reap").is_err());
     }
 
@@ -1130,7 +1108,7 @@ mod tests {
         c.fail_node(NodeId(0));
         c.fail_node(NodeId(1));
         assert_eq!(c.failed_nodes(), vec![NodeId(0), NodeId(1)]);
-        let got = c.read("f", 0, 5000).unwrap();
+        let got = read(&c, "f", 0, 5000).unwrap();
         assert_eq!(got, data);
     }
 
@@ -1160,7 +1138,7 @@ mod tests {
         // Some blocks likely lived on node 2 (rendezvous spread).
         assert!(restored > 0, "expected restorations, got {restored}");
         // After the rebuild even the failed node's data is readable elsewhere.
-        assert_eq!(c.read("f", 0, 4096).unwrap(), vec![9u8; 4096]);
+        assert_eq!(read(&c, "f", 0, 4096).unwrap(), vec![9u8; 4096]);
         // Healing again finds nothing to do.
         assert_eq!(heal(&c), RebuildProgress::default());
     }
@@ -1177,14 +1155,18 @@ mod tests {
         c.fail_node(NodeId(0));
         c.fail_node(NodeId(1));
         c.fail_node(NodeId(2));
-        assert!(matches!(c.read("f", 0, 10), Err(DsiError::Unavailable(_))));
-        // No live source: the rebuild requeues the chunk instead.
-        assert_eq!(heal(&c).remaining, 1);
+        assert!(matches!(
+            read(&c, "f", 0, 10),
+            Err(DsiError::Unavailable(_))
+        ));
+        // No live holder and no live spare: nothing a pump can move, and
+        // it charges nothing.
+        assert_eq!(heal(&c), RebuildProgress::default());
         // Recovery restores service (immutable blocks are still valid).
         c.recover_node(NodeId(0));
         c.recover_node(NodeId(1));
         c.recover_node(NodeId(2));
-        assert_eq!(c.read("f", 0, 100).unwrap(), vec![1u8; 100]);
+        assert_eq!(read(&c, "f", 0, 100).unwrap(), vec![1u8; 100]);
     }
 
     #[test]
@@ -1206,7 +1188,7 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..50 {
                         let off = (t * 1000 + i * 13) as u64;
-                        let data = c.read("f", off, 64).unwrap();
+                        let data = read(&c, "f", off, 64).unwrap();
                         assert_eq!(data, vec![7u8; 64]);
                     }
                 });
@@ -1230,7 +1212,7 @@ mod tests {
             .expect("a replica to corrupt");
         // Enough reads that round-robin rotation lands on the bad replica.
         for _ in 0..6 {
-            assert_eq!(c.read("f", 0, 4096).unwrap(), data, "reads stay correct");
+            assert_eq!(read(&c, "f", 0, 4096).unwrap(), data, "reads stay correct");
         }
         let d = c.durability();
         assert!(d.checksum_failures >= 1, "corruption detected: {d:?}");
@@ -1239,7 +1221,7 @@ mod tests {
         // The repaired replica serves clean reads again: no new failures.
         let before = c.durability().checksum_failures;
         for _ in 0..6 {
-            assert_eq!(c.read("f", 0, 4096).unwrap(), data);
+            assert_eq!(read(&c, "f", 0, 4096).unwrap(), data);
         }
         assert_eq!(c.durability().checksum_failures, before);
         let _ = victim;
@@ -1313,16 +1295,72 @@ mod tests {
             0,
             "target capped at live"
         );
-        assert_eq!(c.read("f", 0, 2048).unwrap(), vec![8u8; 2048]);
-        // Node rejoins: the queued chunks top back up to R3.
+        assert_eq!(read(&c, "f", 0, 2048).unwrap(), vec![8u8; 2048]);
+        // No spare node to copy to: the pump charges nothing, counts
+        // nothing, and the chunks stay in the directory's list.
+        let p = c.pump_rebuild(u64::MAX);
+        assert_eq!(p, RebuildProgress::default());
+        assert_eq!(c.durability().rebuild_queue_depth, 0);
+        // Node rejoins: the first pump tops the chunks back up to R3.
         c.recover_node(NodeId(1));
         assert!(!c.under_replicated_chunks().is_empty(), "now below R again");
+        assert_eq!(c.durability().rebuild_queue_depth, 2);
         let p = c.pump_rebuild(u64::MAX);
-        assert_eq!(p.remaining, 0);
+        assert_eq!((p.chunks_rebuilt, p.remaining), (2, 0));
         let meta = c.stat("f").unwrap();
         for replicas in &meta.blocks {
             assert_eq!(replicas.len(), 3);
         }
+        assert!(c.under_replicated_chunks().is_empty());
+        assert_eq!(read(&c, "f", 0, 2048).unwrap(), vec![8u8; 2048]);
+    }
+
+    #[test]
+    fn dead_node_chunks_wait_for_a_spare_and_cost_nothing_meanwhile() {
+        let c = TectonicCluster::new(ClusterConfig {
+            nodes: 3,
+            block_size: 1024,
+            replication: 3,
+            hdd: true,
+        });
+        let data: Vec<u8> = (0..4096u32).map(|i| (i % 249) as u8).collect();
+        c.append("f", Bytes::from(data.clone())).unwrap();
+        c.fail_node(NodeId(2));
+        // Declared dead, but the two survivors already hold every chunk.
+        assert_eq!(heal(&c), RebuildProgress::default());
+        assert_eq!(c.durability().rebuild_queue_depth, 0);
+        assert_eq!(c.dead_nodes(), vec![NodeId(2)]);
+        assert_eq!(read(&c, "f", 0, 4096).unwrap(), data);
+        // The node comes back: every block is at R3 again and the next
+        // pump finds nothing to do.
+        c.recover_node(NodeId(2));
+        c.pump_rebuild(u64::MAX);
+        for replicas in &c.stat("f").unwrap().blocks {
+            assert_eq!(replicas.len(), 3);
+        }
+        assert!(c.under_replicated_chunks().is_empty());
+        assert_eq!(read(&c, "f", 0, 4096).unwrap(), data);
+    }
+
+    #[test]
+    fn a_failed_node_moves_nothing_before_its_kth_missed_beat() {
+        let c = TectonicCluster::new(ClusterConfig {
+            nodes: 8,
+            block_size: 1024,
+            replication: 3,
+            hdd: true,
+        });
+        c.append("f", Bytes::from(vec![5u8; 8 * 1024])).unwrap();
+        c.fail_node(NodeId(3));
+        for _ in 1..HEARTBEAT_K {
+            assert!(c.heartbeat_tick().is_empty());
+            assert_eq!(c.pump_rebuild(u64::MAX), RebuildProgress::default());
+            assert_eq!(c.durability().rebuild_queue_depth, 0);
+        }
+        assert_eq!(c.heartbeat_tick(), vec![NodeId(3)]);
+        let p = c.pump_rebuild(u64::MAX);
+        assert!(p.chunks_rebuilt > 0 && p.ios > 0, "{p:?}");
+        assert_eq!(p.remaining, 0);
         assert!(c.under_replicated_chunks().is_empty());
     }
 }

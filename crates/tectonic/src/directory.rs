@@ -64,22 +64,10 @@ impl ChunkDirectory {
         self.chunks.is_empty()
     }
 
-    /// All chunks with a replica assigned to `node` (the rebuild scan when
-    /// a node is declared dead).
-    pub fn chunks_on(&self, node: NodeId) -> Vec<BlockId> {
-        let mut ids: Vec<BlockId> = self
-            .chunks
-            .iter()
-            .filter(|(_, info)| info.replicas.contains(&node))
-            .map(|(&id, _)| id)
-            .collect();
-        ids.sort();
-        ids
-    }
-
     /// Chunks whose live replica count is below `target`, given the set of
-    /// dead nodes. Returns `(id, live_count)` pairs sorted most-under-
-    /// replicated first (then by id, for determinism).
+    /// dead nodes (the rebuild pump's work list). Returns `(id, live_count)`
+    /// pairs sorted most-under-replicated first (then by id, for
+    /// determinism).
     pub fn under_replicated(&self, dead: &[NodeId], target: usize) -> Vec<(BlockId, usize)> {
         let mut out: Vec<(BlockId, usize)> = self
             .chunks
@@ -122,17 +110,6 @@ mod tests {
         assert_eq!(d.get(id).unwrap().replicas.len(), 3);
         assert!(d.remove(id).is_some());
         assert!(d.get(id).is_none());
-    }
-
-    #[test]
-    fn chunks_on_finds_assignments() {
-        let mut d = ChunkDirectory::new();
-        d.insert(BlockId::new("a", 0), info(&[0, 1, 2]));
-        d.insert(BlockId::new("a", 1), info(&[1, 2, 3]));
-        d.insert(BlockId::new("b", 0), info(&[4, 5, 6]));
-        assert_eq!(d.chunks_on(NodeId(1)).len(), 2);
-        assert_eq!(d.chunks_on(NodeId(6)).len(), 1);
-        assert!(d.chunks_on(NodeId(9)).is_empty());
     }
 
     #[test]

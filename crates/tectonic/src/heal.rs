@@ -1,18 +1,16 @@
-//! Self-healing machinery: heartbeat failure detection and the priority
-//! rebuild queue.
+//! Self-healing machinery: heartbeat failure detection and the outcome of
+//! a rebuild pump.
 //!
 //! The detector is clocked explicitly — [`HeartbeatDetector::tick`] is one
 //! heartbeat round; a failed node misses its beat, and after
-//! [`HEARTBEAT_K`] consecutive misses it is declared dead. The
-//! rebuild queue orders under-replicated chunks most-degraded-first (a
-//! min-heap on live replica count) and revalidates entries lazily on pop,
-//! so stale entries whose chunk has since been re-replicated or deleted
-//! cost nothing but a skip.
+//! [`HEARTBEAT_K`] consecutive misses it is declared dead. Rebuild work
+//! has no record of its own: each
+//! [`pump_rebuild`](crate::TectonicCluster::pump_rebuild) reads it from
+//! the chunk directory, so the replica map is the one record of which
+//! chunks need re-replication.
 
-use crate::block::BlockId;
 use dsi_types::NodeId;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::HashSet;
 
 /// Consecutive missed beats before a node is declared dead. One or two
 /// missed beats are routinely a slow disk or a dropped packet, and a false
@@ -21,11 +19,11 @@ use std::collections::{BinaryHeap, HashSet};
 /// rounds.
 pub const HEARTBEAT_K: u32 = 3;
 
-/// Tracks per-node missed heartbeats and the resulting dead set.
+/// Tracks per-node missed heartbeats; a node is dead exactly while its
+/// miss count is at least [`HEARTBEAT_K`].
 #[derive(Debug)]
 pub struct HeartbeatDetector {
     missed: Vec<u32>,
-    dead: HashSet<NodeId>,
 }
 
 impl HeartbeatDetector {
@@ -33,7 +31,6 @@ impl HeartbeatDetector {
     pub fn new(nodes: usize) -> Self {
         Self {
             missed: vec![0; nodes],
-            dead: HashSet::new(),
         }
     }
 
@@ -45,13 +42,12 @@ impl HeartbeatDetector {
         for (i, misses) in self.missed.iter_mut().enumerate() {
             let node = NodeId(i as u64);
             if failed.contains(&node) {
-                *misses += 1;
-                if *misses >= HEARTBEAT_K && self.dead.insert(node) {
+                *misses = misses.saturating_add(1);
+                if *misses == HEARTBEAT_K {
                     newly_dead.push(node);
                 }
             } else {
                 *misses = 0;
-                self.dead.remove(&node);
             }
         }
         newly_dead
@@ -62,65 +58,14 @@ impl HeartbeatDetector {
         if let Some(m) = self.missed.get_mut(node.0 as usize) {
             *m = 0;
         }
-        self.dead.remove(&node);
     }
 
     /// Nodes currently declared dead, in ascending id order.
     pub fn dead_nodes(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.dead.iter().copied().collect();
-        v.sort();
-        v
-    }
-}
-
-/// Priority queue of chunks awaiting re-replication, most under-replicated
-/// first. Entries carry the live-replica count observed at enqueue time;
-/// the drain loop revalidates against the directory on pop, so a stale
-/// entry (chunk already healed, or further degraded and re-enqueued) is
-/// simply skipped.
-#[derive(Debug, Default)]
-pub struct RebuildQueue {
-    heap: BinaryHeap<Reverse<(usize, BlockId)>>,
-    queued: HashSet<BlockId>,
-}
-
-impl RebuildQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Enqueues `chunk` with `live` surviving replicas. Re-enqueueing an
-    /// already-queued chunk updates its priority (the stale entry is
-    /// shadowed by `queued` bookkeeping and dropped on pop).
-    pub fn push(&mut self, chunk: BlockId, live: usize) {
-        self.heap.push(Reverse((live, chunk)));
-        self.queued.insert(chunk);
-    }
-
-    /// Pops the most under-replicated chunk still marked queued.
-    pub fn pop(&mut self) -> Option<BlockId> {
-        while let Some(Reverse((_, chunk))) = self.heap.pop() {
-            if self.queued.remove(&chunk) {
-                return Some(chunk);
-            }
-        }
-        None
-    }
-
-    /// Drops a chunk from the queue (file deleted while queued).
-    pub fn discard(&mut self, chunk: BlockId) {
-        self.queued.remove(&chunk);
-    }
-
-    /// Number of distinct chunks awaiting rebuild.
-    pub fn len(&self) -> usize {
-        self.queued.len()
-    }
-
-    /// Whether no chunks await rebuild.
-    pub fn is_empty(&self) -> bool {
-        self.queued.is_empty()
+        (0..self.missed.len() as u64)
+            .map(NodeId)
+            .filter(|n| self.missed[n.0 as usize] >= HEARTBEAT_K)
+            .collect()
     }
 }
 
@@ -134,7 +79,8 @@ pub struct RebuildProgress {
     /// Disk IOs charged to rebuild traffic this pump (source reads +
     /// destination writes).
     pub ios: u64,
-    /// Chunks still awaiting rebuild when the budget ran out.
+    /// Under-replicated chunks a further pump can still move (a live
+    /// holder to copy from and a live spare to copy to) after this one.
     pub remaining: u64,
 }
 
@@ -148,6 +94,7 @@ mod tests {
         let failed: HashSet<NodeId> = [NodeId(2)].into_iter().collect();
         assert!(d.tick(&failed).is_empty());
         assert!(d.tick(&failed).is_empty());
+        assert!(d.dead_nodes().is_empty(), "failed is not yet dead");
         assert_eq!(d.tick(&failed), vec![NodeId(2)], "dead after K=3 misses");
         assert!(d.tick(&failed).is_empty(), "declared once");
         assert_eq!(d.dead_nodes(), vec![NodeId(2)]);
@@ -164,50 +111,15 @@ mod tests {
         assert!(d.tick(&failed).is_empty());
         assert!(d.tick(&failed).is_empty());
         assert_eq!(d.tick(&failed), vec![NodeId(0)]);
-        // Recovery clears the dead mark.
+        // A beat from a dead node clears its mark too.
+        d.tick(&HashSet::new());
+        assert!(d.dead_nodes().is_empty());
+        // So does recovery.
+        for _ in 0..HEARTBEAT_K {
+            d.tick(&failed);
+        }
+        assert_eq!(d.dead_nodes(), vec![NodeId(0)]);
         d.recover(NodeId(0));
         assert!(d.dead_nodes().is_empty());
-    }
-
-    #[test]
-    fn queue_pops_most_under_replicated_first() {
-        let mut q = RebuildQueue::new();
-        let (a, b, c) = (
-            BlockId::new("a", 0),
-            BlockId::new("b", 0),
-            BlockId::new("c", 0),
-        );
-        q.push(a, 2);
-        q.push(b, 0);
-        q.push(c, 1);
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop(), Some(b));
-        assert_eq!(q.pop(), Some(c));
-        assert_eq!(q.pop(), Some(a));
-        assert_eq!(q.pop(), None);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn reenqueue_updates_priority_without_double_pop() {
-        let mut q = RebuildQueue::new();
-        let (a, b) = (BlockId::new("a", 0), BlockId::new("b", 0));
-        q.push(a, 2);
-        q.push(b, 1);
-        q.push(a, 0); // a degraded further
-        assert_eq!(q.len(), 2, "a counted once");
-        assert_eq!(q.pop(), Some(a), "new priority wins");
-        assert_eq!(q.pop(), Some(b));
-        assert_eq!(q.pop(), None, "stale a entry skipped");
-    }
-
-    #[test]
-    fn discard_drops_a_queued_chunk() {
-        let mut q = RebuildQueue::new();
-        let a = BlockId::new("a", 0);
-        q.push(a, 1);
-        q.discard(a);
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
     }
 }

@@ -14,8 +14,8 @@
 //! * [`cluster`] — the name node and client API ([`TectonicCluster`]);
 //! * [`directory`] — the chunk directory mapping every block to its
 //!   replica set and checksum;
-//! * [`heal`] — heartbeat failure detection and the priority rebuild
-//!   queue behind self-healing;
+//! * [`heal`] — heartbeat failure detection behind self-healing (the
+//!   rebuild pump reads its work from the [`directory`]);
 //! * [`source`] — a [`dwrf::ChunkSource`] adapter so DWRF readers fetch
 //!   through the cluster (and, optionally, the [`cache`] SSD tier) and are
 //!   charged for IO.
@@ -29,8 +29,8 @@
 //! # fn main() -> dsi_types::Result<()> {
 //! let cluster = TectonicCluster::new(ClusterConfig::small());
 //! cluster.append("warehouse/rm1/part-0", Bytes::from(vec![7u8; 100_000]))?;
-//! let data = cluster.read("warehouse/rm1/part-0", 50_000, 16)?;
-//! assert_eq!(data, vec![7u8; 16]);
+//! let data = cluster.read_view("warehouse/rm1/part-0", 50_000, 16)?;
+//! assert_eq!(data.view.as_slice(), &[7u8; 16]);
 //! assert!(cluster.total_stats().bytes >= 16);
 //! # Ok(())
 //! # }
@@ -52,6 +52,6 @@ pub use block::{
 pub use cache::{CacheStats, SsdCache};
 pub use cluster::{ClusterConfig, DurabilityCounters, FileMeta, TectonicCluster};
 pub use directory::{ChunkDirectory, ChunkInfo};
-pub use heal::{HeartbeatDetector, RebuildProgress, RebuildQueue, HEARTBEAT_K};
+pub use heal::{HeartbeatDetector, RebuildProgress, HEARTBEAT_K};
 pub use node::{NodeStats, PagedChunk, StorageNode, CHECKSUM_PAGE};
 pub use source::TectonicSource;

@@ -402,7 +402,10 @@ mod tests {
             assert_eq!(files.len(), 1);
             let file = &files[0];
             assert_eq!(file.footer.stripes.len(), 6);
-            t.cluster().read(&file.path, 0, file.encoded_bytes).unwrap()
+            t.cluster()
+                .read_view(&file.path, 0, file.encoded_bytes)
+                .unwrap()
+                .view
         };
         for p in 0..4 {
             assert_eq!(stored(&parallel, p), stored(&serial, p), "partition {p}");

@@ -241,10 +241,10 @@ fn drive_epoch(injector: Arc<FaultInjector>, opts: EpochOpts) -> EpochRun {
                             let victim = batches % world.cluster.node_count() as u64;
                             world.cluster.fail_node(NodeId(victim));
                             // The heartbeat detector declares the victim
-                            // dead after K missed beats and queues its
-                            // chunks; drain the queue under a small IOPS
-                            // budget so rebuild traffic contends with the
-                            // epoch's own foreground reads.
+                            // dead after K missed beats, which puts its
+                            // chunks on the rebuild work list; pump under a
+                            // small IOPS budget so rebuild traffic contends
+                            // with the epoch's own foreground reads.
                             for _ in 0..tectonic::HEARTBEAT_K {
                                 world.cluster.heartbeat_tick();
                             }
@@ -834,7 +834,7 @@ fn durability_kill_r_minus_one_storage_nodes_mid_epoch_over_tcp_pipeline() {
     // Three node kills in quick succession keep R-1 = 2 nodes dead at
     // once (the harness caps concurrency there so a live replica always
     // survives). Every tensor must still arrive exactly once, bitwise
-    // identical, and the rebuild queue must be drained by epoch end.
+    // identical, and the rebuild must have converged by epoch end.
     let plan = FaultPlan::named(vec![
         FaultEvent::new(HookPoint::Harness, 2, FaultKind::NodeFail),
         FaultEvent::new(HookPoint::Harness, 4, FaultKind::NodeFail),
@@ -933,11 +933,11 @@ fn at_rest_corruption_never_reaches_the_trainer() {
 fn durability_rebuild_converges_under_bounded_iops_budget() {
     // Cluster-level convergence over real table data: kill a node, let
     // the heartbeat detector declare it dead, then drain the rebuild
-    // queue in small budgeted pumps. Each pump starts at most `budget`
+    // backlog in small budgeted pumps. Each pump starts at most `budget`
     // IOs (one in-flight chunk may overshoot by its own read+writes),
     // and at convergence every chunk is back to R live replicas.
     let world = build_world();
-    // Kill the node holding the most chunks so the rebuild queue is
+    // Kill the node holding the most chunks so the rebuild backlog is
     // deep enough that a budget of 1 demonstrably takes several pumps.
     let mut held: std::collections::HashMap<NodeId, u64> = std::collections::HashMap::new();
     for path in world.cluster.list_files() {
@@ -972,7 +972,7 @@ fn durability_rebuild_converges_under_bounded_iops_budget() {
         }
         assert!(pumps < 10_000, "rebuild failed to converge");
     }
-    assert!(pumps > 1, "budget {budget} drained the queue in one pump");
+    assert!(pumps > 1, "budget {budget} drained the backlog in one pump");
     let d = world.cluster.durability();
     assert_eq!(d.under_replicated, 0, "{d:?}");
     assert!(d.rebuilt_chunks > 0, "{d:?}");
@@ -1102,7 +1102,8 @@ fn tuner_moves_knobs_while_node_dies_mid_epoch_exactly_once() {
     // ticking every batch — growing the fleet, deepening read-ahead,
     // rotating workers through the new spec — when NodeFail hits twice.
     // Each loss runs the full declaration path (K missed heartbeats →
-    // chunks queued → budgeted rebuild) while the tuner keeps actuating.
+    // chunks under-replicated → budgeted rebuild) while the tuner keeps
+    // actuating.
     // Delivery must stay exactly-once and bitwise-identical to the
     // fault-free, untouched-knobs baseline. The batch-size axis is frozen
     // (a mid-run change would legitimately alter tensor shapes); workers

@@ -501,6 +501,34 @@ fn bitmap_by_bits(out: &mut Vec<u8>, bits: &[bool]) {
 
 /// `f32` bit patterns the XOR writer must carry exactly: arbitrary words,
 /// ±0, subnormals and NaN payloads of either sign.
+/// One step of a random Tectonic schedule: files and nodes are indices
+/// the test maps onto its cluster.
+#[derive(Debug, Clone)]
+enum HealOp {
+    Append(usize, usize),
+    Fail(u64),
+    Recover(u64),
+    Tick,
+    Pump(u64),
+    Delete(usize),
+}
+
+/// Appends and beats come twice as often as the rest, so nodes get
+/// declared dead and files outlive their deletes.
+fn arb_heal_op() -> impl Strategy<Value = HealOp> {
+    let append = || (0usize..3, 1usize..300).prop_map(|(f, len)| HealOp::Append(f, len));
+    prop_oneof![
+        append(),
+        append(),
+        (0u64..6).prop_map(HealOp::Fail),
+        (0u64..6).prop_map(HealOp::Recover),
+        Just(HealOp::Tick),
+        Just(HealOp::Tick),
+        (1u64..17).prop_map(HealOp::Pump),
+        (0usize..3).prop_map(HealOp::Delete),
+    ]
+}
+
 fn arb_f32_bits() -> impl Strategy<Value = u32> {
     prop_oneof![
         any::<u32>(),
@@ -1608,6 +1636,89 @@ proptest! {
     }
 
     #[test]
+    fn tectonic_heals_every_chunk_to_r_once_every_node_is_back(
+        nodes in 4usize..7,
+        ops in proptest::collection::vec(arb_heal_op(), 0..80),
+    ) {
+        use dsi_types::NodeId;
+        use std::collections::BTreeMap;
+        let (bs, r) = (128u64, 3usize);
+        let cluster = TectonicCluster::new(ClusterConfig {
+            nodes,
+            block_size: bs,
+            replication: r,
+            hdd: true,
+        });
+        let mut files: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+        for op in ops {
+            match op {
+                HealOp::Append(f, len) => {
+                    let path = format!("f{f}");
+                    let old = files.get(&path).map_or(0, Vec::len);
+                    let data: Vec<u8> = (old..old + len).map(|i| (i * 7 + f) as u8).collect();
+                    match cluster.append(&path, Bytes::from(data.clone())) {
+                        Ok(()) => files.entry(path).or_default().extend(data),
+                        // Every holder of the tail block is down: nothing
+                        // is written.
+                        Err(e) => prop_assert!(matches!(e, DsiError::Unavailable(_)), "{e}"),
+                    }
+                }
+                HealOp::Fail(n) => {
+                    // At most R-1 nodes down at once.
+                    if cluster.failed_nodes().len() < r - 1 {
+                        cluster.fail_node(NodeId(n % nodes as u64));
+                    }
+                }
+                HealOp::Recover(n) => cluster.recover_node(NodeId(n % nodes as u64)),
+                HealOp::Tick => {
+                    cluster.heartbeat_tick();
+                }
+                HealOp::Pump(b) => {
+                    cluster.pump_rebuild(b);
+                }
+                HealOp::Delete(f) => {
+                    let path = format!("f{f}");
+                    prop_assert_eq!(cluster.delete(&path).is_ok(), files.remove(&path).is_some());
+                }
+            }
+        }
+        for n in 0..nodes as u64 {
+            cluster.recover_node(NodeId(n));
+        }
+        for _ in 0..tectonic::HEARTBEAT_K {
+            cluster.heartbeat_tick();
+        }
+        let chunks: u64 = files.values().map(|d| (d.len() as u64).div_ceil(bs)).sum();
+        let budget = 1 + chunks % 16;
+        let mut remaining = cluster.pump_rebuild(budget).remaining;
+        for _ in 0..chunks {
+            if remaining == 0 {
+                break;
+            }
+            remaining = cluster.pump_rebuild(budget).remaining;
+        }
+        prop_assert_eq!(remaining, 0, "rebuild did not converge in {} pumps", chunks + 1);
+        prop_assert!(cluster.under_replicated_chunks().is_empty());
+        for (path, data) in &files {
+            let meta = cluster.stat(path).expect("appended file");
+            prop_assert_eq!(meta.len, data.len() as u64);
+            for (b, replicas) in meta.blocks.iter().enumerate() {
+                let mut distinct = replicas.clone();
+                distinct.sort();
+                distinct.dedup();
+                prop_assert_eq!(distinct.len(), r, "{} block {}: {:?}", path, b, replicas);
+                // R reads in a row rotate through every replica.
+                let off = b as u64 * bs;
+                let len = bs.min(data.len() as u64 - off);
+                for _ in 0..r {
+                    let got = cluster.read_view(path, off, len).expect("every node is live");
+                    prop_assert_eq!(got.view.as_slice(), &data[off as usize..(off + len) as usize]);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn tectonic_read_returns_written_bytes(
         len in 1usize..20_000,
         reads in proptest::collection::vec((0.0f64..1.0, 0u64..700, 1u64..4, 1u64..701), 1..10),
@@ -1642,15 +1753,12 @@ proptest! {
             prop_assert_eq!(chunk.copied_bytes, copied);
             prop_assert_eq!(cluster.total_stats(), before, "uncharged reads charge nothing");
 
-            prop_assert_eq!(&cluster.read("f", off, rlen).expect("in range")[..], want);
-            let by_read = cluster.total_stats();
             let chunk = cluster.read_view("f", off, rlen).expect("in range");
             prop_assert_eq!(chunk.view.as_slice(), want);
             prop_assert_eq!(chunk.copied_bytes, copied);
             let by_view = cluster.total_stats();
-            prop_assert_eq!(by_read.ios - before.ios, by_view.ios - by_read.ios);
-            prop_assert_eq!(by_read.bytes - before.bytes, by_view.bytes - by_read.bytes);
-            prop_assert_eq!(by_read.ios - before.ios, span);
+            prop_assert_eq!(by_view.ios - before.ios, span, "one IO per block touched");
+            prop_assert_eq!(by_view.bytes - before.bytes, rlen);
         }
     }
 }
