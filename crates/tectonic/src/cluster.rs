@@ -1,17 +1,18 @@
 //! The Tectonic name node and client API.
 //!
 //! [`TectonicCluster`] is a cheaply-cloneable handle (shared state behind
-//! locks) so DPP Workers on many threads can read concurrently. Appends
-//! split data into blocks, fan R replicas out by rendezvous hashing over
-//! the live nodes, and record each chunk in the [`ChunkDirectory`] with its
-//! whole-chunk checksum. Reads pick a replica round-robin, verify per-page
-//! checksums on the serving node, and transparently fail over to a
-//! surviving replica on corruption — repairing the bad copy in place.
-//! Node loss is detected by the heartbeat detector after K missed beats
-//! and healed under an IOPS budget by [`TectonicCluster::pump_rebuild`],
-//! which reads its work from the directory (the chunks short of R
-//! replicas off declared-dead nodes, most degraded first), so rebuild
-//! traffic contends with foreground reads on the same simulated disks.
+//! locks) so DPP Workers on many threads can read concurrently. One
+//! verified-copy lookup (`good_copy`: live holders in rotation order, page
+//! sums, plus the [`ChunkDirectory`]'s whole-chunk checksum for a whole
+//! chunk) serves reads, read-repair, tail appends and rebuild; one top-up
+//! (`top_up`: rendezvous over live non-holders up to R) serves new blocks,
+//! tail appends and rebuild. Node loss is detected after K missed
+//! heartbeats and healed under an IOPS budget by
+//! [`TectonicCluster::pump_rebuild`], which reads its work from the
+//! directory, so rebuild traffic contends with foreground reads on the
+//! same simulated disks. The pump drops a copy that fails verification
+//! and a recovering node drops the copies the directory does not list
+//! for it, so the directory and the nodes record one fact.
 
 use crate::block::{place_replicas_among, BlockId, REPLICATION_FACTOR};
 use crate::directory::{ChunkDirectory, ChunkInfo};
@@ -127,6 +128,15 @@ impl Served {
     }
 }
 
+/// What [`TectonicCluster::good_copy`] found: the first verified copy (or
+/// the error that ended the walk), the holders consulted before it (all
+/// of them on an error), and the holders whose copy failed verification.
+struct GoodCopy {
+    bytes: Result<Bytes>,
+    tries: usize,
+    failed: Vec<NodeId>,
+}
+
 struct ClusterInner {
     config: ClusterConfig,
     nodes: Vec<Mutex<StorageNode>>,
@@ -212,11 +222,13 @@ impl TectonicCluster {
         self.inner.nodes.len()
     }
 
-    /// Nodes currently live (not failed).
-    fn live_nodes(&self, failed: &HashSet<NodeId>) -> Vec<NodeId> {
-        (0..self.inner.nodes.len() as u64)
-            .map(NodeId)
+    /// `info`'s holders on nodes that have not failed, in list order.
+    fn live_holders(&self, info: &ChunkInfo) -> Vec<NodeId> {
+        let failed = self.inner.failed.read();
+        info.replicas
+            .iter()
             .filter(|n| !failed.contains(n))
+            .copied()
             .collect()
     }
 
@@ -235,10 +247,8 @@ impl TectonicCluster {
         let mut dir = self.inner.directory.write();
         let len = files.entry(path.to_string()).or_insert(0);
         let bs = self.inner.config.block_size;
-        let r = self.inner.config.replication;
         let failed = self.inner.failed.read().clone();
-        let live = self.live_nodes(&failed);
-        if live.is_empty() {
+        if failed.len() >= self.inner.nodes.len() {
             return Err(DsiError::Unavailable(
                 "no live storage node can accept the write".into(),
             ));
@@ -248,78 +258,81 @@ impl TectonicCluster {
         // Append-only semantics: we only ever add new blocks; a partial tail
         // block is replaced by a longer one on its replicas.
         while written < data.len() as u64 {
-            let block_index = *len / bs;
             let within = *len % bs;
             let take = ((bs - within).min(data.len() as u64 - written)) as usize;
             let chunk = data.slice(written as usize..written as usize + take);
-            let id = BlockId::new(path, block_index);
-            if within == 0 {
-                let replicas = place_replicas_among(id, &live, r);
-                let chunk = PagedChunk::new(chunk);
-                for &node in &replicas {
-                    self.inner.nodes[node.0 as usize]
-                        .lock()
-                        .store(id, chunk.clone())?;
-                }
-                dir.insert(
-                    id,
-                    ChunkInfo {
-                        replicas,
-                        checksum: checksum64(chunk.data()),
-                        len: take as u64,
-                    },
-                );
+            let id = BlockId::new(path, *len / bs);
+            let (chunk, mut replicas) = if within == 0 {
+                (PagedChunk::new(chunk), Vec::new())
             } else {
-                // Extend the partial tail block in place. Failed holders are
-                // dropped from the replica set (their copy is now stale) and
-                // the write tops back up to R on live non-holders.
+                // Extend the partial tail block: its existing bytes come from
+                // a verified copy, every live holder takes the longer block
+                // (overwriting a corrupt copy), and a failed holder leaves
+                // the replica set — its copy is now stale.
                 let info = dir
                     .get(id)
                     .cloned()
                     .ok_or_else(|| DsiError::corrupt(format!("missing chunk {id:?}")))?;
-                let mut holders: Vec<NodeId> = info
-                    .replicas
-                    .iter()
-                    .filter(|n| !failed.contains(n))
-                    .copied()
-                    .collect();
-                if holders.is_empty() {
-                    return Err(DsiError::Unavailable(format!(
-                        "every replica of {path} block {block_index} is on a failed node"
-                    )));
-                }
-                let existing = self.inner.nodes[holders[0].0 as usize]
-                    .lock()
-                    .read(id, 0, within)?;
+                let existing = self.good_copy(id, &info, 0, None, true, None).bytes?;
                 let mut combined = existing.to_vec();
                 combined.extend_from_slice(&chunk);
                 let combined = PagedChunk::new(Bytes::from(combined));
-                if holders.len() < r {
-                    let spare: Vec<NodeId> = live
-                        .iter()
-                        .filter(|n| !holders.contains(n))
-                        .copied()
-                        .collect();
-                    if !spare.is_empty() {
-                        holders.extend(place_replicas_among(id, &spare, r - holders.len()));
-                    }
-                }
+                let holders = self.live_holders(&info);
                 for &node in &holders {
                     self.inner.nodes[node.0 as usize]
                         .lock()
                         .store(id, combined.clone())?;
                 }
-                dir.insert(
-                    id,
-                    ChunkInfo {
-                        replicas: holders,
-                        checksum: checksum64(combined.data()),
-                        len: combined.data().len() as u64,
-                    },
-                );
-            }
+                (combined, holders)
+            };
+            self.top_up(id, &chunk, &mut replicas, &failed, false)?;
+            dir.insert(
+                id,
+                ChunkInfo {
+                    replicas,
+                    checksum: checksum64(chunk.data()),
+                    len: chunk.data().len() as u64,
+                },
+            );
             *len += take as u64;
             written += take as u64;
+        }
+        Ok(())
+    }
+
+    /// The one top-up: places `chunk` by rendezvous over the nodes neither
+    /// `failed` nor in `holders` until R nodes hold it, pushing each target
+    /// that took it onto `holders`. An append stores plainly and fails on
+    /// a full disk; a rebuild charges each write to its target's disk and
+    /// skips a target that is full.
+    fn top_up(
+        &self,
+        id: BlockId,
+        chunk: &PagedChunk,
+        holders: &mut Vec<NodeId>,
+        failed: &HashSet<NodeId>,
+        rebuild: bool,
+    ) -> Result<()> {
+        let spare: Vec<NodeId> = (0..self.inner.nodes.len() as u64)
+            .map(NodeId)
+            .filter(|n| !failed.contains(n) && !holders.contains(n))
+            .collect();
+        let want = self.inner.config.replication.saturating_sub(holders.len());
+        if spare.is_empty() {
+            return Ok(());
+        }
+        for target in place_replicas_among(id, &spare, want) {
+            let mut node = self.inner.nodes[target.0 as usize].lock();
+            let stored = if rebuild {
+                node.store_charged(id, chunk.clone())
+            } else {
+                node.store(id, chunk.clone())
+            };
+            match stored {
+                Ok(()) => holders.push(target),
+                Err(e) if !rebuild => return Err(e),
+                Err(_) => {}
+            }
         }
         Ok(())
     }
@@ -425,13 +438,15 @@ impl TectonicCluster {
         self.serve(path, offset, len, false).map(Served::into_chunk)
     }
 
-    /// The one read body behind the three public reads. A charged read
-    /// fires the chaos hook once and charges the serving replicas' disks;
-    /// an uncharged one only peeks. A
-    /// single-block range is a zero-copy slice of the replica's bytes; a
-    /// multi-block range is assembled, and in-flight corruption forces a
-    /// private copy so the replica's stored bytes stay pristine for other
-    /// readers — both are reported as copied.
+    /// The one read body behind the three public reads: each block goes
+    /// through [`TectonicCluster::good_copy`] from the next replica in
+    /// rotation, counting a failover past the first choice and repairing
+    /// the copies that failed. A charged read fires the chaos hook once
+    /// and charges the serving replicas' disks; an uncharged one only
+    /// peeks. A single-block range is a zero-copy slice of the replica's
+    /// bytes; a multi-block range is assembled, and in-flight corruption
+    /// forces a private copy so the replica's stored bytes stay pristine
+    /// for other readers — both are reported as copied.
     fn serve(&self, path: &str, offset: u64, len: u64, charge: bool) -> Result<Served> {
         let chaos = if charge {
             self.fire_read_chaos(path, offset)?
@@ -447,14 +462,20 @@ impl TectonicCluster {
         let mut pos = offset;
         while pos < end {
             let take = (bs - pos % bs).min(end - pos);
-            let bytes = self.read_block_verified(
-                path,
-                pos / bs,
-                pos % bs,
-                take,
-                charge,
-                corrupt_once.take(),
-            )?;
+            let id = BlockId::new(path, pos / bs);
+            let info = self.inner.directory.read().get(id).cloned();
+            let info =
+                info.ok_or_else(|| DsiError::not_found(format!("block {} of {path}", pos / bs)))?;
+            let first = self.inner.replica_cursor.fetch_add(1, Ordering::Relaxed) as usize;
+            let range = Some((pos % bs, take));
+            let copy = self.good_copy(id, &info, first, range, charge, corrupt_once.take());
+            let bytes = copy.bytes?;
+            if copy.tries > 0 {
+                self.inner.failovers.fetch_add(1, Ordering::Relaxed);
+            }
+            if !copy.failed.is_empty() {
+                self.read_repair(id, &info, first + copy.tries, &copy.failed);
+            }
             if single {
                 slice = Some(bytes);
             } else {
@@ -493,56 +514,32 @@ impl TectonicCluster {
         Ok(end)
     }
 
-    /// Serves one intra-block range from a live replica with verification,
-    /// failover, and read-repair.
-    ///
-    /// Candidates are the chunk's live replicas in round-robin rotation
-    /// order. A replica whose touched pages fail checksum verification is
-    /// skipped (counted as a checksum failure) and, once a good replica
-    /// serves the range, overwritten in place with the verified payload
-    /// (read-repair). `corrupt_first` plants at-rest corruption on the
-    /// replica about to be consulted, guaranteeing the detect → failover
-    /// → repair path actually runs under chaos.
-    fn read_block_verified(
+    /// The one verified-copy lookup: walks `info`'s live holders in
+    /// rotation order from `first` until one serves. `range` is the
+    /// `(offset, len)` to read, verified by the page sums it touches;
+    /// `None` reads the whole chunk and also checks it against the
+    /// directory's checksum. A charged walk charges each served read to
+    /// its holder's disk; an uncharged one only peeks. A copy that fails
+    /// either check is counted as a checksum failure and returned in
+    /// [`GoodCopy::failed`].
+    fn good_copy(
         &self,
-        path: &str,
-        block_index: u64,
-        within: u64,
-        take: u64,
+        id: BlockId,
+        info: &ChunkInfo,
+        first: usize,
+        range: Option<(u64, u64)>,
         charge: bool,
         corrupt_first: Option<u8>,
-    ) -> Result<Bytes> {
-        let id = BlockId::new(path, block_index);
-        let info = self
-            .inner
-            .directory
-            .read()
-            .get(id)
-            .cloned()
-            .ok_or_else(|| DsiError::not_found(format!("block {block_index} of {path}")))?;
-        let failed = self.inner.failed.read().clone();
-        let live: Vec<NodeId> = info
-            .replicas
-            .iter()
-            .filter(|n| !failed.contains(n))
-            .copied()
-            .collect();
-        if live.is_empty() {
-            return Err(DsiError::Unavailable(format!(
-                "every replica of {path} block {block_index} is on a failed node"
-            )));
+    ) -> GoodCopy {
+        let live = self.live_holders(info);
+        let start = first % live.len().max(1);
+        if let (Some(mask), Some(node)) = (corrupt_first, live.get(start)) {
+            self.inner.nodes[node.0 as usize].lock().corrupt(id, mask);
         }
-        let start = self.inner.replica_cursor.fetch_add(1, Ordering::Relaxed) as usize % live.len();
-        if let Some(mask) = corrupt_first {
-            self.inner.nodes[live[start].0 as usize]
-                .lock()
-                .corrupt(id, mask);
-        }
-        let mut bad: Vec<NodeId> = Vec::new();
-        let mut last_err: Option<DsiError> = None;
-        for i in 0..live.len() {
-            let node = live[(start + i) % live.len()];
-            let attempt = {
+        let (within, take) = range.unwrap_or((0, info.len));
+        let (mut tries, mut failed, mut last) = (0, Vec::new(), None);
+        for &node in live.iter().cycle().skip(start).take(live.len()) {
+            let mut bytes = {
                 let mut n = self.inner.nodes[node.0 as usize].lock();
                 if charge {
                     n.read(id, within, take)
@@ -550,44 +547,42 @@ impl TectonicCluster {
                     n.peek(id, within, take)
                 }
             };
-            match attempt {
-                Ok(bytes) => {
-                    if i > 0 {
-                        self.inner.failovers.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if !bad.is_empty() {
-                        self.read_repair(id, &info, node, &bad);
-                    }
-                    return Ok(bytes);
-                }
-                Err(DsiError::Corrupt(e)) => {
-                    self.inner.checksum_failures.fetch_add(1, Ordering::Relaxed);
-                    bad.push(node);
-                    last_err = Some(DsiError::Corrupt(e));
-                }
-                Err(e) => last_err = Some(e),
+            if range.is_none() && matches!(&bytes, Ok(b) if checksum64(b) != info.checksum) {
+                bytes = Err(DsiError::corrupt(format!(
+                    "{id:?} fails its chunk checksum"
+                )));
             }
+            if let Err(DsiError::Corrupt(_)) = bytes {
+                self.inner.checksum_failures.fetch_add(1, Ordering::Relaxed);
+                failed.push(node);
+            }
+            let served = bytes.is_ok();
+            last = Some(bytes);
+            if served {
+                break;
+            }
+            tries += 1;
         }
-        Err(last_err.unwrap_or_else(|| {
-            DsiError::Unavailable(format!("no replica of {path} block {block_index} served"))
-        }))
+        let bytes = last.unwrap_or_else(|| {
+            Err(DsiError::Unavailable(format!(
+                "every replica of {id:?} is on a failed node"
+            )))
+        });
+        GoodCopy {
+            bytes,
+            tries,
+            failed,
+        }
     }
 
-    /// Overwrites corrupt replicas with the canonical payload fetched from
-    /// a known-good holder, after validating it against the directory's
-    /// whole-chunk checksum. Best-effort: a failed repair leaves the bad
-    /// replica for the rebuild path.
-    fn read_repair(&self, id: BlockId, info: &ChunkInfo, good: NodeId, bad: &[NodeId]) {
-        let data = match self.inner.nodes[good.0 as usize]
-            .lock()
-            .peek(id, 0, info.len)
-        {
-            Ok(d) => d,
-            Err(_) => return,
-        };
-        if checksum64(&data) != info.checksum {
+    /// Overwrites the `bad` copies in place with a whole chunk that
+    /// [`TectonicCluster::good_copy`] finds from `first` on (the holder
+    /// that just served). Best-effort: with no good copy the bad ones stay
+    /// for the next read or rebuild pump.
+    fn read_repair(&self, id: BlockId, info: &ChunkInfo, first: usize, bad: &[NodeId]) {
+        let Ok(data) = self.good_copy(id, info, first, None, false, None).bytes else {
             return;
-        }
+        };
         let chunk = PagedChunk::new(data);
         for &node in bad {
             if self.inner.nodes[node.0 as usize]
@@ -637,9 +632,19 @@ impl TectonicCluster {
     }
 
     /// Returns a failed node to service (e.g. after replacement), clearing
-    /// its heartbeat failure history. Since files are immutable its
-    /// replicas remain valid wherever the directory still lists them.
+    /// its heartbeat failure history. It first drops every copy the
+    /// directory does not list for it — copies rebuilt elsewhere, blocks
+    /// of files deleted meanwhile, and tail blocks an append extended
+    /// without it — so it holds only the copies the directory lists, all
+    /// still valid.
     pub fn recover_node(&self, node: NodeId) {
+        {
+            let dir = self.inner.directory.read();
+            self.inner.nodes[node.0 as usize].lock().retain(|id| {
+                dir.get(id)
+                    .is_some_and(|info| info.replicas.contains(&node))
+            });
+        }
         self.inner.failed.write().remove(&node);
         self.inner.detector.lock().recover(node);
     }
@@ -688,7 +693,7 @@ impl TectonicCluster {
     fn rebuild_work(&self) -> Vec<BlockId> {
         let dead = self.dead_nodes();
         let failed = self.inner.failed.read().clone();
-        let live = self.live_nodes(&failed).len();
+        let live = self.inner.nodes.len().saturating_sub(failed.len());
         let dir = self.inner.directory.read();
         dir.under_replicated(&dead, self.inner.config.replication)
             .into_iter()
@@ -704,81 +709,46 @@ impl TectonicCluster {
 
     /// Re-replicates under an IOPS budget: walks the work list
     /// ([`DurabilityCounters::rebuild_queue_depth`] chunks, most
-    /// under-replicated first), copies each chunk from a checksum-verified
-    /// live holder onto rendezvous-chosen live spares (charging an IO to
-    /// the disks on both ends, so rebuild contends with foreground reads),
-    /// and updates the directory. A chunk no live spare can take costs
-    /// nothing and stays in the directory's list until one returns. The
-    /// budget bounds the IOs *started* per call; one chunk may overshoot
-    /// by its own cost.
+    /// under-replicated first), reads each chunk whole from a verified
+    /// live holder (`good_copy`) and tops it back up to R on
+    /// rendezvous-chosen live spares (charging an IO to the disks on both
+    /// ends, so rebuild contends with foreground reads). A copy that fails
+    /// verification leaves both the replica list and its node, so a chunk
+    /// with no good copy leaves the work list instead of being read again.
+    /// A chunk no live spare can take costs nothing and stays in the
+    /// directory's list until one returns. The budget bounds the IOs
+    /// *started* per call; one chunk may overshoot by its own cost.
     pub fn pump_rebuild(&self, io_budget: u64) -> RebuildProgress {
         let mut progress = RebuildProgress::default();
-        let r = self.inner.config.replication;
         for id in self.rebuild_work() {
             if progress.ios >= io_budget {
                 break;
             }
-            // Snapshot; the chunk may have been deleted or healed since.
+            // Snapshot; the chunk may have been deleted since.
             let Some(info) = self.inner.directory.read().get(id).cloned() else {
                 continue;
             };
-            let failed = self.inner.failed.read().clone();
-            let holders: Vec<NodeId> = info
-                .replicas
-                .iter()
-                .filter(|n| !failed.contains(n))
-                .copied()
-                .collect();
-            let spare: Vec<NodeId> = self
-                .live_nodes(&failed)
-                .into_iter()
-                .filter(|n| !holders.contains(n))
-                .collect();
-            if spare.is_empty() || holders.len() >= r {
-                continue;
+            let copy = self.good_copy(id, &info, 0, None, true, None);
+            progress.ios += (copy.tries + usize::from(copy.bytes.is_ok())) as u64;
+            let mut replicas = info.replicas;
+            replicas.retain(|n| !copy.failed.contains(n));
+            for &node in &copy.failed {
+                self.inner.nodes[node.0 as usize].lock().remove(id);
             }
-            // Find a checksum-verified source among the live holders.
-            let mut data: Option<Bytes> = None;
-            for &src in &holders {
-                let attempt = self.inner.nodes[src.0 as usize]
-                    .lock()
-                    .read(id, 0, info.len);
-                progress.ios += 1;
-                match attempt {
-                    Ok(bytes) if checksum64(&bytes) == info.checksum => {
-                        data = Some(bytes);
-                        break;
-                    }
-                    Ok(_) | Err(DsiError::Corrupt(_)) => {
-                        self.inner.checksum_failures.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(_) => {}
+            if let Ok(data) = copy.bytes {
+                let failed = self.inner.failed.read().clone();
+                replicas.retain(|n| !failed.contains(n));
+                let held = replicas.len();
+                // A rebuild skips a full target rather than failing.
+                let _ = self.top_up(id, &PagedChunk::new(data), &mut replicas, &failed, true);
+                progress.ios += (replicas.len() - held) as u64;
+                if replicas.len() > held {
+                    progress.chunks_rebuilt += 1;
+                    self.inner.rebuilt_chunks.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            let Some(data) = data else {
-                continue;
-            };
-            // Fan the chunk back out to R over live non-holders.
-            let chunk = PagedChunk::new(data);
-            let mut new_replicas = holders.clone();
-            for target in place_replicas_among(id, &spare, r - holders.len()) {
-                if self.inner.nodes[target.0 as usize]
-                    .lock()
-                    .store_charged(id, chunk.clone())
-                    .is_ok()
-                {
-                    progress.ios += 1;
-                    new_replicas.push(target);
-                }
-            }
-            if new_replicas != info.replicas {
-                if let Some(entry) = self.inner.directory.write().get_mut(id) {
-                    entry.replicas = new_replicas.clone();
-                }
-            }
-            if new_replicas.len() > holders.len() {
-                progress.chunks_rebuilt += 1;
-                self.inner.rebuilt_chunks.fetch_add(1, Ordering::Relaxed);
+            if let Some(entry) = self.inner.directory.write().get_mut(id) {
+                entry.replicas = replicas;
             }
         }
         progress.remaining = self.rebuild_work().len() as u64;
@@ -808,12 +778,7 @@ impl TectonicCluster {
     pub fn corrupt_replica(&self, path: &str, block_index: u64, xor: u8) -> Option<NodeId> {
         let id = BlockId::new(path, block_index);
         let info = self.inner.directory.read().get(id).cloned()?;
-        let failed = self.inner.failed.read().clone();
-        let target = info
-            .replicas
-            .iter()
-            .find(|n| !failed.contains(n))
-            .copied()?;
+        let target = *self.live_holders(&info).first()?;
         self.inner.nodes[target.0 as usize]
             .lock()
             .corrupt(id, xor)
@@ -1362,5 +1327,93 @@ mod tests {
         assert!(p.chunks_rebuilt > 0 && p.ios > 0, "{p:?}");
         assert_eq!(p.remaining, 0);
         assert!(c.under_replicated_chunks().is_empty());
+    }
+
+    #[test]
+    fn a_chunk_whose_only_live_copy_is_corrupt_leaves_the_work_list() {
+        let c = TectonicCluster::new(ClusterConfig {
+            nodes: 6,
+            block_size: 4096,
+            replication: 3,
+            hdd: true,
+        });
+        c.append("f", Bytes::from(vec![3u8; 4096])).unwrap();
+        let holders = c.stat("f").unwrap().blocks[0].clone();
+        c.fail_node(holders[0]);
+        c.fail_node(holders[1]);
+        for _ in 0..HEARTBEAT_K {
+            c.heartbeat_tick();
+        }
+        assert_eq!(c.corrupt_replica("f", 0, 0x5A), Some(holders[2]));
+        // One source read finds no good copy; the bad one is dropped and
+        // nothing is left that a pump could move.
+        let p = c.pump_rebuild(u64::MAX);
+        assert_eq!((p.chunks_rebuilt, p.ios, p.remaining), (0, 1, 0), "{p:?}");
+        let id = BlockId::new("f", 0);
+        let bad = holders[2].0 as usize;
+        assert!(c.inner.nodes[bad].lock().peek(id, 0, 0).is_err());
+        assert_eq!(c.pump_rebuild(u64::MAX), RebuildProgress::default());
+        assert_eq!(c.durability().rebuild_queue_depth, 0);
+        assert!(matches!(
+            read(&c, "f", 0, 4096),
+            Err(DsiError::Unavailable(_) | DsiError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn a_recovered_node_holds_only_the_copies_the_directory_lists() {
+        let c = TectonicCluster::new(ClusterConfig {
+            nodes: 6,
+            block_size: 128,
+            replication: 3,
+            hdd: true,
+        });
+        let holds = |node: NodeId, path: &str, blocks: u64| -> usize {
+            (0..blocks)
+                .filter(|&b| {
+                    let id = BlockId::new(path, b);
+                    c.inner.nodes[node.0 as usize].lock().peek(id, 0, 0).is_ok()
+                })
+                .count()
+        };
+        // Copies rebuilt elsewhere, then the file deleted.
+        c.append("f", Bytes::from(vec![6u8; 8 * 128])).unwrap();
+        assert!(holds(NodeId(2), "f", 8) > 0);
+        c.fail_node(NodeId(2));
+        assert_eq!(heal(&c).remaining, 0);
+        c.recover_node(NodeId(2));
+        c.delete("f").unwrap();
+        assert_eq!(holds(NodeId(2), "f", 8), 0);
+        // A tail block extended while one holder was down.
+        c.append("g", Bytes::from(vec![1u8; 100])).unwrap();
+        let stale = c.stat("g").unwrap().blocks[0][0];
+        c.fail_node(stale);
+        c.append("g", Bytes::from(vec![2u8; 20])).unwrap();
+        c.recover_node(stale);
+        assert_eq!(holds(stale, "g", 1), 0, "the shorter copy is gone");
+        let mut want = vec![1u8; 100];
+        want.extend([2u8; 20]);
+        assert_eq!(read(&c, "g", 0, 120).unwrap(), want);
+    }
+
+    #[test]
+    fn a_tail_append_reads_past_a_corrupt_holder() {
+        let c = TectonicCluster::new(ClusterConfig {
+            nodes: 6,
+            block_size: 4096,
+            replication: 3,
+            hdd: true,
+        });
+        let data: Vec<u8> = (0..200u32).map(|i| (i % 251) as u8).collect();
+        c.append("f", Bytes::from(data[..100].to_vec())).unwrap();
+        assert!(c.corrupt_replica("f", 0, 0x5A).is_some());
+        c.append("f", Bytes::from(data[100..].to_vec())).unwrap();
+        let replicas = c.stat("f").unwrap().blocks[0].clone();
+        assert_eq!(replicas.len(), 3);
+        let id = BlockId::new("f", 0);
+        for node in replicas {
+            let copy = c.inner.nodes[node.0 as usize].lock().peek(id, 0, 200);
+            assert_eq!(copy.unwrap(), data, "node {node}");
+        }
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! Tectonic's metadata layer is modeled here as a flat map — each chunk
 //! records where its replicas live (chosen by rendezvous hashing over the
-//! live nodes at write time) and the checksum of its full payload, so
-//! the rebuild worker can validate a source replica before fanning copies
-//! back out.
+//! live nodes at write time) and the checksum of its full payload, so a
+//! whole-chunk read (a tail append, a read-repair or a rebuild) can
+//! validate its source copy before writing it anywhere.
 
 use crate::block::BlockId;
 use dsi_types::NodeId;
@@ -44,7 +44,7 @@ impl ChunkDirectory {
         self.chunks.get(&id)
     }
 
-    /// Mutable lookup (replica-set edits during rebuild/read-repair).
+    /// Mutable lookup (the rebuild pump's replica-set edits).
     pub fn get_mut(&mut self, id: BlockId) -> Option<&mut ChunkInfo> {
         self.chunks.get_mut(&id)
     }

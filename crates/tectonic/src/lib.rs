@@ -11,9 +11,10 @@
 //! * [`block`] — block sizing and rendezvous-hash replica placement;
 //! * [`node`] — a storage node: device + block store (with per-page
 //!   [`dsi_types::rng::checksum64`] sums verified on read) + telemetry;
-//! * [`cluster`] — the name node and client API ([`TectonicCluster`]);
+//! * [`cluster`] — the name node and client API ([`TectonicCluster`]):
+//!   one verified-copy lookup and one top-up behind every replica path;
 //! * [`directory`] — the chunk directory mapping every block to its
-//!   replica set and checksum;
+//!   replica set and checksum (a node holds only the copies it lists);
 //! * [`heal`] — heartbeat failure detection behind self-healing (the
 //!   rebuild pump reads its work from the [`directory`]);
 //! * [`source`] — a [`dwrf::ChunkSource`] adapter so DWRF readers fetch

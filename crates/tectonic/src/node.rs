@@ -202,6 +202,11 @@ impl StorageNode {
         self.blocks.remove(&id).is_some()
     }
 
+    /// Keeps only the resident replicas `keep` accepts.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(BlockId) -> bool) {
+        self.blocks.retain(|&id, _| keep(id));
+    }
+
     /// Telemetry snapshot.
     pub fn stats(&self) -> NodeStats {
         NodeStats {

@@ -499,8 +499,6 @@ fn bitmap_by_bits(out: &mut Vec<u8>, bits: &[bool]) {
     }
 }
 
-/// `f32` bit patterns the XOR writer must carry exactly: arbitrary words,
-/// ±0, subnormals and NaN payloads of either sign.
 /// One step of a random Tectonic schedule: files and nodes are indices
 /// the test maps onto its cluster.
 #[derive(Debug, Clone)]
@@ -511,6 +509,8 @@ enum HealOp {
     Tick,
     Pump(u64),
     Delete(usize),
+    /// At-rest corruption of one live copy of a file's block.
+    Corrupt(usize, u64),
 }
 
 /// Appends and beats come twice as often as the rest, so nodes get
@@ -526,9 +526,12 @@ fn arb_heal_op() -> impl Strategy<Value = HealOp> {
         Just(HealOp::Tick),
         (1u64..17).prop_map(HealOp::Pump),
         (0usize..3).prop_map(HealOp::Delete),
+        (0usize..3, 0u64..8).prop_map(|(f, b)| HealOp::Corrupt(f, b)),
     ]
 }
 
+/// `f32` bit patterns the XOR writer must carry exactly: arbitrary words,
+/// ±0, subnormals and NaN payloads of either sign.
 fn arb_f32_bits() -> impl Strategy<Value = u32> {
     prop_oneof![
         any::<u32>(),
@@ -1641,7 +1644,7 @@ proptest! {
         ops in proptest::collection::vec(arb_heal_op(), 0..80),
     ) {
         use dsi_types::NodeId;
-        use std::collections::BTreeMap;
+        use std::collections::{BTreeMap, BTreeSet};
         let (bs, r) = (128u64, 3usize);
         let cluster = TectonicCluster::new(ClusterConfig {
             nodes,
@@ -1650,17 +1653,42 @@ proptest! {
             hdd: true,
         });
         let mut files: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+        // Chunks with a copy corrupted since their last repair: at most one
+        // copy of a chunk is bad at a time, so no chunk can be lost.
+        let mut corrupted: BTreeSet<(String, u64)> = BTreeSet::new();
         for op in ops {
             match op {
                 HealOp::Append(f, len) => {
                     let path = format!("f{f}");
                     let old = files.get(&path).map_or(0, Vec::len);
                     let data: Vec<u8> = (old..old + len).map(|i| (i * 7 + f) as u8).collect();
+                    let tail = (path.clone(), old as u64 / bs);
                     match cluster.append(&path, Bytes::from(data.clone())) {
-                        Ok(()) => files.entry(path).or_default().extend(data),
-                        // Every holder of the tail block is down: nothing
-                        // is written.
-                        Err(e) => prop_assert!(matches!(e, DsiError::Unavailable(_)), "{e}"),
+                        Ok(()) => {
+                            files.entry(path).or_default().extend(data);
+                            // Every listed holder of the tail now has the
+                            // longer block.
+                            corrupted.remove(&tail);
+                        }
+                        // Every holder of the tail block is down, or the
+                        // one live holder is the corrupt copy: nothing is
+                        // written.
+                        Err(e) => prop_assert!(
+                            matches!(e, DsiError::Unavailable(_))
+                                || (matches!(e, DsiError::Corrupt(_)) && corrupted.contains(&tail)),
+                            "{e}"
+                        ),
+                    }
+                }
+                HealOp::Corrupt(f, b) => {
+                    let path = format!("f{f}");
+                    let failed = cluster.failed_nodes();
+                    let live = cluster
+                        .stat(&path)
+                        .and_then(|meta| meta.blocks.get(b as usize).cloned())
+                        .map_or(0, |rs| rs.iter().filter(|n| !failed.contains(n)).count());
+                    if live >= 2 && corrupted.insert((path.clone(), b)) {
+                        prop_assert!(cluster.corrupt_replica(&path, b, 0x5A).is_some());
                     }
                 }
                 HealOp::Fail(n) => {
@@ -1679,6 +1707,7 @@ proptest! {
                 HealOp::Delete(f) => {
                     let path = format!("f{f}");
                     prop_assert_eq!(cluster.delete(&path).is_ok(), files.remove(&path).is_some());
+                    corrupted.retain(|(p, _)| *p != path);
                 }
             }
         }
